@@ -27,7 +27,8 @@ from .operators import (
     verify_positive, lateral_bound_scan, ZeroOp,
 )
 from .oplattice import (
-    dp_fast, join_at, meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
+    dp_fast, extrema_by_enumeration, join_at, meet_at, meyer_pair, modulus_at,
+    neg_part_at, pos_part_at,
 )
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
@@ -450,12 +451,18 @@ def _run_thm_3_2_join(rng, cfg):
             want = normalize(space, [max(f(v), g(v)) for f, g, v
                                      in zip(fns_f, fns_g, values)])
             got = join_at(S, T, x)
-            if got.value != want:
+            ref = extrema_by_enumeration(S, T, x, "sup")
+            if got.value != want or ref.value != want:
                 return _bad(f"join at {format_element(x)} is "
-                            f"{format_value(got.value)}, oracle {format_value(want)}",
-                            samples, data=(x,)), ()
-            if not got.attained:
+                            f"{format_value(got.value)}, enumeration "
+                            f"{format_value(ref.value)}, oracle "
+                            f"{format_value(want)}", samples, data=(x,)), ()
+            if not ref.attained:
                 return _bad("no attaining splitting recorded", samples,
+                            data=(x,)), ()
+            if got.attained != ref.attained:
+                return _bad(f"attaining splittings at {format_element(x)} "
+                            "differ from enumeration", samples,
                             data=(x,)), ()
     for _ in range(cfg["samples"]):
         n = rng.randint(1, 10)
@@ -467,9 +474,14 @@ def _run_thm_3_2_join(rng, cfg):
         samples += 1
         want = normalize(space, [max(f(v), g(v)) for f, g, v
                                  in zip(fns_f, fns_g, x.payload)])
-        if join_at(S, T, x).value != want:
+        got = join_at(S, T, x)
+        ref = extrema_by_enumeration(S, T, x, "sup")
+        if got.value != want or ref.value != want:
             return _bad(f"join oracle mismatch at {format_element(x)}",
                         samples, data=(x,)), ()
+        if got.attained != ref.attained:
+            return _bad(f"attaining splittings at {format_element(x)} "
+                        "differ from enumeration", samples, data=(x,)), ()
     return _ok(samples, notes="coordinatewise closed form matched exactly"), ()
 
 
@@ -539,11 +551,22 @@ def _run_cor_3_3_meet(rng, cfg):
         want = normalize(space, [min(f(v), g(v)) for f, g, v
                                  in zip(fns_f, fns_g, x.payload)])
         got = meet_at(S, T, x).value
-        if got != want:
+        if got != want or extrema_by_enumeration(S, T, x, "inf").value != want:
             return _bad("meet oracle mismatch", samples, data=(x,)), ()
         if got != vneg(join_at(negate(S), negate(T), x).value):
             return _bad("meet duality identity failed", samples, data=(x,)), ()
     return _ok(samples, notes="coordinatewise minimum matched exactly"), ()
+
+
+def _enumerated_part(kind, T, x):
+    """Positive part, negative part or modulus of T at x, folded over
+    every splitting of x by the enumeration reference."""
+    if kind == "modulus":
+        return extrema_by_enumeration(T, negate(T), x, "sup").value
+    zero_op = ZeroOp(T.domain, T.codomain)
+    if kind == "pos":
+        return extrema_by_enumeration(T, zero_op, x, "sup").value
+    return vneg(extrema_by_enumeration(T, zero_op, x, "inf").value)
 
 
 def _part_oracle(rng, cfg, which):
@@ -568,7 +591,7 @@ def _part_oracle(rng, cfg, which):
             got = modulus_at(T, x).value
             if not leq(absolute(apply(T, x)), got):
                 return None, _bad("modulus below |T(x)|", samples, data=(x,)), ()
-        if got != want:
+        if got != want or _enumerated_part(which, T, x) != want:
             return None, _bad(f"{which} oracle mismatch at {format_element(x)}",
                               samples, data=(x,)), ()
     return samples, None, ()
@@ -585,7 +608,7 @@ def _run_cor_3_5_neg(rng, cfg):
 
 
 def _run_cor_3_6_mod(rng, cfg):
-    samples, bad, arts = _part_oracle(rng, cfg, "mod")
+    samples, bad, arts = _part_oracle(rng, cfg, "modulus")
     return (bad, arts) if bad else (_ok(samples, notes="closed form matched"), arts)
 
 
@@ -643,11 +666,9 @@ def _dp_fast_vs_brute(rng, cfg, kinds):
                         samples, notes=rep.witness or ""), ()
         x = _finite_frag_element(rng, space)
         samples += 1
-        brute = {"modulus": modulus_at, "pos": pos_part_at, "neg": neg_part_at}
         for kind in kinds:
             fast = dp_fast(kind, T, x, rep)
-            slow = brute[kind](T, x).value
-            if fast != slow:
+            if fast != _enumerated_part(kind, T, x):
                 return _bad(f"{kind} fast path disagrees at {format_element(x)}",
                             samples, data=(x,)), ()
     return _ok(samples, notes="single-application fast path exact"), ()
@@ -906,6 +927,13 @@ _MAX_COUNT = 10 ** 6
 
 
 def _validate_config(check_id, cfg):
+    d = REGISTRY[check_id]
+    unknown = sorted(cfg.keys() - d.quick.keys() - d.full.keys())
+    if unknown:
+        known = sorted(d.quick.keys() | d.full.keys())
+        raise PreconditionError(
+            f"{check_id}: unknown config key(s) {', '.join(unknown)}; "
+            f"known keys: {', '.join(known + ['seed'])}")
     for key in _COUNT_KEYS & cfg.keys():
         value = cfg[key]
         if not isinstance(value, int) or not 1 <= value <= _MAX_COUNT:
@@ -929,6 +957,8 @@ def run_check(check_id: str, config: dict | None = None,
     rng = random.Random(f"{run_seed}:{check_id}")
     try:
         result, artifacts = d.runner(rng, cfg)
+    except PreconditionError:
+        raise  # the configuration asks for more than the runner supports
     except Exception as exc:  # a crash is a failure of the check
         result = reports.fails(f"exception: {exc!r}", 0,
                                notes="runner raised instead of reporting")

@@ -1,11 +1,14 @@
-"""Pointwise lattice operations on operators via decomposition enumeration.
+"""Pointwise lattice operations on operators.
 
 The join of two operators at x is the supremum of S(u) + T(v) over the
 disjoint splittings x = u + v; meets, positive/negative parts and the
-modulus are the matching infima/suprema.  Finite splitting sets are
-folded exactly (no order completeness assumed anywhere); infinite ones
-are handled level by level with a closed form that exploits additivity
-on disjoint atom sums.
+modulus are the matching infima/suprema.  No order completeness is
+assumed anywhere.  When both operators are additive on disjoint sums,
+the fold over splittings distributes into one fold per atom of x (its
+support atoms, or its support components on piecewise-linear
+functions): exactly for finite fragment algebras, level by level for
+infinite ones.  Other pairs, and interval-valued codomains, enumerate
+the splittings; ``extrema_by_enumeration`` is that reference.
 """
 
 from __future__ import annotations
@@ -14,14 +17,17 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, SpaceMismatch
 from . import reports
-from .lateral import enumerate_decompositions, is_fragment, min_level
+from .lateral import (
+    Decomposition, enumerate_decompositions, is_fragment, min_level,
+)
 from .operators import (
     RealInterval, ZeroOp, apply, is_atom_additive, negate,
     vabs, vadd, vinf, vneg, vneg_part, vpos, vsup, vzero,
 )
 from .spaces import (
-    Element, EventuallyConstant, canonical_key, format_element, get_atom,
-    normalize, support_size, unit_atom, ZERO,
+    Element, EventuallyConstant, PiecewiseLinear, Reals, add, canonical_key,
+    format_element, get_atom, normalize, pl_components, pl_restrict, sub,
+    support_atoms, support_size, unit_atom, zero, ZERO,
 )
 
 
@@ -42,6 +48,9 @@ class LatticePoint:
     notes: str = ""
 
 
+_PICK = {"sup": vsup, "inf": vinf}
+
+
 def _pair_check(S, T, x: Element):
     if S.domain != T.domain or S.codomain != T.codomain:
         raise SpaceMismatch("operator pair must share domain and codomain")
@@ -50,12 +59,10 @@ def _pair_check(S, T, x: Element):
 
 
 def _fold(values, kind):
+    pick = _PICK[kind]
     acc = None
     for v in values:
-        if acc is None:
-            acc = v
-        else:
-            acc = vsup(acc, v) if kind == "sup" else vinf(acc, v)
+        acc = v if acc is None else pick(acc, v)
     return acc
 
 
@@ -80,20 +87,16 @@ def _interval_decided(values, fold):
 def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     _pair_check(S, T, x)
     infinite = (isinstance(x.space, EventuallyConstant) and x.payload[1] != 0)
+    additive = is_atom_additive(S) and is_atom_additive(T)
     if not infinite:
-        pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
-                 for d in enumerate_decompositions(x)]
-        fold = _fold((v for _, v in pairs), kind)
-        decided, notes = True, ""
-        if isinstance(fold, RealInterval):
-            decided, notes = _interval_decided([v for _, v in pairs], fold)
-        return LatticePoint("exact", value=fold,
-                            attained=_attained(pairs, fold),
-                            decided=decided, notes=notes)
+        if additive and not isinstance(S.codomain, Reals):
+            return _extrema_closed(S, T, x, kind)
+        # interval enclosures need every splitting value to judge `decided`
+        return extrema_by_enumeration(S, T, x, kind)
     if level is None:
         raise PreconditionError(
             "infinite splitting family: supply a truncation level")
-    if is_atom_additive(S) and is_atom_additive(T):
+    if additive:
         levels = _levels_closed(S, T, x, kind, level)
     else:
         levels = _levels_enumerated(S, T, x, kind, level)
@@ -101,35 +104,98 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
                         notes="per-level extrema over truncated splittings")
 
 
+def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
+    """Reference fold of S(u) + T(v) over every splitting x = u + v.
+
+    ``kind`` is "sup" or "inf"; the fragment algebra of x must be
+    finite.  The per-atom closed form must agree with this in value and
+    attaining splittings; the checks and tests compare the two.
+    """
+    _pair_check(S, T, x)
+    pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
+             for d in enumerate_decompositions(x)]
+    fold = _fold((v for _, v in pairs), kind)
+    decided, notes = True, ""
+    if isinstance(fold, RealInterval):
+        decided, notes = _interval_decided([v for _, v in pairs], fold)
+    return LatticePoint("exact", value=fold,
+                        attained=_attained(pairs, fold),
+                        decided=decided, notes=notes)
+
+
+def _atoms(x: Element):
+    """The disjoint atoms that sum to x: its support components on
+    piecewise-linear functions, its support atoms elsewhere."""
+    if isinstance(x.space, PiecewiseLinear):
+        return [pl_restrict(x, [c]) for c in pl_components(x)]
+    return [unit_atom(x.space, i, get_atom(x, i)) for i in support_atoms(x)]
+
+
+def _side(s, t, best):
+    """Side of the splitting an atom joins when its images are s under S
+    and t under T: "right" whenever T attains the per-atom extremum
+    (ties go right, which keeps the left support minimal), "left" when
+    only S does, None when neither does (incomparable images)."""
+    if t == best:
+        return "right"
+    if s == best:
+        return "left"
+    return None
+
+
+def _fold_atoms(acc, S, T, atoms, pick):
+    """Add pick(S(a), T(a)) to acc for every atom a.
+
+    Each splitting assigns every atom to one side, and additivity on
+    disjoint sums makes S(u) + T(v) a sum of independent per-atom
+    choices, so the fold over splittings distributes into per-atom
+    folds.  A splitting attains the total exactly when every atom's
+    choice attains its own extremum.  Returns the total and the atoms
+    that go left in the attaining splitting with minimal left support,
+    or None in place of the atoms when no splitting attains.
+    """
+    left = []
+    attains = True
+    for a in atoms:
+        s, t = apply(S, a), apply(T, a)
+        best = pick(s, t)
+        acc = vadd(acc, best)
+        side = _side(s, t, best)
+        if side == "left":
+            left.append(a)
+        attains = attains and side is not None
+    return acc, (left if attains else None)
+
+
+def _extrema_closed(S, T, x, kind):
+    value, left = _fold_atoms(vzero(S.codomain), S, T, _atoms(x), _PICK[kind])
+    if left is None:
+        return LatticePoint("exact", value=value)
+    u = zero(x.space)
+    for a in left:
+        u = add(u, a)
+    return LatticePoint("exact", value=value,
+                        attained=(Decomposition(x, u, sub(x, u)),))
+
+
 def _levels_closed(S, T, x, kind, level):
     """Per-level fold without enumeration.
 
     Each splitting of x at level l assigns every atom n <= l and the
-    pure-tail part to one side; additivity on disjoint sums makes the
-    value a sum of independent per-atom choices, so the coordinatewise
-    fold distributes into per-atom folds.
+    pure-tail part to one side, so the level value is the per-atom fold
+    over atoms 1..l plus the better image of the remaining tail.
     """
-    pick = vsup if kind == "sup" else vinf
+    pick = _PICK[kind]
     prefix, tail = x.payload
     start = len(prefix)
-    acc = vzero(S.codomain)
-    for n in range(1, start + 1):
-        acc = _accumulate(acc, S, T, x, n, pick)
+    acc, _ = _fold_atoms(vzero(S.codomain), S, T, _atoms(x), pick)
     out = []
     for l in range(start, level + 1):
         if l > start:
-            acc = _accumulate(acc, S, T, x, l, pick)
+            acc, _ = _fold_atoms(acc, S, T, [unit_atom(x.space, l, tail)], pick)
         w = normalize(x.space, ([ZERO] * l, tail))
         out.append((l, vadd(acc, pick(apply(S, w), apply(T, w)))))
     return out
-
-
-def _accumulate(acc, S, T, x, n, pick):
-    v = get_atom(x, n)
-    if v == 0:
-        return acc
-    atom = unit_atom(x.space, n, v)
-    return vadd(acc, pick(apply(S, atom), apply(T, atom)))
 
 
 def _levels_enumerated(S, T, x, kind, level):

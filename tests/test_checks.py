@@ -70,6 +70,22 @@ def test_config_out_of_range_is_rejected():
         run_check("lem-3.1", {"instances": "many"})
 
 
+def test_unknown_config_key_is_rejected():
+    with pytest.raises(PreconditionError, match="instancez"):
+        run_check("lem-3.1", {"instancez": 3})
+    with pytest.raises(PreconditionError):
+        run_check("lat-partial-order", {"samples": 3})
+    # seed is accepted by every check
+    assert run_check("lem-3.1", {"instances": 2, "seed": 5}).config == \
+        {"instances": 2, "seed": 5}
+
+
+def test_runner_precondition_is_not_a_failure():
+    # beyond the enumeration cap: a precondition outcome, not a counterexample
+    with pytest.raises(PreconditionError, match="enumeration cap"):
+        run_check("frag-boolean", {"n": 19})
+
+
 def test_runner_exception_becomes_failure(monkeypatch):
     from rieszlab import checks as checks_mod
     broken = REGISTRY["lem-3.1"]
@@ -105,9 +121,20 @@ def test_mutation_zero_meet_breaks_grid_reconstruction():
         assert report.witness
 
 
+def test_mutation_ties_left_breaks_join_attaining_set():
+    with tampered("join-ties-left"):
+        report = run_check("thm-3.2-join").result
+        assert report.verdict == FAILS
+        assert "differ from enumeration" in report.witness
+    assert run_check("thm-3.2-join", {"samples": 1}).result.verdict == HOLDS
+
+
 def test_mutation_names_are_documented():
+    from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
-                              "latsup-sign-flip"}
+                              "latsup-sign-flip", "join-ties-left"}
+    for name in MUTATIONS:
+        assert f"``{name}``" in mutations.__doc__
 
 
 def test_search_classifications():

@@ -89,6 +89,14 @@ def test_check_subcommand_exit_codes():
     assert code == cli.EXIT_CHECK_FAILED
 
 
+def test_check_config_errors_are_preconditions():
+    # beyond the enumeration cap: exit 4, not a check failure (exit 5)
+    code, out = run_cli("check", "frag-boolean", "--config", "n=19")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+    code, out = run_cli("check", "lem-3.1", "--config", "instancez=3")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+
+
 def test_suite_subset_and_report(tmp_path):
     report = tmp_path / "report.txt"
     code, out = run_cli("suite", "--ids", "frag-boolean,lem-3.1",

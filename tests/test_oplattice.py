@@ -5,16 +5,17 @@ from fractions import Fraction as Q
 import pytest
 
 from rieszlab import generators as gen
+from rieszlab import oplattice
 from rieszlab.errors import PreconditionError
-from rieszlab.lateral import enumerate_decompositions
+from rieszlab.lateral import Decomposition, enumerate_decompositions
 from rieszlab.operators import (
-    AlternatingSeries, Kernel, RealInterval, ZeroOp, apply, diagonal_kernel,
-    example_operator, negate, poly, vadd, vneg, vsup,
+    AlternatingSeries, Kernel, OpScaled, RealInterval, ZeroOp, apply,
+    diagonal_kernel, example_operator, negate, poly, vadd, vneg, vsup,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
-    dp_fast, join_at, meet_at, meyer_pair, modulus_at, neg_part_at,
-    pos_part_at,
+    dp_fast, extrema_by_enumeration, join_at, meet_at, meyer_pair, modulus_at,
+    neg_part_at, pos_part_at,
 )
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
@@ -125,6 +126,94 @@ def test_fold_order_independence():
     for v in reversed(values[:-1]):
         backward = vsup(backward, v)
     assert forward == backward == join_at(S, T, x).value
+
+
+def _all_kinds(S, T, x):
+    """(name, public evaluation, enumeration reference) for the five
+    pointwise operations at x."""
+    Z = ZeroOp(T.domain, T.codomain)
+    neg = extrema_by_enumeration(T, Z, x, "inf")
+    neg.value = vneg(neg.value)
+    return (
+        ("join", join_at(S, T, x), extrema_by_enumeration(S, T, x, "sup")),
+        ("meet", meet_at(S, T, x), extrema_by_enumeration(S, T, x, "inf")),
+        ("pos", pos_part_at(T, x), extrema_by_enumeration(T, Z, x, "sup")),
+        ("neg", neg_part_at(T, x), neg),
+        ("mod", modulus_at(T, x),
+         extrema_by_enumeration(T, negate(T), x, "sup")),
+    )
+
+
+def _assert_matches_enumeration(S, T, x):
+    for name, got, ref in _all_kinds(S, T, x):
+        assert got.value == ref.value, (name, S, T, x)
+        assert got.attained == ref.attained, (name, S, T, x)
+        assert (got.mode, got.decided, got.notes) == \
+            (ref.mode, ref.decided, ref.notes), (name, S, T, x)
+
+
+def test_closed_form_matches_enumeration_on_every_finite_model():
+    rng = make_rng("closed-vs-enum")
+    for k in range(150):
+        space = gen.space_menu()[k % 6]
+        S = gen.random_oao(rng, space)
+        T = gen.random_oao(rng, space, allow_tables=k % 2 == 0)
+        while T.codomain != S.codomain:
+            T = gen.random_oao(rng, space)
+        x = gen.random_element(rng, space)
+        if isinstance(space, EventuallyConstant):
+            x = ec(x.payload[0], 0)
+        _assert_matches_enumeration(S, T, x)
+
+
+def test_closed_form_tie_goes_right():
+    S = diagonal_kernel(Coordinate(2), [poly(0, 1), poly(0, 2)])
+    T = diagonal_kernel(Coordinate(2), [poly(0, 1), poly(0, -1)])
+    x = coord(1, 1)
+    p = join_at(S, T, x)
+    assert p.value == coord(1, 2)
+    assert p.attained == (Decomposition(x, coord(0, 1), coord(1, 0)),)
+    _assert_matches_enumeration(S, T, x)
+
+
+def test_closed_form_incomparable_images_attain_nothing():
+    # per atom, S and T land on different coordinates of the codomain
+    S = Kernel(Coordinate(2), Coordinate(2),
+               ((1, 1, poly(0, 1)), (2, 2, poly(0, 1))))
+    T = Kernel(Coordinate(2), Coordinate(2),
+               ((1, 2, poly(0, 1)), (2, 1, poly(0, 1))))
+    x = coord(1, 0)
+    p = join_at(S, T, x)
+    assert p.value == coord(1, 1) and p.attained == ()
+    assert meet_at(S, T, x).attained == ()
+    _assert_matches_enumeration(S, T, x)
+    _assert_matches_enumeration(S, T, coord(1, 2))
+
+
+def test_closed_form_at_zero():
+    S, T = _scalar_pair()
+    x = zero(Coordinate(2))
+    p = join_at(S, T, x)
+    assert p.value == zero(Coordinate(1))
+    assert p.attained == (Decomposition(x, x, x),)
+    _assert_matches_enumeration(S, T, x)
+    for space in gen.space_menu():
+        U = gen.random_dp_operator(make_rng("zero"), space)
+        _assert_matches_enumeration(U, U, zero(space))
+
+
+def test_interval_codomain_keeps_enumeration(monkeypatch):
+    def no_closed_form(*args):
+        raise AssertionError("interval codomains must enumerate")
+
+    monkeypatch.setattr(oplattice, "_fold_atoms", no_closed_form)
+    A = AlternatingSeries()
+    B = OpScaled(Q(-1, 2), A)
+    for x in (ec([1, -2, 3], 0), ec([], 0), ec([0, Q(1, 2)], 0)):
+        _assert_matches_enumeration(A, B, x)
+        p = join_at(A, B, x)
+        assert isinstance(p.value, RealInterval)
+        assert p.decided and p.notes == ""
 
 
 def test_truncated_levels_monotone_and_match_enumeration():
