@@ -9,8 +9,11 @@ Re-running with identical id and config reproduces identical records.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +36,9 @@ from .oplattice import (
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, ZERO, absolute, add, format_element,
-    from_atoms, get_atom, inf, is_disjoint, leq, normalize, one, pl_restrict,
-    pl_components, scale, sub, sup, support_atoms, zero,
+    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
+    leq, normalize, one, pieces, scale, sub, sup, support_atoms, zero,
 )
 
 Q = Fraction
@@ -95,9 +98,14 @@ def _finite_spaces():
 def _finite_frag_element(rng, space):
     """Random element whose fragment algebra is finite."""
     x = gen.random_element(rng, space)
-    if isinstance(space, EventuallyConstant):
-        return normalize(space, (x.payload[0], 0))
+    if has_infinite_fragments(x):
+        return sum(pieces(x), zero(space))
     return x
+
+
+def _atom_values(x):
+    """Values of x at the atoms 1..n of its finite space."""
+    return [get_atom(x, i) for i in range(1, atom_count(x.space) + 1)]
 
 
 def _mixed_sign_full_support(rng, n):
@@ -126,7 +134,7 @@ def _run_frag_boolean(rng, cfg):
     for x in frags:
         # complement, zero and unit laws
         c = sub(e, x)
-        if lateral.lateral_sup(x, c) != e or not _is_zero_el(lateral.lateral_inf(x, c)):
+        if lateral.lateral_sup(x, c) != e or not is_zero(lateral.lateral_inf(x, c)):
             return _bad(f"complement law at {format_element(x)}", samples,
                         data=(x,)), ()
         for y in frags:
@@ -150,10 +158,6 @@ def _run_frag_boolean(rng, cfg):
             return _bad("distributivity", samples, data=(x, y, z)), ()
     arts = (f"algebra size {len(frags)} on base {format_element(e)}",)
     return _ok(samples, notes="exhaustive over the fragment algebra"), arts
-
-
-def _is_zero_el(x):
-    return x == zero(x.space)
 
 
 def _run_lat_partial_order(rng, cfg):
@@ -252,19 +256,8 @@ def _run_lem_4_5(rng, cfg):
 
 def _random_signs(rng, u):
     """Element with |result| = u: flip signs atom- or component-wise."""
-    space = u.space
-    if isinstance(space, PiecewiseLinear):
-        flipped = [c for c in pl_components(u) if rng.random() < 0.5]
-        return sub(u, scale(2, pl_restrict(u, flipped)))
-    picked = {}
-    for a in support_atoms(u):
-        v = get_atom(u, a)
-        picked[a] = -v if rng.random() < 0.5 else v
-    if isinstance(space, EventuallyConstant):
-        prefix, tail = u.payload
-        vals = [picked.get(i + 1, prefix[i]) for i in range(len(prefix))]
-        return normalize(space, (vals, tail))
-    return from_atoms(space, picked)
+    flipped = sum((p for p in pieces(u) if rng.random() < 0.5), zero(u.space))
+    return sub(u, scale(2, flipped))
 
 
 def _linear_diag_pair(rng, n):
@@ -302,8 +295,7 @@ def _run_thm_1_1_a(rng, cfg):
 
 
 def _op_pool(rng, space):
-    T = gen.random_oao(rng, space, allow_tables=False)
-    return T
+    return gen.random_oao(rng, space, allow_tables=False)
 
 
 def _run_thm_1_1_b(rng, cfg):
@@ -473,7 +465,7 @@ def _run_thm_3_2_join(rng, cfg):
         x = gen.random_element(rng, space)
         samples += 1
         want = normalize(space, [max(f(v), g(v)) for f, g, v
-                                 in zip(fns_f, fns_g, x.payload)])
+                                 in zip(fns_f, fns_g, _atom_values(x))])
         got = join_at(S, T, x)
         ref = extrema_by_enumeration(S, T, x, "sup")
         if got.value != want or ref.value != want:
@@ -502,7 +494,7 @@ def _run_thm_3_2_oao(rng, cfg):
         # refine a few splittings of x + y through the common grid
         decs = enumerate_decompositions(add(x, y))
         for d in decs[:4]:
-            if _is_zero_el(d.left) and _is_zero_el(d.right):
+            if is_zero(d.left) and is_zero(d.right):
                 continue
             grid = pliev_grid([d.left, d.right], [x, y])
             w = grid.grid
@@ -527,10 +519,7 @@ def _run_thm_3_2_pres_p(rng, cfg):
         S, T = _op_pool(rng, space), _op_pool(rng, space)
         e = _finite_frag_element(rng, space)
         vals = [join_at(S, T, z).value for z in enumerate_fragments(e)]
-        lo = hi = None
-        for v in vals:
-            lo = v if lo is None else inf(lo, v)
-            hi = v if hi is None else sup(hi, v)
+        lo, hi = functools.reduce(inf, vals), functools.reduce(sup, vals)
         samples += 1
         if not all(leq(lo, v) and leq(v, hi) for v in vals):
             return _bad("join image over fragments not order bounded",
@@ -549,7 +538,7 @@ def _run_cor_3_3_meet(rng, cfg):
         x = gen.random_element(rng, space)
         samples += 1
         want = normalize(space, [min(f(v), g(v)) for f, g, v
-                                 in zip(fns_f, fns_g, x.payload)])
+                                 in zip(fns_f, fns_g, _atom_values(x))])
         got = meet_at(S, T, x).value
         if got != want or extrema_by_enumeration(S, T, x, "inf").value != want:
             return _bad("meet oracle mismatch", samples, data=(x,)), ()
@@ -580,14 +569,14 @@ def _part_oracle(rng, cfg, which):
         samples += 1
         if which == "pos":
             want = normalize(space, [max(f(v), ZERO) for f, v
-                                     in zip(fns, x.payload)])
+                                     in zip(fns, _atom_values(x))])
             got = pos_part_at(T, x).value
         elif which == "neg":
             want = normalize(space, [max(-f(v), ZERO) for f, v
-                                     in zip(fns, x.payload)])
+                                     in zip(fns, _atom_values(x))])
             got = neg_part_at(T, x).value
         else:
-            want = normalize(space, [abs(f(v)) for f, v in zip(fns, x.payload)])
+            want = normalize(space, [abs(f(v)) for f, v in zip(fns, _atom_values(x))])
             got = modulus_at(T, x).value
             if not leq(absolute(apply(T, x)), got):
                 return None, _bad("modulus below |T(x)|", samples, data=(x,)), ()
@@ -621,9 +610,7 @@ def _run_cor_3_6_pres_p(rng, cfg):
         e = _finite_frag_element(rng, space)
         vals = [modulus_at(T, z).value for z in enumerate_fragments(e)]
         samples += 1
-        hi = None
-        for v in vals:
-            hi = v if hi is None else sup(hi, v)
+        hi = functools.reduce(sup, vals)
         if not all(leq(v, hi) for v in vals):
             return _bad("modulus image not order bounded over fragments",
                         samples, data=(e,)), ()
@@ -689,7 +676,7 @@ def _run_thm_4_2_4(rng, cfg):
         y = gen.random_fragment(rng, e)
         samples += 1
         v = meyer_pair(T, x, y, e, rep)
-        if not _is_zero_el(v):
+        if not is_zero(v):
             return _bad(
                 f"nonzero wedge {format_value(v)} at x={format_element(x)} "
                 f"y={format_element(y)} e={format_element(e)}",
@@ -960,8 +947,12 @@ def run_check(check_id: str, config: dict | None = None,
     except PreconditionError:
         raise  # the configuration asks for more than the runner supports
     except Exception as exc:  # a crash is a failure of the check
-        result = reports.fails(f"exception: {exc!r}", 0,
-                               notes="runner raised instead of reporting")
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        result = reports.fails(
+            f"exception: {exc!r}", 0,
+            notes=(f"runner raised instead of reporting, at "
+                   f"{os.path.basename(frame.filename)}:{frame.lineno} "
+                   f"in {frame.name}"))
         artifacts = ()
     result.seed = f"{run_seed}:{check_id}"
     cfg["seed"] = run_seed
@@ -1049,7 +1040,7 @@ def search_truncated_joins(config: dict | None = None) -> SearchReport:
     for k in range(cfg["instances"]):
         S, T, describe = _search_pairs(rng, k)
         x = gen.random_nonzero_element(rng, EventuallyConstant())
-        while x.payload[1] == 0:
+        while not has_infinite_fragments(x):
             x = gen.random_nonzero_element(rng, EventuallyConstant())
         point = join_at(S, T, x, level=cfg["max_level"])
         levels = point.levels

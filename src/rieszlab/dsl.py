@@ -138,12 +138,6 @@ def tokenize(text: str):
 # AST
 # ---------------------------------------------------------------------------
 
-def _node(cls):
-    """AST dataclass: value-compared, with a position excluded from
-    equality so round-trips compare structurally."""
-    return dataclass(frozen=True)(cls)
-
-
 @dataclass(frozen=True)
 class Node:
     pass

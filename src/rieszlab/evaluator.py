@@ -29,7 +29,7 @@ from .oplattice import (
 )
 from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, format_element, normalize, one, zero,
+    SimpleFunction, format_element, one, zero,
 )
 
 _OPERATOR_TYPES = (Kernel, LinearEC, MatchTable, LateralMeet,
@@ -104,8 +104,7 @@ def render(value) -> str:
         return f"grid[{rows}]"
     if _is_operator(value):
         return f"<operator {type(value).__name__}>"
-    if isinstance(value, (Coordinate, SimpleFunction, FinSupport,
-                          EventuallyConstant, PiecewiseLinear)):
+    if isinstance(value, spaces.Space):
         return spaces.space_name(value)
     return str(value)
 
@@ -204,19 +203,13 @@ def eval_expr(node, env: Environment):
                        getattr(node, "span", (0, 0)))
 
 
+# element literal kind -> the constructor its parts are the arguments of
+_ELEMENT_LITERALS = {"coord": spaces.coord, "simple": spaces.simple,
+                     "ec": spaces.ec, "fin": spaces.fin, "pl": spaces.pl}
+
+
 def _element_from_lit(node: ElementLit) -> Element:
-    k = node.kind
-    if k == "coord":
-        return normalize(Coordinate(len(node.parts)), node.parts)
-    if k == "simple":
-        pts, vals = node.parts
-        return normalize(SimpleFunction(pts), vals)
-    if k == "ec":
-        prefix, tail = node.parts
-        return normalize(EventuallyConstant(), (prefix, tail))
-    if k == "fin":
-        return normalize(FinSupport(), node.parts)
-    return normalize(PiecewiseLinear(), node.parts)
+    return _ELEMENT_LITERALS[node.kind](*node.parts)
 
 
 def _space_from_lit(node: SpaceLit):
@@ -360,8 +353,7 @@ def _eval_builtin(node: Apply, env: Environment):
     if name == "fragments":
         need(1)
         e = _expect_element(args[0], node.span, "fragments argument")
-        if env.level is not None and isinstance(e.space, EventuallyConstant) \
-                and e.payload[1] != 0:
+        if env.level is not None and spaces.has_infinite_fragments(e):
             return fragment_iter(e, env.level)
         return enumerate_fragments(e)
     if name == "decomps":

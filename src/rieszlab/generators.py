@@ -17,8 +17,8 @@ from .operators import (
 )
 from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, from_atoms, get_atom, normalize, pl_components,
-    pl_restrict, support_atoms, zero, ZERO,
+    SimpleFunction, add, atom_count, get_atom, has_infinite_fragments,
+    normalize, pieces, zero, ZERO,
 )
 
 Q = Fraction
@@ -47,26 +47,8 @@ def random_nonzero_scalar(rng, magnitude: int = 3) -> Fraction:
             return v
 
 
-_PL_POOL = tuple(Q(k, 8) for k in range(1, 8))
-
-
 def random_element(rng: random.Random, space, magnitude: int = 3) -> Element:
-    if isinstance(space, (Coordinate, SimpleFunction)):
-        n = space.n if isinstance(space, Coordinate) else space.cells
-        return normalize(space, [random_scalar(rng, magnitude) for _ in range(n)])
-    if isinstance(space, FinSupport):
-        idx = rng.sample(range(1, 13), rng.randint(0, 4))
-        return normalize(space, [(i, random_scalar(rng, magnitude)) for i in idx])
-    if isinstance(space, EventuallyConstant):
-        prefix = [random_scalar(rng, magnitude) for _ in range(rng.randint(0, 4))]
-        return normalize(space, (prefix, random_scalar(rng, magnitude)))
-    if isinstance(space, PiecewiseLinear):
-        ts = sorted(rng.sample(_PL_POOL, rng.randint(0, 4)))
-        pts = [(ZERO, random_scalar(rng, magnitude))]
-        pts += [(t, random_scalar(rng, magnitude)) for t in ts]
-        pts.append((Q(1), random_scalar(rng, magnitude)))
-        return normalize(space, pts)
-    raise Unsupported(f"cannot sample from {space!r}")
+    return space.random(rng, lambda: random_scalar(rng, magnitude))
 
 
 def random_nonzero_element(rng, space, magnitude: int = 3) -> Element:
@@ -78,54 +60,15 @@ def random_nonzero_element(rng, space, magnitude: int = 3) -> Element:
 
 def random_disjoint_pair(rng: random.Random, space, magnitude: int = 3):
     """A pair (u, v) with u _|_ v, exercising varied support splits."""
-    if isinstance(space, (Coordinate, SimpleFunction)):
-        n = space.n if isinstance(space, Coordinate) else space.cells
-        u, v = [ZERO] * n, [ZERO] * n
-        for i in range(n):
-            side = rng.choice("uvn")
-            if side == "u":
-                u[i] = random_scalar(rng, magnitude)
-            elif side == "v":
-                v[i] = random_scalar(rng, magnitude)
-        return normalize(space, u), normalize(space, v)
-    if isinstance(space, FinSupport):
-        idx = rng.sample(range(1, 13), rng.randint(0, 6))
-        u, v = {}, {}
-        for i in idx:
-            (u if rng.random() < 0.5 else v)[i] = random_scalar(rng, magnitude)
-        return from_atoms(space, u), from_atoms(space, v)
-    if isinstance(space, EventuallyConstant):
-        # at most one side may carry a nonzero tail
-        tail_side = rng.choice("uvn")
-        tu = random_nonzero_scalar(rng, magnitude) if tail_side == "u" else ZERO
-        tv = random_nonzero_scalar(rng, magnitude) if tail_side == "v" else ZERO
-        u_vals, v_vals = [], []
-        for _ in range(6):
-            side = rng.choice("uvn")
-            u_vals.append(random_scalar(rng, magnitude) if side == "u" else ZERO)
-            v_vals.append(random_scalar(rng, magnitude) if side == "v" else ZERO)
-        return (normalize(space, (u_vals, tu)),
-                normalize(space, (v_vals, tv)))
-    if isinstance(space, PiecewiseLinear):
-        # tents on (0, a) and (b, 1) with a < b
-        a, b = sorted(rng.sample(_PL_POOL, 2))
-        u = [(ZERO, ZERO), (a / 2, random_scalar(rng, magnitude)),
-             (a, ZERO), (Q(1), ZERO)]
-        v = [(ZERO, ZERO), (b, ZERO),
-             ((b + 1) / 2, random_scalar(rng, magnitude)), (Q(1), ZERO)]
-        return normalize(space, u), normalize(space, v)
-    raise Unsupported(f"cannot sample from {space!r}")
+    return space.random_disjoint_pair(
+        rng, lambda: random_scalar(rng, magnitude),
+        lambda: random_nonzero_scalar(rng, magnitude))
 
 
 def random_split(rng: random.Random, e: Element, parts: int):
     """Split e into ``parts`` pairwise disjoint summands (some may be zero)."""
     space = e.space
-    if isinstance(space, PiecewiseLinear):
-        buckets = [[] for _ in range(parts)]
-        for c in pl_components(e):
-            buckets[rng.randrange(parts)].append(c)
-        return [pl_restrict(e, b) for b in buckets]
-    if isinstance(space, EventuallyConstant) and e.payload[1] != 0:
+    if has_infinite_fragments(e):
         prefix, tail = e.payload
         owner = rng.randrange(parts)  # who inherits the tail
         assign = [rng.randrange(parts) for _ in prefix]
@@ -135,19 +78,15 @@ def random_split(rng: random.Random, e: Element, parts: int):
                     for i in range(len(prefix))]
             out.append(normalize(space, (vals, tail if k == owner else ZERO)))
         return out
-    atoms = support_atoms(e)
-    assign = {a: rng.randrange(parts) for a in atoms}
-    return [from_atoms(space, {a: get_atom(e, a) for a in atoms
-                               if assign[a] == k})
-            for k in range(parts)]
+    out = [zero(space)] * parts
+    for p in pieces(e):
+        k = rng.randrange(parts)
+        out[k] = add(out[k], p)
+    return out
 
 
 def random_fragment(rng: random.Random, e: Element) -> Element:
     space = e.space
-    if isinstance(space, PiecewiseLinear):
-        comps = pl_components(e)
-        chosen = [c for c in comps if rng.random() < 0.5]
-        return pl_restrict(e, chosen)
     if isinstance(space, EventuallyConstant):
         prefix, tail = e.payload
         span = len(prefix) + rng.randint(0, 2)
@@ -155,8 +94,7 @@ def random_fragment(rng: random.Random, e: Element) -> Element:
         vals = [get_atom(e, i) if rng.random() < 0.5 else ZERO
                 for i in range(1, span + 1)]
         return normalize(space, (vals, t))
-    picked = {a: get_atom(e, a) for a in support_atoms(e) if rng.random() < 0.5}
-    return from_atoms(space, picked)
+    return sum((p for p in pieces(e) if rng.random() < 0.5), zero(space))
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +121,9 @@ def _random_fn(rng, linear=False, positive=False, magnitude=3) -> PiecewisePoly:
 
 
 def _atom_pool(space, rng):
-    if isinstance(space, Coordinate):
-        return list(range(1, space.n + 1))
-    if isinstance(space, SimpleFunction):
-        return list(range(1, space.cells + 1))
+    n = atom_count(space) if space.atomic else None
+    if n is not None:
+        return list(range(1, n + 1))
     return rng.sample(range(1, 9), rng.randint(1, 5))
 
 
@@ -220,9 +157,8 @@ def random_linear_ec(rng: random.Random, codomain=None,
     unit_image = random_element(rng, codomain)
     target = random_element(rng, codomain)
     T = LinearEC(codomain, tuple(coeffs), unit_image, target)
-    if nonzero and all(a == 0 for _, a in T.coeffs) and unit_image == zero(codomain):
-        return random_linear_ec(rng, codomain, nonzero=True)
-    if nonzero and target == zero(codomain) and unit_image == zero(codomain):
+    if nonzero and unit_image == zero(codomain) and (
+            target == zero(codomain) or all(a == 0 for _, a in T.coeffs)):
         return random_linear_ec(rng, codomain, nonzero=True)
     return T
 
@@ -239,7 +175,7 @@ def random_match_table_pl(rng: random.Random) -> MatchTable:
     space = PiecewiseLinear()
     keys = []
     for v in rng.sample(range(1, 6), rng.randint(1, 2)):
-        ts = sorted(rng.sample(_PL_POOL, rng.randint(0, 2)))
+        ts = sorted(rng.sample(space.sample_points, rng.randint(0, 2)))
         pts = ([(ZERO, Q(v))] + [(t, Q(rng.randint(1, 4))) for t in ts]
                + [(Q(1), Q(rng.randint(1, 4)))])
         key = normalize(space, pts)
@@ -251,23 +187,29 @@ def random_match_table_pl(rng: random.Random) -> MatchTable:
 def random_dp_operator(rng: random.Random, space):
     """Disjointness-preserving by construction."""
     kind = rng.randrange(3)
-    if kind == 0 and not isinstance(space, PiecewiseLinear):
+    if kind == 0 and space.atomic:
         return random_kernel(rng, space)
     if kind == 1:
         return random_lateral_meet(rng, space)
-    inner = (random_lateral_meet(rng, space) if isinstance(space, PiecewiseLinear)
-             else random_kernel(rng, space))
+    inner = _random_dp_inner(rng, space)   # drawn before the factor
     return OpScaled(random_nonzero_scalar(rng), inner)
+
+
+def _random_dp_inner(rng, space):
+    """A kernel on atomic spaces, a lateral meet elsewhere."""
+    if space.atomic:
+        return random_kernel(rng, space)
+    return random_lateral_meet(rng, space)
 
 
 def random_oao(rng: random.Random, space, allow_tables: bool = True):
     """A random orthogonally additive operator on the given space."""
     choices = ["meet", "scaled"]
-    if not isinstance(space, PiecewiseLinear):
+    if space.atomic:
         choices += ["kernel", "sum"]
-    if isinstance(space, EventuallyConstant):
+    if space == EventuallyConstant():   # the only domain of LinearEC
         choices.append("linec")
-    if allow_tables and isinstance(space, PiecewiseLinear):
+    if allow_tables and space == PiecewiseLinear():   # tables with PL keys
         choices.append("table")
     kind = rng.choice(choices)
     if kind == "kernel":
@@ -275,18 +217,17 @@ def random_oao(rng: random.Random, space, allow_tables: bool = True):
     if kind == "meet":
         return random_lateral_meet(rng, space)
     if kind == "linec":
-        return random_linear_ec(rng)
+        return random_linear_ec(rng, space)
     if kind == "table":
         return random_match_table_pl(rng)
     if kind == "sum":
         return OpSum((random_kernel(rng, space), random_kernel(rng, space)))
-    inner = (random_lateral_meet(rng, space) if isinstance(space, PiecewiseLinear)
-             else random_kernel(rng, space))
+    inner = _random_dp_inner(rng, space)   # drawn before the factor
     return OpScaled(random_nonzero_scalar(rng), inner)
 
 
 def random_positive_operator(rng: random.Random, space):
-    if isinstance(space, PiecewiseLinear):
+    if not space.atomic:
         raise Unsupported("positive samples use atomic spaces")
     return random_kernel(rng, space, positive=True)
 
@@ -294,8 +235,7 @@ def random_positive_operator(rng: random.Random, space):
 def random_linear_operator(rng: random.Random, nonzero: bool = True):
     """A linear operator (kernel or basis-split form), nonzero by default."""
     if rng.random() < 0.5:
-        T = random_linear_ec(rng, nonzero=nonzero)
-        return T
+        return random_linear_ec(rng, nonzero=nonzero)
     domain = rng.choice((Coordinate(3), Coordinate(4),
                          SimpleFunction((Q(0), Q(1, 2), Q(1))), FinSupport()))
     while True:

@@ -9,15 +9,15 @@ otherwise, with guaranteed monotone inclusion between levels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .errors import PreconditionError, Unsupported
+from .errors import PreconditionError
 from . import spaces
 from .spaces import (
-    Element, EventuallyConstant, PiecewiseLinear,
-    add, canonical_key, format_element, from_atoms, get_atom,
-    inf, is_disjoint, neg_part, normalize, pl_components,
-    pl_restrict, pos_part, sub, sup, support_atoms, zero,
+    Element, EventuallyConstant,
+    add, canonical_key, format_element, get_atom, has_infinite_fragments,
+    inf, is_disjoint, neg_part, normalize, pos_part, sub, sup, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -55,28 +55,7 @@ def _greatest_common_fragment(x: Element, y: Element) -> Element:
     components shared, as intervals and values, by both.
     """
     spaces._same_space(x, y)
-    s = x.space
-    if isinstance(s, PiecewiseLinear):
-        mine = {comp: pl_restrict(x, [comp]) for comp in pl_components(x)}
-        theirs = {comp: pl_restrict(y, [comp]) for comp in pl_components(y)}
-        shared = [c for c, r in mine.items() if theirs.get(c) == r]
-        return pl_restrict(x, shared)
-    if isinstance(s, EventuallyConstant):
-        (px, tx), (py, ty) = x.payload, y.payload
-        m = max(len(px), len(py))
-        vals = []
-        for i in range(m):
-            a = px[i] if i < len(px) else tx
-            b = py[i] if i < len(py) else ty
-            vals.append(a if a == b else spaces.ZERO)
-        return normalize(s, (vals, tx if tx == ty else spaces.ZERO))
-    if isinstance(s, (spaces.Coordinate, spaces.SimpleFunction)):
-        return Element(s, tuple(a if a == b else spaces.ZERO
-                                for a, b in zip(x.payload, y.payload)))
-    if isinstance(s, spaces.FinSupport):
-        common = [(i, v) for i, v in x.payload if get_atom(y, i) == v]
-        return normalize(s, common)
-    raise Unsupported(spaces.space_name(s))
+    return x.space.common_fragment(x, y)
 
 
 _SUP_IMPL = join_formula
@@ -146,26 +125,15 @@ def enumerate_fragments(e: Element) -> FragmentEnumeration:
     Refused for eventually constant elements with a nonzero tail
     (infinite algebra; use fragment_iter).
     """
-    s = e.space
-    if isinstance(s, EventuallyConstant) and e.payload[1] != 0:
+    if has_infinite_fragments(e):
         raise PreconditionError(
             "fragment algebra of a nonzero-tail element is infinite; "
             "use fragment_iter with a level")
-    if isinstance(s, PiecewiseLinear):
-        comps = pl_components(e)
-        _check_cap(1 << len(comps), "fragment algebra")
-        items = []
-        for mask in range(1 << len(comps)):
-            chosen = [c for k, c in enumerate(comps) if mask >> k & 1]
-            items.append(pl_restrict(e, chosen))
-        items.sort(key=canonical_key)
-        return FragmentEnumeration(e, "exact", tuple(items))
-    atoms = support_atoms(e)
-    _check_cap(1 << len(atoms), "fragment algebra")
-    items = []
-    for mask in range(1 << len(atoms)):
-        picked = {a: get_atom(e, a) for k, a in enumerate(atoms) if mask >> k & 1}
-        items.append(from_atoms(s, picked))
+    space = e.space
+    parts = space.support(e)
+    _check_cap(1 << len(parts), "fragment algebra")
+    items = [space.restrict(e, [p for k, p in enumerate(parts) if mask >> k & 1])
+             for mask in range(1 << len(parts))]
     items.sort(key=canonical_key)
     return FragmentEnumeration(e, "exact", tuple(items))
 
@@ -209,8 +177,7 @@ def min_level(z: Element) -> int:
 
 def enumerate_decompositions(x: Element, level: int | None = None):
     """All disjoint splittings x = u + v, one per fragment u of x."""
-    if (level is not None and isinstance(x.space, EventuallyConstant)
-            and x.payload[1] != 0):
+    if level is not None and has_infinite_fragments(x):
         frags = fragment_iter(x, level)
     else:
         frags = enumerate_fragments(x)
@@ -234,16 +201,11 @@ class PlievGrid:
     grid: tuple  # tuple of row tuples
 
     def row_sum(self, i: int) -> Element:
-        acc = zero(self.rows[0].space)
-        for w in self.grid[i]:
-            acc = add(acc, w)
-        return acc
+        return functools.reduce(add, self.grid[i], zero(self.rows[0].space))
 
     def col_sum(self, k: int) -> Element:
-        acc = zero(self.cols[0].space)
-        for row in self.grid:
-            acc = add(acc, row[k])
-        return acc
+        return functools.reduce(add, (row[k] for row in self.grid),
+                                zero(self.cols[0].space))
 
 
 def pliev_grid(us, vs) -> PlievGrid:
@@ -257,12 +219,8 @@ def pliev_grid(us, vs) -> PlievGrid:
                     raise PreconditionError(
                         f"{name}[{i}] and {name}[{j}] are not disjoint: "
                         f"{format_element(parts[i])}, {format_element(parts[j])}")
-    total_u = us[0]
-    for u in us[1:]:
-        total_u = add(total_u, u)
-    total_v = vs[0]
-    for v in vs[1:]:
-        total_v = add(total_v, v)
+    total_u = functools.reduce(add, us)
+    total_v = functools.reduce(add, vs)
     if total_u != total_v:
         raise PreconditionError(
             f"splittings sum to different elements: "

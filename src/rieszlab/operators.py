@@ -11,19 +11,23 @@ functional, whose values are rational interval enclosures.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch, Unsupported
 from . import lateral, reports, spaces
-from .lateral import enumerate_decompositions, enumerate_fragments, fragment_iter
+from .lateral import (
+    enumerate_decompositions, enumerate_fragments, fragment_iter, min_level,
+)
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, Reals,
     SimpleFunction, absolute, add, atom_count, format_element, from_atoms,
-    get_atom, inf, is_disjoint, is_zero, leq, normalize, one, pl_components,
-    q, scale, space_name, sub, sup, support_atoms, unit_atom, zero,
+    get_atom, has_infinite_fragments, inf, is_disjoint, is_zero, leq,
+    normalize, one, q, scale, space_name, sub, sup, support_atoms,
+    support_size, unit_atom, zero,
 )
 
 ZERO = Fraction(0)
@@ -70,8 +74,6 @@ def poly(*coeffs) -> PiecewisePoly:
     return PiecewisePoly((), (tuple(coeffs) or (ZERO,),))
 
 
-IDENTITY_FN = poly(0, 1)
-SQUARE_FN = poly(0, 0, 1)
 ABS_FN = PiecewisePoly((0,), ((0, -1), (0, 1)))
 
 
@@ -191,7 +193,7 @@ def ln2_enclosure(eps) -> RealInterval:
 # ---------------------------------------------------------------------------
 
 def _require_atomic(space, role):
-    if not isinstance(space, spaces.ATOMIC_SPACES):
+    if not getattr(space, "atomic", False):
         raise Unsupported(f"{role} of a kernel operator must be atomic, "
                           f"got {space_name(space)}")
 
@@ -300,8 +302,8 @@ def match_table(entries, truncation_level: int = 8) -> MatchTable:
 
     level_used = None
     for key, value in entries:
-        if (isinstance(domain, EventuallyConstant) and key.payload[1] != 0):
-            level = max(truncation_level, len(key.payload[0]))
+        if has_infinite_fragments(key):
+            level = max(truncation_level, min_level(key))
             decs = enumerate_decompositions(key, level=level)
             level_used = level
         else:
@@ -567,33 +569,11 @@ def is_linear(T) -> bool:
     return False
 
 
-def _key_has_trivial_fragments(key: Element) -> bool:
-    s = key.space
-    if isinstance(s, PiecewiseLinear):
-        return len(pl_components(key)) == 1
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = key.payload
-        return tail == 0 and len(support_atoms(key)) == 1
-    return len(support_atoms(key)) == 1
-
-
-def _key_has_no_disjoint_partner(key: Element) -> bool:
-    s = key.space
-    if isinstance(s, PiecewiseLinear):
-        # a nonzero disjoint partner needs an interval of zeros
-        return all(not (ya == 0 and yb == 0)
-                   for (_, ya), (_, yb) in zip(key.payload, key.payload[1:]))
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return all(v != 0 for v in key.payload)
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = key.payload
-        return tail != 0 and all(v != 0 for v in prefix)
-    return False  # finitely supported sequences always admit partners
-
-
 def _match_table_isolated(T: MatchTable) -> bool:
-    return all(_key_has_trivial_fragments(k) and _key_has_no_disjoint_partner(k)
-               for k, _ in T.entries)
+    """Every key is a single piece with finitely many fragments (so its
+    only fragments are 0 and itself) and has no nonzero disjoint partner."""
+    return all(not has_infinite_fragments(k) and support_size(k) == 1
+               and k.space.full_support(k) for k, _ in T.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +599,7 @@ def exhaustive_disjoint_pairs(space, grid):
 
 
 def _can_exhaust(space) -> bool:
-    n = atom_count(space) if isinstance(space, spaces.ATOMIC_SPACES) else None
+    n = atom_count(space) if space.atomic else None
     return n is not None and n <= 4
 
 
@@ -642,54 +622,58 @@ def verify_oao(T, budget: Budget | None = None) -> CheckReport:
         return reports.holds(
             seed=seed,
             notes="keys indecomposable with no nonzero disjoint partner")
-    count = 0
-    for u, v in _oao_probes(T):
-        count += 1
-        if _additivity_gap(T, u, v):
-            return reports.fails(
-                f"u={format_element(u)} v={format_element(v)}",
-                count, seed, witness_data=(u, v))
-    if budget.grid is not None and _can_exhaust(T.domain):
-        for u, v in exhaustive_disjoint_pairs(T.domain, budget.grid):
-            count += 1
-            bad = _additivity_gap(T, u, v)
-            if bad:
-                return reports.fails(
-                    f"u={format_element(u)} v={format_element(v)}",
-                    count, seed, witness_data=(u, v))
+    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
+    rest = (exhaustive_disjoint_pairs(T.domain, budget.grid) if exhaustive
+            else _sampled_pairs(T.domain, budget, "oao"))
+    failure, count, _ = _first_gap(functools.partial(_additivity_gap, T),
+                                   itertools.chain(_oao_probes(T), rest), seed)
+    if failure:
+        return failure
+    if exhaustive:
         return reports.holds(count, seed, notes="exhaustive over grid")
-    from . import generators
-    rng = budget.rng("oao")
-    for _ in range(budget.samples):
-        u, v = generators.random_disjoint_pair(rng, T.domain)
-        count += 1
-        if _additivity_gap(T, u, v):
-            return reports.fails(
-                f"u={format_element(u)} v={format_element(v)}",
-                count, seed, witness_data=(u, v))
     return reports.inconclusive(count, seed, notes="sampled, no failure")
+
+
+def _first_gap(gap, pairs, seed, count=0, undecided=0):
+    """Apply ``gap`` to disjoint pairs until one certainly fails.
+
+    Returns the failure report (None when no pair fails), the count of
+    pairs tried, and how many of them ``gap`` left undecided (None).
+    """
+    for u, v in pairs:
+        count += 1
+        found = gap(u, v)
+        if found:
+            return (reports.fails(f"u={format_element(u)} v={format_element(v)}",
+                                  count, seed, witness_data=(u, v)),
+                    count, undecided)
+        if found is None:
+            undecided += 1
+    return None, count, undecided
+
+
+def _sampled_pairs(domain, budget, tag):
+    from . import generators
+    rng = budget.rng(tag)
+    for _ in range(budget.samples):
+        yield generators.random_disjoint_pair(rng, domain)
 
 
 def _oao_probes(T):
     """Deterministic pairs that expose the classic match-table failure:
     a key plus a unit atom outside its support."""
-    tables = []
-    if isinstance(T, MatchTable):
-        tables = [T]
-    elif isinstance(T, OpScaled) and isinstance(T.inner, MatchTable):
-        tables = [T.inner]
+    table = T.inner if isinstance(T, OpScaled) else T
+    if not (isinstance(table, MatchTable) and table.domain.atomic):
+        return []
+    n = atom_count(table.domain)
     probes = []
-    for table in tables:
-        if not isinstance(table.domain, spaces.ATOMIC_SPACES):
-            continue
-        n = atom_count(table.domain)
-        for key, _ in table.entries:
-            outside = [a for a in range(1, (n or 8) + 1)
-                       if a not in set(support_atoms(key))][:4]
-            for a in outside:
-                probe = unit_atom(table.domain, a)
-                if is_disjoint(key, probe):
-                    probes.append((key, probe))
+    for key, _ in table.entries:
+        outside = [a for a in range(1, (n or 8) + 1)
+                   if a not in set(support_atoms(key))][:4]
+        for a in outside:
+            probe = unit_atom(table.domain, a)
+            if is_disjoint(key, probe):
+                probes.append((key, probe))
     return probes
 
 
@@ -793,42 +777,19 @@ def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckRepo
     symbolic = _dp_symbolic(T)
     if symbolic:
         return reports.holds(seed=seed, notes=symbolic)
-    probes = _dp_probes(T)
-    count = 0
-    undecided = 0
-    for u, v in probes:
-        count += 1
-        gap = _disjointness_gap(T, u, v)
-        if gap:
-            return reports.fails(
-                f"u={format_element(u)} v={format_element(v)}",
-                count, seed, witness_data=(u, v))
-        if gap is None:
-            undecided += 1
-    if budget.grid is not None and _can_exhaust(T.domain):
-        for u, v in exhaustive_disjoint_pairs(T.domain, budget.grid):
-            count += 1
-            gap = _disjointness_gap(T, u, v)
-            if gap:
-                return reports.fails(
-                    f"u={format_element(u)} v={format_element(v)}",
-                    count, seed, witness_data=(u, v))
-            if gap is None:
-                undecided += 1
-        if not undecided:
-            return reports.holds(count, seed, notes="exhaustive over grid")
-    from . import generators
-    rng = budget.rng("dp")
-    for _ in range(budget.samples):
-        u, v = generators.random_disjoint_pair(rng, T.domain)
-        count += 1
-        gap = _disjointness_gap(T, u, v)
-        if gap:
-            return reports.fails(
-                f"u={format_element(u)} v={format_element(v)}",
-                count, seed, witness_data=(u, v))
-        if gap is None:
-            undecided += 1
+    gap = functools.partial(_disjointness_gap, T)
+    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
+    grid = exhaustive_disjoint_pairs(T.domain, budget.grid) if exhaustive else ()
+    failure, count, undecided = _first_gap(
+        gap, itertools.chain(_dp_probes(T), grid), seed)
+    if failure:
+        return failure
+    if exhaustive and not undecided:
+        return reports.holds(count, seed, notes="exhaustive over grid")
+    failure, count, undecided = _first_gap(
+        gap, _sampled_pairs(T.domain, budget, "dp"), seed, count, undecided)
+    if failure:
+        return failure
     if undecided:
         return reports.inconclusive(count, seed,
                                     notes=f"{undecided} undecided enclosures")
@@ -855,14 +816,12 @@ def _dp_symbolic(T) -> str | None:
 
 def _dp_probes(T):
     """Deterministic unit-atom pairs; they expose atom-map collisions."""
-    if not isinstance(T.domain, spaces.ATOMIC_SPACES):
+    if not T.domain.atomic:
         return []
     n = atom_count(T.domain)
     atoms = list(range(1, (n or 6) + 1))[:6]
-    pairs = []
-    for a, b in itertools.combinations(atoms, 2):
-        pairs.append((unit_atom(T.domain, a), unit_atom(T.domain, b)))
-    return pairs
+    return [(unit_atom(T.domain, a), unit_atom(T.domain, b))
+            for a, b in itertools.combinations(atoms, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -904,22 +863,16 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     enumeration otherwise.
     """
     seed = "scan"
-    infinite = isinstance(e.space, EventuallyConstant) and e.payload[1] != 0
-    if not infinite:
-        frags = enumerate_fragments(e)
-        lo = hi = None
-        for z in frags:
-            v = apply(T, z)
-            lo = v if lo is None else vinf(lo, v)
-            hi = v if hi is None else vsup(hi, v)
-        rep = reports.holds(len(frags), seed,
-                            notes=f"exact bounds over {len(frags)} fragments")
-        return ScanResult("exact", rep, lo=lo, hi=hi)
+    if not has_infinite_fragments(e):
+        images = [apply(T, z) for z in enumerate_fragments(e)]
+        rep = reports.holds(len(images), seed,
+                            notes=f"exact bounds over {len(images)} fragments")
+        return ScanResult("exact", rep, lo=functools.reduce(vinf, images),
+                          hi=functools.reduce(vsup, images))
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")
-    prefix, tail = e.payload
-    start = len(prefix)
+    start = min_level(e)
     if is_atom_additive(T):
         table = _scan_levels_closed(T, e, start, level)
     else:
@@ -967,12 +920,9 @@ def _scan_levels_closed(T, e, start, level):
 def _scan_levels_enumerated(T, e, start, level):
     table = []
     for l in range(start, level + 1):
-        lo = hi = None
-        for z in fragment_iter(e, l):
-            v = apply(T, z)
-            lo = v if lo is None else vinf(lo, v)
-            hi = v if hi is None else vsup(hi, v)
-        table.append((l, lo, hi))
+        images = [apply(T, z) for z in fragment_iter(e, l)]
+        table.append((l, functools.reduce(vinf, images),
+                      functools.reduce(vsup, images)))
     return table
 
 

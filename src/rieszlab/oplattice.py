@@ -13,6 +13,7 @@ the splittings; ``extrema_by_enumeration`` is that reference.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import PreconditionError, SpaceMismatch
@@ -25,9 +26,8 @@ from .operators import (
     vabs, vadd, vinf, vneg, vneg_part, vpos, vsup, vzero,
 )
 from .spaces import (
-    Element, EventuallyConstant, PiecewiseLinear, Reals, add, canonical_key,
-    format_element, get_atom, normalize, pl_components, pl_restrict, sub,
-    support_atoms, support_size, unit_atom, zero, ZERO,
+    Element, Reals, canonical_key, format_element, has_infinite_fragments,
+    normalize, pieces, sub, support_size, unit_atom, zero, ZERO,
 )
 
 
@@ -58,14 +58,6 @@ def _pair_check(S, T, x: Element):
         raise SpaceMismatch("argument outside the operators' domain")
 
 
-def _fold(values, kind):
-    pick = _PICK[kind]
-    acc = None
-    for v in values:
-        acc = v if acc is None else pick(acc, v)
-    return acc
-
-
 def _attained(pairs, target):
     hits = [d for d, v in pairs if v == target]
     if not hits:
@@ -86,9 +78,8 @@ def _interval_decided(values, fold):
 
 def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     _pair_check(S, T, x)
-    infinite = (isinstance(x.space, EventuallyConstant) and x.payload[1] != 0)
     additive = is_atom_additive(S) and is_atom_additive(T)
-    if not infinite:
+    if not has_infinite_fragments(x):
         if additive and not isinstance(S.codomain, Reals):
             return _extrema_closed(S, T, x, kind)
         # interval enclosures need every splitting value to judge `decided`
@@ -114,21 +105,13 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     _pair_check(S, T, x)
     pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
              for d in enumerate_decompositions(x)]
-    fold = _fold((v for _, v in pairs), kind)
+    fold = functools.reduce(_PICK[kind], (v for _, v in pairs))
     decided, notes = True, ""
     if isinstance(fold, RealInterval):
         decided, notes = _interval_decided([v for _, v in pairs], fold)
     return LatticePoint("exact", value=fold,
                         attained=_attained(pairs, fold),
                         decided=decided, notes=notes)
-
-
-def _atoms(x: Element):
-    """The disjoint atoms that sum to x: its support components on
-    piecewise-linear functions, its support atoms elsewhere."""
-    if isinstance(x.space, PiecewiseLinear):
-        return [pl_restrict(x, [c]) for c in pl_components(x)]
-    return [unit_atom(x.space, i, get_atom(x, i)) for i in support_atoms(x)]
 
 
 def _side(s, t, best):
@@ -168,12 +151,10 @@ def _fold_atoms(acc, S, T, atoms, pick):
 
 
 def _extrema_closed(S, T, x, kind):
-    value, left = _fold_atoms(vzero(S.codomain), S, T, _atoms(x), _PICK[kind])
+    value, left = _fold_atoms(vzero(S.codomain), S, T, pieces(x), _PICK[kind])
     if left is None:
         return LatticePoint("exact", value=value)
-    u = zero(x.space)
-    for a in left:
-        u = add(u, a)
+    u = sum(left, zero(x.space))
     return LatticePoint("exact", value=value,
                         attained=(Decomposition(x, u, sub(x, u)),))
 
@@ -188,7 +169,7 @@ def _levels_closed(S, T, x, kind, level):
     pick = _PICK[kind]
     prefix, tail = x.payload
     start = len(prefix)
-    acc, _ = _fold_atoms(vzero(S.codomain), S, T, _atoms(x), pick)
+    acc, _ = _fold_atoms(vzero(S.codomain), S, T, pieces(x), pick)
     out = []
     for l in range(start, level + 1):
         if l > start:
@@ -201,11 +182,12 @@ def _levels_closed(S, T, x, kind, level):
 def _levels_enumerated(S, T, x, kind, level):
     pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
              for d in enumerate_decompositions(x, level=level)]
-    start = len(x.payload[0])
+    start = min_level(x)
     out = []
     for l in range(start, level + 1):
-        fold = _fold((v for d, v in pairs
-                      if max(min_level(d.left), min_level(d.right)) <= l), kind)
+        fold = functools.reduce(_PICK[kind], (
+            v for d, v in pairs
+            if max(min_level(d.left), min_level(d.right)) <= l))
         out.append((l, fold))
     return out
 

@@ -1,16 +1,29 @@
 """Concrete vector-lattice models over exact rational scalars.
 
-Five element families share one calculus: coordinate vectors, step
-functions on a fixed partition of [0,1], finitely supported sequences,
-eventually constant sequences, and continuous piecewise-linear
-functions on [0,1].  Scalars are ``fractions.Fraction`` throughout, so
-every order comparison, supremum and infimum below is exact.  Elements
-are immutable and kept in a canonical form that makes equality
-syntactic.
+Each space model is one class, and the class holds the whole calculus
+of its elements: canonical form, zero and one, addition, scaling, the
+lattice operations, the nonnegativity test behind ``leq``, atoms or
+support pieces, sampling, formatting and the sort key.  The models are
+
+* ``Coordinate``         -- R^n with the coordinatewise order;
+* ``SimpleFunction``     -- step functions on a fixed partition of [0,1];
+  these two share ``Cells``, the calculus of finitely many cells;
+* ``FinSupport``         -- finitely supported sequences;
+* ``EventuallyConstant`` -- sequences constant from some index on;
+* ``PiecewiseLinear``    -- continuous piecewise-linear functions on [0,1].
+
+``Reals``, the codomain of interval-valued operators, carries no
+elements: it keeps the defaults of ``Space``, which raise.  The
+functions at module level are the interface of the other layers; each
+dispatches on ``x.space`` (or on the space it is given).  Scalars are
+``fractions.Fraction`` throughout, so every order comparison,
+supremum and infimum is exact.  Elements are immutable and kept in a
+canonical form that makes equality syntactic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,81 +43,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# ---------------------------------------------------------------------------
-# space descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Coordinate:
-    """R^n with the coordinatewise order."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise MalformedElement("coordinate space needs an integer n >= 1")
-
-
-@dataclass(frozen=True)
-class SimpleFunction:
-    """Step functions on [0,1] over a fixed partition 0 = t0 < ... < tm = 1."""
-
-    partition: tuple
-
-    def __post_init__(self):
-        pts = tuple(q(t) for t in self.partition)
-        object.__setattr__(self, "partition", pts)
-        if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
-            raise MalformedElement("partition must run from 0 to 1")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise MalformedElement("partition endpoints must strictly increase")
-
-    @property
-    def cells(self) -> int:
-        return len(self.partition) - 1
-
-
-@dataclass(frozen=True)
-class FinSupport:
-    """Finitely supported sequences indexed by 1, 2, 3, ..."""
-
-
-@dataclass(frozen=True)
-class EventuallyConstant:
-    """Sequences that are constant from some index on."""
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Continuous piecewise-linear functions on [0,1] with rational breakpoints."""
-
-
-@dataclass(frozen=True)
-class Reals:
-    """Scalar codomain for interval-valued operators.
-
-    Carries no elements of its own; operator applications into this
-    space produce rational enclosures (see ``operators.RealInterval``).
-    """
-
-
-ATOMIC_SPACES = (Coordinate, SimpleFunction, FinSupport, EventuallyConstant)
-
-
-def space_name(space) -> str:
-    if isinstance(space, Coordinate):
-        return f"coord({space.n})"
-    if isinstance(space, SimpleFunction):
-        return "simple{%s}" % ",".join(str(t) for t in space.partition)
-    if isinstance(space, FinSupport):
-        return "fin"
-    if isinstance(space, EventuallyConstant):
-        return "ec"
-    if isinstance(space, PiecewiseLinear):
-        return "pl"
-    if isinstance(space, Reals):
-        return "reals"
-    raise MalformedElement(f"unknown space {space!r}")
+def _agreement(a, b):
+    """Pointwise greatest common fragment: keep a value where both agree."""
+    return a if a == b else ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +54,8 @@ def space_name(space) -> str:
 
 @dataclass(frozen=True)
 class Element:
-    """A canonical value of one of the five concrete spaces.
-
-    Payload layout per space:
-
-    * Coordinate      -- tuple of n rationals
-    * SimpleFunction  -- tuple of one rational per cell
-    * FinSupport      -- sorted tuple of (index, nonzero rational) pairs
-    * EventuallyConstant -- (prefix tuple, tail rational), minimal prefix
-    * PiecewiseLinear -- sorted ((t, value), ...) including t=0 and t=1,
-      with no collinear interior breakpoints
-    """
+    """A canonical value of one of the five concrete spaces; the layout
+    of its payload is documented on the class of its space."""
 
     space: object
     payload: tuple
@@ -162,32 +94,212 @@ class Element:
         return f"Element({format_element(self)})"
 
 
-def _same_space(x: Element, y: Element):
-    if x.space != y.space:
-        raise SpaceMismatch(
-            f"{space_name(x.space)} vs {space_name(y.space)}")
+# ---------------------------------------------------------------------------
+# space descriptors
+# ---------------------------------------------------------------------------
 
+class Space:
+    """A space descriptor together with the calculus of its elements.
 
-# --- normalization ---------------------------------------------------------
-
-def normalize(space, raw) -> Element:
-    """Build the canonical element of ``space`` from a raw payload.
-
-    Idempotent: feeding an element's payload back in reproduces it.
+    A model has a ``name`` and overrides the methods below that its
+    elements support; the defaults raise, as they do for ``Reals``,
+    which carries no elements.  Methods taking two elements may assume
+    both lie in this space.  ``lattice`` applies ``pick`` (max or min)
+    pointwise, ``nonneg`` tests x >= 0, ``full_support`` tells whether
+    no nonzero element is disjoint from x, and the samplers call
+    ``draw()`` for each random scalar they need.
     """
-    if isinstance(space, Coordinate):
+
+    atomic = False      # elements are values on atoms 1, 2, 3, ...
+
+    def normalize(self, raw) -> Element:
+        raise MalformedElement(f"space {self!r} carries no elements")
+
+    def zero(self) -> Element:
+        raise Unsupported(f"{self.name} carries no elements")
+
+    one = zero
+
+    def _unsupported(self, *args):
+        raise Unsupported(self.name)
+
+    add = scale = lattice = nonneg = format = key = _unsupported
+
+    def eval_at(self, x, t) -> Fraction:
+        raise Unsupported(
+            f"cannot evaluate an element of {self.name} at a point")
+
+    def _not_atomic(self, *args):
+        raise Unsupported(f"{self.name} is not atomic")
+
+    atom_count = get_atom = from_atoms = support_atoms = _not_atomic
+
+    def support(self, x):
+        """The parts the support of x falls into: its nonzero atoms (a
+        nonzero tail aside), or its support components."""
+        return self.support_atoms(x)
+
+    def restrict(self, x, parts):
+        """x on the given parts of its support, zero elsewhere."""
+        return self.from_atoms({a: self.get_atom(x, a) for a in parts}, ZERO)
+
+    def components(self, x):
+        raise Unsupported("components are defined for piecewise-linear elements")
+
+    def infinite_fragments(self, x) -> bool:
+        return False
+
+    def common_fragment(self, x, y) -> Element:
+        """On atomic models: the values where x and y agree."""
+        return self.lattice(x, y, _agreement)
+
+    def full_support(self, x) -> bool:
+        return False
+
+    def random(self, rng, *draws) -> Element:
+        raise Unsupported(f"cannot sample from {self!r}")
+
+    random_disjoint_pair = random
+
+
+class Cells(Space):
+    """Finitely many cells with one rational each; the payload is the
+    tuple of those values, and the cells are the atoms."""
+
+    atomic = True
+
+    def normalize(self, raw):
         vals = tuple(q(v) for v in raw)
-        if len(vals) != space.n:
-            raise MalformedElement(
-                f"expected {space.n} coordinates, got {len(vals)}")
-        return Element(space, vals)
-    if isinstance(space, SimpleFunction):
-        vals = tuple(q(v) for v in raw)
-        if len(vals) != space.cells:
-            raise MalformedElement(
-                f"expected {space.cells} cell values, got {len(vals)}")
-        return Element(space, vals)
-    if isinstance(space, FinSupport):
+        n = self.atom_count()
+        if len(vals) != n:
+            raise MalformedElement(f"expected {n} {self.values_are}, got {len(vals)}")
+        return Element(self, vals)
+
+    def zero(self):
+        return Element(self, (ZERO,) * self.atom_count())
+
+    def one(self):
+        return Element(self, (ONE,) * self.atom_count())
+
+    def add(self, x, y):
+        return Element(self, tuple(a + b for a, b in zip(x.payload, y.payload)))
+
+    def scale(self, c, x):
+        return Element(self, tuple(c * v for v in x.payload))
+
+    def lattice(self, x, y, pick):
+        return Element(self, tuple(pick(a, b) for a, b in zip(x.payload, y.payload)))
+
+    def nonneg(self, x):
+        return all(v >= 0 for v in x.payload)
+
+    def get_atom(self, x, i):
+        n = self.atom_count()
+        if not 1 <= i <= n:
+            raise MalformedElement(f"atom {i} outside 1..{n}")
+        return x.payload[i - 1]
+
+    def from_atoms(self, values, tail):
+        n = self.atom_count()
+        vals = [ZERO] * n
+        for i, v in values.items():
+            if not 1 <= i <= n:
+                raise MalformedElement(f"atom {i} outside 1..{n}")
+            vals[i - 1] = q(v)
+        return Element(self, tuple(vals))
+
+    def support_atoms(self, x):
+        return [i + 1 for i, v in enumerate(x.payload) if v != 0]
+
+    def full_support(self, x):
+        return all(v != 0 for v in x.payload)
+
+    def random(self, rng, draw):
+        return normalize(self, [draw() for _ in range(self.atom_count())])
+
+    def random_disjoint_pair(self, rng, draw, draw_nonzero):
+        n = self.atom_count()
+        u, v = [ZERO] * n, [ZERO] * n
+        for i in range(n):
+            side = rng.choice("uvn")
+            if side == "u":
+                u[i] = draw()
+            elif side == "v":
+                v[i] = draw()
+        return normalize(self, u), normalize(self, v)
+
+    def key(self, x):
+        return x.payload
+
+
+@dataclass(frozen=True)
+class Coordinate(Cells):
+    """R^n with the coordinatewise order."""
+
+    n: int
+    values_are = "coordinates"
+
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise MalformedElement("coordinate space needs an integer n >= 1")
+
+    @property
+    def name(self):
+        return f"coord({self.n})"
+
+    def atom_count(self):
+        return self.n
+
+    def format(self, x):
+        return "coord[%s]" % ",".join(str(v) for v in x.payload)
+
+
+@dataclass(frozen=True)
+class SimpleFunction(Cells):
+    """Step functions on [0,1] over a fixed partition 0 = t0 < ... < tm = 1."""
+
+    partition: tuple
+    values_are = "cell values"
+
+    def __post_init__(self):
+        pts = tuple(q(t) for t in self.partition)
+        object.__setattr__(self, "partition", pts)
+        if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
+            raise MalformedElement("partition must run from 0 to 1")
+        if any(a >= b for a, b in zip(pts, pts[1:])):
+            raise MalformedElement("partition endpoints must strictly increase")
+
+    @property
+    def cells(self) -> int:
+        return len(self.partition) - 1
+
+    @property
+    def name(self):
+        return "simple{%s}" % ",".join(str(t) for t in self.partition)
+
+    def atom_count(self):
+        return self.cells
+
+    def eval_at(self, x, t):
+        if not 0 <= t <= 1:
+            raise MalformedElement(f"abscissa {t} outside [0,1]")
+        for k in range(self.cells):
+            if t < self.partition[k + 1] or k == self.cells - 1:
+                return x.payload[k]
+
+    def format(self, x):
+        return "%s[%s]" % (self.name, ",".join(str(v) for v in x.payload))
+
+
+@dataclass(frozen=True)
+class FinSupport(Space):
+    """Finitely supported sequences indexed by 1, 2, 3, ...; the payload
+    is the sorted tuple of (index, nonzero rational) pairs."""
+
+    name = "fin"
+    atomic = True
+
+    def normalize(self, raw):
         pairs = []
         seen = set()
         for item in raw:
@@ -201,37 +313,161 @@ def normalize(space, raw) -> Element:
             if v != 0:
                 pairs.append((i, v))
         pairs.sort()
-        return Element(space, tuple(pairs))
-    if isinstance(space, EventuallyConstant):
+        return Element(self, tuple(pairs))
+
+    def zero(self):
+        return Element(self, ())
+
+    def one(self):
+        raise Unsupported("finitely supported sequences have no order unit")
+
+    def add(self, x, y):
+        acc = dict(x.payload)
+        for i, v in y.payload:
+            acc[i] = acc.get(i, ZERO) + v
+        return normalize(self, acc.items())
+
+    def scale(self, c, x):
+        return normalize(self, [(i, c * v) for i, v in x.payload])
+
+    def lattice(self, x, y, pick):
+        xs, ys = dict(x.payload), dict(y.payload)
+        return normalize(self, [(i, pick(xs.get(i, ZERO), ys.get(i, ZERO)))
+                                for i in sorted(xs.keys() | ys.keys())])
+
+    def nonneg(self, x):
+        return all(v >= 0 for _, v in x.payload)
+
+    def atom_count(self):
+        return None
+
+    def get_atom(self, x, i):
+        return dict(x.payload).get(i, ZERO)
+
+    def from_atoms(self, values, tail):
+        return normalize(self, values.items())
+
+    def support_atoms(self, x):
+        return [i for i, _ in x.payload]
+
+    def random(self, rng, draw):
+        idx = rng.sample(range(1, 13), rng.randint(0, 4))
+        return normalize(self, [(i, draw()) for i in idx])
+
+    def random_disjoint_pair(self, rng, draw, draw_nonzero):
+        idx = rng.sample(range(1, 13), rng.randint(0, 6))
+        u, v = {}, {}
+        for i in idx:
+            (u if rng.random() < 0.5 else v)[i] = draw()
+        return normalize(self, u.items()), normalize(self, v.items())
+
+    def format(self, x):
+        return "fin{%s}" % ",".join(f"({i},{v})" for i, v in x.payload)
+
+    def key(self, x):
+        return x.payload
+
+
+@dataclass(frozen=True)
+class EventuallyConstant(Space):
+    """Sequences that are constant from some index on; the payload is
+    (prefix tuple, tail rational) with the shortest prefix."""
+
+    name = "ec"
+    atomic = True
+
+    def normalize(self, raw):
         prefix, tail = raw
         tail = q(tail)
         vals = [q(v) for v in prefix]
         while vals and vals[-1] == tail:
             vals.pop()
-        return Element(space, (tuple(vals), tail))
-    if isinstance(space, PiecewiseLinear):
-        pts = sorted((q(t), q(v)) for t, v in raw)
-        if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
-            raise MalformedElement("breakpoints must include t=0 and t=1")
-        dedup = [pts[0]]
-        for t, v in pts[1:]:
-            if t == dedup[-1][0]:
-                if v != dedup[-1][1]:
-                    raise MalformedElement(f"two values at t={t}")
-                continue
-            dedup.append((t, v))
-        return Element(space, _pl_strip_collinear(dedup))
-    raise MalformedElement(f"space {space!r} carries no elements")
+        return Element(self, (tuple(vals), tail))
 
+    def zero(self):
+        return Element(self, ((), ZERO))
+
+    def one(self):
+        return Element(self, ((), ONE))
+
+    def _zip(self, x, y, f):
+        (px, tx), (py, ty) = x.payload, y.payload
+        vals = [f(px[i] if i < len(px) else tx, py[i] if i < len(py) else ty)
+                for i in range(max(len(px), len(py)))]
+        return normalize(self, (vals, f(tx, ty)))
+
+    def add(self, x, y):
+        return self._zip(x, y, operator.add)
+
+    def scale(self, c, x):
+        prefix, tail = x.payload
+        return normalize(self, ([c * v for v in prefix], c * tail))
+
+    def lattice(self, x, y, pick):
+        return self._zip(x, y, pick)
+
+    def nonneg(self, x):
+        prefix, tail = x.payload
+        return tail >= 0 and all(v >= 0 for v in prefix)
+
+    def atom_count(self):
+        return None
+
+    def get_atom(self, x, i):
+        prefix, tail = x.payload
+        return prefix[i - 1] if i <= len(prefix) else tail
+
+    def from_atoms(self, values, tail):
+        m = max(values) if values else 0
+        return normalize(
+            self, ([q(values.get(i, tail)) for i in range(1, m + 1)], tail))
+
+    def support_atoms(self, x):
+        prefix, _ = x.payload
+        return [i + 1 for i, v in enumerate(prefix) if v != 0]
+
+    def infinite_fragments(self, x):
+        return x.payload[1] != 0
+
+    def full_support(self, x):
+        prefix, tail = x.payload
+        return tail != 0 and all(v != 0 for v in prefix)
+
+    def random(self, rng, draw):
+        prefix = [draw() for _ in range(rng.randint(0, 4))]
+        return normalize(self, (prefix, draw()))
+
+    def random_disjoint_pair(self, rng, draw, draw_nonzero):
+        # at most one side may carry a nonzero tail
+        tail_side = rng.choice("uvn")
+        tu = draw_nonzero() if tail_side == "u" else ZERO
+        tv = draw_nonzero() if tail_side == "v" else ZERO
+        u_vals, v_vals = [], []
+        for _ in range(6):
+            side = rng.choice("uvn")
+            u_vals.append(draw() if side == "u" else ZERO)
+            v_vals.append(draw() if side == "v" else ZERO)
+        return normalize(self, (u_vals, tu)), normalize(self, (v_vals, tv))
+
+    def format(self, x):
+        prefix, tail = x.payload
+        return "ec[%s|%s]" % (",".join(str(v) for v in prefix), tail)
+
+    def key(self, x):
+        prefix, tail = x.payload
+        return (tail,) + prefix
+
+
+# --- piecewise-linear kernels ----------------------------------------------
 
 def _pl_strip_collinear(pts):
     """Drop the interior breakpoints of ``pts`` that lie on a straight line.
 
     ``pts`` holds (t, value) pairs of Fractions with strictly increasing
     t from 0 to 1.  The PL results of ``add``, ``scale`` and
-    ``_pl_lattice`` hold this by construction, so they are made
-    canonical here alone and skip ``normalize``, which stays the entry
-    point for input from outside the program.
+    ``lattice`` hold this by construction, so they are made canonical
+    here alone and skip ``normalize``, which stays the entry point for
+    input from outside the program.
 
     Collinearity of (a,ya)-(b,yb)-(t,v) is (yb-ya)(t-b) == (v-yb)(b-a).
     With every coordinate written n/d (d > 0, as Fraction keeps it) and
@@ -257,83 +493,6 @@ def _pl_strip_collinear(pts):
                 break
         keep.append(k)
     return tuple(pts[k] for k in keep)
-
-
-# --- convenience constructors (mirroring the literal syntax) ---------------
-
-def coord(*values) -> Element:
-    return normalize(Coordinate(len(values)), values)
-
-
-def simple(partition, values) -> Element:
-    return normalize(SimpleFunction(tuple(partition)), values)
-
-
-def fin(*pairs) -> Element:
-    return normalize(FinSupport(), pairs)
-
-
-def ec(prefix, tail) -> Element:
-    return normalize(EventuallyConstant(), (prefix, tail))
-
-
-def pl(*points) -> Element:
-    return normalize(PiecewiseLinear(), points)
-
-
-def zero(space) -> Element:
-    if isinstance(space, Coordinate):
-        return Element(space, (ZERO,) * space.n)
-    if isinstance(space, SimpleFunction):
-        return Element(space, (ZERO,) * space.cells)
-    if isinstance(space, FinSupport):
-        return Element(space, ())
-    if isinstance(space, EventuallyConstant):
-        return Element(space, ((), ZERO))
-    if isinstance(space, PiecewiseLinear):
-        return Element(space, ((ZERO, ZERO), (ONE, ZERO)))
-    raise Unsupported(f"{space_name(space)} carries no elements")
-
-
-def one(space) -> Element:
-    if isinstance(space, Coordinate):
-        return Element(space, (ONE,) * space.n)
-    if isinstance(space, SimpleFunction):
-        return Element(space, (ONE,) * space.cells)
-    if isinstance(space, EventuallyConstant):
-        return Element(space, ((), ONE))
-    if isinstance(space, PiecewiseLinear):
-        return Element(space, ((ZERO, ONE), (ONE, ONE)))
-    if isinstance(space, FinSupport):
-        raise Unsupported("finitely supported sequences have no order unit")
-    raise Unsupported(f"{space_name(space)} carries no elements")
-
-
-def is_zero(x: Element) -> bool:
-    return x == zero(x.space)
-
-
-# ---------------------------------------------------------------------------
-# vector operations
-# ---------------------------------------------------------------------------
-
-def add(x: Element, y: Element) -> Element:
-    _same_space(x, y)
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return Element(s, tuple(a + b for a, b in zip(x.payload, y.payload)))
-    if isinstance(s, FinSupport):
-        acc = dict(x.payload)
-        for i, v in y.payload:
-            acc[i] = acc.get(i, ZERO) + v
-        return normalize(s, acc.items())
-    if isinstance(s, EventuallyConstant):
-        return _ec_zip(x, y, lambda a, b: a + b)
-    if isinstance(s, PiecewiseLinear):
-        ts, xs, ys = _pl_merge(x, y)
-        pts = [(t, a + b) for t, a, b in zip(ts, xs, ys)]
-        return Element(s, _pl_strip_collinear(pts))
-    raise Unsupported(space_name(s))
 
 
 def _pl_merge(x: Element, y: Element):
@@ -372,83 +531,253 @@ def _pl_merge(x: Element, y: Element):
     return ts, xs, ys
 
 
+@dataclass(frozen=True)
+class PiecewiseLinear(Space):
+    """Continuous piecewise-linear functions on [0,1] with rational
+    breakpoints; the payload is the sorted ((t, value), ...) including
+    t=0 and t=1, with no collinear interior breakpoints."""
+
+    name = "pl"
+    # interior abscissae the samplers draw breakpoints from
+    sample_points = tuple(Fraction(k, 8) for k in range(1, 8))
+
+    def normalize(self, raw):
+        pts = sorted((q(t), q(v)) for t, v in raw)
+        if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
+            raise MalformedElement("breakpoints must include t=0 and t=1")
+        dedup = [pts[0]]
+        for t, v in pts[1:]:
+            if t == dedup[-1][0]:
+                if v != dedup[-1][1]:
+                    raise MalformedElement(f"two values at t={t}")
+                continue
+            dedup.append((t, v))
+        return Element(self, _pl_strip_collinear(dedup))
+
+    def zero(self):
+        return Element(self, ((ZERO, ZERO), (ONE, ZERO)))
+
+    def one(self):
+        return Element(self, ((ZERO, ONE), (ONE, ONE)))
+
+    def add(self, x, y):
+        ts, xs, ys = _pl_merge(x, y)
+        pts = [(t, a + b) for t, a, b in zip(ts, xs, ys)]
+        return Element(self, _pl_strip_collinear(pts))
+
+    def scale(self, c, x):
+        pts = [(t, c * v) for t, v in x.payload]
+        return Element(self, _pl_strip_collinear(pts))
+
+    def lattice(self, x, y, pick):
+        """A crossing abscissa is inserted exactly where the difference
+        changes sign strictly inside a merged segment; touching at a
+        segment endpoint contributes nothing new."""
+        ts, xs, ys = _pl_merge(x, y)
+        payload = [(ts[0], pick(xs[0], ys[0]))]
+        db = xs[0] - ys[0]
+        for k in range(1, len(ts)):
+            da, db = db, xs[k] - ys[k]
+            # strict sign change; a Fraction has the sign of its numerator
+            if da.numerator * db.numerator < 0:
+                # both inputs agree at the crossing, a fraction r of the way
+                # along the merged segment
+                r = da / (da - db)
+                a, xa = ts[k - 1], xs[k - 1]
+                payload.append((a + (ts[k] - a) * r, xa + (xs[k] - xa) * r))
+            payload.append((ts[k], pick(xs[k], ys[k])))
+        return Element(self, _pl_strip_collinear(payload))
+
+    def nonneg(self, x):
+        # x is linear between its breakpoints, so checking the
+        # breakpoint values suffices
+        return all(v >= 0 for _, v in x.payload)
+
+    def eval_at(self, x, t):
+        pts = x.payload
+        if not 0 <= t <= 1:
+            raise MalformedElement(f"abscissa {t} outside [0,1]")
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            if a <= t <= b:
+                if t == a:
+                    return ya
+                return ya + (yb - ya) * (t - a) / (b - a)
+
+    def components(self, x):
+        """Interval boundaries are zeros of x except at the domain
+        endpoints 0 and 1, where x itself may be nonzero."""
+        # the breakpoints of x plus the interior zeros of its segments
+        pts = [x.payload[0]]
+        for (a, ya), (b, yb) in zip(x.payload, x.payload[1:]):
+            if (ya < 0 < yb) or (yb < 0 < ya):
+                pts.append((a + (b - a) * ya / (ya - yb), ZERO))
+            pts.append((b, yb))
+        comps = []
+        start = None
+        for (a, ya), (b, yb) in zip(pts, pts[1:]):
+            if ya == 0 and yb == 0:
+                if start is not None:
+                    comps.append((start, a))
+                    start = None
+                continue
+            if start is None:
+                start = a
+            # an interior zero at b closes the component
+            if yb == 0 and b != 1:
+                comps.append((start, b))
+                start = None
+        if start is not None:
+            comps.append((start, pts[-1][0]))
+        return comps
+
+    support = components
+
+    def restrict(self, x, parts):
+        chosen = sorted(parts)
+        ts = {ZERO, ONE}
+        for a, b in chosen:
+            ts.add(a)
+            ts.add(b)
+        for t, _ in x.payload:
+            if any(a <= t <= b for a, b in chosen):
+                ts.add(t)
+
+        def value(t):
+            for a, b in chosen:
+                if a <= t <= b:
+                    return eval_at(x, t)
+            return ZERO
+
+        return normalize(self, [(t, value(t)) for t in sorted(ts)])
+
+    def common_fragment(self, x, y):
+        """The support components shared, as intervals and values."""
+        mine = {c: self.restrict(x, [c]) for c in self.components(x)}
+        theirs = {c: self.restrict(y, [c]) for c in self.components(y)}
+        return self.restrict(x, [c for c, r in mine.items() if theirs.get(c) == r])
+
+    def full_support(self, x):
+        # a nonzero disjoint partner needs an interval of zeros
+        return all(not (ya == 0 and yb == 0)
+                   for (_, ya), (_, yb) in zip(x.payload, x.payload[1:]))
+
+    def random(self, rng, draw):
+        ts = sorted(rng.sample(self.sample_points, rng.randint(0, 4)))
+        pts = [(ZERO, draw())] + [(t, draw()) for t in ts] + [(ONE, draw())]
+        return normalize(self, pts)
+
+    def random_disjoint_pair(self, rng, draw, draw_nonzero):
+        # tents on (0, a) and (b, 1) with a < b
+        a, b = sorted(rng.sample(self.sample_points, 2))
+        u = [(ZERO, ZERO), (a / 2, draw()), (a, ZERO), (ONE, ZERO)]
+        v = [(ZERO, ZERO), (b, ZERO), ((b + 1) / 2, draw()), (ONE, ZERO)]
+        return normalize(self, u), normalize(self, v)
+
+    def format(self, x):
+        return "pl{%s}" % ",".join(f"({t},{v})" for t, v in x.payload)
+
+    def key(self, x):
+        return tuple(pair for pt in x.payload for pair in pt)
+
+
+@dataclass(frozen=True)
+class Reals(Space):
+    """Scalar codomain for interval-valued operators.
+
+    Carries no elements of its own; operator applications into this
+    space produce rational enclosures (see ``operators.RealInterval``).
+    """
+
+    name = "reals"
+
+
+# ---------------------------------------------------------------------------
+# the interface: each function dispatches on the space
+# ---------------------------------------------------------------------------
+
+def _model(space) -> Space:
+    if isinstance(space, Space):
+        return space
+    raise MalformedElement(f"unknown space {space!r}")
+
+
+def space_name(space) -> str:
+    return _model(space).name
+
+
+def _same_space(x: Element, y: Element):
+    if x.space != y.space:
+        raise SpaceMismatch(
+            f"{space_name(x.space)} vs {space_name(y.space)}")
+
+
+def normalize(space, raw) -> Element:
+    """Build the canonical element of ``space`` from a raw payload.
+
+    Idempotent: feeding an element's payload back in reproduces it.
+    """
+    if isinstance(space, Space):
+        return space.normalize(raw)
+    raise MalformedElement(f"space {space!r} carries no elements")
+
+
+# --- convenience constructors (mirroring the literal syntax) ---------------
+
+def coord(*values) -> Element:
+    return normalize(Coordinate(len(values)), values)
+
+
+def simple(partition, values) -> Element:
+    return normalize(SimpleFunction(tuple(partition)), values)
+
+
+def fin(*pairs) -> Element:
+    return normalize(FinSupport(), pairs)
+
+
+def ec(prefix, tail) -> Element:
+    return normalize(EventuallyConstant(), (prefix, tail))
+
+
+def pl(*points) -> Element:
+    return normalize(PiecewiseLinear(), points)
+
+
+def zero(space) -> Element:
+    return _model(space).zero()
+
+
+def one(space) -> Element:
+    return _model(space).one()
+
+
+def is_zero(x: Element) -> bool:
+    return x == zero(x.space)
+
+
+# --- vector and lattice operations -----------------------------------------
+
+def add(x: Element, y: Element) -> Element:
+    _same_space(x, y)
+    return x.space.add(x, y)
+
+
 def sub(x: Element, y: Element) -> Element:
     return add(x, scale(-1, y))
 
 
 def scale(c, x: Element) -> Element:
-    c = q(c)
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return Element(s, tuple(c * v for v in x.payload))
-    if isinstance(s, FinSupport):
-        return normalize(s, [(i, c * v) for i, v in x.payload])
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = x.payload
-        return normalize(s, ([c * v for v in prefix], c * tail))
-    if isinstance(s, PiecewiseLinear):
-        pts = [(t, c * v) for t, v in x.payload]
-        return Element(s, _pl_strip_collinear(pts))
-    raise Unsupported(space_name(s))
+    return x.space.scale(q(c), x)
 
-
-def _ec_zip(x: Element, y: Element, f) -> Element:
-    (px, tx), (py, ty) = x.payload, y.payload
-    m = max(len(px), len(py))
-    vals = [f(px[i] if i < len(px) else tx, py[i] if i < len(py) else ty)
-            for i in range(m)]
-    return normalize(x.space, (vals, f(tx, ty)))
-
-
-# ---------------------------------------------------------------------------
-# lattice operations
-# ---------------------------------------------------------------------------
 
 def sup(x: Element, y: Element) -> Element:
-    return _lattice(x, y, max)
+    _same_space(x, y)
+    return x.space.lattice(x, y, max)
 
 
 def inf(x: Element, y: Element) -> Element:
-    return _lattice(x, y, min)
-
-
-def _lattice(x: Element, y: Element, pick) -> Element:
     _same_space(x, y)
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return Element(s, tuple(pick(a, b) for a, b in zip(x.payload, y.payload)))
-    if isinstance(s, FinSupport):
-        idx = {i for i, _ in x.payload} | {i for i, _ in y.payload}
-        return normalize(
-            s, [(i, pick(get_atom(x, i), get_atom(y, i))) for i in sorted(idx)])
-    if isinstance(s, EventuallyConstant):
-        return _ec_zip(x, y, pick)
-    if isinstance(s, PiecewiseLinear):
-        return _pl_lattice(x, y, pick)
-    raise Unsupported(space_name(s))
-
-
-def _pl_lattice(x: Element, y: Element, pick) -> Element:
-    """Pointwise extremum of two piecewise-linear functions.
-
-    A crossing abscissa is inserted exactly where the difference
-    changes sign strictly inside a merged segment; touching at a
-    segment endpoint contributes nothing new.
-    """
-    ts, xs, ys = _pl_merge(x, y)
-    payload = [(ts[0], pick(xs[0], ys[0]))]
-    db = xs[0] - ys[0]
-    for k in range(1, len(ts)):
-        da, db = db, xs[k] - ys[k]
-        # strict sign change; a Fraction has the sign of its numerator
-        if da.numerator * db.numerator < 0:
-            # both inputs agree at the crossing, a fraction r of the way
-            # along the merged segment
-            r = da / (da - db)
-            a, xa = ts[k - 1], xs[k - 1]
-            payload.append((a + (ts[k] - a) * r, xa + (xs[k] - xa) * r))
-        payload.append((ts[k], pick(xs[k], ys[k])))
-    return Element(x.space, _pl_strip_collinear(payload))
+    return x.space.lattice(x, y, min)
 
 
 def pos_part(x: Element) -> Element:
@@ -466,19 +795,7 @@ def absolute(x: Element) -> Element:
 def leq(x: Element, y: Element) -> bool:
     """Pointwise partial order: true iff y - x is everywhere >= 0."""
     d = sub(y, x)
-    s = d.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return all(v >= 0 for v in d.payload)
-    if isinstance(s, FinSupport):
-        return all(v >= 0 for _, v in d.payload)
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = d.payload
-        return tail >= 0 and all(v >= 0 for v in prefix)
-    if isinstance(s, PiecewiseLinear):
-        # y - x is linear between its breakpoints, so checking the
-        # breakpoint values suffices
-        return all(v >= 0 for _, v in d.payload)
-    raise Unsupported(space_name(s))
+    return d.space.nonneg(d)
 
 
 def is_disjoint(x: Element, y: Element) -> bool:
@@ -486,79 +803,26 @@ def is_disjoint(x: Element, y: Element) -> bool:
     return is_zero(inf(absolute(x), absolute(y)))
 
 
-# ---------------------------------------------------------------------------
-# evaluation, atoms, supports
-# ---------------------------------------------------------------------------
+# --- evaluation, atoms, supports -------------------------------------------
 
 def eval_at(x: Element, t) -> Fraction:
     """Value of a function-like element at abscissa t in [0,1]."""
-    t = q(t)
-    s = x.space
-    if isinstance(s, SimpleFunction):
-        if not 0 <= t <= 1:
-            raise MalformedElement(f"abscissa {t} outside [0,1]")
-        for k in range(s.cells):
-            if t < s.partition[k + 1] or k == s.cells - 1:
-                return x.payload[k]
-    if isinstance(s, PiecewiseLinear):
-        pts = x.payload
-        if not 0 <= t <= 1:
-            raise MalformedElement(f"abscissa {t} outside [0,1]")
-        for (a, ya), (b, yb) in zip(pts, pts[1:]):
-            if a <= t <= b:
-                if t == a:
-                    return ya
-                return ya + (yb - ya) * (t - a) / (b - a)
-    raise Unsupported(f"cannot evaluate an element of {space_name(s)} at a point")
+    return x.space.eval_at(x, q(t))
 
 
 def atom_count(space):
     """Number of atoms of an atomic space, or None when infinite."""
-    if isinstance(space, Coordinate):
-        return space.n
-    if isinstance(space, SimpleFunction):
-        return space.cells
-    if isinstance(space, (FinSupport, EventuallyConstant)):
-        return None
-    raise Unsupported(f"{space_name(space)} is not atomic")
+    return _model(space).atom_count()
 
 
 def get_atom(x: Element, i: int) -> Fraction:
     """Coordinate i (1-based) of an element of an atomic space."""
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        n = atom_count(s)
-        if not 1 <= i <= n:
-            raise MalformedElement(f"atom {i} outside 1..{n}")
-        return x.payload[i - 1]
-    if isinstance(s, FinSupport):
-        for j, v in x.payload:
-            if j == i:
-                return v
-        return ZERO
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = x.payload
-        return prefix[i - 1] if i <= len(prefix) else tail
-    raise Unsupported(f"{space_name(s)} is not atomic")
+    return x.space.get_atom(x, i)
 
 
 def from_atoms(space, values: dict, tail=0) -> Element:
     """Element of an atomic space from a sparse {atom: value} map."""
-    if isinstance(space, (Coordinate, SimpleFunction)):
-        n = atom_count(space)
-        vals = [ZERO] * n
-        for i, v in values.items():
-            if not 1 <= i <= n:
-                raise MalformedElement(f"atom {i} outside 1..{n}")
-            vals[i - 1] = q(v)
-        return Element(space, tuple(vals))
-    if isinstance(space, FinSupport):
-        return normalize(space, values.items())
-    if isinstance(space, EventuallyConstant):
-        m = max(values) if values else 0
-        vals = [q(values.get(i, tail)) for i in range(1, m + 1)]
-        return normalize(space, (vals, tail))
-    raise Unsupported(f"{space_name(space)} is not atomic")
+    return _model(space).from_atoms(values, tail)
 
 
 def unit_atom(space, i: int, value=1) -> Element:
@@ -572,127 +836,50 @@ def support_atoms(x: Element):
     whose value differs from zero; the tail is reported separately by
     the caller when it matters.
     """
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return [i + 1 for i, v in enumerate(x.payload) if v != 0]
-    if isinstance(s, FinSupport):
-        return [i for i, _ in x.payload]
-    if isinstance(s, EventuallyConstant):
-        prefix, _ = x.payload
-        return [i + 1 for i, v in enumerate(prefix) if v != 0]
-    raise Unsupported(f"{space_name(s)} is not atomic")
+    return x.space.support_atoms(x)
+
+
+def pieces(x: Element):
+    """The disjoint pieces that sum to x, in a fixed order.
+
+    These are its nonzero atoms, each with its value, or on
+    piecewise-linear functions its support components.  Every fragment
+    of x is the sum of some of them, except where x has an infinite
+    fragment algebra (``has_infinite_fragments``): there the nonzero
+    tail of x is left out.
+    """
+    return [x.space.restrict(x, [p]) for p in x.space.support(x)]
+
+
+def has_infinite_fragments(x: Element) -> bool:
+    """Whether the fragment algebra of x is infinite: x is eventually
+    constant with a nonzero tail."""
+    return x.space.infinite_fragments(x)
 
 
 def support_size(x: Element) -> int:
-    """Count of nonzero atoms/components; a proxy for decomposition ties."""
-    s = x.space
-    if isinstance(s, PiecewiseLinear):
-        return len(pl_components(x))
-    if isinstance(s, EventuallyConstant):
-        _, tail = x.payload
-        n = len(support_atoms(x))
-        return n + (1 if tail != 0 else 0)
-    return len(support_atoms(x))
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear supports and components
-# ---------------------------------------------------------------------------
-
-def _pl_zero_refined(x: Element):
-    """Breakpoints of x plus the interior zeros of its segments."""
-    pts = list(x.payload)
-    out = [pts[0]]
-    for (a, ya), (b, yb) in zip(pts, pts[1:]):
-        if (ya < 0 < yb) or (yb < 0 < ya):
-            t = a + (b - a) * ya / (ya - yb)
-            out.append((t, ZERO))
-        out.append((b, yb))
-    return out
+    """Count of nonzero atoms/components, and a nonzero tail; a proxy for
+    decomposition ties."""
+    return len(x.space.support(x)) + has_infinite_fragments(x)
 
 
 def pl_components(x: Element):
-    """Connected components of {t : x(t) != 0}, as (start, end) pairs.
-
-    Interval boundaries are zeros of x except at the domain endpoints
-    0 and 1, where x itself may be nonzero.
-    """
-    if not isinstance(x.space, PiecewiseLinear):
-        raise Unsupported("components are defined for piecewise-linear elements")
-    pts = _pl_zero_refined(x)
-    comps = []
-    start = None
-    for (a, ya), (b, yb) in zip(pts, pts[1:]):
-        segment_zero = ya == 0 and yb == 0
-        if segment_zero:
-            if start is not None:
-                comps.append((start, a))
-                start = None
-            continue
-        if start is None:
-            start = a
-        # an interior zero at b closes the component
-        if yb == 0 and b != 1:
-            comps.append((start, b))
-            start = None
-    if start is not None:
-        comps.append((start, pts[-1][0]))
-    return comps
+    """Connected components of {t : x(t) != 0}, as (start, end) pairs."""
+    return x.space.components(x)
 
 
 def pl_restrict(x: Element, components) -> Element:
     """x on the chosen components, zero elsewhere."""
-    chosen = sorted(components)
-    ts = {ZERO, ONE}
-    for a, b in chosen:
-        ts.add(a)
-        ts.add(b)
-    for t, _ in x.payload:
-        if any(a <= t <= b for a, b in chosen):
-            ts.add(t)
-
-    def value(t):
-        for a, b in chosen:
-            if a <= t <= b:
-                return eval_at(x, t)
-        return ZERO
-
-    return normalize(x.space, [(t, value(t)) for t in sorted(ts)])
+    return x.space.restrict(x, components)
 
 
-# ---------------------------------------------------------------------------
-# formatting and ordering keys
-# ---------------------------------------------------------------------------
+# --- formatting and ordering keys ------------------------------------------
 
 def format_element(x: Element) -> str:
     """Literal syntax, ASCII, canonical."""
-    s = x.space
-    if isinstance(s, Coordinate):
-        return "coord[%s]" % ",".join(str(v) for v in x.payload)
-    if isinstance(s, SimpleFunction):
-        return "simple{%s}[%s]" % (
-            ",".join(str(t) for t in s.partition),
-            ",".join(str(v) for v in x.payload))
-    if isinstance(s, FinSupport):
-        return "fin{%s}" % ",".join(f"({i},{v})" for i, v in x.payload)
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = x.payload
-        return "ec[%s|%s]" % (",".join(str(v) for v in prefix), tail)
-    if isinstance(s, PiecewiseLinear):
-        return "pl{%s}" % ",".join(f"({t},{v})" for t, v in x.payload)
-    raise Unsupported(space_name(s))
+    return x.space.format(x)
 
 
 def canonical_key(x: Element):
     """A total sort key on elements of one space, for stable output."""
-    s = x.space
-    if isinstance(s, (Coordinate, SimpleFunction)):
-        return tuple(x.payload)
-    if isinstance(s, FinSupport):
-        return tuple((i, v) for i, v in x.payload)
-    if isinstance(s, EventuallyConstant):
-        prefix, tail = x.payload
-        return (tail,) + tuple(prefix)
-    if isinstance(s, PiecewiseLinear):
-        return tuple(pair for pt in x.payload for pair in pt)
-    raise Unsupported(space_name(s))
+    return x.space.key(x)

@@ -102,6 +102,27 @@ def test_runner_exception_becomes_failure(monkeypatch):
     assert "exception" in (result.result.witness or "")
 
 
+def test_runner_crash_names_its_innermost_frame(monkeypatch):
+    from rieszlab import checks as checks_mod
+    broken = REGISTRY["lem-3.1"]
+
+    def crash_inside(cfg):
+        return cfg["no such key"]
+
+    def runner(rng, cfg):
+        return crash_inside(cfg)
+
+    monkeypatch.setitem(checks_mod.REGISTRY, "lem-3.1",
+                        type(broken)(broken.id, broken.title, runner,
+                                     broken.quick, broken.full))
+    result = run_check("lem-3.1").result
+    line = crash_inside.__code__.co_firstlineno + 1
+    assert result.verdict == FAILS
+    assert result.witness == "exception: KeyError('no such key')"
+    assert result.notes == ("runner raised instead of reporting, at "
+                            f"test_checks.py:{line} in crash_inside")
+
+
 def test_mutation_meet_formula_breaks_lateral_meet_example():
     with tampered("latinf-collinear-meet-formula"):
         assert run_check("ex-4.3-latmeet").result.verdict == FAILS

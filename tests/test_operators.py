@@ -175,6 +175,17 @@ def test_operator_vanishes_at_zero():
     assert apply(AlternatingSeries(), zero(EC)).is_exact_zero()
 
 
+def test_random_operators_map_their_space_to_itself():
+    """Two draws on one space can always be paired in the operator
+    lattice: every kind lands in the space it was drawn on."""
+    rng = make_rng("endomorphisms")
+    for space in gen.space_menu():
+        for k in range(60):
+            for T in (gen.random_oao(rng, space, allow_tables=k % 2 == 0),
+                      gen.random_dp_operator(rng, space)):
+                assert T.domain == space and T.codomain == space, (space, T)
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------

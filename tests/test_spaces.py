@@ -1,5 +1,6 @@
 """Element models: canonical forms, vector and lattice calculus."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from rieszlab.errors import MalformedElement, SpaceMismatch, Unsupported
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, absolute, add, coord, ec, eval_at, fin, inf, is_disjoint,
-    leq, neg_part, normalize, one, pl, pos_part, scale, simple, sub, sup,
-    zero,
+    Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
+    Reals, SimpleFunction, absolute, add, atom_count, coord, ec, eval_at, fin,
+    format_element, from_atoms, get_atom, inf, is_disjoint, leq, neg_part,
+    normalize, one, pl, pl_components, pos_part, scale, simple, space_name,
+    sub, sup, support_atoms, support_size, zero,
 )
 
 from conftest import make_rng
@@ -138,6 +140,171 @@ def test_eval_at_simple_function_cells():
     assert eval_at(x, Q(1, 4)) == 2
     assert eval_at(x, Q(1, 2)) == 5
     assert eval_at(x, 1) == 5
+
+
+# ---------------------------------------------------------------------------
+# per-model behaviour, pinned: results, or exact exception types and messages
+# ---------------------------------------------------------------------------
+
+THIRDS = (0, Q(1, 3), Q(2, 3), 1)
+
+# (space, raw payload of a sample element x, expected outcome per probe)
+PINNED = [
+    (Coordinate(3), (1, 0, Q(-1, 2)), {
+        "space_name": "coord(3)",
+        "normalize": "coord[1,0,-1/2]",
+        "zero": "coord[0,0,0]",
+        "one": "coord[1,1,1]",
+        "atom_count": 3,
+        "get_atom 1": Q(1),
+        "get_atom 9": (MalformedElement, "atom 9 outside 1..3"),
+        "from_atoms": "coord[2,0,1/2]",
+        "support_atoms": [1, 3],
+        "support_size": 2,
+        "eval_at": (Unsupported,
+                    "cannot evaluate an element of coord(3) at a point"),
+        "pl_components": (Unsupported,
+                          "components are defined for piecewise-linear "
+                          "elements"),
+        "random_element": "coord[-1,0,-3]",
+        "random_disjoint_pair": ("coord[0,0,-1]", "coord[-1,0,0]"),
+    }),
+    (SimpleFunction(THIRDS), (2, 0, -1), {
+        "space_name": "simple{0,1/3,2/3,1}",
+        "normalize": "simple{0,1/3,2/3,1}[2,0,-1]",
+        "zero": "simple{0,1/3,2/3,1}[0,0,0]",
+        "one": "simple{0,1/3,2/3,1}[1,1,1]",
+        "atom_count": 3,
+        "get_atom 1": Q(2),
+        "get_atom 9": (MalformedElement, "atom 9 outside 1..3"),
+        "from_atoms": "simple{0,1/3,2/3,1}[2,0,1/2]",
+        "support_atoms": [1, 3],
+        "support_size": 2,
+        "eval_at": Q(0),
+        "pl_components": (Unsupported,
+                          "components are defined for piecewise-linear "
+                          "elements"),
+        "random_element": "simple{0,1/3,2/3,1}[-1,0,-3]",
+        "random_disjoint_pair": ("simple{0,1/3,2/3,1}[0,0,-1]",
+                                 "simple{0,1/3,2/3,1}[-1,0,0]"),
+    }),
+    (FinSupport(), ((4, 3), (2, Q(-1, 2)), (7, 0)), {
+        "space_name": "fin",
+        "normalize": "fin{(2,-1/2),(4,3)}",
+        "zero": "fin{}",
+        "one": (Unsupported,
+                "finitely supported sequences have no order unit"),
+        "atom_count": None,
+        "get_atom 1": Q(0),
+        "get_atom 9": Q(0),
+        "from_atoms": "fin{(1,2),(3,1/2)}",
+        "support_atoms": [2, 4],
+        "support_size": 2,
+        "eval_at": (Unsupported,
+                    "cannot evaluate an element of fin at a point"),
+        "pl_components": (Unsupported,
+                          "components are defined for piecewise-linear "
+                          "elements"),
+        "random_element": "fin{(3,2),(7,-1)}",
+        "random_disjoint_pair": ("fin{(3,2),(7,1)}", "fin{}"),
+    }),
+    (EventuallyConstant(), ((1, 0, 5, 5), 5), {
+        "space_name": "ec",
+        "normalize": "ec[1,0|5]",
+        "zero": "ec[|0]",
+        "one": "ec[|1]",
+        "atom_count": None,
+        "get_atom 1": Q(1),
+        "get_atom 9": Q(5),
+        "from_atoms": "ec[2,0,1/2|0]",
+        "support_atoms": [1],
+        "support_size": 2,
+        "eval_at": (Unsupported,
+                    "cannot evaluate an element of ec at a point"),
+        "pl_components": (Unsupported,
+                          "components are defined for piecewise-linear "
+                          "elements"),
+        "random_element": "ec[-1,2|-1]",
+        "random_disjoint_pair": ("ec[0,-1,-1/3,1,-3/2|0]",
+                                 "ec[0,0,0,0,0,-3|-1]"),
+    }),
+    (PiecewiseLinear(),
+     ((0, 1), (Q(1, 4), 0), (Q(1, 2), 0), (Q(3, 4), -1), (1, 0)), {
+        "space_name": "pl",
+        "normalize": "pl{(0,1),(1/4,0),(1/2,0),(3/4,-1),(1,0)}",
+        "zero": "pl{(0,0),(1,0)}",
+        "one": "pl{(0,1),(1,1)}",
+        "atom_count": (Unsupported, "pl is not atomic"),
+        "get_atom 1": (Unsupported, "pl is not atomic"),
+        "get_atom 9": (Unsupported, "pl is not atomic"),
+        "from_atoms": (Unsupported, "pl is not atomic"),
+        "support_atoms": (Unsupported, "pl is not atomic"),
+        "support_size": 2,
+        "eval_at": Q(0),
+        "pl_components": [(Q(0), Q(1, 4)), (Q(1, 2), Q(1))],
+        "random_element": "pl{(0,2),(1/4,-1),(1/2,-3),(1,1)}",
+        "random_disjoint_pair": ("pl{(0,0),(1,0)}",
+                                 "pl{(0,0),(3/8,0),(11/16,-3),(1,0)}"),
+    }),
+    (Reals(), None, {
+        "space_name": "reals",
+        "normalize": (MalformedElement, "space Reals() carries no elements"),
+        "zero": (Unsupported, "reals carries no elements"),
+        "one": (Unsupported, "reals carries no elements"),
+        "atom_count": (Unsupported, "reals is not atomic"),
+        "get_atom 1": (Unsupported, "reals is not atomic"),
+        "get_atom 9": (Unsupported, "reals is not atomic"),
+        "from_atoms": (Unsupported, "reals is not atomic"),
+        "support_atoms": (Unsupported, "reals is not atomic"),
+        "support_size": (Unsupported, "reals is not atomic"),
+        "eval_at": (Unsupported,
+                    "cannot evaluate an element of reals at a point"),
+        "pl_components": (Unsupported,
+                          "components are defined for piecewise-linear "
+                          "elements"),
+        "random_element": (Unsupported, "cannot sample from Reals()"),
+        "random_disjoint_pair": (Unsupported, "cannot sample from Reals()"),
+    }),
+]
+
+
+def _outcome(thunk):
+    """The result of thunk(), elements formatted, or (type, message)."""
+    try:
+        result = thunk()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Element):
+        return format_element(result)
+    if isinstance(result, tuple) and all(isinstance(r, Element) for r in result):
+        return tuple(format_element(r) for r in result)
+    return result
+
+
+@pytest.mark.parametrize("space, raw, expected", PINNED,
+                         ids=[type(row[0]).__name__ for row in PINNED])
+def test_per_model_behaviour_is_pinned(space, raw, expected):
+    from rieszlab import generators as gen
+    # Reals carries no elements; this one exists only to reach the errors
+    x = Element(space, ()) if raw is None else normalize(space, raw)
+    probes = {
+        "space_name": lambda: space_name(space),
+        "normalize": lambda: normalize(space, raw or ()),
+        "zero": lambda: zero(space),
+        "one": lambda: one(space),
+        "atom_count": lambda: atom_count(space),
+        "get_atom 1": lambda: get_atom(x, 1),
+        "get_atom 9": lambda: get_atom(x, 9),
+        "from_atoms": lambda: from_atoms(space, {1: 2, 3: Q(1, 2)}),
+        "support_atoms": lambda: support_atoms(x),
+        "support_size": lambda: support_size(x),
+        "eval_at": lambda: eval_at(x, Q(1, 2)),
+        "pl_components": lambda: pl_components(x),
+        "random_element": lambda: gen.random_element(random.Random(7), space),
+        "random_disjoint_pair":
+            lambda: gen.random_disjoint_pair(random.Random(7), space),
+    }
+    assert {name: _outcome(probe) for name, probe in probes.items()} == expected
 
 
 # ---------------------------------------------------------------------------
