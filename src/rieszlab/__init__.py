@@ -14,7 +14,7 @@ from .lateral import (
     enumerate_fragments, fragment_iter, enumerate_decompositions, pliev_grid,
 )
 from .operators import (
-    Kernel, LinearEC, MatchTable, LateralMeet, AlternatingSeries,
+    Operator, Kernel, LinearEC, MatchTable, LateralMeet, AlternatingSeries,
     OpSum, OpScaled, ZeroOp, PiecewisePoly, RealInterval,
     poly, diagonal_kernel, match_table, apply, negate,
     verify_oao, verify_positive, verify_disjointness_preserving,

@@ -19,7 +19,7 @@ from .dsl import (
 from .lateral import FragmentEnumeration, enumerate_decompositions, \
     enumerate_fragments, fragment_iter
 from .operators import (
-    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
+    AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
     OpSum, PiecewisePoly, RealInterval, apply as op_apply, match_table,
     verify_disjointness_preserving,
 )
@@ -31,9 +31,6 @@ from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, format_element, one, zero,
 )
-
-_OPERATOR_TYPES = (Kernel, LinearEC, MatchTable, LateralMeet,
-                   AlternatingSeries, OpSum, OpScaled)
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class PartOfOp:
 
 
 def _is_operator(v) -> bool:
-    return isinstance(v, _OPERATOR_TYPES + (JoinOfOps, MeetOfOps, PartOfOp))
+    return isinstance(v, (Operator, JoinOfOps, MeetOfOps, PartOfOp))
 
 
 _BUILTINS = ("fragments", "decomps", "latsup", "latinf", "one", "zero",

@@ -17,7 +17,8 @@ from . import spaces
 from .spaces import (
     Element, EventuallyConstant,
     add, canonical_key, format_element, get_atom, has_infinite_fragments,
-    inf, is_disjoint, neg_part, normalize, pos_part, sub, sup, zero,
+    inf, is_disjoint, neg_part, normalize, pieces, pos_part, sub, sup,
+    unit_atom, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -173,6 +174,19 @@ def min_level(z: Element) -> int:
     """Smallest truncation level whose fragment set contains z."""
     prefix, _ = z.payload
     return len(prefix)
+
+
+def level_walk(e: Element, level: int):
+    """(l, atoms, w) for each level l from min_level(e) to ``level``,
+    for e eventually constant with a nonzero tail: the atoms of e that
+    join the truncated fragments at l, and w, the tail of e beyond l.
+    Each fragment at level l is a sum of atoms yielded so far plus 0 or
+    w, so folds over the fragments can go atom by atom."""
+    _, tail = e.payload
+    start = min_level(e)
+    for l in range(start, level + 1):
+        atoms = pieces(e) if l == start else [unit_atom(e.space, l, tail)]
+        yield l, atoms, normalize(e.space, ([spaces.ZERO] * l, tail))
 
 
 def enumerate_decompositions(x: Element, level: int | None = None):

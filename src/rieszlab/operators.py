@@ -19,18 +19,17 @@ from fractions import Fraction
 from .errors import MalformedElement, PreconditionError, SpaceMismatch, Unsupported
 from . import lateral, reports, spaces
 from .lateral import (
-    enumerate_decompositions, enumerate_fragments, fragment_iter, min_level,
+    enumerate_decompositions, enumerate_fragments, fragment_iter, level_walk,
+    min_level,
 )
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, Reals,
-    SimpleFunction, absolute, add, atom_count, format_element, from_atoms,
-    get_atom, has_infinite_fragments, inf, is_disjoint, is_zero, leq,
-    normalize, one, q, scale, space_name, sub, sup, support_atoms,
+    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
+    leq, normalize, one, q, scale, space_name, sub, sup, support_atoms,
     support_size, unit_atom, zero,
 )
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +191,39 @@ def ln2_enclosure(eps) -> RealInterval:
 # operator bodies
 # ---------------------------------------------------------------------------
 
-def _require_atomic(space, role):
-    if not getattr(space, "atomic", False):
-        raise Unsupported(f"{role} of a kernel operator must be atomic, "
-                          f"got {space_name(space)}")
+class Operator:
+    """Base of the operator bodies: each body is a frozen dataclass that
+    subclasses this and holds its own rules.  The defaults promise
+    nothing: not additive, not linear, no probes and no reasons."""
+
+    # additive on disjoint sums by construction, so pointwise closed
+    # forms over decomposition sets are sound
+    atom_additive = False
+    linear = False
+
+    def _apply(self, x: Element):
+        """The image of x, past the domain check of ``apply``."""
+        raise Unsupported(f"unknown operator {self!r}")
+
+    def linear_probes(self) -> list:
+        """Inputs that expose the body if it is a nonzero linear map."""
+        return []
+
+    def dp_reason(self) -> str | None:
+        """Why the body preserves disjointness by construction, if so."""
+        return None
+
+    def oao_reason(self) -> str | None:
+        """Why the body is orthogonally additive by construction, if so."""
+        return "additive by construction" if self.atom_additive else None
+
+    def oao_probes(self) -> list:
+        """Disjoint pairs that ``verify_oao`` tries before any other."""
+        return []
 
 
 @dataclass(frozen=True)
-class Kernel:
+class Kernel(Operator):
     """Per-atom functions routed to codomain atoms:
     (T x)[j] = sum of fn(x[i]) over table rows (i, j, fn)."""
 
@@ -207,9 +231,14 @@ class Kernel:
     codomain: object
     table: tuple  # rows (atom, target, PiecewisePoly)
 
+    atom_additive = True
+
     def __post_init__(self):
-        _require_atomic(self.domain, "domain")
-        _require_atomic(self.codomain, "codomain")
+        for role in ("domain", "codomain"):
+            space = getattr(self, role)
+            if not getattr(space, "atomic", False):
+                raise Unsupported(f"{role} of a kernel operator must be atomic, "
+                                  f"got {space_name(space)}")
         rows = tuple(sorted((int(i), int(j), fn) for i, j, fn in self.table))
         object.__setattr__(self, "table", rows)
         seen = set()
@@ -224,6 +253,29 @@ class Kernel:
             if fn(0) != 0:
                 raise MalformedElement(f"kernel function at atom {i} has f(0) != 0")
 
+    @property
+    def linear(self) -> bool:
+        return all(len(fn.breaks) == 0 and all(c == 0 for c in fn.coeffs[0][2:])
+                   and fn.coeffs[0][0] == 0 for _, _, fn in self.table)
+
+    def _apply(self, x):
+        acc = {}
+        for i, j, fn in self.table:
+            xi = get_atom(x, i)
+            if xi == 0:
+                continue  # kernel functions vanish at 0 by construction
+            acc[j] = acc.get(j, ZERO) + fn(xi)
+        return from_atoms(self.codomain, acc)
+
+    def linear_probes(self):
+        return [unit_atom(self.domain, i) for i, _, _ in self.table]
+
+    def dp_reason(self):
+        targets = [j for _, j, _ in self.table]
+        if len(set(targets)) == len(targets):
+            return "injective atom map: disjoint supports stay disjoint"
+        return None
+
 
 def diagonal_kernel(space, fns) -> Kernel:
     """Kernel with identity atom map; fns is a list (atom 1..n) or dict."""
@@ -235,7 +287,7 @@ def diagonal_kernel(space, fns) -> Kernel:
 
 
 @dataclass(frozen=True)
-class LinearEC:
+class LinearEC(Operator):
     """Linear map on eventually constant sequences.
 
     With c the tail of x:  T x = (sum of a_n (x_n - c)) * target + c * unit_image.
@@ -248,6 +300,9 @@ class LinearEC:
     unit_image: Element
     target: Element
 
+    atom_additive = linear = True
+    domain = EventuallyConstant()
+
     def __post_init__(self):
         rows = tuple(sorted((int(n), q(a)) for n, a in self.coeffs))
         object.__setattr__(self, "coeffs", rows)
@@ -258,19 +313,61 @@ class LinearEC:
         if self.unit_image.space != self.codomain or self.target.space != self.codomain:
             raise SpaceMismatch("unit image and target must live in the codomain")
 
-    @property
-    def domain(self):
-        return EventuallyConstant()
+    def _apply(self, x):
+        c = x.payload[1]
+        mult = sum((a * (get_atom(x, n) - c) for n, a in self.coeffs), ZERO)
+        return add(scale(mult, self.target), scale(c, self.unit_image))
+
+    def linear_probes(self):
+        return [unit_atom(self.domain, n) for n, _ in self.coeffs] + [
+            one(self.domain)]
 
 
 @dataclass(frozen=True)
-class MatchTable:
+class MatchTable(Operator):
     """x maps to the tabled value when x equals a key, else to zero."""
 
     domain: object
     codomain: object
     entries: tuple  # ((key, value), ...)
     validated_level: int | None = None
+
+    def _apply(self, x):
+        for key, value in self.entries:
+            if x == key:
+                return value
+        return zero(self.codomain)
+
+    def _isolated(self) -> bool:
+        """Every key is a single piece with finitely many fragments (so
+        its only fragments are 0 and itself) and has no nonzero disjoint
+        partner."""
+        return all(not has_infinite_fragments(k) and support_size(k) == 1
+                   and k.space.full_support(k) for k, _ in self.entries)
+
+    def dp_reason(self):
+        return ("keys have no nonzero disjoint partner"
+                if self._isolated() else None)
+
+    def oao_reason(self):
+        return ("keys indecomposable with no nonzero disjoint partner"
+                if self._isolated() else None)
+
+    def oao_probes(self):
+        """The classic match-table failure: a key plus a unit atom
+        outside its support."""
+        if not self.domain.atomic:
+            return []
+        n = atom_count(self.domain)
+        probes = []
+        for key, _ in self.entries:
+            outside = [a for a in range(1, (n or 8) + 1)
+                       if a not in set(support_atoms(key))][:4]
+            for a in outside:
+                probe = unit_atom(self.domain, a)
+                if is_disjoint(key, probe):
+                    probes.append((key, probe))
+        return probes
 
 
 def match_table(entries, truncation_level: int = 8) -> MatchTable:
@@ -320,46 +417,64 @@ def match_table(entries, truncation_level: int = 8) -> MatchTable:
 
 
 @dataclass(frozen=True)
-class LateralMeet:
+class LateralMeet(Operator):
     """T x = (x meet a) - (x meet b), meets in the lateral order."""
 
     space: object
     a: Element
     b: Element
 
+    atom_additive = True
+
     def __post_init__(self):
         if self.a.space != self.space or self.b.space != self.space:
             raise SpaceMismatch("parameters must live in the operator space")
 
-    @property
-    def domain(self):
-        return self.space
+    domain = codomain = property(lambda self: self.space)
 
-    @property
-    def codomain(self):
-        return self.space
+    def _apply(self, x):
+        return sub(lateral.lateral_inf(x, self.a), lateral.lateral_inf(x, self.b))
+
+    def dp_reason(self):
+        return "|T x| <= |x| pointwise, so disjoint supports stay disjoint"
 
 
 @dataclass(frozen=True)
-class AlternatingSeries:
+class AlternatingSeries(Operator):
     """T x = sum over n of (-1)^n |x_n| / n, as a rational enclosure."""
 
     precision: Fraction = Fraction(1, 10 ** 9)
 
+    atom_additive = True
+    domain = EventuallyConstant()
+    codomain = Reals()
+
     def __post_init__(self):
         object.__setattr__(self, "precision", q(self.precision))
 
-    @property
-    def domain(self):
-        return EventuallyConstant()
+    def _apply(self, x) -> RealInterval:
+        prefix, tail = x.payload
+        head = sum((Fraction((-1) ** n, 1) * abs(v) / n
+                    for n, v in enumerate(prefix, start=1)), ZERO)
+        if tail == 0:
+            return RealInterval.exact(head)
+        eps = self.precision / max(abs(tail), Fraction(1))
+        return _alternating_tail(len(prefix), eps).scaled(abs(tail)) + head
 
-    @property
-    def codomain(self):
-        return Reals()
 
+def _alternating_tail(k: int, precision: Fraction) -> RealInterval:
+    """Enclosure of sum over n > k of (-1)^n / n."""
+    partial = sum((Fraction((-1) ** n, n) for n in range(1, k + 1)), ZERO)
+    ln2 = ln2_enclosure(precision)
+    # full series sums to -ln 2
+    return RealInterval(-ln2.upper - partial, -ln2.lower - partial)
+
+
+# The combinators apply their parts through the module-level ``apply``,
+# so each part's application is checked and traced like any other.
 
 @dataclass(frozen=True)
-class OpSum:
+class OpSum(Operator):
     parts: tuple
 
     def __post_init__(self):
@@ -371,36 +486,61 @@ class OpSum:
         if any(p.domain != d or p.codomain != c for p in parts):
             raise SpaceMismatch("summands must share domain and codomain")
 
-    @property
-    def domain(self):
-        return self.parts[0].domain
+    domain = property(lambda self: self.parts[0].domain)
+    codomain = property(lambda self: self.parts[0].codomain)
+    atom_additive = property(lambda self: all(p.atom_additive for p in self.parts))
+    linear = property(lambda self: all(p.linear for p in self.parts))
 
-    @property
-    def codomain(self):
-        return self.parts[0].codomain
+    def _apply(self, x):
+        acc = apply(self.parts[0], x)
+        for p in self.parts[1:]:
+            acc = vadd(acc, apply(p, x))
+        return acc
+
+    def linear_probes(self):
+        return [x for p in self.parts for x in p.linear_probes()]
 
 
 @dataclass(frozen=True)
-class OpScaled:
+class OpScaled(Operator):
     factor: Fraction
     inner: object
 
     def __post_init__(self):
         object.__setattr__(self, "factor", q(self.factor))
 
-    @property
-    def domain(self):
-        return self.inner.domain
+    domain = property(lambda self: self.inner.domain)
+    codomain = property(lambda self: self.inner.codomain)
+    atom_additive = property(lambda self: self.inner.atom_additive)
+    linear = property(lambda self: self.inner.linear)
 
-    @property
-    def codomain(self):
-        return self.inner.codomain
+    def _apply(self, x):
+        return vscale(self.factor, apply(self.inner, x))
+
+    def linear_probes(self):
+        return self.inner.linear_probes()
+
+    def dp_reason(self):
+        inner = self.inner.dp_reason()
+        return None if inner is None else f"scaling preserves disjointness; {inner}"
+
+    def oao_probes(self):
+        # the probes look through one scaling only
+        return [] if isinstance(self.inner, OpScaled) else self.inner.oao_probes()
 
 
 @dataclass(frozen=True)
-class ZeroOp:
+class ZeroOp(Operator):
     domain: object
     codomain: object
+
+    atom_additive = linear = True
+
+    def _apply(self, x):
+        return vzero(self.codomain)
+
+    def dp_reason(self):
+        return "zero operator"
 
 
 def negate(T):
@@ -472,8 +612,6 @@ def v_is_zero(a) -> bool:
 def format_value(v) -> str:
     if isinstance(v, Element):
         return format_element(v)
-    if isinstance(v, RealInterval):
-        return str(v)
     if isinstance(v, tuple):
         return "(" + ", ".join(format_value(p) for p in v) + ")"
     return str(v)
@@ -489,91 +627,7 @@ def apply(T, x: Element):
         raise SpaceMismatch(
             f"operator domain {space_name(T.domain)}, argument in "
             f"{space_name(x.space)}")
-    if isinstance(T, Kernel):
-        acc = {}
-        for i, j, fn in T.table:
-            xi = get_atom(x, i)
-            if xi == 0:
-                continue  # kernel functions vanish at 0 by construction
-            acc[j] = acc.get(j, ZERO) + fn(xi)
-        return from_atoms(T.codomain, acc)
-    if isinstance(T, LinearEC):
-        c = x.payload[1]
-        mult = sum((a * (get_atom(x, n) - c) for n, a in T.coeffs), ZERO)
-        return add(scale(mult, T.target), scale(c, T.unit_image))
-    if isinstance(T, MatchTable):
-        for key, value in T.entries:
-            if x == key:
-                return value
-        return zero(T.codomain)
-    if isinstance(T, LateralMeet):
-        return sub(lateral.lateral_inf(x, T.a), lateral.lateral_inf(x, T.b))
-    if isinstance(T, AlternatingSeries):
-        return _apply_series(T, x)
-    if isinstance(T, OpSum):
-        acc = apply(T.parts[0], x)
-        for p in T.parts[1:]:
-            acc = vadd(acc, apply(p, x))
-        return acc
-    if isinstance(T, OpScaled):
-        return vscale(T.factor, apply(T.inner, x))
-    if isinstance(T, ZeroOp):
-        return vzero(T.codomain)
-    raise Unsupported(f"unknown operator {T!r}")
-
-
-def _alternating_tail(k: int, precision: Fraction) -> RealInterval:
-    """Enclosure of sum over n > k of (-1)^n / n."""
-    partial = sum((Fraction((-1) ** n, n) for n in range(1, k + 1)), ZERO)
-    ln2 = ln2_enclosure(precision)
-    # full series sums to -ln 2
-    return RealInterval(-ln2.upper - partial, -ln2.lower - partial)
-
-
-def _apply_series(T: AlternatingSeries, x: Element) -> RealInterval:
-    prefix, tail = x.payload
-    head = sum((Fraction((-1) ** n, 1) * abs(v) / n
-                for n, v in enumerate(prefix, start=1)), ZERO)
-    if tail == 0:
-        return RealInterval.exact(head)
-    eps = T.precision / max(abs(tail), Fraction(1))
-    return _alternating_tail(len(prefix), eps).scaled(abs(tail)) + head
-
-
-# ---------------------------------------------------------------------------
-# structural predicates
-# ---------------------------------------------------------------------------
-
-def is_atom_additive(T) -> bool:
-    """Additive on disjoint sums by construction, so pointwise closed
-    forms over decomposition sets are sound."""
-    if isinstance(T, (Kernel, LinearEC, LateralMeet, AlternatingSeries, ZeroOp)):
-        return True
-    if isinstance(T, OpScaled):
-        return is_atom_additive(T.inner)
-    if isinstance(T, OpSum):
-        return all(is_atom_additive(p) for p in T.parts)
-    return False
-
-
-def is_linear(T) -> bool:
-    if isinstance(T, (LinearEC, ZeroOp)):
-        return True
-    if isinstance(T, Kernel):
-        return all(len(fn.breaks) == 0 and all(c == 0 for c in fn.coeffs[0][2:])
-                   and fn.coeffs[0][0] == 0 for _, _, fn in T.table)
-    if isinstance(T, OpScaled):
-        return is_linear(T.inner)
-    if isinstance(T, OpSum):
-        return all(is_linear(p) for p in T.parts)
-    return False
-
-
-def _match_table_isolated(T: MatchTable) -> bool:
-    """Every key is a single piece with finitely many fragments (so its
-    only fragments are 0 and itself) and has no nonzero disjoint partner."""
-    return all(not has_infinite_fragments(k) and support_size(k) == 1
-               and k.space.full_support(k) for k, _ in T.entries)
+    return T._apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +670,14 @@ def verify_oao(T, budget: Budget | None = None) -> CheckReport:
     """
     budget = budget or Budget()
     seed = budget.seed_tag("oao")
-    if is_atom_additive(T):
-        return reports.holds(seed=seed, notes="additive by construction")
-    if isinstance(T, MatchTable) and _match_table_isolated(T):
-        return reports.holds(
-            seed=seed,
-            notes="keys indecomposable with no nonzero disjoint partner")
+    reason = T.oao_reason()
+    if reason:
+        return reports.holds(seed=seed, notes=reason)
     exhaustive = budget.grid is not None and _can_exhaust(T.domain)
     rest = (exhaustive_disjoint_pairs(T.domain, budget.grid) if exhaustive
             else _sampled_pairs(T.domain, budget, "oao"))
     failure, count, _ = _first_gap(functools.partial(_additivity_gap, T),
-                                   itertools.chain(_oao_probes(T), rest), seed)
+                                   itertools.chain(T.oao_probes(), rest), seed)
     if failure:
         return failure
     if exhaustive:
@@ -659,24 +710,6 @@ def _sampled_pairs(domain, budget, tag):
         yield generators.random_disjoint_pair(rng, domain)
 
 
-def _oao_probes(T):
-    """Deterministic pairs that expose the classic match-table failure:
-    a key plus a unit atom outside its support."""
-    table = T.inner if isinstance(T, OpScaled) else T
-    if not (isinstance(table, MatchTable) and table.domain.atomic):
-        return []
-    n = atom_count(table.domain)
-    probes = []
-    for key, _ in table.entries:
-        outside = [a for a in range(1, (n or 8) + 1)
-                   if a not in set(support_atoms(key))][:4]
-        for a in outside:
-            probe = unit_atom(table.domain, a)
-            if is_disjoint(key, probe):
-                probes.append((key, probe))
-    return probes
-
-
 def _additivity_gap(T, u, v) -> bool:
     whole = apply(T, add(u, v))
     parts = vadd(apply(T, u), apply(T, v))
@@ -696,67 +729,49 @@ def _positivity_gap(value) -> bool | None:
     return not leq(zero(value.space), value)
 
 
-def _linear_probes(T):
-    """Finitely many inputs that expose any nonzero linear operator."""
-    probes = []
-    if isinstance(T, LinearEC):
-        probes = [unit_atom(T.domain, n) for n, _ in T.coeffs]
-        probes.append(one(T.domain))
-    elif isinstance(T, Kernel):
-        probes = [unit_atom(T.domain, i) for i, _, _ in T.table]
-    elif isinstance(T, OpScaled):
-        probes = _linear_probes(T.inner)
-    elif isinstance(T, OpSum):
-        probes = [x for p in T.parts for x in _linear_probes(p)]
-    return probes
-
-
 def verify_positive(T, budget: Budget | None = None) -> CheckReport:
     """Check T(x) >= 0 over probes, a grid, or samples."""
     budget = budget or Budget()
     seed = budget.seed_tag("positive")
-    if is_linear(T):
+    if T.linear:
         # a nonzero linear map cannot be positive: T(-x) = -T(x)
-        for x in _linear_probes(T):
+        probes = T.linear_probes()
+        for x in probes:
             y = apply(T, x)
             if not v_is_zero(y):
                 gap = _positivity_gap(y)
                 witness = x if gap else scale(-1, x)
                 return reports.fails(
                     f"x={format_element(witness)} (pair x, -x)",
-                    len(_linear_probes(T)), seed, witness_data=(witness,),
+                    len(probes), seed, witness_data=(witness,),
                     notes="nonzero linear operator; one of x, -x maps below 0")
         return reports.holds(seed=seed, notes="zero operator")
-    undecided = 0
-    if budget.grid is not None and _can_exhaust(T.domain):
-        count = 0
-        for values in itertools.product([q(g) for g in budget.grid],
-                                        repeat=atom_count(T.domain)):
-            x = normalize(T.domain, values)
-            count += 1
-            gap = _positivity_gap(apply(T, x))
-            if gap:
-                return reports.fails(f"x={format_element(x)}", count, seed,
-                                     witness_data=(x,))
-            if gap is None:
-                undecided += 1
-        if undecided:
-            return reports.inconclusive(count, seed,
-                                        notes=f"{undecided} undecided enclosures")
-        return reports.holds(count, seed, notes="exhaustive over grid")
-    from . import generators
-    rng = budget.rng("positive")
-    for k in range(budget.samples):
-        x = generators.random_element(rng, T.domain)
+    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
+    if exhaustive:
+        xs = (normalize(T.domain, values) for values in itertools.product(
+            [q(g) for g in budget.grid], repeat=atom_count(T.domain)))
+    else:
+        from . import generators
+        rng = budget.rng("positive")
+        xs = (generators.random_element(rng, T.domain)
+              for _ in range(budget.samples))
+    count = undecided = 0
+    for x in xs:
+        count += 1
         gap = _positivity_gap(apply(T, x))
         if gap:
-            return reports.fails(f"x={format_element(x)}", k + 1, seed,
+            return reports.fails(f"x={format_element(x)}", count, seed,
                                  witness_data=(x,))
         if gap is None:
             undecided += 1
-    return reports.inconclusive(budget.samples, seed,
-                                notes="sampled, no failure"
-                                + (f"; {undecided} undecided" if undecided else ""))
+    if not exhaustive:
+        return reports.inconclusive(
+            count, seed, notes="sampled, no failure"
+            + (f"; {undecided} undecided" if undecided else ""))
+    if undecided:
+        return reports.inconclusive(count, seed,
+                                    notes=f"{undecided} undecided enclosures")
+    return reports.holds(count, seed, notes="exhaustive over grid")
 
 
 def _disjointness_gap(T, u, v) -> bool | None:
@@ -774,7 +789,7 @@ def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckRepo
     """Check that disjoint inputs map to disjoint images."""
     budget = budget or Budget()
     seed = budget.seed_tag("dp")
-    symbolic = _dp_symbolic(T)
+    symbolic = T.dp_reason()
     if symbolic:
         return reports.holds(seed=seed, notes=symbolic)
     gap = functools.partial(_disjointness_gap, T)
@@ -794,24 +809,6 @@ def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckRepo
         return reports.inconclusive(count, seed,
                                     notes=f"{undecided} undecided enclosures")
     return reports.holds(count, seed, notes="sampled evidence")
-
-
-def _dp_symbolic(T) -> str | None:
-    if isinstance(T, ZeroOp):
-        return "zero operator"
-    if isinstance(T, Kernel):
-        targets = [j for _, j, _ in T.table]
-        if len(set(targets)) == len(targets):
-            return "injective atom map: disjoint supports stay disjoint"
-        return None
-    if isinstance(T, LateralMeet):
-        return "|T x| <= |x| pointwise, so disjoint supports stay disjoint"
-    if isinstance(T, MatchTable) and _match_table_isolated(T):
-        return "keys have no nonzero disjoint partner"
-    if isinstance(T, OpScaled):
-        inner = _dp_symbolic(T.inner)
-        return None if inner is None else f"scaling preserves disjointness; {inner}"
-    return None
 
 
 def _dp_probes(T):
@@ -846,7 +843,12 @@ class ScanResult:
 
 
 def _exceeds(value, bound) -> bool:
+    """Whether value certainly lies above bound.  An enclosure does so
+    when its lower end is above the bound, or above an interval bound's
+    upper end."""
     if isinstance(value, RealInterval):
+        if isinstance(bound, RealInterval):
+            bound = bound.upper
         return value.lower > q(bound)
     return not leq(value, bound)
 
@@ -872,14 +874,14 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")
-    start = min_level(e)
-    if is_atom_additive(T):
-        table = _scan_levels_closed(T, e, start, level)
+    if T.atom_additive:
+        table = _scan_levels_closed(T, e, level)
     else:
-        table = _scan_levels_enumerated(T, e, start, level)
-    grew = bound is not None and any(_exceeds(hi, bound) for _, _, hi in table)
+        table = _scan_levels_enumerated(T, e, min_level(e), level)
+    lvl = next((l for l, _, hi in table
+                if bound is not None and _exceeds(hi, bound)), None)
+    grew = lvl is not None
     if grew:
-        lvl = next(l for l, _, hi in table if _exceeds(hi, bound))
         rep = reports.fails(f"level {lvl} maximum exceeds the bound",
                             len(table), seed,
                             notes="lateral image escapes the caller bound")
@@ -889,31 +891,19 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     return ScanResult("truncated", rep, table=tuple(table), growth=grew)
 
 
-def _scan_levels_closed(T, e, start, level):
-    cod = T.codomain
-    zval = vzero(cod)
-    prefix, tail = e.payload
-    hi_acc, lo_acc = zval, zval
-    for n in range(1, start + 1):
-        v = get_atom(e, n)
-        if v == 0:
-            continue
-        img = apply(T, unit_atom(e.space, n, v))
-        hi_acc = vadd(hi_acc, vsup(img, zval))
-        lo_acc = vadd(lo_acc, vinf(img, zval))
+def _scan_levels_closed(T, e, level):
+    """Per-level extremes from one image per atom: each fragment at a
+    level is the disjoint sum of some of the atoms seen so far and 0 or
+    the pure-tail remainder, so each takes its better side against 0."""
+    lo = hi = zval = vzero(T.codomain)
     table = []
-    for l in range(start, level + 1):
-        if l > start:
-            v = get_atom(e, l)
-            if v != 0:
-                img = apply(T, unit_atom(e.space, l, v))
-                hi_acc = vadd(hi_acc, vsup(img, zval))
-                lo_acc = vadd(lo_acc, vinf(img, zval))
-        w = normalize(e.space, ([ZERO] * l, tail))
+    for l, atoms, w in level_walk(e, level):
+        for atom in atoms:
+            img = apply(T, atom)
+            lo, hi = vadd(lo, vinf(img, zval)), vadd(hi, vsup(img, zval))
         img_w = apply(T, w)
-        table.append((l,
-                      vadd(lo_acc, vinf(img_w, zval)),
-                      vadd(hi_acc, vsup(img_w, zval))))
+        table.append((l, vadd(lo, vinf(img_w, zval)),
+                      vadd(hi, vsup(img_w, zval))))
     return table
 
 
@@ -962,7 +952,7 @@ def order_bound_scan(T, bound: Element, budget: Budget | None = None,
         hi = v if hi is None else vsup(hi, v)
         if candidate is not None:
             clo, chi = candidate
-            escaped = _exceeds(v, chi) or _exceeds(vneg(v), vneg(clo))
+            escaped = _exceeds(v, chi) or _exceeds(vneg(v), -clo)
             if escaped:
                 rep = reports.fails(f"x={format_element(x)}", len(xs), seed,
                                     witness_data=(x,),

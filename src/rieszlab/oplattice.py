@@ -19,15 +19,15 @@ from dataclasses import dataclass
 from .errors import PreconditionError, SpaceMismatch
 from . import reports
 from .lateral import (
-    Decomposition, enumerate_decompositions, is_fragment, min_level,
+    Decomposition, enumerate_decompositions, is_fragment, level_walk, min_level,
 )
 from .operators import (
-    RealInterval, ZeroOp, apply, is_atom_additive, negate,
+    RealInterval, ZeroOp, apply, negate,
     vabs, vadd, vinf, vneg, vneg_part, vpos, vsup, vzero,
 )
 from .spaces import (
     Element, Reals, canonical_key, format_element, has_infinite_fragments,
-    normalize, pieces, sub, support_size, unit_atom, zero, ZERO,
+    pieces, sub, support_size, zero,
 )
 
 
@@ -78,7 +78,7 @@ def _interval_decided(values, fold):
 
 def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     _pair_check(S, T, x)
-    additive = is_atom_additive(S) and is_atom_additive(T)
+    additive = S.atom_additive and T.atom_additive
     if not has_infinite_fragments(x):
         if additive and not isinstance(S.codomain, Reals):
             return _extrema_closed(S, T, x, kind)
@@ -167,14 +167,10 @@ def _levels_closed(S, T, x, kind, level):
     over atoms 1..l plus the better image of the remaining tail.
     """
     pick = _PICK[kind]
-    prefix, tail = x.payload
-    start = len(prefix)
-    acc, _ = _fold_atoms(vzero(S.codomain), S, T, pieces(x), pick)
+    acc = vzero(S.codomain)
     out = []
-    for l in range(start, level + 1):
-        if l > start:
-            acc, _ = _fold_atoms(acc, S, T, [unit_atom(x.space, l, tail)], pick)
-        w = normalize(x.space, ([ZERO] * l, tail))
+    for l, atoms, w in level_walk(x, level):
+        acc, _ = _fold_atoms(acc, S, T, atoms, pick)
         out.append((l, vadd(acc, pick(apply(S, w), apply(T, w)))))
     return out
 

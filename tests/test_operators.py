@@ -11,14 +11,16 @@ from rieszlab.errors import (
 from rieszlab.operators import (
     ABS_FN, AlternatingSeries, Kernel, LateralMeet, LinearEC,
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
-    diagonal_kernel, example_operator, lateral_bound_scan, ln2_enclosure,
-    match_table, order_bound_scan, poly, verify_disjointness_preserving,
-    verify_oao, verify_positive, _scan_levels_enumerated,
+    diagonal_kernel, example_operator, format_value, lateral_bound_scan,
+    ln2_enclosure, match_table, order_bound_scan, poly,
+    verify_disjointness_preserving, verify_oao, verify_positive, vneg,
+    _scan_levels_enumerated,
 )
+from rieszlab.oplattice import neg_part_at, pos_part_at
 from rieszlab.reports import Budget, DEFAULT_GRID, FAILS, HOLDS, INCONCLUSIVE
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, coord, ec, one, pl, scale, simple, zero,
+    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
+    SimpleFunction, coord, ec, format_element, one, pl, scale, simple, zero,
 )
 
 from conftest import make_rng
@@ -187,6 +189,235 @@ def test_random_operators_map_their_space_to_itself():
 
 
 # ---------------------------------------------------------------------------
+# per-body behaviour
+# ---------------------------------------------------------------------------
+
+_C2, _C3 = Coordinate(2), Coordinate(3)
+_TABLE = match_table([(coord(1, 0), coord(2, -1))])
+_ISOLATED = match_table([(coord(2), coord(-3))])
+_STEPS = SimpleFunction((Q(0), Q(1, 2), Q(1)))
+_POSITIVE_FAILS = "nonzero linear operator; one of x, -x maps below 0"
+
+# (id, operator, points to apply it to, expected behaviour)
+PINNED_BODIES = [
+    ("Kernel",
+     Kernel(_C3, _C2, ((1, 1, poly(0, 2)), (2, 1, poly(0, 0, 1)),
+                       (3, 2, ABS_FN))),
+     (coord(1, -2, 3), coord(0, Q(1, 2), -1)), {
+        "apply": ["coord[6,3]", "coord[1/4,1]"],
+        "atom additive": True,
+        "linear": False,
+        "linear probes": ["coord[1,0,0]", "coord[0,1,0]", "coord[0,0,1]"],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=2 seed=0:positive "
+                            "witness=x=coord[-1/3,2/3,-2]", ""),
+    }),
+    ("Kernel-linear",
+     diagonal_kernel(_C2, [poly(0, 3), poly(0, Q(-1, 2))]),
+     (coord(2, 4),), {
+        "apply": ["coord[6,-2]"],
+        "atom additive": True,
+        "linear": True,
+        "linear probes": ["coord[1,0]", "coord[0,1]"],
+        "dp reason": "injective atom map: disjoint supports stay disjoint",
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=2 seed=0:positive "
+                            "witness=x=coord[-1,0] (pair x, -x)",
+                            _POSITIVE_FAILS),
+    }),
+    ("LinearEC",
+     LinearEC(_C2, ((1, 2), (3, -1)), coord(1, 0), coord(0, 1)),
+     (ec([1, 2, 3], Q(1, 2)), one(EC)), {
+        "apply": ["coord[1/2,-3/2]", "coord[1,0]"],
+        "atom additive": True,
+        "linear": True,
+        "linear probes": ["ec[1|0]", "ec[0,0,1|0]", "ec[|1]"],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=3 seed=0:positive "
+                            "witness=x=ec[-1|0] (pair x, -x)",
+                            _POSITIVE_FAILS),
+    }),
+    ("MatchTable", _TABLE, (coord(1, 0), coord(1, 1)), {
+        "apply": ["coord[2,-1]", "coord[0,0]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": None,
+        "oao probes": [("coord[1,0]", "coord[0,1]")],
+        "verify_oao": ("verdict=fails samples=1 seed=0:oao "
+                       "witness=u=coord[1,0] v=coord[0,1]", ""),
+        "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
+                            "sampled, no failure"),
+    }),
+    ("MatchTable-isolated", _ISOLATED, (coord(2), coord(1)), {
+        "apply": ["coord[-3]", "coord[0]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": "keys have no nonzero disjoint partner",
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "keys indecomposable with no nonzero disjoint partner"),
+        "verify_positive": ("verdict=fails samples=2 seed=0:positive "
+                            "witness=x=coord[2]", ""),
+    }),
+    ("LateralMeet", example_operator("unit_lateral_meet"),
+     (one(_STEPS), simple(_STEPS.partition, (2, 1))), {
+        "apply": ["simple{0,1/2,1}[1,1]", "simple{0,1/2,1}[-2,1]"],
+        "atom additive": True,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": "|T x| <= |x| pointwise, so disjoint supports stay "
+                     "disjoint",
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=1 seed=0:positive "
+                            "witness=x=simple{0,1/2,1}[2/3,2]", ""),
+    }),
+    ("AlternatingSeries", AlternatingSeries(Q(1, 1000)),
+     (ec([1, -2, 3], 0), one(EC)), {
+        "apply": ["interval[-1]",
+                  "interval[-0.693238467262,-0.692261904761]"],
+        "atom additive": True,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=1 seed=0:positive "
+                            "witness=x=ec[2,-2,-1/3,2/3|-2]", ""),
+    }),
+    ("OpSum",
+     OpSum((diagonal_kernel(_C2, [poly(0, 1), poly(0, 2)]),
+            diagonal_kernel(_C2, [poly(0, -1), poly(0, 5)]))),
+     (coord(3, -4),), {
+        "apply": ["coord[0,-28]"],
+        "atom additive": True,
+        "linear": True,
+        "linear probes": ["coord[1,0]", "coord[0,1]",
+                          "coord[1,0]", "coord[0,1]"],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=4 seed=0:positive "
+                            "witness=x=coord[0,-1] (pair x, -x)",
+                            _POSITIVE_FAILS),
+    }),
+    ("OpSum-table",
+     OpSum((_TABLE, diagonal_kernel(_C2, [poly(0, 1)] * 2))),
+     (coord(1, 0), coord(1, 1)), {
+        "apply": ["coord[3,-1]", "coord[1,1]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": ["coord[1,0]", "coord[0,1]"],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=inconclusive samples=4 seed=0:oao",
+                       "sampled, no failure"),
+        "verify_positive": ("verdict=fails samples=2 seed=0:positive "
+                            "witness=x=coord[-2,-1/3]", ""),
+    }),
+    ("OpScaled",
+     OpScaled(Q(-2), diagonal_kernel(_C2, [poly(0, 1), poly(0, 0, 1)])),
+     (coord(1, 3),), {
+        "apply": ["coord[-2,-18]"],
+        "atom additive": True,
+        "linear": False,
+        "linear probes": ["coord[1,0]", "coord[0,1]"],
+        "dp reason": "scaling preserves disjointness; injective atom map: "
+                     "disjoint supports stay disjoint",
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=fails samples=1 seed=0:positive "
+                            "witness=x=coord[2/3,2]", ""),
+    }),
+    ("OpScaled-table", OpScaled(3, _TABLE), (coord(1, 0),), {
+        "apply": ["coord[6,-3]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": None,
+        "oao probes": [("coord[1,0]", "coord[0,1]")],
+        "verify_oao": ("verdict=fails samples=1 seed=0:oao "
+                       "witness=u=coord[1,0] v=coord[0,1]", ""),
+        "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
+                            "sampled, no failure"),
+    }),
+    # the match-table probes look through one scaling, not two
+    ("OpScaled-OpScaled-table", OpScaled(2, OpScaled(3, _TABLE)),
+     (coord(1, 0),), {
+        "apply": ["coord[12,-6]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": None,
+        "oao probes": [],
+        "verify_oao": ("verdict=inconclusive samples=4 seed=0:oao",
+                       "sampled, no failure"),
+        "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
+                            "sampled, no failure"),
+    }),
+    ("OpScaled-OpScaled-isolated", OpScaled(2, OpScaled(Q(1, 2), _ISOLATED)),
+     (coord(2),), {
+        "apply": ["coord[-3]"],
+        "atom additive": False,
+        "linear": False,
+        "linear probes": [],
+        "dp reason": "scaling preserves disjointness; scaling preserves "
+                     "disjointness; keys have no nonzero disjoint partner",
+        "oao probes": [],
+        "verify_oao": ("verdict=inconclusive samples=4 seed=0:oao",
+                       "sampled, no failure"),
+        "verify_positive": ("verdict=fails samples=2 seed=0:positive "
+                            "witness=x=coord[2]", ""),
+    }),
+    ("ZeroOp", ZeroOp(_C2, Reals()), (coord(1, 1),), {
+        "apply": ["interval[0]"],
+        "atom additive": True,
+        "linear": True,
+        "linear probes": [],
+        "dp reason": "zero operator",
+        "oao probes": [],
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "additive by construction"),
+        "verify_positive": ("verdict=holds samples=0 seed=0:positive",
+                            "zero operator"),
+    }),
+]
+
+
+@pytest.mark.parametrize("T, points, expected",
+                         [row[1:] for row in PINNED_BODIES],
+                         ids=[row[0] for row in PINNED_BODIES])
+def test_per_body_behaviour_is_pinned(T, points, expected):
+    oao = verify_oao(T, Budget(samples=4))
+    positive = verify_positive(T, Budget(samples=4))
+    assert {
+        "apply": [format_value(apply(T, x)) for x in points],
+        "atom additive": T.atom_additive,
+        "linear": T.linear,
+        "linear probes": [format_element(x) for x in T.linear_probes()],
+        "dp reason": T.dp_reason(),
+        "oao probes": [(format_element(u), format_element(v))
+                       for u, v in T.oao_probes()],
+        "verify_oao": (oao.line(), oao.notes),
+        "verify_positive": (positive.line(), positive.notes),
+    } == expected
+
+
+# ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
 
@@ -310,6 +541,11 @@ def test_scan_closed_form_matches_enumeration():
         assert scan.mode == "truncated"
         reference = _scan_levels_enumerated(T, e, 2, 7)
         assert list(scan.table) == reference
+        # the columns are the positive part and the negated negative part
+        assert [(l, lo, hi) for l, lo, hi in scan.table] == [
+            (l, vneg(neg), pos) for (l, neg), (_, pos) in zip(
+                neg_part_at(T, e, level=7).levels,
+                pos_part_at(T, e, level=7).levels)]
 
 
 def test_scan_growth_flag():
@@ -355,6 +591,18 @@ def test_order_bound_series_hull_is_interval_valued():
     assert hull.report.verdict == INCONCLUSIVE
     assert isinstance(hull.lo, RealInterval)
     assert hull.lo.upper <= hull.hi.lower or hull.lo.lower <= hull.hi.upper
+
+
+def test_order_bound_candidate_on_interval_values():
+    T = AlternatingSeries()
+    hull = order_bound_scan(T, one(EC))
+    # the hull the scan returned holds every image it saw
+    again = order_bound_scan(T, one(EC), candidate=(hull.lo, hull.hi))
+    assert again.report.verdict == INCONCLUSIVE
+    # T(1) encloses -ln 2, below a scalar lower bound of -1/2
+    tight = order_bound_scan(T, one(EC), candidate=(Q(-1, 2), Q(1, 2)))
+    assert tight.report.verdict == FAILS
+    assert tight.report.notes == "image escapes the candidate hull"
 
 
 def test_positive_operator_is_laterally_bounded():
