@@ -120,21 +120,30 @@ def _check_cap(count, what):
             f"{what} has {count} members, beyond the enumeration cap {ENUM_CAP}")
 
 
+def _finite_parts(e: Element):
+    """The support pieces of e, whose subsets give its fragments."""
+    if has_infinite_fragments(e):
+        raise PreconditionError(
+            "fragment algebra of a nonzero-tail element is infinite; "
+            "use fragment_iter with a level")
+    parts = e.space.support(e)
+    _check_cap(1 << len(parts), "fragment algebra")
+    return parts
+
+
+def _restriction(e: Element, parts, mask: int) -> Element:
+    """e on the pieces ``parts[k]`` whose bit k is set in ``mask``."""
+    return e.space.restrict(e, [p for k, p in enumerate(parts) if mask >> k & 1])
+
+
 def enumerate_fragments(e: Element) -> FragmentEnumeration:
     """The full fragment algebra of e; exact and exhaustive.
 
     Refused for eventually constant elements with a nonzero tail
     (infinite algebra; use fragment_iter).
     """
-    if has_infinite_fragments(e):
-        raise PreconditionError(
-            "fragment algebra of a nonzero-tail element is infinite; "
-            "use fragment_iter with a level")
-    space = e.space
-    parts = space.support(e)
-    _check_cap(1 << len(parts), "fragment algebra")
-    items = [space.restrict(e, [p for k, p in enumerate(parts) if mask >> k & 1])
-             for mask in range(1 << len(parts))]
+    parts = _finite_parts(e)
+    items = [_restriction(e, parts, mask) for mask in range(1 << len(parts))]
     items.sort(key=canonical_key)
     return FragmentEnumeration(e, "exact", tuple(items))
 
@@ -190,7 +199,27 @@ def level_walk(e: Element, level: int):
 
 
 def enumerate_decompositions(x: Element, level: int | None = None):
-    """All disjoint splittings x = u + v, one per fragment u of x."""
+    """All disjoint splittings x = u + v, one per fragment u of x, in
+    the order of u.
+
+    On a finite fragment algebra u and v are the restrictions of x to
+    complementary sets of its support pieces; the level-truncated
+    splittings of an eventually constant x subtract, v = x - u.
+    """
+    if level is not None and has_infinite_fragments(x):
+        return decompositions_by_difference(x, level)
+    parts = _finite_parts(x)
+    full = (1 << len(parts)) - 1
+    decs = [Decomposition(x, _restriction(x, parts, mask),
+                          _restriction(x, parts, full ^ mask))
+            for mask in range(full + 1)]
+    decs.sort(key=lambda d: canonical_key(d.left))
+    return tuple(decs)
+
+
+def decompositions_by_difference(x: Element, level: int | None = None):
+    """The splittings as ``enumerate_decompositions`` built them before
+    restriction: every fragment u, with v = x - u.  Kept as its oracle."""
     if level is not None and has_infinite_fragments(x):
         frags = fragment_iter(x, level)
     else:

@@ -1,8 +1,9 @@
 """Documented core mutations for negative testing.
 
-Each named mutation swaps one module-level implementation for a
-plausible-but-wrong variant; the check suite must catch every one of
-them by a named failure.  Shipped mutants:
+Each named mutation swaps one module-level implementation, or one
+method of a space model, for a plausible-but-wrong variant; the check
+suite must catch every one of them by a named failure.  Shipped
+mutants:
 
 * ``latinf-collinear-meet-formula`` -- computes the lateral infimum by
   the (x+ ^ y+) - (x- ^ y-) formula for arbitrary pairs.  Correct on
@@ -18,11 +19,16 @@ them by a named failure.  Shipped mutants:
   value is unchanged, but the recorded attaining splitting no longer
   has minimal left support; ``thm-3.2-join`` compares it against
   enumeration.
+* ``pl-disjoint-one-end`` -- piecewise-linear disjointness that passes
+  a merged segment when either function vanishes at either end of it,
+  so tents overlapping on a slope count as disjoint.
+* ``pl-restrict-drops-breakpoint`` -- piecewise-linear restriction that
+  loses the first breakpoint strictly inside a chosen interval.
 """
 
 from contextlib import contextmanager
 
-from . import lateral, oplattice
+from . import lateral, oplattice, spaces
 from .spaces import zero
 
 
@@ -47,12 +53,34 @@ def _side_ties_left(s, t, best):
     return None
 
 
-# name -> (module, attribute, mutant implementation)
+def _pl_disjoint_one_end(self, x, y):
+    _, xs, ys = spaces._pl_merge(x, y)
+    return all(xs[k - 1] == 0 or xs[k] == 0 or ys[k - 1] == 0 or ys[k] == 0
+               for k in range(1, len(xs)))
+
+
+_pl_restrict = spaces.PiecewiseLinear.restrict
+
+
+def _pl_restrict_drops_breakpoint(self, x, parts):
+    pts = list(_pl_restrict(self, x, parts).payload)
+    inside = [k for k, (t, _) in enumerate(pts)
+              if any(a < t < b for a, b in parts)]
+    if inside:
+        del pts[inside[0]]
+    return spaces.Element(self, spaces._pl_strip_collinear(pts))
+
+
+# name -> (module or class, attribute, mutant implementation)
 MUTATIONS = {
     "latinf-collinear-meet-formula": (lateral, "_INF_IMPL", _inf_meet_formula),
     "latsup-sign-flip": (lateral, "_SUP_IMPL", _sup_sign_flip),
     "latinf-zero": (lateral, "_INF_IMPL", _inf_zero),
     "join-ties-left": (oplattice, "_side", _side_ties_left),
+    "pl-disjoint-one-end": (spaces.PiecewiseLinear, "disjoint",
+                            _pl_disjoint_one_end),
+    "pl-restrict-drops-breakpoint": (spaces.PiecewiseLinear, "restrict",
+                                     _pl_restrict_drops_breakpoint),
 }
 
 
@@ -60,8 +88,8 @@ MUTATIONS = {
 def tampered(name: str):
     """Temporarily install the named mutant implementation.
 
-    This swaps a module global, so it is meant for tests that run one
-    thread at a time.
+    This swaps a module or class attribute, so it is meant for tests
+    that run one thread at a time.
     """
     module, attr, impl = MUTATIONS[name]
     original = getattr(module, attr)

@@ -524,9 +524,12 @@ class OpScaled(Operator):
         inner = self.inner.dp_reason()
         return None if inner is None else f"scaling preserves disjointness; {inner}"
 
+    def oao_reason(self):
+        # c T is orthogonally additive whenever T is
+        return self.inner.oao_reason()
+
     def oao_probes(self):
-        # the probes look through one scaling only
-        return [] if isinstance(self.inner, OpScaled) else self.inner.oao_probes()
+        return self.inner.oao_probes()
 
 
 @dataclass(frozen=True)
@@ -946,7 +949,7 @@ def order_bound_scan(T, bound: Element, budget: Budget | None = None,
             scale(-1, bound))
         for _ in range(budget.samples)]
     lo = hi = None
-    for x in xs:
+    for tried, x in enumerate(xs, 1):
         v = apply(T, x)
         lo = v if lo is None else vinf(lo, v)
         hi = v if hi is None else vsup(hi, v)
@@ -954,7 +957,7 @@ def order_bound_scan(T, bound: Element, budget: Budget | None = None,
             clo, chi = candidate
             escaped = _exceeds(v, chi) or _exceeds(vneg(v), -clo)
             if escaped:
-                rep = reports.fails(f"x={format_element(x)}", len(xs), seed,
+                rep = reports.fails(f"x={format_element(x)}", tried, seed,
                                     witness_data=(x,),
                                     notes="image escapes the candidate hull")
                 return OrderHull(rep, lo, hi)

@@ -2,8 +2,8 @@
 
 Each space model is one class, and the class holds the whole calculus
 of its elements: canonical form, zero and one, addition, scaling, the
-lattice operations, the nonnegativity test behind ``leq``, atoms or
-support pieces, sampling, formatting and the sort key.  The models are
+lattice operations, order and disjointness, atoms or support pieces,
+sampling, formatting and the sort key.  The models are
 
 * ``Coordinate``         -- R^n with the coordinatewise order;
 * ``SimpleFunction``     -- step functions on a fixed partition of [0,1];
@@ -107,7 +107,10 @@ class Space:
     both lie in this space.  ``lattice`` applies ``pick`` (max or min)
     pointwise, ``nonneg`` tests x >= 0, ``full_support`` tells whether
     no nonzero element is disjoint from x, and the samplers call
-    ``draw()`` for each random scalar they need.
+    ``draw()`` for each random scalar they need.  ``leq`` and
+    ``disjoint`` default to the lattice formulas ``leq_by_difference``
+    and ``disjoint_by_modulus``; a model overrides them to decide on
+    its payloads directly.
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
@@ -124,6 +127,12 @@ class Space:
         raise Unsupported(self.name)
 
     add = scale = lattice = nonneg = format = key = _unsupported
+
+    def leq(self, x, y) -> bool:
+        return leq_by_difference(x, y)
+
+    def disjoint(self, x, y) -> bool:
+        return disjoint_by_modulus(x, y)
 
     def eval_at(self, x, t) -> Fraction:
         raise Unsupported(
@@ -192,6 +201,12 @@ class Cells(Space):
 
     def nonneg(self, x):
         return all(v >= 0 for v in x.payload)
+
+    def leq(self, x, y):
+        return all(a <= b for a, b in zip(x.payload, y.payload))
+
+    def disjoint(self, x, y):
+        return all(a == 0 or b == 0 for a, b in zip(x.payload, y.payload))
 
     def get_atom(self, x, i):
         n = self.atom_count()
@@ -338,6 +353,15 @@ class FinSupport(Space):
     def nonneg(self, x):
         return all(v >= 0 for _, v in x.payload)
 
+    def leq(self, x, y):
+        xs, ys = dict(x.payload), dict(y.payload)
+        return all(xs.get(i, ZERO) <= ys.get(i, ZERO)
+                   for i in xs.keys() | ys.keys())
+
+    def disjoint(self, x, y):
+        # payloads hold nonzero values only
+        return dict(x.payload).keys().isdisjoint(i for i, _ in y.payload)
+
     def atom_count(self):
         return None
 
@@ -409,6 +433,20 @@ class EventuallyConstant(Space):
     def nonneg(self, x):
         prefix, tail = x.payload
         return tail >= 0 and all(v >= 0 for v in prefix)
+
+    def _pairs(self, x, y):
+        """The values of x and y at each atom up to the longer prefix,
+        then their tails."""
+        (px, tx), (py, ty) = x.payload, y.payload
+        for i in range(max(len(px), len(py))):
+            yield px[i] if i < len(px) else tx, py[i] if i < len(py) else ty
+        yield tx, ty
+
+    def leq(self, x, y):
+        return all(a <= b for a, b in self._pairs(x, y))
+
+    def disjoint(self, x, y):
+        return all(a == 0 or b == 0 for a, b in self._pairs(x, y))
 
     def atom_count(self):
         return None
@@ -531,6 +569,16 @@ def _pl_merge(x: Element, y: Element):
     return ts, xs, ys
 
 
+def _pl_value(pts, i, t):
+    """The value at t of the payload ``pts``, for pts[i][0] <= t, and t
+    before pts[i + 1][0] unless i is the last index."""
+    a, ya = pts[i]
+    if t == a:
+        return ya
+    b, yb = pts[i + 1]
+    return ya + (yb - ya) * (t - a) / (b - a)
+
+
 @dataclass(frozen=True)
 class PiecewiseLinear(Space):
     """Continuous piecewise-linear functions on [0,1] with rational
@@ -593,6 +641,20 @@ class PiecewiseLinear(Space):
         # breakpoint values suffices
         return all(v >= 0 for _, v in x.payload)
 
+    # On each segment between merged breakpoints both operands are
+    # linear, so order and disjointness are decided at its ends.
+
+    def leq(self, x, y):
+        _, xs, ys = _pl_merge(x, y)
+        return all(a <= b for a, b in zip(xs, ys))
+
+    def disjoint(self, x, y):
+        """Where neither operand vanishes on a whole segment, both are
+        nonzero on a subinterval of it."""
+        _, xs, ys = _pl_merge(x, y)
+        return all((xs[k - 1] == 0 and xs[k] == 0) or (ys[k - 1] == 0 and ys[k] == 0)
+                   for k in range(1, len(xs)))
+
     def eval_at(self, x, t):
         pts = x.payload
         if not 0 <= t <= 1:
@@ -633,28 +695,46 @@ class PiecewiseLinear(Space):
     support = components
 
     def restrict(self, x, parts):
-        chosen = sorted(parts)
-        ts = {ZERO, ONE}
-        for a, b in chosen:
-            ts.add(a)
-            ts.add(b)
-        for t, _ in x.payload:
-            if any(a <= t <= b for a, b in chosen):
-                ts.add(t)
-
-        def value(t):
-            for a, b in chosen:
-                if a <= t <= b:
-                    return eval_at(x, t)
-            return ZERO
-
-        return normalize(self, [(t, value(t)) for t in sorted(ts)])
+        """x on the union of the closed intervals ``parts``, zero at 0
+        and 1 outside it, and linear across each gap; built in one walk
+        along x.  Intervals that are reversed or leave [0,1] go to
+        ``pl_restrict_by_evaluation``, the reference."""
+        spans = sorted(parts)
+        if not all(0 <= a <= b <= 1 for a, b in spans):
+            return pl_restrict_by_evaluation(x, parts)
+        if not spans:
+            return self.zero()
+        union = [list(spans[0])]
+        for a, b in spans[1:]:
+            if a <= union[-1][1]:
+                union[-1][1] = max(union[-1][1], b)
+            else:
+                union.append([a, b])
+        pts = x.payload
+        last = len(pts) - 1
+        out = [] if union[0][0] == 0 else [(ZERO, ZERO)]
+        i = 0
+        for a, b in union:
+            while i < last and pts[i + 1][0] <= a:
+                i += 1
+            out.append((a, _pl_value(pts, i, a)))
+            while i < last and pts[i + 1][0] < b:
+                i += 1
+                out.append(pts[i])
+            if b != a:
+                if i < last and pts[i + 1][0] == b:
+                    i += 1
+                out.append((b, _pl_value(pts, i, b)))
+        if union[-1][1] != 1:
+            out.append((ONE, ZERO))
+        return Element(self, _pl_strip_collinear(out))
 
     def common_fragment(self, x, y):
         """The support components shared, as intervals and values."""
-        mine = {c: self.restrict(x, [c]) for c in self.components(x)}
-        theirs = {c: self.restrict(y, [c]) for c in self.components(y)}
-        return self.restrict(x, [c for c, r in mine.items() if theirs.get(c) == r])
+        theirs = set(self.components(y))
+        return self.restrict(x, [
+            c for c in self.components(x)
+            if c in theirs and self.restrict(x, [c]) == self.restrict(y, [c])])
 
     def full_support(self, x):
         # a nonzero disjoint partner needs an interval of zeros
@@ -794,12 +874,26 @@ def absolute(x: Element) -> Element:
 
 def leq(x: Element, y: Element) -> bool:
     """Pointwise partial order: true iff y - x is everywhere >= 0."""
-    d = sub(y, x)
-    return d.space.nonneg(d)
+    _same_space(y, x)
+    return x.space.leq(x, y)
 
 
 def is_disjoint(x: Element, y: Element) -> bool:
     _same_space(x, y)
+    return x.space.disjoint(x, y)
+
+
+# The formulas ``leq`` and ``is_disjoint`` used before the models
+# decided them on their payloads; kept as the defaults and as oracles.
+
+def leq_by_difference(x: Element, y: Element) -> bool:
+    """x <= y as: y - x is everywhere >= 0."""
+    d = sub(y, x)
+    return d.space.nonneg(d)
+
+
+def disjoint_by_modulus(x: Element, y: Element) -> bool:
+    """x and y disjoint as: |x| ^ |y| = 0."""
     return is_zero(inf(absolute(x), absolute(y)))
 
 
@@ -871,6 +965,39 @@ def pl_components(x: Element):
 def pl_restrict(x: Element, components) -> Element:
     """x on the chosen components, zero elsewhere."""
     return x.space.restrict(x, components)
+
+
+# The piecewise-linear restriction and common fragment as they were
+# built before the one-walk ``PiecewiseLinear.restrict``; kept as oracles.
+
+def pl_restrict_by_evaluation(x: Element, parts) -> Element:
+    """x evaluated at 0, 1, the ends of the chosen intervals and its own
+    breakpoints inside them; zero at the points outside them."""
+    chosen = sorted(parts)
+    ts = {ZERO, ONE}
+    for a, b in chosen:
+        ts.add(a)
+        ts.add(b)
+    for t, _ in x.payload:
+        if any(a <= t <= b for a, b in chosen):
+            ts.add(t)
+
+    def value(t):
+        for a, b in chosen:
+            if a <= t <= b:
+                return eval_at(x, t)
+        return ZERO
+
+    return normalize(x.space, [(t, value(t)) for t in sorted(ts)])
+
+
+def pl_common_fragment_by_restriction(x: Element, y: Element) -> Element:
+    """Restrict x and y to each of their own support components, keep
+    the components where both restrictions agree."""
+    mine = {c: pl_restrict_by_evaluation(x, [c]) for c in pl_components(x)}
+    theirs = {c: pl_restrict_by_evaluation(y, [c]) for c in pl_components(y)}
+    return pl_restrict_by_evaluation(
+        x, [c for c, r in mine.items() if theirs.get(c) == r])
 
 
 # --- formatting and ordering keys ------------------------------------------

@@ -150,10 +150,28 @@ def test_mutation_ties_left_breaks_join_attaining_set():
     assert run_check("thm-3.2-join", {"samples": 1}).result.verdict == HOLDS
 
 
+def test_mutation_pl_disjoint_one_end_breaks_lateral_antisymmetry():
+    with tampered("pl-disjoint-one-end"):
+        report = run_check("lat-partial-order").result
+        assert report.verdict == FAILS
+        assert report.witness == "antisymmetry"
+    assert run_check("lat-partial-order").result.verdict == HOLDS
+
+
+def test_mutation_pl_restrict_dropping_a_breakpoint_breaks_grids():
+    with tampered("pl-restrict-drops-breakpoint"):
+        report = run_check("lem-3.1").result
+        assert report.verdict == FAILS
+        assert "does not reconstruct (base pl{" in report.witness
+    assert run_check("lem-3.1").result.verdict == HOLDS
+
+
 def test_mutation_names_are_documented():
     from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
-                              "latsup-sign-flip", "join-ties-left"}
+                              "latsup-sign-flip", "join-ties-left",
+                              "pl-disjoint-one-end",
+                              "pl-restrict-drops-breakpoint"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__
 

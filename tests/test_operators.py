@@ -355,7 +355,7 @@ PINNED_BODIES = [
         "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
                             "sampled, no failure"),
     }),
-    # the match-table probes look through one scaling, not two
+    # the match-table probes and reasons look through every scaling
     ("OpScaled-OpScaled-table", OpScaled(2, OpScaled(3, _TABLE)),
      (coord(1, 0),), {
         "apply": ["coord[12,-6]"],
@@ -363,9 +363,9 @@ PINNED_BODIES = [
         "linear": False,
         "linear probes": [],
         "dp reason": None,
-        "oao probes": [],
-        "verify_oao": ("verdict=inconclusive samples=4 seed=0:oao",
-                       "sampled, no failure"),
+        "oao probes": [("coord[1,0]", "coord[0,1]")],
+        "verify_oao": ("verdict=fails samples=1 seed=0:oao "
+                       "witness=u=coord[1,0] v=coord[0,1]", ""),
         "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
                             "sampled, no failure"),
     }),
@@ -378,8 +378,8 @@ PINNED_BODIES = [
         "dp reason": "scaling preserves disjointness; scaling preserves "
                      "disjointness; keys have no nonzero disjoint partner",
         "oao probes": [],
-        "verify_oao": ("verdict=inconclusive samples=4 seed=0:oao",
-                       "sampled, no failure"),
+        "verify_oao": ("verdict=holds samples=0 seed=0:oao",
+                       "keys indecomposable with no nonzero disjoint partner"),
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[2]", ""),
     }),
@@ -603,6 +603,27 @@ def test_order_bound_candidate_on_interval_values():
     tight = order_bound_scan(T, one(EC), candidate=(Q(-1, 2), Q(1, 2)))
     assert tight.report.verdict == FAILS
     assert tight.report.notes == "image escapes the candidate hull"
+
+
+def test_order_bound_escape_reports_the_points_tried():
+    # the second point, x = ec[|1], already escapes
+    tight = order_bound_scan(AlternatingSeries(), one(EC), Budget(samples=50),
+                             candidate=(Q(-1, 2), Q(1, 2)))
+    assert tight.report.verdict == FAILS
+    assert tight.report.samples_used == 2
+    assert tight.report.witness == "x=ec[|1]"
+
+
+def test_verify_oao_looks_through_every_scaling():
+    table = match_table([(coord(1, 0), coord(2, -1))])
+    report = verify_oao(OpScaled(2, OpScaled(3, table)), Budget(samples=4))
+    assert report.verdict == FAILS and report.samples_used == 1
+    isolated = match_table([(coord(2), coord(-3))])
+    assert isolated.oao_reason() is not None
+    scaled = OpScaled(2, OpScaled(Q(1, 2), isolated))
+    assert scaled.oao_reason() == isolated.oao_reason()
+    report = verify_oao(scaled, Budget(samples=4))
+    assert report.verdict == HOLDS and report.notes == isolated.oao_reason()
 
 
 def test_positive_operator_is_laterally_bounded():

@@ -1,0 +1,164 @@
+"""Differential tests of the order, disjointness and fragment primitives.
+
+Each model decides ``leq`` and ``is_disjoint`` on its payloads, the
+piecewise-linear model restricts in one walk, and
+``enumerate_decompositions`` builds both sides of a splitting by
+restriction.  Every one of these is checked here against the formula it
+replaced, kept in ``spaces`` or ``lateral`` as a reference, on elements
+that Hypothesis builds from rationals through ``normalize`` and shrinks
+on failure.  The atomic models kept their restriction and common
+fragment; those are checked too, on the same elements.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rieszlab.errors import MalformedElement
+from rieszlab.lateral import (
+    decompositions_by_difference, enumerate_decompositions, lateral_inf,
+)
+from rieszlab.spaces import (
+    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
+    SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
+    get_atom, has_infinite_fragments, is_disjoint, leq, leq_by_difference,
+    neg_part, normalize, pl_common_fragment_by_restriction,
+    pl_restrict_by_evaluation, pos_part,
+)
+
+SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
+                    database=None)
+
+# zero often, so that supports overlap, touch and miss
+SCALARS = st.one_of(st.just(Q(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+COORD = Coordinate(3)
+SIMPLE = SimpleFunction((Q(0), Q(1, 3), Q(1, 2), Q(1)))
+FIN = FinSupport()
+EC = EventuallyConstant()
+PL = PiecewiseLinear()
+
+
+def _cells(space):
+    return st.lists(SCALARS, min_size=space.atom_count(),
+                    max_size=space.atom_count()).map(
+                        lambda vals: normalize(space, vals))
+
+
+def _fin():
+    return st.dictionaries(st.integers(1, 8), SCALARS, max_size=5).map(
+        lambda d: normalize(FIN, d.items()))
+
+
+def _ec():
+    return st.tuples(st.lists(SCALARS, max_size=5), SCALARS).map(
+        lambda raw: normalize(EC, raw))
+
+
+ABSCISSAE = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+def _pl():
+    inner = st.lists(ABSCISSAE.filter(lambda t: 0 < t < 1), unique=True,
+                     max_size=5)
+    return inner.flatmap(lambda ts: st.lists(
+        SCALARS, min_size=len(ts) + 2, max_size=len(ts) + 2).map(
+            lambda vs: normalize(PL, zip([Q(0)] + sorted(ts) + [Q(1)], vs))))
+
+
+ELEMENTS = {"coord": _cells(COORD), "simple": _cells(SIMPLE), "fin": _fin(),
+            "ec": _ec(), "pl": _pl()}
+MODELS = sorted(ELEMENTS)
+
+
+def _pairs(elements):
+    """Independent pairs, disjoint pairs (the two parts of one element)
+    and ordered pairs (y = x + z+)."""
+    return st.one_of(
+        st.tuples(elements, elements),
+        elements.map(lambda z: (pos_part(z), neg_part(z))),
+        st.tuples(elements, elements).map(
+            lambda p: (p[0], add(p[0], pos_part(p[1])))))
+
+
+def _outcome(f, *args):
+    """The result of f, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except MalformedElement as exc:
+        return (type(exc), str(exc))
+
+
+def _common_fragment_reference(x, y):
+    if x.space == PL:
+        return pl_common_fragment_by_restriction(x, y)
+    return Space.common_fragment(x.space, x, y)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_order_disjointness_and_common_fragment_match_the_formulas(model):
+    @SETTINGS
+    @given(_pairs(ELEMENTS[model]))
+    def check(pair):
+        x, y = pair
+        assert leq(x, y) == leq_by_difference(x, y)
+        assert leq(y, x) == leq_by_difference(y, x)
+        assert is_disjoint(x, y) == disjoint_by_modulus(x, y)
+        assert lateral_inf(x, y) == _common_fragment_reference(x, y)
+
+    check()
+
+
+def _parts(x):
+    """Sets of support pieces of x, and on PL arbitrary intervals too:
+    reversed, degenerate, overlapping or reaching outside [0,1]."""
+    pieces = x.space.support(x)
+    support = (st.lists(st.sampled_from(pieces), unique=True) if pieces
+               else st.just([]))
+    if x.space == PL:
+        ends = st.fractions(min_value=Q(-1, 4), max_value=Q(5, 4),
+                            max_denominator=8)
+        return st.one_of(support, st.lists(st.tuples(ABSCISSAE, ABSCISSAE),
+                                           max_size=3),
+                         st.lists(st.tuples(ends, ends), max_size=3))
+    return st.one_of(support, st.lists(
+        st.integers(1, x.space.atom_count() or 8), max_size=4))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_restrict_matches_its_reference_or_definition(model):
+    @SETTINGS
+    @given(st.data())
+    def check(data):
+        x = data.draw(ELEMENTS[model])
+        parts = data.draw(_parts(x))
+        if x.space == PL:
+            assert (_outcome(x.space.restrict, x, parts)
+                    == _outcome(pl_restrict_by_evaluation, x, parts))
+            return
+        # atomic models restrict as before; check the definition instead
+        got = x.space.restrict(x, parts)
+        top = x.space.atom_count() or max([*parts, *x.space.support(x), 0]) + 1
+        for i in range(1, top + 1):
+            assert get_atom(got, i) == (get_atom(x, i) if i in parts else 0)
+
+    check()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_splittings_by_restriction_match_the_differences(model):
+    @SETTINGS
+    @given(ELEMENTS[model])
+    def check(x):
+        level = len(x.payload[0]) + 1 if has_infinite_fragments(x) else None
+        decs = enumerate_decompositions(x, level)
+        assert decs == decompositions_by_difference(x, level)
+        for d in decs:
+            assert d.base == x and add(d.left, d.right) == x
+            assert is_disjoint(d.left, d.right)
+        keys = [canonical_key(d.left) for d in decs]
+        assert keys == sorted(keys)
+
+    check()
