@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import generators as gen
 from . import lateral, reports
-from .errors import PreconditionError, UnknownCheck
+from .errors import EnumerationCapExceeded, PreconditionError, UnknownCheck
 from .lateral import (
     enumerate_decompositions, enumerate_fragments, is_fragment, pliev_grid,
 )
@@ -944,9 +944,11 @@ def run_check(check_id: str, config: dict | None = None,
     rng = random.Random(f"{run_seed}:{check_id}")
     try:
         result, artifacts = d.runner(rng, cfg)
-    except PreconditionError:
+    except EnumerationCapExceeded:
         raise  # the configuration asks for more than the runner supports
-    except Exception as exc:  # a crash is a failure of the check
+    except Exception as exc:
+        # a crash is a failure of the check, and so is any other broken
+        # precondition: the runner builds its own arguments to satisfy them
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         result = reports.fails(
             f"exception: {exc!r}", 0,

@@ -21,5 +21,10 @@ class PreconditionError(RieszError):
     """A documented precondition of an operation was violated."""
 
 
+class EnumerationCapExceeded(PreconditionError):
+    """An enumeration would exceed its cap: the size asked for, as a
+    check's configuration can ask, is beyond what is supported."""
+
+
 class UnknownCheck(RieszError):
     """No registered check with the requested id."""

@@ -55,6 +55,12 @@ def _is_operator(v) -> bool:
     return isinstance(v, (Operator, JoinOfOps, MeetOfOps, PartOfOp))
 
 
+def _is_scalar(v) -> bool:
+    """An exact rational: a canonical scalar is an int or a Fraction;
+    a bool, the value of a relation, is not one."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 _BUILTINS = ("fragments", "decomps", "latsup", "latinf", "one", "zero",
              "pos", "neg", "mod")
 
@@ -81,7 +87,7 @@ def render(value) -> str:
         return "true" if value else "false"
     if isinstance(value, Element):
         return format_element(value)
-    if isinstance(value, Fraction):
+    if _is_scalar(value):
         return str(value)
     if isinstance(value, RealInterval):
         return str(value)
@@ -156,7 +162,7 @@ def eval_expr(node, env: Environment):
         return AlternatingSeries()
     if isinstance(node, Unary):
         v = eval_expr(node.operand, env)
-        if isinstance(v, Fraction):
+        if _is_scalar(v):
             return -v
         if isinstance(v, Element):
             return spaces.scale(-1, v)
@@ -178,7 +184,7 @@ def eval_expr(node, env: Environment):
         v = eval_expr(node.operand, env)
         if isinstance(v, Element):
             return spaces.absolute(v)
-        if isinstance(v, Fraction):
+        if _is_scalar(v):
             return abs(v)
         if _is_operator(v):
             return PartOfOp("mod", v)
@@ -253,16 +259,16 @@ def _eval_binary(node: Binary, env: Environment):
     b = eval_expr(node.right, env)
     op = node.op
     if op == "*":
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if _is_scalar(a) and _is_scalar(b):
             return a * b
-        if isinstance(a, Fraction) and isinstance(b, Element):
+        if _is_scalar(a) and isinstance(b, Element):
             return spaces.scale(a, b)
-        if isinstance(a, Fraction) and _is_operator(b):
+        if _is_scalar(a) and _is_operator(b):
             return OpScaled(a, _plain_operator(b, node.span))
         raise DslTypeError("'*' scales an element or operator by a rational",
                            node.span)
     if op in ("+", "-"):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if _is_scalar(a) and _is_scalar(b):
             return a + b if op == "+" else a - b
         if isinstance(a, Element) and isinstance(b, Element):
             return spaces.add(a, b) if op == "+" else spaces.sub(a, b)

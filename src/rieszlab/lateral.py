@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import EnumerationCapExceeded, PreconditionError
 from . import spaces
 from .spaces import (
     Element, EventuallyConstant,
@@ -116,7 +116,7 @@ class FragmentEnumeration:
 
 def _check_cap(count, what):
     if count > ENUM_CAP:
-        raise PreconditionError(
+        raise EnumerationCapExceeded(
             f"{what} has {count} members, beyond the enumeration cap {ENUM_CAP}")
 
 

@@ -24,9 +24,16 @@ mutants:
   so tents overlapping on a slope count as disjoint.
 * ``pl-restrict-drops-breakpoint`` -- piecewise-linear restriction that
   loses the first breakpoint strictly inside a chosen interval.
+* ``scalar-truncates`` -- the canonical scalar ``spaces.q`` turns a
+  non-integral Fraction into ``int(value)``, so halves and thirds on the
+  atomic models round toward zero.
+* ``ec-prefix-unminimised`` -- eventually constant ``normalize`` keeps
+  the trailing prefix entries that equal the tail, so one sequence has
+  several payloads and syntactic equality no longer decides equality.
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 
 from . import lateral, oplattice, spaces
 from .spaces import zero
@@ -71,6 +78,19 @@ def _pl_restrict_drops_breakpoint(self, x, parts):
     return spaces.Element(self, spaces._pl_strip_collinear(pts))
 
 
+_q = spaces.q
+
+
+def _q_truncates(value):
+    value = _q(value)
+    return int(value) if isinstance(value, Fraction) else value
+
+
+def _ec_normalize_unminimised(self, raw):
+    prefix, tail = raw
+    return spaces.Element(self, (tuple(_q(v) for v in prefix), _q(tail)))
+
+
 # name -> (module or class, attribute, mutant implementation)
 MUTATIONS = {
     "latinf-collinear-meet-formula": (lateral, "_INF_IMPL", _inf_meet_formula),
@@ -81,6 +101,9 @@ MUTATIONS = {
                             _pl_disjoint_one_end),
     "pl-restrict-drops-breakpoint": (spaces.PiecewiseLinear, "restrict",
                                      _pl_restrict_drops_breakpoint),
+    "scalar-truncates": (spaces, "q", _q_truncates),
+    "ec-prefix-unminimised": (spaces.EventuallyConstant, "normalize",
+                              _ec_normalize_unminimised),
 }
 
 

@@ -458,7 +458,7 @@ class AlternatingSeries(Operator):
                     for n, v in enumerate(prefix, start=1)), ZERO)
         if tail == 0:
             return RealInterval.exact(head)
-        eps = self.precision / max(abs(tail), Fraction(1))
+        eps = spaces.div(self.precision, max(abs(tail), 1))
         return _alternating_tail(len(prefix), eps).scaled(abs(tail)) + head
 
 

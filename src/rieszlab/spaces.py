@@ -16,9 +16,16 @@ sampling, formatting and the sort key.  The models are
 elements: it keeps the defaults of ``Space``, which raise.  The
 functions at module level are the interface of the other layers; each
 dispatches on ``x.space`` (or on the space it is given).  Scalars are
-``fractions.Fraction`` throughout, so every order comparison,
-supremum and infimum is exact.  Elements are immutable and kept in a
-canonical form that makes equality syntactic.
+exact rationals, so every order comparison, supremum and infimum is
+exact.  Elements are immutable and kept in a canonical form that makes
+equality syntactic.
+
+A scalar of an atomic model is canonical: an ``int`` when it is
+integral, a ``fractions.Fraction`` otherwise (see ``q``).  The two
+compare and hash alike, so canonical form only saves Fraction
+arithmetic where values are integral.  Piecewise-linear payloads stay
+all-``Fraction``, so that a bare ``/`` on their abscissae and values is
+exact; every other quotient goes through ``div``.
 """
 
 from __future__ import annotations
@@ -30,17 +37,33 @@ from fractions import Fraction
 from .errors import MalformedElement, SpaceMismatch, Unsupported
 
 
-def q(value) -> Fraction:
-    """Coerce ``value`` to an exact rational.  Floats are rejected."""
-    if isinstance(value, Fraction):
+def q(value):
+    """Coerce ``value`` to a canonical exact rational: an ``int`` when
+    it is integral, a ``Fraction`` otherwise.  Floats are rejected."""
+    if type(value) is int:
         return value
-    if isinstance(value, int) or isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, (int, str)):   # bools and rational literals
+        return q(Fraction(value))
     raise MalformedElement(f"not an exact rational: {value!r}")
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def div(a, b):
+    """The exact quotient a / b, canonical; ``int / int`` never yields
+    a float here."""
+    return q(Fraction(q(a)) / q(b))
+
+
+def _canonical(values) -> tuple:
+    """``values`` as a tuple of canonical scalars: sums and products of
+    Fractions may be integral."""
+    return tuple([v if type(v) is int or v.denominator != 1 else v.numerator
+                  for v in values])
+
+
+ZERO = 0
+ONE = 1
 
 
 def _agreement(a, b):
@@ -191,10 +214,10 @@ class Cells(Space):
         return Element(self, (ONE,) * self.atom_count())
 
     def add(self, x, y):
-        return Element(self, tuple(a + b for a, b in zip(x.payload, y.payload)))
+        return Element(self, _canonical(a + b for a, b in zip(x.payload, y.payload)))
 
     def scale(self, c, x):
-        return Element(self, tuple(c * v for v in x.payload))
+        return Element(self, _canonical(c * v for v in x.payload))
 
     def lattice(self, x, y, pick):
         return Element(self, tuple(pick(a, b) for a, b in zip(x.payload, y.payload)))
@@ -498,6 +521,17 @@ class EventuallyConstant(Space):
 
 # --- piecewise-linear kernels ----------------------------------------------
 
+# Piecewise-linear payloads hold Fractions only, never ints: their
+# abscissae and values are divided with a bare ``/`` here and by callers.
+_PL_ZERO = Fraction(0)
+_PL_ONE = Fraction(1)
+
+
+def _pl_q(value) -> Fraction:
+    """``value`` as an exact ``Fraction``; floats are rejected."""
+    return value if type(value) is Fraction else Fraction(q(value))
+
+
 def _pl_strip_collinear(pts):
     """Drop the interior breakpoints of ``pts`` that lie on a straight line.
 
@@ -583,14 +617,15 @@ def _pl_value(pts, i, t):
 class PiecewiseLinear(Space):
     """Continuous piecewise-linear functions on [0,1] with rational
     breakpoints; the payload is the sorted ((t, value), ...) including
-    t=0 and t=1, with no collinear interior breakpoints."""
+    t=0 and t=1, with no collinear interior breakpoints, every entry a
+    ``Fraction``."""
 
     name = "pl"
     # interior abscissae the samplers draw breakpoints from
     sample_points = tuple(Fraction(k, 8) for k in range(1, 8))
 
     def normalize(self, raw):
-        pts = sorted((q(t), q(v)) for t, v in raw)
+        pts = sorted((_pl_q(t), _pl_q(v)) for t, v in raw)
         if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
             raise MalformedElement("breakpoints must include t=0 and t=1")
         dedup = [pts[0]]
@@ -603,10 +638,10 @@ class PiecewiseLinear(Space):
         return Element(self, _pl_strip_collinear(dedup))
 
     def zero(self):
-        return Element(self, ((ZERO, ZERO), (ONE, ZERO)))
+        return Element(self, ((_PL_ZERO, _PL_ZERO), (_PL_ONE, _PL_ZERO)))
 
     def one(self):
-        return Element(self, ((ZERO, ONE), (ONE, ONE)))
+        return Element(self, ((_PL_ZERO, _PL_ONE), (_PL_ONE, _PL_ONE)))
 
     def add(self, x, y):
         ts, xs, ys = _pl_merge(x, y)
@@ -699,7 +734,7 @@ class PiecewiseLinear(Space):
         and 1 outside it, and linear across each gap; built in one walk
         along x.  Intervals that are reversed or leave [0,1] go to
         ``pl_restrict_by_evaluation``, the reference."""
-        spans = sorted(parts)
+        spans = sorted((_pl_q(a), _pl_q(b)) for a, b in parts)
         if not all(0 <= a <= b <= 1 for a, b in spans):
             return pl_restrict_by_evaluation(x, parts)
         if not spans:
@@ -712,7 +747,7 @@ class PiecewiseLinear(Space):
                 union.append([a, b])
         pts = x.payload
         last = len(pts) - 1
-        out = [] if union[0][0] == 0 else [(ZERO, ZERO)]
+        out = [] if union[0][0] == 0 else [(_PL_ZERO, _PL_ZERO)]
         i = 0
         for a, b in union:
             while i < last and pts[i + 1][0] <= a:
@@ -726,7 +761,7 @@ class PiecewiseLinear(Space):
                     i += 1
                 out.append((b, _pl_value(pts, i, b)))
         if union[-1][1] != 1:
-            out.append((ONE, ZERO))
+            out.append((_PL_ONE, _PL_ZERO))
         return Element(self, _pl_strip_collinear(out))
 
     def common_fragment(self, x, y):

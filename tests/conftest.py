@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+from rieszlab.spaces import PiecewiseLinear
 
 ACCEPTANCE_LINES = []
 
@@ -24,3 +27,22 @@ def rng():
 
 def make_rng(tag: str) -> random.Random:
     return random.Random(f"rieszlab-tests:{tag}")
+
+
+def _leaves(payload):
+    for v in payload:
+        if isinstance(v, tuple):
+            yield from _leaves(v)
+        else:
+            yield v
+
+
+def is_canonical(x) -> bool:
+    """Whether every scalar of x's payload is in canonical form: a
+    Fraction on piecewise-linear functions; elsewhere an int when
+    integral (indices included) and a Fraction otherwise.  A float
+    never is."""
+    if x.space == PiecewiseLinear():
+        return all(type(v) is Fraction for v in _leaves(x.payload))
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in _leaves(x.payload))

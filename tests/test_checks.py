@@ -6,9 +6,13 @@ from rieszlab.checks import (
     CLAIM_INDEX, REGISTRY, run_all, run_check,
     search_truncated_joins, summary_text,
 )
-from rieszlab.errors import PreconditionError, UnknownCheck
+from rieszlab.errors import (
+    EnumerationCapExceeded, PreconditionError, UnknownCheck,
+)
 from rieszlab.mutations import MUTATIONS, tampered
 from rieszlab.reports import FAILS, HOLDS
+
+from conftest import is_canonical
 
 
 REQUIRED_CLAIMS = (
@@ -82,8 +86,29 @@ def test_unknown_config_key_is_rejected():
 
 def test_runner_precondition_is_not_a_failure():
     # beyond the enumeration cap: a precondition outcome, not a counterexample
-    with pytest.raises(PreconditionError, match="enumeration cap"):
+    with pytest.raises(EnumerationCapExceeded, match="enumeration cap"):
         run_check("frag-boolean", {"n": 19})
+
+
+def test_runner_broken_precondition_is_a_failure(monkeypatch):
+    # a precondition the runner's own arguments should meet is a fault
+    # of the calculus, not of the configuration
+    from rieszlab import checks as checks_mod
+    broken = REGISTRY["lem-3.1"]
+
+    def runner(rng, cfg):
+        raise PreconditionError("splittings sum to different elements")
+
+    monkeypatch.setitem(checks_mod.REGISTRY, "lem-3.1",
+                        type(broken)(broken.id, broken.title, runner,
+                                     broken.quick, broken.full))
+    result = run_check("lem-3.1").result
+    line = runner.__code__.co_firstlineno + 1
+    assert result.verdict == FAILS
+    assert result.witness == ("exception: PreconditionError('splittings sum "
+                              "to different elements')")
+    assert result.notes == ("runner raised instead of reporting, at "
+                            f"test_checks.py:{line} in runner")
 
 
 def test_runner_exception_becomes_failure(monkeypatch):
@@ -166,12 +191,46 @@ def test_mutation_pl_restrict_dropping_a_breakpoint_breaks_grids():
     assert run_check("lem-3.1").result.verdict == HOLDS
 
 
+def test_mutation_pl_restrict_breaks_oao_and_wedge_as_failures():
+    # the library's own precondition errors inside these runners are
+    # counterexamples, reported with the frame that raised them
+    with tampered("pl-restrict-drops-breakpoint"):
+        oao = run_check("thm-3.2-oao").result
+        wedge = run_check("thm-4.2-4").result
+    assert oao.verdict == FAILS and wedge.verdict == FAILS
+    assert "splittings sum to different elements" in oao.witness
+    assert oao.notes.endswith("in pliev_grid")
+    assert "is not a fragment of" in wedge.witness
+    assert wedge.notes.endswith("in meyer_pair")
+
+
+def test_mutation_scalar_truncates_breaks_the_series_enclosure():
+    # the series tolerance 1/10^9 goes through the exact quotient, which
+    # the truncating scalar turns into 0
+    with tampered("scalar-truncates"):
+        report = run_check("ex-2.2").result
+        assert report.verdict == FAILS
+        assert "enclosure width must be positive" in report.witness
+        assert report.notes.endswith("in ln2_enclosure")
+    assert run_check("ex-2.2").result.verdict == HOLDS
+
+
+def test_mutation_ec_prefix_unminimised_breaks_the_wedge():
+    # ec[0,0|0] is zero, but not syntactically ec[|0]
+    with tampered("ec-prefix-unminimised"):
+        report = run_check("thm-4.2-4").result
+        assert report.verdict == FAILS
+        assert report.witness.startswith("nonzero wedge ec[0,0|0] ")
+    assert run_check("thm-4.2-4").result.verdict == HOLDS
+
+
 def test_mutation_names_are_documented():
     from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
                               "latsup-sign-flip", "join-ties-left",
                               "pl-disjoint-one-end",
-                              "pl-restrict-drops-breakpoint"}
+                              "pl-restrict-drops-breakpoint",
+                              "scalar-truncates", "ec-prefix-unminimised"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__
 
@@ -199,3 +258,21 @@ def test_summary_lines_format():
     assert parts[0] == "ex-4.3-pl" and parts[1] in ("holds", "fails",
                                                     "inconclusive")
     assert parts[2].isdigit()
+
+
+def test_check_suite_builds_canonical_float_free_payloads(monkeypatch):
+    from rieszlab import spaces
+    init = spaces.Element.__init__
+    built, bad = [], []
+
+    def recording_init(self, space, payload):
+        init(self, space, payload)
+        built.append(cid)
+        if not is_canonical(self):
+            bad.append((cid, space, payload))
+
+    monkeypatch.setattr(spaces.Element, "__init__", recording_init)
+    for cid in REGISTRY:
+        run_check(cid, profile="quick", seed=0)
+    assert len(built) > 100_000
+    assert not bad, bad[:5]

@@ -9,6 +9,11 @@ body an operator is.  The only exceptions are the functions listed in
 ``ALLOWED``, which exist solely for eventually constant elements.
 ``Reals`` is exempt: it is the interval codomain, not a model with
 elements.  ``Operator``, the base of the bodies, is exempt too.
+
+Scalars of the atomic models are ints where integral, and ``int / int``
+is a float; so no true division sits outside the piecewise-linear
+model's own code (whose payloads are all Fractions), ``spaces.div`` and
+the Fraction-literal sites listed in ``DIVISION_ALLOWED``.
 """
 
 import ast
@@ -55,6 +60,22 @@ def _names(node, wanted, aliases):
     return set()
 
 
+def _scoped_nodes(tree):
+    """(class, function, node) for every node of tree; class and
+    function are the innermost ones enclosing it."""
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            yield cls, function, child
+            inner_cls, inner = cls, function
+            if isinstance(child, ast.ClassDef):
+                inner_cls = child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            yield from visit(child, inner_cls, inner)
+
+    return visit(tree, None, None)
+
+
 def _isinstance_sites(path, wanted):
     """(class, function, line, names) for each isinstance against a
     wanted name; class and function are the innermost enclosing ones."""
@@ -63,24 +84,14 @@ def _isinstance_sites(path, wanted):
                if isinstance(node, ast.Assign)
                for t in node.targets if isinstance(t, ast.Name)}
     sites = []
-
-    def visit(node, cls, function):
-        for child in ast.iter_child_nodes(node):
-            inner_cls, inner = cls, function
-            if isinstance(child, ast.ClassDef):
-                inner_cls = child.name
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = child.name
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == "isinstance"
-                    and len(child.args) == 2):
-                names = _names(child.args[1], wanted, aliases)
-                if names:
-                    sites.append((cls, function, child.lineno, sorted(names)))
-            visit(child, inner_cls, inner)
-
-    visit(tree, None, None)
+    for cls, function, node in _scoped_nodes(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2):
+            names = _names(node.args[1], wanted, aliases)
+            if names:
+                sites.append((cls, function, node.lineno, sorted(names)))
     return sites
 
 
@@ -151,3 +162,68 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
         (None, "h", 7, ["OpSum"]), (None, "k", 9, ["Kernel", "MatchTable"]),
         ("OpScaled", "m", 12, ["OpScaled"])]
     assert _operator_subclasses(probe) == {"OpScaled"}
+
+
+# --- true division ----------------------------------------------------------
+
+# (module, class or function, expression) of each division outside the
+# exempt scopes; the dividend is a Fraction built on the spot, so the
+# quotient is a Fraction whatever the divisor
+DIVISION_ALLOWED = {
+    ("operators", "AlternatingSeries", "Fraction((-1) ** n, 1) * abs(v) / n"),
+}
+
+
+def _division_sites(path):
+    """(class, function, line, expression) for each true division."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(cls, function, node.lineno, ast.unparse(node))
+            for cls, function, node in _scoped_nodes(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)]
+
+
+def _division_exempt(module, cls, function):
+    """The piecewise-linear model's own code, and the exact quotient."""
+    return module == "spaces" and (
+        cls == "PiecewiseLinear" or function == "div"
+        or (function or "").startswith("_pl_"))
+
+
+def test_no_true_division_outside_pl_and_div():
+    offending = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for cls, function, line, expr in _division_sites(path):
+            if not (_division_exempt(module, cls, function)
+                    or (module, cls or function, expr) in DIVISION_ALLOWED):
+                offending.append(f"{path.name}:{line} in {function}: {expr}")
+    assert not offending, "\n".join(offending)
+
+
+def test_division_allowlist_has_no_stale_entries():
+    used = {(path.stem, cls or function, expr)
+            for path in sorted(SRC.glob("*.py"))
+            for cls, function, _, expr in _division_sites(path)}
+    assert DIVISION_ALLOWED <= used, sorted(DIVISION_ALLOWED - used)
+
+
+def test_division_detector_sees_every_scope(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "HALF = 1 / 2\n"
+        "def f(a, b):\n"
+        "    return a // b + a / b\n"
+        "class PiecewiseLinear:\n"
+        "    def m(self, t):\n"
+        "        t /= 2\n"
+        "        return [x / t for x in self.xs]\n")
+    assert _division_sites(probe) == [
+        (None, None, 1, "1 / 2"), (None, "f", 3, "a / b"),
+        ("PiecewiseLinear", "m", 6, "t /= 2"),
+        ("PiecewiseLinear", "m", 7, "x / t")]
+    assert _division_exempt("spaces", "PiecewiseLinear", "m")
+    assert _division_exempt("spaces", None, "_pl_merge")
+    assert _division_exempt("spaces", None, "div")
+    assert not _division_exempt("operators", "PiecewiseLinear", "m")
+    assert not _division_exempt("spaces", "Cells", "add")

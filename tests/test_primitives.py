@@ -8,24 +8,32 @@ replaced, kept in ``spaces`` or ``lateral`` as a reference, on elements
 that Hypothesis builds from rationals through ``normalize`` and shrinks
 on failure.  The atomic models kept their restriction and common
 fragment; those are checked too, on the same elements.
+
+The atomic models store an integral scalar as an ``int``; the same
+elements rebuilt on all-``Fraction`` payloads are the oracle for that.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszlab import generators
 from rieszlab.errors import MalformedElement
 from rieszlab.lateral import (
     decompositions_by_difference, enumerate_decompositions, lateral_inf,
 )
+from rieszlab.operators import Kernel, PiecewisePoly, apply
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
+    Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
-    get_atom, has_infinite_fragments, is_disjoint, leq, leq_by_difference,
-    neg_part, normalize, pl_common_fragment_by_restriction,
-    pl_restrict_by_evaluation, pos_part,
+    get_atom, has_infinite_fragments, inf, is_disjoint, leq,
+    leq_by_difference, neg_part, normalize, pl_common_fragment_by_restriction,
+    pl_restrict_by_evaluation, pos_part, scale, sup,
 )
+
+from conftest import is_canonical
 
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
                     database=None)
@@ -160,5 +168,56 @@ def test_splittings_by_restriction_match_the_differences(model):
             assert is_disjoint(d.left, d.right)
         keys = [canonical_key(d.left) for d in decs]
         assert keys == sorted(keys)
+
+    check()
+
+
+# --- canonical int scalars against all-Fraction payloads --------------------
+
+ATOMIC = [m for m in MODELS if m != "pl"]
+
+
+def _forced(x):
+    """x rebuilt past ``normalize`` with every scalar a Fraction."""
+    if x.space == FIN:
+        return Element(FIN, tuple((i, Q(v)) for i, v in x.payload))
+    if x.space == EC:
+        prefix, tail = x.payload
+        return Element(EC, (tuple(Q(v) for v in prefix), Q(tail)))
+    return Element(x.space, tuple(Q(v) for v in x.payload))
+
+
+def _forced_kernel(T):
+    """T with every polynomial coefficient a Fraction."""
+    rows = []
+    for i, j, fn in T.table:
+        forced = PiecewisePoly(fn.breaks, fn.coeffs)
+        object.__setattr__(forced, "coeffs", tuple(
+            tuple(Q(c) for c in piece) for piece in fn.coeffs))
+        rows.append((i, j, forced))
+    return Kernel(T.domain, T.codomain, tuple(rows))
+
+
+@pytest.mark.parametrize("model", ATOMIC)
+def test_canonical_scalars_match_fraction_payloads(model):
+    @SETTINGS
+    @given(_pairs(ELEMENTS[model]), SCALARS, st.integers(0, 2 ** 16))
+    def check(pair, c, seed):
+        x, y = pair
+        fx, fy = _forced(x), _forced(y)
+        assert fx == x and fy == y
+        T = generators.random_kernel(random.Random(seed), x.space)
+        results = {
+            "add": (add(x, y), add(fx, fy)),
+            "scale": (scale(c, x), scale(Q(c), fx)),
+            "sup": (sup(x, y), sup(fx, fy)),
+            "inf": (inf(x, y), inf(fx, fy)),
+            "kernel": (apply(T, x), apply(_forced_kernel(T), fx)),
+        }
+        for name, (got, want) in results.items():
+            assert got == want, name
+            assert is_canonical(got), (name, got.payload)
+        assert leq(x, y) == leq(fx, fy) and leq(y, x) == leq(fy, fx)
+        assert is_disjoint(x, y) == is_disjoint(fx, fy)
 
     check()

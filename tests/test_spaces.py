@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from rieszlab.errors import MalformedElement, SpaceMismatch, Unsupported
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    Reals, SimpleFunction, absolute, add, atom_count, coord, ec, eval_at, fin,
-    format_element, from_atoms, get_atom, inf, is_disjoint, leq, neg_part,
-    normalize, one, pl, pl_components, pos_part, scale, simple, space_name,
-    sub, sup, support_atoms, support_size, zero,
+    Reals, SimpleFunction, absolute, add, atom_count, coord, div, ec, eval_at,
+    fin, format_element, from_atoms, get_atom, inf, is_disjoint, leq, neg_part,
+    normalize, one, pl, pl_components, pl_restrict, pos_part, q, scale,
+    simple, space_name, sub, sup, support_atoms, support_size, zero,
 )
 
 from conftest import make_rng
@@ -69,6 +69,44 @@ def test_malformed_payloads():
         SimpleFunction((Q(0), Q(1, 2), Q(1, 3), Q(1)))
     with pytest.raises(MalformedElement):
         normalize(Coordinate(1), [0.25])  # floats are rejected
+
+
+def test_scalars_are_canonical():
+    assert type(q(Q(4, 2))) is int and q(Q(4, 2)) == 2
+    assert q(Q(1, 2)) == Q(1, 2) and type(q(Q(1, 2))) is Q
+    assert type(q(True)) is int and type(q("6/3")) is int
+    with pytest.raises(MalformedElement):
+        q(0.5)
+    # sums and products of Fractions that come out integral
+    assert add(coord(Q(1, 2)), coord(Q(1, 2))).payload == (1,)
+    assert type(scale(Q(1, 2), coord(2)).payload[0]) is int
+    assert type(fin((1, Q(3, 3))).payload[0][1]) is int
+    assert ec([Q(2, 2)], Q(1, 2)).payload == ((1,), Q(1, 2))
+
+
+def test_pl_payloads_stay_fractions():
+    # a bare / on PL abscissae and values stays exact
+    for x in (pl((0, 0), (1, 2)), zero(PiecewiseLinear()),
+              one(PiecewiseLinear()), scale(2, pl((0, 1), (1, 3))),
+              pl_restrict(pl((0, 1), (Q(1, 2), 2), (1, 1)), [(0, Q(1, 2))])):
+        assert all(type(v) is Q for pt in x.payload for v in pt), x.payload
+
+
+def test_div_is_exact():
+    assert div(1, 3) == Q(1, 3) and type(div(1, 3)) is Q
+    assert type(div(4, 2)) is int and div(Q(1, 2), Q(1, 4)) == 2
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+    with pytest.raises(MalformedElement):
+        div(1.0, 2)
+
+
+def test_series_tolerance_divides_exactly():
+    # an integral precision over an integral tail once gave a float
+    from rieszlab.operators import AlternatingSeries, apply
+    v = apply(AlternatingSeries(1), ec([], 2))
+    assert q(v.lower) == v.lower and q(v.upper) == v.upper   # no floats
+    assert v.contains(-2 * Q(6931, 10000))
 
 
 # ---------------------------------------------------------------------------
