@@ -36,11 +36,14 @@ def space_menu():
 
 
 def random_scalar(rng: random.Random, magnitude: int = 3,
-                  denominators=(1, 1, 1, 2, 3, 4)) -> Fraction:
-    return Q(rng.randint(-magnitude, magnitude), rng.choice(denominators))
+                  denominators=(1, 1, 1, 2, 3, 4)):
+    """A canonical scalar k/d: an int when integral, so that ``q`` need
+    not unwrap it, and a ``Fraction`` otherwise."""
+    k, d = rng.randint(-magnitude, magnitude), rng.choice(denominators)
+    return k // d if k % d == 0 else Q(k, d)
 
 
-def random_nonzero_scalar(rng, magnitude: int = 3) -> Fraction:
+def random_nonzero_scalar(rng, magnitude: int = 3):
     while True:
         v = random_scalar(rng, magnitude)
         if v != 0:

@@ -24,6 +24,10 @@ mutants:
   so tents overlapping on a slope count as disjoint.
 * ``pl-restrict-drops-breakpoint`` -- piecewise-linear restriction that
   loses the first breakpoint strictly inside a chosen interval.
+* ``pl-lattice-drops-crossing`` -- the integer piecewise-linear
+  supremum and infimum pick the larger (smaller) value at each merged
+  breakpoint but insert no crossing abscissa, so where the operands
+  cross inside a segment the result cuts the corner.
 * ``scalar-truncates`` -- the canonical scalar ``spaces.q`` turns a
   non-integral Fraction into ``int(value)``, so halves and thirds on the
   atomic models round toward zero.
@@ -61,9 +65,17 @@ def _side_ties_left(s, t, best):
 
 
 def _pl_disjoint_one_end(self, x, y):
-    _, xs, ys = spaces._pl_merge(x, y)
-    return all(xs[k - 1] == 0 or xs[k] == 0 or ys[k - 1] == 0 or ys[k] == 0
-               for k in range(1, len(xs)))
+    rows = spaces._pl_merge_ints(x, y)
+    return all(not a[3] or not b[3] or not a[6] or not b[6]
+               for a, b in zip(rows, rows[1:]))
+
+
+def _pl_lattice_drops_crossing(self, x, y, pick):
+    hi = pick is max
+    rows = [(t, tn, td, xn, xd, fx) if (xn * yd > yn * xd) == hi
+            else (t, tn, td, yn, yd, fy)
+            for t, tn, td, xn, xd, fx, yn, yd, fy in spaces._pl_merge_ints(x, y)]
+    return spaces.Element(self, spaces._pl_strip_collinear(rows))
 
 
 _pl_restrict = spaces.PiecewiseLinear.restrict
@@ -75,7 +87,7 @@ def _pl_restrict_drops_breakpoint(self, x, parts):
               if any(a < t < b for a, b in parts)]
     if inside:
         del pts[inside[0]]
-    return spaces.Element(self, spaces._pl_strip_collinear(pts))
+    return spaces.Element(self, spaces._pl_strip_collinear(spaces._pl_rows(pts)))
 
 
 _q = spaces.q
@@ -101,6 +113,8 @@ MUTATIONS = {
                             _pl_disjoint_one_end),
     "pl-restrict-drops-breakpoint": (spaces.PiecewiseLinear, "restrict",
                                      _pl_restrict_drops_breakpoint),
+    "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
+                                  _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),
     "ec-prefix-unminimised": (spaces.EventuallyConstant, "normalize",
                               _ec_normalize_unminimised),

@@ -25,7 +25,12 @@ integral, a ``fractions.Fraction`` otherwise (see ``q``).  The two
 compare and hash alike, so canonical form only saves Fraction
 arithmetic where values are integral.  Piecewise-linear payloads stay
 all-``Fraction``, so that a bare ``/`` on their abscissae and values is
-exact; every other quotient goes through ``div``.
+exact; every other quotient goes through ``div``.  Their calculus
+nonetheless runs on integers: ``add``, ``sup``, ``inf``, ``leq`` and
+``is_disjoint`` read each payload's numerators and denominators once
+and build a ``Fraction`` only for a new value a result keeps.  The
+Fraction kernels they replaced stay here as oracles, as
+``leq_by_difference`` and ``pl_restrict_by_evaluation`` do for theirs.
 """
 
 from __future__ import annotations
@@ -529,52 +534,135 @@ _PL_ONE = Fraction(1)
 
 def _pl_q(value) -> Fraction:
     """``value`` as an exact ``Fraction``; floats are rejected."""
-    return value if type(value) is Fraction else Fraction(q(value))
+    if type(value) is Fraction:
+        return value
+    return Fraction(value if type(value) is int else q(value))
 
 
-def _pl_strip_collinear(pts):
-    """Drop the interior breakpoints of ``pts`` that lie on a straight line.
+# The integer kernel works on rows (t, tn, td, vn, vd, v): a point
+# (t, vn/vd) with t = tn/td, both denominators > 0 and vn/vd not
+# necessarily reduced, and v the value's Fraction when one exists, else
+# None.  Only the points a result keeps get a Fraction, built once.
 
-    ``pts`` holds (t, value) pairs of Fractions with strictly increasing
-    t from 0 to 1.  The PL results of ``add``, ``scale`` and
-    ``lattice`` hold this by construction, so they are made canonical
-    here alone and skip ``normalize``, which stays the entry point for
-    input from outside the program.
+def _pl_rows(pts):
+    """The rows of the Fraction points ``pts``."""
+    rows = []
+    for t, v in pts:
+        tn, td = t.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        rows.append((t, tn, td, vn, vd, v))
+    return rows
 
-    Collinearity of (a,ya)-(b,yb)-(t,v) is (yb-ya)(t-b) == (v-yb)(b-a).
-    With every coordinate written n/d (d > 0, as Fraction keeps it) and
-    the common factor ybd*bd cancelled, that is the integer identity
-    P*R*vd*ad == S*U*yad*td.
+
+def _pl_strip_collinear(rows):
+    """The payload of ``rows`` without the interior points that lie on
+    a straight line.
+
+    The rows have strictly increasing t from 0 to 1.  The PL results of
+    ``add``, ``scale``, ``lattice`` and ``restrict`` hold this by
+    construction, so they are made canonical here alone and skip
+    ``normalize``, which stays the entry point for input from outside
+    the program.
+
+    A point is kept while the slope into it differs from the slope out
+    of it.  Slopes are integer pairs: from (b, yb) to (t, v), with
+    every coordinate written n/d (d > 0), the slope is
+    (v - yb)/(t - b) = ((vn*ybd - ybn*vd)*td*bd) / ((tn*bd - bn*td)*vd*ybd).
+    Dropping b leaves the slope from the point before it unchanged, and
+    that slope differs from the one before, so one comparison per point
+    suffices.
     """
-    nd = [(t.numerator, t.denominator, v.numerator, v.denominator)
-          for t, v in pts]
-    keep = [0]
-    for k in range(1, len(pts)):
-        tn, td, vn, vd = nd[k]
-        while len(keep) >= 2:
-            an, ad, yan, yad = nd[keep[-2]]
-            bn, bd, ybn, ybd = nd[keep[-1]]
-            P = ybn * yad - yan * ybd   # (yb - ya) * ybd * yad
-            R = tn * bd - bn * td       # (t - b) * td * bd
-            S = vn * ybd - ybn * vd     # (v - yb) * vd * ybd
-            U = bn * ad - an * bd       # (b - a) * bd * ad
-            # keep b unless the three points are collinear
-            if P * R * vd * ad == S * U * yad * td:
-                keep.pop()
-            else:
-                break
-        keep.append(k)
-    return tuple(pts[k] for k in keep)
+    out = [rows[0]]
+    _, bn, bd, ybn, ybd, _ = rows[0]
+    sn, sd = 1, 0                   # no segment yet: compares unequal
+    for k in range(1, len(rows)):
+        row = rows[k]
+        _, tn, td, vn, vd, _ = row
+        rn = (vn * ybd - ybn * vd) * td * bd
+        rd = (tn * bd - bn * td) * vd * ybd
+        if rn * sd == sn * rd:
+            out[-1] = row
+        else:
+            out.append(row)
+            sn, sd = rn, rd
+        bn, bd, ybn, ybd = tn, td, vn, vd
+    return tuple([(t, Fraction(vn, vd) if v is None else v)
+                  for t, _, _, vn, vd, v in out])
+
+
+def _pl_merge_ints(x: Element, y: Element):
+    """Both operands on the union of their breakpoints, in integers.
+
+    Returns one row (t, tn, td, xn, xd, fx, yn, yd, fy) per merged
+    abscissa t = tn/td: x is xn/xd there (xd > 0, not reduced) and fx
+    is x's own value Fraction when t is a breakpoint of x, else None;
+    likewise for y.  The other operand is interpolated on its segment
+    (a, b) around t as (ya*(b-t) + yb*(t-a)) / (b-a), in integer
+    products and without a gcd.  Both payloads run from t=0 to t=1, so
+    the walk ends on both at once.
+    """
+    rx, ry = _pl_rows(x.payload), _pl_rows(y.payload)
+    out = []
+    i = j = 0
+    n = len(rx)
+    while i < n:
+        tx, txn, txd, xn, xd, fx = rx[i]
+        ty, tyn, tyd, yn, yd, fy = ry[j]
+        c = tyn * txd - txn * tyd       # (ty - tx) * txd * tyd
+        if c == 0:                      # Fractions are reduced
+            out.append((tx, txn, txd, xn, xd, fx, yn, yd, fy))
+            i += 1
+            j += 1
+        elif c > 0:
+            _, an, ad, yan, yad, _ = ry[j - 1]
+            P = c * ad                          # (ty - tx) * tyd * txd * ad
+            S = (txn * ad - an * txd) * tyd     # (tx - a) * txd * ad * tyd
+            out.append((tx, txn, txd, xn, xd, fx,
+                        yan * yd * P + yn * yad * S, yad * yd * (P + S), None))
+            i += 1
+        else:
+            _, an, ad, xan, xad, _ = rx[i - 1]
+            P = -c * ad
+            S = (tyn * ad - an * tyd) * txd
+            out.append((ty, tyn, tyd, xan * xd * P + xn * xad * S,
+                        xad * xd * (P + S), None, yn, yd, fy))
+            j += 1
+    return out
+
+
+def _pl_crossing(a, b, da, db):
+    """The row where x - y vanishes between the merged rows a and b.
+
+    x - y is da / (xd * yd) at row a and db / (xd * yd) at row b, each
+    over that row's denominators; da and db have strictly opposite
+    signs, and x - y is linear between.  It vanishes a fraction
+    r = p / (p + s) of the way from a to b, and t and x there are the
+    weighted means (a * s + b * p) / (p + s).  Only t gets a Fraction.
+    """
+    _, tan, tad, xan, xad, _, _, yad, _ = a
+    _, tbn, tbd, xbn, xbd, _, _, ybd, _ = b
+    p, s = da * xbd * ybd, -db * xad * yad
+    if p < 0:
+        p, s = -p, -s
+    w = p + s
+    t = Fraction(tan * tbd * s + tbn * tad * p, tad * tbd * w)
+    return (t, t.numerator, t.denominator,
+            xan * xbd * s + xbn * xad * p, xad * xbd * w, None)
+
+
+def _pl_crossing_by_fractions(a, xa, da, b, xb, db):
+    """The point (t, x) where x - y, equal to da at a and to db at b and
+    linear between, vanishes: Fractions, for da and db of strictly
+    opposite signs.  The reference for ``_pl_crossing``."""
+    r = da / (da - db)
+    return a + (b - a) * r, xa + (xb - xa) * r
 
 
 def _pl_merge(x: Element, y: Element):
-    """Both operands on the union of their breakpoints, in one pass.
-
-    Returns the merged abscissae and the values of x and y there.  A
-    breakpoint of one operand takes that operand's own value; only the
-    other operand is interpolated, on its segment around the abscissa.
-    Both payloads run from t=0 to t=1, so the walk ends on both at once.
-    """
+    """Both operands on the union of their breakpoints, in Fractions:
+    the merged abscissae and the values of x and y there.  A breakpoint
+    of one operand takes that operand's own value; only the other
+    operand is interpolated.  The reference for ``_pl_merge_ints``."""
     px, py = x.payload, y.payload
     ts, xs, ys = [], [], []
     i = j = 0
@@ -618,7 +706,19 @@ class PiecewiseLinear(Space):
     """Continuous piecewise-linear functions on [0,1] with rational
     breakpoints; the payload is the sorted ((t, value), ...) including
     t=0 and t=1, with no collinear interior breakpoints, every entry a
-    ``Fraction``."""
+    ``Fraction``.
+
+    ``add``, ``lattice``, ``leq`` and ``disjoint`` run on
+    ``_pl_merge_ints``: both operands on the union of their breakpoints,
+    as integer numerators and denominators.  Signs, picks and zero
+    tests are integer cross-products, interpolation takes no gcd, and a
+    result builds a ``Fraction`` only for a value it keeps that is not
+    already an input's (a sum, an interpolated pick or a crossing).
+    The payload stays all-``Fraction`` so that callers may divide it
+    with a bare ``/``; the Fraction kernels on ``_pl_merge`` that these
+    replaced are the module-level oracles ``pl_add_by_fractions``,
+    ``pl_lattice_by_fractions``, ``pl_leq_by_fractions`` and
+    ``pl_disjoint_by_fractions``."""
 
     name = "pl"
     # interior abscissae the samplers draw breakpoints from
@@ -635,7 +735,7 @@ class PiecewiseLinear(Space):
                     raise MalformedElement(f"two values at t={t}")
                 continue
             dedup.append((t, v))
-        return Element(self, _pl_strip_collinear(dedup))
+        return Element(self, _pl_strip_collinear(_pl_rows(dedup)))
 
     def zero(self):
         return Element(self, ((_PL_ZERO, _PL_ZERO), (_PL_ONE, _PL_ZERO)))
@@ -644,32 +744,39 @@ class PiecewiseLinear(Space):
         return Element(self, ((_PL_ZERO, _PL_ONE), (_PL_ONE, _PL_ONE)))
 
     def add(self, x, y):
-        ts, xs, ys = _pl_merge(x, y)
-        pts = [(t, a + b) for t, a, b in zip(ts, xs, ys)]
-        return Element(self, _pl_strip_collinear(pts))
+        rows = []
+        for t, tn, td, xn, xd, fx, yn, yd, fy in _pl_merge_ints(x, y):
+            if not yn and fx is not None:       # x + 0 is x's own value
+                rows.append((t, tn, td, xn, xd, fx))
+            elif not xn and fy is not None:
+                rows.append((t, tn, td, yn, yd, fy))
+            else:
+                rows.append((t, tn, td, xn * yd + yn * xd, xd * yd, None))
+        return Element(self, _pl_strip_collinear(rows))
 
     def scale(self, c, x):
         pts = [(t, c * v) for t, v in x.payload]
-        return Element(self, _pl_strip_collinear(pts))
+        return Element(self, _pl_strip_collinear(_pl_rows(pts)))
 
     def lattice(self, x, y, pick):
-        """A crossing abscissa is inserted exactly where the difference
-        changes sign strictly inside a merged segment; touching at a
-        segment endpoint contributes nothing new."""
-        ts, xs, ys = _pl_merge(x, y)
-        payload = [(ts[0], pick(xs[0], ys[0]))]
-        db = xs[0] - ys[0]
-        for k in range(1, len(ts)):
-            da, db = db, xs[k] - ys[k]
-            # strict sign change; a Fraction has the sign of its numerator
-            if da.numerator * db.numerator < 0:
-                # both inputs agree at the crossing, a fraction r of the way
-                # along the merged segment
-                r = da / (da - db)
-                a, xa = ts[k - 1], xs[k - 1]
-                payload.append((a + (ts[k] - a) * r, xa + (xs[k] - xa) * r))
-            payload.append((ts[k], pick(xs[k], ys[k])))
-        return Element(self, _pl_strip_collinear(payload))
+        """``pick`` is max or min.  The sign of x - y at each merged
+        abscissa is an integer cross-product.  A crossing abscissa is
+        inserted exactly where it changes sign strictly inside a merged
+        segment; touching at a segment endpoint contributes nothing
+        new.  At a tie the side that has a value Fraction is kept."""
+        hi = pick is max
+        rows = []
+        prev, da = None, 0
+        for row in _pl_merge_ints(x, y):
+            t, tn, td, xn, xd, fx, yn, yd, fy = row
+            db = xn * yd - yn * xd          # (x - y) * xd * yd
+            if da * db < 0:
+                rows.append(_pl_crossing(prev, row, da, db))
+            take_x = fy is None if db == 0 else (db > 0) == hi
+            rows.append((t, tn, td, xn, xd, fx) if take_x
+                        else (t, tn, td, yn, yd, fy))
+            prev, da = row, db
+        return Element(self, _pl_strip_collinear(rows))
 
     def nonneg(self, x):
         # x is linear between its breakpoints, so checking the
@@ -680,15 +787,15 @@ class PiecewiseLinear(Space):
     # linear, so order and disjointness are decided at its ends.
 
     def leq(self, x, y):
-        _, xs, ys = _pl_merge(x, y)
-        return all(a <= b for a, b in zip(xs, ys))
+        return all(xn * yd <= yn * xd
+                   for _, _, _, xn, xd, _, yn, yd, _ in _pl_merge_ints(x, y))
 
     def disjoint(self, x, y):
         """Where neither operand vanishes on a whole segment, both are
         nonzero on a subinterval of it."""
-        _, xs, ys = _pl_merge(x, y)
-        return all((xs[k - 1] == 0 and xs[k] == 0) or (ys[k - 1] == 0 and ys[k] == 0)
-                   for k in range(1, len(xs)))
+        rows = _pl_merge_ints(x, y)
+        return all((not a[3] and not b[3]) or (not a[6] and not b[6])
+                   for a, b in zip(rows, rows[1:]))
 
     def eval_at(self, x, t):
         pts = x.payload
@@ -762,7 +869,7 @@ class PiecewiseLinear(Space):
                 out.append((b, _pl_value(pts, i, b)))
         if union[-1][1] != 1:
             out.append((_PL_ONE, _PL_ZERO))
-        return Element(self, _pl_strip_collinear(out))
+        return Element(self, _pl_strip_collinear(_pl_rows(out)))
 
     def common_fragment(self, x, y):
         """The support components shared, as intervals and values."""
@@ -930,6 +1037,40 @@ def leq_by_difference(x: Element, y: Element) -> bool:
 def disjoint_by_modulus(x: Element, y: Element) -> bool:
     """x and y disjoint as: |x| ^ |y| = 0."""
     return is_zero(inf(absolute(x), absolute(y)))
+
+
+# The piecewise-linear kernels as they were before the integer merge:
+# Fraction arithmetic on ``_pl_merge``; kept as oracles.
+
+def pl_add_by_fractions(x: Element, y: Element) -> Element:
+    ts, xs, ys = _pl_merge(x, y)
+    pts = [(t, a + b) for t, a, b in zip(ts, xs, ys)]
+    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
+
+
+def pl_lattice_by_fractions(x: Element, y: Element, pick) -> Element:
+    ts, xs, ys = _pl_merge(x, y)
+    pts = [(ts[0], pick(xs[0], ys[0]))]
+    db = xs[0] - ys[0]
+    for k in range(1, len(ts)):
+        da, db = db, xs[k] - ys[k]
+        # strict sign change; a Fraction has the sign of its numerator
+        if da.numerator * db.numerator < 0:
+            pts.append(_pl_crossing_by_fractions(ts[k - 1], xs[k - 1], da,
+                                                 ts[k], xs[k], db))
+        pts.append((ts[k], pick(xs[k], ys[k])))
+    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
+
+
+def pl_leq_by_fractions(x: Element, y: Element) -> bool:
+    _, xs, ys = _pl_merge(x, y)
+    return all(a <= b for a, b in zip(xs, ys))
+
+
+def pl_disjoint_by_fractions(x: Element, y: Element) -> bool:
+    _, xs, ys = _pl_merge(x, y)
+    return all((xs[k - 1] == 0 and xs[k] == 0) or (ys[k - 1] == 0 and ys[k] == 0)
+               for k in range(1, len(xs)))
 
 
 # --- evaluation, atoms, supports -------------------------------------------

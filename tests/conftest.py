@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from rieszlab.spaces import PiecewiseLinear
+from rieszlab.spaces import PiecewiseLinear, normalize
 
 ACCEPTANCE_LINES = []
 
@@ -46,3 +47,23 @@ def is_canonical(x) -> bool:
         return all(type(v) is Fraction for v in _leaves(x.payload))
     return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                for v in _leaves(x.payload))
+
+
+# --- Hypothesis strategies shared by the element tests ----------------------
+
+# zero often, so that supports overlap, touch and miss
+SCALARS = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+ABSCISSAE = st.fractions(min_value=0, max_value=1, max_denominator=8)
+
+
+def pl_elements():
+    """Piecewise-linear elements with up to five interior breakpoints,
+    built from rationals through ``normalize``."""
+    inner = st.lists(ABSCISSAE.filter(lambda t: 0 < t < 1), unique=True,
+                     max_size=5)
+    return inner.flatmap(lambda ts: st.lists(
+        SCALARS, min_size=len(ts) + 2, max_size=len(ts) + 2).map(
+            lambda vs: normalize(PiecewiseLinear(), zip(
+                [Fraction(0)] + sorted(ts) + [Fraction(1)], vs))))

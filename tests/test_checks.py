@@ -183,6 +183,15 @@ def test_mutation_pl_disjoint_one_end_breaks_lateral_antisymmetry():
     assert run_check("lat-partial-order").result.verdict == HOLDS
 
 
+def test_mutation_pl_lattice_drops_crossing_breaks_lateral_monotonicity():
+    # a positive part then cuts the corner where its argument crosses zero
+    with tampered("pl-lattice-drops-crossing"):
+        report = run_check("lem-4.5").result
+        assert report.verdict == FAILS
+        assert report.witness == "pos part not laterally monotone"
+    assert run_check("lem-4.5").result.verdict == HOLDS
+
+
 def test_mutation_pl_restrict_dropping_a_breakpoint_breaks_grids():
     with tampered("pl-restrict-drops-breakpoint"):
         report = run_check("lem-3.1").result
@@ -230,6 +239,7 @@ def test_mutation_names_are_documented():
                               "latsup-sign-flip", "join-ties-left",
                               "pl-disjoint-one-end",
                               "pl-restrict-drops-breakpoint",
+                              "pl-lattice-drops-crossing",
                               "scalar-truncates", "ec-prefix-unminimised"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__

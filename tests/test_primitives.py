@@ -11,6 +11,9 @@ fragment; those are checked too, on the same elements.
 
 The atomic models store an integral scalar as an ``int``; the same
 elements rebuilt on all-``Fraction`` payloads are the oracle for that.
+The piecewise-linear model adds, takes suprema and infima, and decides
+order and disjointness on integer numerators and denominators; the
+Fraction kernels it replaced are the oracle for those.
 """
 
 import random
@@ -29,18 +32,16 @@ from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
     get_atom, has_infinite_fragments, inf, is_disjoint, leq,
-    leq_by_difference, neg_part, normalize, pl_common_fragment_by_restriction,
-    pl_restrict_by_evaluation, pos_part, scale, sup,
+    leq_by_difference, neg_part, normalize, pl_add_by_fractions,
+    pl_common_fragment_by_restriction, pl_disjoint_by_fractions,
+    pl_lattice_by_fractions, pl_leq_by_fractions, pl_restrict_by_evaluation,
+    pos_part, scale, sup,
 )
 
-from conftest import is_canonical
+from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
 
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
                     database=None)
-
-# zero often, so that supports overlap, touch and miss
-SCALARS = st.one_of(st.just(Q(0)),
-                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
 
 COORD = Coordinate(3)
 SIMPLE = SimpleFunction((Q(0), Q(1, 3), Q(1, 2), Q(1)))
@@ -65,19 +66,8 @@ def _ec():
         lambda raw: normalize(EC, raw))
 
 
-ABSCISSAE = st.fractions(min_value=0, max_value=1, max_denominator=8)
-
-
-def _pl():
-    inner = st.lists(ABSCISSAE.filter(lambda t: 0 < t < 1), unique=True,
-                     max_size=5)
-    return inner.flatmap(lambda ts: st.lists(
-        SCALARS, min_size=len(ts) + 2, max_size=len(ts) + 2).map(
-            lambda vs: normalize(PL, zip([Q(0)] + sorted(ts) + [Q(1)], vs))))
-
-
 ELEMENTS = {"coord": _cells(COORD), "simple": _cells(SIMPLE), "fin": _fin(),
-            "ec": _ec(), "pl": _pl()}
+            "ec": _ec(), "pl": pl_elements()}
 MODELS = sorted(ELEMENTS)
 
 
@@ -221,3 +211,34 @@ def test_canonical_scalars_match_fraction_payloads(model):
         assert is_disjoint(x, y) == is_disjoint(fx, fy)
 
     check()
+
+
+# --- the integer piecewise-linear kernel against the Fraction one -----------
+
+def _crossing_pairs(elements):
+    """(x, x + w) with w a line from below zero at t=0 to above it at
+    t=1, so that x - y changes sign strictly inside (0, 1)."""
+    magnitudes = SCALARS.filter(lambda v: v != 0).map(abs)
+    return st.tuples(elements, magnitudes, magnitudes).map(
+        lambda p: (p[0], add(p[0], normalize(PL, [(0, -p[1]), (1, p[2])]))))
+
+
+@SETTINGS
+@given(st.one_of(_pairs(ELEMENTS["pl"]), _crossing_pairs(ELEMENTS["pl"])))
+def test_pl_integer_kernel_matches_the_fraction_kernel(pair):
+    for x, y in (pair, pair[::-1]):
+        results = {
+            "add": (add(x, y), pl_add_by_fractions(x, y)),
+            "sup": (sup(x, y), pl_lattice_by_fractions(x, y, max)),
+            "inf": (inf(x, y), pl_lattice_by_fractions(x, y, min)),
+        }
+        for name, (got, want) in results.items():
+            pts = got.payload
+            assert pts == want.payload, name
+            assert all(type(v) is Q for pt in pts for v in pt), name
+            # the kernels share the collinear strip; check it on slopes
+            assert all((v1 - v0) / (t1 - t0) != (v2 - v1) / (t2 - t1)
+                       for (t0, v0), (t1, v1), (t2, v2)
+                       in zip(pts, pts[1:], pts[2:])), name
+        assert leq(x, y) == pl_leq_by_fractions(x, y)
+        assert is_disjoint(x, y) == pl_disjoint_by_fractions(x, y)

@@ -15,7 +15,7 @@ from rieszlab.spaces import (
     simple, space_name, sub, sup, support_atoms, support_size, zero,
 )
 
-from conftest import make_rng
+from conftest import make_rng, pl_elements
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +423,12 @@ def test_pl_lattice_matches_pointwise_extrema():
                 assert eval_at(r, t) == c * fx
 
 
-# a hypothesis pass over the coordinate model, for shrinking on failure
+# hypothesis passes over the coordinate, eventually constant and
+# piecewise-linear models, for shrinking on failure
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.lists(scalars, min_size=3, max_size=3),
        st.lists(scalars, min_size=3, max_size=3),
        st.lists(scalars, min_size=3, max_size=3),
@@ -438,7 +439,7 @@ def test_riesz_laws_hypothesis_coordinate(xs, ys, zs, c):
                       normalize(space, zs), c)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(st.lists(scalars, min_size=1, max_size=5), scalars,
        st.lists(scalars, min_size=1, max_size=5), scalars)
 def test_riesz_laws_hypothesis_ec(px, tx, py, ty):
@@ -446,3 +447,9 @@ def test_riesz_laws_hypothesis_ec(px, tx, py, ty):
     x = normalize(space, (px, tx))
     y = normalize(space, (py, ty))
     _check_riesz_laws(x, y, y, Q(-2))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(pl_elements(), pl_elements(), pl_elements(), scalars)
+def test_riesz_laws_hypothesis_pl(x, y, z, c):
+    _check_riesz_laws(x, y, z, c)
