@@ -4,12 +4,19 @@ Statement-oriented scripts with mandatory semicolons.  Element and
 operator literals mirror the library constructors; all mathematical
 symbols have ASCII spellings, with Unicode equivalents accepted on
 input and ASCII emitted on output.
+
+``tokenize`` scans with one compiled pattern, and the character-by-
+character scanner ``tokenize_by_scan`` is kept as its reference.  The
+parser reads binary operators by precedence climbing over ``_PREC``, the
+table the printer parenthesises by.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +50,11 @@ class DslTypeError(Exception):
 # tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
-    text: str
+    text: str          # ASCII spelling for a Unicode alias
     line: int
-    col: int
+    col: int           # pos - start of its line + 1
     pos: int
 
 
@@ -71,9 +77,60 @@ _UNICODE = {
     "⊓": ("IDENT", "linf"),
 }
 
+# every literal spelling -> (kind, token text)
+_LITERALS = {**{s: (k, s) for s, k in {**_TWO_CHAR, **_ONE_CHAR}.items()},
+             **_UNICODE}
+
+# One alternative per token class, tried in order; longer literals come
+# first, so "<<=" wins over "<=" and "_|_" over an identifier.  INT is a
+# run of decimal digits, what int() reads.  An identifier starts with a
+# letter or "_" and goes on with letters, digits or "_"; the IDENT
+# class below also starts on a numeric non-digit such as "²" or "½",
+# which tokenize rejects.  ERR takes any other single character, so the
+# matches tile the text.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<SPACE>[ \t\r]+|#[^\n]*)",
+    r"(?P<NEWLINE>\n)",
+    "(?P<LIT>%s)" % "|".join(map(re.escape, sorted(_LITERALS, key=len,
+                                                    reverse=True))),
+    r"(?P<INT>\d+)",
+    r"(?P<IDENT>[^\W\d]\w*)",
+    r"(?P<ERR>.)",
+)), re.DOTALL)
+
 
 def tokenize(text: str):
-    """Lex the script; raises DslSyntaxError on an unknown character."""
+    """Lex the script; raises DslSyntaxError on an unexpected character."""
+    tokens = []
+    append = tokens.append
+    new = tuple.__new__     # Token(...) without the Python-level __new__
+    literals = _LITERALS
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+            continue
+        pos = m.start()
+        tok = m[0]
+        if kind == "LIT":
+            kind, tok = literals[tok]
+        elif kind == "ERR" or (kind == "IDENT" and not tok[0].isalpha()
+                               and tok[0] != "_"):
+            raise DslSyntaxError(f"unexpected character {tok[0]!r}",
+                                 line, pos - line_start + 1)
+        append(new(Token, (kind, tok, line, pos - line_start + 1, pos)))
+    pos = len(text)
+    append(Token("EOF", "", line, pos - line_start + 1, pos))
+    return tokens
+
+
+def tokenize_by_scan(text: str):
+    """Reference lexer for tokenize: a character-by-character scan, kept
+    as its oracle in the tests."""
     tokens = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -91,6 +148,7 @@ def tokenize(text: str):
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch in _UNICODE:
             kind, ascii_text = _UNICODE[ch]
@@ -108,9 +166,9 @@ def tokenize(text: str):
                 break
         if matched:
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col, i))
             col += j - i
@@ -317,28 +375,33 @@ class ParseResult:
 
 _MAX_DEPTH = 120
 
+# binary operator -> binding strength; the parser and the printer both
+# read this one table
+_PREC = {"\\/": 1, "/\\": 2, "lsup": 3, "linf": 4, "+": 5, "-": 5, "*": 6}
+
 
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
+        # a second EOF, so that peek(1) on the first one stays in range
+        self.tokens = tokens + tokens[-1:]
         self.i = 0
         self.depth = 0
 
     def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "EOF":
             self.i += 1
         return tok
 
     def at(self, kind, text=None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind, what=None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             line, col = tok.line, tok.col
             if tok.kind == "EOF" and self.i > 0:
@@ -348,10 +411,11 @@ class _Parser:
                 f"expected {what or kind}, found {tok.text!r}" if tok.text
                 else f"expected {what or kind}, found end of input",
                 line, col)
-        return self.next()
+        self.i += 1
+        return tok
 
     def error(self, message):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         raise DslSyntaxError(message, tok.line, tok.col)
 
     # -- statements ---------------------------------------------------------
@@ -457,47 +521,30 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             self.error("expression too deeply nested")
         try:
-            left = self.vee()
-            tok = self.peek()
+            left = self.binary()
+            tok = self.tokens[self.i]
             if tok.kind in ("LEQ", "LLEQ", "PERP", "EQEQ"):
-                self.next()
-                right = self.vee()
+                self.i += 1
+                right = self.binary()
                 return Rel(tok.text, left, right, (tok.line, tok.col))
             return left
         finally:
             self.depth -= 1
 
-    def _binary_chain(self, sub, kinds):
-        left = sub()
+    def binary(self, min_prec=1):
+        """Precedence climbing over the binary operators in _PREC, which
+        the printer reads too.  An operator token's text is its ASCII
+        spelling, so the table is keyed on text; the only IDENT texts in
+        it are the words lsup and linf."""
+        left = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind in kinds:
-                op = tok.text
-            elif tok.kind == "IDENT" and tok.text in kinds:
-                op = tok.text
-            else:
+            tok = self.tokens[self.i]
+            prec = _PREC.get(tok.text)
+            if prec is None or prec < min_prec:
                 return left
-            self.next()
-            right = sub()
-            left = Binary(op, left, right, (tok.line, tok.col))
-
-    def vee(self):
-        return self._binary_chain(self.wedge, ("JOIN",))
-
-    def wedge(self):
-        return self._binary_chain(self.lsup, ("MEET",))
-
-    def lsup(self):
-        return self._binary_chain(self.linf, ("lsup",))
-
-    def linf(self):
-        return self._binary_chain(self.addsub, ("linf",))
-
-    def addsub(self):
-        return self._binary_chain(self.mul, ("PLUS", "MINUS"))
-
-    def mul(self):
-        return self._binary_chain(self.unary, ("STAR",))
+            self.i += 1
+            left = Binary(tok.text, left, self.binary(prec + 1),
+                          (tok.line, tok.col))
 
     def unary(self):
         tok = self.peek()
@@ -533,22 +580,19 @@ class _Parser:
                 return node
 
     def scalar(self) -> Fraction:
-        neg = False
-        if self.at("MINUS"):
-            self.next()
-            neg = True
+        neg = self.tokens[self.i].kind == "MINUS"
+        if neg:
+            self.i += 1
         num = int(self.expect("INT", "a number").text)
-        if self.at("SLASH"):
-            self.next()
-            den_tok = self.expect("INT", "a denominator")
-            den = int(den_tok.text)
-            if den == 0:
-                raise DslSyntaxError("zero denominator", den_tok.line,
-                                     den_tok.col)
-            value = Fraction(num, den)
-        else:
-            value = Fraction(num)
-        return -value if neg else value
+        if self.tokens[self.i].kind != "SLASH":
+            return Fraction(-num if neg else num)
+        self.i += 1
+        den_tok = self.expect("INT", "a denominator")
+        den = int(den_tok.text)
+        if den == 0:
+            raise DslSyntaxError("zero denominator", den_tok.line,
+                                 den_tok.col)
+        return Fraction(-num if neg else num, den)
 
     def scalar_list(self, closer) -> tuple:
         out = []
@@ -812,9 +856,6 @@ def parse(text: str) -> ParseResult:
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------
-
-_PREC = {"\\/": 1, "/\\": 2, "lsup": 3, "linf": 4, "+": 5, "-": 5, "*": 6}
-
 
 def print_script(script: Script) -> str:
     return "".join(_print_stmt(s) + "\n" for s in script.statements)

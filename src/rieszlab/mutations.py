@@ -34,12 +34,18 @@ mutants:
 * ``ec-prefix-unminimised`` -- eventually constant ``normalize`` keeps
   the trailing prefix entries that equal the tail, so one sequence has
   several payloads and syntactic equality no longer decides equality.
+* ``lex-comment-swallows-newline`` -- the lexer's comment pattern is
+  written ``#.*``; under the pattern's DOTALL flag it runs past its
+  newline, so a comment swallows the rest of the script.  No named
+  check parses scripts: the differential test of ``dsl.tokenize``
+  against ``dsl.tokenize_by_scan`` and the demo goldens catch it.
 """
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import lateral, oplattice, spaces
+from . import dsl, lateral, oplattice, spaces
 from .spaces import zero
 
 
@@ -103,6 +109,10 @@ def _ec_normalize_unminimised(self, raw):
     return spaces.Element(self, (tuple(_q(v) for v in prefix), _q(tail)))
 
 
+_TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
+    dsl._TOKEN_RE.pattern.replace(r"#[^\n]*", "#.*"), dsl._TOKEN_RE.flags)
+
+
 # name -> (module or class, attribute, mutant implementation)
 MUTATIONS = {
     "latinf-collinear-meet-formula": (lateral, "_INF_IMPL", _inf_meet_formula),
@@ -118,6 +128,8 @@ MUTATIONS = {
     "scalar-truncates": (spaces, "q", _q_truncates),
     "ec-prefix-unminimised": (spaces.EventuallyConstant, "normalize",
                               _ec_normalize_unminimised),
+    "lex-comment-swallows-newline": (dsl, "_TOKEN_RE",
+                                     _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
 }
 
 

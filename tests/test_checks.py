@@ -240,7 +240,8 @@ def test_mutation_names_are_documented():
                               "pl-disjoint-one-end",
                               "pl-restrict-drops-breakpoint",
                               "pl-lattice-drops-crossing",
-                              "scalar-truncates", "ec-prefix-unminimised"}
+                              "scalar-truncates", "ec-prefix-unminimised",
+                              "lex-comment-swallows-newline"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__
 

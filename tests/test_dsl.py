@@ -1,17 +1,27 @@
 """Expression language: lexer, parser, printer round-trips, evaluation."""
 
-import pytest
+import io
+import pathlib
+from contextlib import redirect_stdout
 
-from rieszlab import spaces
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rieszlab import cli, dsl, spaces
 from rieszlab.dsl import (
-    Binary, CheckStmt, DslTypeError, LetStmt, Rel, SuiteStmt,
-    parse, print_script, tokenize,
+    Binary, CheckStmt, DslSyntaxError, DslTypeError, LetStmt, Rel, SuiteStmt,
+    parse, print_script, tokenize, tokenize_by_scan,
 )
 from rieszlab.evaluator import evaluate
+from rieszlab.mutations import tampered
 from rieszlab.operators import apply
 from rieszlab.spaces import coord
 
 from conftest import make_rng
+
+DEMO = (pathlib.Path(__file__).resolve().parent.parent / "demos"
+        / "01_coordinates.rl")
 
 
 def _script(src):
@@ -95,6 +105,96 @@ def test_relation_is_loosest():
     script = _script("eval coord[1,0] \\/ coord[0,1] <= coord[2,2];")
     expr = script.statements[0].expr
     assert isinstance(expr, Rel) and expr.op == "<="
+
+
+def _lexed(lexer, text):
+    """The token list, or the diagnostic the lexer raised."""
+    try:
+        return lexer(text)
+    except DslSyntaxError as exc:
+        return str(exc.diagnostic)
+
+
+# pieces of scripts: every literal spelling and Unicode alias, words,
+# numbers (with digits int() reads and numeric characters it does not),
+# blanks, newlines and comments
+LEX_PIECES = st.sampled_from(
+    sorted(dsl._LITERALS)
+    + ["let", "eval", "coord", "lsup", "linf", "PLUS", "x", "_", "t", "x²",
+       "0", "12", "٣", "²", "½", " ", "  ", "\t", "\r", "\n", "#",
+       "# note\n"])
+LEX_LINE = st.lists(st.one_of(LEX_PIECES, st.characters()),
+                    max_size=10).map("".join)
+LEX_TEXT = st.lists(LEX_LINE, max_size=4).map("\n".join)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(LEX_TEXT)
+def test_tokenize_matches_the_scan_reference(text):
+    assert _lexed(tokenize, text) == _lexed(tokenize_by_scan, text)
+
+
+@pytest.mark.parametrize("lexer", [tokenize, tokenize_by_scan])
+def test_int_is_a_run_of_decimal_digits(lexer):
+    tok = lexer("12٣4")[0]
+    assert tok.kind == "INT" and int(tok.text) == 1234
+    for ch in "²½":
+        with pytest.raises(DslSyntaxError) as info:
+            lexer(f"eval coord[{ch}];")
+        assert str(info.value.diagnostic) == \
+            f"1:12: error: unexpected character {ch!r}"
+    # a numeric character still continues an identifier
+    assert [t.text for t in lexer("x² y")][:2] == ["x²", "y"]
+
+
+@pytest.mark.parametrize("lexer", [tokenize, tokenize_by_scan])
+def test_eof_column_after_a_trailing_comment(lexer):
+    eof = lexer("eval # nothing")[-1]
+    assert (eof.kind, eof.line, eof.col, eof.pos) == ("EOF", 1, 15, 14)
+
+
+@pytest.mark.parametrize("src, diagnostic", [
+    ("eval coord[²];", "1:12: error: unexpected character '²'"),
+    ("eval # nothing", "1:15: error: unexpected end of input"),
+])
+def test_lexer_positions_reach_parse_diagnostics(src, diagnostic):
+    assert [str(d) for d in parse(src).diagnostics] == [diagnostic]
+
+
+@pytest.mark.parametrize("word", ["PLUS", "MINUS", "STAR", "JOIN", "MEET"])
+def test_token_kind_names_are_not_operators(word, tmp_path, capsys):
+    src = f"eval coord[1] {word} coord[2];"
+    assert [str(d) for d in parse(src).diagnostics] == [
+        f"1:15: error: expected ';', found {word!r}"]
+    script = tmp_path / "op.rl"
+    script.write_text(src, encoding="utf-8")
+    assert cli.main(["run", str(script)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"{script}:1:15: error: expected ';', found {word!r}\n")
+
+
+def _nested(levels):
+    return "eval " + "(" * levels + "coord[1]" + ")" * levels + ";"
+
+
+def test_nesting_limit_is_reached_before_the_recursion_limit():
+    script = _script(_nested(dsl._MAX_DEPTH - 1))
+    assert evaluate(script, seed=0)[0] == ["coord[1]"]
+    assert print_script(script) == "eval coord[1];\n"
+    # the 121st parenthesis opens the 121st nested expression
+    assert [str(d) for d in parse(_nested(dsl._MAX_DEPTH + 1)).diagnostics] \
+        == ["1:126: error: expression too deeply nested"]
+
+
+def test_mutation_lex_comment_swallows_newline_is_caught():
+    golden = DEMO.with_suffix(".out").read_text(encoding="utf-8")
+    with tampered("lex-comment-swallows-newline"):
+        with pytest.raises(AssertionError):
+            test_tokenize_matches_the_scan_reference()
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli.main(["run", str(DEMO), "--seed", "0"])
+    assert buf.getvalue() != golden
 
 
 # ---------------------------------------------------------------------------
