@@ -440,8 +440,9 @@ def _run_thm_3_2_join(rng, cfg):
         for values in itertools.product(grid, repeat=n):
             x = normalize(space, values)
             samples += 1
-            want = normalize(space, [max(f(v), g(v)) for f, g, v
-                                     in zip(fns_f, fns_g, values)])
+            want = normalize(space, [max(f.eval_by_fractions(v),
+                                         g.eval_by_fractions(v))
+                                     for f, g, v in zip(fns_f, fns_g, values)])
             got = join_at(S, T, x)
             ref = extrema_by_enumeration(S, T, x, "sup")
             if got.value != want or ref.value != want:
@@ -464,7 +465,8 @@ def _run_thm_3_2_join(rng, cfg):
         S, T = diagonal_kernel(space, fns_f), diagonal_kernel(space, fns_g)
         x = gen.random_element(rng, space)
         samples += 1
-        want = normalize(space, [max(f(v), g(v)) for f, g, v
+        want = normalize(space, [max(f.eval_by_fractions(v),
+                                     g.eval_by_fractions(v)) for f, g, v
                                  in zip(fns_f, fns_g, _atom_values(x))])
         got = join_at(S, T, x)
         ref = extrema_by_enumeration(S, T, x, "sup")
@@ -537,7 +539,8 @@ def _run_cor_3_3_meet(rng, cfg):
         S, T = diagonal_kernel(space, fns_f), diagonal_kernel(space, fns_g)
         x = gen.random_element(rng, space)
         samples += 1
-        want = normalize(space, [min(f(v), g(v)) for f, g, v
+        want = normalize(space, [min(f.eval_by_fractions(v),
+                                     g.eval_by_fractions(v)) for f, g, v
                                  in zip(fns_f, fns_g, _atom_values(x))])
         got = meet_at(S, T, x).value
         if got != want or extrema_by_enumeration(S, T, x, "inf").value != want:
@@ -567,16 +570,16 @@ def _part_oracle(rng, cfg, which):
         T = diagonal_kernel(space, fns)
         x = gen.random_element(rng, space)
         samples += 1
+        # the oracle evaluates by Fraction Horner, apart from apply
+        values = [f.eval_by_fractions(v) for f, v in zip(fns, _atom_values(x))]
         if which == "pos":
-            want = normalize(space, [max(f(v), ZERO) for f, v
-                                     in zip(fns, _atom_values(x))])
+            want = normalize(space, [max(v, ZERO) for v in values])
             got = pos_part_at(T, x).value
         elif which == "neg":
-            want = normalize(space, [max(-f(v), ZERO) for f, v
-                                     in zip(fns, _atom_values(x))])
+            want = normalize(space, [max(-v, ZERO) for v in values])
             got = neg_part_at(T, x).value
         else:
-            want = normalize(space, [abs(f(v)) for f, v in zip(fns, _atom_values(x))])
+            want = normalize(space, [abs(v) for v in values])
             got = modulus_at(T, x).value
             if not leq(absolute(apply(T, x)), got):
                 return None, _bad("modulus below |T(x)|", samples, data=(x,)), ()

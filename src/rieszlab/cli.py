@@ -124,6 +124,11 @@ def _cmd_run(args) -> int:
     env = evaluator.Environment(seed=_seed_of(args))
     try:
         lines, env = evaluator.evaluate(result.script, env=env)
+    except RecursionError:
+        # the parser bounds nesting, not the length of an operator chain
+        print(f"{args.script}: error: expression too deeply nested to "
+              "evaluate", file=sys.stderr)
+        return EXIT_PARSE
     except DslTypeError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return EXIT_TYPE

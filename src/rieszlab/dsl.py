@@ -548,13 +548,21 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
-        if tok.kind == "MINUS":
-            if self.peek(1).kind == "INT":
-                # negative numerals are scalar literals, not negations
-                return ScalarLit(self.scalar(), (tok.line, tok.col))
+        if tok.kind != "MINUS":
+            return self.postfix()
+        if self.peek(1).kind == "INT":
+            # negative numerals are scalar literals, not negations
+            return ScalarLit(self.scalar(), (tok.line, tok.col))
+        # a negation nests like a parenthesis
+        self.depth += 1
+        try:
+            if self.depth > _MAX_DEPTH:
+                raise DslSyntaxError("expression too deeply nested",
+                                     tok.line, tok.col)
             self.next()
             return Unary("-", self.unary(), (tok.line, tok.col))
-        return self.postfix()
+        finally:
+            self.depth -= 1
 
     def postfix(self):
         node = self.primary()

@@ -203,16 +203,17 @@ def enumerate_decompositions(x: Element, level: int | None = None):
     the order of u.
 
     On a finite fragment algebra u and v are the restrictions of x to
-    complementary sets of its support pieces; the level-truncated
+    complementary sets of its support pieces, each restriction built
+    once and paired with its complement; the level-truncated
     splittings of an eventually constant x subtract, v = x - u.
     """
     if level is not None and has_infinite_fragments(x):
         return decompositions_by_difference(x, level)
     parts = _finite_parts(x)
     full = (1 << len(parts)) - 1
-    decs = [Decomposition(x, _restriction(x, parts, mask),
-                          _restriction(x, parts, full ^ mask))
-            for mask in range(full + 1)]
+    frags = [_restriction(x, parts, mask) for mask in range(full + 1)]
+    decs = [Decomposition(x, u, frags[full ^ mask])
+            for mask, u in enumerate(frags)]
     decs.sort(key=lambda d: canonical_key(d.left))
     return tuple(decs)
 

@@ -34,6 +34,14 @@ mutants:
 * ``ec-prefix-unminimised`` -- eventually constant ``normalize`` keeps
   the trailing prefix entries that equal the tail, so one sequence has
   several payloads and syntactic equality no longer decides equality.
+* ``poly-horner-late-power`` -- the integer Horner of ``PiecewisePoly``
+  multiplies in the power of the denominator r of t = p/r one step
+  late, so each numerator meets a power of r one too low.  Kernel rows
+  vanish at 0, so only a quadratic row with a linear term goes wrong,
+  and only at a non-integral point.  The closed forms of the operator
+  lattice and the splitting enumeration both apply the mutant; the
+  oracles of ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to
+  3.6 evaluate by ``eval_by_fractions`` and catch it.
 * ``lex-comment-swallows-newline`` -- the lexer's comment pattern is
   written ``#.*``; under the pattern's DOTALL flag it runs past its
   newline, so a comment swallows the rest of the script.  No named
@@ -41,11 +49,12 @@ mutants:
   against ``dsl.tokenize_by_scan`` and the demo goldens catch it.
 """
 
+import bisect
 import re
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import dsl, lateral, oplattice, spaces
+from . import dsl, lateral, operators, oplattice, spaces
 from .spaces import zero
 
 
@@ -109,6 +118,17 @@ def _ec_normalize_unminimised(self, raw):
     return spaces.Element(self, (tuple(_q(v) for v in prefix), _q(tail)))
 
 
+def _poly_horner_late_power(self, t):
+    t = _q(t)
+    p, r = (t, 1) if type(t) is int else (t.numerator, t.denominator)
+    den, acc, rest = self._pieces[bisect.bisect_right(self.breaks, t)]
+    power = 1
+    for n in rest:
+        acc = acc * p + n * power   # the power is raised after its use
+        power *= r
+    return _q(Fraction(acc, den * power))
+
+
 _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
     dsl._TOKEN_RE.pattern.replace(r"#[^\n]*", "#.*"), dsl._TOKEN_RE.flags)
 
@@ -128,6 +148,8 @@ MUTATIONS = {
     "scalar-truncates": (spaces, "q", _q_truncates),
     "ec-prefix-unminimised": (spaces.EventuallyConstant, "normalize",
                               _ec_normalize_unminimised),
+    "poly-horner-late-power": (operators.PiecewisePoly, "__call__",
+                               _poly_horner_late_power),
     "lex-comment-swallows-newline": (dsl, "_TOKEN_RE",
                                      _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,10 +37,24 @@ from .spaces import (
 # piecewise polynomials over the rationals
 # ---------------------------------------------------------------------------
 
+def _integer_piece(piece) -> tuple:
+    """(D, n_d, (n_{d-1}, ..., n_0)): the coefficients a_k of one piece
+    as integer numerators n_k = a_k * D over their least common
+    denominator D, from the top degree down."""
+    den = math.lcm(*(c.denominator for c in piece))
+    nums = [c.numerator * (den // c.denominator) for c in reversed(piece)]
+    return den, (nums or [0])[0], tuple(nums[1:])
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """A piecewise polynomial on Q: breaks split the line, one
-    ascending-coefficient tuple per piece (len(breaks)+1 pieces)."""
+    ascending-coefficient tuple per piece (len(breaks)+1 pieces).
+
+    Evaluation runs on integers: each piece keeps its coefficients as
+    numerators over one common denominator D, and at t = p/r Horner's
+    rule runs homogenised, acc = acc*p + n_k*r^(d-k), over D*r^d.  The
+    Fraction Horner it replaced is ``eval_by_fractions``."""
 
     breaks: tuple = ()
     coeffs: tuple = ((ZERO,),)
@@ -53,8 +68,34 @@ class PiecewisePoly:
             raise MalformedElement("breakpoints must strictly increase")
         if len(coeffs) != len(breaks) + 1:
             raise MalformedElement("need one coefficient tuple per piece")
+        object.__setattr__(self, "_pieces",
+                           tuple(_integer_piece(piece) for piece in coeffs))
 
-    def __call__(self, t) -> Fraction:
+    def __call__(self, t):
+        """The value at t, canonical: an int when it is integral."""
+        if type(t) is not int:
+            t = q(t)
+        if type(t) is int:
+            p, r = t, 1
+        else:
+            p, r = t.numerator, t.denominator
+        if self.breaks:
+            den, acc, rest = self._pieces[bisect.bisect_right(self.breaks, t)]
+        else:
+            den, acc, rest = self._pieces[0]
+        power = 1
+        for n in rest:
+            power *= r
+            acc = acc * p + n * power
+        den *= power
+        if den == 1:
+            return acc
+        value = Fraction(acc, den)
+        return value.numerator if value.denominator == 1 else value
+
+    def eval_by_fractions(self, t) -> Fraction:
+        """The value at t by Horner's rule on the Fraction coefficients;
+        the reference for ``__call__``."""
         t = q(t)
         if self.breaks:
             piece = self.coeffs[bisect.bisect_right(self.breaks, t)]
@@ -259,12 +300,14 @@ class Kernel(Operator):
                    and fn.coeffs[0][0] == 0 for _, _, fn in self.table)
 
     def _apply(self, x):
+        get = x.space.get_atom
         acc = {}
         for i, j, fn in self.table:
-            xi = get_atom(x, i)
+            xi = get(x, i)
             if xi == 0:
                 continue  # kernel functions vanish at 0 by construction
-            acc[j] = acc.get(j, ZERO) + fn(xi)
+            value = fn(xi)
+            acc[j] = acc[j] + value if j in acc else value
         return from_atoms(self.codomain, acc)
 
     def linear_probes(self):

@@ -28,8 +28,9 @@ all-``Fraction``, so that a bare ``/`` on their abscissae and values is
 exact; every other quotient goes through ``div``.  Their calculus
 nonetheless runs on integers: ``add``, ``sup``, ``inf``, ``leq`` and
 ``is_disjoint`` read each payload's numerators and denominators once
-and build a ``Fraction`` only for a new value a result keeps.  The
-Fraction kernels they replaced stay here as oracles, as
+and build a ``Fraction`` only for a new value a result keeps, and
+``scale`` skips the collinear strip, which a nonzero factor leaves
+nothing to do for.  The kernels they replaced stay here as oracles, as
 ``leq_by_difference`` and ``pl_restrict_by_evaluation`` do for theirs.
 """
 
@@ -219,7 +220,19 @@ class Cells(Space):
         return Element(self, (ONE,) * self.atom_count())
 
     def add(self, x, y):
-        return Element(self, _canonical(a + b for a, b in zip(x.payload, y.payload)))
+        # a zero summand is skipped, as 0 + Fraction costs a Fraction
+        # sum; on a splitting one side of every cell is zero
+        out = []
+        for a, b in zip(x.payload, y.payload):
+            if not b:
+                out.append(a)
+            elif not a:
+                out.append(b)
+            else:
+                s = a + b
+                out.append(s if type(s) is int or s.denominator != 1
+                           else s.numerator)
+        return Element(self, tuple(out))
 
     def scale(self, c, x):
         return Element(self, _canonical(c * v for v in x.payload))
@@ -559,8 +572,8 @@ def _pl_strip_collinear(rows):
     a straight line.
 
     The rows have strictly increasing t from 0 to 1.  The PL results of
-    ``add``, ``scale``, ``lattice`` and ``restrict`` hold this by
-    construction, so they are made canonical here alone and skip
+    ``add``, ``lattice`` and ``restrict`` hold this by construction, so
+    they are made canonical here alone and skip
     ``normalize``, which stays the entry point for input from outside
     the program.
 
@@ -755,8 +768,11 @@ class PiecewiseLinear(Space):
         return Element(self, _pl_strip_collinear(rows))
 
     def scale(self, c, x):
-        pts = [(t, c * v) for t, v in x.payload]
-        return Element(self, _pl_strip_collinear(_pl_rows(pts)))
+        # c != 0 keeps collinear points collinear and the rest not, so
+        # the payload stays canonical without a strip
+        if not c:
+            return self.zero()
+        return Element(self, tuple([(t, v * c) for t, v in x.payload]))
 
     def lattice(self, x, y, pick):
         """``pick`` is max or min.  The sign of x - y at each merged
@@ -1059,6 +1075,12 @@ def pl_lattice_by_fractions(x: Element, y: Element, pick) -> Element:
             pts.append(_pl_crossing_by_fractions(ts[k - 1], xs[k - 1], da,
                                                  ts[k], xs[k], db))
         pts.append((ts[k], pick(xs[k], ys[k])))
+    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
+
+
+def pl_scale_by_strip(c, x: Element) -> Element:
+    """PL scaling as it was before it skipped the collinear strip."""
+    pts = [(t, q(c) * v) for t, v in x.payload]
     return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
 
 

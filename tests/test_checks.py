@@ -233,6 +233,18 @@ def test_mutation_ec_prefix_unminimised_breaks_the_wedge():
     assert run_check("thm-4.2-4").result.verdict == HOLDS
 
 
+def test_mutation_horner_late_power_breaks_the_join_and_meet_oracles():
+    # closed form and enumeration both apply the mutant; the oracles
+    # evaluate by eval_by_fractions
+    with tampered("poly-horner-late-power"):
+        join = run_check("thm-3.2-join").result
+        meet = run_check("cor-3.3-meet").result
+    assert join.verdict == FAILS and meet.verdict == FAILS
+    assert join.witness.startswith("join oracle mismatch at coord[")
+    assert meet.witness == "meet oracle mismatch"
+    assert run_check("cor-3.3-meet").result.verdict == HOLDS
+
+
 def test_mutation_names_are_documented():
     from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
@@ -241,6 +253,7 @@ def test_mutation_names_are_documented():
                               "pl-restrict-drops-breakpoint",
                               "pl-lattice-drops-crossing",
                               "scalar-truncates", "ec-prefix-unminimised",
+                              "poly-horner-late-power",
                               "lex-comment-swallows-newline"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__

@@ -80,6 +80,21 @@ def test_exit_code_check_failure_in_script(tmp_path):
     assert out.startswith("ex-2.2 fails")
 
 
+def test_deep_scripts_exit_2_with_a_diagnostic(tmp_path, capsys):
+    # a long left-nested chain parses, but evaluating it used to end in
+    # a RecursionError traceback
+    chain = tmp_path / "chain.rl"
+    chain.write_text("eval " + " + ".join(["coord[1]"] * 3000) + ";")
+    assert cli.main(["run", str(chain)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", f"{chain}: error: expression too deeply nested to evaluate\n")
+    negations = tmp_path / "neg.rl"
+    negations.write_text("eval " + "-" * 2000 + "coord[1];")
+    assert cli.main(["run", str(negations)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", f"{negations}:1:125: error: expression too deeply nested\n")
+
+
 def test_check_subcommand_exit_codes():
     code, out = run_cli("check", "ex-4.3-pl")
     assert code == 0 and out.startswith("ex-4.3-pl holds")

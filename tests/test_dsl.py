@@ -186,6 +186,15 @@ def test_nesting_limit_is_reached_before_the_recursion_limit():
         == ["1:126: error: expression too deeply nested"]
 
 
+def test_negations_count_toward_the_nesting_limit():
+    script = _script("eval " + "-" * (dsl._MAX_DEPTH - 1) + "coord[1];")
+    assert evaluate(script, seed=0)[0] == ["coord[-1]"]
+    # the 120th minus opens the 121st nested expression
+    deep = "eval " + "-" * dsl._MAX_DEPTH + "coord[1];"
+    assert [str(d) for d in parse(deep).diagnostics] \
+        == ["1:125: error: expression too deeply nested"]
+
+
 def test_mutation_lex_comment_swallows_newline_is_caught():
     golden = DEMO.with_suffix(".out").read_text(encoding="utf-8")
     with tampered("lex-comment-swallows-newline"):

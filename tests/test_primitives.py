@@ -12,8 +12,10 @@ fragment; those are checked too, on the same elements.
 The atomic models store an integral scalar as an ``int``; the same
 elements rebuilt on all-``Fraction`` payloads are the oracle for that.
 The piecewise-linear model adds, takes suprema and infima, and decides
-order and disjointness on integer numerators and denominators; the
-Fraction kernels it replaced are the oracle for those.
+order and disjointness on integer numerators and denominators, and
+scales without the collinear strip; the kernels it replaced are the
+oracle for those.  Kernel polynomials evaluate by an integer Horner,
+checked against the Fraction Horner ``eval_by_fractions``.
 """
 
 import random
@@ -27,15 +29,15 @@ from rieszlab.errors import MalformedElement
 from rieszlab.lateral import (
     decompositions_by_difference, enumerate_decompositions, lateral_inf,
 )
-from rieszlab.operators import Kernel, PiecewisePoly, apply
+from rieszlab.operators import PiecewisePoly, apply
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
-    get_atom, has_infinite_fragments, inf, is_disjoint, leq,
+    from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, leq,
     leq_by_difference, neg_part, normalize, pl_add_by_fractions,
     pl_common_fragment_by_restriction, pl_disjoint_by_fractions,
     pl_lattice_by_fractions, pl_leq_by_fractions, pl_restrict_by_evaluation,
-    pos_part, scale, sup,
+    pl_scale_by_strip, pos_part, scale, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -177,15 +179,16 @@ def _forced(x):
     return Element(x.space, tuple(Q(v) for v in x.payload))
 
 
-def _forced_kernel(T):
-    """T with every polynomial coefficient a Fraction."""
-    rows = []
+def _kernel_by_fractions(T, x):
+    """T(x) folded row by row in Fraction arithmetic: every polynomial
+    coefficient a Fraction, evaluated by ``eval_by_fractions``."""
+    acc = {}
     for i, j, fn in T.table:
         forced = PiecewisePoly(fn.breaks, fn.coeffs)
         object.__setattr__(forced, "coeffs", tuple(
             tuple(Q(c) for c in piece) for piece in fn.coeffs))
-        rows.append((i, j, forced))
-    return Kernel(T.domain, T.codomain, tuple(rows))
+        acc[j] = acc.get(j, Q(0)) + forced.eval_by_fractions(get_atom(x, i))
+    return from_atoms(T.codomain, acc)
 
 
 @pytest.mark.parametrize("model", ATOMIC)
@@ -202,7 +205,7 @@ def test_canonical_scalars_match_fraction_payloads(model):
             "scale": (scale(c, x), scale(Q(c), fx)),
             "sup": (sup(x, y), sup(fx, fy)),
             "inf": (inf(x, y), inf(fx, fy)),
-            "kernel": (apply(T, x), apply(_forced_kernel(T), fx)),
+            "kernel": (apply(T, x), _kernel_by_fractions(T, fx)),
         }
         for name, (got, want) in results.items():
             assert got == want, name
@@ -224,13 +227,15 @@ def _crossing_pairs(elements):
 
 
 @SETTINGS
-@given(st.one_of(_pairs(ELEMENTS["pl"]), _crossing_pairs(ELEMENTS["pl"])))
-def test_pl_integer_kernel_matches_the_fraction_kernel(pair):
+@given(st.one_of(_pairs(ELEMENTS["pl"]), _crossing_pairs(ELEMENTS["pl"])),
+       SCALARS)
+def test_pl_integer_kernel_matches_the_fraction_kernel(pair, c):
     for x, y in (pair, pair[::-1]):
         results = {
             "add": (add(x, y), pl_add_by_fractions(x, y)),
             "sup": (sup(x, y), pl_lattice_by_fractions(x, y, max)),
             "inf": (inf(x, y), pl_lattice_by_fractions(x, y, min)),
+            "scale": (scale(c, x), pl_scale_by_strip(c, x)),
         }
         for name, (got, want) in results.items():
             pts = got.payload
@@ -242,3 +247,32 @@ def test_pl_integer_kernel_matches_the_fraction_kernel(pair):
                        in zip(pts, pts[1:], pts[2:])), name
         assert leq(x, y) == pl_leq_by_fractions(x, y)
         assert is_disjoint(x, y) == pl_disjoint_by_fractions(x, y)
+
+
+# --- the integer Horner of kernel polynomials against the Fraction one ------
+
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@st.composite
+def _polys_and_points(draw):
+    """A piecewise polynomial with 0-3 breaks and pieces of degree 0-4,
+    and a point: an int, a Fraction or one of the breaks."""
+    breaks = sorted(draw(st.sets(COEFFS, max_size=3)))
+    pieces = [tuple(draw(st.lists(COEFFS, min_size=1, max_size=5)))
+              for _ in range(len(breaks) + 1)]
+    fn = PiecewisePoly(tuple(breaks), tuple(pieces))
+    points = [st.integers(-6, 6),
+              st.fractions(min_value=-5, max_value=5, max_denominator=12)]
+    if breaks:
+        points.append(st.sampled_from(fn.breaks))
+    return fn, draw(st.one_of(points))
+
+
+@SETTINGS
+@given(_polys_and_points())
+def test_integer_horner_matches_the_fraction_horner(case):
+    fn, t = case
+    got = fn(t)
+    assert got == fn.eval_by_fractions(t)
+    assert type(got) is int or (type(got) is Q and got.denominator != 1)
