@@ -24,21 +24,23 @@ from .lateral import (
     enumerate_decompositions, enumerate_fragments, is_fragment, pliev_grid,
 )
 from .operators import (
-    AlternatingSeries, PiecewisePoly, RealInterval, apply,
-    diagonal_kernel, example_operator, format_value, ln2_enclosure, negate,
-    poly, vadd, vneg, verify_disjointness_preserving, verify_oao,
-    verify_positive, lateral_bound_scan, ZeroOp,
+    AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
+    diagonal_kernel, example_operator, format_value, joint_window,
+    ln2_enclosure, negate, poly, scan_levels_by_full_walk, vadd, vneg,
+    verify_disjointness_preserving, verify_oao, verify_positive,
+    lateral_bound_scan, ZeroOp,
 )
 from .oplattice import (
-    dp_fast, extrema_by_enumeration, join_at, meet_at, meyer_pair, modulus_at,
-    neg_part_at, pos_part_at,
+    dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk, meet_at,
+    meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, ZERO, absolute, add, atom_count, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, normalize, one, pieces, scale, sub, sup, support_atoms, zero,
+    leq, normalize, one, pieces, pl_common_fragment_by_restriction, scale,
+    sub, sup, support_atoms, zero,
 )
 
 Q = Fraction
@@ -182,6 +184,87 @@ def _run_lat_partial_order(rng, cfg):
                     return _bad("transitivity", samples,
                                 data=(frags[i], frags[j], frags[k])), ()
     return _ok(samples, notes="exhaustive on enumerated fragment sets"), ()
+
+
+def _agreement_reference(x, y):
+    """The greatest common fragment of x and y from its definition: on
+    the atomic models the values where x and y agree, the tail of an
+    eventually constant pair included, read atom by atom; on
+    piecewise-linear functions the restriction reference."""
+    space = x.space
+    if space == PiecewiseLinear():
+        return pl_common_fragment_by_restriction(x, y)
+    if space == EventuallyConstant():
+        (px, tx), (py, ty) = x.payload, y.payload
+        atoms = range(1, max(len(px), len(py)) + 1)
+        tail = tx if tx == ty else ZERO
+    else:
+        atoms = sorted(set(support_atoms(x)) | set(support_atoms(y)))
+        tail = ZERO
+    values = {}
+    for i in atoms:
+        xi = get_atom(x, i)
+        values[i] = xi if xi == get_atom(y, i) else ZERO
+    return from_atoms(space, values, tail)
+
+
+def _sharing_pair(rng, space):
+    """x, and a y that keeps some support pieces of x and replaces the
+    others by a multiple of themselves, or by a part disjoint from what
+    it keeps; on eventually constant x, y may keep the tail too."""
+    x = gen.random_nonzero_element(rng, space)
+    parts = space.support(x)
+    kept = [p for p in parts if rng.random() < 0.5]
+    y = space.restrict(x, kept)
+    if has_infinite_fragments(x) and rng.random() < 0.5:
+        y = add(y, sub(x, sum(pieces(x), zero(space))))
+    if rng.random() < 0.5:
+        dropped = [p for p in parts if p not in kept]
+        c = rng.choice((-1, 2, Q(1, 2)))
+        return x, add(y, scale(c, space.restrict(x, dropped)))
+    z = gen.random_element(rng, space)
+    return x, add(y, sum((p for p in pieces(z) if is_disjoint(p, y)),
+                         zero(space)))
+
+
+def _end_ramps(rng):
+    """Two piecewise-linear functions whose components at t=0 and t=1
+    are single segments, with the same middle component; each end
+    value differs between them at random.  A shared end component has
+    no breakpoint inside, so only its end value tells the two apart."""
+    space = PiecewiseLinear()
+    a, b = sorted(rng.sample(space.sample_points, 2))
+    middle = [(a, ZERO), ((a + b) * Q(1, 2), gen.random_nonzero_scalar(rng)),
+              (b, ZERO)]
+    ends = [(gen.random_nonzero_scalar(rng), gen.random_nonzero_scalar(rng))
+            for _ in range(2)]
+    left, right = ends[0], ends[rng.randint(0, 1)]
+    x = normalize(space, [(Q(0), left[0])] + middle + [(Q(1), left[1])])
+    y = normalize(space, [(Q(0), right[0] if rng.random() < 0.5 else left[0])]
+                  + middle + [(Q(1), right[1] if rng.random() < 0.5
+                               else left[1])])
+    return x, y
+
+
+def _run_lat_common_fragment(rng, cfg):
+    menu = gen.space_menu()
+    samples = 0
+    for k in range(cfg["samples"]):
+        space = menu[k % len(menu)]
+        if space == PiecewiseLinear() and k // len(menu) % 2:
+            x, y = _end_ramps(rng)
+        else:
+            x, y = _sharing_pair(rng, space)
+        samples += 1
+        for a, b in ((x, y), (y, x)):
+            got, want = lateral.lateral_inf(a, b), _agreement_reference(a, b)
+            if got != want:
+                return _bad(f"lateral infimum of {format_element(a)} and "
+                            f"{format_element(b)} is {format_element(got)}, "
+                            f"reference {format_element(want)}", samples,
+                            data=(a, b)), ()
+    return _ok(samples, notes="greatest common fragment matched the "
+               "references"), ()
 
 
 def _run_lem_3_1(rng, cfg):
@@ -620,6 +703,76 @@ def _run_cor_3_6_pres_p(rng, cfg):
     return _ok(samples, notes="modulus image bounded over finite fragment sets"), ()
 
 
+def _window_operator(rng, codomain):
+    """A random operator on eventually constant sequences whose body
+    has a window: a kernel, a basis-split map, their sum, a scaled
+    kernel or the zero operator."""
+    ec = EventuallyConstant()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return gen.random_kernel(rng, ec, codomain)
+    if kind == 1:
+        return gen.random_linear_ec(rng, codomain)
+    if kind == 2:
+        return OpSum((gen.random_kernel(rng, ec, codomain),
+                      gen.random_linear_ec(rng, codomain)))
+    if kind == 3:
+        return OpScaled(gen.random_nonzero_scalar(rng),
+                        gen.random_kernel(rng, ec, codomain))
+    return ZeroOp(ec, codomain)
+
+
+def _window_tables(S, T, x, level):
+    """(name, table cut at the window, table of the full walk) for the
+    join, meet, parts and modulus, and the lateral bound scan of T."""
+    zero_op = ZeroOp(T.domain, T.codomain)
+
+    def negated(table):
+        return [(l, vneg(v)) for l, v in table]
+
+    return (
+        ("join", join_at(S, T, x, level).levels,
+         levels_by_full_walk(S, T, x, "sup", level)),
+        ("meet", meet_at(S, T, x, level).levels,
+         levels_by_full_walk(S, T, x, "inf", level)),
+        ("pos", pos_part_at(T, x, level).levels,
+         levels_by_full_walk(T, zero_op, x, "sup", level)),
+        ("neg", neg_part_at(T, x, level).levels,
+         negated(levels_by_full_walk(T, zero_op, x, "inf", level))),
+        ("mod", modulus_at(T, x, level).levels,
+         levels_by_full_walk(T, negate(T), x, "sup", level)),
+        ("scan", lateral_bound_scan(T, x, level).table,
+         scan_levels_by_full_walk(T, x, level)),
+    )
+
+
+def _run_op_level_window(rng, cfg):
+    ec = EventuallyConstant()
+    samples = 0
+    for k in range(cfg["samples"]):
+        if k % 4 == 0:
+            cod = Coordinate(1)
+            S = example_operator("ramped_basis", target=one(cod),
+                                 horizon=rng.randint(1, 4))
+            T = _window_operator(rng, cod)
+        else:
+            cod = Coordinate(2)
+            S, T = _window_operator(rng, cod), _window_operator(rng, cod)
+        x = gen.random_nonzero_element(rng, ec)
+        while not has_infinite_fragments(x):
+            x = gen.random_nonzero_element(rng, ec)
+        cut = max(joint_window((S, T)), len(x.payload[0]))
+        samples += 1
+        # each table holds every level through 2 * cut + 1
+        for name, got, want in _window_tables(S, T, x, 2 * cut + 1):
+            if tuple(got) != tuple(want):
+                return _bad(f"{name} level table at {format_element(x)} "
+                            f"differs from the full walk past level {cut}",
+                            samples, data=(S, T, x)), ()
+    return _ok(samples, notes="tables cut at the window matched the full "
+               "walk"), ()
+
+
 def _run_thm_4_2_1(rng, cfg):
     menu = gen.space_menu()
     samples = 0
@@ -796,6 +949,10 @@ _DEFS = (
     CheckDef("lat-partial-order",
              "the lateral relation is a partial order on fragment sets",
              _run_lat_partial_order, {}, {}),
+    CheckDef("lat-common-fragment",
+             "the lateral infimum keeps exactly the pieces both operands "
+             "share",
+             _run_lat_common_fragment, {"samples": 40}, {"samples": 400}),
     CheckDef("lem-3.1",
              "disjoint splittings refine through a common grid",
              _run_lem_3_1, {"instances": 120}, {"instances": 500}),
@@ -860,6 +1017,9 @@ _DEFS = (
     CheckDef("cor-3.6-pres-P",
              "modulus of a laterally bounded operator stays laterally bounded",
              _run_cor_3_6_pres_p, {"samples": 40}, {"samples": 150}),
+    CheckDef("op-level-window",
+             "level tables cut at the operators' window equal the full walk",
+             _run_op_level_window, {"samples": 8}, {"samples": 80}),
     CheckDef("thm-4.2-1",
              "disjointness-preserving operators are laterally-to-order bounded",
              _run_thm_4_2_1, {"ops": 40}, {"ops": 150}),

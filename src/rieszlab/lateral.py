@@ -17,8 +17,7 @@ from . import spaces
 from .spaces import (
     Element, EventuallyConstant,
     add, canonical_key, format_element, get_atom, has_infinite_fragments,
-    inf, is_disjoint, neg_part, normalize, pieces, pos_part, sub, sup,
-    unit_atom, zero,
+    inf, is_disjoint, neg_part, normalize, pieces, pos_part, sub, sup, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -157,10 +156,8 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     """
     if not isinstance(e.space, EventuallyConstant):
         raise PreconditionError("fragment_iter is for eventually constant elements")
+    require_level(e, level)
     prefix, tail = e.payload
-    if level < len(prefix):
-        raise PreconditionError(
-            f"level {level} is below the prefix length {len(prefix)}")
     _check_cap((1 << level) * 2, "truncated fragment set")
     tails = [spaces.ZERO] if tail == 0 else [spaces.ZERO, tail]
     seen = set()
@@ -185,17 +182,45 @@ def min_level(z: Element) -> int:
     return len(prefix)
 
 
-def level_walk(e: Element, level: int):
-    """(l, atoms, w) for each level l from min_level(e) to ``level``,
-    for e eventually constant with a nonzero tail: the atoms of e that
-    join the truncated fragments at l, and w, the tail of e beyond l.
-    Each fragment at level l is a sum of atoms yielded so far plus 0 or
-    w, so folds over the fragments can go atom by atom."""
+def require_level(e: Element, level: int):
+    """Refuse a truncation level below the prefix of e: no truncated
+    fragment set at that level contains e, so it has no level table."""
+    if level < min_level(e):
+        raise PreconditionError(
+            f"level {level} is below the prefix length {min_level(e)}")
+
+
+def level_walk(e: Element, level: int, window: int | None = None):
+    """(l, atoms, w) for each level l from min_level(e) on, for e
+    eventually constant with a nonzero tail: the atoms of e that join
+    the truncated fragments at l, and w, the tail of e beyond l.  Each
+    fragment at level l is a sum of atoms yielded so far plus 0 or w,
+    so folds over the fragments can go atom by atom.  The atoms after
+    the first level and every w are built as canonical payloads: the
+    unit atom at l carries the tail of e, and w is l zeros and the tail.
+
+    Without a ``window`` the walk runs through ``level``.  With the
+    window of the operators folded (``Operator.window``) it stops at
+    the cut max(window, min_level(e)), if that comes first: past it
+    every new atom maps to 0 and every w to one fixed image, so the
+    fold stays constant, and ``extend_levels`` copies its last row."""
     _, tail = e.payload
     start = min_level(e)
-    for l in range(start, level + 1):
-        atoms = pieces(e) if l == start else [unit_atom(e.space, l, tail)]
-        yield l, atoms, normalize(e.space, ([spaces.ZERO] * l, tail))
+    stop = level if window is None else min(level, max(window, start))
+    space = e.space
+    yield start, pieces(e), Element(space, ((spaces.ZERO,) * start, tail))
+    zeros = (spaces.ZERO,) * start
+    for l in range(start + 1, stop + 1):
+        atom = Element(space, (zeros + (tail,), spaces.ZERO))
+        zeros += (spaces.ZERO,)
+        yield l, [atom], Element(space, (zeros, tail))
+
+
+def extend_levels(table: list, level: int) -> list:
+    """A level table from a walk cut at the operators' window,
+    continued through ``level`` with copies of its last row."""
+    last, *row = table[-1]
+    return table + [(l, *row) for l in range(last + 1, level + 1)]
 
 
 def enumerate_decompositions(x: Element, level: int | None = None):

@@ -42,6 +42,17 @@ mutants:
   lattice and the splitting enumeration both apply the mutant; the
   oracles of ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to
   3.6 evaluate by ``eval_by_fractions`` and catch it.
+* ``kernel-window-short`` -- ``Kernel.window`` returns one less than
+  the largest row atom, so the level walks of the operator lattice and
+  of the lateral bound scan stop one level early and lose the last
+  row's atom from every later level.  ``op-level-window`` compares the
+  cut tables with the full walk and catches it.
+* ``pl-common-skips-end-values`` -- the piecewise-linear greatest
+  common fragment keeps a component shared as an interval with the same
+  breakpoints inside, without comparing the values at an end at t=0 or
+  t=1, so two ramps that differ only at 0 or 1 share it.
+  ``lat-common-fragment`` compares the lateral infimum with the
+  restriction reference and catches it.
 * ``lex-comment-swallows-newline`` -- the lexer's comment pattern is
   written ``#.*``; under the pattern's DOTALL flag it runs past its
   newline, so a comment swallows the rest of the script.  No named
@@ -129,6 +140,18 @@ def _poly_horner_late_power(self, t):
     return _q(Fraction(acc, den * power))
 
 
+def _kernel_window_short(self):
+    return self.table[-1][0] - 1 if self.table else 0
+
+
+def _pl_common_skips_end_values(self, x, y):
+    px, py = x.payload, y.payload
+    walk = spaces._pl_component_walk
+    theirs = {(a, b): py[i:j] for a, b, i, j in walk(py)}
+    return self.restrict(x, [(a, b) for a, b, i, j in walk(px)
+                             if theirs.get((a, b)) == px[i:j]])
+
+
 _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
     dsl._TOKEN_RE.pattern.replace(r"#[^\n]*", "#.*"), dsl._TOKEN_RE.flags)
 
@@ -150,6 +173,9 @@ MUTATIONS = {
                               _ec_normalize_unminimised),
     "poly-horner-late-power": (operators.PiecewisePoly, "__call__",
                                _poly_horner_late_power),
+    "kernel-window-short": (operators.Kernel, "window", _kernel_window_short),
+    "pl-common-skips-end-values": (spaces.PiecewiseLinear, "common_fragment",
+                                   _pl_common_skips_end_values),
     "lex-comment-swallows-newline": (dsl, "_TOKEN_RE",
                                      _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
 }

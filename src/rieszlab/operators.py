@@ -20,15 +20,15 @@ from fractions import Fraction
 from .errors import MalformedElement, PreconditionError, SpaceMismatch, Unsupported
 from . import lateral, reports, spaces
 from .lateral import (
-    enumerate_decompositions, enumerate_fragments, fragment_iter, level_walk,
-    min_level,
+    enumerate_decompositions, enumerate_fragments, extend_levels,
+    fragment_iter, level_walk, min_level,
 )
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, Reals,
     SimpleFunction, ZERO, absolute, add, atom_count, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, normalize, one, q, scale, space_name, sub, sup, support_atoms,
+    leq, normalize, one, scale, space_name, sub, sup, support_atoms,
     support_size, unit_atom, zero,
 )
 
@@ -60,8 +60,9 @@ class PiecewisePoly:
     coeffs: tuple = ((ZERO,),)
 
     def __post_init__(self):
-        breaks = tuple(q(b) for b in self.breaks)
-        coeffs = tuple(tuple(q(c) for c in piece) for piece in self.coeffs)
+        breaks = tuple(spaces.q(b) for b in self.breaks)
+        coeffs = tuple(tuple(spaces.q(c) for c in piece)
+                       for piece in self.coeffs)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "coeffs", coeffs)
         if any(a >= b for a, b in zip(breaks, breaks[1:])):
@@ -74,7 +75,7 @@ class PiecewisePoly:
     def __call__(self, t):
         """The value at t, canonical: an int when it is integral."""
         if type(t) is not int:
-            t = q(t)
+            t = spaces.q(t)
         if type(t) is int:
             p, r = t, 1
         else:
@@ -96,7 +97,7 @@ class PiecewisePoly:
     def eval_by_fractions(self, t) -> Fraction:
         """The value at t by Horner's rule on the Fraction coefficients;
         the reference for ``__call__``."""
-        t = q(t)
+        t = spaces.q(t)
         if self.breaks:
             piece = self.coeffs[bisect.bisect_right(self.breaks, t)]
         else:
@@ -129,7 +130,7 @@ class RealInterval:
     upper: Fraction
 
     def __post_init__(self):
-        lo, hi = q(self.lower), q(self.upper)
+        lo, hi = spaces.q(self.lower), spaces.q(self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo > hi:
@@ -137,7 +138,7 @@ class RealInterval:
 
     @classmethod
     def exact(cls, value) -> "RealInterval":
-        value = q(value)
+        value = spaces.q(value)
         return cls(value, value)
 
     @property
@@ -149,12 +150,12 @@ class RealInterval:
         return self.lower == self.upper
 
     def contains(self, value) -> bool:
-        return self.lower <= q(value) <= self.upper
+        return self.lower <= spaces.q(value) <= self.upper
 
     def __add__(self, other):
         if isinstance(other, RealInterval):
             return RealInterval(self.lower + other.lower, self.upper + other.upper)
-        other = q(other)
+        other = spaces.q(other)
         return RealInterval(self.lower + other, self.upper + other)
 
     __radd__ = __add__
@@ -163,7 +164,7 @@ class RealInterval:
         return RealInterval(-self.upper, -self.lower)
 
     def scaled(self, c) -> "RealInterval":
-        c = q(c)
+        c = spaces.q(c)
         if c >= 0:
             return RealInterval(c * self.lower, c * self.upper)
         return RealInterval(c * self.upper, c * self.lower)
@@ -218,7 +219,7 @@ def interval_inf(a: RealInterval, b: RealInterval) -> RealInterval:
 def ln2_enclosure(eps) -> RealInterval:
     """Rational bounds on ln 2 via sum(1/(n 2^n)); the remainder after N
     terms is below 2^-N / (N+1)."""
-    eps = q(eps)
+    eps = spaces.q(eps)
     if eps <= 0:
         raise PreconditionError("enclosure width must be positive")
     n = 1
@@ -261,6 +262,19 @@ class Operator:
     def oao_probes(self) -> list:
         """Disjoint pairs that ``verify_oao`` tries before any other."""
         return []
+
+    def window(self) -> int | None:
+        """A level L on eventually constant sequences past which every
+        unit atom maps to zero and every pure-tail remainder
+        ((0,)*l, c), l >= L, to one fixed image; None when the body
+        promises no such level."""
+        return None
+
+
+def joint_window(ops) -> int | None:
+    """The largest window of ``ops``, or None if one of them has none."""
+    windows = [op.window() for op in ops]
+    return None if None in windows else max(windows)
 
 
 @dataclass(frozen=True)
@@ -313,6 +327,10 @@ class Kernel(Operator):
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]
 
+    def window(self):
+        # rows are sorted by atom; past the last one nothing is read
+        return self.table[-1][0] if self.table else 0
+
     def dp_reason(self):
         targets = [j for _, j, _ in self.table]
         if len(set(targets)) == len(targets):
@@ -347,7 +365,7 @@ class LinearEC(Operator):
     domain = EventuallyConstant()
 
     def __post_init__(self):
-        rows = tuple(sorted((int(n), q(a)) for n, a in self.coeffs))
+        rows = tuple(sorted((int(n), spaces.q(a)) for n, a in self.coeffs))
         object.__setattr__(self, "coeffs", rows)
         if any(n < 1 for n, _ in rows):
             raise MalformedElement("coefficient indices start at 1")
@@ -364,6 +382,11 @@ class LinearEC(Operator):
     def linear_probes(self):
         return [unit_atom(self.domain, n) for n, _ in self.coeffs] + [
             one(self.domain)]
+
+    def window(self):
+        # coefficients are sorted by index; past the last one an atom
+        # maps to zero, and every pure tail c to one image
+        return self.coeffs[-1][0] if self.coeffs else 0
 
 
 @dataclass(frozen=True)
@@ -493,7 +516,7 @@ class AlternatingSeries(Operator):
     codomain = Reals()
 
     def __post_init__(self):
-        object.__setattr__(self, "precision", q(self.precision))
+        object.__setattr__(self, "precision", spaces.q(self.precision))
 
     def _apply(self, x) -> RealInterval:
         prefix, tail = x.payload
@@ -543,6 +566,9 @@ class OpSum(Operator):
     def linear_probes(self):
         return [x for p in self.parts for x in p.linear_probes()]
 
+    def window(self):
+        return joint_window(self.parts)
+
 
 @dataclass(frozen=True)
 class OpScaled(Operator):
@@ -550,7 +576,7 @@ class OpScaled(Operator):
     inner: object
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", q(self.factor))
+        object.__setattr__(self, "factor", spaces.q(self.factor))
 
     domain = property(lambda self: self.inner.domain)
     codomain = property(lambda self: self.inner.codomain)
@@ -574,6 +600,9 @@ class OpScaled(Operator):
     def oao_probes(self):
         return self.inner.oao_probes()
 
+    def window(self):
+        return self.inner.window()
+
 
 @dataclass(frozen=True)
 class ZeroOp(Operator):
@@ -587,6 +616,9 @@ class ZeroOp(Operator):
 
     def dp_reason(self):
         return "zero operator"
+
+    def window(self):
+        return 0
 
 
 def negate(T):
@@ -689,7 +721,7 @@ def exhaustive_disjoint_pairs(space, grid):
     n = atom_count(space)
     if n is None:
         raise Unsupported("exhaustive pairs need finitely many atoms")
-    grid = [q(g) for g in grid]
+    grid = [spaces.q(g) for g in grid]
     per_atom = [(g, ZERO) for g in grid if g != 0]
     per_atom += [(ZERO, g) for g in grid]
     for combo in itertools.product(per_atom, repeat=n):
@@ -795,7 +827,7 @@ def verify_positive(T, budget: Budget | None = None) -> CheckReport:
     exhaustive = budget.grid is not None and _can_exhaust(T.domain)
     if exhaustive:
         xs = (normalize(T.domain, values) for values in itertools.product(
-            [q(g) for g in budget.grid], repeat=atom_count(T.domain)))
+            [spaces.q(g) for g in budget.grid], repeat=atom_count(T.domain)))
     else:
         from . import generators
         rng = budget.rng("positive")
@@ -895,7 +927,7 @@ def _exceeds(value, bound) -> bool:
     if isinstance(value, RealInterval):
         if isinstance(bound, RealInterval):
             bound = bound.upper
-        return value.lower > q(bound)
+        return value.lower > spaces.q(bound)
     return not leq(value, bound)
 
 
@@ -908,7 +940,8 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     closed form for structurally additive bodies (each fragment is the
     disjoint sum of its atoms and a pure-tail part, so the fold
     distributes over independent per-atom choices), and by bounded
-    enumeration otherwise.
+    enumeration otherwise.  The closed form stops at the window of T
+    (``Operator.window``), past which the table repeats its last row.
     """
     seed = "scan"
     if not has_infinite_fragments(e):
@@ -920,8 +953,9 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")
+    lateral.require_level(e, level)
     if T.atom_additive:
-        table = _scan_levels_closed(T, e, level)
+        table = _scan_levels_closed(T, e, level, T.window())
     else:
         table = _scan_levels_enumerated(T, e, min_level(e), level)
     lvl = next((l for l, _, hi in table
@@ -937,20 +971,27 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     return ScanResult("truncated", rep, table=tuple(table), growth=grew)
 
 
-def _scan_levels_closed(T, e, level):
+def _scan_levels_closed(T, e, level, window=None):
     """Per-level extremes from one image per atom: each fragment at a
     level is the disjoint sum of some of the atoms seen so far and 0 or
-    the pure-tail remainder, so each takes its better side against 0."""
+    the pure-tail remainder, so each takes its better side against 0.
+    The walk stops at ``window`` (see ``lateral.level_walk``)."""
     lo = hi = zval = vzero(T.codomain)
     table = []
-    for l, atoms, w in level_walk(e, level):
+    for l, atoms, w in level_walk(e, level, window):
         for atom in atoms:
             img = apply(T, atom)
             lo, hi = vadd(lo, vinf(img, zval)), vadd(hi, vsup(img, zval))
         img_w = apply(T, w)
         table.append((l, vadd(lo, vinf(img_w, zval)),
                       vadd(hi, vsup(img_w, zval))))
-    return table
+    return extend_levels(table, level)
+
+
+def scan_levels_by_full_walk(T, e, level):
+    """The closed per-level extremes at every level through ``level``,
+    the walk never cut at a window; the reference for the cut."""
+    return _scan_levels_closed(T, e, level)
 
 
 def _scan_levels_enumerated(T, e, start, level):

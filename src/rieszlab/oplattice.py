@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from .errors import PreconditionError, SpaceMismatch
 from . import reports
 from .lateral import (
-    Decomposition, enumerate_decompositions, is_fragment, level_walk, min_level,
+    Decomposition, enumerate_decompositions, extend_levels, is_fragment,
+    level_walk, min_level, require_level,
 )
 from .operators import (
-    RealInterval, ZeroOp, apply, negate,
+    RealInterval, ZeroOp, apply, joint_window, negate,
     vabs, vadd, vinf, vneg, vneg_part, vpos, vsup, vzero,
 )
 from .spaces import (
@@ -87,8 +88,9 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     if level is None:
         raise PreconditionError(
             "infinite splitting family: supply a truncation level")
+    require_level(x, level)
     if additive:
-        levels = _levels_closed(S, T, x, kind, level)
+        levels = _levels_closed(S, T, x, kind, level, joint_window((S, T)))
     else:
         levels = _levels_enumerated(S, T, x, kind, level)
     return LatticePoint("truncated", levels=tuple(levels),
@@ -159,20 +161,28 @@ def _extrema_closed(S, T, x, kind):
                         attained=(Decomposition(x, u, sub(x, u)),))
 
 
-def _levels_closed(S, T, x, kind, level):
+def _levels_closed(S, T, x, kind, level, window=None):
     """Per-level fold without enumeration.
 
     Each splitting of x at level l assigns every atom n <= l and the
     pure-tail part to one side, so the level value is the per-atom fold
-    over atoms 1..l plus the better image of the remaining tail.
+    over atoms 1..l plus the better image of the remaining tail.  Past
+    the operators' ``window`` that value is constant, and the walk stops
+    there (see ``lateral.level_walk``).
     """
     pick = _PICK[kind]
     acc = vzero(S.codomain)
     out = []
-    for l, atoms, w in level_walk(x, level):
+    for l, atoms, w in level_walk(x, level, window):
         acc, _ = _fold_atoms(acc, S, T, atoms, pick)
         out.append((l, vadd(acc, pick(apply(S, w), apply(T, w)))))
-    return out
+    return extend_levels(out, level)
+
+
+def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
+    """The per-level fold at every level through ``level``, the walk
+    never cut at a window; the reference for the cut."""
+    return _levels_closed(S, T, x, kind, level)
 
 
 def _levels_enumerated(S, T, x, kind, level):

@@ -704,6 +704,52 @@ def _pl_merge(x: Element, y: Element):
     return ts, xs, ys
 
 
+def _pl_component_walk(pts):
+    """The support components of the payload ``pts``, in one walk on
+    the signs of its value numerators: (start, end, i, j) for each, with
+    pts[i:j] its breakpoints strictly inside (start, end).
+
+    A component ends at a zero of x, or at t=1; it starts at t=0 or at
+    the end of a run where x vanishes.  Only a sign change strictly
+    inside a segment, which ends one component and starts the next,
+    builds a ``Fraction``: its abscissa, from the ends (a, ya), (b, yb)
+    of the segment, each coordinate n/d, as
+    a + (b - a) * ya / (ya - yb)
+      = (bn*ad*yan*ybd - an*bd*ybn*yad) / (ad*bd*(yan*ybd - ybn*yad)).
+    The reference is ``pl_components_by_crossing``.
+    """
+    comps = []
+    last = len(pts) - 1
+    start = None
+    a, ya = pts[0]
+    sa = ya.numerator
+    for k in range(1, last + 1):
+        b, yb = pts[k]
+        sb = yb.numerator
+        if not sa and not sb:
+            if start is not None:
+                comps.append((start, a, first, k - 1))
+                start = None
+        else:
+            if start is None:
+                start, first = a, k
+            if (sa < 0 < sb) or (sb < 0 < sa):
+                an, ad = a.numerator, a.denominator
+                bn, bd = b.numerator, b.denominator
+                yad, ybd = ya.denominator, yb.denominator
+                cross = Fraction(bn * ad * sa * ybd - an * bd * sb * yad,
+                                 ad * bd * (sa * ybd - sb * yad))
+                comps.append((start, cross, first, k))
+                start, first = cross, k
+            elif not sb and k != last:
+                comps.append((start, b, first, k))
+                start = None
+        a, ya, sa = b, yb, sb
+    if start is not None:
+        comps.append((start, a, first, last))
+    return comps
+
+
 def _pl_value(pts, i, t):
     """The value at t of the payload ``pts``, for pts[i][0] <= t, and t
     before pts[i + 1][0] unless i is the last index."""
@@ -826,29 +872,7 @@ class PiecewiseLinear(Space):
     def components(self, x):
         """Interval boundaries are zeros of x except at the domain
         endpoints 0 and 1, where x itself may be nonzero."""
-        # the breakpoints of x plus the interior zeros of its segments
-        pts = [x.payload[0]]
-        for (a, ya), (b, yb) in zip(x.payload, x.payload[1:]):
-            if (ya < 0 < yb) or (yb < 0 < ya):
-                pts.append((a + (b - a) * ya / (ya - yb), ZERO))
-            pts.append((b, yb))
-        comps = []
-        start = None
-        for (a, ya), (b, yb) in zip(pts, pts[1:]):
-            if ya == 0 and yb == 0:
-                if start is not None:
-                    comps.append((start, a))
-                    start = None
-                continue
-            if start is None:
-                start = a
-            # an interior zero at b closes the component
-            if yb == 0 and b != 1:
-                comps.append((start, b))
-                start = None
-        if start is not None:
-            comps.append((start, pts[-1][0]))
-        return comps
+        return [(a, b) for a, b, _, _ in _pl_component_walk(x.payload)]
 
     support = components
 
@@ -888,11 +912,22 @@ class PiecewiseLinear(Space):
         return Element(self, _pl_strip_collinear(_pl_rows(out)))
 
     def common_fragment(self, x, y):
-        """The support components shared, as intervals and values."""
-        theirs = set(self.components(y))
+        """The support components shared, as intervals and values.
+
+        x and y agree on a component of both when they have the same
+        breakpoints strictly inside it (canonical payloads have no
+        collinear ones) and the same values at its ends.  An end inside
+        (0, 1) is a zero of both, so only an end at 0 or 1 compares
+        values.  One restriction, to the kept components, builds the
+        result; ``pl_common_fragment_by_restriction`` restricts both
+        operands to every component instead and is the reference."""
+        px, py = x.payload, y.payload
+        theirs = {(a, b): py[i:j] for a, b, i, j in _pl_component_walk(py)}
         return self.restrict(x, [
-            c for c in self.components(x)
-            if c in theirs and self.restrict(x, [c]) == self.restrict(y, [c])])
+            (a, b) for a, b, i, j in _pl_component_walk(px)
+            if theirs.get((a, b)) == px[i:j]
+            and (a != 0 or px[0][1] == py[0][1])
+            and (b != 1 or px[-1][1] == py[-1][1])])
 
     def full_support(self, x):
         # a nonzero disjoint partner needs an interval of zeros
@@ -1189,11 +1224,42 @@ def pl_restrict_by_evaluation(x: Element, parts) -> Element:
     return normalize(x.space, [(t, value(t)) for t in sorted(ts)])
 
 
+def pl_components_by_crossing(x: Element):
+    """The support components of x from its breakpoints and the zeros
+    inserted where a segment changes sign, in Fractions; the reference
+    for ``PiecewiseLinear.components``."""
+    # the breakpoints of x plus the interior zeros of its segments
+    pts = [x.payload[0]]
+    for (a, ya), (b, yb) in zip(x.payload, x.payload[1:]):
+        if (ya < 0 < yb) or (yb < 0 < ya):
+            pts.append((a + (b - a) * div(ya, ya - yb), ZERO))
+        pts.append((b, yb))
+    comps = []
+    start = None
+    for (a, ya), (b, yb) in zip(pts, pts[1:]):
+        if ya == 0 and yb == 0:
+            if start is not None:
+                comps.append((start, a))
+                start = None
+            continue
+        if start is None:
+            start = a
+        # an interior zero at b closes the component
+        if yb == 0 and b != 1:
+            comps.append((start, b))
+            start = None
+    if start is not None:
+        comps.append((start, pts[-1][0]))
+    return comps
+
+
 def pl_common_fragment_by_restriction(x: Element, y: Element) -> Element:
     """Restrict x and y to each of their own support components, keep
     the components where both restrictions agree."""
-    mine = {c: pl_restrict_by_evaluation(x, [c]) for c in pl_components(x)}
-    theirs = {c: pl_restrict_by_evaluation(y, [c]) for c in pl_components(y)}
+    mine = {c: pl_restrict_by_evaluation(x, [c])
+            for c in pl_components_by_crossing(x)}
+    theirs = {c: pl_restrict_by_evaluation(y, [c])
+              for c in pl_components_by_crossing(y)}
     return pl_restrict_by_evaluation(
         x, [c for c, r in mine.items() if theirs.get(c) == r])
 

@@ -1,5 +1,7 @@
 """The named check suite: registry coverage, determinism, mutations."""
 
+from fractions import Fraction
+
 import pytest
 
 from rieszlab.checks import (
@@ -245,6 +247,37 @@ def test_mutation_horner_late_power_breaks_the_join_and_meet_oracles():
     assert run_check("cor-3.3-meet").result.verdict == HOLDS
 
 
+def test_mutation_scalar_truncates_reaches_the_operator_scalars():
+    # operators.py reads spaces.q at each call, so the swap reaches its
+    # polynomial coefficients, interval bounds and scaling factors
+    from rieszlab.operators import OpScaled, RealInterval, ZeroOp, poly
+    from rieszlab.spaces import Coordinate
+    half = Fraction(1, 2)
+    with tampered("scalar-truncates"):
+        assert poly(0, half, 3).coeffs == ((0, 0, 3),)
+        assert RealInterval(half, 2).lower == 0
+        assert OpScaled(half, ZeroOp(Coordinate(1), Coordinate(1))).factor == 0
+    assert poly(0, half).coeffs == ((0, half),)
+
+
+def test_mutation_kernel_window_short_breaks_the_window_check():
+    # the walks stop one level early and miss the last row's atom
+    with tampered("kernel-window-short"):
+        report = run_check("op-level-window").result
+    assert report.verdict == FAILS
+    assert "differs from the full walk" in report.witness
+    assert run_check("op-level-window").result.verdict == HOLDS
+
+
+def test_mutation_pl_common_skips_end_values_breaks_the_common_fragment():
+    # two ramps that differ only at t=0 or t=1 share no component there
+    with tampered("pl-common-skips-end-values"):
+        report = run_check("lat-common-fragment").result
+    assert report.verdict == FAILS
+    assert report.witness.startswith("lateral infimum of pl{")
+    assert run_check("lat-common-fragment").result.verdict == HOLDS
+
+
 def test_mutation_names_are_documented():
     from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
@@ -254,6 +287,8 @@ def test_mutation_names_are_documented():
                               "pl-lattice-drops-crossing",
                               "scalar-truncates", "ec-prefix-unminimised",
                               "poly-horner-late-power",
+                              "kernel-window-short",
+                              "pl-common-skips-end-values",
                               "lex-comment-swallows-newline"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__

@@ -72,6 +72,24 @@ def test_exit_code_precondition(tmp_path):
     assert code == cli.EXIT_PRECONDITION
 
 
+def test_below_prefix_level_exits_4(tmp_path, capsys):
+    # a level below the prefix has no table; it used to print nothing
+    # and exit 0 for the operator lattice
+    script = tmp_path / "below.rl"
+    for line in ("eval (l0 \\/ l1)(ec[1,2,3,4,5|7]) @level 3;",
+                 "eval mod(l1)(ec[1,2,3,4,5|7]) @level 3;",
+                 "eval fragments(ec[1,2,3,4,5|7]) @level 3;"):
+        script.write_text(
+            "let l0 = linec{1:1, 2:2; unit -> coord[0]; target coord[1]};\n"
+            "let l1 = linec{1:-1, 3:1; unit -> coord[1]; target coord[1]};\n"
+            + line + "\n")
+        assert cli.main(["run", str(script)]) == cli.EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("precondition violated: level 3 is below the "
+                            "prefix length 5\n")
+
+
 def test_exit_code_check_failure_in_script(tmp_path):
     script = tmp_path / "c.rl"
     script.write_text("check ex-2.2 level=8;")

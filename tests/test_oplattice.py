@@ -3,27 +3,32 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszlab import generators as gen
 from rieszlab import oplattice
+from rieszlab.checks import _window_tables
 from rieszlab.errors import PreconditionError
-from rieszlab.lateral import Decomposition, enumerate_decompositions
+from rieszlab.lateral import (
+    Decomposition, enumerate_decompositions, level_walk,
+)
 from rieszlab.operators import (
-    AlternatingSeries, Kernel, OpScaled, RealInterval, ZeroOp, apply,
-    diagonal_kernel, example_operator, negate, poly, vadd, vneg, vsup,
+    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
+    OpSum, RealInterval, ZeroOp, apply, diagonal_kernel, example_operator,
+    lateral_bound_scan, negate, poly, vadd, vneg, vsup,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
-    dp_fast, extrema_by_enumeration, join_at, meet_at, meyer_pair, modulus_at,
-    neg_part_at, pos_part_at,
+    dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk, meet_at,
+    meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, PiecewiseLinear, add, coord,
-    ec, leq, one, scale, sub, zero,
+    ec, leq, normalize, one, pieces, scale, sub, unit_atom, zero,
 )
 
-from conftest import make_rng
+from conftest import SCALARS, make_rng
 
 EC = EventuallyConstant()
 
@@ -310,3 +315,142 @@ def test_meyer_counterexamples_unsafe():
     S = example_operator("unit_lateral_meet")
     w = one(S.space)
     assert meyer_pair(S, w, scale(2, w), unsafe=True) == w
+
+
+# --- level tables cut at the operators' window ------------------------------
+
+def test_body_windows():
+    K = Kernel(EC, Coordinate(2), ((5, 1, poly(0, 1)), (2, 2, poly(0, 0, 1))))
+    L = LinearEC(Coordinate(2), ((3, 1), (7, -2)), coord(1, 0), coord(0, 1))
+    Z = ZeroOp(EC, Coordinate(2))
+    assert (K.window(), L.window(), Z.window()) == (5, 7, 0)
+    assert Kernel(EC, Coordinate(2), ()).window() == 0
+    assert LinearEC(Coordinate(2), (), coord(1, 0), coord(0, 1)).window() == 0
+    assert OpSum((K, L, Z)).window() == 7
+    assert OpScaled(Q(-1, 2), K).window() == 5
+    assert example_operator("ramped_basis", horizon=4).window() == 4
+    # bodies without a window, and sums holding one
+    meet = LateralMeet(EC, one(EC), zero(EC))
+    for T in (AlternatingSeries(), meet,
+              MatchTable(EC, EC, ((one(EC), one(EC)),))):
+        assert T.window() is None
+    assert OpSum((meet, meet)).window() is None
+    assert OpScaled(2, meet).window() is None
+
+
+def test_level_walk_builds_canonical_payloads():
+    for x in (ec([1, 0, Q(-2, 3)], Q(5, 2)), ec([], -1), ec([0, 0, 4], 7)):
+        prefix, tail = x.payload
+        rows = list(level_walk(x, len(prefix) + 4))
+        assert [l for l, _, _ in rows] == list(range(len(prefix),
+                                                     len(prefix) + 5))
+        assert rows[0][1] == pieces(x)
+        for l, atoms, w in rows:
+            want = normalize(EC, ([0] * l, tail))
+            assert w == want and repr(w.payload) == repr(want.payload)
+            if l > len(prefix):
+                want = unit_atom(EC, l, tail)
+                assert atoms == [want]
+                assert repr(atoms[0].payload) == repr(want.payload)
+    # the window cuts the walk, never below the prefix
+    x = ec([1, 2, 3], 1)
+    assert [l for l, _, _ in level_walk(x, 9, window=5)] == [3, 4, 5]
+    assert [l for l, _, _ in level_walk(x, 9, window=0)] == [3]
+    assert [l for l, _, _ in level_walk(x, 4, window=8)] == [3, 4]
+
+
+def test_window_cut_counts_fewer_applications(monkeypatch):
+    S = Kernel(EC, Coordinate(1), ((2, 1, poly(0, 1)),))
+    T = Kernel(EC, Coordinate(1), ((3, 1, poly(0, -1, 1)),))
+    calls = []
+    real = oplattice.apply
+
+    def counting(op, x):
+        calls.append(x)
+        return real(op, x)
+
+    monkeypatch.setattr(oplattice, "apply", counting)
+    table = join_at(S, T, one(EC), level=40).levels
+    assert len(calls) == 2 * (3 + 4)      # each of S, T: 3 atoms, 4 tails
+    assert [l for l, _ in table] == list(range(41))
+    assert list(table) == levels_by_full_walk(S, T, one(EC), "sup", 40)
+    assert all(v == table[3][1] for _, v in table[3:])
+
+
+COORD2 = Coordinate(2)
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _coord2():
+    return st.tuples(COEFFS, COEFFS).map(lambda v: coord(*v))
+
+
+def _kernels():
+    rows = st.dictionaries(st.integers(1, 8), st.tuples(
+        st.integers(1, 2), COEFFS, COEFFS), max_size=4)
+    return rows.map(lambda r: Kernel(EC, COORD2, tuple(
+        (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items())))
+
+
+def _linear_maps():
+    return st.builds(
+        lambda coeffs, unit, target: LinearEC(COORD2, tuple(coeffs.items()),
+                                              unit, target),
+        st.dictionaries(st.integers(1, 8), COEFFS, max_size=3),
+        _coord2(), _coord2())
+
+
+def _window_bodies():
+    """Bodies that have a window, and sums and scalings of them."""
+    base = st.one_of(
+        _kernels(), _linear_maps(), st.just(ZeroOp(EC, COORD2)),
+        st.builds(lambda t, h: example_operator("ramped_basis", target=t,
+                                                horizon=h),
+                  _coord2(), st.integers(1, 6)))
+    return st.one_of(
+        base,
+        st.lists(base, min_size=2, max_size=3).map(OpSum),
+        st.builds(OpScaled, COEFFS.filter(bool), base))
+
+
+def _tail_points():
+    return st.builds(lambda prefix, tail: ec(prefix, tail),
+                     st.lists(SCALARS, max_size=4),
+                     COEFFS.filter(bool))
+
+
+WINDOW_SETTINGS = settings(max_examples=80, derandomize=True, deadline=None,
+                           database=None)
+
+
+@WINDOW_SETTINGS
+@given(_window_bodies(), _window_bodies(), _tail_points(),
+       st.integers(0, 12))
+def test_window_cut_matches_the_full_walk(S, T, x, extra):
+    # join, meet, parts, modulus and the lateral bound scan, each cut
+    # at the window against the full walk, as op-level-window pairs them
+    level = len(x.payload[0]) + extra
+    for name, got, want in _window_tables(S, T, x, level):
+        assert list(got) == list(want), name
+        assert repr(got) == repr(tuple(want)), name
+
+
+def test_below_prefix_level_is_refused_on_every_path():
+    x = ec([1, 2, 3, 4, 5], 7)
+    rng = make_rng("below-prefix")
+    closed = (gen.random_kernel(rng, EC, Coordinate(2)),
+              gen.random_linear_ec(rng, Coordinate(2)))
+    enumerated = (gen.random_lateral_meet(rng, EC),
+                  gen.random_lateral_meet(rng, EC))
+    message = "level 3 is below the prefix length 5"
+    for S, T in (closed, enumerated):
+        for f in (lambda: join_at(S, T, x, level=3),
+                  lambda: meet_at(S, T, x, level=3),
+                  lambda: pos_part_at(T, x, level=3),
+                  lambda: neg_part_at(T, x, level=3),
+                  lambda: modulus_at(T, x, level=3),
+                  lambda: lateral_bound_scan(T, x, level=3)):
+            with pytest.raises(PreconditionError, match=message):
+                f()
+    # the prefix length itself is the first level of a table
+    assert [l for l, _ in join_at(*closed, x, level=5).levels] == [5]

@@ -15,7 +15,12 @@ The piecewise-linear model adds, takes suprema and infima, and decides
 order and disjointness on integer numerators and denominators, and
 scales without the collinear strip; the kernels it replaced are the
 oracle for those.  Kernel polynomials evaluate by an integer Horner,
-checked against the Fraction Horner ``eval_by_fractions``.
+checked against the Fraction Horner ``eval_by_fractions``.  The
+piecewise-linear support components come from one walk on the signs of
+the value numerators, and the greatest common fragment compares
+components without restricting to each; the crossing walk
+``pl_components_by_crossing`` and ``pl_common_fragment_by_restriction``
+are their oracles.
 """
 
 import random
@@ -35,9 +40,9 @@ from rieszlab.spaces import (
     SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, leq,
     leq_by_difference, neg_part, normalize, pl_add_by_fractions,
-    pl_common_fragment_by_restriction, pl_disjoint_by_fractions,
-    pl_lattice_by_fractions, pl_leq_by_fractions, pl_restrict_by_evaluation,
-    pl_scale_by_strip, pos_part, scale, sup,
+    pl_common_fragment_by_restriction, pl_components_by_crossing,
+    pl_disjoint_by_fractions, pl_lattice_by_fractions, pl_leq_by_fractions,
+    pl_restrict_by_evaluation, pl_scale_by_strip, pos_part, scale, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -276,3 +281,47 @@ def test_integer_horner_matches_the_fraction_horner(case):
     got = fn(t)
     assert got == fn.eval_by_fractions(t)
     assert type(got) is int or (type(got) is Q and got.denominator != 1)
+
+
+# --- the piecewise-linear component walk against the crossing reference -----
+
+NONZERO = SCALARS.filter(lambda v: v != 0)
+
+
+@st.composite
+def _sharing_pl_pairs(draw):
+    """(x, y) where y keeps some components of x and either scales the
+    others or adds a part disjoint from what it keeps; or two ramps
+    whose components at t=0 and t=1 are single segments, with the same
+    middle and end values that may differ."""
+    if draw(st.booleans()):
+        a, b = sorted(draw(st.lists(ABSCISSAE.filter(lambda t: 0 < t < 1),
+                                    min_size=2, max_size=2, unique=True)))
+        middle = [(a, 0), ((a + b) / 2, draw(SCALARS)), (b, 0)]
+        ends = draw(st.lists(NONZERO, min_size=4, max_size=4))
+        return (normalize(PL, [(0, ends[0])] + middle + [(1, ends[1])]),
+                normalize(PL, [(0, ends[2])] + middle + [(1, ends[3])]))
+    x = draw(pl_elements())
+    comps = PL.components(x)
+    kept = draw(st.lists(st.sampled_from(comps), unique=True)) if comps else []
+    y = PL.restrict(x, kept)
+    if draw(st.booleans()):
+        dropped = [c for c in comps if c not in kept]
+        return x, add(y, scale(draw(NONZERO), PL.restrict(x, dropped)))
+    z = draw(pl_elements())
+    return x, add(y, PL.restrict(z, [c for c in PL.components(z) if
+                                     is_disjoint(PL.restrict(z, [c]), y)]))
+
+
+@SETTINGS
+@given(st.one_of(_sharing_pl_pairs(), _pairs(ELEMENTS["pl"]),
+                 _crossing_pairs(ELEMENTS["pl"])))
+def test_pl_component_walk_matches_the_crossing_reference(pair):
+    for x, y in (pair, pair[::-1]):
+        comps = PL.components(x)
+        assert comps == pl_components_by_crossing(x)
+        assert all(type(t) is Q for c in comps for t in c)
+        got = PL.common_fragment(x, y)
+        want = pl_common_fragment_by_restriction(x, y)
+        assert got.payload == want.payload
+        assert all(type(v) is Q for pt in got.payload for v in pt)
