@@ -3,7 +3,7 @@ additive operators between them."""
 
 from .spaces import (
     Coordinate, SimpleFunction, FinSupport, EventuallyConstant,
-    PiecewiseLinear, Reals, Element,
+    PiecewiseLinear, Reals, RealInterval, Element,
     coord, simple, fin, ec, pl, zero, one, normalize,
     add, sub, scale, sup, inf, pos_part, neg_part, absolute, leq,
     is_disjoint, format_element, eval_at,
@@ -15,7 +15,7 @@ from .lateral import (
 )
 from .operators import (
     Operator, Kernel, LinearEC, MatchTable, LateralMeet, AlternatingSeries,
-    OpSum, OpScaled, ZeroOp, PiecewisePoly, RealInterval,
+    OpSum, OpScaled, ZeroOp, PiecewisePoly,
     poly, diagonal_kernel, match_table, apply, negate,
     verify_oao, verify_positive, verify_disjointness_preserving,
     lateral_bound_scan, order_bound_scan, example_operator,

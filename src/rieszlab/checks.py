@@ -26,7 +26,7 @@ from .lateral import (
 from .operators import (
     AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
     diagonal_kernel, example_operator, format_value, joint_window,
-    ln2_enclosure, negate, poly, scan_levels_by_full_walk, vadd, vneg,
+    ln2_enclosure, negate, poly, scan_levels_by_full_walk,
     verify_disjointness_preserving, verify_oao, verify_positive,
     lateral_bound_scan, ZeroOp,
 )
@@ -391,7 +391,7 @@ def _run_thm_1_1_b(rng, cfg):
         samples += 1
         m = meet_at(S, T, x).value
         j = join_at(negate(S), negate(T), x).value
-        if m != vneg(j):
+        if m != scale(-1, j):
             return _bad("meet is not the negated join of negations", samples,
                         data=(x,)), ()
     return _ok(samples, notes="duality identity, exact"), ()
@@ -571,7 +571,7 @@ def _run_thm_3_2_oao(rng, cfg):
         x, y = gen.random_disjoint_pair(rng, space)
         samples += 1
         whole = join_at(S, T, add(x, y)).value
-        partwise = vadd(join_at(S, T, x).value, join_at(S, T, y).value)
+        partwise = add(join_at(S, T, x).value, join_at(S, T, y).value)
         if whole != partwise:
             return _bad(
                 f"join not additive at x={format_element(x)} y={format_element(y)}",
@@ -628,7 +628,7 @@ def _run_cor_3_3_meet(rng, cfg):
         got = meet_at(S, T, x).value
         if got != want or extrema_by_enumeration(S, T, x, "inf").value != want:
             return _bad("meet oracle mismatch", samples, data=(x,)), ()
-        if got != vneg(join_at(negate(S), negate(T), x).value):
+        if got != scale(-1, join_at(negate(S), negate(T), x).value):
             return _bad("meet duality identity failed", samples, data=(x,)), ()
     return _ok(samples, notes="coordinatewise minimum matched exactly"), ()
 
@@ -641,7 +641,7 @@ def _enumerated_part(kind, T, x):
     zero_op = ZeroOp(T.domain, T.codomain)
     if kind == "pos":
         return extrema_by_enumeration(T, zero_op, x, "sup").value
-    return vneg(extrema_by_enumeration(T, zero_op, x, "inf").value)
+    return scale(-1, extrema_by_enumeration(T, zero_op, x, "inf").value)
 
 
 def _part_oracle(rng, cfg, which):
@@ -728,7 +728,7 @@ def _window_tables(S, T, x, level):
     zero_op = ZeroOp(T.domain, T.codomain)
 
     def negated(table):
-        return [(l, vneg(v)) for l, v in table]
+        return [(l, scale(-1, v)) for l, v in table]
 
     return (
         ("join", join_at(S, T, x, level).levels,

@@ -20,7 +20,7 @@ from .lateral import FragmentEnumeration, enumerate_decompositions, \
     enumerate_fragments, fragment_iter
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
-    OpSum, PiecewisePoly, RealInterval, apply as op_apply, match_table,
+    OpSum, PiecewisePoly, apply as op_apply, match_table,
     verify_disjointness_preserving,
 )
 from .oplattice import (
@@ -88,8 +88,6 @@ def render(value) -> str:
     if isinstance(value, Element):
         return format_element(value)
     if _is_scalar(value):
-        return str(value)
-    if isinstance(value, RealInterval):
         return str(value)
     if isinstance(value, FragmentEnumeration):
         items = ", ".join(format_element(z) for z in value)
@@ -177,7 +175,8 @@ def eval_expr(node, env: Environment):
             return (spaces.pos_part(v) if node.op == "^+"
                     else spaces.neg_part(v))
         if _is_operator(v):
-            return PartOfOp("pos" if node.op == "^+" else "neg", v)
+            return PartOfOp("pos" if node.op == "^+" else "neg",
+                            _plain_operator(v, node.span))
         raise DslTypeError(f"{node.op} applies to elements or operators",
                            node.span)
     if isinstance(node, Abs):
@@ -187,7 +186,7 @@ def eval_expr(node, env: Environment):
         if _is_scalar(v):
             return abs(v)
         if _is_operator(v):
-            return PartOfOp("mod", v)
+            return PartOfOp("mod", _plain_operator(v, node.span))
         raise DslTypeError("|...| applies to elements, scalars or operators",
                            node.span)
     if isinstance(node, Apply):

@@ -25,8 +25,8 @@ from .lateral import (
 )
 from .reports import Budget, CheckReport
 from .spaces import (
-    Coordinate, Element, EventuallyConstant, PiecewiseLinear, Reals,
-    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    Coordinate, Element, EventuallyConstant, PiecewiseLinear, RealInterval,
+    Reals, SimpleFunction, ZERO, absolute, add, atom_count, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
     leq, normalize, one, scale, space_name, sub, sup, support_atoms,
     support_size, unit_atom, zero,
@@ -121,100 +121,6 @@ ABS_FN = PiecewisePoly((0,), ((0, -1), (0, 1)))
 # ---------------------------------------------------------------------------
 # rational interval enclosures
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealInterval:
-    """A closed rational interval enclosing a real value."""
-
-    lower: Fraction
-    upper: Fraction
-
-    def __post_init__(self):
-        lo, hi = spaces.q(self.lower), spaces.q(self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo > hi:
-            raise MalformedElement(f"empty interval [{lo}, {hi}]")
-
-    @classmethod
-    def exact(cls, value) -> "RealInterval":
-        value = spaces.q(value)
-        return cls(value, value)
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
-    def contains(self, value) -> bool:
-        return self.lower <= spaces.q(value) <= self.upper
-
-    def __add__(self, other):
-        if isinstance(other, RealInterval):
-            return RealInterval(self.lower + other.lower, self.upper + other.upper)
-        other = spaces.q(other)
-        return RealInterval(self.lower + other, self.upper + other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RealInterval(-self.upper, -self.lower)
-
-    def scaled(self, c) -> "RealInterval":
-        c = spaces.q(c)
-        if c >= 0:
-            return RealInterval(c * self.lower, c * self.upper)
-        return RealInterval(c * self.upper, c * self.lower)
-
-    def pos(self) -> "RealInterval":
-        return RealInterval(max(ZERO, self.lower), max(ZERO, self.upper))
-
-    def neg(self) -> "RealInterval":
-        return (-self).pos()
-
-    def abs(self) -> "RealInterval":
-        if self.lower >= 0:
-            return self
-        if self.upper <= 0:
-            return -self
-        return RealInterval(ZERO, max(-self.lower, self.upper))
-
-    def surely_nonzero(self) -> bool:
-        return self.lower > 0 or self.upper < 0
-
-    def is_exact_zero(self) -> bool:
-        return self.lower == 0 and self.upper == 0
-
-    def overlaps(self, other: "RealInterval") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
-
-    def __str__(self):
-        if self.is_exact:
-            return f"interval[{self.lower}]"
-        return f"interval[{_decimal(self.lower, down=True)},{_decimal(self.upper, down=False)}]"
-
-
-def _decimal(value: Fraction, down: bool, places: int = 12) -> str:
-    """Directed decimal rendering, preserving the enclosure on display."""
-    scaled = value * 10 ** places
-    n = scaled.numerator // scaled.denominator  # floor
-    if not down and n * scaled.denominator != scaled.numerator:
-        n += 1
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def interval_sup(a: RealInterval, b: RealInterval) -> RealInterval:
-    return RealInterval(max(a.lower, b.lower), max(a.upper, b.upper))
-
-
-def interval_inf(a: RealInterval, b: RealInterval) -> RealInterval:
-    return RealInterval(min(a.lower, b.lower), min(a.upper, b.upper))
-
 
 def ln2_enclosure(eps) -> RealInterval:
     """Rational bounds on ln 2 via sum(1/(n 2^n)); the remainder after N
@@ -525,7 +431,8 @@ class AlternatingSeries(Operator):
         if tail == 0:
             return RealInterval.exact(head)
         eps = spaces.div(self.precision, max(abs(tail), 1))
-        return _alternating_tail(len(prefix), eps).scaled(abs(tail)) + head
+        return add(scale(abs(tail), _alternating_tail(len(prefix), eps)),
+                   RealInterval.exact(head))
 
 
 def _alternating_tail(k: int, precision: Fraction) -> RealInterval:
@@ -560,7 +467,7 @@ class OpSum(Operator):
     def _apply(self, x):
         acc = apply(self.parts[0], x)
         for p in self.parts[1:]:
-            acc = vadd(acc, apply(p, x))
+            acc = add(acc, apply(p, x))
         return acc
 
     def linear_probes(self):
@@ -584,7 +491,7 @@ class OpScaled(Operator):
     linear = property(lambda self: self.inner.linear)
 
     def _apply(self, x):
-        return vscale(self.factor, apply(self.inner, x))
+        return scale(self.factor, apply(self.inner, x))
 
     def linear_probes(self):
         return self.inner.linear_probes()
@@ -612,7 +519,7 @@ class ZeroOp(Operator):
     atom_additive = linear = True
 
     def _apply(self, x):
-        return vzero(self.codomain)
+        return zero(self.codomain)
 
     def dp_reason(self):
         return "zero operator"
@@ -626,73 +533,21 @@ def negate(T):
 
 
 # ---------------------------------------------------------------------------
-# values: elements or intervals, uniformly
+# values: elements or interval enclosures, through the ``spaces`` functions
 # ---------------------------------------------------------------------------
 
-def vzero(codomain):
-    if isinstance(codomain, Reals):
-        return RealInterval.exact(0)
-    return zero(codomain)
-
-
-def vadd(a, b):
-    if isinstance(a, RealInterval):
-        return a + b
-    return add(a, b)
-
-
-def vscale(c, a):
-    if isinstance(a, RealInterval):
-        return a.scaled(c)
-    return scale(c, a)
+# the names the operator-lattice workload of ``bench/workloads.py`` reads
+vadd, vabs = add, absolute
 
 
 def vneg(a):
-    return vscale(-1, a)
-
-
-def vsup(a, b):
-    if isinstance(a, RealInterval):
-        return interval_sup(a, b)
-    return sup(a, b)
-
-
-def vinf(a, b):
-    if isinstance(a, RealInterval):
-        return interval_inf(a, b)
-    return inf(a, b)
-
-
-def vabs(a):
-    if isinstance(a, RealInterval):
-        return a.abs()
-    return absolute(a)
-
-
-def vpos(a):
-    if isinstance(a, RealInterval):
-        return a.pos()
-    return spaces.pos_part(a)
-
-
-def vneg_part(a):
-    if isinstance(a, RealInterval):
-        return a.neg()
-    return spaces.neg_part(a)
-
-
-def v_is_zero(a) -> bool:
-    if isinstance(a, RealInterval):
-        return a.is_exact_zero()
-    return is_zero(a)
+    return scale(-1, a)
 
 
 def format_value(v) -> str:
-    if isinstance(v, Element):
-        return format_element(v)
     if isinstance(v, tuple):
         return "(" + ", ".join(format_value(p) for p in v) + ")"
-    return str(v)
+    return format_element(v)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +645,7 @@ def _sampled_pairs(domain, budget, tag):
 
 def _additivity_gap(T, u, v) -> bool:
     whole = apply(T, add(u, v))
-    parts = vadd(apply(T, u), apply(T, v))
+    parts = add(apply(T, u), apply(T, v))
     if isinstance(whole, RealInterval):
         return not whole.overlaps(parts)
     return whole != parts
@@ -816,7 +671,7 @@ def verify_positive(T, budget: Budget | None = None) -> CheckReport:
         probes = T.linear_probes()
         for x in probes:
             y = apply(T, x)
-            if not v_is_zero(y):
+            if not is_zero(y):
                 gap = _positivity_gap(y)
                 witness = x if gap else scale(-1, x)
                 return reports.fails(
@@ -855,7 +710,7 @@ def verify_positive(T, budget: Budget | None = None) -> CheckReport:
 def _disjointness_gap(T, u, v) -> bool | None:
     a, b = apply(T, u), apply(T, v)
     if isinstance(a, RealInterval):
-        if a.is_exact_zero() or b.is_exact_zero():
+        if is_zero(a) or is_zero(b):
             return False
         if a.surely_nonzero() and b.surely_nonzero():
             return True
@@ -948,8 +803,8 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
         images = [apply(T, z) for z in enumerate_fragments(e)]
         rep = reports.holds(len(images), seed,
                             notes=f"exact bounds over {len(images)} fragments")
-        return ScanResult("exact", rep, lo=functools.reduce(vinf, images),
-                          hi=functools.reduce(vsup, images))
+        return ScanResult("exact", rep, lo=functools.reduce(inf, images),
+                          hi=functools.reduce(sup, images))
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")
@@ -976,15 +831,15 @@ def _scan_levels_closed(T, e, level, window=None):
     level is the disjoint sum of some of the atoms seen so far and 0 or
     the pure-tail remainder, so each takes its better side against 0.
     The walk stops at ``window`` (see ``lateral.level_walk``)."""
-    lo = hi = zval = vzero(T.codomain)
+    lo = hi = zval = zero(T.codomain)
     table = []
     for l, atoms, w in level_walk(e, level, window):
         for atom in atoms:
             img = apply(T, atom)
-            lo, hi = vadd(lo, vinf(img, zval)), vadd(hi, vsup(img, zval))
+            lo, hi = add(lo, inf(img, zval)), add(hi, sup(img, zval))
         img_w = apply(T, w)
-        table.append((l, vadd(lo, vinf(img_w, zval)),
-                      vadd(hi, vsup(img_w, zval))))
+        table.append((l, add(lo, inf(img_w, zval)),
+                      add(hi, sup(img_w, zval))))
     return extend_levels(table, level)
 
 
@@ -998,8 +853,8 @@ def _scan_levels_enumerated(T, e, start, level):
     table = []
     for l in range(start, level + 1):
         images = [apply(T, z) for z in fragment_iter(e, l)]
-        table.append((l, functools.reduce(vinf, images),
-                      functools.reduce(vsup, images)))
+        table.append((l, functools.reduce(inf, images),
+                      functools.reduce(sup, images)))
     return table
 
 
@@ -1035,11 +890,11 @@ def order_bound_scan(T, bound: Element, budget: Budget | None = None,
     lo = hi = None
     for tried, x in enumerate(xs, 1):
         v = apply(T, x)
-        lo = v if lo is None else vinf(lo, v)
-        hi = v if hi is None else vsup(hi, v)
+        lo = v if lo is None else inf(lo, v)
+        hi = v if hi is None else sup(hi, v)
         if candidate is not None:
             clo, chi = candidate
-            escaped = _exceeds(v, chi) or _exceeds(vneg(v), -clo)
+            escaped = _exceeds(v, chi) or _exceeds(scale(-1, v), -clo)
             if escaped:
                 rep = reports.fails(f"x={format_element(x)}", tried, seed,
                                     witness_data=(x,),

@@ -22,13 +22,11 @@ from .lateral import (
     Decomposition, enumerate_decompositions, extend_levels, is_fragment,
     level_walk, min_level, require_level,
 )
-from .operators import (
-    RealInterval, ZeroOp, apply, joint_window, negate,
-    vabs, vadd, vinf, vneg, vneg_part, vpos, vsup, vzero,
-)
+from .operators import ZeroOp, apply, joint_window, negate
 from .spaces import (
-    Element, Reals, canonical_key, format_element, has_infinite_fragments,
-    pieces, sub, support_size, zero,
+    Element, RealInterval, Reals, absolute, add, canonical_key,
+    format_element, has_infinite_fragments, inf, neg_part, pieces, pos_part,
+    scale, sub, sup, support_size, zero,
 )
 
 
@@ -49,7 +47,7 @@ class LatticePoint:
     notes: str = ""
 
 
-_PICK = {"sup": vsup, "inf": vinf}
+_PICK = {"sup": sup, "inf": inf}
 
 
 def _pair_check(S, T, x: Element):
@@ -105,7 +103,7 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     attaining splittings; the checks and tests compare the two.
     """
     _pair_check(S, T, x)
-    pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
+    pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
              for d in enumerate_decompositions(x)]
     fold = functools.reduce(_PICK[kind], (v for _, v in pairs))
     decided, notes = True, ""
@@ -144,7 +142,7 @@ def _fold_atoms(acc, S, T, atoms, pick):
     for a in atoms:
         s, t = apply(S, a), apply(T, a)
         best = pick(s, t)
-        acc = vadd(acc, best)
+        acc = add(acc, best)
         side = _side(s, t, best)
         if side == "left":
             left.append(a)
@@ -153,7 +151,7 @@ def _fold_atoms(acc, S, T, atoms, pick):
 
 
 def _extrema_closed(S, T, x, kind):
-    value, left = _fold_atoms(vzero(S.codomain), S, T, pieces(x), _PICK[kind])
+    value, left = _fold_atoms(zero(S.codomain), S, T, pieces(x), _PICK[kind])
     if left is None:
         return LatticePoint("exact", value=value)
     u = sum(left, zero(x.space))
@@ -171,11 +169,11 @@ def _levels_closed(S, T, x, kind, level, window=None):
     there (see ``lateral.level_walk``).
     """
     pick = _PICK[kind]
-    acc = vzero(S.codomain)
+    acc = zero(S.codomain)
     out = []
     for l, atoms, w in level_walk(x, level, window):
         acc, _ = _fold_atoms(acc, S, T, atoms, pick)
-        out.append((l, vadd(acc, pick(apply(S, w), apply(T, w)))))
+        out.append((l, add(acc, pick(apply(S, w), apply(T, w)))))
     return extend_levels(out, level)
 
 
@@ -186,7 +184,7 @@ def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
 
 
 def _levels_enumerated(S, T, x, kind, level):
-    pairs = [(d, vadd(apply(S, d.left), apply(T, d.right)))
+    pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
              for d in enumerate_decompositions(x, level=level)]
     start = min_level(x)
     out = []
@@ -222,9 +220,9 @@ def neg_part_at(T, x: Element, level: int | None = None) -> LatticePoint:
     """-inf of T(u) over the fragments u of x."""
     point = _extrema(T, ZeroOp(T.domain, T.codomain), x, "inf", level)
     if point.mode == "exact":
-        point.value = vneg(point.value)
+        point.value = scale(-1, point.value)
     else:
-        point.levels = tuple((l, vneg(v)) for l, v in point.levels)
+        point.levels = tuple((l, scale(-1, v)) for l, v in point.levels)
     return point
 
 
@@ -250,10 +248,10 @@ def dp_fast(kind: str, T, x: Element, dp_report: reports.CheckReport):
             "fast path needs a non-failing disjointness-preservation report")
     y = apply(T, x)
     if kind == "modulus":
-        return vabs(y)
+        return absolute(y)
     if kind == "pos":
-        return vpos(y)
-    return vneg_part(y)
+        return pos_part(y)
+    return neg_part(y)
 
 
 def meyer_pair(T, x: Element, y: Element, e: Element | None = None,
@@ -277,4 +275,4 @@ def meyer_pair(T, x: Element, y: Element, e: Element | None = None,
         if dp_report is None or dp_report.verdict == reports.FAILS:
             raise PreconditionError(
                 "a non-failing disjointness-preservation report is required")
-    return vinf(vpos(apply(T, x)), vneg_part(apply(T, y)))
+    return inf(pos_part(apply(T, x)), neg_part(apply(T, y)))

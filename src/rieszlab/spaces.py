@@ -12,12 +12,14 @@ sampling, formatting and the sort key.  The models are
 * ``EventuallyConstant`` -- sequences constant from some index on;
 * ``PiecewiseLinear``    -- continuous piecewise-linear functions on [0,1].
 
-``Reals``, the codomain of interval-valued operators, carries no
-elements: it keeps the defaults of ``Space``, which raise.  The
-functions at module level are the interface of the other layers; each
-dispatches on ``x.space`` (or on the space it is given).  Scalars are
-exact rationals, so every order comparison, supremum and infimum is
-exact.  Elements are immutable and kept in a canonical form that makes
+``Reals``, the codomain of interval-valued operators, has no elements:
+its values are ``RealInterval`` enclosures, which it adds, scales and
+takes suprema and infima of endpoint-wise; everything else it leaves
+to the defaults of ``Space``, which raise.  The functions at module
+level are the interface of the other layers; each dispatches on
+``x.space`` (or on the space it is given), and the vector and lattice
+functions serve elements and enclosures alike.  Scalars are exact
+rationals, so every order comparison, supremum and infimum is exact.  Elements are immutable and kept in a canonical form that makes
 equality syntactic.
 
 A scalar of an atomic model is canonical: an ``int`` when it is
@@ -131,12 +133,14 @@ class Space:
     """A space descriptor together with the calculus of its elements.
 
     A model has a ``name`` and overrides the methods below that its
-    elements support; the defaults raise, as they do for ``Reals``,
-    which carries no elements.  Methods taking two elements may assume
-    both lie in this space.  ``lattice`` applies ``pick`` (max or min)
-    pointwise, ``nonneg`` tests x >= 0, ``full_support`` tells whether
-    no nonzero element is disjoint from x, and the samplers call
-    ``draw()`` for each random scalar they need.  ``leq`` and
+    elements support; the defaults raise, as they do for ``Reals`` on
+    everything past the vector and lattice operations of its interval
+    values.  Methods taking two elements may assume both lie in this
+    space.  ``lattice`` applies ``pick`` (max or min) pointwise,
+    ``absolute`` gives |x| (by default sup(x, -x)), ``nonneg`` tests
+    x >= 0, ``full_support`` tells whether no nonzero element is
+    disjoint from x, and the samplers call ``draw()`` for each random
+    scalar they need.  ``leq`` and
     ``disjoint`` default to the lattice formulas ``leq_by_difference``
     and ``disjoint_by_modulus``; a model overrides them to decide on
     its payloads directly.
@@ -156,6 +160,9 @@ class Space:
         raise Unsupported(self.name)
 
     add = scale = lattice = nonneg = format = key = _unsupported
+
+    def absolute(self, x):
+        return self.lattice(x, self.scale(-1, x), max)
 
     def leq(self, x, y) -> bool:
         return leq_by_difference(x, y)
@@ -957,11 +964,102 @@ class PiecewiseLinear(Space):
 class Reals(Space):
     """Scalar codomain for interval-valued operators.
 
-    Carries no elements of its own; operator applications into this
-    space produce rational enclosures (see ``operators.RealInterval``).
+    Its values are ``RealInterval`` enclosures, not elements: it adds,
+    scales and takes suprema and infima of them endpoint-wise, and
+    ``normalize``, the atom functions and the samplers raise.  Whether
+    an enclosure is >= 0, or disjoint from another, can be undecided, so
+    the verifiers judge enclosures themselves.
     """
 
     name = "reals"
+
+    def zero(self):
+        return RealInterval(ZERO, ZERO)
+
+    def one(self):
+        return RealInterval(ONE, ONE)
+
+    def add(self, x, y):
+        return RealInterval(x.lower + y.lower, x.upper + y.upper)
+
+    def scale(self, c, x):
+        if c >= 0:
+            return RealInterval(c * x.lower, c * x.upper)
+        return RealInterval(c * x.upper, c * x.lower)
+
+    def lattice(self, x, y, pick):
+        return RealInterval(pick(x.lower, y.lower), pick(x.upper, y.upper))
+
+    def absolute(self, x):
+        # sup(x, -x) would keep the negative lower end of an enclosure
+        # that straddles 0: [-1, 2] has modulus [0, 2], not [-1, 2]
+        if x.lower >= 0:
+            return x
+        if x.upper <= 0:
+            return self.scale(-1, x)
+        return RealInterval(ZERO, max(-x.lower, x.upper))
+
+    def format(self, x):
+        return str(x)
+
+
+@dataclass(frozen=True)
+class RealInterval:
+    """A closed rational interval enclosing a real value; a value of
+    ``Reals``."""
+
+    lower: Fraction
+    upper: Fraction
+
+    space = Reals()
+
+    def __post_init__(self):
+        lo, hi = q(self.lower), q(self.upper)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+        if lo > hi:
+            raise MalformedElement(f"empty interval [{lo}, {hi}]")
+
+    @classmethod
+    def exact(cls, value) -> "RealInterval":
+        value = q(value)
+        return cls(value, value)
+
+    @property
+    def width(self) -> Fraction:
+        return self.upper - self.lower
+
+    @property
+    def is_exact(self) -> bool:
+        return self.lower == self.upper
+
+    def contains(self, value) -> bool:
+        return self.lower <= q(value) <= self.upper
+
+    def __neg__(self):
+        return RealInterval(-self.upper, -self.lower)
+
+    def surely_nonzero(self) -> bool:
+        return self.lower > 0 or self.upper < 0
+
+    def overlaps(self, other: "RealInterval") -> bool:
+        return self.lower <= other.upper and other.lower <= self.upper
+
+    def __str__(self):
+        if self.is_exact:
+            return f"interval[{self.lower}]"
+        return f"interval[{_decimal(self.lower, down=True)},{_decimal(self.upper, down=False)}]"
+
+
+def _decimal(value: Fraction, down: bool, places: int = 12) -> str:
+    """Directed decimal rendering, preserving the enclosure on display."""
+    scaled = value * 10 ** places
+    n = scaled.numerator // scaled.denominator  # floor
+    if not down and n * scaled.denominator != scaled.numerator:
+        n += 1
+    sign = "-" if n < 0 else ""
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 # ---------------------------------------------------------------------------
@@ -1062,7 +1160,7 @@ def neg_part(x: Element) -> Element:
 
 
 def absolute(x: Element) -> Element:
-    return sup(x, scale(-1, x))
+    return x.space.absolute(x)
 
 
 def leq(x: Element, y: Element) -> bool:

@@ -90,6 +90,24 @@ def test_below_prefix_level_exits_4(tmp_path, capsys):
                             "prefix length 5\n")
 
 
+@pytest.mark.parametrize("expr, column", [
+    ("(S \\/ T)^+", 15), ("|S \\/ T|", 7), ("(S^+)^-", 12),
+    ("(S \\/ T) \\/ S", 16)])
+def test_nested_derived_operators_are_type_errors(tmp_path, capsys, expr,
+                                                  column):
+    # the parts and the modulus of a derived operator died with an
+    # AttributeError traceback and exit 1
+    script = tmp_path / "nested.rl"
+    script.write_text(
+        "let S = kernel{1->1: t -> t, 2->1: t -> 2*t};\n"
+        "let T = kernel{1->1: t -> -t, 2->1: t -> 3*t};\n"
+        f"eval ({expr})(coord[1,1]);\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_TYPE
+    assert capsys.readouterr() == (
+        "", f"type error: 3:{column}: this derived operator only supports "
+            "application\n")
+
+
 def test_exit_code_check_failure_in_script(tmp_path):
     script = tmp_path / "c.rl"
     script.write_text("check ex-2.2 level=8;")

@@ -7,8 +7,14 @@ class.  Likewise the per-body rules live in the operator body classes
 of operators.py: no function outside their own methods tests which
 body an operator is.  The only exceptions are the functions listed in
 ``ALLOWED``, which exist solely for eventually constant elements.
-``Reals`` is exempt: it is the interval codomain, not a model with
-elements.  ``Operator``, the base of the bodies, is exempt too.
+``Operator``, the base of the bodies, is exempt.
+
+``Reals`` is a model too, whose values are ``RealInterval`` enclosures,
+and the functions of ``spaces`` compute with them as with elements.
+Outside spaces.py only the three-valued judgments listed in
+``INTERVAL_ALLOWED`` test for an enclosure or for the ``Reals``
+codomain: whether an enclosure is >= 0, or disjoint from another, can
+be undecided, so they decide on its endpoints.
 
 Scalars of the atomic models are ints where integral, and ``int / int``
 is a float; so no true division sits outside the piecewise-linear
@@ -23,6 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 MODEL_NAMES = {"Coordinate", "SimpleFunction", "FinSupport",
                "EventuallyConstant", "PiecewiseLinear", "ATOMIC_SPACES"}
+INTERVAL_NAMES = {"RealInterval", "Reals"}
 
 
 def _operator_subclasses(path):
@@ -40,6 +47,18 @@ BODY_NAMES = _operator_subclasses(SRC / "operators.py")
 ALLOWED = {
     ("lateral", "fragment_iter"),
     ("generators", "random_fragment"),
+}
+
+# (module, function) pairs outside spaces.py that may test for an
+# enclosure or for the Reals codomain: the judgments that decide on
+# enclosures, where an undecided answer is possible
+INTERVAL_ALLOWED = {
+    ("operators", "_additivity_gap"),
+    ("operators", "_positivity_gap"),
+    ("operators", "_disjointness_gap"),
+    ("operators", "_exceeds"),
+    ("oplattice", "extrema_by_enumeration"),
+    ("oplattice", "_extrema"),
 }
 
 
@@ -95,14 +114,14 @@ def _isinstance_sites(path, wanted):
     return sites
 
 
-def _offending(wanted, exempt):
-    """Sites against wanted names, outside ALLOWED and the exempt
-    (module, class) scopes."""
+def _offending(wanted, exempt, allowed=ALLOWED):
+    """Sites against wanted names, outside the allowed (module,
+    function) pairs and the exempt (module, class) scopes."""
     offending = []
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for cls, function, line, names in _isinstance_sites(path, wanted):
-            if (module, function) in ALLOWED or exempt(module, cls):
+            if (module, function) in allowed or exempt(module, cls):
                 continue
             offending.append(f"{path.name}:{line} in {function}: "
                              f"isinstance against {', '.join(names)}")
@@ -131,14 +150,29 @@ def test_no_body_isinstance_outside_the_bodies():
     assert not offending, "\n".join(offending)
 
 
-def test_allowlist_has_no_stale_entries():
+def test_interval_isinstance_only_at_the_judgments():
+    offending = _offending(INTERVAL_NAMES,
+                           lambda module, _: module == "spaces",
+                           INTERVAL_ALLOWED)
+    assert not offending, "\n".join(offending)
+
+
+def _stale(allowed, wanted):
+    """Entries of allowed with no isinstance site against wanted."""
     used = set()
-    for module, _ in ALLOWED:
+    for module, _ in allowed:
         path = SRC / f"{module}.py"
-        for _, function, _, _ in _isinstance_sites(
-                path, MODEL_NAMES | BODY_NAMES):
+        for _, function, _, _ in _isinstance_sites(path, wanted):
             used.add((module, function))
-    assert ALLOWED <= used, sorted(ALLOWED - used)
+    return sorted(allowed - used)
+
+
+def test_allowlist_has_no_stale_entries():
+    assert not _stale(ALLOWED, MODEL_NAMES | BODY_NAMES)
+
+
+def test_interval_allowlist_has_no_stale_entries():
+    assert not _stale(INTERVAL_ALLOWED, INTERVAL_NAMES)
 
 
 def test_detector_sees_direct_and_qualified_names(tmp_path):
@@ -155,13 +189,18 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
         "    return isinstance(T, KINDS + (JoinOfOps,))\n"
         "class OpScaled(Operator):\n"
         "    def m(self):\n"
-        "        return isinstance(self.inner, OpScaled)\n")
+        "        return isinstance(self.inner, OpScaled)\n"
+        "def n(v):\n"
+        "    return isinstance(v, (spaces.RealInterval, Element))\n")
     wanted = MODEL_NAMES | BODY_NAMES
     assert _isinstance_sites(probe, wanted) == [
         (None, "f", 3, ["Coordinate"]), (None, "g", 5, ["ATOMIC_SPACES"]),
         (None, "h", 7, ["OpSum"]), (None, "k", 9, ["Kernel", "MatchTable"]),
         ("OpScaled", "m", 12, ["OpScaled"])]
     assert _operator_subclasses(probe) == {"OpScaled"}
+    assert _isinstance_sites(probe, INTERVAL_NAMES) == [
+        (None, "f", 3, ["Reals"]), (None, "g", 5, ["Reals"]),
+        (None, "n", 14, ["RealInterval"])]
 
 
 # --- true division ----------------------------------------------------------

@@ -13,14 +13,15 @@ from rieszlab.operators import (
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
     diagonal_kernel, example_operator, format_value, lateral_bound_scan,
     ln2_enclosure, match_table, order_bound_scan, poly,
-    verify_disjointness_preserving, verify_oao, verify_positive, vneg,
+    verify_disjointness_preserving, verify_oao, verify_positive,
     _scan_levels_enumerated,
 )
 from rieszlab.oplattice import neg_part_at, pos_part_at
 from rieszlab.reports import Budget, DEFAULT_GRID, FAILS, HOLDS, INCONCLUSIVE
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
-    SimpleFunction, coord, ec, format_element, one, pl, scale, simple, zero,
+    SimpleFunction, coord, ec, format_element, is_zero, one, pl, scale,
+    simple, zero,
 )
 
 from conftest import make_rng
@@ -169,12 +170,8 @@ def test_operator_vanishes_at_zero():
     for space in gen.space_menu():
         for _ in range(10):
             T = gen.random_oao(rng, space)
-            v = apply(T, zero(space))
-            if isinstance(v, RealInterval):
-                assert v.is_exact_zero()
-            else:
-                assert v == zero(T.codomain)
-    assert apply(AlternatingSeries(), zero(EC)).is_exact_zero()
+            assert is_zero(apply(T, zero(space)))
+    assert is_zero(apply(AlternatingSeries(), zero(EC)))
 
 
 def test_random_operators_map_their_space_to_itself():
@@ -543,7 +540,7 @@ def test_scan_closed_form_matches_enumeration():
         assert list(scan.table) == reference
         # the columns are the positive part and the negated negative part
         assert [(l, lo, hi) for l, lo, hi in scan.table] == [
-            (l, vneg(neg), pos) for (l, neg), (_, pos) in zip(
+            (l, scale(-1, neg), pos) for (l, neg), (_, pos) in zip(
                 neg_part_at(T, e, level=7).levels,
                 pos_part_at(T, e, level=7).levels)]
 

@@ -15,7 +15,7 @@ from rieszlab.lateral import (
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
     OpSum, RealInterval, ZeroOp, apply, diagonal_kernel, example_operator,
-    lateral_bound_scan, negate, poly, vadd, vneg, vsup,
+    lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
@@ -25,7 +25,7 @@ from rieszlab.oplattice import (
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, PiecewiseLinear, add, coord,
-    ec, leq, normalize, one, pieces, scale, sub, unit_atom, zero,
+    ec, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
 from conftest import SCALARS, make_rng
@@ -66,7 +66,7 @@ def test_meet_duality_identity():
         T = gen.random_kernel(rng, space)
         x = gen.random_element(rng, space)
         assert meet_at(S, T, x).value == \
-            vneg(join_at(negate(S), negate(T), x).value)
+            scale(-1, join_at(negate(S), negate(T), x).value)
 
 
 def test_modulus_example():
@@ -122,14 +122,14 @@ def test_join_upper_bound_property():
 def test_fold_order_independence():
     S, T = _scalar_pair()
     x = coord(1, 1)
-    values = [vadd(apply(S, d.left), apply(T, d.right))
+    values = [add(apply(S, d.left), apply(T, d.right))
               for d in enumerate_decompositions(x)]
     forward = values[0]
     for v in values[1:]:
-        forward = vsup(forward, v)
+        forward = sup(forward, v)
     backward = values[-1]
     for v in reversed(values[:-1]):
-        backward = vsup(backward, v)
+        backward = sup(backward, v)
     assert forward == backward == join_at(S, T, x).value
 
 
@@ -138,7 +138,7 @@ def _all_kinds(S, T, x):
     pointwise operations at x."""
     Z = ZeroOp(T.domain, T.codomain)
     neg = extrema_by_enumeration(T, Z, x, "inf")
-    neg.value = vneg(neg.value)
+    neg.value = scale(-1, neg.value)
     return (
         ("join", join_at(S, T, x), extrema_by_enumeration(S, T, x, "sup")),
         ("meet", meet_at(S, T, x), extrema_by_enumeration(S, T, x, "inf")),
@@ -239,8 +239,8 @@ def test_truncated_levels_monotone_and_match_enumeration():
         for l, v in p.levels:
             best = None
             for d in enumerate_decompositions(x, level=l):
-                val = vadd(apply(S, d.left), apply(T, d.right))
-                best = val if best is None else vsup(best, val)
+                val = add(apply(S, d.left), apply(T, d.right))
+                best = val if best is None else sup(best, val)
             assert best == v
 
 

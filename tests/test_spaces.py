@@ -4,15 +4,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rieszlab.errors import MalformedElement, SpaceMismatch, Unsupported
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    Reals, SimpleFunction, absolute, add, atom_count, coord, div, ec, eval_at,
-    fin, format_element, from_atoms, get_atom, inf, is_disjoint, leq, neg_part,
-    normalize, one, pl, pl_components, pl_restrict, pos_part, q, scale,
-    simple, space_name, sub, sup, support_atoms, support_size, zero,
+    RealInterval, Reals, SimpleFunction, Space, absolute, add, atom_count,
+    coord, div, ec, eval_at, fin, format_element, from_atoms, get_atom, inf,
+    is_disjoint, is_zero, leq, neg_part, normalize, one, pl, pl_components,
+    pl_restrict, pos_part, q, scale, simple, space_name, sub, sup,
+    support_atoms, support_size, zero,
 )
 
 from conftest import make_rng, pl_elements
@@ -287,8 +288,8 @@ PINNED = [
     (Reals(), None, {
         "space_name": "reals",
         "normalize": (MalformedElement, "space Reals() carries no elements"),
-        "zero": (Unsupported, "reals carries no elements"),
-        "one": (Unsupported, "reals carries no elements"),
+        "zero": "interval[0]",
+        "one": "interval[1]",
         "atom_count": (Unsupported, "reals is not atomic"),
         "get_atom 1": (Unsupported, "reals is not atomic"),
         "get_atom 9": (Unsupported, "reals is not atomic"),
@@ -312,7 +313,7 @@ def _outcome(thunk):
         result = thunk()
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(result, Element):
+    if isinstance(result, (Element, RealInterval)):
         return format_element(result)
     if isinstance(result, tuple) and all(isinstance(r, Element) for r in result):
         return tuple(format_element(r) for r in result)
@@ -323,7 +324,8 @@ def _outcome(thunk):
                          ids=[type(row[0]).__name__ for row in PINNED])
 def test_per_model_behaviour_is_pinned(space, raw, expected):
     from rieszlab import generators as gen
-    # Reals carries no elements; this one exists only to reach the errors
+    # Reals carries no elements, only interval values; this one exists
+    # only to reach the errors
     x = Element(space, ()) if raw is None else normalize(space, raw)
     probes = {
         "space_name": lambda: space_name(space),
@@ -453,3 +455,62 @@ def test_riesz_laws_hypothesis_ec(px, tx, py, ty):
 @given(pl_elements(), pl_elements(), pl_elements(), scalars)
 def test_riesz_laws_hypothesis_pl(x, y, z, c):
     _check_riesz_laws(x, y, z, c)
+
+
+# --- the interval calculus of Reals -----------------------------------------
+
+def _ends(a):
+    assert isinstance(a, RealInterval) and a.space == Reals()
+    return a.lower, a.upper
+
+
+# The endpoint formulas of the interval methods that the Reals calculus
+# replaced (RealInterval.scaled and .abs); the others are written inline.
+
+def _scaled_ends(c, a):
+    if c >= 0:
+        return c * a.lower, c * a.upper
+    return c * a.upper, c * a.lower
+
+
+def _abs_ends(a):
+    if a.lower >= 0:
+        return a.lower, a.upper
+    if a.upper <= 0:
+        return -a.upper, -a.lower
+    return 0, max(-a.lower, a.upper)
+
+
+@st.composite
+def enclosures(draw):
+    return RealInterval(*sorted((draw(scalars), draw(scalars))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(enclosures(), enclosures(), scalars)
+@example(RealInterval(-2, -1), RealInterval(1, 3), Q(-1, 2))
+@example(RealInterval(-1, 2), RealInterval(0, 0), Q(0))
+@example(RealInterval(0, 0), RealInterval(Q(-1, 3), Q(1, 2)), Q(3))
+@example(RealInterval(1, 2), RealInterval(-3, -2), Q(-2))
+def test_reals_calculus_matches_the_endpoint_formulas(a, b, c):
+    assert _ends(add(a, b)) == (a.lower + b.lower, a.upper + b.upper)
+    assert _ends(scale(c, a)) == _scaled_ends(c, a)
+    assert _ends(sup(a, b)) == (max(a.lower, b.lower), max(a.upper, b.upper))
+    assert _ends(inf(a, b)) == (min(a.lower, b.lower), min(a.upper, b.upper))
+    assert _ends(pos_part(a)) == (max(0, a.lower), max(0, a.upper))
+    assert _ends(neg_part(a)) == (max(0, -a.upper), max(0, -a.lower))
+    assert _ends(absolute(a)) == _abs_ends(a)
+    assert is_zero(a) == (a.lower == 0 and a.upper == 0)
+
+
+def test_reals_values_are_enclosures():
+    straddling = RealInterval(-1, 2)
+    assert absolute(straddling) == RealInterval(0, 2)
+    # the lattice default, sup(x, -x), would keep the negative lower end
+    assert Space.absolute(Reals(), straddling) == straddling
+    assert zero(Reals()) == RealInterval.exact(0)
+    assert one(Reals()) == RealInterval.exact(1)
+    assert format_element(RealInterval(Q(1, 3), Q(1, 2))) == (
+        "interval[0.333333333333,0.500000000000]")
+    with pytest.raises(SpaceMismatch):
+        add(straddling, coord(1))
