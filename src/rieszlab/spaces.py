@@ -19,7 +19,8 @@ to the defaults of ``Space``, which raise.  The functions at module
 level are the interface of the other layers; each dispatches on
 ``x.space`` (or on the space it is given), and the vector and lattice
 functions serve elements and enclosures alike.  Scalars are exact
-rationals, so every order comparison, supremum and infimum is exact.  Elements are immutable and kept in a canonical form that makes
+rationals, so every order comparison, supremum and infimum is exact.
+Elements are immutable and kept in a canonical form that makes
 equality syntactic.
 
 A scalar of an atomic model is canonical: an ``int`` when it is
@@ -1037,7 +1038,7 @@ class RealInterval:
         return self.lower <= q(value) <= self.upper
 
     def __neg__(self):
-        return RealInterval(-self.upper, -self.lower)
+        return scale(-1, self)
 
     def surely_nonzero(self) -> bool:
         return self.lower > 0 or self.upper < 0
@@ -1048,7 +1049,9 @@ class RealInterval:
     def __str__(self):
         if self.is_exact:
             return f"interval[{self.lower}]"
-        return f"interval[{_decimal(self.lower, down=True)},{_decimal(self.upper, down=False)}]"
+        lo = _decimal(self.lower, down=True)
+        hi = _decimal(self.upper, down=False)
+        return f"interval[{lo},{hi}]"
 
 
 def _decimal(value: Fraction, down: bool, places: int = 12) -> str:
