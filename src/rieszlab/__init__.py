@@ -21,8 +21,8 @@ from .operators import (
     lateral_bound_scan, order_bound_scan, example_operator,
 )
 from .oplattice import (
-    LatticePoint, join_at, meet_at, pos_part_at, neg_part_at, modulus_at,
-    dp_fast, meyer_pair,
+    LatticePoint, OpLattice, join_at, meet_at, pos_part_at, neg_part_at,
+    modulus_at, dp_fast, meyer_pair,
 )
 from .reports import Budget, CheckReport
 from .checks import run_check, run_all, search_truncated_joins, REGISTRY

@@ -26,7 +26,7 @@ from .lateral import (
 from .operators import (
     AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
     diagonal_kernel, example_operator, format_value, joint_window,
-    ln2_enclosure, negate, poly, scan_levels_by_full_walk,
+    ln2_enclosure, negate, poly, scan_levels_by_enumeration,
     verify_disjointness_preserving, verify_oao, verify_positive,
     lateral_bound_scan, ZeroOp,
 )
@@ -460,8 +460,7 @@ def _run_thm_2_3_forward(rng, cfg):
                         f"expected {format_value(expect)}", samples), tuple(arts)
         arts.append(f"level {l}: max={format_value(hi)}")
     # cross-check the closed form against plain enumeration at small levels
-    from .operators import _scan_levels_enumerated
-    small = _scan_levels_enumerated(T, e, 0, min(levels, 8))
+    small = scan_levels_by_enumeration(T, e, min(levels, 8))
     for (l, lo, hi), (l2, lo2, hi2) in zip(scan.table, small):
         if (l, lo, hi) != (l2, lo2, hi2):
             return _bad(f"closed form disagrees with enumeration at level {l}",
@@ -645,6 +644,8 @@ def _enumerated_part(kind, T, x):
 
 
 def _part_oracle(rng, cfg, which):
+    """Positive part, negative part or modulus (``which``) of random
+    diagonal kernels against the Fraction closed form and enumeration."""
     samples = 0
     for _ in range(cfg["samples"]):
         n = rng.randint(1, 6)
@@ -665,26 +666,11 @@ def _part_oracle(rng, cfg, which):
             want = normalize(space, [abs(v) for v in values])
             got = modulus_at(T, x).value
             if not leq(absolute(apply(T, x)), got):
-                return None, _bad("modulus below |T(x)|", samples, data=(x,)), ()
+                return _bad("modulus below |T(x)|", samples, data=(x,)), ()
         if got != want or _enumerated_part(which, T, x) != want:
-            return None, _bad(f"{which} oracle mismatch at {format_element(x)}",
-                              samples, data=(x,)), ()
-    return samples, None, ()
-
-
-def _run_cor_3_4_pos(rng, cfg):
-    samples, bad, arts = _part_oracle(rng, cfg, "pos")
-    return (bad, arts) if bad else (_ok(samples, notes="closed form matched"), arts)
-
-
-def _run_cor_3_5_neg(rng, cfg):
-    samples, bad, arts = _part_oracle(rng, cfg, "neg")
-    return (bad, arts) if bad else (_ok(samples, notes="closed form matched"), arts)
-
-
-def _run_cor_3_6_mod(rng, cfg):
-    samples, bad, arts = _part_oracle(rng, cfg, "modulus")
-    return (bad, arts) if bad else (_ok(samples, notes="closed form matched"), arts)
+            return _bad(f"{which} oracle mismatch at {format_element(x)}",
+                        samples, data=(x,)), ()
+    return _ok(samples, notes="closed form matched"), ()
 
 
 def _run_cor_3_6_pres_p(rng, cfg):
@@ -726,23 +712,20 @@ def _window_tables(S, T, x, level):
     """(name, table cut at the window, table of the full walk) for the
     join, meet, parts and modulus, and the lateral bound scan of T."""
     zero_op = ZeroOp(T.domain, T.codomain)
-
-    def negated(table):
-        return [(l, scale(-1, v)) for l, v in table]
-
+    lows = levels_by_full_walk(T, zero_op, x, "inf", level)
+    highs = levels_by_full_walk(T, zero_op, x, "sup", level)
     return (
         ("join", join_at(S, T, x, level).levels,
          levels_by_full_walk(S, T, x, "sup", level)),
         ("meet", meet_at(S, T, x, level).levels,
          levels_by_full_walk(S, T, x, "inf", level)),
-        ("pos", pos_part_at(T, x, level).levels,
-         levels_by_full_walk(T, zero_op, x, "sup", level)),
+        ("pos", pos_part_at(T, x, level).levels, highs),
         ("neg", neg_part_at(T, x, level).levels,
-         negated(levels_by_full_walk(T, zero_op, x, "inf", level))),
+         [(l, scale(-1, v)) for l, v in lows]),
         ("mod", modulus_at(T, x, level).levels,
          levels_by_full_walk(T, negate(T), x, "sup", level)),
         ("scan", lateral_bound_scan(T, x, level).table,
-         scan_levels_by_full_walk(T, x, level)),
+         [(l, lo, hi) for (l, lo), (_, hi) in zip(lows, highs)]),
     )
 
 
@@ -1007,13 +990,16 @@ _DEFS = (
              _run_cor_3_3_meet, {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.4-pos",
              "positive part equals the kernel closed form",
-             _run_cor_3_4_pos, {"samples": 150}, {"samples": 500}),
+             functools.partial(_part_oracle, which="pos"),
+             {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.5-neg",
              "negative part equals the kernel closed form",
-             _run_cor_3_5_neg, {"samples": 150}, {"samples": 500}),
+             functools.partial(_part_oracle, which="neg"),
+             {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-mod",
              "modulus equals the kernel closed form and dominates |T(x)|",
-             _run_cor_3_6_mod, {"samples": 150}, {"samples": 500}),
+             functools.partial(_part_oracle, which="modulus"),
+             {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-pres-P",
              "modulus of a laterally bounded operator stays laterally bounded",
              _run_cor_3_6_pres_p, {"samples": 40}, {"samples": 150}),

@@ -6,7 +6,6 @@ shipped example corpus is byte-reproducible given a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import checks, lateral, operators, spaces
@@ -20,39 +19,17 @@ from .lateral import FragmentEnumeration, enumerate_decompositions, \
     enumerate_fragments, fragment_iter
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
-    OpSum, PiecewisePoly, apply as op_apply, match_table,
-    verify_disjointness_preserving,
+    OpSum, PiecewisePoly, match_table, verify_disjointness_preserving,
 )
-from .oplattice import (
-    LatticePoint, join_at, meet_at, meyer_pair, modulus_at, neg_part_at,
-    pos_part_at,
-)
+from .oplattice import LatticePoint, OpLattice, meyer_pair
 from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, format_element, one, zero,
 )
 
 
-@dataclass(frozen=True)
-class JoinOfOps:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class MeetOfOps:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PartOfOp:
-    kind: str  # pos neg mod
-    inner: object
-
-
 def _is_operator(v) -> bool:
-    return isinstance(v, (Operator, JoinOfOps, MeetOfOps, PartOfOp))
+    return isinstance(v, Operator)
 
 
 def _is_scalar(v) -> bool:
@@ -165,7 +142,7 @@ def eval_expr(node, env: Environment):
         if isinstance(v, Element):
             return spaces.scale(-1, v)
         if _is_operator(v):
-            return OpScaled(Fraction(-1), _plain_operator(v, node.span))
+            return OpScaled(Fraction(-1), v)
         raise DslTypeError("cannot negate this value", node.span)
     if isinstance(node, Binary):
         return _eval_binary(node, env)
@@ -175,8 +152,7 @@ def eval_expr(node, env: Environment):
             return (spaces.pos_part(v) if node.op == "^+"
                     else spaces.neg_part(v))
         if _is_operator(v):
-            return PartOfOp("pos" if node.op == "^+" else "neg",
-                            _plain_operator(v, node.span))
+            return OpLattice("pos" if node.op == "^+" else "neg", (v,))
         raise DslTypeError(f"{node.op} applies to elements or operators",
                            node.span)
     if isinstance(node, Abs):
@@ -186,7 +162,7 @@ def eval_expr(node, env: Environment):
         if _is_scalar(v):
             return abs(v)
         if _is_operator(v):
-            return PartOfOp("mod", _plain_operator(v, node.span))
+            return OpLattice("mod", (v,))
         raise DslTypeError("|...| applies to elements, scalars or operators",
                            node.span)
     if isinstance(node, Apply):
@@ -246,13 +222,6 @@ def _expect_element(v, span, what) -> Element:
     return v
 
 
-def _plain_operator(v, span):
-    if isinstance(v, (JoinOfOps, MeetOfOps, PartOfOp)):
-        raise DslTypeError(
-            "this derived operator only supports application", span)
-    return v
-
-
 def _eval_binary(node: Binary, env: Environment):
     a = eval_expr(node.left, env)
     b = eval_expr(node.right, env)
@@ -263,7 +232,7 @@ def _eval_binary(node: Binary, env: Environment):
         if _is_scalar(a) and isinstance(b, Element):
             return spaces.scale(a, b)
         if _is_scalar(a) and _is_operator(b):
-            return OpScaled(a, _plain_operator(b, node.span))
+            return OpScaled(a, b)
         raise DslTypeError("'*' scales an element or operator by a rational",
                            node.span)
     if op in ("+", "-"):
@@ -272,27 +241,23 @@ def _eval_binary(node: Binary, env: Environment):
         if isinstance(a, Element) and isinstance(b, Element):
             return spaces.add(a, b) if op == "+" else spaces.sub(a, b)
         if _is_operator(a) and _is_operator(b):
-            left = _plain_operator(a, node.span)
-            right = _plain_operator(b, node.span)
             if op == "-":
-                right = OpScaled(Fraction(-1), right)
-            return OpSum((left, right))
+                b = OpScaled(Fraction(-1), b)
+            return OpSum((a, b))
         raise DslTypeError(f"'{op}' needs two elements, scalars or operators",
                            node.span)
     if op == "\\/":
         if isinstance(a, Element) and isinstance(b, Element):
             return spaces.sup(a, b)
         if _is_operator(a) and _is_operator(b):
-            return JoinOfOps(_plain_operator(a, node.span),
-                             _plain_operator(b, node.span))
+            return OpLattice("join", (a, b))
         raise DslTypeError("'\\/' needs two elements or two operators",
                            node.span)
     if op == "/\\":
         if isinstance(a, Element) and isinstance(b, Element):
             return spaces.inf(a, b)
         if _is_operator(a) and _is_operator(b):
-            return MeetOfOps(_plain_operator(a, node.span),
-                             _plain_operator(b, node.span))
+            return OpLattice("meet", (a, b))
         raise DslTypeError("'/\\' needs two elements or two operators",
                            node.span)
     if op == "lsup":
@@ -334,14 +299,7 @@ def _eval_apply(node: Apply, env: Environment):
                            node.span)
     x = _expect_element(eval_expr(node.args[0], env), node.span,
                         "the operator argument")
-    if isinstance(fn, JoinOfOps):
-        return join_at(fn.left, fn.right, x, level=env.level)
-    if isinstance(fn, MeetOfOps):
-        return meet_at(fn.left, fn.right, x, level=env.level)
-    if isinstance(fn, PartOfOp):
-        part = {"pos": pos_part_at, "neg": neg_part_at, "mod": modulus_at}
-        return part[fn.kind](fn.inner, x, level=env.level)
-    return op_apply(fn, x)
+    return fn.at(x, env.level)
 
 
 def _eval_builtin(node: Apply, env: Environment):
@@ -383,7 +341,7 @@ def _eval_builtin(node: Apply, env: Environment):
         need(1)
         if not _is_operator(args[0]):
             raise DslTypeError(f"{name} wraps an operator", node.span)
-        return PartOfOp(name, _plain_operator(args[0], node.span))
+        return OpLattice(name, (args[0],))
     raise DslTypeError(f"unknown builtin {name}", node.span)
 
 
@@ -391,7 +349,6 @@ def _eval_meyer(node: Meyer, env: Environment):
     T = eval_expr(node.operator, env)
     if not _is_operator(T):
         raise DslTypeError("meyer needs an operator first", node.span)
-    T = _plain_operator(T, node.span)
     x = _expect_element(eval_expr(node.x, env), node.span, "x")
     y = _expect_element(eval_expr(node.y, env), node.span, "y")
     if node.e is None:

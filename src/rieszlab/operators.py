@@ -19,10 +19,7 @@ from fractions import Fraction
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch, Unsupported
 from . import lateral, reports, spaces
-from .lateral import (
-    enumerate_decompositions, enumerate_fragments, extend_levels,
-    fragment_iter, level_walk, min_level,
-)
+from .lateral import enumerate_decompositions, fragment_iter, min_level
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, RealInterval,
@@ -152,6 +149,12 @@ class Operator:
     def _apply(self, x: Element):
         """The image of x, past the domain check of ``apply``."""
         raise Unsupported(f"unknown operator {self!r}")
+
+    def at(self, x: Element, level: int | None = None):
+        """The value at x: the image T(x).  The derived operators of
+        ``oplattice`` return their pointwise lattice value instead,
+        cut at ``level`` where x has infinitely many fragments."""
+        return apply(self, x)
 
     def linear_probes(self) -> list:
         """Inputs that expose the body if it is a nonzero linear map."""
@@ -426,8 +429,9 @@ class AlternatingSeries(Operator):
 
     def _apply(self, x) -> RealInterval:
         prefix, tail = x.payload
+        # unit atoms and tail remainders carry long runs of zeros
         head = sum((Fraction((-1) ** n, 1) * abs(v) / n
-                    for n, v in enumerate(prefix, start=1)), ZERO)
+                    for n, v in enumerate(prefix, start=1) if v), ZERO)
         if tail == 0:
             return RealInterval.exact(head)
         eps = spaces.div(self.precision, max(abs(tail), 1))
@@ -557,10 +561,13 @@ def format_value(v) -> str:
 def apply(T, x: Element):
     """Exact operator application; interval-valued for the series body."""
     if x.space != T.domain:
-        raise SpaceMismatch(
-            f"operator domain {space_name(T.domain)}, argument in "
-            f"{space_name(x.space)}")
+        raise _outside_domain(T, x)
     return T._apply(x)
+
+
+def _outside_domain(T, x: Element) -> SpaceMismatch:
+    return SpaceMismatch(f"operator domain {space_name(T.domain)}, "
+                         f"argument in {space_name(x.space)}")
 
 
 # ---------------------------------------------------------------------------
@@ -790,29 +797,32 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
                        bound=None) -> ScanResult:
     """Extremes of T over the fragments of e.
 
-    Finite algebras are folded exactly.  For eventually constant bases
-    with nonzero tail, pass a level: per-level extremes are computed in
-    closed form for structurally additive bodies (each fragment is the
-    disjoint sum of its atoms and a pure-tail part, so the fold
-    distributes over independent per-atom choices), and by bounded
-    enumeration otherwise.  The closed form stops at the window of T
-    (``Operator.window``), past which the table repeats its last row.
+    Each fragment u of e splits e as u + (e - u), so the least and the
+    greatest image of a fragment are the meet and the join of T with
+    the zero operator at e, (T ^ 0)(e) and (T v 0)(e), folded by
+    ``oplattice``.  Finite algebras give exact bounds.  For eventually
+    constant bases with nonzero tail, pass a level: the table holds the
+    extremes level by level, folded atom by atom for structurally
+    additive bodies and over bounded enumeration otherwise.
+    ``scan_levels_by_enumeration`` is the reference.
     """
+    from .oplattice import join_at, meet_at
     seed = "scan"
+    if e.space != T.domain:
+        raise _outside_domain(T, e)
+    zero_op = ZeroOp(T.domain, T.codomain)
     if not has_infinite_fragments(e):
-        images = [apply(T, z) for z in enumerate_fragments(e)]
-        rep = reports.holds(len(images), seed,
-                            notes=f"exact bounds over {len(images)} fragments")
-        return ScanResult("exact", rep, lo=functools.reduce(inf, images),
-                          hi=functools.reduce(sup, images))
+        count = 1 << support_size(e)
+        rep = reports.holds(count, seed,
+                            notes=f"exact bounds over {count} fragments")
+        return ScanResult("exact", rep, lo=meet_at(T, zero_op, e).value,
+                          hi=join_at(T, zero_op, e).value)
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")
-    lateral.require_level(e, level)
-    if T.atom_additive:
-        table = _scan_levels_closed(T, e, level, T.window())
-    else:
-        table = _scan_levels_enumerated(T, e, min_level(e), level)
+    table = [(l, lo, hi) for (l, lo), (_, hi) in zip(
+        meet_at(T, zero_op, e, level).levels,
+        join_at(T, zero_op, e, level).levels)]
     lvl = next((l for l, _, hi in table
                 if bound is not None and _exceeds(hi, bound)), None)
     grew = lvl is not None
@@ -826,32 +836,12 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     return ScanResult("truncated", rep, table=tuple(table), growth=grew)
 
 
-def _scan_levels_closed(T, e, level, window=None):
-    """Per-level extremes from one image per atom: each fragment at a
-    level is the disjoint sum of some of the atoms seen so far and 0 or
-    the pure-tail remainder, so each takes its better side against 0.
-    The walk stops at ``window`` (see ``lateral.level_walk``)."""
-    lo = hi = zval = zero(T.codomain)
+def scan_levels_by_enumeration(T, e: Element, level: int) -> list:
+    """(l, min, max) of T over the truncated fragments of e at each
+    level from min_level(e) through ``level``, each level enumerated on
+    its own; the reference for the truncated scan."""
     table = []
-    for l, atoms, w in level_walk(e, level, window):
-        for atom in atoms:
-            img = apply(T, atom)
-            lo, hi = add(lo, inf(img, zval)), add(hi, sup(img, zval))
-        img_w = apply(T, w)
-        table.append((l, add(lo, inf(img_w, zval)),
-                      add(hi, sup(img_w, zval))))
-    return extend_levels(table, level)
-
-
-def scan_levels_by_full_walk(T, e, level):
-    """The closed per-level extremes at every level through ``level``,
-    the walk never cut at a window; the reference for the cut."""
-    return _scan_levels_closed(T, e, level)
-
-
-def _scan_levels_enumerated(T, e, start, level):
-    table = []
-    for l in range(start, level + 1):
+    for l in range(min_level(e), level + 1):
         images = [apply(T, z) for z in fragment_iter(e, l)]
         table.append((l, functools.reduce(inf, images),
                       functools.reduce(sup, images)))

@@ -9,6 +9,9 @@ support atoms, or its support components on piecewise-linear
 functions): exactly for finite fragment algebras, level by level for
 infinite ones.  Other pairs, and interval-valued codomains, enumerate
 the splittings; ``extrema_by_enumeration`` is that reference.
+
+``OpLattice`` makes each of these operations an operator body, so
+lattice expressions nest: (S v T)^+ is the positive part of a join.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import PreconditionError, SpaceMismatch
+from .errors import MalformedElement, PreconditionError, SpaceMismatch
 from . import reports
 from .lateral import (
     Decomposition, enumerate_decompositions, extend_levels, is_fragment,
     level_walk, min_level, require_level,
 )
-from .operators import ZeroOp, apply, joint_window, negate
+from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
     Element, RealInterval, Reals, absolute, add, canonical_key,
     format_element, has_infinite_fragments, inf, neg_part, pieces, pos_part,
@@ -229,6 +232,48 @@ def neg_part_at(T, x: Element, level: int | None = None) -> LatticePoint:
 def modulus_at(T, x: Element, level: int | None = None) -> LatticePoint:
     """sup of T(u) - T(v) over the splittings x = u + v."""
     return _extrema(T, negate(T), x, "sup", level)
+
+
+# kind -> (name of its pointwise function, number of operands); the
+# function is looked up by name when applied, so a wrapper installed on
+# the module attribute (a tracer) sees the call
+_KINDS = {"join": ("join_at", 2), "meet": ("meet_at", 2),
+          "pos": ("pos_part_at", 1), "neg": ("neg_part_at", 1),
+          "mod": ("modulus_at", 1)}
+
+
+@dataclass(frozen=True)
+class OpLattice(Operator):
+    """A derived operator: the join or meet of two operators, or the
+    positive part, negative part or modulus of one, evaluated by the
+    matching ``*_at`` function above.
+
+    It is additive on disjoint sums when its parts are (Theorem 3.2),
+    so a lattice expression over additive bodies folds atom by atom at
+    every depth.  Applied inside another operator it gets no truncation
+    level, so at a point with infinitely many fragments it raises the
+    level precondition.
+    """
+
+    kind: str
+    parts: tuple
+
+    def __post_init__(self):
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        if self.kind not in _KINDS or len(parts) != _KINDS[self.kind][1]:
+            raise MalformedElement(
+                f"no derived operator {self.kind!r} of {len(parts)} operand(s)")
+
+    domain = property(lambda self: self.parts[0].domain)
+    codomain = property(lambda self: self.parts[0].codomain)
+    atom_additive = property(lambda self: all(p.atom_additive for p in self.parts))
+
+    def at(self, x: Element, level: int | None = None) -> LatticePoint:
+        return globals()[_KINDS[self.kind][0]](*self.parts, x, level)
+
+    def _apply(self, x):
+        return self.at(x).value
 
 
 _DP_KINDS = {"modulus", "pos", "neg"}

@@ -90,22 +90,49 @@ def test_below_prefix_level_exits_4(tmp_path, capsys):
                             "prefix length 5\n")
 
 
-@pytest.mark.parametrize("expr, column", [
-    ("(S \\/ T)^+", 15), ("|S \\/ T|", 7), ("(S^+)^-", 12),
-    ("(S \\/ T) \\/ S", 16)])
-def test_nested_derived_operators_are_type_errors(tmp_path, capsys, expr,
-                                                  column):
-    # the parts and the modulus of a derived operator died with an
-    # AttributeError traceback and exit 1
+@pytest.mark.parametrize("expr, printed", [
+    # S = (t, 2t) and T = (-t, 3t) into one atom; at (1, 1) the join
+    # takes S on atom 1 and T on atom 2: (S v T) = (1, 3) per atom
+    ("(S \\/ T)^+", "coord[4] attained=[(coord[1,1] | coord[0,0])]"),
+    ("|S \\/ T|", "coord[4] attained=[(coord[1,1] | coord[0,0])]"),
+    ("(S^+)^-", "coord[0] attained=[(coord[0,0] | coord[1,1])]"),
+    # atom 1 ties (1 against 1) and goes right; atom 2 takes 3 over 2
+    ("(S \\/ T) \\/ S", "coord[4] attained=[(coord[0,1] | coord[1,0])]")],
+    ids=["pos-of-join", "mod-of-join", "neg-of-pos", "join-of-join"])
+def test_nested_derived_operators_evaluate(tmp_path, capsys, expr, printed):
+    # derived operators are operator bodies, so they nest
     script = tmp_path / "nested.rl"
     script.write_text(
         "let S = kernel{1->1: t -> t, 2->1: t -> 2*t};\n"
         "let T = kernel{1->1: t -> -t, 2->1: t -> 3*t};\n"
         f"eval ({expr})(coord[1,1]);\n")
-    assert cli.main(["run", str(script)]) == cli.EXIT_TYPE
+    assert cli.main(["run", str(script)]) == 0
+    assert capsys.readouterr() == (printed + "\n", "")
+
+
+def test_derived_operators_enter_sums_and_meyer(tmp_path, capsys):
+    script = tmp_path / "compose.rl"
+    script.write_text(
+        "let S = kernel{1->1: t -> t, 2->1: t -> 2*t};\n"
+        "let T = kernel{1->1: t -> -t, 2->1: t -> 3*t};\n"
+        "eval ((S \\/ T) + S)(coord[1,1]);\n"
+        "eval meyer(S \\/ T; coord[1,0], coord[0,1]);\n")
+    assert cli.main(["run", str(script)]) == 0
     assert capsys.readouterr() == (
-        "", f"type error: 3:{column}: this derived operator only supports "
-            "application\n")
+        "coord[7]\ncoord[0] (unsafe: lateral bound not checked)\n", "")
+
+
+def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
+                                                              capsys):
+    # the inner join is applied without a level, so its infinite
+    # splitting family has no value to fold
+    script = tmp_path / "nested.rl"
+    script.write_text("let A = series;\n"
+                      "eval ((A \\/ A)^+)(ec[1|1]) @level 3;\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr() == (
+        "", "precondition violated: infinite splitting family: supply a "
+            "truncation level\n")
 
 
 def test_exit_code_check_failure_in_script(tmp_path):

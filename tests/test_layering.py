@@ -4,9 +4,10 @@ The per-model calculus lives in spaces.py alone: every other module
 reaches the five element models through the functions of ``spaces``
 (which dispatch on ``x.space``), never by testing an element's model
 class.  Likewise the per-body rules live in the operator body classes
-of operators.py: no function outside their own methods tests which
-body an operator is.  The only exceptions are the functions listed in
-``ALLOWED``, which exist solely for eventually constant elements.
+of operators.py and oplattice.py: no function outside their own
+methods tests which body an operator is.  The only exceptions are the
+functions listed in ``ALLOWED``, which exist solely for eventually
+constant elements.
 ``Operator``, the base of the bodies, is exempt.
 
 ``Reals`` is a model too, whose values are ``RealInterval`` enclosures,
@@ -41,7 +42,9 @@ def _operator_subclasses(path):
                     for b in node.bases)}
 
 
-BODY_NAMES = _operator_subclasses(SRC / "operators.py")
+BODY_MODULES = ("operators", "oplattice")
+BODY_NAMES = set().union(*(_operator_subclasses(SRC / f"{module}.py")
+                           for module in BODY_MODULES))
 
 # (module, function) pairs that may test for a model or body class
 ALLOWED = {
@@ -140,13 +143,14 @@ def test_spaces_dispatches_without_model_isinstance():
 
 def test_bodies_are_operator_subclasses():
     assert BODY_NAMES >= {"Kernel", "LinearEC", "MatchTable", "LateralMeet",
-                          "AlternatingSeries", "OpSum", "OpScaled", "ZeroOp"}
+                          "AlternatingSeries", "OpSum", "OpScaled", "ZeroOp",
+                          "OpLattice"}
 
 
 def test_no_body_isinstance_outside_the_bodies():
     offending = _offending(
         BODY_NAMES,
-        lambda module, cls: module == "operators" and cls in BODY_NAMES)
+        lambda module, cls: module in BODY_MODULES and cls in BODY_NAMES)
     assert not offending, "\n".join(offending)
 
 
@@ -186,7 +190,7 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
         "def h(T):\n"
         "    return isinstance(T, (operators.OpSum, Operator))\n"
         "def k(T):\n"
-        "    return isinstance(T, KINDS + (JoinOfOps,))\n"
+        "    return isinstance(T, KINDS + (OpLattice, Unknown))\n"
         "class OpScaled(Operator):\n"
         "    def m(self):\n"
         "        return isinstance(self.inner, OpScaled)\n"
@@ -195,7 +199,8 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
     wanted = MODEL_NAMES | BODY_NAMES
     assert _isinstance_sites(probe, wanted) == [
         (None, "f", 3, ["Coordinate"]), (None, "g", 5, ["ATOMIC_SPACES"]),
-        (None, "h", 7, ["OpSum"]), (None, "k", 9, ["Kernel", "MatchTable"]),
+        (None, "h", 7, ["OpSum"]),
+        (None, "k", 9, ["Kernel", "MatchTable", "OpLattice"]),
         ("OpScaled", "m", 12, ["OpScaled"])]
     assert _operator_subclasses(probe) == {"OpScaled"}
     assert _isinstance_sites(probe, INTERVAL_NAMES) == [

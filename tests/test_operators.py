@@ -1,5 +1,6 @@
 """Operator bodies, application, verifiers and boundedness scans."""
 
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -8,19 +9,21 @@ from rieszlab import generators as gen
 from rieszlab.errors import (
     MalformedElement, PreconditionError, SpaceMismatch, Unsupported,
 )
+from rieszlab.lateral import enumerate_fragments
 from rieszlab.operators import (
     ABS_FN, AlternatingSeries, Kernel, LateralMeet, LinearEC,
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
     diagonal_kernel, example_operator, format_value, lateral_bound_scan,
     ln2_enclosure, match_table, order_bound_scan, poly,
-    verify_disjointness_preserving, verify_oao, verify_positive,
-    _scan_levels_enumerated,
+    scan_levels_by_enumeration, verify_disjointness_preserving, verify_oao,
+    verify_positive,
 )
 from rieszlab.oplattice import neg_part_at, pos_part_at
 from rieszlab.reports import Budget, DEFAULT_GRID, FAILS, HOLDS, INCONCLUSIVE
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
-    SimpleFunction, coord, ec, format_element, one, pl, scale, simple, zero,
+    SimpleFunction, coord, ec, format_element, inf, one, pl, scale, simple,
+    sup, zero,
 )
 
 from conftest import make_rng
@@ -515,6 +518,9 @@ def test_lateral_bound_scan_exact():
     assert scan.lo == coord(0, -2, -2)
     assert scan.hi == coord(1, 0, 0)
     assert scan.report.verdict == HOLDS
+    assert scan.report.samples_used == 8
+    assert scan.report.notes == "exact bounds over 8 fragments"
+    assert scan.table == () and scan.growth is None
 
 
 def test_lateral_bound_scan_needs_level_on_infinite_algebra():
@@ -531,17 +537,34 @@ def test_scan_closed_form_matches_enumeration():
         gen.random_kernel(rng, EC, Coordinate(2)),
         LateralMeet(EC, gen.random_element(rng, EC), gen.random_element(rng, EC)),
         OpScaled(Q(-2), gen.random_kernel(rng, EC, Coordinate(2))),
+        # not additive on disjoint sums: the enumerated level path
+        match_table([(ec([2], 0), coord(5)), (ec([0, -1], 0), coord(-3))]),
     ]
     for T in candidates:
         scan = lateral_bound_scan(T, e, level=7)
         assert scan.mode == "truncated"
-        reference = _scan_levels_enumerated(T, e, 2, 7)
+        reference = scan_levels_by_enumeration(T, e, 7)
+        assert [l for l, _, _ in reference] == list(range(2, 8))
         assert list(scan.table) == reference
         # the columns are the positive part and the negated negative part
         assert [(l, lo, hi) for l, lo, hi in scan.table] == [
             (l, scale(-1, neg), pos) for (l, neg), (_, pos) in zip(
                 neg_part_at(T, e, level=7).levels,
                 pos_part_at(T, e, level=7).levels)]
+
+
+def test_exact_scan_matches_enumeration_on_an_interval_codomain():
+    # a finite fragment algebra whose images are enclosures in Reals
+    T, e = AlternatingSeries(), ec([1, -2], 0)
+    images = [apply(T, z) for z in enumerate_fragments(e)]
+    scan = lateral_bound_scan(T, e)
+    assert scan.mode == "exact"
+    assert scan.lo == functools.reduce(inf, images)
+    assert scan.hi == functools.reduce(sup, images)
+    assert isinstance(scan.lo, RealInterval)
+    assert scan.report.verdict == HOLDS
+    assert scan.report.samples_used == 4
+    assert scan.report.notes == "exact bounds over 4 fragments"
 
 
 def test_scan_growth_flag():

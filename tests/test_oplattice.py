@@ -1,5 +1,6 @@
 """Pointwise lattice of operators: joins, meets, parts, modulus, wedges."""
 
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rieszlab import generators as gen
 from rieszlab import oplattice
 from rieszlab.checks import _window_tables
-from rieszlab.errors import PreconditionError
+from rieszlab.errors import MalformedElement, PreconditionError
 from rieszlab.lateral import (
     Decomposition, enumerate_decompositions, level_walk,
 )
@@ -19,13 +20,13 @@ from rieszlab.operators import (
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
-    dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk, meet_at,
-    meyer_pair, modulus_at, neg_part_at, pos_part_at,
+    OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
+    meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, PiecewiseLinear, add, coord,
-    ec, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
+    ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
 from conftest import SCALARS, make_rng
@@ -454,3 +455,93 @@ def test_below_prefix_level_is_refused_on_every_path():
                 f()
     # the prefix length itself is the first level of a table
     assert [l for l, _ in join_at(*closed, x, level=5).levels] == [5]
+
+
+# --- derived operators as bodies --------------------------------------------
+
+def test_derived_operator_bodies():
+    S, T = _scalar_pair()
+    x = coord(1, 1)
+    J = OpLattice("join", (S, T))
+    assert (J.domain, J.codomain) == (S.domain, S.codomain)
+    assert J.at(x) == join_at(S, T, x)
+    assert apply(J, x) == join_at(S, T, x).value
+    # a plain body's value at a point is its image
+    assert S.at(x) == apply(S, x)
+    assert J.atom_additive and OpLattice("mod", (J,)).atom_additive
+    table = MatchTable(S.domain, S.codomain, ((x, coord(1)),))
+    assert not OpLattice("meet", (S, table)).atom_additive
+    # a level reaches the pointwise function; applied, the body has none
+    y = ec([1], 2)
+    L = example_operator("ramped_basis", horizon=3)
+    P = OpLattice("pos", (L,))
+    assert P.at(y, 4) == pos_part_at(L, y, level=4)
+    with pytest.raises(PreconditionError, match="supply a truncation level"):
+        apply(P, y)
+    for kind, parts in (("join", (S,)), ("pos", (S, T)), ("sup", (S, T))):
+        with pytest.raises(MalformedElement):
+            OpLattice(kind, parts)
+
+
+def _coord_kernels(n):
+    """Kernels from Coordinate(n) into two atoms, quadratic per row."""
+    rows = st.dictionaries(st.integers(1, n), st.tuples(
+        st.integers(1, 2), COEFFS, COEFFS), max_size=n)
+    return rows.map(lambda r: Kernel(Coordinate(n), COORD2, tuple(
+        (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items())))
+
+
+def _kernel_triples():
+    """(S, T, U, x): three kernels on Coordinate(n) and a point."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        _coord_kernels(n), _coord_kernels(n), _coord_kernels(n),
+        st.lists(SCALARS, min_size=n, max_size=n).map(lambda v: coord(*v))))
+
+
+def _fold_splittings(kind, left, right, x):
+    """sup or inf of left(u) + right(v) over every splitting x = u + v."""
+    return functools.reduce({"sup": sup, "inf": inf}[kind], (
+        add(left(d.left), right(d.right)) for d in enumerate_decompositions(x)))
+
+
+LATTICE_SETTINGS = settings(max_examples=120, derandomize=True, deadline=None,
+                            database=None)
+
+
+@LATTICE_SETTINGS
+@given(_kernel_triples())
+def test_nested_lattice_expressions_match_nested_enumeration(case):
+    # the inner operation enumerates the splittings of each left part
+    S, T, U, x = case
+    Z = ZeroOp(T.domain, T.codomain)
+
+    def join(u):
+        return extrema_by_enumeration(S, T, u, "sup").value
+
+    def pos(u):
+        return extrema_by_enumeration(T, Z, u, "sup").value
+
+    def nothing(v):
+        return zero(COORD2)
+
+    J = OpLattice("join", (S, T))
+    assert OpLattice("pos", (J,)).at(x).value == \
+        _fold_splittings("sup", join, nothing, x)
+    assert OpLattice("mod", (J,)).at(x).value == \
+        _fold_splittings("sup", join, lambda v: scale(-1, join(v)), x)
+    assert OpLattice("meet", (J, U)).at(x).value == \
+        _fold_splittings("inf", join, lambda v: apply(U, v), x)
+    assert OpLattice("neg", (OpLattice("pos", (T,)),)).at(x).value == \
+        scale(-1, _fold_splittings("inf", pos, nothing, x))
+
+
+@LATTICE_SETTINGS
+@given(_kernel_triples())
+def test_lattice_laws_hold_pointwise(case):
+    S, T, _, x = case
+    pos, neg, mod = (OpLattice(kind, (T,)) for kind in ("pos", "neg", "mod"))
+    assert apply(OpSum((pos, negate(neg))), x) == apply(T, x)
+    assert apply(mod, x) == apply(OpSum((pos, neg)), x)
+    assert apply(OpSum((OpLattice("join", (S, T)),
+                        OpLattice("meet", (S, T)))), x) == \
+        apply(OpSum((S, T)), x)
