@@ -9,6 +9,7 @@ Re-running with identical id and config reproduces identical records.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -31,16 +32,16 @@ from .operators import (
     lateral_bound_scan, ZeroOp,
 )
 from .oplattice import (
-    dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk, meet_at,
-    meyer_pair, modulus_at, neg_part_at, pos_part_at,
+    OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
+    meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    SimpleFunction, ZERO, absolute, add, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, normalize, one, pieces, pl_common_fragment_by_restriction, scale,
-    sub, sup, support_atoms, zero,
+    leq, neg_part, normalize, one, pieces, pl_common_fragment_by_restriction,
+    pos_part, scale, sub, sup, support_atoms, zero,
 )
 
 Q = Fraction
@@ -105,9 +106,22 @@ def _finite_frag_element(rng, space):
     return x
 
 
-def _atom_values(x):
-    """Values of x at the atoms 1..n of its finite space."""
-    return [get_atom(x, i) for i in range(1, atom_count(x.space) + 1)]
+def _per_instance(count_key, menu, notes):
+    """Make an instance into a runner over cfg[count_key] instances:
+    instance k is ``instance(rng, space, k)`` on entry k % len of
+    ``menu()``, built when the check runs, never at import ((None,) for a
+    claim that draws its own space).  It returns None when the claim
+    holds, else (witness, data[, notes]), which ends the run at k + 1."""
+    def runner(instance):
+        def run(rng, cfg):
+            spaces = menu()
+            for k in range(cfg[count_key]):
+                failure = instance(rng, spaces[k % len(spaces)], k)
+                if failure is not None:
+                    return _bad(failure[0], k + 1, *failure[1:]), ()
+            return _ok(cfg[count_key], notes=notes), ()
+        return run
+    return runner
 
 
 def _mixed_sign_full_support(rng, n):
@@ -126,7 +140,6 @@ def _run_frag_boolean(rng, cfg):
     n = cfg["n"]
     e = _mixed_sign_full_support(rng, n)
     frags = list(enumerate_fragments(e))
-    index = {f: m for m, f in enumerate(frags)}
     masks = {}
     atoms = support_atoms(e)
     for f in frags:
@@ -246,53 +259,43 @@ def _end_ramps(rng):
     return x, y
 
 
-def _run_lat_common_fragment(rng, cfg):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        if space == PiecewiseLinear() and k // len(menu) % 2:
-            x, y = _end_ramps(rng)
-        else:
-            x, y = _sharing_pair(rng, space)
-        samples += 1
-        for a, b in ((x, y), (y, x)):
-            got, want = lateral.lateral_inf(a, b), _agreement_reference(a, b)
-            if got != want:
-                return _bad(f"lateral infimum of {format_element(a)} and "
-                            f"{format_element(b)} is {format_element(got)}, "
-                            f"reference {format_element(want)}", samples,
-                            data=(a, b)), ()
-    return _ok(samples, notes="greatest common fragment matched the "
-               "references"), ()
+@_per_instance("samples", gen.space_menu,
+               "greatest common fragment matched the references")
+def _run_lat_common_fragment(rng, space, k):
+    # every other visit to the piecewise-linear model draws end ramps
+    if space == PiecewiseLinear() and k // len(gen.space_menu()) % 2:
+        x, y = _end_ramps(rng)
+    else:
+        x, y = _sharing_pair(rng, space)
+    for a, b in ((x, y), (y, x)):
+        got, want = lateral.lateral_inf(a, b), _agreement_reference(a, b)
+        if got != want:
+            return (f"lateral infimum of {format_element(a)} and "
+                    f"{format_element(b)} is {format_element(got)}, "
+                    f"reference {format_element(want)}", (a, b))
 
 
-def _run_lem_3_1(rng, cfg):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["instances"]):
-        space = menu[k % len(menu)]
-        e = gen.random_nonzero_element(rng, space)
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        us = gen.random_split(rng, e, m)
-        vs = gen.random_split(rng, e, n)
-        grid = pliev_grid(us, vs)
-        samples += 1
-        flat = [w for row in grid.grid for w in row]
-        for i in range(len(flat)):
-            for j in range(i + 1, len(flat)):
-                if not is_disjoint(flat[i], flat[j]):
-                    return _bad(f"grid entries not disjoint (base {format_element(e)})",
-                                samples, data=(flat[i], flat[j])), ()
-        for i, u in enumerate(us):
-            if grid.row_sum(i) != u:
-                return _bad(f"row {i} does not reconstruct (base {format_element(e)})",
-                            samples, data=(u,)), ()
-        for j, v in enumerate(vs):
-            if grid.col_sum(j) != v:
-                return _bad(f"column {j} does not reconstruct (base {format_element(e)})",
-                            samples, data=(v,)), ()
-    return _ok(samples, notes="randomized grids, exact reconstruction"), ()
+@_per_instance("instances", gen.space_menu,
+               "randomized grids, exact reconstruction")
+def _run_lem_3_1(rng, space, k):
+    e = gen.random_nonzero_element(rng, space)
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    us = gen.random_split(rng, e, m)
+    vs = gen.random_split(rng, e, n)
+    grid = pliev_grid(us, vs)
+    for a, b in itertools.combinations(
+            [w for row in grid.grid for w in row], 2):
+        if not is_disjoint(a, b):
+            return (f"grid entries not disjoint (base {format_element(e)})",
+                    (a, b))
+    for i, u in enumerate(us):
+        if grid.row_sum(i) != u:
+            return (f"row {i} does not reconstruct (base "
+                    f"{format_element(e)})", (u,))
+    for j, v in enumerate(vs):
+        if grid.col_sum(j) != v:
+            return (f"column {j} does not reconstruct (base "
+                    f"{format_element(e)})", (v,))
 
 
 def _run_lem_4_4(rng, cfg):
@@ -312,29 +315,21 @@ def _run_lem_4_4(rng, cfg):
     return _ok(samples, notes="exhaustive on finite fragment sets"), ()
 
 
-def _run_lem_4_5(rng, cfg):
-    from .spaces import pos_part, neg_part
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        y = gen.random_nonzero_element(rng, space)
-        x = gen.random_fragment(rng, y)
-        samples += 1
-        for tag, fx, fy in (("pos", pos_part(x), pos_part(y)),
-                            ("neg", neg_part(x), neg_part(y)),
-                            ("abs", absolute(x), absolute(y))):
-            if not is_fragment(fx, fy):
-                return _bad(f"{tag} part not laterally monotone", samples,
-                            data=(x, y)), ()
-        u = gen.random_fragment(rng, absolute(y))
-        x2 = _random_signs(rng, u)
-        if absolute(x2) != u:
-            return _bad("sign scatter broke |x| = u", samples, data=(x2, u)), ()
-        if not leq(absolute(x2), absolute(y)):
-            return _bad("|x| fragment of |y| but not |x| <= |y|", samples,
-                        data=(x2, y)), ()
-    return _ok(samples, notes="randomized, exact"), ()
+@_per_instance("samples", gen.space_menu, "randomized, exact")
+def _run_lem_4_5(rng, space, k):
+    y = gen.random_nonzero_element(rng, space)
+    x = gen.random_fragment(rng, y)
+    for tag, fx, fy in (("pos", pos_part(x), pos_part(y)),
+                        ("neg", neg_part(x), neg_part(y)),
+                        ("abs", absolute(x), absolute(y))):
+        if not is_fragment(fx, fy):
+            return f"{tag} part not laterally monotone", (x, y)
+    u = gen.random_fragment(rng, absolute(y))
+    x2 = _random_signs(rng, u)
+    if absolute(x2) != u:
+        return "sign scatter broke |x| = u", (x2, u)
+    if not leq(absolute(x2), absolute(y)):
+        return "|x| fragment of |y| but not |x| <= |y|", (x2, y)
 
 
 def _random_signs(rng, u):
@@ -343,104 +338,71 @@ def _random_signs(rng, u):
     return sub(u, scale(2, flipped))
 
 
-def _linear_diag_pair(rng, n):
+@_per_instance("samples", lambda: (None,),
+               "upper-bound and minimality against dominators")
+def _run_thm_1_1_a(rng, _, k):
+    n = rng.randint(1, 4)
+    space = Coordinate(n)
     a = [gen.random_scalar(rng) for _ in range(n)]
     b = [gen.random_scalar(rng) for _ in range(n)]
-    space = Coordinate(n)
     S = diagonal_kernel(space, [poly(0, c) for c in a])
     T = diagonal_kernel(space, [poly(0, c) for c in b])
-    return space, a, b, S, T
-
-
-def _run_thm_1_1_a(rng, cfg):
-    samples = 0
-    for _ in range(cfg["samples"]):
-        n = rng.randint(1, 4)
-        space, a, b, S, T = _linear_diag_pair(rng, n)
-        # closed-form dominator: per atom max(a t, b t)
-        dom = diagonal_kernel(space, [
-            PiecewisePoly((0,), ((0, min(ai, bi)), (0, max(ai, bi))))
-            for ai, bi in zip(a, b)])
-        x = gen.random_element(rng, space)
-        point = join_at(S, T, x)
-        samples += 1
-        for d in enumerate_decompositions(x):
-            val = add(apply(S, d.left), apply(T, d.right))
-            if not leq(val, point.value):
-                return _bad("join not an upper bound of a splitting value",
-                            samples, data=(x,)), ()
-        if not (leq(apply(S, x), apply(dom, x)) and leq(apply(T, x), apply(dom, x))):
-            return _bad("dominator construction broken", samples, data=(x,)), ()
-        if not leq(point.value, apply(dom, x)):
-            return _bad("join exceeds a pointwise dominator", samples,
-                        data=(x,)), ()
-    return _ok(samples, notes="upper-bound and minimality against dominators"), ()
+    # closed-form dominator: per atom max(a t, b t)
+    dom = diagonal_kernel(space, [
+        PiecewisePoly((0,), ((0, min(ai, bi)), (0, max(ai, bi))))
+        for ai, bi in zip(a, b)])
+    x = gen.random_element(rng, space)
+    point = join_at(S, T, x)
+    for d in enumerate_decompositions(x):
+        if not leq(add(apply(S, d.left), apply(T, d.right)), point.value):
+            return "join not an upper bound of a splitting value", (x,)
+    if not (leq(apply(S, x), apply(dom, x)) and leq(apply(T, x), apply(dom, x))):
+        return "dominator construction broken", (x,)
+    if not leq(point.value, apply(dom, x)):
+        return "join exceeds a pointwise dominator", (x,)
 
 
 def _op_pool(rng, space):
     return gen.random_oao(rng, space, allow_tables=False)
 
 
-def _run_thm_1_1_b(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        S, T = _op_pool(rng, space), _op_pool(rng, space)
-        x = _finite_frag_element(rng, space)
-        samples += 1
-        m = meet_at(S, T, x).value
-        j = join_at(negate(S), negate(T), x).value
-        if m != scale(-1, j):
-            return _bad("meet is not the negated join of negations", samples,
-                        data=(x,)), ()
-    return _ok(samples, notes="duality identity, exact"), ()
+@_per_instance("samples", _finite_spaces, "duality identity, exact")
+def _run_thm_1_1_b(rng, space, k):
+    S, T = _op_pool(rng, space), _op_pool(rng, space)
+    x = _finite_frag_element(rng, space)
+    m = meet_at(S, T, x).value
+    j = join_at(negate(S), negate(T), x).value
+    if m != scale(-1, j):
+        return "meet is not the negated join of negations", (x,)
 
 
-def _run_thm_1_1_c(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        T = _op_pool(rng, space)
-        x = _finite_frag_element(rng, space)
-        samples += 1
-        p = pos_part_at(T, x).value
-        m = neg_part_at(T, x).value
-        tx = apply(T, x)
-        if sub(p, m) != tx:
-            return _bad("pos - neg != T(x)", samples, data=(x,)), ()
-        if not leq(zero(p.space), p) or not leq(tx, p):
-            return _bad("positive part not dominating", samples, data=(x,)), ()
-    return _ok(samples, notes="part identities, exact"), ()
+@_per_instance("samples", _finite_spaces, "part identities, exact")
+def _run_thm_1_1_c(rng, space, k):
+    T = _op_pool(rng, space)
+    x = _finite_frag_element(rng, space)
+    p = pos_part_at(T, x).value
+    m = neg_part_at(T, x).value
+    tx = apply(T, x)
+    if sub(p, m) != tx:
+        return "pos - neg != T(x)", (x,)
+    if not leq(zero(p.space), p) or not leq(tx, p):
+        return "positive part not dominating", (x,)
 
 
-def _run_thm_1_1_d(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        T = _op_pool(rng, space)
-        x = _finite_frag_element(rng, space)
-        samples += 1
-        if neg_part_at(T, x).value != pos_part_at(negate(T), x).value:
-            return _bad("negative part is not the positive part of -T",
-                        samples, data=(x,)), ()
-    return _ok(samples, notes="dual part identity, exact"), ()
+@_per_instance("samples", _finite_spaces, "dual part identity, exact")
+def _run_thm_1_1_d(rng, space, k):
+    T = _op_pool(rng, space)
+    x = _finite_frag_element(rng, space)
+    if neg_part_at(T, x).value != pos_part_at(negate(T), x).value:
+        return "negative part is not the positive part of -T", (x,)
 
 
-def _run_thm_1_1_e(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        T = _op_pool(rng, space)
-        x = _finite_frag_element(rng, space)
-        samples += 1
-        if not leq(absolute(apply(T, x)), modulus_at(T, x).value):
-            return _bad("|T(x)| exceeds the modulus value", samples,
-                        data=(x,)), ()
-    return _ok(samples, notes="modulus inequality, exact"), ()
+@_per_instance("samples", _finite_spaces, "modulus inequality, exact")
+def _run_thm_1_1_e(rng, space, k):
+    T = _op_pool(rng, space)
+    x = _finite_frag_element(rng, space)
+    if not leq(absolute(apply(T, x)), modulus_at(T, x).value):
+        return "|T(x)| exceeds the modulus value", (x,)
 
 
 def _run_thm_2_3_forward(rng, cfg):
@@ -472,221 +434,174 @@ def _run_thm_2_3_forward(rng, cfg):
     return _ok(samples, notes="exact level maxima n(n+1)/2"), tuple(arts)
 
 
-def _run_thm_2_3_converse(rng, cfg, menu=None):
-    menu = menu or _finite_spaces()
-    samples = 0
-    for k in range(cfg["ops"]):
-        space = menu[k % len(menu)]
+def _converse(menu):
+    """Theorem 2.3's converse on random operators over ``menu``."""
+    @_per_instance("ops", menu, "exact finite bounds on every instance")
+    def run(rng, space, k):
         T = gen.random_oao(rng, space)
         e = _finite_frag_element(rng, space)
         scan = lateral_bound_scan(T, e)
-        samples += 1
         for z in enumerate_fragments(e):
             v = apply(T, z)
             if not (leq(scan.lo, v) and leq(v, scan.hi)):
-                return _bad("scan bounds do not envelope an image", samples,
-                            data=(z, e)), ()
-    return _ok(samples, notes="exact finite bounds on every instance"), ()
+                return "scan bounds do not envelope an image", (z, e)
+    return run
 
 
-def _run_rem_c00(rng, cfg):
-    return _run_thm_2_3_converse(rng, cfg, menu=(FinSupport(),))
+@_per_instance("ops", lambda: (None,),
+               "every nonzero linear operator refuted with x,-x")
+def _run_rem_linear_positive(rng, _, k):
+    T = gen.random_linear_operator(rng, nonzero=True)
+    rep = verify_positive(T)
+    if rep.verdict != FAILS or rep.witness_data is None:
+        return ("a nonzero linear operator was not refuted", None,
+                f"got verdict {rep.verdict}")
+    x = rep.witness_data[0]
+    y = apply(T, x)
+    if leq(zero(y.space), y):
+        return "reported witness does not violate positivity", (x,)
 
 
-def _run_rem_linear_positive(rng, cfg):
+@_per_instance("samples", _finite_spaces,
+               "additivity via grid refinement, exact")
+def _run_thm_3_2_oao(rng, space, k):
+    S, T = _op_pool(rng, space), _op_pool(rng, space)
+    x, y = gen.random_disjoint_pair(rng, space)
+    whole = join_at(S, T, add(x, y)).value
+    partwise = add(join_at(S, T, x).value, join_at(S, T, y).value)
+    if whole != partwise:
+        return (f"join not additive at x={format_element(x)} "
+                f"y={format_element(y)}", (x, y))
+    # refine a few splittings of x + y through the common grid
+    for d in enumerate_decompositions(add(x, y))[:4]:
+        if is_zero(d.left) and is_zero(d.right):
+            continue
+        w = pliev_grid([d.left, d.right], [x, y]).grid
+        checks = (
+            add(w[0][0], w[0][1]) == d.left,
+            add(w[1][0], w[1][1]) == d.right,
+            add(w[0][0], w[1][0]) == x,
+            add(w[0][1], w[1][1]) == y,
+            apply(S, d.left) == add(apply(S, w[0][0]), apply(S, w[0][1])),
+        )
+        if not all(checks):
+            return "grid refinement identity failed", (x, y)
+
+
+def _scan_matches_hull(kind, operands, witness, notes):
+    """The lateral bound scan of ``kind`` of random operators, folded atom
+    by atom, against the inf and sup of its enumerated fragment images."""
+    @_per_instance("samples", _finite_spaces, notes)
+    def run(rng, space, k):
+        body = OpLattice(kind, [_op_pool(rng, space) for _ in range(operands)])
+        e = _finite_frag_element(rng, space)
+        vals = [apply(body, z) for z in enumerate_fragments(e)]
+        scan = lateral_bound_scan(body, e)
+        if (scan.lo, scan.hi) != (functools.reduce(inf, vals),
+                                  functools.reduce(sup, vals)):
+            return witness, (e,)
+    return run
+
+
+def _join_attains(S, T, x, got, ref):
+    if not ref.attained:
+        return "no attaining splitting recorded"
+    if got.attained != ref.attained:
+        return (f"attaining splittings at {format_element(x)} differ from "
+                "enumeration")
+
+
+def _meet_is_dual(S, T, x, got, ref):
+    if got.value != scale(-1, join_at(negate(S), negate(T), x).value):
+        return "meet duality identity failed"
+
+
+def _modulus_dominates(T, x, got, ref):
+    if not leq(absolute(apply(T, x)), got.value):
+        return "modulus below |T(x)|"
+
+
+def _negated(point):
+    point.value = scale(-1, point.value)
+    return point
+
+
+# per kind: the per-atom closed form on the operands' values, the fold
+# under test and its enumeration reference over every splitting
+_ClosedForm = collections.namedtuple("_ClosedForm", (
+    "operands largest per_atom fold reference extra mismatch notes"))
+_CLOSED_FORMS = {
+    "join": _ClosedForm(
+        2, 10, max, join_at,
+        lambda S, T, x: extrema_by_enumeration(S, T, x, "sup"),
+        _join_attains, "join oracle mismatch at {x}",
+        "coordinatewise closed form matched exactly"),
+    "meet": _ClosedForm(
+        2, 6, min, meet_at,
+        lambda S, T, x: extrema_by_enumeration(S, T, x, "inf"),
+        _meet_is_dual, "meet oracle mismatch",
+        "coordinatewise minimum matched exactly"),
+    "pos": _ClosedForm(
+        1, 6, lambda v: max(v, ZERO), pos_part_at,
+        lambda T, x: extrema_by_enumeration(
+            T, ZeroOp(T.domain, T.codomain), x, "sup"),
+        lambda *_: None, "pos oracle mismatch at {x}", "closed form matched"),
+    "neg": _ClosedForm(
+        1, 6, lambda v: max(-v, ZERO), neg_part_at,
+        lambda T, x: _negated(extrema_by_enumeration(
+            T, ZeroOp(T.domain, T.codomain), x, "inf")),
+        lambda *_: None, "neg oracle mismatch at {x}", "closed form matched"),
+    "modulus": _ClosedForm(
+        1, 6, abs, modulus_at,
+        lambda T, x: extrema_by_enumeration(T, negate(T), x, "sup"),
+        _modulus_dominates, "modulus oracle mismatch at {x}",
+        "closed form matched"),
+}
+
+
+def _run_closed_form(rng, cfg, kind):
+    """``kind`` of random diagonal kernels against its per-atom closed
+    form, evaluated by Fraction Horner apart from ``apply``, and against
+    enumeration: at each x of the grid {-2, ..., 2}^n for n up to
+    cfg["exhaustive_n"], with one draw of kernels per n, then at
+    cfg["samples"] random x."""
+    (operands, largest, per_atom, fold, reference, extra, mismatch,
+     notes) = _CLOSED_FORMS[kind]
+
+    def kernels(n):
+        return [diagonal_kernel(Coordinate(n), [gen._random_fn(rng)
+                                                for _ in range(n)])
+                for _ in range(operands)]
+
+    def cases():
+        for n in range(1, cfg.get("exhaustive_n", 0) + 1):
+            ops = kernels(n)
+            for values in itertools.product((-2, -1, 0, 1, 2), repeat=n):
+                yield ops, normalize(Coordinate(n), values), True
+        for _ in range(cfg["samples"]):
+            ops = kernels(rng.randint(1, largest))
+            yield ops, gen.random_element(rng, ops[0].domain), False
+
     samples = 0
-    for _ in range(cfg["ops"]):
-        T = gen.random_linear_operator(rng, nonzero=True)
-        rep = verify_positive(T)
+    for ops, x, exhaustive in cases():
         samples += 1
-        if rep.verdict != FAILS or rep.witness_data is None:
-            return _bad("a nonzero linear operator was not refuted", samples,
-                        notes=f"got verdict {rep.verdict}"), ()
-        x = rep.witness_data[0]
-        y = apply(T, x)
-        if leq(zero(y.space), y):
-            return _bad("reported witness does not violate positivity",
-                        samples, data=(x,)), ()
-    return _ok(samples, notes="every nonzero linear operator refuted with x,-x"), ()
-
-
-def _run_thm_3_2_join(rng, cfg):
-    samples = 0
-    # exhaustive small sizes over a 5-point grid
-    grid = [Q(v) for v in (-2, -1, 0, 1, 2)]
-    for n in range(1, cfg["exhaustive_n"] + 1):
-        space = Coordinate(n)
-        fns_f = [gen._random_fn(rng) for _ in range(n)]
-        fns_g = [gen._random_fn(rng) for _ in range(n)]
-        S, T = diagonal_kernel(space, fns_f), diagonal_kernel(space, fns_g)
-        for values in itertools.product(grid, repeat=n):
-            x = normalize(space, values)
-            samples += 1
-            want = normalize(space, [max(f.eval_by_fractions(v),
-                                         g.eval_by_fractions(v))
-                                     for f, g, v in zip(fns_f, fns_g, values)])
-            got = join_at(S, T, x)
-            ref = extrema_by_enumeration(S, T, x, "sup")
-            if got.value != want or ref.value != want:
-                return _bad(f"join at {format_element(x)} is "
-                            f"{format_value(got.value)}, enumeration "
-                            f"{format_value(ref.value)}, oracle "
-                            f"{format_value(want)}", samples, data=(x,)), ()
-            if not ref.attained:
-                return _bad("no attaining splitting recorded", samples,
-                            data=(x,)), ()
-            if got.attained != ref.attained:
-                return _bad(f"attaining splittings at {format_element(x)} "
-                            "differ from enumeration", samples,
-                            data=(x,)), ()
-    for _ in range(cfg["samples"]):
-        n = rng.randint(1, 10)
-        space = Coordinate(n)
-        fns_f = [gen._random_fn(rng) for _ in range(n)]
-        fns_g = [gen._random_fn(rng) for _ in range(n)]
-        S, T = diagonal_kernel(space, fns_f), diagonal_kernel(space, fns_g)
-        x = gen.random_element(rng, space)
-        samples += 1
-        want = normalize(space, [max(f.eval_by_fractions(v),
-                                     g.eval_by_fractions(v)) for f, g, v
-                                 in zip(fns_f, fns_g, _atom_values(x))])
-        got = join_at(S, T, x)
-        ref = extrema_by_enumeration(S, T, x, "sup")
+        # the kernels' rows (i, i, f), one per atom i, in atom order
+        want = normalize(x.space, [
+            per_atom(*(f.eval_by_fractions(get_atom(x, i))
+                       for i, _, f in rows))
+            for rows in zip(*(K.table for K in ops))])
+        got, ref = fold(*ops, x), reference(*ops, x)
         if got.value != want or ref.value != want:
-            return _bad(f"join oracle mismatch at {format_element(x)}",
-                        samples, data=(x,)), ()
-        if got.attained != ref.attained:
-            return _bad(f"attaining splittings at {format_element(x)} "
-                        "differ from enumeration", samples, data=(x,)), ()
-    return _ok(samples, notes="coordinatewise closed form matched exactly"), ()
-
-
-def _run_thm_3_2_oao(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        S, T = _op_pool(rng, space), _op_pool(rng, space)
-        x, y = gen.random_disjoint_pair(rng, space)
-        samples += 1
-        whole = join_at(S, T, add(x, y)).value
-        partwise = add(join_at(S, T, x).value, join_at(S, T, y).value)
-        if whole != partwise:
-            return _bad(
-                f"join not additive at x={format_element(x)} y={format_element(y)}",
-                samples, data=(x, y)), ()
-        # refine a few splittings of x + y through the common grid
-        decs = enumerate_decompositions(add(x, y))
-        for d in decs[:4]:
-            if is_zero(d.left) and is_zero(d.right):
-                continue
-            grid = pliev_grid([d.left, d.right], [x, y])
-            w = grid.grid
-            checks = (
-                add(w[0][0], w[0][1]) == d.left,
-                add(w[1][0], w[1][1]) == d.right,
-                add(w[0][0], w[1][0]) == x,
-                add(w[0][1], w[1][1]) == y,
-                apply(S, d.left) == add(apply(S, w[0][0]), apply(S, w[0][1])),
-            )
-            if not all(checks):
-                return _bad("grid refinement identity failed", samples,
-                            data=(x, y)), ()
-    return _ok(samples, notes="additivity via grid refinement, exact"), ()
-
-
-def _run_thm_3_2_pres_p(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        S, T = _op_pool(rng, space), _op_pool(rng, space)
-        e = _finite_frag_element(rng, space)
-        vals = [join_at(S, T, z).value for z in enumerate_fragments(e)]
-        lo, hi = functools.reduce(inf, vals), functools.reduce(sup, vals)
-        samples += 1
-        if not all(leq(lo, v) and leq(v, hi) for v in vals):
-            return _bad("join image over fragments not order bounded",
-                        samples, data=(e,)), ()
-    return _ok(samples, notes="join image bounded over finite fragment sets"), ()
-
-
-def _run_cor_3_3_meet(rng, cfg):
-    samples = 0
-    for _ in range(cfg["samples"]):
-        n = rng.randint(1, 6)
-        space = Coordinate(n)
-        fns_f = [gen._random_fn(rng) for _ in range(n)]
-        fns_g = [gen._random_fn(rng) for _ in range(n)]
-        S, T = diagonal_kernel(space, fns_f), diagonal_kernel(space, fns_g)
-        x = gen.random_element(rng, space)
-        samples += 1
-        want = normalize(space, [min(f.eval_by_fractions(v),
-                                     g.eval_by_fractions(v)) for f, g, v
-                                 in zip(fns_f, fns_g, _atom_values(x))])
-        got = meet_at(S, T, x).value
-        if got != want or extrema_by_enumeration(S, T, x, "inf").value != want:
-            return _bad("meet oracle mismatch", samples, data=(x,)), ()
-        if got != scale(-1, join_at(negate(S), negate(T), x).value):
-            return _bad("meet duality identity failed", samples, data=(x,)), ()
-    return _ok(samples, notes="coordinatewise minimum matched exactly"), ()
-
-
-def _enumerated_part(kind, T, x):
-    """Positive part, negative part or modulus of T at x, folded over
-    every splitting of x by the enumeration reference."""
-    if kind == "modulus":
-        return extrema_by_enumeration(T, negate(T), x, "sup").value
-    zero_op = ZeroOp(T.domain, T.codomain)
-    if kind == "pos":
-        return extrema_by_enumeration(T, zero_op, x, "sup").value
-    return scale(-1, extrema_by_enumeration(T, zero_op, x, "inf").value)
-
-
-def _part_oracle(rng, cfg, which):
-    """Positive part, negative part or modulus (``which``) of random
-    diagonal kernels against the Fraction closed form and enumeration."""
-    samples = 0
-    for _ in range(cfg["samples"]):
-        n = rng.randint(1, 6)
-        space = Coordinate(n)
-        fns = [gen._random_fn(rng) for _ in range(n)]
-        T = diagonal_kernel(space, fns)
-        x = gen.random_element(rng, space)
-        samples += 1
-        # the oracle evaluates by Fraction Horner, apart from apply
-        values = [f.eval_by_fractions(v) for f, v in zip(fns, _atom_values(x))]
-        if which == "pos":
-            want = normalize(space, [max(v, ZERO) for v in values])
-            got = pos_part_at(T, x).value
-        elif which == "neg":
-            want = normalize(space, [max(-v, ZERO) for v in values])
-            got = neg_part_at(T, x).value
+            witness = (f"{kind} at {format_element(x)} is "
+                       f"{format_value(got.value)}, enumeration "
+                       f"{format_value(ref.value)}, oracle "
+                       f"{format_value(want)}" if exhaustive
+                       else mismatch.format(x=format_element(x)))
         else:
-            want = normalize(space, [abs(v) for v in values])
-            got = modulus_at(T, x).value
-            if not leq(absolute(apply(T, x)), got):
-                return _bad("modulus below |T(x)|", samples, data=(x,)), ()
-        if got != want or _enumerated_part(which, T, x) != want:
-            return _bad(f"{which} oracle mismatch at {format_element(x)}",
-                        samples, data=(x,)), ()
-    return _ok(samples, notes="closed form matched"), ()
-
-
-def _run_cor_3_6_pres_p(rng, cfg):
-    menu = _finite_spaces()
-    samples = 0
-    for k in range(cfg["samples"]):
-        space = menu[k % len(menu)]
-        T = _op_pool(rng, space)
-        e = _finite_frag_element(rng, space)
-        vals = [modulus_at(T, z).value for z in enumerate_fragments(e)]
-        samples += 1
-        hi = functools.reduce(sup, vals)
-        if not all(leq(v, hi) for v in vals):
-            return _bad("modulus image not order bounded over fragments",
-                        samples, data=(e,)), ()
-    return _ok(samples, notes="modulus image bounded over finite fragment sets"), ()
+            witness = extra(*ops, x, got, ref)
+        if witness is not None:
+            return _bad(witness, samples, data=(x,)), ()
+    return _ok(samples, notes=notes), ()
 
 
 def _window_operator(rng, codomain):
@@ -729,31 +644,26 @@ def _window_tables(S, T, x, level):
     )
 
 
-def _run_op_level_window(rng, cfg):
-    ec = EventuallyConstant()
-    samples = 0
-    for k in range(cfg["samples"]):
-        if k % 4 == 0:
-            cod = Coordinate(1)
-            S = example_operator("ramped_basis", target=one(cod),
-                                 horizon=rng.randint(1, 4))
-            T = _window_operator(rng, cod)
-        else:
-            cod = Coordinate(2)
-            S, T = _window_operator(rng, cod), _window_operator(rng, cod)
+@_per_instance("samples", lambda: (EventuallyConstant(),),
+               "tables cut at the window matched the full walk")
+def _run_op_level_window(rng, ec, k):
+    if k % 4 == 0:
+        cod = Coordinate(1)
+        S = example_operator("ramped_basis", target=one(cod),
+                             horizon=rng.randint(1, 4))
+        T = _window_operator(rng, cod)
+    else:
+        cod = Coordinate(2)
+        S, T = _window_operator(rng, cod), _window_operator(rng, cod)
+    x = gen.random_nonzero_element(rng, ec)
+    while not has_infinite_fragments(x):
         x = gen.random_nonzero_element(rng, ec)
-        while not has_infinite_fragments(x):
-            x = gen.random_nonzero_element(rng, ec)
-        cut = max(joint_window((S, T)), len(x.payload[0]))
-        samples += 1
-        # each table holds every level through 2 * cut + 1
-        for name, got, want in _window_tables(S, T, x, 2 * cut + 1):
-            if tuple(got) != tuple(want):
-                return _bad(f"{name} level table at {format_element(x)} "
-                            f"differs from the full walk past level {cut}",
-                            samples, data=(S, T, x)), ()
-    return _ok(samples, notes="tables cut at the window matched the full "
-               "walk"), ()
+    cut = max(joint_window((S, T)), len(x.payload[0]))
+    # each table holds every level through 2 * cut + 1
+    for name, got, want in _window_tables(S, T, x, 2 * cut + 1):
+        if tuple(got) != tuple(want):
+            return (f"{name} level table at {format_element(x)} differs "
+                    f"from the full walk past level {cut}", (S, T, x))
 
 
 def _run_thm_4_2_1(rng, cfg):
@@ -772,55 +682,45 @@ def _run_thm_4_2_1(rng, cfg):
     return _ok(samples, notes="lateral images bounded by |T(e)|, exact"), ()
 
 
-def _run_thm_4_2_2(rng, cfg):
-    return _dp_fast_vs_brute(rng, cfg, ("modulus",))
-
-
-def _run_thm_4_2_3(rng, cfg):
-    return _dp_fast_vs_brute(rng, cfg, ("pos", "neg"))
-
-
-def _dp_fast_vs_brute(rng, cfg, kinds):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["ops"]):
-        space = menu[k % len(menu)]
+def _dp_instance(check):
+    """``check(rng, space, T, report)`` on a random disjointness-preserving
+    T whose verification report, seeded by k, does not fail."""
+    def instance(rng, space, k):
         T = gen.random_dp_operator(rng, space)
-        rep = verify_disjointness_preserving(T, reports.Budget(samples=20, seed=k))
+        rep = verify_disjointness_preserving(T, reports.Budget(samples=20,
+                                                               seed=k))
         if rep.verdict == FAILS:
-            return _bad("generated operator failed disjointness preservation",
-                        samples, notes=rep.witness or ""), ()
+            return ("generated operator failed disjointness preservation",
+                    None, rep.witness or "")
+        return check(rng, space, T, rep)
+    return instance
+
+
+def _dp_fast_vs_brute(kinds):
+    """The fast path of each of ``kinds`` against enumeration."""
+    @_per_instance("ops", gen.space_menu, "single-application fast path exact")
+    @_dp_instance
+    def run(rng, space, T, rep):
         x = _finite_frag_element(rng, space)
-        samples += 1
         for kind in kinds:
-            fast = dp_fast(kind, T, x, rep)
-            if fast != _enumerated_part(kind, T, x):
-                return _bad(f"{kind} fast path disagrees at {format_element(x)}",
-                            samples, data=(x,)), ()
-    return _ok(samples, notes="single-application fast path exact"), ()
+            if dp_fast(kind, T, x, rep) != \
+                    _CLOSED_FORMS[kind].reference(T, x).value:
+                return (f"{kind} fast path disagrees at {format_element(x)}",
+                        (x,))
+    return run
 
 
-def _run_thm_4_2_4(rng, cfg):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["ops"]):
-        space = menu[k % len(menu)]
-        T = gen.random_dp_operator(rng, space)
-        rep = verify_disjointness_preserving(T, reports.Budget(samples=20, seed=k))
-        if rep.verdict == FAILS:
-            return _bad("generated operator failed disjointness preservation",
-                        samples, notes=rep.witness or ""), ()
-        e = _finite_frag_element(rng, space)
-        x = gen.random_fragment(rng, e)
-        y = gen.random_fragment(rng, e)
-        samples += 1
-        v = meyer_pair(T, x, y, e, rep)
-        if not is_zero(v):
-            return _bad(
-                f"nonzero wedge {format_value(v)} at x={format_element(x)} "
-                f"y={format_element(y)} e={format_element(e)}",
-                samples, data=(x, y, e)), ()
-    return _ok(samples, notes="wedge vanishes under the hypotheses, exact"), ()
+@_per_instance("ops", gen.space_menu,
+               "wedge vanishes under the hypotheses, exact")
+@_dp_instance
+def _run_thm_4_2_4(rng, space, T, rep):
+    e = _finite_frag_element(rng, space)
+    x = gen.random_fragment(rng, e)
+    y = gen.random_fragment(rng, e)
+    v = meyer_pair(T, x, y, e, rep)
+    if not is_zero(v):
+        return (f"nonzero wedge {format_value(v)} at x={format_element(x)} "
+                f"y={format_element(y)} e={format_element(e)}", (x, y, e))
 
 
 def _run_ex_2_2(rng, cfg):
@@ -968,41 +868,49 @@ _DEFS = (
     CheckDef("thm-2.3-converse",
              "on finite fragment algebras every sampled operator is "
              "laterally-to-order bounded",
-             _run_thm_2_3_converse, {"ops": 40}, {"ops": 150}),
+             _converse(_finite_spaces), {"ops": 40}, {"ops": 150}),
     CheckDef("rem-c00",
              "finitely supported sequences: lateral boundedness is automatic",
-             _run_rem_c00, {"ops": 40}, {"ops": 150}),
+             _converse(lambda: (FinSupport(),)), {"ops": 40}, {"ops": 150}),
     CheckDef("rem-linear-positive",
              "no nonzero linear operator is positive",
              _run_rem_linear_positive, {"ops": 50}, {"ops": 100}),
     CheckDef("thm-3.2-join",
              "brute-force join equals the kernel closed form",
-             _run_thm_3_2_join, {"exhaustive_n": 3, "samples": 150},
+             functools.partial(_run_closed_form, kind="join"),
+             {"exhaustive_n": 3, "samples": 150},
              {"exhaustive_n": 4, "samples": 1000}),
     CheckDef("thm-3.2-oao",
              "the pointwise join is orthogonally additive",
              _run_thm_3_2_oao, {"samples": 120}, {"samples": 500}),
     CheckDef("thm-3.2-pres-p",
              "join of laterally bounded operators stays laterally bounded",
-             _run_thm_3_2_pres_p, {"samples": 40}, {"samples": 150}),
+             _scan_matches_hull("join", 2, "join image over fragments not "
+                                "order bounded", "join image bounded over "
+                                "finite fragment sets"),
+             {"samples": 40}, {"samples": 150}),
     CheckDef("cor-3.3-meet",
              "brute-force meet equals the kernel closed form and the dual join",
-             _run_cor_3_3_meet, {"samples": 150}, {"samples": 500}),
+             functools.partial(_run_closed_form, kind="meet"),
+             {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.4-pos",
              "positive part equals the kernel closed form",
-             functools.partial(_part_oracle, which="pos"),
+             functools.partial(_run_closed_form, kind="pos"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.5-neg",
              "negative part equals the kernel closed form",
-             functools.partial(_part_oracle, which="neg"),
+             functools.partial(_run_closed_form, kind="neg"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-mod",
              "modulus equals the kernel closed form and dominates |T(x)|",
-             functools.partial(_part_oracle, which="modulus"),
+             functools.partial(_run_closed_form, kind="modulus"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-pres-P",
              "modulus of a laterally bounded operator stays laterally bounded",
-             _run_cor_3_6_pres_p, {"samples": 40}, {"samples": 150}),
+             _scan_matches_hull("mod", 1, "modulus image not order bounded "
+                                "over fragments", "modulus image bounded "
+                                "over finite fragment sets"),
+             {"samples": 40}, {"samples": 150}),
     CheckDef("op-level-window",
              "level tables cut at the operators' window equal the full walk",
              _run_op_level_window, {"samples": 8}, {"samples": 80}),
@@ -1011,10 +919,10 @@ _DEFS = (
              _run_thm_4_2_1, {"ops": 40}, {"ops": 150}),
     CheckDef("thm-4.2-2",
              "modulus of a disjointness-preserving operator is |T(x)| pointwise",
-             _run_thm_4_2_2, {"ops": 120}, {"ops": 500}),
+             _dp_fast_vs_brute(("modulus",)), {"ops": 120}, {"ops": 500}),
     CheckDef("thm-4.2-3",
              "parts of a disjointness-preserving operator are the parts of T(x)",
-             _run_thm_4_2_3, {"ops": 120}, {"ops": 500}),
+             _dp_fast_vs_brute(("pos", "neg")), {"ops": 120}, {"ops": 500}),
     CheckDef("thm-4.2-4",
              "the positive/negative wedge vanishes on laterally bounded pairs",
              _run_thm_4_2_4, {"ops": 120}, {"ops": 500}),
@@ -1060,6 +968,18 @@ def check_ids():
 _COUNT_KEYS = frozenset(("n", "instances", "ops", "samples", "levels",
                          "level", "exhaustive_n"))
 _MAX_COUNT = 10 ** 6
+
+
+def parse_config(pairs) -> dict:
+    """A config from (key, text) pairs: each value is an int where its
+    text parses as one, else the text itself."""
+    cfg = {}
+    for key, raw in pairs:
+        try:
+            cfg[key] = int(raw)
+        except ValueError:
+            cfg[key] = raw
+    return cfg
 
 
 def _validate_config(check_id, cfg):

@@ -122,27 +122,26 @@ def _cmd_run(args) -> int:
             print(f"{args.script}:{d}", file=sys.stderr)
         return EXIT_PARSE
     env = evaluator.Environment(seed=_seed_of(args))
-    try:
-        lines, env = evaluator.evaluate(result.script, env=env)
-    except RecursionError:
-        # the parser bounds nesting, not the length of an operator chain
-        print(f"{args.script}: error: expression too deeply nested to "
-              "evaluate", file=sys.stderr)
-        return EXIT_PARSE
-    except DslTypeError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return EXIT_TYPE
-    except UnknownCheck as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return EXIT_TYPE
-    except (MalformedElement, SpaceMismatch, Unsupported) as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return EXIT_TYPE
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    for line in lines:
-        print(line)
+    # each statement prints as it completes, so an error keeps the output
+    # of the statements before it
+    for stmt in result.script.statements:
+        where = f"{args.script}:{stmt.span[0]}:{stmt.span[1]}:"
+        try:
+            lines, env = evaluator.evaluate(dsl.Script((stmt,)), env=env)
+        except RecursionError:
+            # the parser bounds nesting, not the length of an operator chain
+            print(f"{where} error: expression too deeply nested to evaluate",
+                  file=sys.stderr)
+            return EXIT_PARSE
+        except (DslTypeError, UnknownCheck, MalformedElement, SpaceMismatch,
+                Unsupported) as exc:
+            print(f"{where} type error: {exc}", file=sys.stderr)
+            return EXIT_TYPE
+        except PreconditionError as exc:
+            print(f"{where} precondition violated: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        for line in lines:
+            print(line)
     return EXIT_CHECK_FAILED if env.failures else EXIT_OK
 
 
@@ -168,17 +167,12 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = {}
     for item in args.config:
         if "=" not in item:
             print(f"error: config entries look like key=value, got {item!r}",
                   file=sys.stderr)
             return EXIT_TYPE
-        key, _, raw = item.partition("=")
-        try:
-            config[key] = int(raw)
-        except ValueError:
-            config[key] = raw
+    config = checks.parse_config(item.split("=", 1) for item in args.config)
     try:
         result = checks.run_check(args.id, config or None,
                                   profile=args.profile, seed=_seed_of(args))

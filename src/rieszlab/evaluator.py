@@ -385,7 +385,7 @@ def _exec_stmt(stmt, env: Environment):
         env.level = None
         return text.split("\n")
     if isinstance(stmt, CheckStmt):
-        cfg = _config_dict(stmt.config)
+        cfg = checks.parse_config(stmt.config)
         check = checks.run_check(stmt.check_id, cfg or None, seed=env.seed)
         if check.result.verdict == "fails":
             env.failures += 1
@@ -400,19 +400,9 @@ def _exec_stmt(stmt, env: Environment):
         lines.append(checks.summary_text(summary))
         return lines
     if isinstance(stmt, SearchStmt):
-        cfg = _config_dict(stmt.config)
+        cfg = checks.parse_config(stmt.config)
         cfg.setdefault("seed", env.seed)
         report = checks.search_truncated_joins(cfg)
         return report.lines()
     raise DslTypeError(f"cannot execute {type(stmt).__name__}",
                        getattr(stmt, "span", (0, 0)))
-
-
-def _config_dict(pairs) -> dict:
-    cfg = {}
-    for key, raw in pairs:
-        try:
-            cfg[key] = int(raw)
-        except ValueError:
-            cfg[key] = raw
-    return cfg

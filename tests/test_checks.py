@@ -1,6 +1,7 @@
 """The named check suite: registry coverage, determinism, mutations."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +279,46 @@ def test_mutation_pl_common_skips_end_values_breaks_the_common_fragment():
     assert run_check("lat-common-fragment").result.verdict == HOLDS
 
 
+# the checks that fail under each mutant at quick profile, seed 0; no
+# named check parses scripts, so tests/test_dsl.py guards the lexer mutant
+CATCHERS = {
+    "latinf-collinear-meet-formula": ("lat-common-fragment",
+                                      "ex-4.3-latmeet"),
+    "latsup-sign-flip": ("frag-boolean",),
+    "latinf-zero": ("frag-boolean", "lat-common-fragment", "lem-3.1",
+                    "thm-3.2-oao", "ex-4.3-latmeet"),
+    "join-ties-left": ("thm-3.2-join",),
+    "pl-disjoint-one-end": ("lat-partial-order",),
+    "pl-restrict-drops-breakpoint": ("lat-common-fragment", "lem-3.1",
+                                     "lem-4.5", "thm-3.2-oao", "thm-4.2-4"),
+    "pl-lattice-drops-crossing": ("lem-4.5",),
+    "scalar-truncates": (
+        "lat-partial-order", "lat-common-fragment", "lem-3.1", "lem-4.4",
+        "lem-4.5", "thm-1.1-b", "thm-1.1-c", "thm-1.1-d", "thm-1.1-e",
+        "thm-2.3-converse", "rem-linear-positive", "thm-3.2-oao",
+        "thm-3.2-pres-p", "cor-3.6-pres-P", "thm-4.2-1", "thm-4.2-2",
+        "thm-4.2-3", "thm-4.2-4", "ex-2.2", "ex-4.3-latmeet"),
+    "ec-prefix-unminimised": ("thm-4.2-4",),
+    "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
+                               "cor-3.5-neg", "cor-3.6-mod"),
+    "kernel-window-short": ("op-level-window",),
+    "pl-common-skips-end-values": ("lat-common-fragment",),
+    "lex-comment-swallows-newline": (),
+}
+
+
+def test_kill_matrix_names_every_mutant():
+    assert set(CATCHERS) == set(MUTATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(CATCHERS))
+def test_each_mutant_fails_its_catchers(name):
+    with tampered(name):
+        verdicts = {cid: run_check(cid, seed=0).result.verdict
+                    for cid in CATCHERS[name]}
+    assert verdicts == dict.fromkeys(CATCHERS[name], FAILS)
+
+
 def test_mutation_names_are_documented():
     from rieszlab import mutations
     assert set(MUTATIONS) >= {"latinf-collinear-meet-formula",
@@ -331,7 +372,13 @@ def test_check_suite_builds_canonical_float_free_payloads(monkeypatch):
             bad.append((cid, space, payload))
 
     monkeypatch.setattr(spaces.Element, "__init__", recording_init)
+    records = ""
     for cid in REGISTRY:
-        run_check(cid, profile="quick", seed=0)
+        records += "\n".join(run_check(cid, profile="quick", seed=0).record())
+        records += "\n\n"
     assert len(built) > 100_000
     assert not bad, bad[:5]
+    # the records are the contract: the same in the --report format as
+    # the committed golden
+    golden = Path(__file__).parent / "goldens" / "suite_quick_seed0.rep"
+    assert records == golden.read_text(encoding="utf-8")

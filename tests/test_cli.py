@@ -131,8 +131,35 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
                       "eval ((A \\/ A)^+)(ec[1|1]) @level 3;\n")
     assert cli.main(["run", str(script)]) == cli.EXIT_PRECONDITION
     assert capsys.readouterr() == (
-        "", "precondition violated: infinite splitting family: supply a "
-            "truncation level\n")
+        "", f"{script}:2:1: precondition violated: infinite splitting "
+            "family: supply a truncation level\n")
+
+
+@pytest.mark.parametrize("text, code, printed, message", [
+    ("eval coord[1] + coord[1];\n"
+     "eval coord[1] + coord[1,2];\n", cli.EXIT_TYPE, "coord[2]\n",
+     "2:1: type error: coord(1) vs coord(2)"),
+    ("let A = series;\n"
+     "eval (A^+)(ec[1|1]) @level 3;\n"
+     "eval ((A \\/ A)^+)(ec[1,1|0]);\n"
+     "eval ((A \\/ A)^+)(ec[1|1]) @level 3;\n", cli.EXIT_PRECONDITION,
+     "level 0: interval[0]\n"
+     "level 1: interval[0.306852819421,0.306852819974]\n"
+     "level 2: interval[1/2]\n"
+     "level 3: interval[0.640186152754,0.640186153307]\n"
+     "interval[1/2] attained=[(ec[0,1|0] | ec[1|0])]\n",
+     "4:1: precondition violated: infinite splitting family: supply a "
+     "truncation level")],
+    ids=["type-error", "precondition"])
+def test_a_failing_statement_keeps_the_output_before_it(tmp_path, capsys,
+                                                       text, code, printed,
+                                                       message):
+    # statements print as they complete, and the error names the position
+    # of the statement that failed
+    script = tmp_path / "partial.rl"
+    script.write_text(text)
+    assert cli.main(["run", str(script)]) == code
+    assert capsys.readouterr() == (printed, f"{script}:{message}\n")
 
 
 def test_exit_code_check_failure_in_script(tmp_path):
@@ -150,7 +177,8 @@ def test_deep_scripts_exit_2_with_a_diagnostic(tmp_path, capsys):
     chain.write_text("eval " + " + ".join(["coord[1]"] * 3000) + ";")
     assert cli.main(["run", str(chain)]) == cli.EXIT_PARSE
     assert capsys.readouterr() == (
-        "", f"{chain}: error: expression too deeply nested to evaluate\n")
+        "", f"{chain}:1:1: error: expression too deeply nested to "
+            "evaluate\n")
     negations = tmp_path / "neg.rl"
     negations.write_text("eval " + "-" * 2000 + "coord[1];")
     assert cli.main(["run", str(negations)]) == cli.EXIT_PARSE
