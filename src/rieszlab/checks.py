@@ -992,7 +992,8 @@ def _validate_config(check_id, cfg):
             f"known keys: {', '.join(known + ['seed'])}")
     for key in _COUNT_KEYS & cfg.keys():
         value = cfg[key]
-        if not isinstance(value, int) or not 1 <= value <= _MAX_COUNT:
+        if (type(value) is bool or not isinstance(value, int)
+                or not 1 <= value <= _MAX_COUNT):
             raise PreconditionError(
                 f"{check_id}: config {key}={value!r} out of the supported "
                 f"range (integer in 1..{_MAX_COUNT})")

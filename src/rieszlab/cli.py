@@ -133,7 +133,13 @@ def _cmd_run(args) -> int:
             print(f"{where} error: expression too deeply nested to evaluate",
                   file=sys.stderr)
             return EXIT_PARSE
-        except (DslTypeError, UnknownCheck, MalformedElement, SpaceMismatch,
+        except DslTypeError as exc:
+            # the position of the offending expression, not the statement
+            line, col = exc.span
+            print(f"{args.script}:{line}:{col}: type error: {exc.message}",
+                  file=sys.stderr)
+            return EXIT_TYPE
+        except (UnknownCheck, MalformedElement, SpaceMismatch,
                 Unsupported) as exc:
             print(f"{where} type error: {exc}", file=sys.stderr)
             return EXIT_TYPE

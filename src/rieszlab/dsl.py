@@ -41,8 +41,12 @@ class DslSyntaxError(Exception):
 
 
 class DslTypeError(Exception):
+    """A value of the wrong type for its expression: ``message`` says
+    what, ``span`` (line, column) where; (0, 0) when unknown."""
+
     def __init__(self, message, span=(0, 0)):
         super().__init__(f"{span[0]}:{span[1]}: {message}")
+        self.message = message
         self.span = span
 
 

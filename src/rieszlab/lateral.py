@@ -296,3 +296,32 @@ def pliev_grid(us, vs) -> PlievGrid:
             f"{format_element(total_u)} vs {format_element(total_v)}")
     grid = tuple(tuple(lateral_inf(u, v) for v in vs) for u in us)
     return PlievGrid(us, vs, grid)
+
+
+# ---------------------------------------------------------------------------
+# fragment tables
+# ---------------------------------------------------------------------------
+
+class Restrictions:
+    """The fragments of e on a finite fragment algebra, indexed by mask:
+    entry m is e on the support pieces ``parts[k]`` whose bit k is set
+    in m, so entry ``full ^ m`` is the rest of e.  Each entry is built
+    on first use and kept, so the folds that share one table build
+    every restriction at most once."""
+
+    def __init__(self, e: Element):
+        self.base = e
+        self.parts = _finite_parts(e)
+        self.full = (1 << len(self.parts)) - 1
+        self._built = {}
+
+    def __len__(self):
+        return self.full + 1
+
+    def __getitem__(self, mask: int) -> Element:
+        if mask not in self._built:
+            self._built[mask] = _restriction(self.base, self.parts, mask)
+        return self._built[mask]
+
+    def __iter__(self):
+        return (self[mask] for mask in range(self.full + 1))

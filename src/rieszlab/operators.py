@@ -179,6 +179,12 @@ class Operator:
         promises no such level."""
         return None
 
+    def fragment_images(self, frags) -> list:
+        """The image of every fragment of a point, indexed by mask as
+        ``frags`` (its ``lateral.Restrictions``) indexes them.  The
+        default applies the body to each fragment: ``images_by_apply``."""
+        return images_by_apply(self, frags)
+
 
 def joint_window(ops) -> int | None:
     """The largest window of ``ops``, or None if one of them has none."""
@@ -232,6 +238,16 @@ class Kernel(Operator):
             value = fn(xi)
             acc[j] = acc[j] + value if j in acc else value
         return from_atoms(self.codomain, acc)
+
+    def fragment_images(self, frags):
+        # T x is the sum of its rows, each reading its own atom and
+        # vanishing at 0, so a fragment's image is the sum of its pieces'
+        # images: image[m] = image[m without its top bit] + that piece's
+        images = [zero(self.codomain)]
+        for k in range(len(frags.parts)):
+            piece = apply(self, frags[1 << k])
+            images += [add(image, piece) for image in images]
+        return images
 
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]
@@ -474,6 +490,12 @@ class OpSum(Operator):
             acc = add(acc, apply(p, x))
         return acc
 
+    def fragment_images(self, frags):
+        images = self.parts[0].fragment_images(frags)
+        for p in self.parts[1:]:
+            images = list(map(add, images, p.fragment_images(frags)))
+        return images
+
     def linear_probes(self):
         return [x for p in self.parts for x in p.linear_probes()]
 
@@ -496,6 +518,10 @@ class OpScaled(Operator):
 
     def _apply(self, x):
         return scale(self.factor, apply(self.inner, x))
+
+    def fragment_images(self, frags):
+        return [scale(self.factor, v)
+                for v in self.inner.fragment_images(frags)]
 
     def linear_probes(self):
         return self.inner.linear_probes()
@@ -524,6 +550,9 @@ class ZeroOp(Operator):
 
     def _apply(self, x):
         return zero(self.codomain)
+
+    def fragment_images(self, frags):
+        return [zero(self.codomain)] * len(frags)
 
     def dp_reason(self):
         return "zero operator"
@@ -563,6 +592,13 @@ def apply(T, x: Element):
     if x.space != T.domain:
         raise _outside_domain(T, x)
     return T._apply(x)
+
+
+def images_by_apply(T, frags) -> list:
+    """T applied to each fragment of ``frags`` (a
+    ``lateral.Restrictions``), one application per mask; the reference
+    for the tables of ``Operator.fragment_images``."""
+    return [apply(T, u) for u in frags]
 
 
 def _outside_domain(T, x: Element) -> SpaceMismatch:

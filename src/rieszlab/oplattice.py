@@ -5,10 +5,10 @@ disjoint splittings x = u + v; meets, positive/negative parts and the
 modulus are the matching infima/suprema.  No order completeness is
 assumed anywhere.  When both operators are additive on disjoint sums,
 the fold over splittings distributes into one fold per atom of x (its
-support atoms, or its support components on piecewise-linear
-functions): exactly for finite fragment algebras, level by level for
-infinite ones.  Other pairs, and interval-valued codomains, enumerate
-the splittings; ``extrema_by_enumeration`` is that reference.
+support atoms, or its support components on piecewise-linear functions):
+exactly for finite fragment algebras, level by level for infinite ones.
+Other pairs, and interval-valued codomains, enumerate the splittings as
+masks over fragment tables (``extrema_by_enumeration``).
 
 ``OpLattice`` makes each of these operations an operator body, so
 lattice expressions nest: (S v T)^+ is the positive part of a join.
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .errors import MalformedElement, PreconditionError, SpaceMismatch
 from . import reports
 from .lateral import (
-    Decomposition, enumerate_decompositions, extend_levels, is_fragment,
-    level_walk, min_level, require_level,
+    Decomposition, Restrictions, enumerate_decompositions, extend_levels,
+    is_fragment, level_walk, min_level, require_level,
 )
 from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
@@ -60,14 +60,11 @@ def _pair_check(S, T, x: Element):
         raise SpaceMismatch("argument outside the operators' domain")
 
 
-def _attained(pairs, target):
-    hits = [d for d, v in pairs if v == target]
-    if not hits:
-        return ()
-    best = min(support_size(d.left) for d in hits)
-    hits = [d for d in hits if support_size(d.left) == best]
-    hits.sort(key=lambda d: canonical_key(d.left))
-    return tuple(hits)
+def _minimal_left(hits):
+    """The splittings in ``hits`` of least left support, canonically."""
+    best = min((support_size(d.left) for d in hits), default=0)
+    return tuple(sorted((d for d in hits if support_size(d.left) == best),
+                        key=lambda d: canonical_key(d.left)))
 
 
 def _interval_decided(values, fold):
@@ -102,18 +99,21 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     """Reference fold of S(u) + T(v) over every splitting x = u + v.
 
     ``kind`` is "sup" or "inf"; the fragment algebra of x must be
-    finite.  The per-atom closed form must agree with this in value and
-    attaining splittings; the checks and tests compare the two.
+    finite.  Mask m of the pieces of x splits it into u on the pieces in
+    m and v on the rest; S(u) + T(v) adds the operators' fragment tables
+    (``Operator.fragment_images``, checked against ``images_by_apply``).
+    The checks and tests compare the per-atom closed form with this.
     """
     _pair_check(S, T, x)
-    pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
-             for d in enumerate_decompositions(x)]
-    fold = functools.reduce(_PICK[kind], (v for _, v in pairs))
-    decided, notes = True, ""
-    if isinstance(fold, RealInterval):
-        decided, notes = _interval_decided([v for _, v in pairs], fold)
-    return LatticePoint("exact", value=fold,
-                        attained=_attained(pairs, fold),
+    frags = Restrictions(x)
+    left, right = S.fragment_images(frags), T.fragment_images(frags)
+    values = [add(s, right[frags.full ^ m]) for m, s in enumerate(left)]
+    fold = functools.reduce(_PICK[kind], values)
+    decided, notes = (_interval_decided(values, fold)
+                      if isinstance(fold, RealInterval) else (True, ""))
+    hits = [Decomposition(x, frags[m], frags[frags.full ^ m])
+            for m, v in enumerate(values) if v == fold]
+    return LatticePoint("exact", value=fold, attained=_minimal_left(hits),
                         decided=decided, notes=notes)
 
 

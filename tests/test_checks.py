@@ -75,6 +75,10 @@ def test_config_out_of_range_is_rejected():
         run_check("frag-boolean", {"n": 0})
     with pytest.raises(PreconditionError):
         run_check("lem-3.1", {"instances": "many"})
+    # a bool is an int to isinstance, but no count
+    for flag in (True, False):
+        with pytest.raises(PreconditionError, match=f"n={flag}"):
+            run_check("frag-boolean", {"n": flag})
 
 
 def test_unknown_config_key_is_rejected():
@@ -302,6 +306,9 @@ CATCHERS = {
     "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
                                "cor-3.5-neg", "cor-3.6-mod"),
     "kernel-window-short": ("op-level-window",),
+    "kernel-table-drops-top-piece": ("thm-3.2-join", "cor-3.3-meet",
+                                     "cor-3.4-pos", "cor-3.5-neg",
+                                     "cor-3.6-mod", "thm-4.2-2", "thm-4.2-3"),
     "pl-common-skips-end-values": ("lat-common-fragment",),
     "lex-comment-swallows-newline": (),
 }
@@ -329,6 +336,7 @@ def test_mutation_names_are_documented():
                               "scalar-truncates", "ec-prefix-unminimised",
                               "poly-horner-late-power",
                               "kernel-window-short",
+                              "kernel-table-drops-top-piece",
                               "pl-common-skips-end-values",
                               "lex-comment-swallows-newline"}
     for name in MUTATIONS:

@@ -139,6 +139,10 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
     ("eval coord[1] + coord[1];\n"
      "eval coord[1] + coord[1,2];\n", cli.EXIT_TYPE, "coord[2]\n",
      "2:1: type error: coord(1) vs coord(2)"),
+    # a type error names the expression's position alone
+    ("eval coord[1];\n"
+     "eval coord[1] + 1;\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:15: type error: '+' needs two elements, scalars or operators"),
     ("let A = series;\n"
      "eval (A^+)(ec[1|1]) @level 3;\n"
      "eval ((A \\/ A)^+)(ec[1,1|0]);\n"
@@ -150,12 +154,13 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
      "interval[1/2] attained=[(ec[0,1|0] | ec[1|0])]\n",
      "4:1: precondition violated: infinite splitting family: supply a "
      "truncation level")],
-    ids=["type-error", "precondition"])
+    ids=["type-error", "dsl-type-error", "precondition"])
 def test_a_failing_statement_keeps_the_output_before_it(tmp_path, capsys,
                                                        text, code, printed,
                                                        message):
     # statements print as they complete, and the error names the position
-    # of the statement that failed
+    # of the statement that failed, or of its expression that has the
+    # wrong type
     script = tmp_path / "partial.rl"
     script.write_text(text)
     assert cli.main(["run", str(script)]) == code

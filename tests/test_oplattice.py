@@ -11,12 +11,12 @@ from rieszlab import oplattice
 from rieszlab.checks import _window_tables
 from rieszlab.errors import MalformedElement, PreconditionError
 from rieszlab.lateral import (
-    Decomposition, enumerate_decompositions, level_walk,
+    Decomposition, Restrictions, enumerate_decompositions, level_walk,
 )
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
     OpSum, RealInterval, ZeroOp, apply, diagonal_kernel, example_operator,
-    lateral_bound_scan, negate, poly,
+    images_by_apply, lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
@@ -25,7 +25,8 @@ from rieszlab.oplattice import (
 )
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, PiecewiseLinear, add, coord,
+    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
+    SimpleFunction, add, coord,
     ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
@@ -545,3 +546,106 @@ def test_lattice_laws_hold_pointwise(case):
     assert apply(OpSum((OpLattice("join", (S, T)),
                         OpLattice("meet", (S, T)))), x) == \
         apply(OpSum((S, T)), x)
+
+
+# --- fragment tables of the splitting enumeration ---------------------------
+
+THIRDS = SimpleFunction((Q(0), Q(1, 3), Q(2, 3), Q(1)))
+
+
+def _cell_points(space):
+    return st.lists(SCALARS, min_size=3, max_size=3).map(
+        lambda v: normalize(space, v))
+
+
+# (domain, the atoms kernel rows read, its points with finitely many
+# fragments); rows past a point's support read zeros
+TABLE_DOMAINS = (
+    (Coordinate(3), 3, _cell_points(Coordinate(3))),
+    (THIRDS, 3, _cell_points(THIRDS)),
+    (FinSupport(), 6, st.dictionaries(st.integers(1, 6), SCALARS,
+                                      max_size=4).map(
+        lambda d: normalize(FinSupport(), d.items()))),
+    (EC, 6, st.lists(SCALARS, max_size=5).map(lambda p: ec(p, 0))),
+)
+
+
+def _combinations(leaves):
+    """Sums, multiples and negations of the leaves, nested."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(OpSum),
+        st.builds(OpScaled, COEFFS, inner),
+        inner.map(negate)), max_leaves=5)
+
+
+def _table_bodies(domain, atoms, codomain, targets):
+    """Kernels from domain to codomain, each row sending one of the
+    first ``atoms`` atoms to one of the first ``targets``, so rows share
+    targets; with the zero operator, and their combinations."""
+    rows = st.dictionaries(st.integers(1, atoms), st.tuples(
+        st.integers(1, targets), COEFFS, COEFFS), max_size=atoms)
+    kernels = rows.map(lambda r: Kernel(domain, codomain, tuple(
+        (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items())))
+    return _combinations(st.one_of(kernels,
+                                   st.just(ZeroOp(domain, codomain))))
+
+
+def _operands_and_point(count):
+    """``count`` bodies sharing a domain and codomain, and a point."""
+    def on(case):
+        domain, atoms, points = case
+        codomain = st.sampled_from(((COORD2, 2), (domain, atoms)))
+        return codomain.flatmap(lambda c: st.tuples(
+            *[_table_bodies(domain, atoms, *c)] * count, points))
+    return st.sampled_from(TABLE_DOMAINS).flatmap(on)
+
+
+TABLE_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
+                          database=None)
+
+
+@TABLE_SETTINGS
+@given(_operands_and_point(1))
+def test_fragment_tables_match_one_application_per_fragment(case):
+    T, x = case
+    frags = Restrictions(x)
+    table, reference = T.fragment_images(frags), images_by_apply(T, frags)
+    assert table == reference
+    assert repr(table) == repr(reference)
+
+
+def _series_pairs():
+    """Two interval-valued bodies on eventually constant sequences, and a
+    point with finitely many fragments."""
+    leaves = st.one_of(
+        st.sampled_from((AlternatingSeries(), AlternatingSeries(Q(1, 100)))),
+        st.just(ZeroOp(EC, Reals())))
+    return st.tuples(_combinations(leaves), _combinations(leaves),
+                     st.lists(SCALARS, max_size=5).map(lambda p: ec(p, 0)))
+
+
+def _enumeration_by_apply(S, T, x, kind):
+    """``extrema_by_enumeration`` as a fold of both operators applied to
+    both sides of every splitting: value, attained, decided, notes."""
+    pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
+             for d in enumerate_decompositions(x)]
+    fold = functools.reduce({"sup": sup, "inf": inf}[kind],
+                            (v for _, v in pairs))
+    decided, notes = True, ""
+    if isinstance(fold, RealInterval):
+        decided, notes = oplattice._interval_decided(
+            [v for _, v in pairs], fold)
+    hits = [d for d, v in pairs if v == fold]
+    return fold, oplattice._minimal_left(hits), decided, notes
+
+
+@TABLE_SETTINGS
+@given(st.one_of(_operands_and_point(2), _series_pairs()),
+       st.sampled_from(("sup", "inf")))
+def test_enumeration_matches_the_fold_of_applications(case, kind):
+    S, T, x = case
+    got = extrema_by_enumeration(S, T, x, kind)
+    value, attained, decided, notes = _enumeration_by_apply(S, T, x, kind)
+    assert got.value == value
+    assert repr((got.value, got.attained)) == repr((value, attained))
+    assert (got.decided, got.notes) == (decided, notes)
