@@ -53,14 +53,21 @@ mutants:
   t=1, so two ramps that differ only at 0 or 1 share it.
   ``lat-common-fragment`` compares the lateral infimum with the
   restriction reference and catches it.
-* ``kernel-table-drops-top-piece`` -- ``Kernel.fragment_images``, the
-  table of a kernel's images of every fragment that the splitting
-  enumeration folds, leaves the image of the last support piece out of
-  every fragment that holds it.  The oracles of ``thm-3.2-join``,
-  ``cor-3.3-meet`` and corollaries 3.4 to 3.6 evaluate by
-  ``eval_by_fractions``, apart from the table, and catch it; so do
-  ``thm-4.2-2`` and ``thm-4.2-3``, whose single-application fast path
-  does not use the table.
+* ``kernel-table-drops-top-piece`` -- ``Cells.subset_table``, the
+  column builder of the fragment tables that the splitting enumeration
+  folds (a kernel into a cell space gives its table as the subset sums
+  of its pieces' images), leaves the image of the last support piece
+  out of every fragment that holds it.  The oracles of
+  ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to 3.6
+  evaluate by ``eval_by_fractions``, apart from the table, and catch
+  it; so do ``thm-4.2-2`` and ``thm-4.2-3``, whose single-application
+  fast path does not use the table.
+* ``column-fold-first-cell`` -- the fold of a column table
+  (``CellColumns.extremum``) takes the attaining masks from the first
+  cell only and reads the fold off the first of them, as if one entry
+  attained the extremum of every cell.  Where the left operator wins
+  on one cell and the right one on another, the value is wrong; the
+  same seven checks catch it.
 * ``lex-comment-swallows-newline`` -- the lexer's comment pattern is
   written ``#.*``; under the pattern's DOTALL flag it runs past its
   newline, so a comment swallows the rest of the script.  No named
@@ -160,14 +167,21 @@ def _pl_common_skips_end_values(self, x, y):
                              if theirs.get((a, b)) == px[i:j]])
 
 
-def _kernel_table_drops_top_piece(self, frags):
-    top = len(frags.parts) - 1
-    images = [zero(self.codomain)]
-    for k in range(top + 1):
-        piece = (operators.apply(self, frags[1 << k]) if k < top
-                 else zero(self.codomain))
-        images += [spaces.add(image, piece) for image in images]
-    return images
+_cells_subset_table = spaces.Cells.subset_table
+
+
+def _cells_table_drops_top_piece(self, pieces):
+    pieces = list(pieces)
+    if pieces:
+        pieces[-1] = self.zero()
+    return _cells_subset_table(self, pieces)
+
+
+def _column_fold_first_cell(self, pick):
+    first = self.cols[0]
+    best = pick(first)
+    masks = [m for m, v in enumerate(first) if v == best]
+    return self[masks[0]], masks
 
 
 _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
@@ -194,8 +208,10 @@ MUTATIONS = {
     "kernel-window-short": (operators.Kernel, "window", _kernel_window_short),
     "pl-common-skips-end-values": (spaces.PiecewiseLinear, "common_fragment",
                                    _pl_common_skips_end_values),
-    "kernel-table-drops-top-piece": (operators.Kernel, "fragment_images",
-                                     _kernel_table_drops_top_piece),
+    "kernel-table-drops-top-piece": (spaces.Cells, "subset_table",
+                                     _cells_table_drops_top_piece),
+    "column-fold-first-cell": (spaces.CellColumns, "extremum",
+                               _column_fold_first_cell),
     "lex-comment-swallows-newline": (dsl, "_TOKEN_RE",
                                      _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
 }

@@ -179,11 +179,13 @@ class Operator:
         promises no such level."""
         return None
 
-    def fragment_images(self, frags) -> list:
+    def fragment_images(self, frags):
         """The image of every fragment of a point, indexed by mask as
-        ``frags`` (its ``lateral.Restrictions``) indexes them.  The
-        default applies the body to each fragment: ``images_by_apply``."""
-        return images_by_apply(self, frags)
+        ``frags`` (its ``lateral.Restrictions``) indexes them, in the
+        codomain's table (``spaces.ImageTable``).  The default applies
+        the body to each fragment, ``images_by_apply``, and converts the
+        images: ``codomain.image_table``."""
+        return self.codomain.image_table(images_by_apply(self, frags))
 
 
 def joint_window(ops) -> int | None:
@@ -242,12 +244,9 @@ class Kernel(Operator):
     def fragment_images(self, frags):
         # T x is the sum of its rows, each reading its own atom and
         # vanishing at 0, so a fragment's image is the sum of its pieces'
-        # images: image[m] = image[m without its top bit] + that piece's
-        images = [zero(self.codomain)]
-        for k in range(len(frags.parts)):
-            piece = apply(self, frags[1 << k])
-            images += [add(image, piece) for image in images]
-        return images
+        # images: the codomain's subset table of the pieces' images
+        return self.codomain.subset_table(
+            [apply(self, frags[1 << k]) for k in range(len(frags.parts))])
 
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]
@@ -493,7 +492,7 @@ class OpSum(Operator):
     def fragment_images(self, frags):
         images = self.parts[0].fragment_images(frags)
         for p in self.parts[1:]:
-            images = list(map(add, images, p.fragment_images(frags)))
+            images = images + p.fragment_images(frags)
         return images
 
     def linear_probes(self):
@@ -520,8 +519,7 @@ class OpScaled(Operator):
         return scale(self.factor, apply(self.inner, x))
 
     def fragment_images(self, frags):
-        return [scale(self.factor, v)
-                for v in self.inner.fragment_images(frags)]
+        return self.inner.fragment_images(frags).scale(self.factor)
 
     def linear_probes(self):
         return self.inner.linear_probes()
@@ -552,7 +550,8 @@ class ZeroOp(Operator):
         return zero(self.codomain)
 
     def fragment_images(self, frags):
-        return [zero(self.codomain)] * len(frags)
+        return self.codomain.subset_table(
+            [zero(self.codomain)] * len(frags.parts))
 
     def dp_reason(self):
         return "zero operator"

@@ -8,7 +8,9 @@ the fold over splittings distributes into one fold per atom of x (its
 support atoms, or its support components on piecewise-linear functions):
 exactly for finite fragment algebras, level by level for infinite ones.
 Other pairs, and interval-valued codomains, enumerate the splittings as
-masks over fragment tables (``extrema_by_enumeration``).
+masks over fragment tables (``extrema_by_enumeration``).  A table is the
+codomain's: on cell spaces one integer column per cell, so a splitting
+costs integer additions and no element, elsewhere a list of values.
 
 ``OpLattice`` makes each of these operations an operator body, so
 lattice expressions nest: (S v T)^+ is the positive part of a join.
@@ -51,6 +53,7 @@ class LatticePoint:
 
 
 _PICK = {"sup": sup, "inf": inf}
+_ORDER = {"sup": max, "inf": min}  # the same folds, on scalars
 
 
 def _pair_check(S, T, x: Element):
@@ -100,19 +103,22 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
 
     ``kind`` is "sup" or "inf"; the fragment algebra of x must be
     finite.  Mask m of the pieces of x splits it into u on the pieces in
-    m and v on the rest; S(u) + T(v) adds the operators' fragment tables
+    m and v on the rest, so S(u) + T(v) is entry m of the left
+    operator's fragment table plus the right one's complement
     (``Operator.fragment_images``, checked against ``images_by_apply``).
-    The checks and tests compare the per-atom closed form with this.
+    The tables are the codomain's: integer columns on cell spaces,
+    lists of values elsewhere (``spaces.ImageTable``); their fold gives
+    the extremum and its masks, and ``Decomposition`` objects are built
+    only for those.  The checks and tests compare the per-atom closed
+    form with this.
     """
     _pair_check(S, T, x)
     frags = Restrictions(x)
-    left, right = S.fragment_images(frags), T.fragment_images(frags)
-    values = [add(s, right[frags.full ^ m]) for m, s in enumerate(left)]
-    fold = functools.reduce(_PICK[kind], values)
+    values = S.fragment_images(frags) + T.fragment_images(frags).complement()
+    fold, masks = values.extremum(_ORDER[kind])
     decided, notes = (_interval_decided(values, fold)
                       if isinstance(fold, RealInterval) else (True, ""))
-    hits = [Decomposition(x, frags[m], frags[frags.full ^ m])
-            for m, v in enumerate(values) if v == fold]
+    hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
     return LatticePoint("exact", value=fold, attained=_minimal_left(hits),
                         decided=decided, notes=notes)
 

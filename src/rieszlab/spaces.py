@@ -39,6 +39,8 @@ nothing to do for.  The kernels they replaced stay here as oracles, as
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,7 +146,9 @@ class Space:
     scalar they need.  ``leq`` and
     ``disjoint`` default to the lattice formulas ``leq_by_difference``
     and ``disjoint_by_modulus``; a model overrides them to decide on
-    its payloads directly.
+    its payloads directly.  ``subset_table`` and ``image_table`` build
+    the fragment tables that the splitting enumeration folds, a list of
+    values by default (``ImageTable``).
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
@@ -207,6 +211,22 @@ class Space:
 
     random_disjoint_pair = random
 
+    def subset_table(self, pieces) -> "ImageTable":
+        """The fragment table of a point whose support pieces have the
+        images ``pieces``: entry m is the sum of the pieces whose bit is
+        set in m.  A zero piece adds nothing, so its half of the table
+        repeats the other half."""
+        zero = self.zero()
+        table = [zero]
+        for piece in pieces:
+            table = table + (table if piece == zero
+                             else [add(image, piece) for image in table])
+        return ImageTable(table)
+
+    def image_table(self, rows) -> "ImageTable":
+        """The fragment table whose entries are ``rows``, in mask order."""
+        return ImageTable(rows)
+
 
 class Cells(Space):
     """Finitely many cells with one rational each; the payload is the
@@ -246,7 +266,7 @@ class Cells(Space):
         return Element(self, _canonical(c * v for v in x.payload))
 
     def lattice(self, x, y, pick):
-        return Element(self, tuple(pick(a, b) for a, b in zip(x.payload, y.payload)))
+        return Element(self, tuple(map(pick, x.payload, y.payload)))
 
     def nonneg(self, x):
         return all(v >= 0 for v in x.payload)
@@ -294,6 +314,29 @@ class Cells(Space):
 
     def key(self, x):
         return x.payload
+
+    # fragment tables as integer columns; see ``CellColumns``
+    def _cells_of(self, elements):
+        """The values of ``elements`` cell by cell."""
+        if not elements:
+            return [()] * self.atom_count()
+        return zip(*[x.payload for x in elements])
+
+    def subset_table(self, pieces):
+        dens, cols = [], []
+        for values in self._cells_of(pieces):
+            den, nums = _over_common_denominator(values)
+            col = [ZERO]
+            for a in nums:
+                col = col + (col if not a else [v + a for v in col])
+            dens.append(den)
+            cols.append(col)
+        return CellColumns(self, tuple(dens), cols)
+
+    def image_table(self, rows):
+        dens, cols = zip(*map(_over_common_denominator,
+                              self._cells_of(list(rows))))
+        return CellColumns(self, dens, list(cols))
 
 
 @dataclass(frozen=True)
@@ -1066,6 +1109,126 @@ def _decimal(value: Fraction, down: bool, places: int = 12) -> str:
 
 
 # ---------------------------------------------------------------------------
+# fragment tables: one value per mask of a point's support pieces
+# ---------------------------------------------------------------------------
+
+class ImageTable:
+    """A fragment table: the values of a space indexed by the masks of
+    the support pieces of a point, as the splitting enumeration of the
+    operator lattice folds them.  This general form keeps a list of the
+    values; a ``Cells`` space keeps integer columns (``CellColumns``)
+    with the same interface:
+
+    * ``t + u`` adds two tables of one space entrywise;
+    * ``t.scale(c)`` multiplies every entry by the scalar c;
+    * ``t.complement()`` is the table at the complementary masks, entry
+      m being ``t[full ^ m]``, which is ``t`` in reverse;
+    * ``t.extremum(pick)``, with pick ``max`` or ``min``, folds the
+      entries to their supremum or infimum and returns it together with
+      the masks, in order, of the entries equal to it;
+    * ``len(t)``, ``t[m]`` and iteration give the entries.
+    """
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, mask):
+        return self.rows[mask]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __add__(self, other):
+        return ImageTable(map(add, self.rows, other.rows))
+
+    def scale(self, c):
+        return ImageTable([scale(c, v) for v in self.rows])
+
+    def complement(self):
+        return ImageTable(self.rows[::-1])
+
+    def extremum(self, pick):
+        fold = functools.reduce(lambda a, b: a.space.lattice(a, b, pick),
+                                self.rows)
+        return fold, [m for m, v in enumerate(self.rows) if v == fold]
+
+
+def _over_common_denominator(values):
+    """A common denominator of the rationals ``values`` and their
+    numerators over it."""
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return 1, list(values)
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _ratio(num: int, den: int):
+    """The canonical scalar num / den."""
+    return num if den == 1 else q(Fraction(num, den))
+
+
+class CellColumns:
+    """A fragment table of a ``Cells`` space as one integer column per
+    cell: cell c of entry m is ``cols[c][m] / dens[c]``.  Sums, multiples
+    and the fold run on the numerators, and an element is built only
+    for an entry that is asked for and for the fold; see ``ImageTable``
+    for the interface."""
+
+    __slots__ = ("space", "dens", "cols")
+
+    def __init__(self, space, dens, cols):
+        self.space, self.dens, self.cols = space, dens, cols
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __getitem__(self, mask):
+        return Element(self.space, tuple(
+            _ratio(col[mask], den) for col, den in zip(self.cols, self.dens)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __add__(self, other):
+        _same_space(self, other)
+        dens, cols = [], []
+        for d, a, e, b in zip(self.dens, self.cols, other.dens, other.cols):
+            if d == e:
+                cols.append(list(map(operator.add, a, b)))
+            else:
+                # bring both columns over the least common denominator
+                den = math.lcm(d, e)
+                f, g = den // d, den // e
+                cols.append([s * f + t * g for s, t in zip(a, b)])
+                d = den
+            dens.append(d)
+        return CellColumns(self.space, tuple(dens), cols)
+
+    def scale(self, c):
+        c = q(c)
+        p, r = c.numerator, c.denominator
+        return CellColumns(self.space, tuple(d * r for d in self.dens),
+                           [[v * p for v in col] for col in self.cols])
+
+    def complement(self):
+        return CellColumns(self.space, self.dens,
+                           [col[::-1] for col in self.cols])
+
+    def extremum(self, pick):
+        # the fold is the extremum cell by cell; an entry attains it
+        # where it attains every cell's
+        best, masks = [], range(len(self))
+        for col in self.cols:
+            b = pick(col)
+            best.append(b)
+            masks = [m for m in masks if col[m] == b]
+        return Element(self.space, tuple(map(_ratio, best, self.dens))), masks
+
+
+# ---------------------------------------------------------------------------
 # the interface: each function dispatches on the space
 # ---------------------------------------------------------------------------
 
@@ -1080,6 +1243,8 @@ def space_name(space) -> str:
 
 
 def _same_space(x: Element, y: Element):
+    if x.space is y.space:
+        return
     if x.space != y.space:
         raise SpaceMismatch(
             f"{space_name(x.space)} vs {space_name(y.space)}")

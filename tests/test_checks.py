@@ -1,5 +1,6 @@
 """The named check suite: registry coverage, determinism, mutations."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,12 +111,11 @@ def test_runner_broken_precondition_is_a_failure(monkeypatch):
                         type(broken)(broken.id, broken.title, runner,
                                      broken.quick, broken.full))
     result = run_check("lem-3.1").result
-    line = runner.__code__.co_firstlineno + 1
     assert result.verdict == FAILS
     assert result.witness == ("exception: PreconditionError('splittings sum "
                               "to different elements')")
     assert result.notes == ("runner raised instead of reporting, at "
-                            f"test_checks.py:{line} in runner")
+                            "test_checks.py:runner+1")
 
 
 def test_runner_exception_becomes_failure(monkeypatch):
@@ -148,11 +148,10 @@ def test_runner_crash_names_its_innermost_frame(monkeypatch):
                         type(broken)(broken.id, broken.title, runner,
                                      broken.quick, broken.full))
     result = run_check("lem-3.1").result
-    line = crash_inside.__code__.co_firstlineno + 1
     assert result.verdict == FAILS
     assert result.witness == "exception: KeyError('no such key')"
     assert result.notes == ("runner raised instead of reporting, at "
-                            f"test_checks.py:{line} in crash_inside")
+                            "test_checks.py:crash_inside+1")
 
 
 def test_mutation_meet_formula_breaks_lateral_meet_example():
@@ -215,9 +214,9 @@ def test_mutation_pl_restrict_breaks_oao_and_wedge_as_failures():
         wedge = run_check("thm-4.2-4").result
     assert oao.verdict == FAILS and wedge.verdict == FAILS
     assert "splittings sum to different elements" in oao.witness
-    assert oao.notes.endswith("in pliev_grid")
+    assert re.search(r"at lateral\.py:pliev_grid\+\d+$", oao.notes)
     assert "is not a fragment of" in wedge.witness
-    assert wedge.notes.endswith("in meyer_pair")
+    assert re.search(r"at oplattice\.py:meyer_pair\+\d+$", wedge.notes)
 
 
 def test_mutation_scalar_truncates_breaks_the_series_enclosure():
@@ -227,7 +226,8 @@ def test_mutation_scalar_truncates_breaks_the_series_enclosure():
         report = run_check("ex-2.2").result
         assert report.verdict == FAILS
         assert "enclosure width must be positive" in report.witness
-        assert report.notes.endswith("in ln2_enclosure")
+        assert re.search(r"at operators\.py:ln2_enclosure\+\d+$",
+                         report.notes)
     assert run_check("ex-2.2").result.verdict == HOLDS
 
 
@@ -309,6 +309,9 @@ CATCHERS = {
     "kernel-table-drops-top-piece": ("thm-3.2-join", "cor-3.3-meet",
                                      "cor-3.4-pos", "cor-3.5-neg",
                                      "cor-3.6-mod", "thm-4.2-2", "thm-4.2-3"),
+    "column-fold-first-cell": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
+                               "cor-3.5-neg", "cor-3.6-mod", "thm-4.2-2",
+                               "thm-4.2-3"),
     "pl-common-skips-end-values": ("lat-common-fragment",),
     "lex-comment-swallows-newline": (),
 }
@@ -337,6 +340,7 @@ def test_mutation_names_are_documented():
                               "poly-horner-late-power",
                               "kernel-window-short",
                               "kernel-table-drops-top-piece",
+                              "column-fold-first-cell",
                               "pl-common-skips-end-values",
                               "lex-comment-swallows-newline"}
     for name in MUTATIONS:
@@ -389,4 +393,15 @@ def test_check_suite_builds_canonical_float_free_payloads(monkeypatch):
     # the records are the contract: the same in the --report format as
     # the committed golden
     golden = Path(__file__).parent / "goldens" / "suite_quick_seed0.rep"
+    assert records == golden.read_text(encoding="utf-8")
+
+
+def test_quick_records_at_seed1_match_their_golden():
+    # a second seed pinned as seed 0 is above, so that a change to the
+    # fold or the rng draw order shows on two sets of records
+    records = ""
+    for cid in REGISTRY:
+        records += "\n".join(run_check(cid, profile="quick", seed=1).record())
+        records += "\n\n"
+    golden = Path(__file__).parent / "goldens" / "suite_quick_seed1.rep"
     assert records == golden.read_text(encoding="utf-8")

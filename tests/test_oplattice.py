@@ -25,8 +25,8 @@ from rieszlab.oplattice import (
 )
 from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
-    SimpleFunction, add, coord,
+    Coordinate, EventuallyConstant, FinSupport, ImageTable, PiecewiseLinear,
+    Reals, SimpleFunction, add, coord,
     ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
@@ -551,11 +551,13 @@ def test_lattice_laws_hold_pointwise(case):
 # --- fragment tables of the splitting enumeration ---------------------------
 
 THIRDS = SimpleFunction((Q(0), Q(1, 3), Q(2, 3), Q(1)))
+HALVES = SimpleFunction((Q(0), Q(1, 2), Q(1)))
 
 
 def _cell_points(space):
-    return st.lists(SCALARS, min_size=3, max_size=3).map(
-        lambda v: normalize(space, v))
+    # the zero point has no support pieces: a one-entry table
+    return st.one_of(st.just(zero(space)), st.lists(
+        SCALARS, min_size=3, max_size=3).map(lambda v: normalize(space, v)))
 
 
 # (domain, the atoms kernel rows read, its points with finitely many
@@ -568,13 +570,17 @@ TABLE_DOMAINS = (
         lambda d: normalize(FinSupport(), d.items()))),
     (EC, 6, st.lists(SCALARS, max_size=5).map(lambda p: ec(p, 0))),
 )
+# non-integral factors scale the numerators of a column table and its
+# denominators apart
+FACTORS = st.one_of(COEFFS, st.fractions(min_value=-2, max_value=2,
+                                         max_denominator=9))
 
 
 def _combinations(leaves):
     """Sums, multiples and negations of the leaves, nested."""
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, min_size=2, max_size=3).map(OpSum),
-        st.builds(OpScaled, COEFFS, inner),
+        st.builds(OpScaled, FACTORS, inner),
         inner.map(negate)), max_leaves=5)
 
 
@@ -591,10 +597,12 @@ def _table_bodies(domain, atoms, codomain, targets):
 
 
 def _operands_and_point(count):
-    """``count`` bodies sharing a domain and codomain, and a point."""
+    """``count`` bodies sharing a domain and codomain, and a point; the
+    codomain is a cell space (integer column tables) or the domain."""
     def on(case):
         domain, atoms, points = case
-        codomain = st.sampled_from(((COORD2, 2), (domain, atoms)))
+        codomain = st.sampled_from(((COORD2, 2), (HALVES, 2),
+                                    (domain, atoms)))
         return codomain.flatmap(lambda c: st.tuples(
             *[_table_bodies(domain, atoms, *c)] * count, points))
     return st.sampled_from(TABLE_DOMAINS).flatmap(on)
@@ -610,8 +618,10 @@ def test_fragment_tables_match_one_application_per_fragment(case):
     T, x = case
     frags = Restrictions(x)
     table, reference = T.fragment_images(frags), images_by_apply(T, frags)
-    assert table == reference
-    assert repr(table) == repr(reference)
+    assert len(table) == len(reference) == len(frags)
+    rows = [table[m] for m in range(len(table))]
+    assert rows == list(table) == reference
+    assert repr(rows) == repr(reference)
 
 
 def _series_pairs():
@@ -649,3 +659,41 @@ def test_enumeration_matches_the_fold_of_applications(case, kind):
     assert got.value == value
     assert repr((got.value, got.attained)) == repr((value, attained))
     assert (got.decided, got.notes) == (decided, notes)
+
+
+# --- the column fold against the fold of elements ---------------------------
+
+def _cell_tables():
+    """Two lists of 2**n elements of one cell space, their entries drawn
+    from few values so that ties are common, with mixed denominators."""
+    values = st.sampled_from((0, 1, -1, 2, Q(1, 2), Q(-1, 3), Q(2, 3),
+                              Q(5, 6)))
+
+    def rows(space, n):
+        return st.lists(st.lists(values, min_size=space.atom_count(),
+                                 max_size=space.atom_count()).map(
+            lambda v: normalize(space, v)), min_size=2 ** n, max_size=2 ** n)
+
+    return st.tuples(st.sampled_from((Coordinate(1), COORD2, Coordinate(3),
+                                      THIRDS)),
+                     st.integers(0, 4)).flatmap(
+        lambda c: st.tuples(rows(*c), rows(*c)))
+
+
+@TABLE_SETTINGS
+@given(_cell_tables(), FACTORS, st.sampled_from((max, min)))
+def test_column_fold_matches_the_fold_of_elements(case, factor, pick):
+    left, right = case
+    space = left[0].space
+    columns = (space.image_table(left)
+               + space.image_table(right).scale(factor).complement())
+    elements = (ImageTable(left)
+                + ImageTable(right).scale(factor).complement())
+    assert list(columns) == list(elements)
+    value, masks = columns.extremum(pick)
+    want, want_masks = elements.extremum(pick)
+    assert repr(value) == repr(want)
+    assert masks == want_masks
+    fold = functools.reduce(sup if pick is max else inf, list(elements))
+    assert value == fold
+    assert masks == [m for m, v in enumerate(elements) if v == fold]
