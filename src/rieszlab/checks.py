@@ -682,28 +682,15 @@ def _run_thm_4_2_1(rng, cfg):
     return _ok(samples, notes="lateral images bounded by |T(e)|, exact"), ()
 
 
-def _dp_instance(check):
-    """``check(rng, space, T, report)`` on a random disjointness-preserving
-    T whose verification report, seeded by k, does not fail."""
-    def instance(rng, space, k):
-        T = gen.random_dp_operator(rng, space)
-        rep = verify_disjointness_preserving(T, reports.Budget(samples=20,
-                                                               seed=k))
-        if rep.verdict == FAILS:
-            return ("generated operator failed disjointness preservation",
-                    None, rep.witness or "")
-        return check(rng, space, T, rep)
-    return instance
-
-
 def _dp_fast_vs_brute(kinds):
-    """The fast path of each of ``kinds`` against enumeration."""
+    """The fast path of each of ``kinds`` against enumeration, on random
+    operators that preserve disjointness by construction."""
     @_per_instance("ops", gen.space_menu, "single-application fast path exact")
-    @_dp_instance
-    def run(rng, space, T, rep):
+    def run(rng, space, k):
+        T = gen.random_dp_operator(rng, space)
         x = _finite_frag_element(rng, space)
         for kind in kinds:
-            if dp_fast(kind, T, x, rep) != \
+            if dp_fast(kind, T, x) != \
                     _CLOSED_FORMS[kind].reference(T, x).value:
                 return (f"{kind} fast path disagrees at {format_element(x)}",
                         (x,))
@@ -712,12 +699,12 @@ def _dp_fast_vs_brute(kinds):
 
 @_per_instance("ops", gen.space_menu,
                "wedge vanishes under the hypotheses, exact")
-@_dp_instance
-def _run_thm_4_2_4(rng, space, T, rep):
+def _run_thm_4_2_4(rng, space, k):
+    T = gen.random_dp_operator(rng, space)
     e = _finite_frag_element(rng, space)
     x = gen.random_fragment(rng, e)
     y = gen.random_fragment(rng, e)
-    v = meyer_pair(T, x, y, e, rep)
+    v = meyer_pair(T, x, y, e)
     if not is_zero(v):
         return (f"nonzero wedge {format_value(v)} at x={format_element(x)} "
                 f"y={format_element(y)} e={format_element(e)}", (x, y, e))
@@ -774,7 +761,7 @@ def _run_ex_4_3_pl(rng, cfg):
                     "constant one", 4), tuple(arts)
     arts.append(f"unsafe wedge value: {format_value(v)}")
     try:
-        meyer_pair(T, u, scale(2, u), e=u, dp_report=rep_dp)
+        meyer_pair(T, u, scale(2, u), e=u)
     except PreconditionError:
         arts.append("guarded form refuses the collinear pair")
     else:

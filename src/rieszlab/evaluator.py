@@ -19,7 +19,7 @@ from .lateral import FragmentEnumeration, enumerate_decompositions, \
     enumerate_fragments, fragment_iter
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
-    OpSum, PiecewisePoly, match_table, verify_disjointness_preserving,
+    OpSum, PiecewisePoly, match_table,
 )
 from .oplattice import LatticePoint, OpLattice, meyer_pair
 from .spaces import (
@@ -354,8 +354,7 @@ def _eval_meyer(node: Meyer, env: Environment):
     if node.e is None:
         return meyer_pair(T, x, y, unsafe=True)
     e = _expect_element(eval_expr(node.e, env), node.span, "e")
-    rep = verify_disjointness_preserving(T)
-    return meyer_pair(T, x, y, e, rep)
+    return meyer_pair(T, x, y, e)
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,6 @@ class MatchTable(Operator):
     domain: object
     codomain: object
     entries: tuple  # ((key, value), ...)
-    validated_level: int | None = None
 
     def _apply(self, x):
         for key, value in self.entries:
@@ -360,14 +359,19 @@ class MatchTable(Operator):
         return probes
 
 
-def match_table(entries, truncation_level: int = 8) -> MatchTable:
+# the level of the vetting splittings of a key with infinitely many
+# fragments, raised to the key's prefix length where that is longer
+_MATCH_VETTING_LEVEL = 8
+
+
+def match_table(entries) -> MatchTable:
     """Build a match table, vetting additivity on key decompositions.
 
     Every splitting of a key into two nonzero disjoint parts must map
     consistently (parts' values summing to the key's value); keys whose
     splittings violate this cannot belong to an orthogonally additive
     map and are rejected.  For keys with infinitely many fragments the
-    vetting is level-truncated and the level is recorded.
+    vetting is cut at ``_MATCH_VETTING_LEVEL``.
     """
     entries = tuple(entries)
     if not entries:
@@ -387,15 +391,10 @@ def match_table(entries, truncation_level: int = 8) -> MatchTable:
     def image(el):
         return lookup.get(el, zero(codomain))
 
-    level_used = None
     for key, value in entries:
-        if has_infinite_fragments(key):
-            level = max(truncation_level, min_level(key))
-            decs = enumerate_decompositions(key, level=level)
-            level_used = level
-        else:
-            decs = enumerate_decompositions(key)
-        for d in decs:
+        level = (max(_MATCH_VETTING_LEVEL, min_level(key))
+                 if has_infinite_fragments(key) else None)
+        for d in enumerate_decompositions(key, level=level):
             if is_zero(d.left) or is_zero(d.right):
                 continue
             if add(image(d.left), image(d.right)) != value:
@@ -403,7 +402,7 @@ def match_table(entries, truncation_level: int = 8) -> MatchTable:
                     f"key {format_element(key)} splits as "
                     f"{format_element(d.left)} + {format_element(d.right)} "
                     "but the parts do not map consistently")
-    return MatchTable(domain, codomain, entries, level_used)
+    return MatchTable(domain, codomain, entries)
 
 
 @dataclass(frozen=True)
@@ -637,52 +636,102 @@ def _can_exhaust(space) -> bool:
 # ---------------------------------------------------------------------------
 
 def verify_oao(T, budget: Budget | None = None) -> CheckReport:
-    """Check T(u+v) = T(u) + T(v) on disjoint pairs.
-
-    Structurally additive bodies short-circuit to a symbolic pass;
-    exhaustive grids prove the law for the tested grid; clean sampling
-    alone stays inconclusive.
-    """
+    """Check T(u+v) = T(u) + T(v) on disjoint pairs, by ``_verify``'s
+    rule; a body with an ``oao_reason`` holds with it as the notes."""
     budget = budget or Budget()
-    seed = budget.seed_tag("oao")
     reason = T.oao_reason()
     if reason:
-        return reports.holds(seed=seed, notes=reason)
-    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
-    rest = (exhaustive_disjoint_pairs(T.domain, budget.grid) if exhaustive
-            else _sampled_pairs(T.domain, budget, "oao"))
-    failure, count, _ = _first_gap(functools.partial(_additivity_gap, T),
-                                   itertools.chain(T.oao_probes(), rest), seed)
-    if failure:
-        return failure
-    if exhaustive:
-        return reports.holds(count, seed, notes="exhaustive over grid")
-    return reports.inconclusive(count, seed, notes="sampled, no failure")
+        return reports.holds(seed=budget.seed_tag("oao"), notes=reason)
+    return _verify(T, budget, "oao", functools.partial(_additivity_gap, T),
+                   T.oao_probes(), *_pair_inputs(T))
 
 
-def _first_gap(gap, pairs, seed, count=0, undecided=0):
-    """Apply ``gap`` to disjoint pairs until one certainly fails.
+def verify_positive(T, budget: Budget | None = None) -> CheckReport:
+    """Check T(x) >= 0, by ``_verify``'s rule; a linear body is refuted
+    from its linear probes, or holds as the zero operator."""
+    budget = budget or Budget()
+    if T.linear:
+        # a nonzero linear map cannot be positive: T(-x) = -T(x)
+        seed = budget.seed_tag("positive")
+        probes = T.linear_probes()
+        for x in probes:
+            y = apply(T, x)
+            if not is_zero(y):
+                witness = x if _positivity_gap(y) else scale(-1, x)
+                return reports.fails(
+                    f"x={format_element(witness)} (pair x, -x)",
+                    len(probes), seed, witness_data=(witness,),
+                    notes="nonzero linear operator; one of x, -x maps below 0")
+        return reports.holds(seed=seed, notes="zero operator")
+    from . import generators
+    return _verify(
+        T, budget, "positive", lambda x: _positivity_gap(apply(T, x)), (),
+        lambda grid: ((normalize(T.domain, values),) for values in
+                      itertools.product([spaces.q(g) for g in grid],
+                                        repeat=atom_count(T.domain))),
+        lambda rng: (generators.random_element(rng, T.domain),), ("x",))
 
-    Returns the failure report (None when no pair fails), the count of
-    pairs tried, and how many of them ``gap`` left undecided (None).
+
+def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckReport:
+    """Check that disjoint inputs map to disjoint images, by
+    ``_verify``'s rule; a body with a ``dp_reason`` holds with it as
+    the notes."""
+    budget = budget or Budget()
+    reason = T.dp_reason()
+    if reason:
+        return reports.holds(seed=budget.seed_tag("dp"), notes=reason)
+    return _verify(T, budget, "dp", functools.partial(_disjointness_gap, T),
+                   _dp_probes(T), *_pair_inputs(T))
+
+
+def _verify(T, budget, tag, gap, probes, grid_inputs, sample_input, names):
+    """The one decision rule of the verifiers.
+
+    ``gap(*inputs)`` is True where the law certainly fails at the
+    inputs, False where it holds and None where an enclosure leaves it
+    undecided.  It runs on ``probes`` first, then on every
+    ``grid_inputs(budget.grid)`` when a grid is set and ``_can_exhaust``
+    the domain, and otherwise on ``budget.samples`` draws of
+    ``sample_input`` from ``budget.rng(tag)``.  The first certain gap
+    fails, with the inputs, named by ``names``, as its witness.  A clean
+    grid holds; a grid with undecided enclosures, and any sample, is
+    inconclusive: a clean sample never says ``holds``.
     """
-    for u, v in pairs:
+    seed = budget.seed_tag(tag)
+    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
+    if exhaustive:
+        rest = grid_inputs(budget.grid)
+    else:
+        rng = budget.rng(tag)
+        rest = (sample_input(rng) for _ in range(budget.samples))
+    count = undecided = 0
+    for inputs in itertools.chain(probes, rest):
         count += 1
-        found = gap(u, v)
+        found = gap(*inputs)
         if found:
-            return (reports.fails(f"u={format_element(u)} v={format_element(v)}",
-                                  count, seed, witness_data=(u, v)),
-                    count, undecided)
+            return reports.fails(
+                " ".join(f"{name}={format_element(v)}"
+                         for name, v in zip(names, inputs)),
+                count, seed, witness_data=tuple(inputs))
         if found is None:
             undecided += 1
-    return None, count, undecided
+    if not exhaustive:
+        return reports.inconclusive(
+            count, seed, notes="sampled, no failure"
+            + (f"; {undecided} undecided" if undecided else ""))
+    if undecided:
+        return reports.inconclusive(count, seed,
+                                    notes=f"{undecided} undecided enclosures")
+    return reports.holds(count, seed, notes="exhaustive over grid")
 
 
-def _sampled_pairs(domain, budget, tag):
+def _pair_inputs(T):
+    """The grid, the sampler and the witness names of the verifiers
+    that test disjoint pairs."""
     from . import generators
-    rng = budget.rng(tag)
-    for _ in range(budget.samples):
-        yield generators.random_disjoint_pair(rng, domain)
+    return (functools.partial(exhaustive_disjoint_pairs, T.domain),
+            lambda rng: generators.random_disjoint_pair(rng, T.domain),
+            ("u", "v"))
 
 
 def _additivity_gap(T, u, v) -> bool:
@@ -704,51 +753,6 @@ def _positivity_gap(value) -> bool | None:
     return not leq(zero(value.space), value)
 
 
-def verify_positive(T, budget: Budget | None = None) -> CheckReport:
-    """Check T(x) >= 0 over probes, a grid, or samples."""
-    budget = budget or Budget()
-    seed = budget.seed_tag("positive")
-    if T.linear:
-        # a nonzero linear map cannot be positive: T(-x) = -T(x)
-        probes = T.linear_probes()
-        for x in probes:
-            y = apply(T, x)
-            if not is_zero(y):
-                gap = _positivity_gap(y)
-                witness = x if gap else scale(-1, x)
-                return reports.fails(
-                    f"x={format_element(witness)} (pair x, -x)",
-                    len(probes), seed, witness_data=(witness,),
-                    notes="nonzero linear operator; one of x, -x maps below 0")
-        return reports.holds(seed=seed, notes="zero operator")
-    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
-    if exhaustive:
-        xs = (normalize(T.domain, values) for values in itertools.product(
-            [spaces.q(g) for g in budget.grid], repeat=atom_count(T.domain)))
-    else:
-        from . import generators
-        rng = budget.rng("positive")
-        xs = (generators.random_element(rng, T.domain)
-              for _ in range(budget.samples))
-    count = undecided = 0
-    for x in xs:
-        count += 1
-        gap = _positivity_gap(apply(T, x))
-        if gap:
-            return reports.fails(f"x={format_element(x)}", count, seed,
-                                 witness_data=(x,))
-        if gap is None:
-            undecided += 1
-    if not exhaustive:
-        return reports.inconclusive(
-            count, seed, notes="sampled, no failure"
-            + (f"; {undecided} undecided" if undecided else ""))
-    if undecided:
-        return reports.inconclusive(count, seed,
-                                    notes=f"{undecided} undecided enclosures")
-    return reports.holds(count, seed, notes="exhaustive over grid")
-
-
 def _disjointness_gap(T, u, v) -> bool | None:
     a, b = apply(T, u), apply(T, v)
     if isinstance(a, RealInterval):
@@ -758,32 +762,6 @@ def _disjointness_gap(T, u, v) -> bool | None:
             return True
         return None
     return not is_disjoint(a, b)
-
-
-def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckReport:
-    """Check that disjoint inputs map to disjoint images."""
-    budget = budget or Budget()
-    seed = budget.seed_tag("dp")
-    symbolic = T.dp_reason()
-    if symbolic:
-        return reports.holds(seed=seed, notes=symbolic)
-    gap = functools.partial(_disjointness_gap, T)
-    exhaustive = budget.grid is not None and _can_exhaust(T.domain)
-    grid = exhaustive_disjoint_pairs(T.domain, budget.grid) if exhaustive else ()
-    failure, count, undecided = _first_gap(
-        gap, itertools.chain(_dp_probes(T), grid), seed)
-    if failure:
-        return failure
-    if exhaustive and not undecided:
-        return reports.holds(count, seed, notes="exhaustive over grid")
-    failure, count, undecided = _first_gap(
-        gap, _sampled_pairs(T.domain, budget, "dp"), seed, count, undecided)
-    if failure:
-        return failure
-    if undecided:
-        return reports.inconclusive(count, seed,
-                                    notes=f"{undecided} undecided enclosures")
-    return reports.holds(count, seed, notes="sampled evidence")
 
 
 def _dp_probes(T):

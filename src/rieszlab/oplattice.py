@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch
-from . import reports
 from .lateral import (
     Decomposition, Restrictions, enumerate_decompositions, extend_levels,
     is_fragment, level_walk, min_level, require_level,
@@ -285,18 +284,16 @@ class OpLattice(Operator):
 _DP_KINDS = {"modulus", "pos", "neg"}
 
 
-def dp_fast(kind: str, T, x: Element, dp_report: reports.CheckReport):
+def dp_fast(kind: str, T, x: Element):
     """Single-application fast path for disjointness-preserving operators.
 
     For such operators the modulus at x is |T(x)| and the parts are
-    (T(x))^+ and (T(x))^-; the caller supplies the verification report,
-    which must not be a failure.
+    (T(x))^+ and (T(x))^-.  The body must preserve disjointness by
+    construction: without a ``T.dp_reason()`` it raises.
     """
     if kind not in _DP_KINDS:
         raise PreconditionError(f"kind must be one of {sorted(_DP_KINDS)}")
-    if dp_report is None or dp_report.verdict == reports.FAILS:
-        raise PreconditionError(
-            "fast path needs a non-failing disjointness-preservation report")
+    _require_dp_reason(T)
     y = apply(T, x)
     if kind == "modulus":
         return absolute(y)
@@ -306,10 +303,9 @@ def dp_fast(kind: str, T, x: Element, dp_report: reports.CheckReport):
 
 
 def meyer_pair(T, x: Element, y: Element, e: Element | None = None,
-               dp_report: reports.CheckReport | None = None,
-               unsafe: bool = False):
-    """(T(x))^+ wedge (T(y))^-; zero whenever {x, y} is laterally
-    bounded and T preserves disjointness.
+               *, unsafe: bool = False):
+    """(T(x))^+ wedge (T(y))^-; zero when x and y are fragments of e and
+    T preserves disjointness by construction (``T.dp_reason()``).
 
     ``unsafe`` skips the hypothesis checks to reproduce the documented
     counterexamples; such values are not covered by the statement.
@@ -323,7 +319,14 @@ def meyer_pair(T, x: Element, y: Element, e: Element | None = None,
                     f"{name}={format_element(el)} is not a fragment of "
                     f"e={format_element(e)}; the vanishing statement does not "
                     "apply (this is exactly where the counterexamples live)")
-        if dp_report is None or dp_report.verdict == reports.FAILS:
-            raise PreconditionError(
-                "a non-failing disjointness-preservation report is required")
+        _require_dp_reason(T)
     return inf(pos_part(apply(T, x)), neg_part(apply(T, y)))
+
+
+def _require_dp_reason(T):
+    """A sampled verdict is no proof, so only the body's own reason
+    licenses the statements that assume disjointness preservation."""
+    if T.dp_reason() is None:
+        raise PreconditionError(
+            "the operator does not preserve disjointness by construction "
+            "(it has no dp_reason)")

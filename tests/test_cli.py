@@ -5,10 +5,12 @@ import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from rieszlab import cli, dsl
+from rieszlab import generators as gen
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.rl"))
@@ -120,6 +122,34 @@ def test_derived_operators_enter_sums_and_meyer(tmp_path, capsys):
     assert cli.main(["run", str(script)]) == 0
     assert capsys.readouterr() == (
         "coord[7]\ncoord[0] (unsafe: lateral bound not checked)\n", "")
+
+
+def _vanishing_on_sampled_scalars(sign) -> str:
+    """sign * t * prod(t - s) over the nonzero scalars s the sampler
+    draws, as the text of a kernel polynomial: 0 at every sample."""
+    magnitude, denominators = gen.random_scalar.__defaults__
+    roots = {Fraction(k, d) for k in range(-magnitude, magnitude + 1)
+             for d in denominators if k}
+    coeffs = [0, sign]  # ascending powers
+    for s in roots:
+        coeffs = [a - s * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return " + ".join(f"{c}*t^{k}" for k, c in enumerate(coeffs) if c)
+
+
+def test_meyer_with_a_bound_needs_a_body_reason(tmp_path, capsys):
+    # rows 1 -> 1: f and 2 -> 1: -f send the disjoint (5,0) and (0,5)
+    # onto one atom, yet every sampled pair maps to 0
+    script = tmp_path / "meyer.rl"
+    script.write_text(
+        f"let T = kernel{{1->1: t -> {_vanishing_on_sampled_scalars(1)}, "
+        f"2->1: t -> {_vanishing_on_sampled_scalars(-1)}}};\n"
+        "eval T(coord[5,0]);\n"
+        "eval meyer(T; coord[5,0], coord[0,5]; coord[5,5]);\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr() == (
+        "coord[8455554412305]\n",
+        f"{script}:3:1: precondition violated: the operator does not "
+        "preserve disjointness by construction (it has no dp_reason)\n")
 
 
 def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,

@@ -213,6 +213,8 @@ PINNED_BODIES = [
                        "additive by construction"),
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[-1/3,2/3,-2]", ""),
+        "verify_dp": ("verdict=fails samples=1 seed=0:dp "
+                      "witness=u=coord[1,0,0] v=coord[0,1,0]", ""),
     }),
     ("Kernel-linear",
      diagonal_kernel(_C2, [poly(0, 3), poly(0, Q(-1, 2))]),
@@ -228,6 +230,8 @@ PINNED_BODIES = [
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[-1,0] (pair x, -x)",
                             _POSITIVE_FAILS),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "injective atom map: disjoint supports stay disjoint"),
     }),
     ("LinearEC",
      LinearEC(_C2, ((1, 2), (3, -1)), coord(1, 0), coord(0, 1)),
@@ -243,6 +247,8 @@ PINNED_BODIES = [
         "verify_positive": ("verdict=fails samples=3 seed=0:positive "
                             "witness=x=ec[-1|0] (pair x, -x)",
                             _POSITIVE_FAILS),
+        "verify_dp": ("verdict=fails samples=2 seed=0:dp "
+                      "witness=u=ec[1|0] v=ec[0,0,1|0]", ""),
     }),
     ("MatchTable", _TABLE, (coord(1, 0), coord(1, 1)), {
         "apply": ["coord[2,-1]", "coord[0,0]"],
@@ -255,6 +261,8 @@ PINNED_BODIES = [
                        "witness=u=coord[1,0] v=coord[0,1]", ""),
         "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
                             "sampled, no failure"),
+        "verify_dp": ("verdict=inconclusive samples=5 seed=0:dp",
+                      "sampled, no failure"),
     }),
     ("MatchTable-isolated", _ISOLATED, (coord(2), coord(1)), {
         "apply": ["coord[-3]", "coord[0]"],
@@ -267,6 +275,8 @@ PINNED_BODIES = [
                        "keys indecomposable with no nonzero disjoint partner"),
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[2]", ""),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "keys have no nonzero disjoint partner"),
     }),
     ("LateralMeet", example_operator("unit_lateral_meet"),
      (one(_STEPS), simple(_STEPS.partition, (2, 1))), {
@@ -281,6 +291,9 @@ PINNED_BODIES = [
                        "additive by construction"),
         "verify_positive": ("verdict=fails samples=1 seed=0:positive "
                             "witness=x=simple{0,1/2,1}[2/3,2]", ""),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "|T x| <= |x| pointwise, so disjoint supports stay "
+                      "disjoint"),
     }),
     ("AlternatingSeries", AlternatingSeries(Q(1, 1000)),
      (ec([1, -2, 3], 0), one(EC)), {
@@ -295,6 +308,8 @@ PINNED_BODIES = [
                        "additive by construction"),
         "verify_positive": ("verdict=fails samples=1 seed=0:positive "
                             "witness=x=ec[2,-2,-1/3,2/3|-2]", ""),
+        "verify_dp": ("verdict=fails samples=1 seed=0:dp "
+                      "witness=u=ec[1|0] v=ec[0,1|0]", ""),
     }),
     ("OpSum",
      OpSum((diagonal_kernel(_C2, [poly(0, 1), poly(0, 2)]),
@@ -312,6 +327,8 @@ PINNED_BODIES = [
         "verify_positive": ("verdict=fails samples=4 seed=0:positive "
                             "witness=x=coord[0,-1] (pair x, -x)",
                             _POSITIVE_FAILS),
+        "verify_dp": ("verdict=inconclusive samples=5 seed=0:dp",
+                      "sampled, no failure"),
     }),
     ("OpSum-table",
      OpSum((_TABLE, diagonal_kernel(_C2, [poly(0, 1)] * 2))),
@@ -326,6 +343,8 @@ PINNED_BODIES = [
                        "sampled, no failure"),
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[-2,-1/3]", ""),
+        "verify_dp": ("verdict=fails samples=1 seed=0:dp "
+                      "witness=u=coord[1,0] v=coord[0,1]", ""),
     }),
     ("OpScaled",
      OpScaled(Q(-2), diagonal_kernel(_C2, [poly(0, 1), poly(0, 0, 1)])),
@@ -341,6 +360,9 @@ PINNED_BODIES = [
                        "additive by construction"),
         "verify_positive": ("verdict=fails samples=1 seed=0:positive "
                             "witness=x=coord[2/3,2]", ""),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "scaling preserves disjointness; injective atom map: "
+                      "disjoint supports stay disjoint"),
     }),
     ("OpScaled-table", OpScaled(3, _TABLE), (coord(1, 0),), {
         "apply": ["coord[6,-3]"],
@@ -353,6 +375,8 @@ PINNED_BODIES = [
                        "witness=u=coord[1,0] v=coord[0,1]", ""),
         "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
                             "sampled, no failure"),
+        "verify_dp": ("verdict=inconclusive samples=5 seed=0:dp",
+                      "sampled, no failure"),
     }),
     # the match-table probes and reasons look through every scaling
     ("OpScaled-OpScaled-table", OpScaled(2, OpScaled(3, _TABLE)),
@@ -367,6 +391,8 @@ PINNED_BODIES = [
                        "witness=u=coord[1,0] v=coord[0,1]", ""),
         "verify_positive": ("verdict=inconclusive samples=4 seed=0:positive",
                             "sampled, no failure"),
+        "verify_dp": ("verdict=inconclusive samples=5 seed=0:dp",
+                      "sampled, no failure"),
     }),
     ("OpScaled-OpScaled-isolated", OpScaled(2, OpScaled(Q(1, 2), _ISOLATED)),
      (coord(2),), {
@@ -381,6 +407,9 @@ PINNED_BODIES = [
                        "keys indecomposable with no nonzero disjoint partner"),
         "verify_positive": ("verdict=fails samples=2 seed=0:positive "
                             "witness=x=coord[2]", ""),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "scaling preserves disjointness; scaling preserves "
+                      "disjointness; keys have no nonzero disjoint partner"),
     }),
     ("ZeroOp", ZeroOp(_C2, Reals()), (coord(1, 1),), {
         "apply": ["interval[0]"],
@@ -393,6 +422,8 @@ PINNED_BODIES = [
                        "additive by construction"),
         "verify_positive": ("verdict=holds samples=0 seed=0:positive",
                             "zero operator"),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      "zero operator"),
     }),
 ]
 
@@ -403,6 +434,7 @@ PINNED_BODIES = [
 def test_per_body_behaviour_is_pinned(T, points, expected):
     oao = verify_oao(T, Budget(samples=4))
     positive = verify_positive(T, Budget(samples=4))
+    dp = verify_disjointness_preserving(T, Budget(samples=4))
     assert {
         "apply": [format_value(apply(T, x)) for x in points],
         "atom additive": T.atom_additive,
@@ -413,6 +445,7 @@ def test_per_body_behaviour_is_pinned(T, points, expected):
                        for u, v in T.oao_probes()],
         "verify_oao": (oao.line(), oao.notes),
         "verify_positive": (positive.line(), positive.notes),
+        "verify_dp": (dp.line(), dp.notes),
     } == expected
 
 
@@ -499,6 +532,13 @@ def test_verify_dp():
     rep = verify_disjointness_preserving(collapse)
     assert rep.verdict == FAILS
     assert rep.witness_data == (coord(1, 0), coord(0, 1))
+    # a sum has no dp reason: a clean sample stays inconclusive, and
+    # only a clean grid holds (for the grid)
+    two = OpSum((diag, diag))
+    assert verify_disjointness_preserving(two).verdict == INCONCLUSIVE
+    rep = verify_disjointness_preserving(two, Budget(grid=DEFAULT_GRID))
+    assert (rep.verdict, rep.samples_used, rep.notes) == (
+        HOLDS, 3 + 9 ** 3, "exhaustive over grid")
 
 
 def test_series_not_disjointness_preserving():

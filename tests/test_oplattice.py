@@ -15,15 +15,14 @@ from rieszlab.lateral import (
 )
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
-    OpSum, RealInterval, ZeroOp, apply, diagonal_kernel, example_operator,
-    images_by_apply, lateral_bound_scan, negate, poly,
+    OpSum, PiecewisePoly, RealInterval, ZeroOp, apply, diagonal_kernel,
+    example_operator, images_by_apply, lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
     meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
-from rieszlab.reports import Budget, FAILS, fails, holds
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, ImageTable, PiecewiseLinear,
     Reals, SimpleFunction, add, coord,
@@ -270,44 +269,69 @@ def test_dp_fast_matches_brute_force():
     for k in range(40):
         space = gen.space_menu()[k % 6]
         T = gen.random_dp_operator(rng, space)
-        rep = verify_disjointness_preserving(T, Budget(samples=15, seed=k))
-        assert rep.verdict != FAILS
+        assert T.dp_reason() is not None
         x = gen.random_element(rng, space)
         if isinstance(space, EventuallyConstant):
             x = ec(x.payload[0], 0)
-        assert dp_fast("modulus", T, x, rep) == modulus_at(T, x).value
-        assert dp_fast("pos", T, x, rep) == pos_part_at(T, x).value
-        assert dp_fast("neg", T, x, rep) == neg_part_at(T, x).value
+        assert dp_fast("modulus", T, x) == modulus_at(T, x).value
+        assert dp_fast("pos", T, x) == pos_part_at(T, x).value
+        assert dp_fast("neg", T, x) == neg_part_at(T, x).value
 
 
-def test_dp_fast_requires_report():
+def test_dp_fast_requires_a_body_reason():
     T = diagonal_kernel(Coordinate(1), [poly(0, 1)])
+    assert dp_fast("modulus", T, coord(-1)) == coord(1)
     with pytest.raises(PreconditionError):
-        dp_fast("modulus", T, coord(1), None)
+        dp_fast("sign", T, coord(1))
+    collapse = Kernel(Coordinate(2), Coordinate(1),
+                      ((1, 1, poly(0, 1)), (2, 1, poly(0, 1))))
+    assert collapse.dp_reason() is None
     with pytest.raises(PreconditionError):
-        dp_fast("modulus", T, coord(1), fails("w"))
-    with pytest.raises(PreconditionError):
-        dp_fast("sign", T, coord(1), holds())
+        dp_fast("modulus", collapse, coord(1, 1))
 
 
 def test_meyer_pair_vanishes_under_hypotheses():
     T = diagonal_kernel(Coordinate(3), [poly(0, 1), poly(0, 1), poly(0, 1)])
-    rep = verify_disjointness_preserving(T)
     e = coord(1, -2, 0)
-    v = meyer_pair(T, coord(1, 0, 0), coord(0, -2, 0), e, rep)
+    v = meyer_pair(T, coord(1, 0, 0), coord(0, -2, 0), e)
     assert v == zero(Coordinate(3))
 
 
 def test_meyer_pair_guards():
     T = example_operator("unit_match")
     u = one(PiecewiseLinear())
+    with pytest.raises(PreconditionError):
+        meyer_pair(T, u, scale(2, u), u)
+    with pytest.raises(PreconditionError):
+        meyer_pair(T, u, u, None)
+    collapse = Kernel(Coordinate(2), Coordinate(1),
+                      ((1, 1, poly(0, 1)), (2, 1, poly(0, -1))))
+    with pytest.raises(PreconditionError):
+        meyer_pair(collapse, coord(1, 0), coord(0, 1), coord(1, 1))
+    # ``unsafe`` is keyword-only, so a report passed after e, as the
+    # guards once took one, cannot switch the hypothesis checks off
+    with pytest.raises(TypeError):
+        meyer_pair(T, u, u, u, verify_disjointness_preserving(T))
+
+
+def test_a_clean_sample_licenses_no_fast_path():
+    # f = max(t - 3, 0) is zero at every scalar the sampler draws, so no
+    # sampled pair sees the rows 1 -> 1: f and 2 -> 1: -f share atom 1;
+    # yet (5,0) and (0,5) are disjoint and both map onto it
+    ramp = PiecewisePoly((3,), ((0,), (-3, 1)))
+    T = Kernel(Coordinate(2), Coordinate(1),
+               ((1, 1, ramp), (2, 1, PiecewisePoly((3,), ((0,), (3, -1))))))
     rep = verify_disjointness_preserving(T)
+    assert (rep.line(), rep.notes) == (
+        "verdict=inconclusive samples=201 seed=0:dp", "sampled, no failure")
+    x, y, e = coord(5, 0), coord(0, 5), coord(5, 5)
     with pytest.raises(PreconditionError):
-        meyer_pair(T, u, scale(2, u), u, rep)
+        dp_fast("modulus", T, e)
     with pytest.raises(PreconditionError):
-        meyer_pair(T, u, u, None, rep)
-    with pytest.raises(PreconditionError):
-        meyer_pair(T, u, u, u, None)
+        meyer_pair(T, x, y, e)
+    assert modulus_at(T, e).value == coord(4)
+    # the wedge the statement would claim to vanish does not
+    assert meyer_pair(T, x, y, unsafe=True) == coord(2)
 
 
 def test_meyer_counterexamples_unsafe():
