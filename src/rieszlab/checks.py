@@ -1006,14 +1006,15 @@ def run_check(check_id: str, config: dict | None = None,
     except Exception as exc:
         # a crash is a failure of the check, and so is any other broken
         # precondition: the runner builds its own arguments to satisfy them.
-        # The innermost frame is named by function and line offset, so an
-        # edit elsewhere in its file leaves the record as it is
+        # The innermost frame is named by qualified function name (a
+        # method with its class) and line offset, so an edit elsewhere
+        # in its file leaves the record as it is
         frame, line = list(traceback.walk_tb(exc.__traceback__))[-1]
         code = frame.f_code
         result = reports.fails(
             f"exception: {exc!r}", 0,
             notes=(f"runner raised instead of reporting, at "
-                   f"{os.path.basename(code.co_filename)}:{code.co_name}"
+                   f"{os.path.basename(code.co_filename)}:{code.co_qualname}"
                    f"+{line - code.co_firstlineno}"))
         artifacts = ()
     result.seed = f"{run_seed}:{check_id}"

@@ -5,15 +5,23 @@ operator literals mirror the library constructors; all mathematical
 symbols have ASCII spellings, with Unicode equivalents accepted on
 input and ASCII emitted on output.
 
-``tokenize`` scans with one compiled pattern, and the character-by-
-character scanner ``tokenize_by_scan`` is kept as its reference.  The
-parser reads binary operators by precedence climbing over ``_PREC``, the
-table the printer parenthesises by.
+``tokenize`` scans with one compiled pattern and keeps the token stream
+as columns, a ``Tokens``: kinds, texts and character offsets in three
+flat lists, and the offsets at which lines start.  A line and column
+are worked out from an offset only where one is needed: for a node's
+span, a diagnostic, or a ``Token`` row built by indexing the stream.
+The character-by-character scanner ``tokenize_by_scan`` is kept as its
+reference.  The parser reads the columns by token index, and binary
+operators by precedence climbing over ``_PREC``, the table the printer
+parenthesises by.  The printer walks a left-leaning chain of one
+precedence, or of postfix operators, in a loop.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -103,32 +111,68 @@ _TOKEN_RE = re.compile("|".join((
 )), re.DOTALL)
 
 
-def tokenize(text: str):
+class Tokens(Sequence):
+    """The token stream as columns: token k has kind ``kinds[k]``, text
+    ``texts[k]`` and character offset ``starts[k]``; ``line_starts``
+    holds the offset of each line's first character.  Line and column
+    are worked out from an offset only where they are needed, by
+    ``where``.  Indexing and iteration build the ``Token`` rows."""
+
+    __slots__ = ("kinds", "texts", "starts", "line_starts")
+
+    def __init__(self, kinds, texts, starts, line_starts):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.line_starts = line_starts
+
+    def where(self, pos):
+        """(line, column) of the character offset pos."""
+        line = bisect_right(self.line_starts, pos)
+        return line, pos - self.line_starts[line - 1] + 1
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __getitem__(self, k):
+        pos = self.starts[k]
+        return Token(self.kinds[k], self.texts[k], *self.where(pos), pos)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Tokens)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return f"Tokens({list(self)!r})"
+
+
+def tokenize(text: str) -> Tokens:
     """Lex the script; raises DslSyntaxError on an unexpected character."""
-    tokens = []
-    append = tokens.append
-    new = tuple.__new__     # Token(...) without the Python-level __new__
+    tokens = Tokens([], [], [], [0])
+    add_kind, add_text = tokens.kinds.append, tokens.texts.append
+    add_start, add_line = tokens.starts.append, tokens.line_starts.append
     literals = _LITERALS
-    line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "SPACE":
             continue
         if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
+            add_line(m.end())
             continue
-        pos = m.start()
         tok = m[0]
         if kind == "LIT":
             kind, tok = literals[tok]
         elif kind == "ERR" or (kind == "IDENT" and not tok[0].isalpha()
                                and tok[0] != "_"):
             raise DslSyntaxError(f"unexpected character {tok[0]!r}",
-                                 line, pos - line_start + 1)
-        append(new(Token, (kind, tok, line, pos - line_start + 1, pos)))
-    pos = len(text)
-    append(Token("EOF", "", line, pos - line_start + 1, pos))
+                                 *tokens.where(m.start()))
+        add_kind(kind)
+        add_text(tok)
+        add_start(m.start())
+    add_kind("EOF")
+    add_text("")
+    add_start(len(text))
     return tokens
 
 
@@ -385,42 +429,57 @@ _PREC = {"\\/": 1, "/\\": 2, "lsup": 3, "linf": 4, "+": 5, "-": 5, "*": 6}
 
 
 class _Parser:
+    """Recursive descent over the columns of a ``Tokens`` stream; the
+    cursor ``i`` is a token index."""
+
     def __init__(self, tokens):
-        # a second EOF, so that peek(1) on the first one stays in range
-        self.tokens = tokens + tokens[-1:]
+        # a second EOF, so that a look one past the first stays in range
+        self.kinds = tokens.kinds + ["EOF"]
+        self.texts = tokens.texts
+        self.starts = tokens.starts
+        self.where = tokens.where
         self.i = 0
         self.depth = 0
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[self.i + ahead]
+    def _where(self, i):
+        """(line, column) of token i: the span of the node it opens."""
+        return self.where(self.starts[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def next(self) -> str:
+        """Step past the current token, never past EOF; its text."""
+        i = self.i
+        if self.kinds[i] != "EOF":
+            self.i = i + 1
+        return self.texts[i]
 
-    def at(self, kind, text=None) -> bool:
-        tok = self.tokens[self.i]
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, kind) -> bool:
+        return self.kinds[self.i] == kind
 
-    def expect(self, kind, what=None) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind:
-            line, col = tok.line, tok.col
-            if tok.kind == "EOF" and self.i > 0:
-                prev = self.tokens[self.i - 1]
-                line, col = prev.line, prev.col + len(prev.text)
+    def expect(self, kind, what=None) -> str:
+        """Step past a token of this kind; its text."""
+        i = self.i
+        if self.kinds[i] != kind:
+            text = self.texts[i]
+            if self.kinds[i] == "EOF" and i > 0:
+                # just after the previous token, on its line
+                line, col = self._where(i - 1)
+                col += len(self.texts[i - 1])
+            else:
+                line, col = self._where(i)
             raise DslSyntaxError(
-                f"expected {what or kind}, found {tok.text!r}" if tok.text
+                f"expected {what or kind}, found {text!r}" if text
                 else f"expected {what or kind}, found end of input",
                 line, col)
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return self.texts[i]
+
+    def expect_word(self, word, message):
+        """Step past the identifier ``word``; anything else is an error."""
+        if self.expect("IDENT", f"'{word}'") != word:
+            raise DslSyntaxError(message, *self._where(self.i - 1))
 
     def error(self, message):
-        tok = self.tokens[self.i]
-        raise DslSyntaxError(message, tok.line, tok.col)
+        raise DslSyntaxError(message, *self._where(self.i))
 
     # -- statements ---------------------------------------------------------
 
@@ -439,47 +498,44 @@ class _Parser:
         return Script(tuple(stmts)), diags
 
     def statement(self) -> Node:
-        tok = self.peek()
-        span = (tok.line, tok.col)
-        if self.at("IDENT", "let"):
+        span = self._where(self.i)
+        word = self.texts[self.i] if self.at("IDENT") else None
+        if word == "let":
             self.next()
-            name = self.expect("IDENT", "a binding name").text
+            name = self.expect("IDENT", "a binding name")
             self.expect("EQUALS", "'='")
             expr = self.expression()
             self.expect("SEMI", "';'")
             return LetStmt(name, expr, span)
-        if self.at("IDENT", "eval"):
+        if word == "eval":
             self.next()
             expr = self.expression()
             level = None
             if self.at("AT"):
                 self.next()
-                kw = self.expect("IDENT", "'level'")
-                if kw.text != "level":
-                    raise DslSyntaxError("expected 'level' after '@'",
-                                         kw.line, kw.col)
-                level = int(self.expect("INT", "a level").text)
+                self.expect_word("level", "expected 'level' after '@'")
+                level = int(self.expect("INT", "a level"))
             self.expect("SEMI", "';'")
             return EvalStmt(expr, level, span)
-        if self.at("IDENT", "check"):
+        if word == "check":
             self.next()
             check_id = self.glued_id()
             config = self.config_pairs()
             self.expect("SEMI", "';'")
             return CheckStmt(check_id, config, span)
 
-        if self.at("IDENT", "suite"):
+        if word == "suite":
             self.next()
-            prof = self.expect("IDENT", "'quick' or 'full'")
-            if prof.text not in ("quick", "full"):
+            profile = self.expect("IDENT", "'quick' or 'full'")
+            if profile not in ("quick", "full"):
                 raise DslSyntaxError("profile must be quick or full",
-                                     prof.line, prof.col)
+                                     *self._where(self.i - 1))
             ids = []
             while self.at("IDENT") and not self._config_ahead():
                 ids.append(self.glued_id())
             self.expect("SEMI", "';'")
-            return SuiteStmt(prof.text, tuple(ids), span)
-        if self.at("IDENT", "search"):
+            return SuiteStmt(profile, tuple(ids), span)
+        if word == "search":
             self.next()
             config = self.config_pairs()
             self.expect("SEMI", "';'")
@@ -487,32 +543,32 @@ class _Parser:
         self.error("expected let, eval, check, suite or search")
 
     def _config_ahead(self) -> bool:
-        return self.at("IDENT") and self.peek(1).kind == "EQUALS"
+        return self.at("IDENT") and self.kinds[self.i + 1] == "EQUALS"
 
     def glued_id(self) -> str:
         """Identifiers like thm-1.1-e: adjacent ident/int/minus/dot runs."""
-        first = self.expect("IDENT", "an identifier")
-        parts = [first]
-        while True:
-            nxt = self.peek()
-            last = parts[-1]
-            if (nxt.kind in ("IDENT", "INT", "MINUS", "DOT")
-                    and nxt.pos == last.pos + len(last.text)):
-                parts.append(self.next())
-            else:
-                break
-        return "".join(p.text for p in parts)
+        first = self.i
+        self.expect("IDENT", "an identifier")
+        kinds, starts = self.kinds, self.starts
+        end = starts[first] + len(self.texts[first])
+        i = self.i
+        while (kinds[i] in ("IDENT", "INT", "MINUS", "DOT")
+               and starts[i] == end):
+            end += len(self.texts[i])
+            i += 1
+        self.i = i
+        return "".join(self.texts[first:i])
 
     def config_pairs(self) -> tuple:
         pairs = []
         while self._config_ahead():
-            key = self.next().text
+            key = self.next()
             self.expect("EQUALS", "'='")
-            tok = self.peek()
-            if tok.kind == "MINUS" or tok.kind == "INT":
+            kind = self.kinds[self.i]
+            if kind == "MINUS" or kind == "INT":
                 value = str(self.scalar())
-            elif tok.kind == "IDENT":
-                value = self.next().text
+            elif kind == "IDENT":
+                value = self.next()
             else:
                 self.error("expected a config value")
             pairs.append((key, value))
@@ -526,11 +582,11 @@ class _Parser:
             self.error("expression too deeply nested")
         try:
             left = self.binary()
-            tok = self.tokens[self.i]
-            if tok.kind in ("LEQ", "LLEQ", "PERP", "EQEQ"):
-                self.i += 1
+            i = self.i
+            if self.kinds[i] in ("LEQ", "LLEQ", "PERP", "EQEQ"):
+                self.i = i + 1
                 right = self.binary()
-                return Rel(tok.text, left, right, (tok.line, tok.col))
+                return Rel(self.texts[i], left, right, self._where(i))
             return left
         finally:
             self.depth -= 1
@@ -541,39 +597,41 @@ class _Parser:
         spelling, so the table is keyed on text; the only IDENT texts in
         it are the words lsup and linf."""
         left = self.unary()
+        texts = self.texts
         while True:
-            tok = self.tokens[self.i]
-            prec = _PREC.get(tok.text)
+            i = self.i
+            op = texts[i]
+            prec = _PREC.get(op)
             if prec is None or prec < min_prec:
                 return left
-            self.i += 1
-            left = Binary(tok.text, left, self.binary(prec + 1),
-                          (tok.line, tok.col))
+            self.i = i + 1
+            left = Binary(op, left, self.binary(prec + 1), self._where(i))
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind != "MINUS":
+        i = self.i
+        if self.kinds[i] != "MINUS":
             return self.postfix()
-        if self.peek(1).kind == "INT":
+        if self.kinds[i + 1] == "INT":
             # negative numerals are scalar literals, not negations
-            return ScalarLit(self.scalar(), (tok.line, tok.col))
+            return ScalarLit(self.scalar(), self._where(i))
         # a negation nests like a parenthesis
         self.depth += 1
         try:
             if self.depth > _MAX_DEPTH:
-                raise DslSyntaxError("expression too deeply nested",
-                                     tok.line, tok.col)
-            self.next()
-            return Unary("-", self.unary(), (tok.line, tok.col))
+                self.error("expression too deeply nested")
+            self.i = i + 1
+            return Unary("-", self.unary(), self._where(i))
         finally:
             self.depth -= 1
 
     def postfix(self):
         node = self.primary()
+        kinds = self.kinds
         while True:
-            tok = self.peek()
-            if tok.kind == "LPAREN":
-                self.next()
+            i = self.i
+            kind = kinds[i]
+            if kind == "LPAREN":
+                self.i = i + 1
                 args = []
                 if not self.at("RPAREN"):
                     args.append(self.expression())
@@ -581,29 +639,24 @@ class _Parser:
                         self.next()
                         args.append(self.expression())
                 self.expect("RPAREN", "')'")
-                node = Apply(node, tuple(args), (tok.line, tok.col))
-            elif tok.kind == "POSPART":
-                self.next()
-                node = Postfix("^+", node, (tok.line, tok.col))
-            elif tok.kind == "NEGPART":
-                self.next()
-                node = Postfix("^-", node, (tok.line, tok.col))
+                node = Apply(node, tuple(args), self._where(i))
+            elif kind == "POSPART" or kind == "NEGPART":
+                self.i = i + 1
+                node = Postfix(self.texts[i], node, self._where(i))
             else:
                 return node
 
     def scalar(self) -> Fraction:
-        neg = self.tokens[self.i].kind == "MINUS"
+        neg = self.kinds[self.i] == "MINUS"
         if neg:
             self.i += 1
-        num = int(self.expect("INT", "a number").text)
-        if self.tokens[self.i].kind != "SLASH":
+        num = int(self.expect("INT", "a number"))
+        if self.kinds[self.i] != "SLASH":
             return Fraction(-num if neg else num)
         self.i += 1
-        den_tok = self.expect("INT", "a denominator")
-        den = int(den_tok.text)
+        den = int(self.expect("INT", "a denominator"))
         if den == 0:
-            raise DslSyntaxError("zero denominator", den_tok.line,
-                                 den_tok.col)
+            raise DslSyntaxError("zero denominator", *self._where(self.i - 1))
         return Fraction(-num if neg else num, den)
 
     def scalar_list(self, closer) -> tuple:
@@ -620,7 +673,7 @@ class _Parser:
         while self.at("LPAREN"):
             self.next()
             if first == "int":
-                a = int(self.expect("INT", "an index").text)
+                a = int(self.expect("INT", "an index"))
             else:
                 a = self.scalar()
             self.expect("COMMA", "','")
@@ -634,24 +687,25 @@ class _Parser:
         return tuple(out)
 
     def primary(self) -> Node:
-        tok = self.peek()
-        span = (tok.line, tok.col)
-        if tok.kind == "INT" or tok.kind == "MINUS":
+        i = self.i
+        kind = self.kinds[i]
+        span = self._where(i)
+        if kind == "INT" or kind == "MINUS":
             return ScalarLit(self.scalar(), span)
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             self.next()
             inner = self.expression()
             self.expect("RPAREN", "')'")
             return inner
-        if tok.kind == "BAR":
+        if kind == "BAR":
             self.next()
             inner = self.expression()
             self.expect("BAR", "a closing '|'")
             return Abs(inner, span)
-        if tok.kind != "IDENT":
-            self.error(f"unexpected {tok.text!r} in an expression"
-                       if tok.text else "unexpected end of input")
-        name = tok.text
+        name = self.texts[i]
+        if kind != "IDENT":
+            self.error(f"unexpected {name!r} in an expression"
+                       if name else "unexpected end of input")
         if name == "coord":
             self.next()
             self.expect("LBRACK", "'['")
@@ -695,7 +749,7 @@ class _Parser:
         if name == "coordspace":
             self.next()
             self.expect("LPAREN", "'('")
-            n = int(self.expect("INT", "a dimension").text)
+            n = int(self.expect("INT", "a dimension"))
             self.expect("RPAREN", "')'")
             return SpaceLit("coordspace", (n,), span)
         if name == "simplespace":
@@ -774,16 +828,13 @@ class _Parser:
         self.expect("LBRACE", "'{'")
         entries = []
         while not self.at("RBRACE"):
-            atom = int(self.expect("INT", "an atom index").text)
+            atom = int(self.expect("INT", "an atom index"))
             target = atom
             if self.at("ARROW"):
                 self.next()
-                target = int(self.expect("INT", "a target atom").text)
+                target = int(self.expect("INT", "a target atom"))
             self.expect("COLON", "':'")
-            tvar = self.expect("IDENT", "'t'")
-            if tvar.text != "t":
-                raise DslSyntaxError("kernel functions are written 't -> ...'",
-                                     tvar.line, tvar.col)
+            self.expect_word("t", "kernel functions are written 't -> ...'")
             self.expect("ARROW", "'->'")
             entries.append((atom, target, self.poly_terms()))
             if self.at("COMMA"):
@@ -796,14 +847,14 @@ class _Parser:
     def poly_terms(self) -> tuple:
         terms = [self.poly_term(Fraction(1))]
         while self.at("PLUS") or self.at("MINUS"):
-            sign = Fraction(1) if self.next().kind == "PLUS" else Fraction(-1)
+            sign = Fraction(1) if self.next() == "+" else Fraction(-1)
             terms.append(self.poly_term(sign))
         return tuple(terms)
 
     def poly_term(self, sign: Fraction):
         coef = Fraction(1)
         power = None
-        if self.at("MINUS") and self.peek(1).kind == "IDENT":
+        if self.at("MINUS") and self.kinds[self.i + 1] == "IDENT":
             self.next()
             sign = -sign
         if self.at("MINUS") or self.at("INT"):
@@ -812,21 +863,18 @@ class _Parser:
                 self.next()
             else:
                 return (sign * coef, 0)
-        tvar = self.expect("IDENT", "'t'")
-        if tvar.text != "t":
-            raise DslSyntaxError("polynomials use the variable 't'",
-                                 tvar.line, tvar.col)
+        self.expect_word("t", "polynomials use the variable 't'")
         power = 1
         if self.at("CARET"):
             self.next()
-            power = int(self.expect("INT", "an exponent").text)
+            power = int(self.expect("INT", "an exponent"))
         return (sign * coef, power)
 
     def linec_literal(self, span) -> Node:
         self.expect("LBRACE", "'{'")
         coeffs = []
         while self.at("INT"):
-            idx = int(self.next().text)
+            idx = int(self.next())
             self.expect("COLON", "':'")
             coeffs.append((idx, self.scalar()))
             if self.at("COMMA"):
@@ -834,15 +882,11 @@ class _Parser:
             else:
                 break
         self.expect("SEMI", "';' before the unit clause")
-        kw = self.expect("IDENT", "'unit'")
-        if kw.text != "unit":
-            raise DslSyntaxError("expected 'unit'", kw.line, kw.col)
+        self.expect_word("unit", "expected 'unit'")
         self.expect("ARROW", "'->'")
         unit = self.expression()
         self.expect("SEMI", "';' before the target clause")
-        kw = self.expect("IDENT", "'target'")
-        if kw.text != "target":
-            raise DslSyntaxError("expected 'target'", kw.line, kw.col)
+        self.expect_word("target", "expected 'target'")
         target = self.expression()
         self.expect("RBRACE", "'}'")
         return LinecLit(tuple(coeffs), unit, target, span)
@@ -930,12 +974,22 @@ def print_expr(e: Node, parent_prec: int = 0) -> str:
         text = f"-({inner})" if inner[:1].isdigit() else f"-{inner}"
         return f"({text})" if parent_prec > 7 else text
     if isinstance(e, Binary):
+        # a left operand of the same precedence needs no parentheses, so
+        # a left-leaning run of it is printed in a loop: a long chain
+        # such as a + b - ... + z does not recurse once per operand
         prec = _PREC[e.op]
-        text = (f"{print_expr(e.left, prec)} {e.op} "
-                f"{print_expr(e.right, prec + 1)}")
+        tail = []
+        while isinstance(e, Binary) and _PREC[e.op] == prec:
+            tail.append(f" {e.op} {print_expr(e.right, prec + 1)}")
+            e = e.left
+        text = print_expr(e, prec) + "".join(reversed(tail))
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, Postfix):
-        return f"{print_expr(e.operand, 8)}{e.op}"
+        ops = []
+        while isinstance(e, Postfix):
+            ops.append(e.op)
+            e = e.operand
+        return print_expr(e, 8) + "".join(reversed(ops))
     if isinstance(e, Abs):
         return f"|{print_expr(e.operand)}|"
     if isinstance(e, Apply):

@@ -73,6 +73,15 @@ mutants:
   newline, so a comment swallows the rest of the script.  No named
   check parses scripts: the differential test of ``dsl.tokenize``
   against ``dsl.tokenize_by_scan`` and the demo goldens catch it.
+* ``lex-col-after-newline-off-by-one`` -- the position map of the
+  token stream (``dsl.Tokens.where``) takes each line-start offset one
+  character late, so a token that opens a line is placed at the end of
+  the line before, and every later token on the line one column to the
+  left.  Token kinds and texts are unchanged, and the demo goldens print
+  no position, so their outputs stay the same.  The differential test
+  of ``dsl.tokenize`` against ``dsl.tokenize_by_scan`` catches it, and
+  so does the span test over the demo scripts
+  (``tests/test_dsl.py::test_every_node_span_opens_its_node``).
 """
 
 import bisect
@@ -188,6 +197,12 @@ _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
     dsl._TOKEN_RE.pattern.replace(r"#[^\n]*", "#.*"), dsl._TOKEN_RE.flags)
 
 
+def _where_line_start_late(self, pos):
+    starts = [0] + [s + 1 for s in self.line_starts[1:]]
+    line = bisect.bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
+
+
 # name -> (module or class, attribute, mutant implementation)
 MUTATIONS = {
     "latinf-collinear-meet-formula": (lateral, "_INF_IMPL", _inf_meet_formula),
@@ -214,6 +229,8 @@ MUTATIONS = {
                                _column_fold_first_cell),
     "lex-comment-swallows-newline": (dsl, "_TOKEN_RE",
                                      _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
+    "lex-col-after-newline-off-by-one": (dsl.Tokens, "where",
+                                         _where_line_start_late),
 }
 
 

@@ -497,6 +497,21 @@ class OpSum(Operator):
     def linear_probes(self):
         return [x for p in self.parts for x in p.linear_probes()]
 
+    def dp_reason(self):
+        # a sum of kernels on one domain and codomain (the constructor
+        # sees to that) is the kernel of all their rows, and every row
+        # vanishes at 0: a target atom fed from one atom only is zero
+        # wherever that atom is
+        if not all(isinstance(p, Kernel) for p in self.parts):
+            return None
+        source = {}
+        for p in self.parts:
+            for i, j, _ in p.table:
+                if source.setdefault(j, i) != i:
+                    return None
+        return ("sum of kernels feeding each target atom from one atom: "
+                "disjoint supports stay disjoint")
+
     def window(self):
         return joint_window(self.parts)
 

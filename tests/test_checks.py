@@ -115,7 +115,8 @@ def test_runner_broken_precondition_is_a_failure(monkeypatch):
     assert result.witness == ("exception: PreconditionError('splittings sum "
                               "to different elements')")
     assert result.notes == ("runner raised instead of reporting, at "
-                            "test_checks.py:runner+1")
+                            "test_checks.py:test_runner_broken_precondition_"
+                            "is_a_failure.<locals>.runner+1")
 
 
 def test_runner_exception_becomes_failure(monkeypatch):
@@ -151,7 +152,8 @@ def test_runner_crash_names_its_innermost_frame(monkeypatch):
     assert result.verdict == FAILS
     assert result.witness == "exception: KeyError('no such key')"
     assert result.notes == ("runner raised instead of reporting, at "
-                            "test_checks.py:crash_inside+1")
+                            "test_checks.py:test_runner_crash_names_its_"
+                            "innermost_frame.<locals>.crash_inside+1")
 
 
 def test_mutation_meet_formula_breaks_lateral_meet_example():
@@ -284,7 +286,7 @@ def test_mutation_pl_common_skips_end_values_breaks_the_common_fragment():
 
 
 # the checks that fail under each mutant at quick profile, seed 0; no
-# named check parses scripts, so tests/test_dsl.py guards the lexer mutant
+# named check parses scripts, so tests/test_dsl.py guards the lexer mutants
 CATCHERS = {
     "latinf-collinear-meet-formula": ("lat-common-fragment",
                                       "ex-4.3-latmeet"),
@@ -314,6 +316,7 @@ CATCHERS = {
                                "thm-4.2-3"),
     "pl-common-skips-end-values": ("lat-common-fragment",),
     "lex-comment-swallows-newline": (),
+    "lex-col-after-newline-off-by-one": (),
 }
 
 
@@ -342,7 +345,8 @@ def test_mutation_names_are_documented():
                               "kernel-table-drops-top-piece",
                               "column-fold-first-cell",
                               "pl-common-skips-end-values",
-                              "lex-comment-swallows-newline"}
+                              "lex-comment-swallows-newline",
+                              "lex-col-after-newline-off-by-one"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__
 

@@ -152,6 +152,25 @@ def test_meyer_with_a_bound_needs_a_body_reason(tmp_path, capsys):
         "preserve disjointness by construction (it has no dp_reason)\n")
 
 
+@pytest.mark.parametrize("second, code, out, err", [
+    # each target atom of K + K is fed from one atom: a dp reason
+    ("K", cli.EXIT_OK, "coord[0,0]\n", ""),
+    # target 1 of K + S is fed from atoms 1 (by K) and 2 (by S): no dp
+    # reason
+    ("S", cli.EXIT_PRECONDITION, "",
+     ":3:1: precondition violated: the operator does not preserve "
+     "disjointness by construction (it has no dp_reason)\n"),
+], ids=["one-source-per-target", "two-sources-for-a-target"])
+def test_meyer_of_a_kernel_sum(second, code, out, err, tmp_path, capsys):
+    script = tmp_path / "sum.rl"
+    script.write_text(
+        "let K = kernel{1: t -> t, 2: t -> 2*t};\n"
+        "let S = kernel{1->2: t -> t, 2->1: t -> t};\n"
+        f"eval meyer(K + {second}; coord[1,0], coord[0,-1]; coord[1,-1]);\n")
+    assert cli.main(["run", str(script)]) == code
+    assert capsys.readouterr() == (out, f"{script}{err}" if err else "")
+
+
 def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
                                                               capsys):
     # the inner join is applied without a level, so its infinite

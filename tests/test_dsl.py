@@ -1,8 +1,11 @@
 """Expression language: lexer, parser, printer round-trips, evaluation."""
 
+import dataclasses
 import io
 import pathlib
+import re
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,164 @@ def test_lexer_positions_reach_parse_diagnostics(src, diagnostic):
     assert [str(d) for d in parse(src).diagnostics] == [diagnostic]
 
 
+@pytest.mark.parametrize("src, diagnostic", [
+    # an EOF after a comment on a later line: the position just after
+    # the last token, on that token's line
+    ("let x = coord[1];\neval x # done",
+     "2:7: error: expected ';', found end of input"),
+    ("let x = coord[1];\n\n  eval x\n# done\n",
+     "3:9: error: expected ';', found end of input"),
+    # the column counts the token's ASCII spelling, not its source
+    ("suite quick \u2294 # lsup\n",
+     "1:17: error: expected ';', found end of input"),
+])
+def test_an_eof_diagnostic_follows_the_last_token(src, diagnostic):
+    assert [str(d) for d in parse(src).diagnostics] == [diagnostic]
+
+
+# ---------------------------------------------------------------------------
+# node spans
+# ---------------------------------------------------------------------------
+
+# the keyword that opens each statement and literal
+_OPENING_WORD = {
+    dsl.LetStmt: "let", dsl.EvalStmt: "eval", dsl.CheckStmt: "check",
+    dsl.SuiteStmt: "suite", dsl.SearchStmt: "search",
+    dsl.KernelLit: "kernel", dsl.LinecLit: "linec", dsl.TableLit: "table",
+    dsl.LatmeetLit: "latmeet", dsl.SeriesLit: "series", dsl.Meyer: "meyer",
+    dsl.Pliev: "pliev", dsl.Unary: "-", dsl.Abs: "|", dsl.Apply: "(",
+}
+_NUMERAL = re.compile(r"(-?)\s*(\d+)(?:\s*/\s*(\d+))?")
+
+
+def _spellings(text):
+    """A token text and the Unicode aliases that lex to it."""
+    return (text,) + tuple(u for u, (_, ascii_text) in dsl._UNICODE.items()
+                           if ascii_text == text)
+
+
+def _nodes(node):
+    """Every node under node that carries a span, in field order."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from _nodes(item)
+    elif isinstance(node, dsl.Node):
+        if not isinstance(node, dsl.Script):
+            yield node
+        for f in dataclasses.fields(node):
+            if f.name != "span":
+                yield from _nodes(getattr(node, f.name))
+
+
+def _span_problem(node, text, offsets):
+    """Why the source at node's span does not open node, or None."""
+    line, col = node.span
+    if not 1 <= line <= len(offsets):
+        return f"line {line} is out of range"
+    at = text[offsets[line - 1] + col - 1:]
+    if isinstance(node, dsl.ScalarLit):
+        m = _NUMERAL.match(at)
+        value = m and Fraction(int(m[2]), int(m[3] or 1)) * (-1) ** len(m[1])
+        return None if value == node.value else f"numeral {at[:12]!r}"
+    if isinstance(node, (Binary, Rel, dsl.Postfix)):
+        words = _spellings(node.op)
+    elif isinstance(node, dsl.Name):
+        words = _spellings(node.id)
+    elif isinstance(node, (dsl.ElementLit, dsl.SpaceLit)):
+        words = (node.kind,)
+    else:
+        words = (_OPENING_WORD[type(node)],)
+    return None if at.startswith(words) else f"{at[:12]!r} is not {words}"
+
+
+def _generated_style_script(rng, lets=40, evals=120):
+    """A long script with every element model, Unicode aliases,
+    indentation, comments and expressions broken over lines."""
+    def num():
+        n, d = rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])
+        return f"{n}" if d == 1 else f"{n}/{d}"
+
+    makers = [
+        lambda: "coord[%s]" % ",".join(num() for _ in range(4)),
+        lambda: "simple{0,1/3,2/3,1}[%s]" % ",".join(num() for _ in range(3)),
+        lambda: "fin{%s}" % ",".join(f"({i},{num()})" for i in range(1, 4)),
+        lambda: "ec[%s|%s]" % (",".join(num() for _ in range(3)), num()),
+        lambda: "pl{(0,%s),(1/2,%s),(1,%s)}" % (num(), num(), num()),
+    ]
+    lines, names = [], []
+    for k in range(lets):
+        kind = k % len(makers)
+        names.append((kind, f"v{k}"))
+        lines.append(f"let v{k} = {makers[kind]()};")
+    lines.append("let K = kernel{1: t -> 2*t^2 - t, 2->1: t -> -t + 3, "
+                 "3: t -> -1/2*t};")
+    lines.append("let L = linec{1:1, 2:-1/2; unit -> coord[1,0,0,0]; "
+                 "target coord[0,1,0,0]};")
+    binary = ["\\/", "/\\", "+", "-", "lsup", "linf", "∨", "∧", "⊔", "⊓"]
+    rels = ["<=", "<<=", "_|_", "==", "⊑", "⊥"]
+    for k in range(evals):
+        kind = rng.randrange(len(makers))
+        a, b = rng.sample([n for m, n in names if m == kind], 2)
+        form = rng.randrange(6)
+        if form == 0:
+            expr = f"{a} {rng.choice(binary)}\n\t{num()} * {b}^+"
+        elif form == 1:
+            expr = f"|{a} {rng.choice(binary)} {b}|^- {rng.choice(rels)} {b}"
+        elif form == 2:
+            expr = f"-({a} - {b}) {rng.choice(binary)} {a}  # note\n  "
+        elif form == 3:
+            expr = f"K(coord[{num()},{num()},{num()},0]) ⊔ coord[1,2,3,4]"
+        elif form == 4:
+            expr = (f"meyer(L; ec[|{num()}], ec[{num()}|0];\n"
+                    f"      ec[1|{num()}]) + pos(L)(ec[|1])")
+        else:
+            expr = f"fragments({a})" if kind else f"pliev({a}; {a})"
+        lines.append(f"{'  ' * (k % 3)}eval {expr};")
+    lines += ["check thm-1.1-e samples=3;", "suite quick frag-boolean;",
+              "search max_level=8;", "let T = table{coord[1] -> coord[2]};",
+              "let M = latmeet(one(plspace), 2 * one(plspace));",
+              "eval series @level 2;", "let sp = coordspace(2);"]
+    return "\n".join(lines) + "\n"
+
+
+SPAN_SCRIPTS = ([p.read_text(encoding="utf-8")
+                 for p in sorted(DEMO.parent.glob("*.rl"))]
+                + [_generated_style_script(make_rng(f"spans-{k}"))
+                   for k in range(3)])
+
+
+def _span_problems(text):
+    offsets = [0] + [m.end() for m in re.finditer("\n", text)]
+    problems, kinds = [], set()
+    for node in _nodes(_script(text)):
+        kinds.add(type(node))
+        why = _span_problem(node, text, offsets)
+        if why is not None:
+            problems.append((type(node).__name__, node.span, why))
+    return problems, kinds
+
+
+def test_every_node_span_opens_its_node():
+    assert len(SPAN_SCRIPTS) == 19
+    seen = set()
+    for text in SPAN_SCRIPTS:
+        problems, kinds = _span_problems(text)
+        assert problems == []
+        seen |= kinds
+    spanned = {c for c in vars(dsl).values() if isinstance(c, type)
+               and issubclass(c, dsl.Node)
+               and "span" in {f.name for f in dataclasses.fields(c)}}
+    assert seen == spanned
+
+
+def test_mutation_lex_col_after_newline_off_by_one_is_caught():
+    with tampered("lex-col-after-newline-off-by-one"):
+        with pytest.raises(AssertionError):
+            test_tokenize_matches_the_scan_reference()
+        problems = [_span_problems(text)[0] for text in SPAN_SCRIPTS[:16]]
+    assert all(problems)
+
+
 @pytest.mark.parametrize("word", ["PLUS", "MINUS", "STAR", "JOIN", "MEET"])
 def test_token_kind_names_are_not_operators(word, tmp_path, capsys):
     src = f"eval coord[1] {word} coord[2];"
@@ -251,6 +412,38 @@ def test_print_parse_round_trip(src):
     assert reparsed.script == script
     # printing is idempotent
     assert print_script(reparsed.script) == printed
+
+
+def _chain(expr):
+    """A left-leaning chain as its bottom operand and the (operator,
+    right operand) steps above it, bottom first; read in a loop, since
+    comparing two long chains node by node would recurse."""
+    steps = []
+    while isinstance(expr, (Binary, dsl.Postfix)):
+        if isinstance(expr, Binary):
+            steps.append((expr.op, expr.right))
+            expr = expr.left
+        else:
+            steps.append((expr.op, None))
+            expr = expr.operand
+    return expr, steps[::-1]
+
+
+_OPERANDS = ["x", "coord[1,-2]", "2 * y"] * 1000
+
+
+@pytest.mark.parametrize("src, steps", [
+    ("eval x" + "".join(f" {op} {operand}" for op, operand in zip(
+        ["-", "+", "+"] * 1000, _OPERANDS[1:])) + ";", 2999),
+    ("eval x" + "^+^-" * 1500 + ";", 3000),
+], ids=["3000-operand-sum", "3000-step-postfix"])
+def test_print_script_survives_long_chains(src, steps):
+    script = _script(src)
+    printed = print_script(script)
+    assert printed == src + "\n"
+    chain = _chain(_script(printed).statements[0].expr)
+    assert len(chain[1]) == steps
+    assert chain == _chain(script.statements[0].expr)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,8 @@ _TABLE = match_table([(coord(1, 0), coord(2, -1))])
 _ISOLATED = match_table([(coord(2), coord(-3))])
 _STEPS = SimpleFunction((Q(0), Q(1, 2), Q(1)))
 _POSITIVE_FAILS = "nonzero linear operator; one of x, -x maps below 0"
+_KERNEL_SUM_REASON = ("sum of kernels feeding each target atom from one "
+                      "atom: disjoint supports stay disjoint")
 
 # (id, operator, points to apply it to, expected behaviour)
 PINNED_BODIES = [
@@ -320,15 +322,15 @@ PINNED_BODIES = [
         "linear": True,
         "linear probes": ["coord[1,0]", "coord[0,1]",
                           "coord[1,0]", "coord[0,1]"],
-        "dp reason": None,
+        "dp reason": _KERNEL_SUM_REASON,
         "oao probes": [],
         "verify_oao": ("verdict=holds samples=0 seed=0:oao",
                        "additive by construction"),
         "verify_positive": ("verdict=fails samples=4 seed=0:positive "
                             "witness=x=coord[0,-1] (pair x, -x)",
                             _POSITIVE_FAILS),
-        "verify_dp": ("verdict=inconclusive samples=5 seed=0:dp",
-                      "sampled, no failure"),
+        "verify_dp": ("verdict=holds samples=0 seed=0:dp",
+                      _KERNEL_SUM_REASON),
     }),
     ("OpSum-table",
      OpSum((_TABLE, diagonal_kernel(_C2, [poly(0, 1)] * 2))),
@@ -532,9 +534,20 @@ def test_verify_dp():
     rep = verify_disjointness_preserving(collapse)
     assert rep.verdict == FAILS
     assert rep.witness_data == (coord(1, 0), coord(0, 1))
-    # a sum has no dp reason: a clean sample stays inconclusive, and
-    # only a clean grid holds (for the grid)
-    two = OpSum((diag, diag))
+    # a sum of kernels that feeds each target from one atom has a dp
+    # reason; one that feeds a target from two atoms has none
+    rep = verify_disjointness_preserving(OpSum((diag, diag)))
+    assert (rep.verdict, rep.samples_used, rep.notes) == (
+        HOLDS, 0, _KERNEL_SUM_REASON)
+    shift = Kernel(Coordinate(3), Coordinate(3), ((2, 1, poly(0, 1)),))
+    assert OpSum((diag, shift)).dp_reason() is None
+    assert verify_disjointness_preserving(
+        OpSum((diag, shift))).verdict == FAILS
+    # a sum with a part that is not a kernel has no dp reason: a clean
+    # sample stays inconclusive, and only a clean grid holds (for the
+    # grid)
+    two = OpSum((diag, OpScaled(2, diag)))
+    assert two.dp_reason() is None
     assert verify_disjointness_preserving(two).verdict == INCONCLUSIVE
     rep = verify_disjointness_preserving(two, Budget(grid=DEFAULT_GRID))
     assert (rep.verdict, rep.samples_used, rep.notes) == (
