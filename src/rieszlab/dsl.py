@@ -114,22 +114,31 @@ _TOKEN_RE = re.compile("|".join((
 class Tokens(Sequence):
     """The token stream as columns: token k has kind ``kinds[k]``, text
     ``texts[k]`` and character offset ``starts[k]``; ``line_starts``
-    holds the offset of each line's first character.  Line and column
-    are worked out from an offset only where they are needed, by
-    ``where``.  Indexing and iteration build the ``Token`` rows."""
+    holds the offset of each line's first character, and ``source``
+    the text lexed.  Line and column are worked out from an offset only
+    where they are needed, by ``where``.  Indexing and iteration build
+    the ``Token`` rows."""
 
-    __slots__ = ("kinds", "texts", "starts", "line_starts")
+    __slots__ = ("kinds", "texts", "starts", "line_starts", "source")
 
-    def __init__(self, kinds, texts, starts, line_starts):
+    def __init__(self, kinds, texts, starts, line_starts, source):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
         self.line_starts = line_starts
+        self.source = source
 
     def where(self, pos):
         """(line, column) of the character offset pos."""
         line = bisect_right(self.line_starts, pos)
         return line, pos - self.line_starts[line - 1] + 1
+
+    def end(self, k):
+        """The offset just past token k in the source.  A Unicode alias
+        is one character there, though its text is the ASCII spelling,
+        so the token is matched again rather than measured by its
+        text."""
+        return _TOKEN_RE.match(self.source, self.starts[k]).end()
 
     def __len__(self):
         return len(self.kinds)
@@ -149,7 +158,7 @@ class Tokens(Sequence):
 
 def tokenize(text: str) -> Tokens:
     """Lex the script; raises DslSyntaxError on an unexpected character."""
-    tokens = Tokens([], [], [], [0])
+    tokens = Tokens([], [], [], [0], text)
     add_kind, add_text = tokens.kinds.append, tokens.texts.append
     add_start, add_line = tokens.starts.append, tokens.line_starts.append
     literals = _LITERALS
@@ -438,6 +447,7 @@ class _Parser:
         self.texts = tokens.texts
         self.starts = tokens.starts
         self.where = tokens.where
+        self.end = tokens.end
         self.i = 0
         self.depth = 0
 
@@ -462,8 +472,7 @@ class _Parser:
             text = self.texts[i]
             if self.kinds[i] == "EOF" and i > 0:
                 # just after the previous token, on its line
-                line, col = self._where(i - 1)
-                col += len(self.texts[i - 1])
+                line, col = self.where(self.end(i - 1))
             else:
                 line, col = self._where(i)
             raise DslSyntaxError(

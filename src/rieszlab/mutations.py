@@ -31,9 +31,15 @@ mutants:
 * ``scalar-truncates`` -- the canonical scalar ``spaces.q`` turns a
   non-integral Fraction into ``int(value)``, so halves and thirds on the
   atomic models round toward zero.
-* ``ec-prefix-unminimised`` -- eventually constant ``normalize`` keeps
-  the trailing prefix entries that equal the tail, so one sequence has
-  several payloads and syntactic equality no longer decides equality.
+* ``ec-prefix-unminimised`` -- the trim that builds every eventually
+  constant element, from ``normalize`` and from the model's operations
+  (``EventuallyConstant._element``), keeps the trailing prefix entries
+  that equal the tail, so one sequence has several payloads and
+  syntactic equality no longer decides equality.
+* ``ec-parts-keep-tail`` -- the eventually constant positive part,
+  negative part and modulus, read off each value's sign, map the prefix
+  and copy the tail unchanged, so a nonzero tail keeps its sign in
+  every part.
 * ``poly-horner-late-power`` -- the integer Horner of ``PiecewisePoly``
   multiplies in the power of the denominator r of t = p/r one step
   late, so each numerator meets a power of r one too low.  Kernel rows
@@ -148,9 +154,13 @@ def _q_truncates(value):
     return int(value) if isinstance(value, Fraction) else value
 
 
-def _ec_normalize_unminimised(self, raw):
-    prefix, tail = raw
-    return spaces.Element(self, (tuple(_q(v) for v in prefix), _q(tail)))
+def _ec_element_unminimised(self, vals):
+    return spaces.Element(self, (tuple(vals[:-1]), vals[-1]))
+
+
+def _ec_parts_keep_tail(self, x, part):
+    prefix, tail = x.payload
+    return self._element([part(v) for v in prefix] + [tail])
 
 
 def _poly_horner_late_power(self, t):
@@ -216,8 +226,10 @@ MUTATIONS = {
     "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
                                   _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),
-    "ec-prefix-unminimised": (spaces.EventuallyConstant, "normalize",
-                              _ec_normalize_unminimised),
+    "ec-prefix-unminimised": (spaces.EventuallyConstant, "_element",
+                              _ec_element_unminimised),
+    "ec-parts-keep-tail": (spaces.EventuallyConstant, "_parts",
+                           _ec_parts_keep_tail),
     "poly-horner-late-power": (operators.PiecewisePoly, "__call__",
                                _poly_horner_late_power),
     "kernel-window-short": (operators.Kernel, "window", _kernel_window_short),

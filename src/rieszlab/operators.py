@@ -244,9 +244,20 @@ class Kernel(Operator):
     def fragment_images(self, frags):
         # T x is the sum of its rows, each reading its own atom and
         # vanishing at 0, so a fragment's image is the sum of its pieces'
-        # images: the codomain's subset table of the pieces' images
-        return self.codomain.subset_table(
-            [apply(self, frags[1 << k]) for k in range(len(frags.parts))])
+        # images: the codomain's subset table of the pieces' images.  A
+        # piece is one atom of the point, so its image comes from the
+        # one row that reads that atom, or is zero if no row does
+        rows = {i: (j, fn) for i, j, fn in self.table}
+        x, nothing = frags.base, zero(self.codomain)
+        images = []
+        for a in frags.parts:
+            if a in rows:
+                j, fn = rows[a]
+                images.append(from_atoms(self.codomain,
+                                         {j: fn(x.space.get_atom(x, a))}))
+            else:
+                images.append(nothing)
+        return self.codomain.subset_table(images)
 
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]

@@ -35,6 +35,13 @@ and build a ``Fraction`` only for a new value a result keeps, and
 ``scale`` skips the collinear strip, which a nonzero factor leaves
 nothing to do for.  The kernels they replaced stay here as oracles, as
 ``leq_by_difference`` and ``pl_restrict_by_evaluation`` do for theirs.
+
+Negation, subtraction, parts and moduli are each model's own too (see
+``Space``): negation is unary minus, which takes no gcd, and the atomic
+models read a value's sign off its numerator.  Every model builds the
+results of these operations, and of ``add``, ``scale`` and
+``lattice``, canonical as it goes; ``normalize``, which validates and
+coerces, is the entry point for input from outside the program.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ def q(value):
     it is integral, a ``Fraction`` otherwise.  Floats are rejected."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, (int, str)):   # bools and rational literals
         return q(Fraction(value))
@@ -80,6 +87,22 @@ ONE = 1
 def _agreement(a, b):
     """Pointwise greatest common fragment: keep a value where both agree."""
     return a if a == b else ZERO
+
+
+# The parts and modulus of one canonical scalar, read off the sign of
+# its numerator: a canonical scalar is an int or a Fraction with a
+# positive denominator, so no Fraction comparison is needed.
+
+def _pos(v):
+    return v if v.numerator > 0 else ZERO
+
+
+def _neg(v):
+    return -v if v.numerator < 0 else ZERO
+
+
+def _abs(v):
+    return -v if v.numerator < 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +163,29 @@ class Space:
     everything past the vector and lattice operations of its interval
     values.  Methods taking two elements may assume both lie in this
     space.  ``lattice`` applies ``pick`` (max or min) pointwise,
-    ``absolute`` gives |x| (by default sup(x, -x)), ``nonneg`` tests
-    x >= 0, ``full_support`` tells whether no nonzero element is
-    disjoint from x, and the samplers call ``draw()`` for each random
-    scalar they need.  ``leq`` and
-    ``disjoint`` default to the lattice formulas ``leq_by_difference``
-    and ``disjoint_by_modulus``; a model overrides them to decide on
-    its payloads directly.  ``subset_table`` and ``image_table`` build
-    the fragment tables that the splitting enumeration folds, a list of
-    values by default (``ImageTable``).
+    ``nonneg`` tests x >= 0, ``full_support`` tells whether no nonzero
+    element is disjoint from x, and the samplers call ``draw()`` for
+    each random scalar they need.
+
+    ``add``, ``scale`` and ``lattice`` are a model's own.  The rest of
+    the element calculus has defaults built from them, which stay here
+    as the references a model's override is tested against:
+
+    * ``neg``, -x, is ``scale(-1, x)``;
+    * ``sub``, x - y, is x + (-y);
+    * ``pos_part``, ``neg_part`` and ``absolute`` are the lattice
+      formulas sup(x, 0), sup(-x, 0) and sup(x, -x);
+    * ``leq`` and ``disjoint`` are ``leq_by_difference`` and
+      ``disjoint_by_modulus``.
+
+    The atomic models override all of them and work on their payloads
+    directly: a part or modulus reads each value's sign off its
+    numerator.  ``PiecewiseLinear`` overrides ``neg``, ``leq`` and
+    ``disjoint``, and keeps the formulas for its parts, which need the
+    crossings of ``lattice``; ``Reals`` overrides ``absolute`` alone.
+    ``subset_table`` and ``image_table`` build the fragment tables that
+    the splitting enumeration folds, a list of values by default
+    (``ImageTable``).
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
@@ -166,8 +203,20 @@ class Space:
 
     add = scale = lattice = nonneg = format = key = _unsupported
 
+    def neg(self, x):
+        return self.scale(-1, x)
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def pos_part(self, x):
+        return self.lattice(x, self.zero(), max)
+
+    def neg_part(self, x):
+        return self.lattice(self.neg(x), self.zero(), max)
+
     def absolute(self, x):
-        return self.lattice(x, self.scale(-1, x), max)
+        return self.lattice(x, self.neg(x), max)
 
     def leq(self, x, y) -> bool:
         return leq_by_difference(x, y)
@@ -262,11 +311,36 @@ class Cells(Space):
                            else s.numerator)
         return Element(self, tuple(out))
 
+    def sub(self, x, y):
+        out = []
+        for a, b in zip(x.payload, y.payload):
+            if not b:
+                out.append(a)
+            elif not a:
+                out.append(-b)
+            else:
+                s = a - b
+                out.append(s if type(s) is int or s.denominator != 1
+                           else s.numerator)
+        return Element(self, tuple(out))
+
     def scale(self, c, x):
         return Element(self, _canonical(c * v for v in x.payload))
 
+    def neg(self, x):
+        return Element(self, tuple([-v for v in x.payload]))
+
     def lattice(self, x, y, pick):
         return Element(self, tuple(map(pick, x.payload, y.payload)))
+
+    def pos_part(self, x):
+        return Element(self, tuple(map(_pos, x.payload)))
+
+    def neg_part(self, x):
+        return Element(self, tuple(map(_neg, x.payload)))
+
+    def absolute(self, x):
+        return Element(self, tuple(map(_abs, x.payload)))
 
     def nonneg(self, x):
         return all(v >= 0 for v in x.payload)
@@ -428,19 +502,65 @@ class FinSupport(Space):
     def one(self):
         raise Unsupported("finitely supported sequences have no order unit")
 
+    # Results are built canonical: sorted by index, zeros dropped, every
+    # new sum or product made canonical; ``normalize`` is for input
+    # from outside the program.
+
     def add(self, x, y):
+        return self._accumulate(x, y, False)
+
+    def sub(self, x, y):
+        return self._accumulate(x, y, True)
+
+    def _accumulate(self, x, y, minus):
+        """x + y, or x - y when ``minus``."""
         acc = dict(x.payload)
         for i, v in y.payload:
-            acc[i] = acc.get(i, ZERO) + v
-        return normalize(self, acc.items())
+            if minus:
+                v = -v
+            if i in acc:
+                s = acc[i] + v
+                if s:
+                    acc[i] = (s if type(s) is int or s.denominator != 1
+                              else s.numerator)
+                else:
+                    del acc[i]
+            else:
+                acc[i] = v
+        return Element(self, tuple(sorted(acc.items())))
 
     def scale(self, c, x):
-        return normalize(self, [(i, c * v) for i, v in x.payload])
+        if not c:
+            return Element(self, ())
+        out = []
+        for i, v in x.payload:
+            p = c * v
+            out.append((i, p if type(p) is int or p.denominator != 1
+                        else p.numerator))
+        return Element(self, tuple(out))
+
+    def neg(self, x):
+        return Element(self, tuple([(i, -v) for i, v in x.payload]))
 
     def lattice(self, x, y, pick):
         xs, ys = dict(x.payload), dict(y.payload)
-        return normalize(self, [(i, pick(xs.get(i, ZERO), ys.get(i, ZERO)))
-                                for i in sorted(xs.keys() | ys.keys())])
+        out = []
+        for i in sorted(xs.keys() | ys.keys()):
+            v = pick(xs.get(i, ZERO), ys.get(i, ZERO))
+            if v:
+                out.append((i, v))
+        return Element(self, tuple(out))
+
+    def pos_part(self, x):
+        return Element(self, tuple([(i, v) for i, v in x.payload
+                                    if v.numerator > 0]))
+
+    def neg_part(self, x):
+        return Element(self, tuple([(i, -v) for i, v in x.payload
+                                    if v.numerator < 0]))
+
+    def absolute(self, x):
+        return Element(self, tuple([(i, _abs(v)) for i, v in x.payload]))
 
     def nonneg(self, x):
         return all(v >= 0 for _, v in x.payload)
@@ -496,9 +616,20 @@ class EventuallyConstant(Space):
         prefix, tail = raw
         tail = q(tail)
         vals = [q(v) for v in prefix]
-        while vals and vals[-1] == tail:
-            vals.pop()
-        return Element(self, (tuple(vals), tail))
+        vals.append(tail)
+        return self._element(vals)
+
+    def _element(self, vals):
+        """The element whose values are the canonical scalars ``vals``,
+        the last of them its tail: the prefix is cut after its last
+        value that differs from the tail.  ``normalize`` and every
+        operation that can leave such a value build their results
+        here."""
+        tail = vals[-1]
+        n = len(vals) - 1
+        while n and vals[n - 1] == tail:
+            n -= 1
+        return Element(self, (tuple(vals[:n]), tail))
 
     def zero(self):
         return Element(self, ((), ZERO))
@@ -506,39 +637,64 @@ class EventuallyConstant(Space):
     def one(self):
         return Element(self, ((), ONE))
 
-    def _zip(self, x, y, f):
+    def _columns(self, x, y):
+        """The values of x and y up to the longer prefix, each followed
+        by its tail."""
         (px, tx), (py, ty) = x.payload, y.payload
-        vals = [f(px[i] if i < len(px) else tx, py[i] if i < len(py) else ty)
-                for i in range(max(len(px), len(py)))]
-        return normalize(self, (vals, f(tx, ty)))
+        n = len(px) - len(py)
+        if n > 0:
+            py += (ty,) * n
+        elif n < 0:
+            px += (tx,) * -n
+        return px + (tx,), py + (ty,)
 
     def add(self, x, y):
-        return self._zip(x, y, operator.add)
+        return self._element(_canonical(map(operator.add,
+                                            *self._columns(x, y))))
+
+    def sub(self, x, y):
+        return self._element(_canonical(map(operator.sub,
+                                            *self._columns(x, y))))
 
     def scale(self, c, x):
+        if not c:
+            return self.zero()
+        # a nonzero factor is one to one, so the prefix stays the shortest
+        vals = _canonical([c * v for v in x.payload[0] + (x.payload[1],)])
+        return Element(self, (vals[:-1], vals[-1]))
+
+    def neg(self, x):
+        # negation is one to one, so the prefix stays the shortest
         prefix, tail = x.payload
-        return normalize(self, ([c * v for v in prefix], c * tail))
+        return Element(self, (tuple([-v for v in prefix]), -tail))
 
     def lattice(self, x, y, pick):
-        return self._zip(x, y, pick)
+        return self._element(tuple(map(pick, *self._columns(x, y))))
+
+    def _parts(self, x, part):
+        """x with ``part`` (``_pos``, ``_neg`` or ``_abs``) applied to
+        each value, its tail included."""
+        prefix, tail = x.payload
+        return self._element([part(v) for v in prefix] + [part(tail)])
+
+    def pos_part(self, x):
+        return self._parts(x, _pos)
+
+    def neg_part(self, x):
+        return self._parts(x, _neg)
+
+    def absolute(self, x):
+        return self._parts(x, _abs)
 
     def nonneg(self, x):
         prefix, tail = x.payload
         return tail >= 0 and all(v >= 0 for v in prefix)
 
-    def _pairs(self, x, y):
-        """The values of x and y at each atom up to the longer prefix,
-        then their tails."""
-        (px, tx), (py, ty) = x.payload, y.payload
-        for i in range(max(len(px), len(py))):
-            yield px[i] if i < len(px) else tx, py[i] if i < len(py) else ty
-        yield tx, ty
-
     def leq(self, x, y):
-        return all(a <= b for a, b in self._pairs(x, y))
+        return all(a <= b for a, b in zip(*self._columns(x, y)))
 
     def disjoint(self, x, y):
-        return all(a == 0 or b == 0 for a, b in self._pairs(x, y))
+        return all(a == 0 or b == 0 for a, b in zip(*self._columns(x, y)))
 
     def atom_count(self):
         return None
@@ -870,6 +1026,9 @@ class PiecewiseLinear(Space):
         if not c:
             return self.zero()
         return Element(self, tuple([(t, v * c) for t, v in x.payload]))
+
+    def neg(self, x):
+        return Element(self, tuple([(t, -v) for t, v in x.payload]))
 
     def lattice(self, x, y, pick):
         """``pick`` is max or min.  The sign of x - y at each merged
@@ -1302,11 +1461,15 @@ def add(x: Element, y: Element) -> Element:
 
 
 def sub(x: Element, y: Element) -> Element:
-    return add(x, scale(-1, y))
+    _same_space(x, y)
+    return x.space.sub(x, y)
 
 
 def scale(c, x: Element) -> Element:
-    return x.space.scale(q(c), x)
+    c = q(c)
+    if type(c) is int and c == -1:
+        return x.space.neg(x)
+    return x.space.scale(c, x)
 
 
 def sup(x: Element, y: Element) -> Element:
@@ -1320,11 +1483,11 @@ def inf(x: Element, y: Element) -> Element:
 
 
 def pos_part(x: Element) -> Element:
-    return sup(x, zero(x.space))
+    return x.space.pos_part(x)
 
 
 def neg_part(x: Element) -> Element:
-    return sup(scale(-1, x), zero(x.space))
+    return x.space.neg_part(x)
 
 
 def absolute(x: Element) -> Element:

@@ -305,6 +305,7 @@ CATCHERS = {
         "thm-3.2-pres-p", "cor-3.6-pres-P", "thm-4.2-1", "thm-4.2-2",
         "thm-4.2-3", "thm-4.2-4", "ex-2.2", "ex-4.3-latmeet"),
     "ec-prefix-unminimised": ("thm-4.2-4",),
+    "ec-parts-keep-tail": ("lem-4.5",),
     "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
                                "cor-3.5-neg", "cor-3.6-mod"),
     "kernel-window-short": ("op-level-window",),
@@ -340,6 +341,7 @@ def test_mutation_names_are_documented():
                               "pl-restrict-drops-breakpoint",
                               "pl-lattice-drops-crossing",
                               "scalar-truncates", "ec-prefix-unminimised",
+                              "ec-parts-keep-tail",
                               "poly-horner-late-power",
                               "kernel-window-short",
                               "kernel-table-drops-top-piece",

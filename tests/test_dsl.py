@@ -171,9 +171,9 @@ def test_lexer_positions_reach_parse_diagnostics(src, diagnostic):
      "2:7: error: expected ';', found end of input"),
     ("let x = coord[1];\n\n  eval x\n# done\n",
      "3:9: error: expected ';', found end of input"),
-    # the column counts the token's ASCII spelling, not its source
+    # the column follows the token's source, not its ASCII spelling
     ("suite quick \u2294 # lsup\n",
-     "1:17: error: expected ';', found end of input"),
+     "1:14: error: expected ';', found end of input"),
 ])
 def test_an_eof_diagnostic_follows_the_last_token(src, diagnostic):
     assert [str(d) for d in parse(src).diagnostics] == [diagnostic]

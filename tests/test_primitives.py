@@ -21,8 +21,16 @@ the value numerators, and the greatest common fragment compares
 components without restricting to each; the crossing walk
 ``pl_components_by_crossing`` and ``pl_common_fragment_by_restriction``
 are their oracles.
+
+Each model negates, subtracts and takes parts and moduli on its own
+payload, and the finitely supported and eventually constant models
+build their sums, differences, suprema, infima and multiples canonical
+without ``normalize``.  The ``Space`` defaults (-x as ``scale(-1, x)``,
+x - y as x + (-y), the parts and modulus as lattice formulas) and
+``normalize`` of the raw payload are the oracles for those.
 """
 
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -37,12 +45,12 @@ from rieszlab.lateral import (
 from rieszlab.operators import PiecewisePoly, apply
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, Space, add, canonical_key, disjoint_by_modulus,
+    SimpleFunction, Space, absolute, add, canonical_key, disjoint_by_modulus,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, leq,
     leq_by_difference, neg_part, normalize, pl_add_by_fractions,
     pl_common_fragment_by_restriction, pl_components_by_crossing,
     pl_disjoint_by_fractions, pl_lattice_by_fractions, pl_leq_by_fractions,
-    pl_restrict_by_evaluation, pl_scale_by_strip, pos_part, scale, sup,
+    pl_restrict_by_evaluation, pl_scale_by_strip, pos_part, scale, sub, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -325,3 +333,68 @@ def test_pl_component_walk_matches_the_crossing_reference(pair):
         want = pl_common_fragment_by_restriction(x, y)
         assert got.payload == want.payload
         assert all(type(v) is Q for pt in got.payload for v in pt)
+
+
+# --- negation, subtraction, parts and moduli on each model's payload --------
+
+@pytest.mark.parametrize("model", MODELS)
+def test_signed_operations_match_the_space_defaults(model):
+    @SETTINGS
+    @given(_pairs(ELEMENTS[model]))
+    def check(pair):
+        x, y = pair
+        space = x.space
+        results = {
+            "neg": (space.neg(x), space.scale(-1, x)),
+            "scale -1": (scale(-1, x), space.scale(-1, x)),
+            "unary minus": (-x, space.scale(-1, x)),
+            "sub": (sub(x, y), add(x, space.scale(-1, y))),
+            "sub reversed": (sub(y, x), add(y, space.scale(-1, x))),
+            "pos": (pos_part(x), Space.pos_part(space, x)),
+            "neg part": (neg_part(x), Space.neg_part(space, x)),
+            "abs": (absolute(x), Space.absolute(space, x)),
+            "abs of y": (absolute(y), Space.absolute(space, y)),
+        }
+        for name, (got, want) in results.items():
+            assert got.payload == want.payload, name
+            assert is_canonical(got), (name, got.payload)
+
+    check()
+
+
+def _raw_fin(x, y, f):
+    """f at every index of x or y, as a raw payload."""
+    xs, ys = dict(x.payload), dict(y.payload)
+    return [(i, f(xs.get(i, 0), ys.get(i, 0))) for i in xs.keys() | ys.keys()]
+
+
+def _raw_ec(x, y, f):
+    """f at every atom up to the longer prefix and at the tails, as a
+    raw payload."""
+    n = max(len(x.payload[0]), len(y.payload[0]))
+    return ([f(get_atom(x, i), get_atom(y, i)) for i in range(1, n + 1)],
+            f(x.payload[1], y.payload[1]))
+
+
+@pytest.mark.parametrize("model, raw", [("fin", _raw_fin), ("ec", _raw_ec)])
+def test_sparse_results_match_normalize_of_the_raw_payload(model, raw):
+    @SETTINGS
+    @given(_pairs(ELEMENTS[model]), SCALARS)
+    def check(pair, c):
+        x, y = pair
+        space = x.space
+        results = {
+            "add": (add(x, y), raw(x, y, operator.add)),
+            "sub": (sub(x, y), raw(x, y, operator.sub)),
+            "sup": (sup(x, y), raw(x, y, max)),
+            "inf": (inf(x, y), raw(x, y, min)),
+            "scale": (scale(c, x), raw(x, x, lambda a, _: c * a)),
+        }
+        for name, (got, want) in results.items():
+            assert got.payload == normalize(space, want).payload, name
+            assert is_canonical(got), (name, got.payload)
+            if model == "ec":       # the shortest prefix, independently
+                prefix, tail = got.payload
+                assert not prefix or prefix[-1] != tail, name
+
+    check()

@@ -495,6 +495,8 @@ def enclosures(draw):
 def test_reals_calculus_matches_the_endpoint_formulas(a, b, c):
     assert _ends(add(a, b)) == (a.lower + b.lower, a.upper + b.upper)
     assert _ends(scale(c, a)) == _scaled_ends(c, a)
+    assert _ends(-a) == _ends(scale(-1, a)) == (-a.upper, -a.lower)
+    assert _ends(sub(a, b)) == (a.lower - b.upper, a.upper - b.lower)
     assert _ends(sup(a, b)) == (max(a.lower, b.lower), max(a.upper, b.upper))
     assert _ends(inf(a, b)) == (min(a.lower, b.lower), min(a.upper, b.upper))
     assert _ends(pos_part(a)) == (max(0, a.lower), max(0, a.upper))
