@@ -129,7 +129,8 @@ def _cmd_run(args) -> int:
         try:
             lines, env = evaluator.evaluate(dsl.Script((stmt,)), env=env)
         except RecursionError:
-            # the parser bounds nesting, not the length of an operator chain
+            # a body nested past the interpreter's limit, such as a sum of
+            # 3 000 operators, recurses while it is built
             print(f"{where} error: expression too deeply nested to evaluate",
                   file=sys.stderr)
             return EXIT_PARSE

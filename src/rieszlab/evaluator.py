@@ -1,11 +1,16 @@
 """Script evaluation: binds names, evaluates expressions, runs commands.
 
 Every output a script produces goes through ``render`` below, so the
-shipped example corpus is byte-reproducible given a seed.
+shipped example corpus is byte-reproducible given a seed.  An operation
+is one row of ``_OPS``, keyed by its name and the ``kind_of`` each
+operand; ``_LEAVES`` and ``_STATEMENTS`` map node classes to handlers.
+``eval_expr`` walks the left spine of a chain in a loop, so a chain of
+any length evaluates; the parser bounds the rest of the nesting.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import checks, lateral, operators, spaces
@@ -15,8 +20,7 @@ from .dsl import (
     Rel, ScalarLit, Script, SearchStmt, SeriesLit, SpaceLit, SuiteStmt,
     TableLit, Unary,
 )
-from .lateral import FragmentEnumeration, enumerate_decompositions, \
-    enumerate_fragments, fragment_iter
+from .lateral import FragmentEnumeration
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
     OpSum, PiecewisePoly, match_table,
@@ -24,22 +28,8 @@ from .operators import (
 from .oplattice import LatticePoint, OpLattice, meyer_pair
 from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, format_element, one, zero,
+    SimpleFunction, format_element,
 )
-
-
-def _is_operator(v) -> bool:
-    return isinstance(v, Operator)
-
-
-def _is_scalar(v) -> bool:
-    """An exact rational: a canonical scalar is an int or a Fraction;
-    a bool, the value of a relation, is not one."""
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-_BUILTINS = ("fragments", "decomps", "latsup", "latinf", "one", "zero",
-             "pos", "neg", "mod")
 
 
 class Environment:
@@ -55,17 +45,44 @@ class Environment:
         raise DslTypeError(f"unbound name {name!r}", span)
 
 
+SCALAR, BOOL, ELEMENT, OPERATOR, SPACE, OTHER = (
+    "scalar", "bool", "element", "operator", "space", "other")
+
+# base class -> kind, bool before int: a bool, the value of a relation,
+# is not a scalar; a canonical scalar is an int or a Fraction
+_KIND_BASES = ((bool, BOOL), (int, SCALAR), (Fraction, SCALAR),
+               (Element, ELEMENT), (Operator, OPERATOR),
+               (spaces.Space, SPACE))
+_KINDS = {}                        # type(value) -> kind, filled on demand
+
+
+def kind_of(value) -> str:
+    """The kind of a value, which the operation table is keyed on."""
+    cls = type(value)
+    kind = _KINDS.get(cls)
+    if kind is None:
+        kind = _KINDS[cls] = next(
+            (k for base, k in _KIND_BASES if issubclass(cls, base)), OTHER)
+    return kind
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
+_RENDER_KIND = {
+    BOOL: lambda v: "true" if v else "false",
+    ELEMENT: lambda v: format_element(v),
+    SCALAR: str,
+    OPERATOR: lambda v: f"<operator {type(v).__name__}>",
+    SPACE: lambda v: spaces.space_name(v),
+}
+
+
 def render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Element):
-        return format_element(value)
-    if _is_scalar(value):
-        return str(value)
+    kind = kind_of(value)
+    if kind != OTHER:
+        return _RENDER_KIND[kind](value)
     if isinstance(value, FragmentEnumeration):
         items = ", ".join(format_element(z) for z in value)
         return f"fragments count={value.count}: [{items}]"
@@ -80,10 +97,6 @@ def render(value) -> str:
             "[%s]" % ",".join(format_element(w) for w in row)
             for row in value.grid)
         return f"grid[{rows}]"
-    if _is_operator(value):
-        return f"<operator {type(value).__name__}>"
-    if isinstance(value, spaces.Space):
-        return spaces.space_name(value)
     return str(value)
 
 
@@ -103,258 +116,225 @@ def _render_lattice_point(p: LatticePoint) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the operation table
+# ---------------------------------------------------------------------------
+
+# (name, kind of each operand) -> the function of the operands; library
+# functions are looked up when called, through their modules
+_OPS = {
+    ("*", SCALAR, SCALAR): lambda a, b: a * b,
+    ("*", SCALAR, ELEMENT): lambda a, x: spaces.scale(a, x),
+    ("*", SCALAR, OPERATOR): OpScaled,
+    ("+", SCALAR, SCALAR): lambda a, b: a + b,
+    ("+", ELEMENT, ELEMENT): lambda x, y: spaces.add(x, y),
+    ("+", OPERATOR, OPERATOR): lambda S, T: OpSum((S, T)),
+    ("-", SCALAR, SCALAR): lambda a, b: a - b,
+    ("-", ELEMENT, ELEMENT): lambda x, y: spaces.sub(x, y),
+    ("-", OPERATOR, OPERATOR):
+        lambda S, T: OpSum((S, OpScaled(Fraction(-1), T))),
+    ("\\/", ELEMENT, ELEMENT): lambda x, y: spaces.sup(x, y),
+    ("\\/", OPERATOR, OPERATOR): lambda S, T: OpLattice("join", (S, T)),
+    ("/\\", ELEMENT, ELEMENT): lambda x, y: spaces.inf(x, y),
+    ("/\\", OPERATOR, OPERATOR): lambda S, T: OpLattice("meet", (S, T)),
+    ("lsup", ELEMENT, ELEMENT): lambda x, y: lateral.lateral_sup(x, y),
+    ("linf", ELEMENT, ELEMENT): lambda x, y: lateral.lateral_inf(x, y),
+    ("<=", ELEMENT, ELEMENT): lambda x, y: spaces.leq(x, y),
+    ("<<=", ELEMENT, ELEMENT): lambda x, y: lateral.is_fragment(x, y),
+    ("_|_", ELEMENT, ELEMENT): lambda x, y: spaces.is_disjoint(x, y),
+    ("negate", SCALAR): lambda a: -a,
+    ("negate", ELEMENT): lambda x: spaces.scale(-1, x),
+    ("negate", OPERATOR): lambda T: OpScaled(Fraction(-1), T),
+    ("^+", ELEMENT): lambda x: spaces.pos_part(x),
+    ("^+", OPERATOR): lambda T: OpLattice("pos", (T,)),
+    ("^-", ELEMENT): lambda x: spaces.neg_part(x),
+    ("^-", OPERATOR): lambda T: OpLattice("neg", (T,)),
+    ("|...|", SCALAR): abs,
+    ("|...|", ELEMENT): lambda x: spaces.absolute(x),
+    ("|...|", OPERATOR): lambda T: OpLattice("mod", (T,)),
+    ("apply", OPERATOR, ELEMENT): lambda T, x, level: T.at(x, level),
+    ("fragments", ELEMENT): lambda e, level: (
+        lateral.fragment_iter(e, level)
+        if level is not None and spaces.has_infinite_fragments(e)
+        else lateral.enumerate_fragments(e)),
+    ("decomps", ELEMENT):
+        lambda x, level: lateral.enumerate_decompositions(x, level=level),
+    ("latsup", ELEMENT, ELEMENT): lambda x, y: lateral.lateral_sup(x, y),
+    ("latsup", ELEMENT, ELEMENT, ELEMENT):
+        lambda x, y, e: lateral.lateral_sup(x, y, base=e),
+    ("latinf", ELEMENT, ELEMENT): lambda x, y: lateral.lateral_inf(x, y),
+    ("one", ELEMENT): lambda x: spaces.one(x.space),
+    ("one", SPACE): lambda s: spaces.one(s),
+    ("zero", ELEMENT): lambda x: spaces.zero(x.space),
+    ("zero", SPACE): lambda s: spaces.zero(s),
+    ("pos", OPERATOR): lambda T: OpLattice("pos", (T,)),
+    ("neg", OPERATOR): lambda T: OpLattice("neg", (T,)),
+    ("mod", OPERATOR): lambda T: OpLattice("mod", (T,)),
+}
+
+# rows whose function takes the eval statement's @level after the operands
+_AT_LEVEL = frozenset({"apply", "fragments", "decomps"})
+
+# name -> the type error when no row matches its operands
+_MESSAGES = {
+    "*": "'*' scales an element or operator by a rational",
+    **{op: f"'{op}' needs two elements, scalars or operators" for op in "+-"},
+    **{op: f"'{op}' needs two elements or two operators"
+       for op in ("\\/", "/\\")},
+    **{op: f"{op} needs two elements" for op in ("lsup", "linf")},
+    **{op: f"'{op}' needs two elements" for op in ("<=", "<<=", "_|_")},
+    "negate": "cannot negate this value",
+    **{op: f"{op} applies to elements or operators" for op in ("^+", "^-")},
+    "|...|": "|...| applies to elements, scalars or operators",
+    "apply": "an operator applies to one element",
+    **{name: f"{name} takes one element" for name in ("fragments", "decomps")},
+    "latsup": "latsup takes two elements and an optional base element",
+    "latinf": "latinf needs two elements",
+    **{name: f"{name} takes an element or a space" for name in ("one", "zero")},
+    **{name: f"{name} wraps an operator" for name in ("pos", "neg", "mod")},
+}
+
+# names a call reaches as builtins unless the script binds them
+_BUILTINS = frozenset({"fragments", "decomps", "latsup", "latinf", "one",
+                       "zero", "pos", "neg", "mod"})
+
+
+def _op(name, args, span, level=None):
+    """The row of name and the kinds of args, applied to args."""
+    row = _OPS.get((name, *map(kind_of, args)))
+    if row is None:
+        raise DslTypeError(_MESSAGES[name], span)
+    return row(*args, level) if name in _AT_LEVEL else row(*args)
+
+
+# ---------------------------------------------------------------------------
 # expression evaluation
 # ---------------------------------------------------------------------------
 
+# the chains eval_expr walks down their left operands
+_CHAINS = frozenset({Binary, Rel, Postfix})
+
+
 def eval_expr(node, env: Environment):
-    if isinstance(node, ScalarLit):
-        return node.value
-    if isinstance(node, Name):
-        return env.lookup(node.id, node.span)
-    if isinstance(node, ElementLit):
-        return _element_from_lit(node)
-    if isinstance(node, SpaceLit):
-        return _space_from_lit(node)
-    if isinstance(node, KernelLit):
-        return _kernel_from_lit(node)
-    if isinstance(node, LinecLit):
-        unit = _expect_element(eval_expr(node.unit, env), node.span, "unit image")
-        target = _expect_element(eval_expr(node.target, env), node.span,
-                                 "target")
-        return LinearEC(target.space, node.coeffs, unit, target)
-    if isinstance(node, TableLit):
-        entries = []
-        for k, v in node.entries:
-            key = _expect_element(eval_expr(k, env), node.span, "table key")
-            val = _expect_element(eval_expr(v, env), node.span, "table value")
-            entries.append((key, val))
-        return match_table(entries)
-    if isinstance(node, LatmeetLit):
-        a = _expect_element(eval_expr(node.a, env), node.span, "left bound")
-        b = _expect_element(eval_expr(node.b, env), node.span, "right bound")
-        return LateralMeet(a.space, a, b)
-    if isinstance(node, SeriesLit):
-        return AlternatingSeries()
-    if isinstance(node, Unary):
-        v = eval_expr(node.operand, env)
-        if _is_scalar(v):
-            return -v
-        if isinstance(v, Element):
-            return spaces.scale(-1, v)
-        if _is_operator(v):
-            return OpScaled(Fraction(-1), v)
-        raise DslTypeError("cannot negate this value", node.span)
-    if isinstance(node, Binary):
-        return _eval_binary(node, env)
-    if isinstance(node, Postfix):
-        v = eval_expr(node.operand, env)
-        if isinstance(v, Element):
-            return (spaces.pos_part(v) if node.op == "^+"
-                    else spaces.neg_part(v))
-        if _is_operator(v):
-            return OpLattice("pos" if node.op == "^+" else "neg", (v,))
-        raise DslTypeError(f"{node.op} applies to elements or operators",
-                           node.span)
-    if isinstance(node, Abs):
-        v = eval_expr(node.operand, env)
-        if isinstance(v, Element):
-            return spaces.absolute(v)
-        if _is_scalar(v):
-            return abs(v)
-        if _is_operator(v):
-            return OpLattice("mod", (v,))
-        raise DslTypeError("|...| applies to elements, scalars or operators",
-                           node.span)
-    if isinstance(node, Apply):
-        return _eval_apply(node, env)
-    if isinstance(node, Meyer):
-        return _eval_meyer(node, env)
-    if isinstance(node, Pliev):
-        us = [_expect_element(eval_expr(u, env), node.span, "left splitting")
-              for u in node.us]
-        vs = [_expect_element(eval_expr(v, env), node.span, "right splitting")
-              for v in node.vs]
-        return lateral.pliev_grid(us, vs)
-    if isinstance(node, Rel):
-        return _eval_rel(node, env)
-    raise DslTypeError(f"cannot evaluate {type(node).__name__}",
-                       getattr(node, "span", (0, 0)))
+    # the left spine, outermost first: (operator, right operand or None
+    # for a postfix, span)
+    spine = []
+    while type(node) in _CHAINS:
+        right = getattr(node, "right", None)
+        spine.append((node.op, right, node.span))
+        node = node.operand if right is None else node.left
+    leaf = _LEAVES.get(type(node))
+    if leaf is None:
+        raise DslTypeError(f"cannot evaluate {type(node).__name__}",
+                           getattr(node, "span", (0, 0)))
+    value = leaf(node, env)
+    for op, right, span in reversed(spine):
+        if right is None:
+            value = _op(op, (value,), span)
+        elif op == "==":
+            value = value == eval_expr(right, env)
+        else:
+            value = _op(op, (value, eval_expr(right, env)), span)
+    return value
 
 
-# element literal kind -> the constructor its parts are the arguments of
+def _element(expr, env, span, what) -> Element:
+    """The value of expr, which must be an element."""
+    v = eval_expr(expr, env)
+    if kind_of(v) != ELEMENT:
+        raise DslTypeError(f"{what} must be an element, got {type(v).__name__}",
+                           span)
+    return v
+
+
+# literal kind -> the constructor its parts are the arguments of
 _ELEMENT_LITERALS = {"coord": spaces.coord, "simple": spaces.simple,
                      "ec": spaces.ec, "fin": spaces.fin, "pl": spaces.pl}
+_SPACE_LITERALS = {"coordspace": Coordinate,
+                   "simplespace": lambda *ts: SimpleFunction(ts),
+                   "finspace": FinSupport, "ecspace": EventuallyConstant,
+                   "plspace": PiecewiseLinear}
 
 
-def _element_from_lit(node: ElementLit) -> Element:
-    return _ELEMENT_LITERALS[node.kind](*node.parts)
-
-
-def _space_from_lit(node: SpaceLit):
-    if node.kind == "coordspace":
-        return Coordinate(node.parts[0])
-    if node.kind == "simplespace":
-        return SimpleFunction(node.parts)
-    if node.kind == "finspace":
-        return FinSupport()
-    if node.kind == "ecspace":
-        return EventuallyConstant()
-    return PiecewiseLinear()
-
-
-def _kernel_from_lit(node: KernelLit) -> Kernel:
+def _kernel(node: KernelLit, env) -> Kernel:
     n_dom = max(atom for atom, _, _ in node.entries)
     n_cod = max(target for _, target, _ in node.entries)
     rows = []
     for atom, target, terms in node.entries:
-        degree = max((p for _, p in terms), default=0)
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [Fraction(0)] * (max((p for _, p in terms), default=0) + 1)
         for coef, power in terms:
             coeffs[power] += coef
         rows.append((atom, target, PiecewisePoly((), (tuple(coeffs),))))
     return Kernel(Coordinate(n_dom), Coordinate(n_cod), tuple(rows))
 
 
-def _expect_element(v, span, what) -> Element:
-    if not isinstance(v, Element):
-        raise DslTypeError(f"{what} must be an element, got {type(v).__name__}",
-                           span)
-    return v
+def _linec(node: LinecLit, env) -> LinearEC:
+    unit = _element(node.unit, env, node.span, "unit image")
+    target = _element(node.target, env, node.span, "target")
+    return LinearEC(target.space, node.coeffs, unit, target)
 
 
-def _eval_binary(node: Binary, env: Environment):
-    a = eval_expr(node.left, env)
-    b = eval_expr(node.right, env)
-    op = node.op
-    if op == "*":
-        if _is_scalar(a) and _is_scalar(b):
-            return a * b
-        if _is_scalar(a) and isinstance(b, Element):
-            return spaces.scale(a, b)
-        if _is_scalar(a) and _is_operator(b):
-            return OpScaled(a, b)
-        raise DslTypeError("'*' scales an element or operator by a rational",
-                           node.span)
-    if op in ("+", "-"):
-        if _is_scalar(a) and _is_scalar(b):
-            return a + b if op == "+" else a - b
-        if isinstance(a, Element) and isinstance(b, Element):
-            return spaces.add(a, b) if op == "+" else spaces.sub(a, b)
-        if _is_operator(a) and _is_operator(b):
-            if op == "-":
-                b = OpScaled(Fraction(-1), b)
-            return OpSum((a, b))
-        raise DslTypeError(f"'{op}' needs two elements, scalars or operators",
-                           node.span)
-    if op == "\\/":
-        if isinstance(a, Element) and isinstance(b, Element):
-            return spaces.sup(a, b)
-        if _is_operator(a) and _is_operator(b):
-            return OpLattice("join", (a, b))
-        raise DslTypeError("'\\/' needs two elements or two operators",
-                           node.span)
-    if op == "/\\":
-        if isinstance(a, Element) and isinstance(b, Element):
-            return spaces.inf(a, b)
-        if _is_operator(a) and _is_operator(b):
-            return OpLattice("meet", (a, b))
-        raise DslTypeError("'/\\' needs two elements or two operators",
-                           node.span)
-    if op == "lsup":
-        _two_elements(a, b, node.span, "lsup")
-        return lateral.lateral_sup(a, b)
-    if op == "linf":
-        _two_elements(a, b, node.span, "linf")
-        return lateral.lateral_inf(a, b)
-    raise DslTypeError(f"unknown operator {op!r}", node.span)
+def _table(node: TableLit, env):
+    return match_table([(_element(k, env, node.span, "table key"),
+                         _element(v, env, node.span, "table value"))
+                        for k, v in node.entries])
 
 
-def _two_elements(a, b, span, what):
-    if not (isinstance(a, Element) and isinstance(b, Element)):
-        raise DslTypeError(f"{what} needs two elements", span)
+def _latmeet(node: LatmeetLit, env) -> LateralMeet:
+    a = _element(node.a, env, node.span, "left bound")
+    b = _element(node.b, env, node.span, "right bound")
+    return LateralMeet(a.space, a, b)
 
 
-def _eval_rel(node: Rel, env: Environment):
-    a = eval_expr(node.left, env)
-    b = eval_expr(node.right, env)
-    if node.op == "==":
-        return a == b
-    _two_elements(a, b, node.span, f"'{node.op}'")
-    if node.op == "<=":
-        return spaces.leq(a, b)
-    if node.op == "<<=":
-        return lateral.is_fragment(a, b)
-    return spaces.is_disjoint(a, b)
-
-
-def _eval_apply(node: Apply, env: Environment):
-    if isinstance(node.fn, Name) and node.fn.id in _BUILTINS \
-            and node.fn.id not in env.bindings:
-        return _eval_builtin(node, env)
-    fn = eval_expr(node.fn, env)
-    if not _is_operator(fn):
+def _apply(node: Apply, env):
+    fn = node.fn
+    if type(fn) is Name and fn.id in _BUILTINS and fn.id not in env.bindings:
+        args = [eval_expr(a, env) for a in node.args]
+        return _op(fn.id, args, node.span, env.level)
+    T = eval_expr(fn, env)
+    # before the arguments, so a call of a non-operator fails as itself
+    if kind_of(T) != OPERATOR:
         raise DslTypeError("only operators can be applied", node.span)
-    if len(node.args) != 1:
-        raise DslTypeError("operator application takes one argument",
-                           node.span)
-    x = _expect_element(eval_expr(node.args[0], env), node.span,
-                        "the operator argument")
-    return fn.at(x, env.level)
-
-
-def _eval_builtin(node: Apply, env: Environment):
-    name = node.fn.id
     args = [eval_expr(a, env) for a in node.args]
-
-    def need(n):
-        if len(args) != n:
-            raise DslTypeError(f"{name} takes {n} argument(s)", node.span)
-
-    if name == "fragments":
-        need(1)
-        e = _expect_element(args[0], node.span, "fragments argument")
-        if env.level is not None and spaces.has_infinite_fragments(e):
-            return fragment_iter(e, env.level)
-        return enumerate_fragments(e)
-    if name == "decomps":
-        need(1)
-        x = _expect_element(args[0], node.span, "decomps argument")
-        return enumerate_decompositions(x, level=env.level)
-    if name == "latsup":
-        if len(args) == 3:
-            _two_elements(args[0], args[1], node.span, "latsup")
-            return lateral.lateral_sup(args[0], args[1], base=args[2])
-        need(2)
-        _two_elements(args[0], args[1], node.span, "latsup")
-        return lateral.lateral_sup(args[0], args[1])
-    if name == "latinf":
-        need(2)
-        _two_elements(args[0], args[1], node.span, "latinf")
-        return lateral.lateral_inf(args[0], args[1])
-    if name in ("one", "zero"):
-        need(1)
-        space = args[0]
-        if isinstance(space, Element):
-            space = space.space
-        return one(space) if name == "one" else zero(space)
-    if name in ("pos", "neg", "mod"):
-        need(1)
-        if not _is_operator(args[0]):
-            raise DslTypeError(f"{name} wraps an operator", node.span)
-        return OpLattice(name, (args[0],))
-    raise DslTypeError(f"unknown builtin {name}", node.span)
+    return _op("apply", (T, *args), node.span, env.level)
 
 
-def _eval_meyer(node: Meyer, env: Environment):
+def _meyer(node: Meyer, env):
     T = eval_expr(node.operator, env)
-    if not _is_operator(T):
+    if kind_of(T) != OPERATOR:
         raise DslTypeError("meyer needs an operator first", node.span)
-    x = _expect_element(eval_expr(node.x, env), node.span, "x")
-    y = _expect_element(eval_expr(node.y, env), node.span, "y")
+    x = _element(node.x, env, node.span, "x")
+    y = _element(node.y, env, node.span, "y")
     if node.e is None:
         return meyer_pair(T, x, y, unsafe=True)
-    e = _expect_element(eval_expr(node.e, env), node.span, "e")
-    return meyer_pair(T, x, y, e)
+    return meyer_pair(T, x, y, _element(node.e, env, node.span, "e"))
+
+
+def _pliev(node: Pliev, env):
+    us = [_element(u, env, node.span, "left splitting") for u in node.us]
+    vs = [_element(v, env, node.span, "right splitting") for v in node.vs]
+    return lateral.pliev_grid(us, vs)
+
+
+# node class -> handler(node, env), for every expression node but the
+# chains eval_expr walks
+_LEAVES = {
+    ScalarLit: lambda node, env: node.value,
+    Name: lambda node, env: env.lookup(node.id, node.span),
+    ElementLit: lambda node, env: _ELEMENT_LITERALS[node.kind](*node.parts),
+    SpaceLit: lambda node, env: _SPACE_LITERALS[node.kind](*node.parts),
+    KernelLit: _kernel,
+    LinecLit: _linec,
+    TableLit: _table,
+    LatmeetLit: _latmeet,
+    SeriesLit: lambda node, env: AlternatingSeries(),
+    Unary: lambda node, env: _op("negate", (eval_expr(node.operand, env),),
+                                 node.span),
+    Abs: lambda node, env: _op("|...|", (eval_expr(node.operand, env),),
+                               node.span),
+    Apply: _apply,
+    Meyer: _meyer,
+    Pliev: _pliev,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -366,42 +346,58 @@ def evaluate(script: Script, seed=0, env: Environment | None = None):
     env = env or Environment(seed=seed)
     out = []
     for stmt in script.statements:
-        out.extend(_exec_stmt(stmt, env))
+        handler = _STATEMENTS.get(type(stmt))
+        if handler is None:
+            raise DslTypeError(f"cannot execute {type(stmt).__name__}",
+                               getattr(stmt, "span", (0, 0)))
+        out.extend(handler(stmt, env))
     return out, env
 
 
-def _exec_stmt(stmt, env: Environment):
-    if isinstance(stmt, LetStmt):
-        env.level = None
-        env.bindings[stmt.name] = eval_expr(stmt.expr, env)
-        return []
-    if isinstance(stmt, EvalStmt):
-        env.level = stmt.level
-        value = eval_expr(stmt.expr, env)
+def _let(stmt: LetStmt, env):
+    env.level = None
+    env.bindings[stmt.name] = eval_expr(stmt.expr, env)
+    return []
+
+
+def _eval(stmt: EvalStmt, env):
+    env.level = stmt.level
+    value = eval_expr(stmt.expr, env)
+    # an exact value prints in full, past the interpreter's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
         text = render(value)
-        if isinstance(stmt.expr, Meyer) and stmt.expr.e is None:
-            text += " (unsafe: lateral bound not checked)"
-        env.level = None
-        return text.split("\n")
-    if isinstance(stmt, CheckStmt):
-        cfg = checks.parse_config(stmt.config)
-        check = checks.run_check(stmt.check_id, cfg or None, seed=env.seed)
-        if check.result.verdict == "fails":
-            env.failures += 1
-        lines = [check.summary_line()]
-        lines.extend(f"  {a}" for a in check.artifacts)
-        return lines
-    if isinstance(stmt, SuiteStmt):
-        results, summary = checks.run_all(stmt.profile,
-                                          ids=stmt.ids or None, seed=env.seed)
-        env.failures += summary["fails"]
-        lines = [r.summary_line() for r in results]
-        lines.append(checks.summary_text(summary))
-        return lines
-    if isinstance(stmt, SearchStmt):
-        cfg = checks.parse_config(stmt.config)
-        cfg.setdefault("seed", env.seed)
-        report = checks.search_truncated_joins(cfg)
-        return report.lines()
-    raise DslTypeError(f"cannot execute {type(stmt).__name__}",
-                       getattr(stmt, "span", (0, 0)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if type(stmt.expr) is Meyer and stmt.expr.e is None:
+        text += " (unsafe: lateral bound not checked)"
+    env.level = None
+    return text.split("\n")
+
+
+def _check(stmt: CheckStmt, env):
+    cfg = checks.parse_config(stmt.config)
+    check = checks.run_check(stmt.check_id, cfg or None, seed=env.seed)
+    if check.result.verdict == "fails":
+        env.failures += 1
+    return [check.summary_line(), *(f"  {a}" for a in check.artifacts)]
+
+
+def _suite(stmt: SuiteStmt, env):
+    results, summary = checks.run_all(stmt.profile,
+                                      ids=stmt.ids or None, seed=env.seed)
+    env.failures += summary["fails"]
+    return [*(r.summary_line() for r in results),
+            checks.summary_text(summary)]
+
+
+def _search(stmt: SearchStmt, env):
+    cfg = checks.parse_config(stmt.config)
+    cfg.setdefault("seed", env.seed)
+    return checks.search_truncated_joins(cfg).lines()
+
+
+# statement class -> handler(statement, env), returning its output lines
+_STATEMENTS = {LetStmt: _let, EvalStmt: _eval, CheckStmt: _check,
+               SuiteStmt: _suite, SearchStmt: _search}

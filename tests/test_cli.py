@@ -202,8 +202,22 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
      "level 3: interval[0.640186152754,0.640186153307]\n"
      "interval[1/2] attained=[(ec[0,1|0] | ec[1|0])]\n",
      "4:1: precondition violated: infinite splitting family: supply a "
-     "truncation level")],
-    ids=["type-error", "dsl-type-error", "precondition"])
+     "truncation level"),
+    # a builtin with no row for its arguments' kinds fails at the call,
+    # not in the library
+    ("eval coord[1];\n"
+     "eval latsup(coord[1,0], coord[0,1], 5);\n", cli.EXIT_TYPE,
+     "coord[1]\n", "2:12: type error: latsup takes two elements and an "
+     "optional base element"),
+    ("eval coord[1];\n"
+     "eval latsup(coord[1,0], coord[0,1], coordspace(2));\n", cli.EXIT_TYPE,
+     "coord[1]\n", "2:12: type error: latsup takes two elements and an "
+     "optional base element"),
+    ("eval coord[1];\n"
+     "eval one(kernel{1: t -> t});\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:9: type error: one takes an element or a space")],
+    ids=["type-error", "dsl-type-error", "precondition",
+         "latsup-scalar-base", "latsup-space-base", "one-of-operator"])
 def test_a_failing_statement_keeps_the_output_before_it(tmp_path, capsys,
                                                        text, code, printed,
                                                        message):
@@ -224,20 +238,41 @@ def test_exit_code_check_failure_in_script(tmp_path):
     assert out.startswith("ex-2.2 fails")
 
 
-def test_deep_scripts_exit_2_with_a_diagnostic(tmp_path, capsys):
-    # a long left-nested chain parses, but evaluating it used to end in
-    # a RecursionError traceback
+def test_long_chains_evaluate_and_deep_nesting_exits_2(tmp_path, capsys):
+    # the evaluator walks a left-nested chain in a loop, so a chain of
+    # any length evaluates
     chain = tmp_path / "chain.rl"
     chain.write_text("eval " + " + ".join(["coord[1]"] * 3000) + ";")
-    assert cli.main(["run", str(chain)]) == cli.EXIT_PARSE
-    assert capsys.readouterr() == (
-        "", f"{chain}:1:1: error: expression too deeply nested to "
-            "evaluate\n")
+    assert cli.main(["run", str(chain)]) == cli.EXIT_OK
+    assert capsys.readouterr() == ("coord[3000]\n", "")
+    parts = tmp_path / "parts.rl"
+    parts.write_text("eval coord[1,-2]" + "^+^-" * 1500 + ";")
+    assert cli.main(["run", str(parts)]) == cli.EXIT_OK
+    assert capsys.readouterr() == ("coord[0,0]\n", "")
     negations = tmp_path / "neg.rl"
     negations.write_text("eval " + "-" * 2000 + "coord[1];")
     assert cli.main(["run", str(negations)]) == cli.EXIT_PARSE
     assert capsys.readouterr() == (
         "", f"{negations}:1:125: error: expression too deeply nested\n")
+    # a sum of 3 000 operators is a body nested 3 000 deep, and building
+    # it recurses past the interpreter's limit
+    sums = tmp_path / "sum.rl"
+    sums.write_text("let K = kernel{1: t -> t};\n"
+                    "eval " + " + ".join(["K"] * 3000) + ";")
+    assert cli.main(["run", str(sums)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == (
+        "", f"{sums}:2:1: error: expression too deeply nested to "
+            "evaluate\n")
+
+
+def test_a_value_past_the_digit_limit_prints_in_full(tmp_path, capsys):
+    # 99 ** 3000 has 5 987 digits, more than str() converts by default
+    script = tmp_path / "big.rl"
+    script.write_text("eval " + " * ".join(["99"] * 3000) + ";")
+    assert cli.main(["run", str(script)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert (len(out), out[-7:], err) == (
+        5988, "%06d\n" % pow(99, 3000, 10 ** 6), "")
 
 
 def test_check_subcommand_exit_codes():

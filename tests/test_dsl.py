@@ -4,7 +4,7 @@ import dataclasses
 import io
 import pathlib
 import re
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -604,3 +604,65 @@ def test_parser_fuzz_smoke():
     for _ in range(2000):
         raw = bytes(rng.randrange(256) for _ in range(rng.randint(0, 30)))
         parse(raw.decode("utf-8", errors="replace"))
+
+
+# ---------------------------------------------------------------------------
+# no script ends in a traceback
+# ---------------------------------------------------------------------------
+
+# one operand of each value kind: elements, scalars, an operator, a
+# space and a bool; K acts on the two-atom coordinate space
+_KIND_OPERANDS = ["coord[1,-2]", "coord[0,3]", "ec[1|2]", "2", "-1/2", "K",
+                  "coordspace(2)", "(coord[1,0] <= coord[1,1])"]
+_PRELUDE = "let K = kernel{1: t -> t, 2: t -> 2*t};\n"
+
+
+@st.composite
+def _long_chains(draw):
+    """A left-leaning chain of one binary operator over cycled operands,
+    or a run of ^+^- after one operand, up to 3 000 long."""
+    n = draw(st.one_of(st.just(3000), st.integers(1, 3000)))
+    operands = draw(st.lists(st.sampled_from(_KIND_OPERANDS), min_size=1,
+                             max_size=3))
+    op = draw(st.sampled_from(sorted(dsl._PREC) + ["^+^-"]))
+    if op == "^+^-":
+        return operands[0] + "^+^-" * (n // 2)
+    return f" {op} ".join(operands[k % len(operands)] for k in range(n))
+
+
+# prefix and suffix of one nesting level
+_WRAPPERS = [("(", ")"), ("|", "|"), ("-", ""), ("K(", ")"),
+             ("fragments(", ")"), ("one(", ")"), ("(coord[1,1] + ", ")"),
+             ("(2 * ", ")^+"), ("latsup(coord[1,0], coord[0,1], ", ")")]
+
+
+@st.composite
+def _deep_nesting(draw):
+    """An operand inside up to two levels more than the parser takes,
+    of one kind or mixed."""
+    depth = st.integers(0, dsl._MAX_DEPTH + 2)
+    levels = draw(st.one_of(
+        st.builds(lambda w, n: [w] * n, st.sampled_from(_WRAPPERS), depth),
+        st.lists(st.sampled_from(_WRAPPERS), max_size=dsl._MAX_DEPTH + 2)))
+    core = draw(st.sampled_from(_KIND_OPERANDS))
+    return ("".join(p for p, _ in levels) + core
+            + "".join(s for _, s in reversed(levels)))
+
+
+_SCRIPTS = st.one_of(
+    st.one_of(_long_chains(), _deep_nesting()).map(
+        lambda expr: f"{_PRELUDE}eval {expr};\n"),
+    LEX_TEXT)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_SCRIPTS)
+def test_no_script_ends_in_a_traceback(tmp_path_factory, text):
+    # every script exits with a code the CLI documents: an error the
+    # evaluator or the library does not expect would propagate here
+    script = tmp_path_factory.getbasetemp() / "fuzz.rl"
+    script.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(["run", str(script)])
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_TYPE,
+                    cli.EXIT_PRECONDITION)

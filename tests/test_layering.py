@@ -26,6 +26,8 @@ the Fraction-literal sites listed in ``DIVISION_ALLOWED``.
 import ast
 from pathlib import Path
 
+from rieszlab import dsl, evaluator
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 MODEL_NAMES = {"Coordinate", "SimpleFunction", "FinSupport",
@@ -271,3 +273,34 @@ def test_division_detector_sees_every_scope(tmp_path):
     assert _division_exempt("spaces", None, "div")
     assert not _division_exempt("operators", "PiecewiseLinear", "m")
     assert not _division_exempt("spaces", "Cells", "add")
+
+
+# --- the evaluator's tables -------------------------------------------------
+
+def _dsl_node_classes():
+    return {cls for cls in vars(dsl).values()
+            if isinstance(cls, type) and issubclass(cls, dsl.Node)
+            and cls is not dsl.Node}
+
+
+def test_every_node_class_has_an_evaluator_handler():
+    # a node class the parser gains fails here, not in a script
+    classes = _dsl_node_classes() - {dsl.Script}
+    statements = {cls for cls in classes if cls.__name__.endswith("Stmt")}
+    assert set(evaluator._STATEMENTS) == statements
+    assert evaluator._CHAINS | set(evaluator._LEAVES) == classes - statements
+    assert not evaluator._CHAINS & set(evaluator._LEAVES)
+
+
+def test_every_operator_and_relation_has_a_row():
+    relations = {text for text, kind in dsl._TWO_CHAR.items()
+                 if kind in ("LEQ", "LLEQ", "PERP")}
+    names = {name for name, *_ in evaluator._OPS}
+    assert set(dsl._PREC) | relations | evaluator._BUILTINS <= names
+    # each name has its one type error, and each error a name
+    assert names == set(evaluator._MESSAGES)
+
+
+def test_evaluator_tests_no_node_class_with_isinstance():
+    names = {cls.__name__ for cls in _dsl_node_classes()}
+    assert not _isinstance_sites(SRC / "evaluator.py", names)
