@@ -27,21 +27,23 @@ from .lateral import (
 from .operators import (
     AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
     diagonal_kernel, example_operator, format_value, joint_window,
-    ln2_enclosure, negate, poly, scan_levels_by_enumeration,
-    verify_disjointness_preserving, verify_oao, verify_positive,
-    lateral_bound_scan, ZeroOp,
+    ln2_enclosure, negate, poly, verify_disjointness_preserving, verify_oao,
+    verify_positive, lateral_bound_scan, ZeroOp,
 )
 from .oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
     meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
+)
+from .oracles import (
+    pl_common_fragment_by_restriction, scan_levels_by_enumeration,
 )
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, ZERO, absolute, add, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, neg_part, normalize, one, pieces, pl_common_fragment_by_restriction,
-    pos_part, scale, sub, sup, support_atoms, zero,
+    leq, neg_part, normalize, one, pieces, pos_part, scale, sub, sup,
+    support_atoms, zero,
 )
 
 Q = Fraction

@@ -130,7 +130,7 @@ def _cmd_run(args) -> int:
             lines, env = evaluator.evaluate(dsl.Script((stmt,)), env=env)
         except RecursionError:
             # a body nested past the interpreter's limit, such as a sum of
-            # 3 000 operators, recurses while it is built
+            # 3 000 operators, recurses while it is applied
             print(f"{where} error: expression too deeply nested to evaluate",
                   file=sys.stderr)
             return EXIT_PARSE

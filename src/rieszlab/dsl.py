@@ -20,6 +20,7 @@ precedence, or of postfix operators, in a loop.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -903,6 +904,9 @@ class _Parser:
 
 def parse(text: str) -> ParseResult:
     """Parse a script; never raises, returns diagnostics instead."""
+    # a numeral converts exactly, past the interpreter's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         tokens = tokenize(text)
         parser = _Parser(tokens)
@@ -913,6 +917,8 @@ def parse(text: str) -> ParseResult:
         return ParseResult(None, [Diagnostic(1, 1, "input too deeply nested")])
     except Exception as exc:  # the no-crash contract beats precise spans
         return ParseResult(None, [Diagnostic(1, 1, f"unparseable input: {exc}")])
+    finally:
+        sys.set_int_max_str_digits(limit)
     if diags:
         return ParseResult(None, diags)
     return ParseResult(script, [])

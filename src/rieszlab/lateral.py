@@ -31,10 +31,6 @@ def is_fragment(x: Element, e: Element) -> bool:
 
 # ---------------------------------------------------------------------------
 # lateral supremum / infimum
-#
-# Both route through module-level implementation hooks so that the
-# shipped negative tests can install documented mutants and watch the
-# check suite catch them (see mutations.py).
 # ---------------------------------------------------------------------------
 
 def join_formula(x: Element, y: Element) -> Element:
@@ -58,10 +54,6 @@ def _greatest_common_fragment(x: Element, y: Element) -> Element:
     return x.space.common_fragment(x, y)
 
 
-_SUP_IMPL = join_formula
-_INF_IMPL = _greatest_common_fragment
-
-
 def lateral_sup(x: Element, y: Element, base: Element | None = None) -> Element:
     """Lateral supremum of two fragments of a common element.
 
@@ -74,12 +66,12 @@ def lateral_sup(x: Element, y: Element, base: Element | None = None) -> Element:
                 raise PreconditionError(
                     f"{name} operand {format_element(el)} is not a fragment "
                     f"of {format_element(base)}")
-    return _SUP_IMPL(x, y)
+    return join_formula(x, y)
 
 
 def lateral_inf(x: Element, y: Element) -> Element:
     """Greatest common fragment; always exists in the five models."""
-    return _INF_IMPL(x, y)
+    return _greatest_common_fragment(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +225,8 @@ def enumerate_decompositions(x: Element, level: int | None = None):
     splittings of an eventually constant x subtract, v = x - u.
     """
     if level is not None and has_infinite_fragments(x):
-        return decompositions_by_difference(x, level)
+        return tuple(Decomposition(x, u, sub(x, u))
+                     for u in fragment_iter(x, level))
     parts = _finite_parts(x)
     full = (1 << len(parts)) - 1
     frags = [_restriction(x, parts, mask) for mask in range(full + 1)]
@@ -241,16 +234,6 @@ def enumerate_decompositions(x: Element, level: int | None = None):
             for mask, u in enumerate(frags)]
     decs.sort(key=lambda d: canonical_key(d.left))
     return tuple(decs)
-
-
-def decompositions_by_difference(x: Element, level: int | None = None):
-    """The splittings as ``enumerate_decompositions`` built them before
-    restriction: every fragment u, with v = x - u.  Kept as its oracle."""
-    if level is not None and has_infinite_fragments(x):
-        frags = fragment_iter(x, level)
-    else:
-        frags = enumerate_fragments(x)
-    return tuple(Decomposition(x, u, sub(x, u)) for u in frags)
 
 
 # ---------------------------------------------------------------------------

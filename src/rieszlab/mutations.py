@@ -59,6 +59,12 @@ mutants:
   t=1, so two ramps that differ only at 0 or 1 share it.
   ``lat-common-fragment`` compares the lateral infimum with the
   restriction reference and catches it.
+* ``pl-strip-spares-a-collinear-point`` -- the strip that makes
+  piecewise-linear payloads canonical (``spaces._pl_strip_collinear``)
+  keeps the first collinear interior point it meets, so one function
+  has two payloads.  ``thm-3.2-oao`` catches it, and so does the
+  differential test against ``oracles.pl_pointwise``, whose strip is
+  its own.
 * ``kernel-table-drops-top-piece`` -- ``Cells.subset_table``, the
   column builder of the fragment tables that the splitting enumeration
   folds (a kernel into a cell space gives its table as the subset sums
@@ -186,6 +192,19 @@ def _pl_common_skips_end_values(self, x, y):
                              if theirs.get((a, b)) == px[i:j]])
 
 
+_pl_strip_collinear = spaces._pl_strip_collinear
+
+
+def _pl_strip_spares_a_collinear_point(rows):
+    pts = _pl_strip_collinear(rows)
+    kept = {t for t, _ in pts}
+    for t, _, _, vn, vd, v in rows:
+        if t not in kept:
+            spared = Fraction(vn, vd) if v is None else v
+            return tuple(sorted(pts + ((t, spared),)))
+    return pts
+
+
 _cells_subset_table = spaces.Cells.subset_table
 
 
@@ -215,9 +234,10 @@ def _where_line_start_late(self, pos):
 
 # name -> (module or class, attribute, mutant implementation)
 MUTATIONS = {
-    "latinf-collinear-meet-formula": (lateral, "_INF_IMPL", _inf_meet_formula),
-    "latsup-sign-flip": (lateral, "_SUP_IMPL", _sup_sign_flip),
-    "latinf-zero": (lateral, "_INF_IMPL", _inf_zero),
+    "latinf-collinear-meet-formula": (lateral, "_greatest_common_fragment",
+                                      _inf_meet_formula),
+    "latsup-sign-flip": (lateral, "join_formula", _sup_sign_flip),
+    "latinf-zero": (lateral, "_greatest_common_fragment", _inf_zero),
     "join-ties-left": (oplattice, "_side", _side_ties_left),
     "pl-disjoint-one-end": (spaces.PiecewiseLinear, "disjoint",
                             _pl_disjoint_one_end),
@@ -235,6 +255,8 @@ MUTATIONS = {
     "kernel-window-short": (operators.Kernel, "window", _kernel_window_short),
     "pl-common-skips-end-values": (spaces.PiecewiseLinear, "common_fragment",
                                    _pl_common_skips_end_values),
+    "pl-strip-spares-a-collinear-point": (spaces, "_pl_strip_collinear",
+                                          _pl_strip_spares_a_collinear_point),
     "kernel-table-drops-top-piece": (spaces.Cells, "subset_table",
                                      _cells_table_drops_top_piece),
     "column-fold-first-cell": (spaces.CellColumns, "extremum",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch, Unsupported
 from . import lateral, reports, spaces
-from .lateral import enumerate_decompositions, fragment_iter, min_level
+from .lateral import enumerate_decompositions, min_level
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, RealInterval,
@@ -183,9 +183,9 @@ class Operator:
         """The image of every fragment of a point, indexed by mask as
         ``frags`` (its ``lateral.Restrictions``) indexes them, in the
         codomain's table (``spaces.ImageTable``).  The default applies
-        the body to each fragment, ``images_by_apply``, and converts the
-        images: ``codomain.image_table``."""
-        return self.codomain.image_table(images_by_apply(self, frags))
+        the body to each fragment and converts the images:
+        ``codomain.image_table``."""
+        return self.codomain.image_table([apply(self, u) for u in frags])
 
 
 def joint_window(ops) -> int | None:
@@ -487,9 +487,10 @@ class OpSum(Operator):
         d, c = parts[0].domain, parts[0].codomain
         if any(p.domain != d or p.codomain != c for p in parts):
             raise SpaceMismatch("summands must share domain and codomain")
+        # held, so that a sum nested in a sum reads them without recursing
+        object.__setattr__(self, "domain", d)
+        object.__setattr__(self, "codomain", c)
 
-    domain = property(lambda self: self.parts[0].domain)
-    codomain = property(lambda self: self.parts[0].codomain)
     atom_additive = property(lambda self: all(p.atom_additive for p in self.parts))
     linear = property(lambda self: all(p.linear for p in self.parts))
 
@@ -616,13 +617,6 @@ def apply(T, x: Element):
     if x.space != T.domain:
         raise _outside_domain(T, x)
     return T._apply(x)
-
-
-def images_by_apply(T, frags) -> list:
-    """T applied to each fragment of ``frags`` (a
-    ``lateral.Restrictions``), one application per mask; the reference
-    for the tables of ``Operator.fragment_images``."""
-    return [apply(T, u) for u in frags]
 
 
 def _outside_domain(T, x: Element) -> SpaceMismatch:
@@ -843,7 +837,7 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     constant bases with nonzero tail, pass a level: the table holds the
     extremes level by level, folded atom by atom for structurally
     additive bodies and over bounded enumeration otherwise.
-    ``scan_levels_by_enumeration`` is the reference.
+    ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at
     seed = "scan"
@@ -873,18 +867,6 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
         rep = reports.inconclusive(len(table), seed,
                                    notes="monotone level table computed")
     return ScanResult("truncated", rep, table=tuple(table), growth=grew)
-
-
-def scan_levels_by_enumeration(T, e: Element, level: int) -> list:
-    """(l, min, max) of T over the truncated fragments of e at each
-    level from min_level(e) through ``level``, each level enumerated on
-    its own; the reference for the truncated scan."""
-    table = []
-    for l in range(min_level(e), level + 1):
-        images = [apply(T, z) for z in fragment_iter(e, l)]
-        table.append((l, functools.reduce(inf, images),
-                      functools.reduce(sup, images)))
-    return table
 
 
 @dataclass
@@ -938,12 +920,9 @@ def order_bound_scan(T, bound: Element, budget: Budget | None = None,
 # ---------------------------------------------------------------------------
 
 def example_operator(name: str, target: Element | None = None,
-                     horizon: int = 64, space=None, precision=None):
+                     horizon: int = 64):
     """Named operators used throughout the check suite.
 
-    * ``alternating_series`` -- the series functional on eventually
-      constant sequences; orthogonally additive but with laterally
-      unbounded image on the fragments of the constant one.
     * ``ramped_basis`` -- linear, sending the n-th unit atom to
       n * target (n up to ``horizon``) and the constant one to zero;
       its fragment image grows like n(n+1)/2.
@@ -953,9 +932,6 @@ def example_operator(name: str, target: Element | None = None,
     * ``unit_lateral_meet`` -- x maps to (x meet 1) - (x meet 2), on
       step functions.
     """
-    if name == "alternating_series":
-        return AlternatingSeries(precision if precision is not None
-                                 else Fraction(1, 10 ** 9))
     if name == "ramped_basis":
         if target is None:
             target = one(Coordinate(1))
@@ -963,11 +939,10 @@ def example_operator(name: str, target: Element | None = None,
         coeffs = tuple((n, Fraction(n)) for n in range(1, horizon + 1))
         return LinearEC(cod, coeffs, zero(cod), target)
     if name == "unit_match":
-        s = space or PiecewiseLinear()
-        u = one(s)
+        u = one(PiecewiseLinear())
         return match_table([(u, u), (scale(2, u), scale(-1, u))])
     if name == "unit_lateral_meet":
-        s = space or SimpleFunction((Fraction(0), Fraction(1, 2), Fraction(1)))
+        s = SimpleFunction((Fraction(0), Fraction(1, 2), Fraction(1)))
         u = one(s)
         return LateralMeet(s, u, scale(2, u))
     raise Unsupported(f"unknown example operator {name!r}")

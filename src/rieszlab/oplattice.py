@@ -104,12 +104,13 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     finite.  Mask m of the pieces of x splits it into u on the pieces in
     m and v on the rest, so S(u) + T(v) is entry m of the left
     operator's fragment table plus the right one's complement
-    (``Operator.fragment_images``, checked against ``images_by_apply``).
-    The tables are the codomain's: integer columns on cell spaces,
-    lists of values elsewhere (``spaces.ImageTable``); their fold gives
-    the extremum and its masks, and ``Decomposition`` objects are built
-    only for those.  The checks and tests compare the per-atom closed
-    form with this.
+    (``Operator.fragment_images``, checked against
+    ``oracles.images_by_apply``).  The tables are the codomain's:
+    integer columns on cell spaces, lists of values elsewhere
+    (``spaces.ImageTable``); their fold gives the extremum and its
+    masks, and ``Decomposition`` objects are built only for those.  The
+    checks and tests compare the per-atom closed form with this, and
+    ``_extrema`` calls it where the closed form does not serve.
     """
     _pair_check(S, T, x)
     frags = Restrictions(x)

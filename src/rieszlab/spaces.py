@@ -33,8 +33,8 @@ nonetheless runs on integers: ``add``, ``sup``, ``inf``, ``leq`` and
 ``is_disjoint`` read each payload's numerators and denominators once
 and build a ``Fraction`` only for a new value a result keeps, and
 ``scale`` skips the collinear strip, which a nonzero factor leaves
-nothing to do for.  The kernels they replaced stay here as oracles, as
-``leq_by_difference`` and ``pl_restrict_by_evaluation`` do for theirs.
+nothing to do for.  Their references, in ``oracles``, compute the same
+functions point by point and share no code with these kernels.
 
 Negation, subtraction, parts and moduli are each model's own too (see
 ``Space``): negation is unary minus, which takes no gcd, and the atomic
@@ -870,47 +870,6 @@ def _pl_crossing(a, b, da, db):
             xan * xbd * s + xbn * xad * p, xad * xbd * w, None)
 
 
-def _pl_crossing_by_fractions(a, xa, da, b, xb, db):
-    """The point (t, x) where x - y, equal to da at a and to db at b and
-    linear between, vanishes: Fractions, for da and db of strictly
-    opposite signs.  The reference for ``_pl_crossing``."""
-    r = da / (da - db)
-    return a + (b - a) * r, xa + (xb - xa) * r
-
-
-def _pl_merge(x: Element, y: Element):
-    """Both operands on the union of their breakpoints, in Fractions:
-    the merged abscissae and the values of x and y there.  A breakpoint
-    of one operand takes that operand's own value; only the other
-    operand is interpolated.  The reference for ``_pl_merge_ints``."""
-    px, py = x.payload, y.payload
-    ts, xs, ys = [], [], []
-    i = j = 0
-    n = len(px)
-    while i < n:
-        tx, vx = px[i]
-        ty, vy = py[j]
-        if tx == ty:
-            ts.append(tx)
-            xs.append(vx)
-            ys.append(vy)
-            i += 1
-            j += 1
-        elif tx < ty:
-            a, ya = py[j - 1]
-            ts.append(tx)
-            xs.append(vx)
-            ys.append(ya + (vy - ya) * (tx - a) / (ty - a))
-            i += 1
-        else:
-            a, xa = px[i - 1]
-            ts.append(ty)
-            xs.append(xa + (vx - xa) * (ty - a) / (tx - a))
-            ys.append(vy)
-            j += 1
-    return ts, xs, ys
-
-
 def _pl_component_walk(pts):
     """The support components of the payload ``pts``, in one walk on
     the signs of its value numerators: (start, end, i, j) for each, with
@@ -923,7 +882,7 @@ def _pl_component_walk(pts):
     of the segment, each coordinate n/d, as
     a + (b - a) * ya / (ya - yb)
       = (bn*ad*yan*ybd - an*bd*ybn*yad) / (ad*bd*(yan*ybd - ybn*yad)).
-    The reference is ``pl_components_by_crossing``.
+    The reference is ``oracles.pl_components_by_crossing``.
     """
     comps = []
     last = len(pts) - 1
@@ -981,10 +940,8 @@ class PiecewiseLinear(Space):
     result builds a ``Fraction`` only for a value it keeps that is not
     already an input's (a sum, an interpolated pick or a crossing).
     The payload stays all-``Fraction`` so that callers may divide it
-    with a bare ``/``; the Fraction kernels on ``_pl_merge`` that these
-    replaced are the module-level oracles ``pl_add_by_fractions``,
-    ``pl_lattice_by_fractions``, ``pl_leq_by_fractions`` and
-    ``pl_disjoint_by_fractions``."""
+    with a bare ``/``.  The references of the model's operations
+    evaluate the operands point by point (``oracles.pl_*``)."""
 
     name = "pl"
     # interior abscissae the samplers draw breakpoints from
@@ -1089,11 +1046,13 @@ class PiecewiseLinear(Space):
     def restrict(self, x, parts):
         """x on the union of the closed intervals ``parts``, zero at 0
         and 1 outside it, and linear across each gap; built in one walk
-        along x.  Intervals that are reversed or leave [0,1] go to
-        ``pl_restrict_by_evaluation``, the reference."""
+        along x.  An interval that is reversed or leaves [0,1] is
+        malformed."""
         spans = sorted((_pl_q(a), _pl_q(b)) for a, b in parts)
-        if not all(0 <= a <= b <= 1 for a, b in spans):
-            return pl_restrict_by_evaluation(x, parts)
+        for a, b in spans:
+            if not 0 <= a <= b <= 1:
+                raise MalformedElement(
+                    f"interval ({a}, {b}) is reversed or leaves [0,1]")
         if not spans:
             return self.zero()
         union = [list(spans[0])]
@@ -1129,8 +1088,8 @@ class PiecewiseLinear(Space):
         collinear ones) and the same values at its ends.  An end inside
         (0, 1) is a zero of both, so only an end at 0 or 1 compares
         values.  One restriction, to the kept components, builds the
-        result; ``pl_common_fragment_by_restriction`` restricts both
-        operands to every component instead and is the reference."""
+        result; ``oracles.pl_common_fragment_by_restriction`` restricts
+        both operands to every component instead and is the reference."""
         px, py = x.payload, y.payload
         theirs = {(a, b): py[i:j] for a, b, i, j in _pl_component_walk(py)}
         return self.restrict(x, [
@@ -1519,46 +1478,6 @@ def disjoint_by_modulus(x: Element, y: Element) -> bool:
     return is_zero(inf(absolute(x), absolute(y)))
 
 
-# The piecewise-linear kernels as they were before the integer merge:
-# Fraction arithmetic on ``_pl_merge``; kept as oracles.
-
-def pl_add_by_fractions(x: Element, y: Element) -> Element:
-    ts, xs, ys = _pl_merge(x, y)
-    pts = [(t, a + b) for t, a, b in zip(ts, xs, ys)]
-    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
-
-
-def pl_lattice_by_fractions(x: Element, y: Element, pick) -> Element:
-    ts, xs, ys = _pl_merge(x, y)
-    pts = [(ts[0], pick(xs[0], ys[0]))]
-    db = xs[0] - ys[0]
-    for k in range(1, len(ts)):
-        da, db = db, xs[k] - ys[k]
-        # strict sign change; a Fraction has the sign of its numerator
-        if da.numerator * db.numerator < 0:
-            pts.append(_pl_crossing_by_fractions(ts[k - 1], xs[k - 1], da,
-                                                 ts[k], xs[k], db))
-        pts.append((ts[k], pick(xs[k], ys[k])))
-    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
-
-
-def pl_scale_by_strip(c, x: Element) -> Element:
-    """PL scaling as it was before it skipped the collinear strip."""
-    pts = [(t, q(c) * v) for t, v in x.payload]
-    return Element(x.space, _pl_strip_collinear(_pl_rows(pts)))
-
-
-def pl_leq_by_fractions(x: Element, y: Element) -> bool:
-    _, xs, ys = _pl_merge(x, y)
-    return all(a <= b for a, b in zip(xs, ys))
-
-
-def pl_disjoint_by_fractions(x: Element, y: Element) -> bool:
-    _, xs, ys = _pl_merge(x, y)
-    return all((xs[k - 1] == 0 and xs[k] == 0) or (ys[k - 1] == 0 and ys[k] == 0)
-               for k in range(1, len(xs)))
-
-
 # --- evaluation, atoms, supports -------------------------------------------
 
 def eval_at(x: Element, t) -> Fraction:
@@ -1627,70 +1546,6 @@ def pl_components(x: Element):
 def pl_restrict(x: Element, components) -> Element:
     """x on the chosen components, zero elsewhere."""
     return x.space.restrict(x, components)
-
-
-# The piecewise-linear restriction and common fragment as they were
-# built before the one-walk ``PiecewiseLinear.restrict``; kept as oracles.
-
-def pl_restrict_by_evaluation(x: Element, parts) -> Element:
-    """x evaluated at 0, 1, the ends of the chosen intervals and its own
-    breakpoints inside them; zero at the points outside them."""
-    chosen = sorted(parts)
-    ts = {ZERO, ONE}
-    for a, b in chosen:
-        ts.add(a)
-        ts.add(b)
-    for t, _ in x.payload:
-        if any(a <= t <= b for a, b in chosen):
-            ts.add(t)
-
-    def value(t):
-        for a, b in chosen:
-            if a <= t <= b:
-                return eval_at(x, t)
-        return ZERO
-
-    return normalize(x.space, [(t, value(t)) for t in sorted(ts)])
-
-
-def pl_components_by_crossing(x: Element):
-    """The support components of x from its breakpoints and the zeros
-    inserted where a segment changes sign, in Fractions; the reference
-    for ``PiecewiseLinear.components``."""
-    # the breakpoints of x plus the interior zeros of its segments
-    pts = [x.payload[0]]
-    for (a, ya), (b, yb) in zip(x.payload, x.payload[1:]):
-        if (ya < 0 < yb) or (yb < 0 < ya):
-            pts.append((a + (b - a) * div(ya, ya - yb), ZERO))
-        pts.append((b, yb))
-    comps = []
-    start = None
-    for (a, ya), (b, yb) in zip(pts, pts[1:]):
-        if ya == 0 and yb == 0:
-            if start is not None:
-                comps.append((start, a))
-                start = None
-            continue
-        if start is None:
-            start = a
-        # an interior zero at b closes the component
-        if yb == 0 and b != 1:
-            comps.append((start, b))
-            start = None
-    if start is not None:
-        comps.append((start, pts[-1][0]))
-    return comps
-
-
-def pl_common_fragment_by_restriction(x: Element, y: Element) -> Element:
-    """Restrict x and y to each of their own support components, keep
-    the components where both restrictions agree."""
-    mine = {c: pl_restrict_by_evaluation(x, [c])
-            for c in pl_components_by_crossing(x)}
-    theirs = {c: pl_restrict_by_evaluation(y, [c])
-              for c in pl_components_by_crossing(y)}
-    return pl_restrict_by_evaluation(
-        x, [c for c, r in mine.items() if theirs.get(c) == r])
 
 
 # --- formatting and ordering keys ------------------------------------------

@@ -316,6 +316,7 @@ CATCHERS = {
                                "cor-3.5-neg", "cor-3.6-mod", "thm-4.2-2",
                                "thm-4.2-3"),
     "pl-common-skips-end-values": ("lat-common-fragment",),
+    "pl-strip-spares-a-collinear-point": ("thm-3.2-oao",),
     "lex-comment-swallows-newline": (),
     "lex-col-after-newline-off-by-one": (),
 }
@@ -347,6 +348,7 @@ def test_mutation_names_are_documented():
                               "kernel-table-drops-top-piece",
                               "column-fold-first-cell",
                               "pl-common-skips-end-values",
+                              "pl-strip-spares-a-collinear-point",
                               "lex-comment-swallows-newline",
                               "lex-col-after-newline-off-by-one"}
     for name in MUTATIONS:

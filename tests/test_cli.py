@@ -254,15 +254,16 @@ def test_long_chains_evaluate_and_deep_nesting_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(negations)]) == cli.EXIT_PARSE
     assert capsys.readouterr() == (
         "", f"{negations}:1:125: error: expression too deeply nested\n")
-    # a sum of 3 000 operators is a body nested 3 000 deep, and building
-    # it recurses past the interpreter's limit
+    # a sum of 3 000 operators is a body nested 3 000 deep: it is built
+    # in a loop, but applying it recurses past the interpreter's limit
+    chain = " + ".join(["K"] * 3000)
     sums = tmp_path / "sum.rl"
-    sums.write_text("let K = kernel{1: t -> t};\n"
-                    "eval " + " + ".join(["K"] * 3000) + ";")
+    sums.write_text(f"let K = kernel{{1: t -> t}};\neval {chain};\n"
+                    f"eval ({chain})(coord[1]);")
     assert cli.main(["run", str(sums)]) == cli.EXIT_PARSE
     assert capsys.readouterr() == (
-        "", f"{sums}:2:1: error: expression too deeply nested to "
-            "evaluate\n")
+        "<operator OpSum>\n",
+        f"{sums}:3:1: error: expression too deeply nested to evaluate\n")
 
 
 def test_a_value_past_the_digit_limit_prints_in_full(tmp_path, capsys):
@@ -273,6 +274,13 @@ def test_a_value_past_the_digit_limit_prints_in_full(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (len(out), out[-7:], err) == (
         5988, "%06d\n" % pow(99, 3000, 10 ** 6), "")
+    # a 5 000-digit numeral parses, and the limit is restored after
+    nines = "9" * 5000
+    script.write_text(f"eval coord[1];\neval {nines} * coord[1];\n")
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["run", str(script)]) == cli.EXIT_OK
+    assert capsys.readouterr() == (f"coord[1]\ncoord[{nines}]\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_subcommand_exit_codes():

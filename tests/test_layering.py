@@ -19,14 +19,23 @@ be undecided, so they decide on its endpoints.
 
 Scalars of the atomic models are ints where integral, and ``int / int``
 is a float; so no true division sits outside the piecewise-linear
-model's own code (whose payloads are all Fractions), ``spaces.div`` and
-the Fraction-literal sites listed in ``DIVISION_ALLOWED``.
+model's own code (whose payloads are all Fractions), the
+piecewise-linear references of ``oracles``, ``spaces.div`` and the
+Fraction-literal sites listed in ``DIVISION_ALLOWED``.
+
+The slow references live in ``oracles``, which only ``checks`` imports,
+and which shares none of the code the references check.  A reference
+elsewhere, named ``*_by_*``, is listed in ``REFERENCES_ALLOWED`` with
+the reason it stays.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from rieszlab import dsl, evaluator
+from rieszlab import dsl, evaluator, spaces
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
@@ -230,7 +239,10 @@ def _division_sites(path):
 
 
 def _division_exempt(module, cls, function):
-    """The piecewise-linear model's own code, and the exact quotient."""
+    """The piecewise-linear model's own code, its references, and the
+    exact quotient."""
+    if module == "oracles":
+        return (function or "").startswith(("pl_", "_pl_"))
     return module == "spaces" and (
         cls == "PiecewiseLinear" or function == "div"
         or (function or "").startswith("_pl_"))
@@ -269,10 +281,137 @@ def test_division_detector_sees_every_scope(tmp_path):
         ("PiecewiseLinear", "m", 6, "t /= 2"),
         ("PiecewiseLinear", "m", 7, "x / t")]
     assert _division_exempt("spaces", "PiecewiseLinear", "m")
-    assert _division_exempt("spaces", None, "_pl_merge")
+    assert _division_exempt("spaces", None, "_pl_merge_ints")
     assert _division_exempt("spaces", None, "div")
+    assert _division_exempt("oracles", None, "pl_pointwise")
+    assert _division_exempt("oracles", None, "_pl_at")
+    assert not _division_exempt("oracles", None, "images_by_apply")
     assert not _division_exempt("operators", "PiecewiseLinear", "m")
     assert not _division_exempt("spaces", "Cells", "add")
+
+
+# --- the oracle module ------------------------------------------------------
+
+# what the references may not use: the entry point and the evaluation of
+# the models, the canonical scalar and quotient, the piecewise-linear
+# kernels, the kernel polynomials and the per-atom fold of the lattice
+ORACLE_FORBIDDEN = ({"normalize", "eval_at", "q", "div", "PiecewisePoly",
+                     "_fold_atoms"}
+                    | {name for name in vars(spaces) if name.startswith("_pl_")})
+
+# (module, function or Class.method) -> why a reference stays there
+REFERENCES_ALLOWED = {
+    ("oplattice", "extrema_by_enumeration"):
+        "production code: _extrema calls it for the pairs and codomains "
+        "the per-atom closed form does not serve",
+    ("oplattice", "levels_by_full_walk"):
+        "production code with the window cut switched off",
+    ("dsl", "tokenize_by_scan"):
+        "moving it would make import rieszlab load dsl",
+    ("spaces", "leq_by_difference"): "the default of Space.leq",
+    ("spaces", "disjoint_by_modulus"): "the default of Space.disjoint",
+    ("spaces", "Space.neg"): "a Space default",
+    ("spaces", "Space.sub"): "a Space default",
+    ("spaces", "Space.pos_part"): "a Space default",
+    ("spaces", "Space.neg_part"): "a Space default",
+    ("spaces", "Space.absolute"): "a Space default",
+    ("operators", "PiecewisePoly.eval_by_fractions"):
+        "a method that shares nothing with PiecewisePoly.__call__",
+}
+
+
+def _defs(path):
+    """The functions of path, and the methods as Class.method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)}
+    return names
+
+
+def _used_names(path):
+    """Every name path imports, reads or reads as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _imported_modules(path):
+    """The library modules path imports, by their short names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (None, "rieszlab"):
+                modules |= {alias.name for alias in node.names}
+            else:
+                modules.add(node.module.removeprefix("rieszlab."))
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.removeprefix("rieszlab.")
+                        for alias in node.names}
+    return modules
+
+
+def test_the_oracles_share_no_code_with_what_they_check():
+    used = _used_names(SRC / "oracles.py")
+    assert not used & ORACLE_FORBIDDEN, sorted(used & ORACLE_FORBIDDEN)
+
+
+def test_only_the_checks_import_the_oracles():
+    importers = {path.stem for path in SRC.glob("*.py")
+                 if "oracles" in _imported_modules(path)}
+    assert importers == {"checks"}
+
+
+def test_importing_the_library_loads_no_front_end():
+    code = ("import sys, rieszlab; print(' '.join(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'rieszlab')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = {name.removeprefix("rieszlab.") for name in proc.stdout.split()}
+    assert loaded == {"rieszlab", "checks", "errors", "generators", "lateral",
+                      "operators", "oplattice", "oracles", "reports",
+                      "spaces"}
+
+
+def test_references_outside_the_oracles_are_allowed():
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "oracles"
+             for name in _defs(path) if "_by_" in name}
+    assert not found - set(REFERENCES_ALLOWED), sorted(
+        found - set(REFERENCES_ALLOWED))
+    stale = {(module, name) for module, name in REFERENCES_ALLOWED
+             if name not in _defs(SRC / f"{module}.py")}
+    assert not stale, sorted(stale)
+
+
+def test_oracle_detectors_see_imports_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .spaces import Element, normalize\n"
+        "from . import lateral\n"
+        "import rieszlab.oracles\n"
+        "def f(x):\n"
+        "    return spaces._pl_rows(x.payload), q\n"
+        "class C:\n"
+        "    def g_by_h(self):\n"
+        "        return 0\n")
+    assert {"normalize", "_pl_rows", "q", "Element"} <= _used_names(probe)
+    assert _defs(probe) == {"f", "C.g_by_h"}
+    assert _imported_modules(probe) == {"spaces", "lateral", "oracles"}
 
 
 # --- the evaluator's tables -------------------------------------------------

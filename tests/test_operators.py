@@ -15,10 +15,10 @@ from rieszlab.operators import (
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
     diagonal_kernel, example_operator, format_value, lateral_bound_scan,
     ln2_enclosure, match_table, order_bound_scan, poly,
-    scan_levels_by_enumeration, verify_disjointness_preserving, verify_oao,
-    verify_positive,
+    verify_disjointness_preserving, verify_oao, verify_positive,
 )
 from rieszlab.oplattice import neg_part_at, pos_part_at
+from rieszlab.oracles import scan_levels_by_enumeration
 from rieszlab.reports import Budget, DEFAULT_GRID, FAILS, HOLDS, INCONCLUSIVE
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,

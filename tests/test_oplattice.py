@@ -16,13 +16,14 @@ from rieszlab.lateral import (
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
     OpSum, PiecewisePoly, RealInterval, ZeroOp, apply, diagonal_kernel,
-    example_operator, images_by_apply, lateral_bound_scan, negate, poly,
+    example_operator, lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
     meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
+from rieszlab.oracles import images_by_apply
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, ImageTable, PiecewiseLinear,
     Reals, SimpleFunction, add, coord,

@@ -1,26 +1,29 @@
-"""Differential tests of the order, disjointness and fragment primitives.
+"""Differential tests of the element calculus against its references.
 
 Each model decides ``leq`` and ``is_disjoint`` on its payloads, the
 piecewise-linear model restricts in one walk, and
 ``enumerate_decompositions`` builds both sides of a splitting by
 restriction.  Every one of these is checked here against the formula it
-replaced, kept in ``spaces`` or ``lateral`` as a reference, on elements
-that Hypothesis builds from rationals through ``normalize`` and shrinks
-on failure.  The atomic models kept their restriction and common
-fragment; those are checked too, on the same elements.
+replaced, on elements that Hypothesis builds from rationals through
+``normalize`` and shrinks on failure: ``leq_by_difference`` and
+``disjoint_by_modulus``, the ``Space`` defaults, and the references of
+``rieszlab.oracles``.  The atomic models kept their restriction and
+common fragment; those are checked against their definition.
 
 The atomic models store an integral scalar as an ``int``; the same
 elements rebuilt on all-``Fraction`` payloads are the oracle for that.
 The piecewise-linear model adds, takes suprema and infima, and decides
 order and disjointness on integer numerators and denominators, and
-scales without the collinear strip; the kernels it replaced are the
-oracle for those.  Kernel polynomials evaluate by an integer Horner,
+scales without the collinear strip.  Its references evaluate the
+operands point by point in ``Fraction`` arithmetic and strip collinear
+points by their own code (``oracles.pl_pointwise``, ``pl_leq``,
+``pl_disjoint`` and ``pl_restrict``), so a fault of the model's strip
+shows here too.  Kernel polynomials evaluate by an integer Horner,
 checked against the Fraction Horner ``eval_by_fractions``.  The
 piecewise-linear support components come from one walk on the signs of
 the value numerators, and the greatest common fragment compares
-components without restricting to each; the crossing walk
-``pl_components_by_crossing`` and ``pl_common_fragment_by_restriction``
-are their oracles.
+components without restricting to each; ``pl_components_by_crossing``
+and ``pl_common_fragment_by_restriction`` are their oracles.
 
 Each model negates, subtracts and takes parts and moduli on its own
 payload, and the finitely supported and eventually constant models
@@ -39,18 +42,18 @@ from hypothesis import given, settings, strategies as st
 
 from rieszlab import generators
 from rieszlab.errors import MalformedElement
-from rieszlab.lateral import (
-    decompositions_by_difference, enumerate_decompositions, lateral_inf,
-)
+from rieszlab.lateral import enumerate_decompositions, lateral_inf
+from rieszlab.mutations import tampered
 from rieszlab.operators import PiecewisePoly, apply
+from rieszlab.oracles import (
+    decompositions_by_difference, pl_common_fragment_by_restriction,
+    pl_components_by_crossing, pl_disjoint, pl_leq, pl_pointwise, pl_restrict,
+)
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, Space, absolute, add, canonical_key, disjoint_by_modulus,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, leq,
-    leq_by_difference, neg_part, normalize, pl_add_by_fractions,
-    pl_common_fragment_by_restriction, pl_components_by_crossing,
-    pl_disjoint_by_fractions, pl_lattice_by_fractions, pl_leq_by_fractions,
-    pl_restrict_by_evaluation, pl_scale_by_strip, pos_part, scale, sub, sup,
+    leq_by_difference, neg_part, normalize, pl, pos_part, scale, sub, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -94,14 +97,6 @@ def _pairs(elements):
         elements.map(lambda z: (pos_part(z), neg_part(z))),
         st.tuples(elements, elements).map(
             lambda p: (p[0], add(p[0], pos_part(p[1])))))
-
-
-def _outcome(f, *args):
-    """The result of f, or the type and message of the error it raises."""
-    try:
-        return f(*args)
-    except MalformedElement as exc:
-        return (type(exc), str(exc))
 
 
 def _common_fragment_reference(x, y):
@@ -148,8 +143,11 @@ def test_restrict_matches_its_reference_or_definition(model):
         x = data.draw(ELEMENTS[model])
         parts = data.draw(_parts(x))
         if x.space == PL:
-            assert (_outcome(x.space.restrict, x, parts)
-                    == _outcome(pl_restrict_by_evaluation, x, parts))
+            if all(0 <= a <= b <= 1 for a, b in parts):
+                assert x.space.restrict(x, parts) == pl_restrict(x, parts)
+            else:
+                with pytest.raises(MalformedElement):
+                    x.space.restrict(x, parts)
             return
         # atomic models restrict as before; check the definition instead
         got = x.space.restrict(x, parts)
@@ -229,7 +227,7 @@ def test_canonical_scalars_match_fraction_payloads(model):
     check()
 
 
-# --- the integer piecewise-linear kernel against the Fraction one -----------
+# --- the integer piecewise-linear kernel against the pointwise reference ----
 
 def _crossing_pairs(elements):
     """(x, x + w) with w a line from below zero at t=0 to above it at
@@ -239,27 +237,42 @@ def _crossing_pairs(elements):
         lambda p: (p[0], add(p[0], normalize(PL, [(0, -p[1]), (1, p[2])]))))
 
 
-@SETTINGS
-@given(st.one_of(_pairs(ELEMENTS["pl"]), _crossing_pairs(ELEMENTS["pl"])),
-       SCALARS)
-def test_pl_integer_kernel_matches_the_fraction_kernel(pair, c):
+def _assert_pl_kernels_match(pair, c):
     for x, y in (pair, pair[::-1]):
         results = {
-            "add": (add(x, y), pl_add_by_fractions(x, y)),
-            "sup": (sup(x, y), pl_lattice_by_fractions(x, y, max)),
-            "inf": (inf(x, y), pl_lattice_by_fractions(x, y, min)),
-            "scale": (scale(c, x), pl_scale_by_strip(c, x)),
+            "add": (add(x, y), pl_pointwise(operator.add, x, y)),
+            "sup": (sup(x, y), pl_pointwise(max, x, y)),
+            "inf": (inf(x, y), pl_pointwise(min, x, y)),
+            "scale": (scale(c, x), pl_pointwise(lambda v: c * v, x)),
         }
         for name, (got, want) in results.items():
             pts = got.payload
             assert pts == want.payload, name
             assert all(type(v) is Q for pt in pts for v in pt), name
-            # the kernels share the collinear strip; check it on slopes
             assert all((v1 - v0) / (t1 - t0) != (v2 - v1) / (t2 - t1)
                        for (t0, v0), (t1, v1), (t2, v2)
                        in zip(pts, pts[1:], pts[2:])), name
-        assert leq(x, y) == pl_leq_by_fractions(x, y)
-        assert is_disjoint(x, y) == pl_disjoint_by_fractions(x, y)
+        assert leq(x, y) == pl_leq(x, y)
+        assert is_disjoint(x, y) == pl_disjoint(x, y)
+
+
+@SETTINGS
+@given(st.one_of(_pairs(ELEMENTS["pl"]), _crossing_pairs(ELEMENTS["pl"])),
+       SCALARS)
+def test_pl_integer_kernel_matches_the_pointwise_reference(pair, c):
+    _assert_pl_kernels_match(pair, c)
+
+
+def test_pl_strip_mutant_is_caught_by_the_pointwise_reference():
+    def pair():
+        return pl((0, 0), (Q(1, 2), Q(1, 2)), (1, 1)), pl((0, 0), (1, 0))
+
+    _assert_pl_kernels_match(pair(), 2)
+    # built under the mutant, the ramp keeps its collinear point at 1/2,
+    # which the reference strips by its own code
+    with tampered("pl-strip-spares-a-collinear-point"):
+        with pytest.raises(AssertionError):
+            _assert_pl_kernels_match(pair(), 2)
 
 
 # --- the integer Horner of kernel polynomials against the Fraction one ------
