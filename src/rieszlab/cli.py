@@ -34,12 +34,13 @@ script grammar (one statement per line, ';' terminated):
 element literals:
   coord[1,-2,3]   simple{0,1/2,1}[2,0]   ec[1,5|5]   fin{(1,2),(4,-1)}
   pl{(0,0),(1/2,1),(1,0)}
-space literals:
-  coordspace(3)  simplespace{0,1/2,1}  finspace  ecspace  plspace
+space literal:
+  simplespace{0,1/2,1}
 operator literals:
   kernel{1: t -> t^2, 2->1: t -> -t}
   linec{1:1, 2:2; unit -> EXPR; target EXPR}
-  table{EXPR -> EXPR, ...}    latmeet(EXPR, EXPR)    series
+  table{EXPR -> EXPR, ...}
+every comma list takes an optional trailing comma: coord[1,2,]  f(x,)
 
 operators and relations (loosest to tightest):
   <=  <<=  _|_  ==       order, lateral order, disjointness, equality
@@ -48,7 +49,10 @@ operators and relations (loosest to tightest):
   + -  *                 vector operations and scaling
   ^+  ^-  |EXPR|  T(x)   parts, modulus/abs, application
 builtins: fragments(e) decomps(x) latsup(x,y[,e]) latinf(x,y) one(S) zero(S)
-          pos(T) neg(T) mod(T) meyer(T; x, y[; e]) pliev(u1,..; v1,..)
+          pos(T) neg(T) mod(T) latmeet(x,y) coordspace(n)
+          meyer(T; x, y[; e]) pliev(u1,..; v1,..)
+predefined names, which a let can rebind:
+  series (Example 2.2's functional)  finspace  ecspace  plspace
 Unicode input aliases are accepted for the relations and lattice symbols.
 """
 
@@ -99,7 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("RIESZLAB_SEED", "0"))
+    raw = os.environ.get("RIESZLAB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise PreconditionError(
+            f"RIESZLAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _write_report(path, results):
@@ -115,6 +124,10 @@ def _cmd_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.script} is not UTF-8 text ({exc})",
+              file=sys.stderr)
         return EXIT_PARSE
     result = dsl.parse(text)
     if not result.ok:

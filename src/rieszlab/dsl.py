@@ -11,10 +11,13 @@ flat lists, and the offsets at which lines start.  A line and column
 are worked out from an offset only where one is needed: for a node's
 span, a diagnostic, or a ``Token`` row built by indexing the stream.
 The character-by-character scanner ``tokenize_by_scan`` is kept as its
-reference.  The parser reads the columns by token index, and binary
-operators by precedence climbing over ``_PREC``, the table the printer
-parenthesises by.  The printer walks a left-leaning chain of one
-precedence, or of postfix operators, in a loop.
+reference.  The parser reads the columns by token index, every comma
+list with one reader, ``listed``, and binary operators by precedence
+climbing over ``_PREC``, the table the printer parenthesises by.  Forms
+that look like calls or names, such as ``latmeet(a, b)`` and ``series``,
+parse as calls and names, which the evaluator knows.  The printer walks
+a left-leaning chain of one precedence, or of postfix operators, in a
+loop.
 """
 
 from __future__ import annotations
@@ -280,8 +283,7 @@ class ElementLit(Node):
 
 @dataclass(frozen=True)
 class SpaceLit(Node):
-    kind: str          # coordspace simplespace finspace ecspace plspace
-    parts: tuple = ()
+    points: tuple      # simplespace{...}: the partition points
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -302,18 +304,6 @@ class LinecLit(Node):
 @dataclass(frozen=True)
 class TableLit(Node):
     entries: tuple     # ((key expr, value expr), ...)
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class LatmeetLit(Node):
-    a: Node
-    b: Node
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class SeriesLit(Node):
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -642,14 +632,9 @@ class _Parser:
             kind = kinds[i]
             if kind == "LPAREN":
                 self.i = i + 1
-                args = []
-                if not self.at("RPAREN"):
-                    args.append(self.expression())
-                    while self.at("COMMA"):
-                        self.next()
-                        args.append(self.expression())
+                args = self.listed(self.expression, "RPAREN")
                 self.expect("RPAREN", "')'")
-                node = Apply(node, tuple(args), self._where(i))
+                node = Apply(node, args, self._where(i))
             elif kind == "POSPART" or kind == "NEGPART":
                 self.i = i + 1
                 node = Postfix(self.texts[i], node, self._where(i))
@@ -669,32 +654,36 @@ class _Parser:
             raise DslSyntaxError("zero denominator", *self._where(self.i - 1))
         return Fraction(-num if neg else num, den)
 
-    def scalar_list(self, closer) -> tuple:
+    def listed(self, item, closer) -> tuple:
+        """The items that item() reads, separated by commas, up to the
+        token kind closer, which is left for the caller; a comma may end
+        the list, and the list may be empty."""
         out = []
-        if not self.at(closer):
-            out.append(self.scalar())
-            while self.at("COMMA"):
-                self.next()
-                out.append(self.scalar())
+        kinds = self.kinds
+        while kinds[self.i] != closer:
+            out.append(item())
+            if kinds[self.i] != "COMMA":
+                break
+            self.i += 1
         return tuple(out)
 
-    def pair_list(self, first="scalar") -> tuple:
-        out = []
-        while self.at("LPAREN"):
-            self.next()
-            if first == "int":
-                a = int(self.expect("INT", "an index"))
-            else:
-                a = self.scalar()
-            self.expect("COMMA", "','")
-            b = self.scalar()
-            self.expect("RPAREN", "')'")
-            out.append((a, b))
-            if self.at("COMMA"):
-                self.next()
-            else:
-                break
-        return tuple(out)
+    def fin_pair(self) -> tuple:
+        """(n, a) in fin{...}: an index and its value."""
+        self.expect("LPAREN", "'('")
+        n = int(self.expect("INT", "an index"))
+        self.expect("COMMA", "','")
+        a = self.scalar()
+        self.expect("RPAREN", "')'")
+        return n, a
+
+    def pl_pair(self) -> tuple:
+        """(t, a) in pl{...}: a breakpoint and its value."""
+        self.expect("LPAREN", "'('")
+        t = self.scalar()
+        self.expect("COMMA", "','")
+        a = self.scalar()
+        self.expect("RPAREN", "')'")
+        return t, a
 
     def primary(self) -> Node:
         i = self.i
@@ -719,58 +708,39 @@ class _Parser:
         if name == "coord":
             self.next()
             self.expect("LBRACK", "'['")
-            vals = self.scalar_list("RBRACK")
+            vals = self.listed(self.scalar, "RBRACK")
             self.expect("RBRACK", "']'")
             return ElementLit("coord", vals, span)
         if name == "simple":
             self.next()
             self.expect("LBRACE", "'{'")
-            pts = self.scalar_list("RBRACE")
+            pts = self.listed(self.scalar, "RBRACE")
             self.expect("RBRACE", "'}'")
             self.expect("LBRACK", "'['")
-            vals = self.scalar_list("RBRACK")
+            vals = self.listed(self.scalar, "RBRACK")
             self.expect("RBRACK", "']'")
             return ElementLit("simple", (pts, vals), span)
         if name == "ec":
             self.next()
             self.expect("LBRACK", "'['")
-            prefix = []
-            if not self.at("BAR"):
-                prefix.append(self.scalar())
-                while self.at("COMMA"):
-                    self.next()
-                    prefix.append(self.scalar())
+            prefix = self.listed(self.scalar, "BAR")
             self.expect("BAR", "'|'")
             tail = self.scalar()
             self.expect("RBRACK", "']'")
-            return ElementLit("ec", (tuple(prefix), tail), span)
-        if name == "fin":
+            return ElementLit("ec", (prefix, tail), span)
+        if name == "fin" or name == "pl":
             self.next()
             self.expect("LBRACE", "'{'")
-            pairs = self.pair_list(first="int")
+            pairs = self.listed(self.fin_pair if name == "fin"
+                                else self.pl_pair, "RBRACE")
             self.expect("RBRACE", "'}'")
-            return ElementLit("fin", pairs, span)
-        if name == "pl":
-            self.next()
-            self.expect("LBRACE", "'{'")
-            pairs = self.pair_list()
-            self.expect("RBRACE", "'}'")
-            return ElementLit("pl", pairs, span)
-        if name == "coordspace":
-            self.next()
-            self.expect("LPAREN", "'('")
-            n = int(self.expect("INT", "a dimension"))
-            self.expect("RPAREN", "')'")
-            return SpaceLit("coordspace", (n,), span)
+            return ElementLit(name, pairs, span)
         if name == "simplespace":
             self.next()
             self.expect("LBRACE", "'{'")
-            pts = self.scalar_list("RBRACE")
+            pts = self.listed(self.scalar, "RBRACE")
             self.expect("RBRACE", "'}'")
-            return SpaceLit("simplespace", pts, span)
-        if name in ("finspace", "ecspace", "plspace"):
-            self.next()
-            return SpaceLit(name, (), span)
+            return SpaceLit(pts, span)
         if name == "kernel":
             self.next()
             return self.kernel_literal(span)
@@ -780,29 +750,9 @@ class _Parser:
         if name == "table":
             self.next()
             self.expect("LBRACE", "'{'")
-            entries = []
-            while not self.at("RBRACE"):
-                key = self.expression()
-                self.expect("ARROW", "'->'")
-                value = self.expression()
-                entries.append((key, value))
-                if self.at("COMMA"):
-                    self.next()
-                else:
-                    break
+            entries = self.listed(self.table_entry, "RBRACE")
             self.expect("RBRACE", "'}'")
-            return TableLit(tuple(entries), span)
-        if name == "latmeet":
-            self.next()
-            self.expect("LPAREN", "'('")
-            a = self.expression()
-            self.expect("COMMA", "','")
-            b = self.expression()
-            self.expect("RPAREN", "')'")
-            return LatmeetLit(a, b, span)
-        if name == "series":
-            self.next()
-            return SeriesLit(span)
+            return TableLit(entries, span)
         if name == "meyer":
             self.next()
             self.expect("LPAREN", "'('")
@@ -820,39 +770,37 @@ class _Parser:
         if name == "pliev":
             self.next()
             self.expect("LPAREN", "'('")
-            us = [self.expression()]
-            while self.at("COMMA"):
-                self.next()
-                us.append(self.expression())
+            us = self.listed(self.expression, "SEMI")
             self.expect("SEMI", "';' between the two splittings")
-            vs = [self.expression()]
-            while self.at("COMMA"):
-                self.next()
-                vs.append(self.expression())
+            vs = self.listed(self.expression, "RPAREN")
             self.expect("RPAREN", "')'")
-            return Pliev(tuple(us), tuple(vs), span)
+            return Pliev(us, vs, span)
         self.next()
         return Name(name, span)
 
+    def table_entry(self) -> tuple:
+        """key -> value in table{...}."""
+        key = self.expression()
+        self.expect("ARROW", "'->'")
+        return key, self.expression()
+
     def kernel_literal(self, span) -> Node:
         self.expect("LBRACE", "'{'")
-        entries = []
-        while not self.at("RBRACE"):
-            atom = int(self.expect("INT", "an atom index"))
-            target = atom
-            if self.at("ARROW"):
-                self.next()
-                target = int(self.expect("INT", "a target atom"))
-            self.expect("COLON", "':'")
-            self.expect_word("t", "kernel functions are written 't -> ...'")
-            self.expect("ARROW", "'->'")
-            entries.append((atom, target, self.poly_terms()))
-            if self.at("COMMA"):
-                self.next()
-            else:
-                break
+        entries = self.listed(self.kernel_row, "RBRACE")
         self.expect("RBRACE", "'}'")
-        return KernelLit(tuple(entries), span)
+        return KernelLit(entries, span)
+
+    def kernel_row(self) -> tuple:
+        """i[->j]: t -> poly in kernel{...}; j is i when left out."""
+        atom = int(self.expect("INT", "an atom index"))
+        target = atom
+        if self.at("ARROW"):
+            self.next()
+            target = int(self.expect("INT", "a target atom"))
+        self.expect("COLON", "':'")
+        self.expect_word("t", "kernel functions are written 't -> ...'")
+        self.expect("ARROW", "'->'")
+        return atom, target, self.poly_terms()
 
     def poly_terms(self) -> tuple:
         terms = [self.poly_term(Fraction(1))]
@@ -882,15 +830,7 @@ class _Parser:
 
     def linec_literal(self, span) -> Node:
         self.expect("LBRACE", "'{'")
-        coeffs = []
-        while self.at("INT"):
-            idx = int(self.next())
-            self.expect("COLON", "':'")
-            coeffs.append((idx, self.scalar()))
-            if self.at("COMMA"):
-                self.next()
-            else:
-                break
+        coeffs = self.listed(self.linec_coeff, "SEMI")
         self.expect("SEMI", "';' before the unit clause")
         self.expect_word("unit", "expected 'unit'")
         self.expect("ARROW", "'->'")
@@ -899,7 +839,13 @@ class _Parser:
         self.expect_word("target", "expected 'target'")
         target = self.expression()
         self.expect("RBRACE", "'}'")
-        return LinecLit(tuple(coeffs), unit, target, span)
+        return LinecLit(coeffs, unit, target, span)
+
+    def linec_coeff(self) -> tuple:
+        """n:a in linec{...}: an index and its coefficient."""
+        n = int(self.expect("INT", "an index"))
+        self.expect("COLON", "':'")
+        return n, self.scalar()
 
 
 def parse(text: str) -> ParseResult:
@@ -960,11 +906,7 @@ def print_expr(e: Node, parent_prec: int = 0) -> str:
     if isinstance(e, ElementLit):
         return _print_element_lit(e)
     if isinstance(e, SpaceLit):
-        if e.kind == "coordspace":
-            return f"coordspace({e.parts[0]})"
-        if e.kind == "simplespace":
-            return "simplespace{%s}" % ",".join(str(v) for v in e.parts)
-        return e.kind
+        return "simplespace{%s}" % ",".join(str(v) for v in e.points)
     if isinstance(e, KernelLit):
         rows = []
         for atom, target, terms in e.entries:
@@ -979,10 +921,6 @@ def print_expr(e: Node, parent_prec: int = 0) -> str:
         rows = ", ".join(f"{print_expr(k)} -> {print_expr(v)}"
                          for k, v in e.entries)
         return "table{%s}" % rows
-    if isinstance(e, LatmeetLit):
-        return f"latmeet({print_expr(e.a)}, {print_expr(e.b)})"
-    if isinstance(e, SeriesLit):
-        return "series"
     if isinstance(e, Unary):
         inner = print_expr(e.operand, 7)
         # a digit-leading operand would be absorbed into one numeral

@@ -3,7 +3,9 @@
 Every output a script produces goes through ``render`` below, so the
 shipped example corpus is byte-reproducible given a seed.  An operation
 is one row of ``_OPS``, keyed by its name and the ``kind_of`` each
-operand; ``_LEAVES`` and ``_STATEMENTS`` map node classes to handlers.
+operand, and a call of a name in ``_BUILTINS`` goes to its rows; a name
+the script has not bound falls back to ``_PREDEFINED``.  ``_LEAVES``
+and ``_STATEMENTS`` map node classes to handlers.
 ``eval_expr`` walks the left spine of a chain in a loop, so a chain of
 any length evaluates; the parser bounds the rest of the nesting.
 """
@@ -16,9 +18,8 @@ from fractions import Fraction
 from . import checks, lateral, operators, spaces
 from .dsl import (
     Abs, Apply, Binary, CheckStmt, DslTypeError, ElementLit, EvalStmt,
-    KernelLit, LatmeetLit, LetStmt, LinecLit, Meyer, Name, Pliev, Postfix,
-    Rel, ScalarLit, Script, SearchStmt, SeriesLit, SpaceLit, SuiteStmt,
-    TableLit, Unary,
+    KernelLit, LetStmt, LinecLit, Meyer, Name, Pliev, Postfix, Rel,
+    ScalarLit, Script, SearchStmt, SpaceLit, SuiteStmt, TableLit, Unary,
 )
 from .lateral import FragmentEnumeration
 from .operators import (
@@ -42,6 +43,8 @@ class Environment:
     def lookup(self, name, span):
         if name in self.bindings:
             return self.bindings[name]
+        if name in _PREDEFINED:
+            return _PREDEFINED[name]()
         raise DslTypeError(f"unbound name {name!r}", span)
 
 
@@ -169,6 +172,8 @@ _OPS = {
     ("pos", OPERATOR): lambda T: OpLattice("pos", (T,)),
     ("neg", OPERATOR): lambda T: OpLattice("neg", (T,)),
     ("mod", OPERATOR): lambda T: OpLattice("mod", (T,)),
+    ("latmeet", ELEMENT, ELEMENT): lambda a, b: LateralMeet(a.space, a, b),
+    ("coordspace", SCALAR): lambda n: Coordinate(spaces.q(n)),
 }
 
 # rows whose function takes the eval statement's @level after the operands
@@ -191,11 +196,17 @@ _MESSAGES = {
     "latinf": "latinf needs two elements",
     **{name: f"{name} takes an element or a space" for name in ("one", "zero")},
     **{name: f"{name} wraps an operator" for name in ("pos", "neg", "mod")},
+    "latmeet": "latmeet needs two elements",
+    "coordspace": "coordspace takes one dimension, a positive integer",
 }
 
 # names a call reaches as builtins unless the script binds them
 _BUILTINS = frozenset({"fragments", "decomps", "latsup", "latinf", "one",
-                       "zero", "pos", "neg", "mod"})
+                       "zero", "pos", "neg", "mod", "latmeet", "coordspace"})
+
+# name -> the factory of its value, for a name the script has not bound
+_PREDEFINED = {"series": AlternatingSeries, "finspace": FinSupport,
+               "ecspace": EventuallyConstant, "plspace": PiecewiseLinear}
 
 
 def _op(name, args, span, level=None):
@@ -249,10 +260,6 @@ def _element(expr, env, span, what) -> Element:
 # literal kind -> the constructor its parts are the arguments of
 _ELEMENT_LITERALS = {"coord": spaces.coord, "simple": spaces.simple,
                      "ec": spaces.ec, "fin": spaces.fin, "pl": spaces.pl}
-_SPACE_LITERALS = {"coordspace": Coordinate,
-                   "simplespace": lambda *ts: SimpleFunction(ts),
-                   "finspace": FinSupport, "ecspace": EventuallyConstant,
-                   "plspace": PiecewiseLinear}
 
 
 def _kernel(node: KernelLit, env) -> Kernel:
@@ -277,12 +284,6 @@ def _table(node: TableLit, env):
     return match_table([(_element(k, env, node.span, "table key"),
                          _element(v, env, node.span, "table value"))
                         for k, v in node.entries])
-
-
-def _latmeet(node: LatmeetLit, env) -> LateralMeet:
-    a = _element(node.a, env, node.span, "left bound")
-    b = _element(node.b, env, node.span, "right bound")
-    return LateralMeet(a.space, a, b)
 
 
 def _apply(node: Apply, env):
@@ -321,12 +322,10 @@ _LEAVES = {
     ScalarLit: lambda node, env: node.value,
     Name: lambda node, env: env.lookup(node.id, node.span),
     ElementLit: lambda node, env: _ELEMENT_LITERALS[node.kind](*node.parts),
-    SpaceLit: lambda node, env: _SPACE_LITERALS[node.kind](*node.parts),
+    SpaceLit: lambda node, env: SimpleFunction(node.points),
     KernelLit: _kernel,
     LinecLit: _linec,
     TableLit: _table,
-    LatmeetLit: _latmeet,
-    SeriesLit: lambda node, env: AlternatingSeries(),
     Unary: lambda node, env: _op("negate", (eval_expr(node.operand, env),),
                                  node.span),
     Abs: lambda node, env: _op("|...|", (eval_expr(node.operand, env),),

@@ -513,11 +513,17 @@ class OpSum(Operator):
         # a sum of kernels on one domain and codomain (the constructor
         # sees to that) is the kernel of all their rows, and every row
         # vanishes at 0: a target atom fed from one atom only is zero
-        # wherever that atom is
-        if not all(isinstance(p, Kernel) for p in self.parts):
-            return None
+        # wherever that atom is.  The parts of a nested sum are read
+        # from a stack, so a long chain K + ... + K does not recurse.
         source = {}
-        for p in self.parts:
+        pending = list(self.parts)
+        while pending:
+            p = pending.pop()
+            if isinstance(p, OpSum):
+                pending.extend(p.parts)
+                continue
+            if not isinstance(p, Kernel):
+                return None
             for i, j, _ in p.table:
                 if source.setdefault(j, i) != i:
                     return None

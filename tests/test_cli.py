@@ -2,6 +2,7 @@
 
 import io
 import pathlib
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rieszlab import cli, dsl
+from rieszlab import cli, dsl, evaluator
 from rieszlab import generators as gen
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -48,6 +49,15 @@ def test_demo_round_trips(script):
 def test_run_missing_file():
     code, _ = run_cli("run", "no/such/file.rl")
     assert code == cli.EXIT_PARSE
+
+
+def test_run_a_script_that_is_not_utf8_exits_2(tmp_path, capsys):
+    script = tmp_path / "bad.rl"
+    script.write_bytes(b"eval \xff;\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {script} is not UTF-8 text (")
 
 
 def test_exit_code_parse_error(tmp_path):
@@ -155,12 +165,15 @@ def test_meyer_with_a_bound_needs_a_body_reason(tmp_path, capsys):
 @pytest.mark.parametrize("second, code, out, err", [
     # each target atom of K + K is fed from one atom: a dp reason
     ("K", cli.EXIT_OK, "coord[0,0]\n", ""),
+    # so it is of (K + K) + K, which nests one sum in another
+    ("K + K", cli.EXIT_OK, "coord[0,0]\n", ""),
     # target 1 of K + S is fed from atoms 1 (by K) and 2 (by S): no dp
     # reason
     ("S", cli.EXIT_PRECONDITION, "",
      ":3:1: precondition violated: the operator does not preserve "
      "disjointness by construction (it has no dp_reason)\n"),
-], ids=["one-source-per-target", "two-sources-for-a-target"])
+], ids=["one-source-per-target", "nested-sum",
+         "two-sources-for-a-target"])
 def test_meyer_of_a_kernel_sum(second, code, out, err, tmp_path, capsys):
     script = tmp_path / "sum.rl"
     script.write_text(
@@ -215,9 +228,27 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
      "optional base element"),
     ("eval coord[1];\n"
      "eval one(kernel{1: t -> t});\n", cli.EXIT_TYPE, "coord[1]\n",
-     "2:9: type error: one takes an element or a space")],
+     "2:9: type error: one takes an element or a space"),
+    # latmeet and coordspace are builtins: a call with operands of the
+    # wrong kind fails at its parenthesis, a dimension that is not a
+    # positive integer in the library
+    ("eval coord[1];\n"
+     "eval latmeet(1, 2);\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:13: type error: latmeet needs two elements"),
+    ("eval coord[1];\n"
+     "eval coordspace(1/2);\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:1: type error: coordinate space needs an integer n >= 1"),
+    ("eval coord[1];\n"
+     "eval coordspace(coord[1]);\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:16: type error: coordspace takes one dimension, a positive integer"),
+    # an empty splitting parses, and pliev_grid refuses it
+    ("eval coord[1];\n"
+     "eval pliev(; coord[1]);\n", cli.EXIT_PRECONDITION, "coord[1]\n",
+     "2:1: precondition violated: both splittings must be nonempty")],
     ids=["type-error", "dsl-type-error", "precondition",
-         "latsup-scalar-base", "latsup-space-base", "one-of-operator"])
+         "latsup-scalar-base", "latsup-space-base", "one-of-operator",
+         "latmeet-of-scalars", "coordspace-of-a-fraction",
+         "coordspace-of-an-element", "pliev-empty-splitting"])
 def test_a_failing_statement_keeps_the_output_before_it(tmp_path, capsys,
                                                        text, code, printed,
                                                        message):
@@ -336,6 +367,21 @@ def test_env_var_seed(tmp_path, monkeypatch):
     assert with_env == explicit
 
 
+@pytest.mark.parametrize("argv", [
+    ["suite", "--ids", "frag-boolean"], ["check", "frag-boolean"],
+    ["search", "--instances", "1", "--max-level", "4"], ["run", "s.rl"]])
+def test_a_malformed_seed_variable_exits_4(argv, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.rl").write_text("eval coord[1];")
+    monkeypatch.setenv("RIESZLAB_SEED", "abc")
+    assert cli.main(argv) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr() == (
+        "", "error: RIESZLAB_SEED must be an integer, got 'abc'\n")
+    # an explicit --seed does not read the variable
+    assert cli.main([*argv, "--seed", "0"]) == cli.EXIT_OK
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rieszlab", "check", "ex-4.3-latmeet"],
@@ -352,3 +398,11 @@ def test_help_documents_grammar_and_ids():
     text = parser.format_help()
     assert "kernel{" in text and "thm-2.3-forward" in text
     assert "meyer(T; x, y[; e])" in text
+
+
+def test_grammar_help_names_every_builtin_and_predefined_name():
+    missing = [name for name in sorted(evaluator._BUILTINS)
+               if not re.search(rf"\b{name}\(", cli._GRAMMAR_HELP)]
+    missing += [name for name in sorted(evaluator._PREDEFINED)
+                if not re.search(rf"\b{name}\b", cli._GRAMMAR_HELP)]
+    assert not missing

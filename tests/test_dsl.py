@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszlab import cli, dsl, spaces
+from rieszlab import cli, dsl, evaluator, spaces
 from rieszlab.dsl import (
     Binary, CheckStmt, DslSyntaxError, DslTypeError, LetStmt, Rel, SuiteStmt,
     parse, print_script, tokenize, tokenize_by_scan,
 )
 from rieszlab.evaluator import evaluate
 from rieszlab.mutations import tampered
-from rieszlab.operators import apply
+from rieszlab.operators import LateralMeet, apply
 from rieszlab.spaces import coord
 
 from conftest import make_rng
@@ -187,8 +187,8 @@ def test_an_eof_diagnostic_follows_the_last_token(src, diagnostic):
 _OPENING_WORD = {
     dsl.LetStmt: "let", dsl.EvalStmt: "eval", dsl.CheckStmt: "check",
     dsl.SuiteStmt: "suite", dsl.SearchStmt: "search",
-    dsl.KernelLit: "kernel", dsl.LinecLit: "linec", dsl.TableLit: "table",
-    dsl.LatmeetLit: "latmeet", dsl.SeriesLit: "series", dsl.Meyer: "meyer",
+    dsl.SpaceLit: "simplespace", dsl.KernelLit: "kernel",
+    dsl.LinecLit: "linec", dsl.TableLit: "table", dsl.Meyer: "meyer",
     dsl.Pliev: "pliev", dsl.Unary: "-", dsl.Abs: "|", dsl.Apply: "(",
 }
 _NUMERAL = re.compile(r"(-?)\s*(\d+)(?:\s*/\s*(\d+))?")
@@ -227,7 +227,7 @@ def _span_problem(node, text, offsets):
         words = _spellings(node.op)
     elif isinstance(node, dsl.Name):
         words = _spellings(node.id)
-    elif isinstance(node, (dsl.ElementLit, dsl.SpaceLit)):
+    elif isinstance(node, dsl.ElementLit):
         words = (node.kind,)
     else:
         words = (_OPENING_WORD[type(node)],)
@@ -546,6 +546,71 @@ def test_pliev_builtin_matches_library():
         _eval_lines("eval pliev(coord[1,0]; coord[0,1]);")  # different sums
 
 
+# ---------------------------------------------------------------------------
+# comma lists, builtins and predefined names
+# ---------------------------------------------------------------------------
+
+# each comma list of the grammar with a trailing comma, and as printed
+_TRAILING_COMMAS = {
+    "coord": ("coord[1,2,]", "coord[1,2]"),
+    "simple": ("simple{0,1/2,1,}[2,0,]", "simple{0,1/2,1}[2,0]"),
+    "simplespace": ("simplespace{0,1/2,1,}", "simplespace{0,1/2,1}"),
+    "ec": ("ec[1,5,|5]", "ec[1,5|5]"),
+    "fin": ("fin{(1,2),(4,-1),}", "fin{(1,2),(4,-1)}"),
+    "pl": ("pl{(0,0),(1,1),}", "pl{(0,0),(1,1)}"),
+    "call": ("latsup(x, y,)", "latsup(x, y)"),
+    "table": ("table{x -> y, y -> x,}", "table{x -> y, y -> x}"),
+    "kernel": ("kernel{1: t -> t, 2: t -> 1,}",
+               "kernel{1: t -> t, 2: t -> 1}"),
+    "linec": ("linec{1:1, 2:2,; unit -> x; target y}",
+              "linec{1:1, 2:2; unit -> x; target y}"),
+    "pliev": ("pliev(x, y,; x,)", "pliev(x, y; x)"),
+}
+
+
+@pytest.mark.parametrize("with_comma, printed", _TRAILING_COMMAS.values(),
+                         ids=_TRAILING_COMMAS)
+def test_every_comma_list_takes_a_trailing_comma(with_comma, printed):
+    script = _script(f"eval {with_comma};")
+    assert script == _script(f"eval {printed};")
+    assert print_script(script) == f"eval {printed};\n"
+    # one comma ends a list; two are an error
+    doubled = with_comma.replace(",", ",,", 1)
+    assert not parse(f"eval {doubled};").ok
+
+
+@pytest.mark.parametrize("src", ["latmeet(x, y)", "coordspace(2)"])
+def test_call_shaped_literals_parse_as_calls(src):
+    expr = _script(f"eval {src};").statements[0].expr
+    assert type(expr) is dsl.Apply
+    assert expr.fn == dsl.Name(src[:src.index("(")])
+    assert print_script(_script(f"eval {src};")) == f"eval {src};\n"
+
+
+@pytest.mark.parametrize("name", sorted(evaluator._PREDEFINED))
+def test_a_let_shadows_a_predefined_name(name):
+    assert _script(f"eval {name};").statements[0].expr == dsl.Name(name)
+    assert _eval_lines(f"let {name} = coord[1]; eval {name};") == ["coord[1]"]
+
+
+def test_predefined_names_and_new_builtins_evaluate():
+    assert _eval_lines("""
+        eval series;
+        eval one(plspace);
+        eval zero(finspace);
+        eval one(ecspace);
+        eval one(coordspace(3));
+        eval latmeet(coord[1,2], coord[3,-4])(coord[2,-1]);
+    """) == ["<operator AlternatingSeries>", "pl{(0,1),(1,1)}", "fin{}",
+             "ec[|1]", "coord[1,1,1]", spaces.format_element(apply(
+                 LateralMeet(spaces.Coordinate(2), coord(1, 2), coord(3, -4)),
+                 coord(2, -1)))]
+    # coordspace reads its dimension as a canonical scalar
+    lines, env = evaluate(_script("let S = coordspace(3);"))
+    assert env.bindings["S"] == spaces.Coordinate(3)
+    assert type(env.bindings["S"].n) is int
+
+
 def _random_expr(rng, depth):
     from fractions import Fraction
     from rieszlab import dsl as d
@@ -560,7 +625,8 @@ def _random_expr(rng, depth):
             vals = tuple(Fraction(rng.randint(-3, 3))
                          for _ in range(rng.randint(1, 3)))
             return d.ElementLit("coord", vals)
-        return d.SpaceLit("coordspace", (rng.randint(1, 4),))
+        return d.Apply(d.Name("coordspace"),
+                       (d.ScalarLit(Fraction(rng.randint(1, 4))),))
     kind = rng.randrange(6)
     if kind == 0:
         op = rng.choice(["*", "+", "-", "lsup", "linf", "/\\", "\\/"])

@@ -543,6 +543,14 @@ def test_verify_dp():
     assert OpSum((diag, shift)).dp_reason() is None
     assert verify_disjointness_preserving(
         OpSum((diag, shift))).verdict == FAILS
+    # a nested sum, as K + K + K builds it, reads the rows of its inner
+    # sums: it keeps the reason, and a target fed from two atoms by
+    # different levels of the nesting still has none
+    assert OpSum((OpSum((diag, diag)), diag)).dp_reason() == _KERNEL_SUM_REASON
+    assert OpSum((diag, OpSum((diag, OpSum((diag, diag)))))).dp_reason() \
+        == _KERNEL_SUM_REASON
+    assert OpSum((OpSum((diag, diag)), shift)).dp_reason() is None
+    assert OpSum((OpSum((diag, OpScaled(2, diag))), diag)).dp_reason() is None
     # a sum with a part that is not a kernel has no dp reason: a clean
     # sample stays inconclusive, and only a clean grid holds (for the
     # grid)
