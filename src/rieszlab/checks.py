@@ -26,9 +26,9 @@ from .lateral import (
 )
 from .operators import (
     AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
-    diagonal_kernel, example_operator, format_value, joint_window,
-    ln2_enclosure, negate, poly, verify_disjointness_preserving, verify_oao,
-    verify_positive, lateral_bound_scan, ZeroOp,
+    diagonal_kernel, example_operator, joint_window, ln2_enclosure, negate,
+    poly, verify_disjointness_preserving, verify_oao, verify_positive,
+    lateral_bound_scan, ZeroOp,
 )
 from .oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
@@ -420,9 +420,10 @@ def _run_thm_2_3_forward(rng, cfg):
         samples += 1
         expect = scale(Q(l * (l + 1), 2), target)
         if hi != expect:
-            return _bad(f"level {l} maximum is {format_value(hi)}, "
-                        f"expected {format_value(expect)}", samples), tuple(arts)
-        arts.append(f"level {l}: max={format_value(hi)}")
+            return _bad(f"level {l} maximum is {format_element(hi)}, "
+                        f"expected {format_element(expect)}",
+                        samples), tuple(arts)
+        arts.append(f"level {l}: max={format_element(hi)}")
     # cross-check the closed form against plain enumeration at small levels
     small = scan_levels_by_enumeration(T, e, min(levels, 8))
     for (l, lo, hi), (l2, lo2, hi2) in zip(scan.table, small):
@@ -453,7 +454,7 @@ def _converse(menu):
 @_per_instance("ops", lambda: (None,),
                "every nonzero linear operator refuted with x,-x")
 def _run_rem_linear_positive(rng, _, k):
-    T = gen.random_linear_operator(rng, nonzero=True)
+    T = gen.random_linear_operator(rng)
     rep = verify_positive(T)
     if rep.verdict != FAILS or rep.witness_data is None:
         return ("a nonzero linear operator was not refuted", None,
@@ -595,9 +596,9 @@ def _run_closed_form(rng, cfg, kind):
         got, ref = fold(*ops, x), reference(*ops, x)
         if got.value != want or ref.value != want:
             witness = (f"{kind} at {format_element(x)} is "
-                       f"{format_value(got.value)}, enumeration "
-                       f"{format_value(ref.value)}, oracle "
-                       f"{format_value(want)}" if exhaustive
+                       f"{format_element(got.value)}, enumeration "
+                       f"{format_element(ref.value)}, oracle "
+                       f"{format_element(want)}" if exhaustive
                        else mismatch.format(x=format_element(x)))
         else:
             witness = extra(*ops, x, got, ref)
@@ -708,7 +709,7 @@ def _run_thm_4_2_4(rng, space, k):
     y = gen.random_fragment(rng, e)
     v = meyer_pair(T, x, y, e)
     if not is_zero(v):
-        return (f"nonzero wedge {format_value(v)} at x={format_element(x)} "
+        return (f"nonzero wedge {format_element(v)} at x={format_element(x)} "
                 f"y={format_element(y)} e={format_element(e)}", (x, y, e))
 
 
@@ -716,7 +717,7 @@ def _run_ex_2_2(rng, cfg):
     T = AlternatingSeries()
     e = one(EventuallyConstant())
     v = apply(T, e)
-    arts = [f"value at the constant one: {format_value(v)}"]
+    arts = [f"value at the constant one: {format_element(v)}"]
     if v.width > Q(1, 10 ** 9):
         return _bad("enclosure wider than 1e-9", 1), tuple(arts)
     tight = ln2_enclosure(Q(1, 10 ** 12))
@@ -734,7 +735,7 @@ def _run_ex_2_2(rng, cfg):
             if hi != RealInterval.exact(harmonic):
                 return _bad(f"level {l} maximum differs from the even-index "
                             f"harmonic half-sum", samples), tuple(arts)
-            arts.append(f"level {l}: max={format_value(hi)}")
+            arts.append(f"level {l}: max={format_element(hi)}")
         if prev is not None and (hi.lower < prev.lower or hi.upper < prev.upper):
             return _bad(f"level table not monotone at {l}", samples), tuple(arts)
         prev = hi
@@ -759,9 +760,9 @@ def _run_ex_4_3_pl(rng, cfg):
     arts.append("splittings of the constant one: trivial only")
     v = meyer_pair(T, u, scale(2, u), unsafe=True)
     if v != u:
-        return _bad(f"unsafe wedge is {format_value(v)}, expected the "
+        return _bad(f"unsafe wedge is {format_element(v)}, expected the "
                     "constant one", 4), tuple(arts)
-    arts.append(f"unsafe wedge value: {format_value(v)}")
+    arts.append(f"unsafe wedge value: {format_element(v)}")
     try:
         meyer_pair(T, u, scale(2, u), e=u)
     except PreconditionError:
@@ -778,8 +779,8 @@ def _run_ex_4_3_latmeet(rng, cfg):
     u = one(space)
     arts = []
     if apply(S, u) != u:
-        return _bad(f"S at the constant one gives {format_value(apply(S, u))}",
-                    1), ()
+        return _bad("S at the constant one gives "
+                    f"{format_element(apply(S, u))}", 1), ()
     if apply(S, scale(2, u)) != scale(-2, u):
         return _bad("S at twice the constant one is wrong", 2), ()
     arts.append("S(1) = 1 and S(2*1) = -2*1")
@@ -796,8 +797,9 @@ def _run_ex_4_3_latmeet(rng, cfg):
         return _bad("lateral-meet operator failed verification", samples), ()
     v = meyer_pair(S, u, scale(2, u), unsafe=True)
     if v != u:
-        return _bad(f"unsafe wedge is {format_value(v)}", samples), tuple(arts)
-    arts.append(f"unsafe wedge value: {format_value(v)}")
+        return _bad(f"unsafe wedge is {format_element(v)}",
+                    samples), tuple(arts)
+    arts.append(f"unsafe wedge value: {format_element(v)}")
     return _ok(samples, notes="collinear counterexample reproduced"), tuple(arts)
 
 

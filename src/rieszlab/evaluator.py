@@ -21,6 +21,7 @@ from .dsl import (
     KernelLit, LetStmt, LinecLit, Meyer, Name, Pliev, Postfix, Rel,
     ScalarLit, Script, SearchStmt, SpaceLit, SuiteStmt, TableLit, Unary,
 )
+from .errors import MalformedElement
 from .lateral import FragmentEnumeration
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
@@ -105,7 +106,7 @@ def render(value) -> str:
 
 def _render_lattice_point(p: LatticePoint) -> str:
     if p.mode == "exact":
-        text = operators.format_value(p.value)
+        text = format_element(p.value)
         if p.attained:
             pairs = "; ".join(f"({format_element(d.left)} | "
                               f"{format_element(d.right)})"
@@ -114,7 +115,7 @@ def _render_lattice_point(p: LatticePoint) -> str:
         if not p.decided:
             text += f" (inconclusive: {p.notes})"
         return text
-    lines = [f"level {l}: {operators.format_value(v)}" for l, v in p.levels]
+    lines = [f"level {l}: {format_element(v)}" for l, v in p.levels]
     return "\n".join(lines)
 
 
@@ -263,6 +264,8 @@ _ELEMENT_LITERALS = {"coord": spaces.coord, "simple": spaces.simple,
 
 
 def _kernel(node: KernelLit, env) -> Kernel:
+    if not node.entries:
+        raise MalformedElement("a kernel needs at least one row")
     n_dom = max(atom for atom, _, _ in node.entries)
     n_cod = max(target for _, target, _ in node.entries)
     rows = []

@@ -43,29 +43,28 @@ def random_scalar(rng: random.Random, magnitude: int = 3,
     return k // d if k % d == 0 else Q(k, d)
 
 
-def random_nonzero_scalar(rng, magnitude: int = 3):
+def random_nonzero_scalar(rng):
     while True:
-        v = random_scalar(rng, magnitude)
+        v = random_scalar(rng)
         if v != 0:
             return v
 
 
-def random_element(rng: random.Random, space, magnitude: int = 3) -> Element:
-    return space.random(rng, lambda: random_scalar(rng, magnitude))
+def random_element(rng: random.Random, space) -> Element:
+    return space.random(rng, lambda: random_scalar(rng))
 
 
-def random_nonzero_element(rng, space, magnitude: int = 3) -> Element:
+def random_nonzero_element(rng, space) -> Element:
     while True:
-        x = random_element(rng, space, magnitude)
+        x = random_element(rng, space)
         if x != zero(space):
             return x
 
 
-def random_disjoint_pair(rng: random.Random, space, magnitude: int = 3):
+def random_disjoint_pair(rng: random.Random, space):
     """A pair (u, v) with u _|_ v, exercising varied support splits."""
     return space.random_disjoint_pair(
-        rng, lambda: random_scalar(rng, magnitude),
-        lambda: random_nonzero_scalar(rng, magnitude))
+        rng, lambda: random_scalar(rng), lambda: random_nonzero_scalar(rng))
 
 
 def random_split(rng: random.Random, e: Element, parts: int):
@@ -104,23 +103,23 @@ def random_fragment(rng: random.Random, e: Element) -> Element:
 # operators
 # ---------------------------------------------------------------------------
 
-def _random_fn(rng, linear=False, positive=False, magnitude=3) -> PiecewisePoly:
+def _random_fn(rng, linear=False, positive=False) -> PiecewisePoly:
     if linear:
-        return poly(0, random_scalar(rng, magnitude))
+        return poly(0, random_scalar(rng))
     if positive:
-        a = abs(random_scalar(rng, magnitude))
+        a = abs(random_scalar(rng))
         if rng.random() < 0.5:
             return poly(0, 0, a)
         return PiecewisePoly((0,), ((0, -a), (0, a)))
     kind = rng.randrange(4)
     if kind == 0:
-        return poly(0, random_scalar(rng, magnitude))
+        return poly(0, random_scalar(rng))
     if kind == 1:
-        return poly(0, 0, random_scalar(rng, magnitude))
+        return poly(0, 0, random_scalar(rng))
     if kind == 2:
-        a = random_scalar(rng, magnitude)
+        a = random_scalar(rng)
         return PiecewisePoly((0,), ((0, -a), (0, a)))
-    return poly(0, random_scalar(rng, magnitude), random_scalar(rng, 2))
+    return poly(0, random_scalar(rng), random_scalar(rng, 2))
 
 
 def _atom_pool(space, rng):
@@ -131,7 +130,7 @@ def _atom_pool(space, rng):
 
 
 def random_kernel(rng: random.Random, domain, codomain=None,
-                  linear=False, positive=False, injective=True) -> Kernel:
+                  linear=False, positive=False) -> Kernel:
     codomain = codomain or domain
     atoms = _atom_pool(domain, rng)
     targets = _atom_pool(codomain, rng) if codomain != domain else list(atoms)
@@ -140,14 +139,12 @@ def random_kernel(rng: random.Random, domain, codomain=None,
     for i in atoms:
         if codomain == domain:
             j = i
-        elif injective:
+        else:
             free = [t for t in targets if t not in used]
             if not free:
                 break
             j = rng.choice(free)
             used.add(j)
-        else:
-            j = rng.choice(targets)
         rows.append((i, j, _random_fn(rng, linear=linear, positive=positive)))
     return Kernel(domain, codomain, tuple(rows))
 
@@ -235,14 +232,14 @@ def random_positive_operator(rng: random.Random, space):
     return random_kernel(rng, space, positive=True)
 
 
-def random_linear_operator(rng: random.Random, nonzero: bool = True):
-    """A linear operator (kernel or basis-split form), nonzero by default."""
+def random_linear_operator(rng: random.Random):
+    """A nonzero linear operator (kernel or basis-split form)."""
     if rng.random() < 0.5:
-        return random_linear_ec(rng, nonzero=nonzero)
+        return random_linear_ec(rng, nonzero=True)
     domain = rng.choice((Coordinate(3), Coordinate(4),
                          SimpleFunction((Q(0), Q(1, 2), Q(1))), FinSupport()))
     while True:
         T = random_kernel(rng, domain, linear=True)
-        if not nonzero or any(fn.coeffs[0][1] != 0 for _, _, fn in T.table
-                              if len(fn.coeffs[0]) > 1):
+        if any(fn.coeffs[0][1] != 0 for _, _, fn in T.table
+               if len(fn.coeffs[0]) > 1):
             return T

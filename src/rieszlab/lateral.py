@@ -2,10 +2,11 @@
 
 A fragment of e is an x with x disjoint from e - x; fragments of a
 fixed e form a Boolean algebra under the lateral supremum and infimum.
-Enumeration is exact whenever the algebra is finite (all spaces except
-eventually constant sequences with a nonzero tail) and level-truncated
-otherwise, with guaranteed monotone inclusion between levels.
-"""
+A finite algebra (all spaces except eventually constant sequences with
+a nonzero tail) is built once, by ``Restrictions``, and enumerated
+exactly; an infinite one is truncated at a level, where
+``fragment_iter`` sums the subsets of e's pieces, with guaranteed
+monotone inclusion between levels."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import spaces
 from .spaces import (
     Element, EventuallyConstant,
     add, canonical_key, format_element, get_atom, has_infinite_fragments,
-    inf, is_disjoint, neg_part, normalize, pieces, pos_part, sub, sup, zero,
+    inf, is_disjoint, neg_part, pieces, pos_part, sub, sup, unit_atom, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -111,20 +112,38 @@ def _check_cap(count, what):
             f"{what} has {count} members, beyond the enumeration cap {ENUM_CAP}")
 
 
-def _finite_parts(e: Element):
-    """The support pieces of e, whose subsets give its fragments."""
-    if has_infinite_fragments(e):
-        raise PreconditionError(
-            "fragment algebra of a nonzero-tail element is infinite; "
-            "use fragment_iter with a level")
-    parts = e.space.support(e)
-    _check_cap(1 << len(parts), "fragment algebra")
-    return parts
+class Restrictions:
+    """The fragment algebra of e, when finite, indexed by mask: entry m
+    is e on the support pieces ``parts[k]`` whose bit k is set in m, so
+    entry ``full ^ m`` is the rest of e.  The one builder of a finite
+    fragment algebra: the enumerations of fragments and splittings and
+    the folds of the operator lattice read it.  Each entry is built on
+    first use and kept, so the folds that share one table build every
+    restriction at most once."""
 
+    def __init__(self, e: Element):
+        if has_infinite_fragments(e):
+            raise PreconditionError(
+                "fragment algebra of a nonzero-tail element is infinite; "
+                "use fragment_iter with a level")
+        self.base = e
+        self.parts = e.space.support(e)
+        _check_cap(1 << len(self.parts), "fragment algebra")
+        self.full = (1 << len(self.parts)) - 1
+        self._built = {}
 
-def _restriction(e: Element, parts, mask: int) -> Element:
-    """e on the pieces ``parts[k]`` whose bit k is set in ``mask``."""
-    return e.space.restrict(e, [p for k, p in enumerate(parts) if mask >> k & 1])
+    def __len__(self):
+        return self.full + 1
+
+    def __getitem__(self, mask: int) -> Element:
+        if mask not in self._built:
+            self._built[mask] = self.base.space.restrict(
+                self.base,
+                [p for k, p in enumerate(self.parts) if mask >> k & 1])
+        return self._built[mask]
+
+    def __iter__(self):
+        return (self[mask] for mask in range(self.full + 1))
 
 
 def enumerate_fragments(e: Element) -> FragmentEnumeration:
@@ -133,9 +152,7 @@ def enumerate_fragments(e: Element) -> FragmentEnumeration:
     Refused for eventually constant elements with a nonzero tail
     (infinite algebra; use fragment_iter).
     """
-    parts = _finite_parts(e)
-    items = [_restriction(e, parts, mask) for mask in range(1 << len(parts))]
-    items.sort(key=canonical_key)
+    items = sorted(Restrictions(e), key=canonical_key)
     return FragmentEnumeration(e, "exact", tuple(items))
 
 
@@ -143,28 +160,22 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     """Level-truncated fragments of an eventually constant element.
 
     Every subset of positions 1..level combined with a tail choice in
-    {0, tail of e}; the produced set at level L is contained in the one
-    at level L+1.
+    {0, tail of e}: the subset sums of the pieces of e at ``level``,
+    its nonzero atoms through ``level`` and, for a nonzero tail, the
+    rest of e beyond them.  Distinct subsets of disjoint nonzero
+    pieces have distinct sums, each a fragment of e; the produced set
+    at level L is contained in the one at level L+1.
     """
     if not isinstance(e.space, EventuallyConstant):
         raise PreconditionError("fragment_iter is for eventually constant elements")
     require_level(e, level)
-    prefix, tail = e.payload
     _check_cap((1 << level) * 2, "truncated fragment set")
-    tails = [spaces.ZERO] if tail == 0 else [spaces.ZERO, tail]
-    seen = set()
-    items = []
-    for t in tails:
-        for mask in range(1 << level):
-            vals = [get_atom(e, i + 1) if mask >> i & 1 else spaces.ZERO
-                    for i in range(level)]
-            z = normalize(e.space, (vals, t))
-            if z.payload in seen:
-                continue
-            seen.add(z.payload)
-            assert is_fragment(z, e)
-            items.append(z)
-    items.sort(key=canonical_key)
+    space = e.space
+    parts = [unit_atom(space, i, v) for i in range(1, level + 1)
+             if (v := get_atom(e, i)) != 0]
+    if has_infinite_fragments(e):
+        parts.append(sub(e, functools.reduce(add, parts, zero(space))))
+    items = sorted(space.subset_table(parts), key=canonical_key)
     return FragmentEnumeration(e, "truncated", tuple(items), level=level)
 
 
@@ -227,10 +238,8 @@ def enumerate_decompositions(x: Element, level: int | None = None):
     if level is not None and has_infinite_fragments(x):
         return tuple(Decomposition(x, u, sub(x, u))
                      for u in fragment_iter(x, level))
-    parts = _finite_parts(x)
-    full = (1 << len(parts)) - 1
-    frags = [_restriction(x, parts, mask) for mask in range(full + 1)]
-    decs = [Decomposition(x, u, frags[full ^ mask])
+    frags = Restrictions(x)
+    decs = [Decomposition(x, u, frags[frags.full ^ mask])
             for mask, u in enumerate(frags)]
     decs.sort(key=lambda d: canonical_key(d.left))
     return tuple(decs)
@@ -280,31 +289,3 @@ def pliev_grid(us, vs) -> PlievGrid:
     grid = tuple(tuple(lateral_inf(u, v) for v in vs) for u in us)
     return PlievGrid(us, vs, grid)
 
-
-# ---------------------------------------------------------------------------
-# fragment tables
-# ---------------------------------------------------------------------------
-
-class Restrictions:
-    """The fragments of e on a finite fragment algebra, indexed by mask:
-    entry m is e on the support pieces ``parts[k]`` whose bit k is set
-    in m, so entry ``full ^ m`` is the rest of e.  Each entry is built
-    on first use and kept, so the folds that share one table build
-    every restriction at most once."""
-
-    def __init__(self, e: Element):
-        self.base = e
-        self.parts = _finite_parts(e)
-        self.full = (1 << len(self.parts)) - 1
-        self._built = {}
-
-    def __len__(self):
-        return self.full + 1
-
-    def __getitem__(self, mask: int) -> Element:
-        if mask not in self._built:
-            self._built[mask] = _restriction(self.base, self.parts, mask)
-        return self._built[mask]
-
-    def __iter__(self):
-        return (self[mask] for mask in range(self.full + 1))

@@ -608,12 +608,6 @@ def vneg(a):
     return scale(-1, a)
 
 
-def format_value(v) -> str:
-    if isinstance(v, tuple):
-        return "(" + ", ".join(format_value(p) for p in v) + ")"
-    return format_element(v)
-
-
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------

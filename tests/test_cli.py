@@ -244,11 +244,16 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
     # an empty splitting parses, and pliev_grid refuses it
     ("eval coord[1];\n"
      "eval pliev(; coord[1]);\n", cli.EXIT_PRECONDITION, "coord[1]\n",
-     "2:1: precondition violated: both splittings must be nonempty")],
+     "2:1: precondition violated: both splittings must be nonempty"),
+    # an empty kernel parses, and is refused as an empty table is
+    ("eval coord[1];\n"
+     "eval kernel{};\n", cli.EXIT_TYPE, "coord[1]\n",
+     "2:1: type error: a kernel needs at least one row")],
     ids=["type-error", "dsl-type-error", "precondition",
          "latsup-scalar-base", "latsup-space-base", "one-of-operator",
          "latmeet-of-scalars", "coordspace-of-a-fraction",
-         "coordspace-of-an-element", "pliev-empty-splitting"])
+         "coordspace-of-an-element", "pliev-empty-splitting",
+         "empty-kernel"])
 def test_a_failing_statement_keeps_the_output_before_it(tmp_path, capsys,
                                                        text, code, printed,
                                                        message):

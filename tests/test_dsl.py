@@ -677,9 +677,12 @@ def test_parser_fuzz_smoke():
 # ---------------------------------------------------------------------------
 
 # one operand of each value kind: elements, scalars, an operator, a
-# space and a bool; K acts on the two-atom coordinate space
+# space and a bool, and the empty literals; K acts on the two-atom
+# coordinate space
 _KIND_OPERANDS = ["coord[1,-2]", "coord[0,3]", "ec[1|2]", "2", "-1/2", "K",
-                  "coordspace(2)", "(coord[1,0] <= coord[1,1])"]
+                  "coordspace(2)", "(coord[1,0] <= coord[1,1])",
+                  "kernel{}", "table{}", "coord[]", "fin{}", "pl{}",
+                  "simplespace{}"]
 _PRELUDE = "let K = kernel{1: t -> t, 2: t -> 2*t};\n"
 
 

@@ -4,20 +4,21 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszlab import generators as gen
-from rieszlab.errors import PreconditionError
+from rieszlab.errors import EnumerationCapExceeded, PreconditionError
 from rieszlab.lateral import (
     enumerate_decompositions, enumerate_fragments, fragment_iter, is_fragment,
-    lateral_inf, lateral_sup, meet_formula, pliev_grid,
+    lateral_inf, lateral_sup, meet_formula, min_level, pliev_grid,
 )
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, PiecewiseLinear, SimpleFunction,
-    absolute, add, coord, ec, fin, one, pl, scale, sub, zero,
-    leq, neg_part, normalize, pos_part,
+    absolute, add, canonical_key, coord, ec, fin, get_atom, one, pl, scale,
+    sub, zero, leq, neg_part, normalize, pos_part,
 )
 
-from conftest import make_rng
+from conftest import SCALARS, make_rng
 
 
 def test_is_fragment_examples():
@@ -150,6 +151,43 @@ def test_fragment_iter_tail_zero_matches_exact():
 def test_fragment_iter_level_below_prefix():
     with pytest.raises(PreconditionError):
         fragment_iter(ec([1, 2, 3], 1), 2)
+
+
+def _truncated_by_subsets(e, level):
+    """The truncated fragments from their definition: every subset of
+    positions 1..level with a tail choice in {0, tail of e}, each
+    normalized, without repeats and sorted."""
+    _, tail = e.payload
+    found = set()
+    for t in {0, tail}:
+        for keep in itertools.product((False, True), repeat=level):
+            vals = [get_atom(e, i + 1) if k else 0 for i, k in enumerate(keep)]
+            found.add(normalize(e.space, (vals, t)))
+    return sorted(found, key=canonical_key)
+
+
+_EC_WITH_AND_WITHOUT_TAIL = st.tuples(
+    st.lists(SCALARS, max_size=5),
+    st.one_of(st.just(0), SCALARS.filter(lambda v: v != 0)),
+).map(lambda raw: normalize(EventuallyConstant(), raw))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_EC_WITH_AND_WITHOUT_TAIL, st.integers(0, 4))
+def test_fragment_iter_matches_the_subsets_of_positions(e, extra):
+    # the subset sums of the pieces at a level are the fragments the
+    # definition lists, each once and each a fragment of e
+    level = min_level(e) + extra
+    got = list(fragment_iter(e, level))
+    assert got == _truncated_by_subsets(e, level)
+    assert all(is_fragment(z, e) for z in got)
+
+
+def test_fragment_iter_refuses_a_level_beyond_the_cap():
+    with pytest.raises(EnumerationCapExceeded) as err:
+        fragment_iter(one(EventuallyConstant()), 18)
+    assert str(err.value) == ("truncated fragment set has 524288 members, "
+                              "beyond the enumeration cap 262144")
 
 
 def test_decompositions():

@@ -414,6 +414,50 @@ def test_oracle_detectors_see_imports_and_attributes(tmp_path):
     assert _imported_modules(probe) == {"spaces", "lateral", "oracles"}
 
 
+# the lateral functions the oracles read as the definitions of the
+# fragments; a definition built on the level walk would check the walk
+# that ``operators.lateral_bound_scan`` folds against itself
+DEFINITIONS = ("fragment_iter", "enumerate_fragments")
+WALK = {"level_walk", "extend_levels"}
+
+
+def _reached_names(path, roots):
+    """The names the functions ``roots`` of path use, with those of
+    every function or class of path that they reach by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(defs[name]):
+            ref = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else None)
+            if ref in defs and ref not in used:
+                todo.append(ref)
+            used.add(ref)
+    return used
+
+
+def test_the_definitions_the_oracles_read_take_no_walk():
+    used = _reached_names(SRC / "lateral.py", DEFINITIONS)
+    assert not used & WALK, sorted(used & WALK)
+
+
+def test_reach_detector_follows_the_module_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(e):\n"
+        "    return g(e)\n"
+        "def g(e):\n"
+        "    return [w for _, _, w in lateral.level_walk(e, 3)]\n"
+        "def h(e):\n"
+        "    return extend_levels(f(e), 4)\n")
+    assert {"g", "level_walk"} <= _reached_names(probe, ["f"])
+    assert "extend_levels" not in _reached_names(probe, ["f"])
+    assert {"extend_levels", "level_walk"} <= _reached_names(probe, ["h"])
+
+
 # --- the evaluator's tables -------------------------------------------------
 
 def _dsl_node_classes():

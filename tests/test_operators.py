@@ -13,7 +13,7 @@ from rieszlab.lateral import enumerate_fragments
 from rieszlab.operators import (
     ABS_FN, AlternatingSeries, Kernel, LateralMeet, LinearEC,
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
-    diagonal_kernel, example_operator, format_value, lateral_bound_scan,
+    diagonal_kernel, example_operator, lateral_bound_scan,
     ln2_enclosure, match_table, order_bound_scan, poly,
     verify_disjointness_preserving, verify_oao, verify_positive,
 )
@@ -438,7 +438,7 @@ def test_per_body_behaviour_is_pinned(T, points, expected):
     positive = verify_positive(T, Budget(samples=4))
     dp = verify_disjointness_preserving(T, Budget(samples=4))
     assert {
-        "apply": [format_value(apply(T, x)) for x in points],
+        "apply": [format_element(apply(T, x)) for x in points],
         "atom additive": T.atom_additive,
         "linear": T.linear,
         "linear probes": [format_element(x) for x in T.linear_probes()],
@@ -516,7 +516,7 @@ def test_verify_positive():
 def test_verify_positive_linear_always_refuted():
     rng = make_rng("linear-pos")
     for _ in range(30):
-        T = gen.random_linear_operator(rng, nonzero=True)
+        T = gen.random_linear_operator(rng)
         rep = verify_positive(T)
         assert rep.verdict == FAILS
         x = rep.witness_data[0]
