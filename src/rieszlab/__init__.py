@@ -18,7 +18,7 @@ from .operators import (
     OpSum, OpScaled, ZeroOp, PiecewisePoly,
     poly, diagonal_kernel, match_table, apply, negate,
     verify_oao, verify_positive, verify_disjointness_preserving,
-    lateral_bound_scan, order_bound_scan, example_operator,
+    lateral_bound_scan, example_operator,
 )
 from .oplattice import (
     LatticePoint, OpLattice, join_at, meet_at, pos_part_at, neg_part_at,

@@ -142,8 +142,8 @@ def _cmd_run(args) -> int:
         try:
             lines, env = evaluator.evaluate(dsl.Script((stmt,)), env=env)
         except RecursionError:
-            # a body nested past the interpreter's limit, such as a sum of
-            # 3 000 operators, recurses while it is applied
+            # a body nested past the interpreter's limit, such as a join
+            # of 3 000 joins, recurses while it is applied
             print(f"{where} error: expression too deeply nested to evaluate",
                   file=sys.stderr)
             return EXIT_PARSE

@@ -211,11 +211,16 @@ _PREDEFINED = {"series": AlternatingSeries, "finspace": FinSupport,
 
 
 def _op(name, args, span, level=None):
-    """The row of name and the kinds of args, applied to args."""
+    """The row of name and the kinds of args, applied to args.  An
+    operand that the row refuses as malformed, such as the dimension of
+    ``coordspace(1/2)``, is a type error at the call."""
     row = _OPS.get((name, *map(kind_of, args)))
     if row is None:
         raise DslTypeError(_MESSAGES[name], span)
-    return row(*args, level) if name in _AT_LEVEL else row(*args)
+    try:
+        return row(*args, level) if name in _AT_LEVEL else row(*args)
+    except MalformedElement as exc:
+        raise DslTypeError(str(exc), span) from exc
 
 
 # ---------------------------------------------------------------------------

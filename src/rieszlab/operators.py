@@ -24,8 +24,8 @@ from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, PiecewiseLinear, RealInterval,
     Reals, SimpleFunction, ZERO, absolute, add, atom_count, format_element,
-    from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, normalize, one, scale, space_name, sub, sup, support_atoms,
+    from_atoms, get_atom, has_infinite_fragments, is_disjoint, is_zero,
+    leq, normalize, one, scale, space_name, sub, support_atoms,
     support_size, unit_atom, zero,
 )
 
@@ -480,17 +480,21 @@ class OpSum(Operator):
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
+        given = tuple(self.parts)
+        if not given:
             raise MalformedElement("empty operator sum")
-        d, c = parts[0].domain, parts[0].codomain
-        if any(p.domain != d or p.codomain != c for p in parts):
+        d, c = given[0].domain, given[0].codomain
+        if any(p.domain != d or p.codomain != c for p in given):
             raise SpaceMismatch("summands must share domain and codomain")
-        # held, so that a sum nested in a sum reads them without recursing
-        object.__setattr__(self, "domain", d)
-        object.__setattr__(self, "codomain", c)
+        # a sum among the parts is spliced in, so no sum nests another
+        # and a long chain S + T + ... applies without recursing
+        parts = []
+        for p in given:
+            parts.extend(p.parts if isinstance(p, OpSum) else (p,))
+        object.__setattr__(self, "parts", tuple(parts))
 
+    domain = property(lambda self: self.parts[0].domain)
+    codomain = property(lambda self: self.parts[0].codomain)
     atom_additive = property(lambda self: all(p.atom_additive for p in self.parts))
     linear = property(lambda self: all(p.linear for p in self.parts))
 
@@ -513,15 +517,9 @@ class OpSum(Operator):
         # a sum of kernels on one domain and codomain (the constructor
         # sees to that) is the kernel of all their rows, and every row
         # vanishes at 0: a target atom fed from one atom only is zero
-        # wherever that atom is.  The parts of a nested sum are read
-        # from a stack, so a long chain K + ... + K does not recurse.
+        # wherever that atom is
         source = {}
-        pending = list(self.parts)
-        while pending:
-            p = pending.pop()
-            if isinstance(p, OpSum):
-                pending.extend(p.parts)
-                continue
+        for p in self.parts:
             if not isinstance(p, Kernel):
                 return None
             for i, j, _ in p.table:
@@ -754,34 +752,26 @@ def _pair_inputs(T):
             ("u", "v"))
 
 
+def _negated(answer: bool | None) -> bool | None:
+    """The gap of a law whose three-valued answer is ``answer``."""
+    return None if answer is None else not answer
+
+
 def _additivity_gap(T, u, v) -> bool:
-    whole = apply(T, add(u, v))
-    parts = add(apply(T, u), apply(T, v))
-    if isinstance(whole, RealInterval):
-        return not whole.overlaps(parts)
-    return whole != parts
+    # enclosures that overlap leave no gap; equal values, the common
+    # case, skip the two order tests
+    whole, parts = apply(T, add(u, v)), add(apply(T, u), apply(T, v))
+    return whole != parts and (leq(whole, parts) is False
+                               or leq(parts, whole) is False)
 
 
 def _positivity_gap(value) -> bool | None:
     """True when certainly not >= 0, None when undecidable."""
-    if isinstance(value, RealInterval):
-        if value.upper < 0:
-            return True
-        if value.lower >= 0:
-            return False
-        return None
-    return not leq(zero(value.space), value)
+    return _negated(leq(zero(value.space), value))
 
 
 def _disjointness_gap(T, u, v) -> bool | None:
-    a, b = apply(T, u), apply(T, v)
-    if isinstance(a, RealInterval):
-        if is_zero(a) or is_zero(b):
-            return False
-        if a.surely_nonzero() and b.surely_nonzero():
-            return True
-        return None
-    return not is_disjoint(a, b)
+    return _negated(is_disjoint(apply(T, u), apply(T, v)))
 
 
 def _dp_probes(T):
@@ -815,17 +805,6 @@ class ScanResult:
     growth: bool | None = None
 
 
-def _exceeds(value, bound) -> bool:
-    """Whether value certainly lies above bound.  An enclosure does so
-    when its lower end is above the bound, or above an interval bound's
-    upper end."""
-    if isinstance(value, RealInterval):
-        if isinstance(bound, RealInterval):
-            bound = bound.upper
-        return value.lower > spaces.q(bound)
-    return not leq(value, bound)
-
-
 def lateral_bound_scan(T, e: Element, level: int | None = None,
                        bound=None) -> ScanResult:
     """Extremes of T over the fragments of e.
@@ -836,7 +815,9 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     ``oplattice``.  Finite algebras give exact bounds.  For eventually
     constant bases with nonzero tail, pass a level: the table holds the
     extremes level by level, folded atom by atom for structurally
-    additive bodies and over bounded enumeration otherwise.
+    additive bodies and over bounded enumeration otherwise.  A level
+    whose maximum certainly exceeds ``bound``, a value of the codomain
+    (``Reals`` also reads a scalar), fails the scan.
     ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at
@@ -856,8 +837,10 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     table = [(l, lo, hi) for (l, lo), (_, hi) in zip(
         meet_at(T, zero_op, e, level).levels,
         join_at(T, zero_op, e, level).levels)]
+    if bound is not None:
+        bound = T.codomain.coerce(bound)
     lvl = next((l for l, _, hi in table
-                if bound is not None and _exceeds(hi, bound)), None)
+                if bound is not None and leq(hi, bound) is False), None)
     grew = lvl is not None
     if grew:
         rep = reports.fails(f"level {lvl} maximum exceeds the bound",
@@ -867,52 +850,6 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
         rep = reports.inconclusive(len(table), seed,
                                    notes="monotone level table computed")
     return ScanResult("truncated", rep, table=tuple(table), growth=grew)
-
-
-@dataclass
-class OrderHull:
-    """Observed hull of T over a sampled order interval."""
-
-    report: CheckReport
-    lo: object = None
-    hi: object = None
-
-
-def order_bound_scan(T, bound: Element, budget: Budget | None = None,
-                     candidate=None) -> OrderHull:
-    """Sample |x| <= bound and report the hull of the observed images.
-
-    Membership in the order-bounded class is not decidable here: the
-    verdict is fails only when an image escapes the caller's candidate
-    hull, and inconclusive otherwise.
-    """
-    budget = budget or Budget()
-    seed = budget.seed_tag("orderbound")
-    if not leq(zero(bound.space), bound):
-        raise PreconditionError("the input bound must be >= 0")
-    from . import generators
-    rng = budget.rng("orderbound")
-    half = scale(Fraction(1, 2), bound)
-    probes = [zero(bound.space), bound, scale(-1, bound), half, scale(-1, half)]
-    xs = probes + [
-        sup(inf(generators.random_element(rng, bound.space), bound),
-            scale(-1, bound))
-        for _ in range(budget.samples)]
-    lo = hi = None
-    for tried, x in enumerate(xs, 1):
-        v = apply(T, x)
-        lo = v if lo is None else inf(lo, v)
-        hi = v if hi is None else sup(hi, v)
-        if candidate is not None:
-            clo, chi = candidate
-            escaped = _exceeds(v, chi) or _exceeds(scale(-1, v), -clo)
-            if escaped:
-                rep = reports.fails(f"x={format_element(x)}", tried, seed,
-                                    witness_data=(x,),
-                                    notes="image escapes the candidate hull")
-                return OrderHull(rep, lo, hi)
-    rep = reports.inconclusive(len(xs), seed, notes="sampled hull only")
-    return OrderHull(rep, lo, hi)
 
 
 # ---------------------------------------------------------------------------

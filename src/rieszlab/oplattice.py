@@ -28,7 +28,7 @@ from .lateral import (
 )
 from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
-    Element, RealInterval, Reals, absolute, add, canonical_key,
+    Element, absolute, add, canonical_key,
     format_element, has_infinite_fragments, inf, neg_part, pieces, pos_part,
     scale, sub, sup, support_size, zero,
 )
@@ -69,21 +69,13 @@ def _minimal_left(hits):
                         key=lambda d: canonical_key(d.left)))
 
 
-def _interval_decided(values, fold):
-    top_lo = max(v.lower for v in values)
-    contenders = {v for v in values if v.upper >= top_lo}
-    if len(contenders) > 1 and any(v.width > 0 for v in contenders):
-        return False, f"{len(contenders)} overlapping enclosures at the top"
-    return True, ""
-
-
 def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     _pair_check(S, T, x)
     additive = S.atom_additive and T.atom_additive
     if not has_infinite_fragments(x):
-        if additive and not isinstance(S.codomain, Reals):
+        if additive and S.codomain.exact:
             return _extrema_closed(S, T, x, kind)
-        # interval enclosures need every splitting value to judge `decided`
+        # enclosures need every splitting value to judge `decided`
         return extrema_by_enumeration(S, T, x, kind)
     if level is None:
         raise PreconditionError(
@@ -116,11 +108,10 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     frags = Restrictions(x)
     values = S.fragment_images(frags) + T.fragment_images(frags).complement()
     fold, masks = values.extremum(_ORDER[kind])
-    decided, notes = (_interval_decided(values, fold)
-                      if isinstance(fold, RealInterval) else (True, ""))
+    notes = S.codomain.undecided(values)
     hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
     return LatticePoint("exact", value=fold, attained=_minimal_left(hits),
-                        decided=decided, notes=notes)
+                        decided=not notes, notes=notes)
 
 
 def _side(s, t, best):

@@ -14,14 +14,15 @@ sampling, formatting and the sort key.  The models are
 
 ``Reals``, the codomain of interval-valued operators, has no elements:
 its values are ``RealInterval`` enclosures, which it adds, scales and
-takes suprema and infima of endpoint-wise; everything else it leaves
-to the defaults of ``Space``, which raise.  The functions at module
-level are the interface of the other layers; each dispatches on
-``x.space`` (or on the space it is given), and the vector and lattice
-functions serve elements and enclosures alike.  Scalars are exact
-rationals, so every order comparison, supremum and infimum is exact.
-Elements are immutable and kept in a canonical form that makes
-equality syntactic.
+takes suprema and infima of endpoint-wise.  It also decides order and
+disjointness on their endpoints, where the answer can be ``None``:
+undecided.  Everything else it leaves to the defaults of ``Space``,
+which raise.  The functions at module level are the interface of the
+other layers; each dispatches on ``x.space`` (or on the space it is
+given), and the vector, lattice and order functions serve elements and
+enclosures alike.  Scalars are exact rationals, so every order
+comparison, supremum and infimum is exact.  Elements are immutable
+and kept in a canonical form that makes equality syntactic.
 
 A scalar of an atomic model is canonical: an ``int`` when it is
 integral, a ``fractions.Fraction`` otherwise (see ``q``).  The two
@@ -160,9 +161,9 @@ class Space:
 
     A model has a ``name`` and overrides the methods below that its
     elements support; the defaults raise, as they do for ``Reals`` on
-    everything past the vector and lattice operations of its interval
-    values.  Methods taking two elements may assume both lie in this
-    space.  ``lattice`` applies ``pick`` (max or min) pointwise,
+    everything past the vector, lattice and order calculus of its
+    interval values.  Methods taking two elements may assume both lie
+    in this space.  ``lattice`` applies ``pick`` (max or min) pointwise,
     ``nonneg`` tests x >= 0, ``full_support`` tells whether no nonzero
     element is disjoint from x, and the samplers call ``draw()`` for
     each random scalar they need.
@@ -182,13 +183,16 @@ class Space:
     directly: a part or modulus reads each value's sign off its
     numerator.  ``PiecewiseLinear`` overrides ``neg``, ``leq`` and
     ``disjoint``, and keeps the formulas for its parts, which need the
-    crossings of ``lattice``; ``Reals`` overrides ``absolute`` alone.
-    ``subset_table`` and ``image_table`` build the fragment tables that
-    the splitting enumeration folds, a list of values by default
-    (``ImageTable``).
+    crossings of ``lattice``.  ``Reals`` overrides ``absolute``, and
+    ``leq`` and ``disjoint`` answer on the endpoints of its enclosures:
+    ``None`` where they leave the answer undecided, which no other model
+    gives.  ``subset_table`` and ``image_table`` build the fragment
+    tables that the splitting enumeration folds, a list of values by
+    default (``ImageTable``).
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
+    exact = True        # values are exact: order between them is decided
 
     def normalize(self, raw) -> Element:
         raise MalformedElement(f"space {self!r} carries no elements")
@@ -218,11 +222,21 @@ class Space:
     def absolute(self, x):
         return self.lattice(x, self.neg(x), max)
 
-    def leq(self, x, y) -> bool:
+    def leq(self, x, y) -> bool | None:
         return leq_by_difference(x, y)
 
-    def disjoint(self, x, y) -> bool:
+    def disjoint(self, x, y) -> bool | None:
         return disjoint_by_modulus(x, y)
+
+    def undecided(self, values) -> str:
+        """Why the greatest of ``values`` is not decided, or "" when it
+        is; exact values always decide it."""
+        return ""
+
+    def coerce(self, value):
+        """A value of this space given by a caller, such as a bound: an
+        element as it is."""
+        return value
 
     def eval_at(self, x, t) -> Fraction:
         raise Unsupported(
@@ -1128,12 +1142,14 @@ class Reals(Space):
 
     Its values are ``RealInterval`` enclosures, not elements: it adds,
     scales and takes suprema and infima of them endpoint-wise, and
-    ``normalize``, the atom functions and the samplers raise.  Whether
-    an enclosure is >= 0, or disjoint from another, can be undecided, so
-    the verifiers judge enclosures themselves.
+    ``normalize``, the atom functions and the samplers raise.  Order
+    and disjointness are decided where the endpoints decide them, for
+    every real value in each enclosure, and are ``None`` otherwise; an
+    exact enclosure always decides.
     """
 
     name = "reals"
+    exact = False
 
     def zero(self):
         return RealInterval(ZERO, ZERO)
@@ -1160,6 +1176,30 @@ class Reals(Space):
         if x.upper <= 0:
             return self.scale(-1, x)
         return RealInterval(ZERO, max(-x.lower, x.upper))
+
+    def leq(self, x, y):
+        if x.upper <= y.lower:
+            return True
+        return False if x.lower > y.upper else None
+
+    def disjoint(self, x, y):
+        if x.lower == x.upper == 0 or y.lower == y.upper == 0:
+            return True
+        return None if x.contains(0) or y.contains(0) else False
+
+    def undecided(self, values):
+        # the enclosures that may hold the greatest value; more than one,
+        # one of them inexact, leaves the greatest undecided
+        top_lo = max(v.lower for v in values)
+        contenders = {v for v in values if v.upper >= top_lo}
+        if len(contenders) > 1 and any(v.width > 0 for v in contenders):
+            return f"{len(contenders)} overlapping enclosures at the top"
+        return ""
+
+    def coerce(self, value):
+        # a bare scalar is its exact enclosure
+        return value if isinstance(value, RealInterval) else (
+            RealInterval.exact(value))
 
     def format(self, x):
         return str(x)
@@ -1200,12 +1240,6 @@ class RealInterval:
 
     def __neg__(self):
         return scale(-1, self)
-
-    def surely_nonzero(self) -> bool:
-        return self.lower > 0 or self.upper < 0
-
-    def overlaps(self, other: "RealInterval") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
 
     def __str__(self):
         if self.is_exact:
@@ -1453,13 +1487,18 @@ def absolute(x: Element) -> Element:
     return x.space.absolute(x)
 
 
-def leq(x: Element, y: Element) -> bool:
-    """Pointwise partial order: true iff y - x is everywhere >= 0."""
+def leq(x: Element, y: Element) -> bool | None:
+    """Pointwise partial order: true iff y - x is everywhere >= 0.
+    ``None`` when enclosures leave it undecided: some of the values
+    they enclose are ordered and some are not."""
     _same_space(y, x)
     return x.space.leq(x, y)
 
 
-def is_disjoint(x: Element, y: Element) -> bool:
+def is_disjoint(x: Element, y: Element) -> bool | None:
+    """Whether |x| ^ |y| = 0.  ``None`` when enclosures leave it
+    undecided: some of the values they enclose are disjoint and some
+    are not."""
     _same_space(x, y)
     return x.space.disjoint(x, y)
 

@@ -12,10 +12,9 @@ constant elements.
 
 ``Reals`` is a model too, whose values are ``RealInterval`` enclosures,
 and the functions of ``spaces`` compute with them as with elements.
-Outside spaces.py only the three-valued judgments listed in
-``INTERVAL_ALLOWED`` test for an enclosure or for the ``Reals``
-codomain: whether an enclosure is >= 0, or disjoint from another, can
-be undecided, so they decide on its endpoints.
+It decides order and disjointness itself, ``None`` where an enclosure
+leaves them undecided, so no module outside spaces.py tests for an
+enclosure or for the ``Reals`` codomain.
 
 Scalars of the atomic models are ints where integral, and ``int / int``
 is a float; so no true division sits outside the piecewise-linear
@@ -61,18 +60,6 @@ BODY_NAMES = set().union(*(_operator_subclasses(SRC / f"{module}.py")
 ALLOWED = {
     ("lateral", "fragment_iter"),
     ("generators", "random_fragment"),
-}
-
-# (module, function) pairs outside spaces.py that may test for an
-# enclosure or for the Reals codomain: the judgments that decide on
-# enclosures, where an undecided answer is possible
-INTERVAL_ALLOWED = {
-    ("operators", "_additivity_gap"),
-    ("operators", "_positivity_gap"),
-    ("operators", "_disjointness_gap"),
-    ("operators", "_exceeds"),
-    ("oplattice", "extrema_by_enumeration"),
-    ("oplattice", "_extrema"),
 }
 
 
@@ -165,10 +152,9 @@ def test_no_body_isinstance_outside_the_bodies():
     assert not offending, "\n".join(offending)
 
 
-def test_interval_isinstance_only_at_the_judgments():
+def test_no_interval_isinstance_outside_spaces():
     offending = _offending(INTERVAL_NAMES,
-                           lambda module, _: module == "spaces",
-                           INTERVAL_ALLOWED)
+                           lambda module, _: module == "spaces", set())
     assert not offending, "\n".join(offending)
 
 
@@ -184,10 +170,6 @@ def _stale(allowed, wanted):
 
 def test_allowlist_has_no_stale_entries():
     assert not _stale(ALLOWED, MODEL_NAMES | BODY_NAMES)
-
-
-def test_interval_allowlist_has_no_stale_entries():
-    assert not _stale(INTERVAL_ALLOWED, INTERVAL_NAMES)
 
 
 def test_detector_sees_direct_and_qualified_names(tmp_path):

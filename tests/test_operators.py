@@ -14,7 +14,7 @@ from rieszlab.operators import (
     ABS_FN, AlternatingSeries, Kernel, LateralMeet, LinearEC,
     OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
     diagonal_kernel, example_operator, lateral_bound_scan,
-    ln2_enclosure, match_table, order_bound_scan, poly,
+    ln2_enclosure, match_table, poly,
     verify_disjointness_preserving, verify_oao, verify_positive,
 )
 from rieszlab.oplattice import neg_part_at, pos_part_at
@@ -165,6 +165,23 @@ def test_sum_scaled_zero_apply():
     assert apply(ZeroOp(space, space), coord(5, 5)) == zero(space)
     with pytest.raises(SpaceMismatch):
         OpSum((K, diagonal_kernel(Coordinate(3), [poly(0, 1)] * 3)))
+
+
+def test_a_sum_splices_in_the_parts_of_a_sum():
+    space = Coordinate(2)
+    K = diagonal_kernel(space, [poly(0, 1), poly(0, 1)])
+    L = diagonal_kernel(space, [poly(0, 2), poly(0, 3)])
+    minus_k = OpScaled(-1, K)
+    nested = OpSum((OpSum((K, L)), OpSum((minus_k, OpSum((L, K))))))
+    assert nested.parts == (K, L, minus_k, L, K)
+    assert nested == OpSum((K, L, minus_k, L, K))
+    assert (nested.domain, nested.codomain) == (space, space)
+    assert apply(nested, coord(1, 2)) == coord(5, 14)
+    # a scaled sum is one part, not spliced
+    assert OpSum((OpScaled(2, OpSum((K, L))), K)).parts[0] == (
+        OpScaled(2, OpSum((K, L))))
+    with pytest.raises(SpaceMismatch):
+        OpSum((OpSum((K, L)), ZeroOp(space, Coordinate(1))))
 
 
 def test_operator_vanishes_at_zero():
@@ -543,9 +560,9 @@ def test_verify_dp():
     assert OpSum((diag, shift)).dp_reason() is None
     assert verify_disjointness_preserving(
         OpSum((diag, shift))).verdict == FAILS
-    # a nested sum, as K + K + K builds it, reads the rows of its inner
-    # sums: it keeps the reason, and a target fed from two atoms by
-    # different levels of the nesting still has none
+    # a sum of sums, as K + K + K builds it, splices in their parts: it
+    # keeps the reason, and a target fed from two atoms by parts of
+    # different sums still has none
     assert OpSum((OpSum((diag, diag)), diag)).dp_reason() == _KERNEL_SUM_REASON
     assert OpSum((diag, OpSum((diag, OpSum((diag, diag)))))).dp_reason() \
         == _KERNEL_SUM_REASON
@@ -636,62 +653,17 @@ def test_scan_growth_flag():
     assert not scan2.growth and scan2.report.verdict == INCONCLUSIVE
 
 
-def test_order_bound_scan_hull():
-    T = example_operator("unit_match")
-    u = one(PiecewiseLinear())
-    hull = order_bound_scan(T, scale(2, u), Budget(samples=30))
-    assert hull.lo == scale(-1, u)
-    assert hull.hi == u
-    assert hull.report.verdict == INCONCLUSIVE
-    # a candidate hull that the images escape
-    tight = (zero(u.space), scale(Q(1, 2), u))
-    escaped = order_bound_scan(T, scale(2, u), Budget(samples=30),
-                               candidate=tight)
-    assert escaped.report.verdict == FAILS
-
-
-def test_order_bound_requires_nonnegative_bound():
-    with pytest.raises(PreconditionError):
-        order_bound_scan(example_operator("unit_match"),
-                         scale(-1, one(PiecewiseLinear())))
-
-
-def test_order_bound_identity_kernel_hull_stays_inside():
-    space = Coordinate(2)
-    T = diagonal_kernel(space, [poly(0, 1), poly(0, 1)])
-    b = coord(3, 2)
-    hull = order_bound_scan(T, b, Budget(samples=40))
-    assert hull.report.verdict == INCONCLUSIVE
-    assert scale(-1, b) <= hull.lo
-    assert hull.hi <= b
-
-
-def test_order_bound_series_hull_is_interval_valued():
-    hull = order_bound_scan(AlternatingSeries(), one(EC), Budget(samples=25))
-    assert hull.report.verdict == INCONCLUSIVE
-    assert isinstance(hull.lo, RealInterval)
-    assert hull.lo.upper <= hull.hi.lower or hull.lo.lower <= hull.hi.upper
-
-
-def test_order_bound_candidate_on_interval_values():
+def test_scan_reads_a_scalar_bound_on_reals_as_its_enclosure():
+    # the series' level-8 maximum is H_4 / 2 = 25/24: it certainly
+    # exceeds 1, and an enclosure bound decides on its upper end
     T = AlternatingSeries()
-    hull = order_bound_scan(T, one(EC))
-    # the hull the scan returned holds every image it saw
-    again = order_bound_scan(T, one(EC), candidate=(hull.lo, hull.hi))
-    assert again.report.verdict == INCONCLUSIVE
-    # T(1) encloses -ln 2, below a scalar lower bound of -1/2
-    tight = order_bound_scan(T, one(EC), candidate=(Q(-1, 2), Q(1, 2)))
-    assert tight.report.verdict == FAILS
-    assert tight.report.notes == "image escapes the candidate hull"
-
-
-def test_order_bound_escape_reports_the_points_tried():
-    # the second point, x = ec[|1], already escapes
-    tight = order_bound_scan(AlternatingSeries(), one(EC), Budget(samples=50),
-                             candidate=(Q(-1, 2), Q(1, 2)))
-    assert tight.report.verdict == FAILS
-    assert tight.report.samples_used == 2
-    assert tight.report.witness == "x=ec[|1]"
+    for bound, grew in [(1, True), (RealInterval.exact(1), True),
+                        (RealInterval(Q(1, 2), Q(25, 24)), False),
+                        (Q(25, 24), False), (2, False)]:
+        scan = lateral_bound_scan(T, one(EC), level=8, bound=bound)
+        assert scan.growth is grew
+        assert scan.report.verdict == (FAILS if grew else INCONCLUSIVE)
+    assert scan.table[-1][2] == RealInterval.exact(Q(25, 24))
 
 
 def test_verify_oao_looks_through_every_scaling():

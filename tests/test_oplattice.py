@@ -666,12 +666,9 @@ def _enumeration_by_apply(S, T, x, kind):
              for d in enumerate_decompositions(x)]
     fold = functools.reduce({"sup": sup, "inf": inf}[kind],
                             (v for _, v in pairs))
-    decided, notes = True, ""
-    if isinstance(fold, RealInterval):
-        decided, notes = oplattice._interval_decided(
-            [v for _, v in pairs], fold)
+    notes = S.codomain.undecided([v for _, v in pairs])
     hits = [d for d, v in pairs if v == fold]
-    return fold, oplattice._minimal_left(hits), decided, notes
+    return fold, oplattice._minimal_left(hits), not notes, notes
 
 
 @TABLE_SETTINGS

@@ -481,6 +481,16 @@ def _abs_ends(a):
     return 0, max(-a.lower, a.upper)
 
 
+def _disjoint_ends(a, b):
+    """Disjointness on the endpoints: True if either side is [0], False
+    if neither contains 0, None otherwise."""
+    if a.lower == a.upper == 0 or b.lower == b.upper == 0:
+        return True
+    if (a.lower > 0 or a.upper < 0) and (b.lower > 0 or b.upper < 0):
+        return False
+    return None
+
+
 @st.composite
 def enclosures(draw):
     return RealInterval(*sorted((draw(scalars), draw(scalars))))
@@ -492,6 +502,8 @@ def enclosures(draw):
 @example(RealInterval(-1, 2), RealInterval(0, 0), Q(0))
 @example(RealInterval(0, 0), RealInterval(Q(-1, 3), Q(1, 2)), Q(3))
 @example(RealInterval(1, 2), RealInterval(-3, -2), Q(-2))
+@example(RealInterval(1, 2), RealInterval(2, 3), Q(1))
+@example(RealInterval(-1, 1), RealInterval(2, 2), Q(1))
 def test_reals_calculus_matches_the_endpoint_formulas(a, b, c):
     assert _ends(add(a, b)) == (a.lower + b.lower, a.upper + b.upper)
     assert _ends(scale(c, a)) == _scaled_ends(c, a)
@@ -503,6 +515,17 @@ def test_reals_calculus_matches_the_endpoint_formulas(a, b, c):
     assert _ends(neg_part(a)) == (max(0, -a.upper), max(0, -a.lower))
     assert _ends(absolute(a)) == _abs_ends(a)
     assert is_zero(a) == (a.lower == 0 and a.upper == 0)
+    # order and disjointness are three-valued: None where the endpoints
+    # do not decide them
+    assert (leq(a, b) is True) == (a.upper <= b.lower)
+    assert (leq(a, b) is False) == (a.lower > b.upper)
+    assert leq(a, b) in (True, False, None)
+    assert is_disjoint(a, b) is _disjoint_ends(a, b)
+    # exact enclosures always decide
+    for x, y in [(RealInterval.exact(a.lower), RealInterval.exact(b.upper)),
+                 (RealInterval.exact(c), RealInterval.exact(c)),
+                 (RealInterval.exact(c), zero(Reals()))]:
+        assert None not in (leq(x, y), leq(y, x), is_disjoint(x, y))
 
 
 def test_reals_values_are_enclosures():
@@ -516,3 +539,22 @@ def test_reals_values_are_enclosures():
         "interval[0.333333333333,0.500000000000]")
     with pytest.raises(SpaceMismatch):
         add(straddling, coord(1))
+
+
+def test_reals_names_the_enclosures_that_leave_the_top_undecided():
+    R, I = Reals(), RealInterval
+    assert not R.exact and Coordinate(2).exact
+    # one enclosure above the others decides, equal ones counting once
+    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)]) == ""
+    assert R.undecided([I.exact(1), I.exact(1), I(0, Q(1, 2))]) == ""
+    assert R.undecided([I.exact(1), I(0, 1)]) == (
+        "2 overlapping enclosures at the top")
+    assert R.undecided([I(0, 2), I(1, 3), I(-1, 0)]) == (
+        "2 overlapping enclosures at the top")
+    assert R.undecided([I(0, 2), I(1, 3), I.exact(2)]) == (
+        "3 overlapping enclosures at the top")
+    # exact values always decide, and are taken as they are
+    assert Coordinate(1).undecided([coord(1), coord(2)]) == ""
+    assert Coordinate(1).coerce(coord(2)) == coord(2)
+    assert R.coerce(Q(1, 3)) == I.exact(Q(1, 3))
+    assert R.coerce(I(0, 1)) == I(0, 1)
