@@ -34,9 +34,7 @@ from .oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
     meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
-from .oracles import (
-    pl_common_fragment_by_restriction, scan_levels_by_enumeration,
-)
+from .oracles import common_fragment_by_agreement, scan_levels_by_enumeration
 from .reports import CheckReport, FAILS, HOLDS, INCONCLUSIVE
 from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
@@ -201,28 +199,6 @@ def _run_lat_partial_order(rng, cfg):
     return _ok(samples, notes="exhaustive on enumerated fragment sets"), ()
 
 
-def _agreement_reference(x, y):
-    """The greatest common fragment of x and y from its definition: on
-    the atomic models the values where x and y agree, the tail of an
-    eventually constant pair included, read atom by atom; on
-    piecewise-linear functions the restriction reference."""
-    space = x.space
-    if space == PiecewiseLinear():
-        return pl_common_fragment_by_restriction(x, y)
-    if space == EventuallyConstant():
-        (px, tx), (py, ty) = x.payload, y.payload
-        atoms = range(1, max(len(px), len(py)) + 1)
-        tail = tx if tx == ty else ZERO
-    else:
-        atoms = sorted(set(support_atoms(x)) | set(support_atoms(y)))
-        tail = ZERO
-    values = {}
-    for i in atoms:
-        xi = get_atom(x, i)
-        values[i] = xi if xi == get_atom(y, i) else ZERO
-    return from_atoms(space, values, tail)
-
-
 def _sharing_pair(rng, space):
     """x, and a y that keeps some support pieces of x and replaces the
     others by a multiple of themselves, or by a part disjoint from what
@@ -270,7 +246,8 @@ def _run_lat_common_fragment(rng, space, k):
     else:
         x, y = _sharing_pair(rng, space)
     for a, b in ((x, y), (y, x)):
-        got, want = lateral.lateral_inf(a, b), _agreement_reference(a, b)
+        got = lateral.lateral_inf(a, b)
+        want = common_fragment_by_agreement(a, b)
         if got != want:
             return (f"lateral infimum of {format_element(a)} and "
                     f"{format_element(b)} is {format_element(got)}, "
@@ -282,8 +259,8 @@ def _run_lat_common_fragment(rng, space, k):
 def _run_lem_3_1(rng, space, k):
     e = gen.random_nonzero_element(rng, space)
     m, n = rng.randint(1, 3), rng.randint(1, 3)
-    us = gen.random_split(rng, e, m)
-    vs = gen.random_split(rng, e, n)
+    us = space.random_split(rng, e, m)
+    vs = space.random_split(rng, e, n)
     grid = pliev_grid(us, vs)
     for a, b in itertools.combinations(
             [w for row in grid.grid for w in row], 2):
@@ -300,33 +277,45 @@ def _run_lem_3_1(rng, space, k):
                     f"{format_element(e)})", (v,))
 
 
-def _run_lem_4_4(rng, cfg):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["ops"]):
-        space = menu[k % len(menu)]
-        T = gen.random_dp_operator(rng, space)
-        e = _finite_frag_element(rng, space)
-        te = apply(T, e)
-        for x in enumerate_fragments(e):
-            samples += 1
-            if not is_fragment(apply(T, x), te):
-                return _bad(
-                    f"T(x) not a fragment of T(e); x={format_element(x)} "
-                    f"e={format_element(e)}", samples, data=(x, e)), ()
-    return _ok(samples, notes="exhaustive on finite fragment sets"), ()
+def _at_every_fragment(relation, part, witness, notes):
+    """A runner over cfg["ops"] random operators T that preserve
+    disjointness, on the models of the menu in turn, each at a random e
+    with a finite fragment algebra: ``relation(part(T(z)), part(T(e)))``
+    at every fragment z of e, one sample each.  The first z where it
+    fails ends the run, with ``witness`` formatted with x=z and e."""
+    def run(rng, cfg):
+        menu = gen.space_menu()
+        samples = 0
+        for k in range(cfg["ops"]):
+            space = menu[k % len(menu)]
+            T = gen.random_dp_operator(rng, space)
+            e = _finite_frag_element(rng, space)
+            bound = part(apply(T, e))
+            for z in enumerate_fragments(e):
+                samples += 1
+                if not relation(part(apply(T, z)), bound):
+                    return _bad(witness.format(x=format_element(z),
+                                               e=format_element(e)),
+                                samples, data=(z, e)), ()
+        return _ok(samples, notes=notes), ()
+    return run
+
+
+_run_lem_4_4 = _at_every_fragment(
+    is_fragment, lambda v: v, "T(x) not a fragment of T(e); x={x} e={e}",
+    "exhaustive on finite fragment sets")
 
 
 @_per_instance("samples", gen.space_menu, "randomized, exact")
 def _run_lem_4_5(rng, space, k):
     y = gen.random_nonzero_element(rng, space)
-    x = gen.random_fragment(rng, y)
+    x = space.random_fragment(rng, y)
     for tag, fx, fy in (("pos", pos_part(x), pos_part(y)),
                         ("neg", neg_part(x), neg_part(y)),
                         ("abs", absolute(x), absolute(y))):
         if not is_fragment(fx, fy):
             return f"{tag} part not laterally monotone", (x, y)
-    u = gen.random_fragment(rng, absolute(y))
+    u = space.random_fragment(rng, absolute(y))
     x2 = _random_signs(rng, u)
     if absolute(x2) != u:
         return "sign scatter broke |x| = u", (x2, u)
@@ -661,7 +650,7 @@ def _run_op_level_window(rng, ec, k):
     x = gen.random_nonzero_element(rng, ec)
     while not has_infinite_fragments(x):
         x = gen.random_nonzero_element(rng, ec)
-    cut = max(joint_window((S, T)), len(x.payload[0]))
+    cut = max(joint_window((S, T)), lateral.min_level(x))
     # each table holds every level through 2 * cut + 1
     for name, got, want in _window_tables(S, T, x, 2 * cut + 1):
         if tuple(got) != tuple(want):
@@ -669,20 +658,9 @@ def _run_op_level_window(rng, ec, k):
                     f"from the full walk past level {cut}", (S, T, x))
 
 
-def _run_thm_4_2_1(rng, cfg):
-    menu = gen.space_menu()
-    samples = 0
-    for k in range(cfg["ops"]):
-        space = menu[k % len(menu)]
-        T = gen.random_dp_operator(rng, space)
-        e = _finite_frag_element(rng, space)
-        te_abs = absolute(apply(T, e))
-        for z in enumerate_fragments(e):
-            samples += 1
-            if not leq(absolute(apply(T, z)), te_abs):
-                return _bad("lateral image escapes |T(e)|", samples,
-                            data=(z, e)), ()
-    return _ok(samples, notes="lateral images bounded by |T(e)|, exact"), ()
+_run_thm_4_2_1 = _at_every_fragment(
+    leq, absolute, "lateral image escapes |T(e)|",
+    "lateral images bounded by |T(e)|, exact")
 
 
 def _dp_fast_vs_brute(kinds):
@@ -705,8 +683,8 @@ def _dp_fast_vs_brute(kinds):
 def _run_thm_4_2_4(rng, space, k):
     T = gen.random_dp_operator(rng, space)
     e = _finite_frag_element(rng, space)
-    x = gen.random_fragment(rng, e)
-    y = gen.random_fragment(rng, e)
+    x = space.random_fragment(rng, e)
+    y = space.random_fragment(rng, e)
     v = meyer_pair(T, x, y, e)
     if not is_zero(v):
         return (f"nonzero wedge {format_element(v)} at x={format_element(x)} "

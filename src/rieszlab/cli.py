@@ -169,15 +169,8 @@ def _cmd_suite(args) -> int:
     ids = None
     if args.ids is not None:
         ids = [i for i in args.ids.split(",") if i]
-    try:
-        results, summary = checks.run_all(args.profile, ids=ids,
-                                          seed=_seed_of(args))
-    except UnknownCheck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TYPE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    results, summary = checks.run_all(args.profile, ids=ids,
+                                      seed=_seed_of(args))
     for r in results:
         print(r.summary_line())
     print(checks.summary_text(summary))
@@ -193,15 +186,8 @@ def _cmd_check(args) -> int:
                   file=sys.stderr)
             return EXIT_TYPE
     config = checks.parse_config(item.split("=", 1) for item in args.config)
-    try:
-        result = checks.run_check(args.id, config or None,
-                                  profile=args.profile, seed=_seed_of(args))
-    except UnknownCheck as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TYPE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    result = checks.run_check(args.id, config or None,
+                              profile=args.profile, seed=_seed_of(args))
     print(result.summary_line())
     for art in result.artifacts:
         print(f"  {art}")
@@ -229,7 +215,10 @@ def main(argv=None) -> int:
                 "check": _cmd_check, "search": _cmd_search}
     try:
         return handlers[args.command](args)
-    except RieszError as exc:  # anything not mapped above is a usage bug
+    except UnknownCheck as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TYPE
+    except RieszError as exc:  # a precondition, or a usage bug
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

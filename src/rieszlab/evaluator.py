@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from . import checks, lateral, operators, spaces
+from . import checks, lateral, spaces
 from .dsl import (
     Abs, Apply, Binary, CheckStmt, DslTypeError, ElementLit, EvalStmt,
     KernelLit, LetStmt, LinecLit, Meyer, Name, Pliev, Postfix, Rel,

@@ -1,4 +1,4 @@
-"""Seeded random instances: elements, disjoint pairs, fragments, operators.
+"""Seeded random instances: elements, disjoint pairs and operators.
 
 Every generated operator is orthogonally additive by construction (the
 match tables used here have indecomposable full-support keys), so the
@@ -17,8 +17,7 @@ from .operators import (
 )
 from .spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, add, atom_count, get_atom, has_infinite_fragments,
-    normalize, pieces, zero, ZERO,
+    SimpleFunction, atom_count, normalize, zero, ZERO,
 )
 
 Q = Fraction
@@ -65,38 +64,6 @@ def random_disjoint_pair(rng: random.Random, space):
     """A pair (u, v) with u _|_ v, exercising varied support splits."""
     return space.random_disjoint_pair(
         rng, lambda: random_scalar(rng), lambda: random_nonzero_scalar(rng))
-
-
-def random_split(rng: random.Random, e: Element, parts: int):
-    """Split e into ``parts`` pairwise disjoint summands (some may be zero)."""
-    space = e.space
-    if has_infinite_fragments(e):
-        prefix, tail = e.payload
-        owner = rng.randrange(parts)  # who inherits the tail
-        assign = [rng.randrange(parts) for _ in prefix]
-        out = []
-        for k in range(parts):
-            vals = [prefix[i] if assign[i] == k else ZERO
-                    for i in range(len(prefix))]
-            out.append(normalize(space, (vals, tail if k == owner else ZERO)))
-        return out
-    out = [zero(space)] * parts
-    for p in pieces(e):
-        k = rng.randrange(parts)
-        out[k] = add(out[k], p)
-    return out
-
-
-def random_fragment(rng: random.Random, e: Element) -> Element:
-    space = e.space
-    if isinstance(space, EventuallyConstant):
-        prefix, tail = e.payload
-        span = len(prefix) + rng.randint(0, 2)
-        t = tail if (tail != 0 and rng.random() < 0.5) else ZERO
-        vals = [get_atom(e, i) if rng.random() < 0.5 else ZERO
-                for i in range(1, span + 1)]
-        return normalize(space, (vals, t))
-    return sum((p for p in pieces(e) if rng.random() < 0.5), zero(space))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ A finite algebra (all spaces except eventually constant sequences with
 a nonzero tail) is built once, by ``Restrictions``, and enumerated
 exactly; an infinite one is truncated at a level, where
 ``fragment_iter`` sums the subsets of e's pieces, with guaranteed
-monotone inclusion between levels."""
+monotone inclusion between levels; the levels are the model's
+(``Space.min_level``)."""
 
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from .errors import EnumerationCapExceeded, PreconditionError
 from . import spaces
 from .spaces import (
-    Element, EventuallyConstant,
-    add, canonical_key, format_element, get_atom, has_infinite_fragments,
-    inf, is_disjoint, neg_part, pieces, pos_part, sub, sup, unit_atom, zero,
+    Element, add, canonical_key, format_element, get_atom,
+    has_infinite_fragments, inf, is_disjoint, neg_part, pos_part, sub, sup,
+    unit_atom, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -91,9 +92,7 @@ class Decomposition:
 @dataclass(frozen=True)
 class FragmentEnumeration:
     base: Element
-    mode: str                      # "exact" or "truncated"
     items: tuple
-    level: int | None = None
 
     def __iter__(self):
         return iter(self.items)
@@ -153,7 +152,7 @@ def enumerate_fragments(e: Element) -> FragmentEnumeration:
     (infinite algebra; use fragment_iter).
     """
     items = sorted(Restrictions(e), key=canonical_key)
-    return FragmentEnumeration(e, "exact", tuple(items))
+    return FragmentEnumeration(e, tuple(items))
 
 
 def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
@@ -164,10 +163,9 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     its nonzero atoms through ``level`` and, for a nonzero tail, the
     rest of e beyond them.  Distinct subsets of disjoint nonzero
     pieces have distinct sums, each a fragment of e; the produced set
-    at level L is contained in the one at level L+1.
+    at level L is contained in the one at level L+1.  An element of
+    another model has no levels, and is refused (``Space.min_level``).
     """
-    if not isinstance(e.space, EventuallyConstant):
-        raise PreconditionError("fragment_iter is for eventually constant elements")
     require_level(e, level)
     _check_cap((1 << level) * 2, "truncated fragment set")
     space = e.space
@@ -176,13 +174,12 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     if has_infinite_fragments(e):
         parts.append(sub(e, functools.reduce(add, parts, zero(space))))
     items = sorted(space.subset_table(parts), key=canonical_key)
-    return FragmentEnumeration(e, "truncated", tuple(items), level=level)
+    return FragmentEnumeration(e, tuple(items))
 
 
 def min_level(z: Element) -> int:
     """Smallest truncation level whose fragment set contains z."""
-    prefix, _ = z.payload
-    return len(prefix)
+    return z.space.min_level(z)
 
 
 def require_level(e: Element, level: int):
@@ -193,35 +190,10 @@ def require_level(e: Element, level: int):
             f"level {level} is below the prefix length {min_level(e)}")
 
 
-def level_walk(e: Element, level: int, window: int | None = None):
-    """(l, atoms, w) for each level l from min_level(e) on, for e
-    eventually constant with a nonzero tail: the atoms of e that join
-    the truncated fragments at l, and w, the tail of e beyond l.  Each
-    fragment at level l is a sum of atoms yielded so far plus 0 or w,
-    so folds over the fragments can go atom by atom.  The atoms after
-    the first level and every w are built as canonical payloads: the
-    unit atom at l carries the tail of e, and w is l zeros and the tail.
-
-    Without a ``window`` the walk runs through ``level``.  With the
-    window of the operators folded (``Operator.window``) it stops at
-    the cut max(window, min_level(e)), if that comes first: past it
-    every new atom maps to 0 and every w to one fixed image, so the
-    fold stays constant, and ``extend_levels`` copies its last row."""
-    _, tail = e.payload
-    start = min_level(e)
-    stop = level if window is None else min(level, max(window, start))
-    space = e.space
-    yield start, pieces(e), Element(space, ((spaces.ZERO,) * start, tail))
-    zeros = (spaces.ZERO,) * start
-    for l in range(start + 1, stop + 1):
-        atom = Element(space, (zeros + (tail,), spaces.ZERO))
-        zeros += (spaces.ZERO,)
-        yield l, [atom], Element(space, (zeros, tail))
-
-
 def extend_levels(table: list, level: int) -> list:
-    """A level table from a walk cut at the operators' window,
-    continued through ``level`` with copies of its last row."""
+    """A level table from a walk cut at the operators' window
+    (``EventuallyConstant.level_walk``), continued through ``level``
+    with copies of its last row."""
     last, *row = table[-1]
     return table + [(l, *row) for l in range(last + 1, level + 1)]
 

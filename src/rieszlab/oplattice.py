@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import MalformedElement, PreconditionError, SpaceMismatch
 from .lateral import (
     Decomposition, Restrictions, enumerate_decompositions, extend_levels,
-    is_fragment, level_walk, min_level, require_level,
+    is_fragment, min_level, require_level,
 )
 from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
@@ -108,7 +108,7 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     frags = Restrictions(x)
     values = S.fragment_images(frags) + T.fragment_images(frags).complement()
     fold, masks = values.extremum(_ORDER[kind])
-    notes = S.codomain.undecided(values)
+    notes = S.codomain.undecided(values, kind)
     hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
     return LatticePoint("exact", value=fold, attained=_minimal_left(hits),
                         decided=not notes, notes=notes)
@@ -166,12 +166,12 @@ def _levels_closed(S, T, x, kind, level, window=None):
     pure-tail part to one side, so the level value is the per-atom fold
     over atoms 1..l plus the better image of the remaining tail.  Past
     the operators' ``window`` that value is constant, and the walk stops
-    there (see ``lateral.level_walk``).
+    there (see ``EventuallyConstant.level_walk``).
     """
     pick = _PICK[kind]
     acc = zero(S.codomain)
     out = []
-    for l, atoms, w in level_walk(x, level, window):
+    for l, atoms, w in x.space.level_walk(x, level, window):
         acc, _ = _fold_atoms(acc, S, T, atoms, pick)
         out.append((l, add(acc, pick(apply(S, w), apply(T, w)))))
     return extend_levels(out, level)

@@ -19,7 +19,10 @@ from fractions import Fraction
 
 from .lateral import Decomposition, enumerate_fragments, fragment_iter, min_level
 from .operators import apply
-from .spaces import Element, has_infinite_fragments, inf, sub, sup
+from .spaces import (
+    ZERO, Element, EventuallyConstant, PiecewiseLinear, from_atoms, get_atom,
+    has_infinite_fragments, inf, sub, sup, support_atoms,
+)
 
 
 # --- piecewise-linear functions, pointwise ----------------------------------
@@ -122,6 +125,28 @@ def pl_common_fragment_by_restriction(x: Element, y: Element) -> Element:
     mine = {c: pl_restrict(x, [c]) for c in pl_components_by_crossing(x)}
     theirs = {c: pl_restrict(y, [c]) for c in pl_components_by_crossing(y)}
     return pl_restrict(x, [c for c, r in mine.items() if theirs.get(c) == r])
+
+
+def common_fragment_by_agreement(x: Element, y: Element) -> Element:
+    """The greatest common fragment of x and y from its definition: on
+    the atomic models the values where x and y agree, the tail of an
+    eventually constant pair included, read atom by atom; on
+    piecewise-linear functions the restriction reference."""
+    space = x.space
+    if space == PiecewiseLinear():
+        return pl_common_fragment_by_restriction(x, y)
+    if space == EventuallyConstant():
+        (px, tx), (py, ty) = x.payload, y.payload
+        atoms = range(1, max(len(px), len(py)) + 1)
+        tail = tx if tx == ty else ZERO
+    else:
+        atoms = sorted(set(support_atoms(x)) | set(support_atoms(y)))
+        tail = ZERO
+    values = {}
+    for i in atoms:
+        xi = get_atom(x, i)
+        values[i] = xi if xi == get_atom(y, i) else ZERO
+    return from_atoms(space, values, tail)
 
 
 # --- splittings, fragment images and level scans ----------------------------

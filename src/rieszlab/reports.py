@@ -53,14 +53,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.verdict != FAILS
 
-    def line(self) -> str:
-        parts = [f"verdict={self.verdict}",
-                 f"samples={self.samples_used}",
-                 f"seed={self.seed}"]
-        if self.witness is not None:
-            parts.append(f"witness={self.witness}")
-        return " ".join(parts)
-
 
 def holds(samples=0, seed="", notes="") -> CheckReport:
     return CheckReport(HOLDS, samples, seed, notes=notes)

@@ -53,7 +53,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedElement, SpaceMismatch, Unsupported
+from .errors import (
+    MalformedElement, PreconditionError, SpaceMismatch, Unsupported,
+)
 
 
 def q(value):
@@ -189,6 +191,10 @@ class Space:
     gives.  ``subset_table`` and ``image_table`` build the fragment
     tables that the splitting enumeration folds, a list of values by
     default (``ImageTable``).
+
+    Only ``EventuallyConstant`` has truncation levels (``min_level``,
+    ``level_walk``), so ``min_level`` refuses by default.  The samplers
+    ``random_fragment`` and ``random_split`` draw x's pieces by default.
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
@@ -228,9 +234,10 @@ class Space:
     def disjoint(self, x, y) -> bool | None:
         return disjoint_by_modulus(x, y)
 
-    def undecided(self, values) -> str:
-        """Why the greatest of ``values`` is not decided, or "" when it
-        is; exact values always decide it."""
+    def undecided(self, values, kind) -> str:
+        """Why the extremum of ``values`` that the fold ``kind`` ("sup"
+        or "inf") seeks is not decided, or "" when it is; exact values
+        always decide it."""
         return ""
 
     def coerce(self, value):
@@ -273,6 +280,23 @@ class Space:
         raise Unsupported(f"cannot sample from {self!r}")
 
     random_disjoint_pair = random
+
+    def random_fragment(self, rng, e) -> Element:
+        """A fragment of e: each of its pieces kept with probability 1/2."""
+        return sum((p for p in pieces(e) if rng.random() < 0.5), self.zero())
+
+    def random_split(self, rng, e, parts) -> list:
+        """e as ``parts`` disjoint summands: each piece joins a random one."""
+        out = [self.zero()] * parts
+        for p in pieces(e):
+            k = rng.randrange(parts)
+            out[k] = add(out[k], p)
+        return out
+
+    def min_level(self, x) -> int:
+        """The least truncation level whose fragment set contains x."""
+        raise PreconditionError(
+            "truncation levels are for eventually constant elements")
 
     def subset_table(self, pieces) -> "ImageTable":
         """The fragment table of a point whose support pieces have the
@@ -729,6 +753,35 @@ class EventuallyConstant(Space):
     def infinite_fragments(self, x):
         return x.payload[1] != 0
 
+    def min_level(self, x):
+        return len(x.payload[0])
+
+    def level_walk(self, e, level, window=None):
+        """(l, atoms, w) for each level l from min_level(e) on, for e
+        with a nonzero tail: the atoms of e that join the truncated
+        fragments at l, and w, the tail of e beyond l.  Each fragment
+        at level l is a sum of atoms yielded so far plus 0 or w, so
+        folds over the fragments can go atom by atom.  The atoms after
+        the first level and every w are built as canonical payloads:
+        the unit atom at l carries the tail of e, and w is l zeros and
+        the tail.
+
+        Without a ``window`` the walk runs through ``level``.  With the
+        window of the operators folded (``Operator.window``) it stops
+        at the cut max(window, min_level(e)), if that comes first: past
+        it every new atom maps to 0 and every w to one fixed image, so
+        the fold stays constant, and ``lateral.extend_levels`` copies
+        its last row."""
+        _, tail = e.payload
+        start = self.min_level(e)
+        stop = level if window is None else min(level, max(window, start))
+        yield start, pieces(e), Element(self, ((ZERO,) * start, tail))
+        zeros = (ZERO,) * start
+        for l in range(start + 1, stop + 1):
+            atom = Element(self, (zeros + (tail,), ZERO))
+            zeros += (ZERO,)
+            yield l, [atom], Element(self, (zeros, tail))
+
     def full_support(self, x):
         prefix, tail = x.payload
         return tail != 0 and all(v != 0 for v in prefix)
@@ -748,6 +801,26 @@ class EventuallyConstant(Space):
             u_vals.append(draw() if side == "u" else ZERO)
             v_vals.append(draw() if side == "v" else ZERO)
         return normalize(self, (u_vals, tu)), normalize(self, (v_vals, tv))
+
+    def random_fragment(self, rng, e):
+        prefix, tail = e.payload
+        span = len(prefix) + rng.randint(0, 2)
+        t = tail if (tail != 0 and rng.random() < 0.5) else ZERO
+        vals = [get_atom(e, i) if rng.random() < 0.5 else ZERO
+                for i in range(1, span + 1)]
+        return normalize(self, (vals, t))
+
+    def random_split(self, rng, e, parts):
+        if not self.infinite_fragments(e):
+            return super().random_split(rng, e, parts)
+        prefix, tail = e.payload
+        owner = rng.randrange(parts)  # who inherits the tail
+        assign = [rng.randrange(parts) for _ in prefix]
+        out = []
+        for k in range(parts):
+            vals = [v if a == k else ZERO for v, a in zip(prefix, assign)]
+            out.append(normalize(self, (vals, tail if k == owner else ZERO)))
+        return out
 
     def format(self, x):
         prefix, tail = x.payload
@@ -1187,13 +1260,16 @@ class Reals(Space):
             return True
         return None if x.contains(0) or y.contains(0) else False
 
-    def undecided(self, values):
-        # the enclosures that may hold the greatest value; more than one,
-        # one of them inexact, leaves the greatest undecided
+    def undecided(self, values, kind):
+        # the enclosures that may hold the top (the bottom is the top of
+        # the negations); more than one, one inexact, leaves it undecided
+        if kind == "inf":
+            values = [-v for v in values]
         top_lo = max(v.lower for v in values)
         contenders = {v for v in values if v.upper >= top_lo}
         if len(contenders) > 1 and any(v.width > 0 for v in contenders):
-            return f"{len(contenders)} overlapping enclosures at the top"
+            end = "top" if kind == "sup" else "bottom"
+            return f"{len(contenders)} overlapping enclosures at the {end}"
         return ""
 
     def coerce(self, value):

@@ -30,6 +30,16 @@ def make_rng(tag: str) -> random.Random:
     return random.Random(f"rieszlab-tests:{tag}")
 
 
+def report_line(rep) -> str:
+    """A verifier's ``CheckReport`` on one line: verdict, samples, seed
+    and the witness if there is one."""
+    parts = [f"verdict={rep.verdict}", f"samples={rep.samples_used}",
+             f"seed={rep.seed}"]
+    if rep.witness is not None:
+        parts.append(f"witness={rep.witness}")
+    return " ".join(parts)
+
+
 def _leaves(payload):
     for v in payload:
         if isinstance(v, tuple):

@@ -153,6 +153,12 @@ def test_fragment_iter_level_below_prefix():
         fragment_iter(ec([1, 2, 3], 1), 2)
 
 
+def test_fragment_iter_refuses_a_model_without_levels():
+    with pytest.raises(PreconditionError, match="truncation levels are for "
+                                                "eventually constant"):
+        fragment_iter(coord(1, 2), 1)
+
+
 def _truncated_by_subsets(e, level):
     """The truncated fragments from their definition: every subset of
     positions 1..level with a tail choice in {0, tail of e}, each
@@ -218,8 +224,8 @@ def test_pliev_grid_reconstruction_random():
     for k in range(60):
         space = gen.space_menu()[k % 6]
         e = gen.random_nonzero_element(rng, space)
-        us = gen.random_split(rng, e, rng.randint(1, 3))
-        vs = gen.random_split(rng, e, rng.randint(1, 3))
+        us = space.random_split(rng, e, rng.randint(1, 3))
+        vs = space.random_split(rng, e, rng.randint(1, 3))
         grid = pliev_grid(us, vs)
         for i, u in enumerate(us):
             assert grid.row_sum(i) == u
@@ -255,7 +261,7 @@ def test_lateral_monotone_parts():
     for space in gen.space_menu():
         for _ in range(60):
             y = gen.random_nonzero_element(rng, space)
-            x = gen.random_fragment(rng, y)
+            x = space.random_fragment(rng, y)
             assert is_fragment(pos_part(x), pos_part(y))
             assert is_fragment(neg_part(x), neg_part(y))
             assert is_fragment(absolute(x), absolute(y))

@@ -5,10 +5,10 @@ reaches the five element models through the functions of ``spaces``
 (which dispatch on ``x.space``), never by testing an element's model
 class.  Likewise the per-body rules live in the operator body classes
 of operators.py and oplattice.py: no function outside their own
-methods tests which body an operator is.  The only exceptions are the
-functions listed in ``ALLOWED``, which exist solely for eventually
-constant elements.
-``Operator``, the base of the bodies, is exempt.
+methods tests which body an operator is.  ``Operator``, the base of
+the bodies, is exempt.  Nor does any module outside spaces.py build an
+``Element`` from a payload, except the references of ``oracles`` and
+the mutants of ``mutations``.
 
 ``Reals`` is a model too, whose values are ``RealInterval`` enclosures,
 and the functions of ``spaces`` compute with them as with elements.
@@ -55,13 +55,6 @@ def _operator_subclasses(path):
 BODY_MODULES = ("operators", "oplattice")
 BODY_NAMES = set().union(*(_operator_subclasses(SRC / f"{module}.py")
                            for module in BODY_MODULES))
-
-# (module, function) pairs that may test for a model or body class
-ALLOWED = {
-    ("lateral", "fragment_iter"),
-    ("generators", "random_fragment"),
-}
-
 
 def _names(node, wanted, aliases):
     """The wanted class names an isinstance class argument refers to,
@@ -115,14 +108,14 @@ def _isinstance_sites(path, wanted):
     return sites
 
 
-def _offending(wanted, exempt, allowed=ALLOWED):
-    """Sites against wanted names, outside the allowed (module,
-    function) pairs and the exempt (module, class) scopes."""
+def _offending(wanted, exempt):
+    """Sites against wanted names, outside the exempt (module, class)
+    scopes."""
     offending = []
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         for cls, function, line, names in _isinstance_sites(path, wanted):
-            if (module, function) in allowed or exempt(module, cls):
+            if exempt(module, cls):
                 continue
             offending.append(f"{path.name}:{line} in {function}: "
                              f"isinstance against {', '.join(names)}")
@@ -154,22 +147,8 @@ def test_no_body_isinstance_outside_the_bodies():
 
 def test_no_interval_isinstance_outside_spaces():
     offending = _offending(INTERVAL_NAMES,
-                           lambda module, _: module == "spaces", set())
+                           lambda module, _: module == "spaces")
     assert not offending, "\n".join(offending)
-
-
-def _stale(allowed, wanted):
-    """Entries of allowed with no isinstance site against wanted."""
-    used = set()
-    for module, _ in allowed:
-        path = SRC / f"{module}.py"
-        for _, function, _, _ in _isinstance_sites(path, wanted):
-            used.add((module, function))
-    return sorted(allowed - used)
-
-
-def test_allowlist_has_no_stale_entries():
-    assert not _stale(ALLOWED, MODEL_NAMES | BODY_NAMES)
 
 
 def test_detector_sees_direct_and_qualified_names(tmp_path):
@@ -199,6 +178,42 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
     assert _isinstance_sites(probe, INTERVAL_NAMES) == [
         (None, "f", 3, ["Reals"]), (None, "g", 5, ["Reals"]),
         (None, "n", 14, ["RealInterval"])]
+
+
+# --- element construction ---------------------------------------------------
+
+# modules that may build an Element from a payload besides spaces.py: the
+# references, which share no code with the models, and the mutants
+ELEMENT_BUILDERS = {"spaces", "oracles", "mutations"}
+
+
+def _element_calls(path):
+    """(function, line) for each call of ``Element`` or ``x.Element``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(function, node.lineno)
+            for _, function, node in _scoped_nodes(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == "Element"]
+
+
+def test_no_element_built_outside_the_models():
+    offending = [f"{path.name}:{line} in {function}"
+                 for path in sorted(SRC.glob("*.py"))
+                 if path.stem not in ELEMENT_BUILDERS
+                 for function, line in _element_calls(path)]
+    assert not offending, "\n".join(offending)
+
+
+def test_element_detector_sees_direct_and_qualified_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def f(space, tail):\n"
+        "    yield Element(space, ((), tail))\n"
+        "    yield spaces.Element(space, ((0,), tail))\n"
+        "def g(x):\n"
+        "    return isinstance(x, Element), MalformedElement(x), x.Element\n")
+    assert _element_calls(probe) == [("f", 2), ("f", 3)]
 
 
 # --- true division ----------------------------------------------------------

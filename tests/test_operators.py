@@ -26,7 +26,7 @@ from rieszlab.spaces import (
     sup, zero,
 )
 
-from conftest import make_rng
+from conftest import make_rng, report_line
 
 EC = EventuallyConstant()
 
@@ -462,9 +462,9 @@ def test_per_body_behaviour_is_pinned(T, points, expected):
         "dp reason": T.dp_reason(),
         "oao probes": [(format_element(u), format_element(v))
                        for u, v in T.oao_probes()],
-        "verify_oao": (oao.line(), oao.notes),
-        "verify_positive": (positive.line(), positive.notes),
-        "verify_dp": (dp.line(), dp.notes),
+        "verify_oao": (report_line(oao), oao.notes),
+        "verify_positive": (report_line(positive), positive.notes),
+        "verify_dp": (report_line(dp), dp.notes),
     } == expected
 
 
@@ -490,14 +490,14 @@ def test_generated_operator_pool_is_orthogonally_additive():
     for _ in range(15):
         T = gen.random_oao(rng, small)
         rep = verify_oao(T, Budget(grid=DEFAULT_GRID))
-        assert rep.verdict == HOLDS, rep.line()
+        assert rep.verdict == HOLDS, report_line(rep)
     # the structural fast path answers for most bodies; re-check the
     # additivity identity itself on 500 sampled pairs per space
     from rieszlab.operators import _additivity_gap
     for space in gen.space_menu():
         T = gen.random_oao(rng, space)
         rep = verify_oao(T, Budget(samples=50))
-        assert rep.verdict != FAILS, rep.line()
+        assert rep.verdict != FAILS, report_line(rep)
         for _ in range(500):
             u, v = gen.random_disjoint_pair(rng, space)
             assert not _additivity_gap(T, u, v)

@@ -1,6 +1,7 @@
 """Pointwise lattice of operators: joins, meets, parts, modulus, wedges."""
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -11,12 +12,12 @@ from rieszlab import oplattice
 from rieszlab.checks import _window_tables
 from rieszlab.errors import MalformedElement, PreconditionError
 from rieszlab.lateral import (
-    Decomposition, Restrictions, enumerate_decompositions, level_walk,
+    Decomposition, Restrictions, enumerate_decompositions,
 )
 from rieszlab.operators import (
-    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, OpScaled,
-    OpSum, PiecewisePoly, RealInterval, ZeroOp, apply, diagonal_kernel,
-    example_operator, lateral_bound_scan, negate, poly,
+    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, Operator,
+    OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
+    diagonal_kernel, example_operator, lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
@@ -30,7 +31,7 @@ from rieszlab.spaces import (
     ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
-from conftest import SCALARS, make_rng
+from conftest import SCALARS, make_rng, report_line
 
 EC = EventuallyConstant()
 
@@ -221,6 +222,36 @@ def test_interval_codomain_keeps_enumeration(monkeypatch):
         assert p.decided and p.notes == ""
 
 
+@dataclass(frozen=True)
+class _Enclosing(Operator):
+    """T(a, b) = [a + low b, a + high |b|] on Coordinate(2), into Reals."""
+
+    low: int
+    high: int
+    domain = Coordinate(2)
+    codomain = Reals()
+
+    def _apply(self, x):
+        a, b = x.payload
+        return RealInterval(a + self.low * b, a + self.high * abs(b))
+
+
+def test_a_meet_judges_the_bottom_of_its_enclosures():
+    zero_op, x = ZeroOp(Coordinate(2), Reals()), coord(1, 1)
+    # the splitting values at x are [0], [1], [1, 2] and [2, 3]: the
+    # least is decided, though two enclosures overlap at the top
+    T = _Enclosing(1, 2)
+    p = meet_at(T, zero_op, x)
+    assert (p.value, p.decided, p.notes) == (RealInterval.exact(0), True, "")
+    p = join_at(T, zero_op, x)
+    assert (p.decided, p.notes) == (
+        False, "2 overlapping enclosures at the top")
+    # [0] and [0, 1] both may hold the least of [a, a + |b|]
+    p = meet_at(_Enclosing(0, 1), zero_op, x)
+    assert (p.value, p.decided, p.notes) == (
+        RealInterval.exact(0), False, "2 overlapping enclosures at the bottom")
+
+
 def test_truncated_levels_monotone_and_match_enumeration():
     rng = make_rng("trunc")
     x = ec([1, -2], Q(1, 2))
@@ -323,7 +354,7 @@ def test_a_clean_sample_licenses_no_fast_path():
     T = Kernel(Coordinate(2), Coordinate(1),
                ((1, 1, ramp), (2, 1, PiecewisePoly((3,), ((0,), (3, -1))))))
     rep = verify_disjointness_preserving(T)
-    assert (rep.line(), rep.notes) == (
+    assert (report_line(rep), rep.notes) == (
         "verdict=inconclusive samples=201 seed=0:dp", "sampled, no failure")
     x, y, e = coord(5, 0), coord(0, 5), coord(5, 5)
     with pytest.raises(PreconditionError):
@@ -368,7 +399,7 @@ def test_body_windows():
 def test_level_walk_builds_canonical_payloads():
     for x in (ec([1, 0, Q(-2, 3)], Q(5, 2)), ec([], -1), ec([0, 0, 4], 7)):
         prefix, tail = x.payload
-        rows = list(level_walk(x, len(prefix) + 4))
+        rows = list(EC.level_walk(x, len(prefix) + 4))
         assert [l for l, _, _ in rows] == list(range(len(prefix),
                                                      len(prefix) + 5))
         assert rows[0][1] == pieces(x)
@@ -381,9 +412,9 @@ def test_level_walk_builds_canonical_payloads():
                 assert repr(atoms[0].payload) == repr(want.payload)
     # the window cuts the walk, never below the prefix
     x = ec([1, 2, 3], 1)
-    assert [l for l, _, _ in level_walk(x, 9, window=5)] == [3, 4, 5]
-    assert [l for l, _, _ in level_walk(x, 9, window=0)] == [3]
-    assert [l for l, _, _ in level_walk(x, 4, window=8)] == [3, 4]
+    assert [l for l, _, _ in EC.level_walk(x, 9, window=5)] == [3, 4, 5]
+    assert [l for l, _, _ in EC.level_walk(x, 9, window=0)] == [3]
+    assert [l for l, _, _ in EC.level_walk(x, 4, window=8)] == [3, 4]
 
 
 def test_window_cut_counts_fewer_applications(monkeypatch):
@@ -666,7 +697,7 @@ def _enumeration_by_apply(S, T, x, kind):
              for d in enumerate_decompositions(x)]
     fold = functools.reduce({"sup": sup, "inf": inf}[kind],
                             (v for _, v in pairs))
-    notes = S.codomain.undecided([v for _, v in pairs])
+    notes = S.codomain.undecided([v for _, v in pairs], kind)
     hits = [d for d, v in pairs if v == fold]
     return fold, oplattice._minimal_left(hits), not notes, notes
 

@@ -541,20 +541,28 @@ def test_reals_values_are_enclosures():
         add(straddling, coord(1))
 
 
-def test_reals_names_the_enclosures_that_leave_the_top_undecided():
+def test_reals_names_the_enclosures_that_leave_the_extremum_undecided():
     R, I = Reals(), RealInterval
     assert not R.exact and Coordinate(2).exact
     # one enclosure above the others decides, equal ones counting once
-    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)]) == ""
-    assert R.undecided([I.exact(1), I.exact(1), I(0, Q(1, 2))]) == ""
-    assert R.undecided([I.exact(1), I(0, 1)]) == (
+    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)], "sup") == ""
+    assert R.undecided([I.exact(1), I.exact(1), I(0, Q(1, 2))], "sup") == ""
+    assert R.undecided([I.exact(1), I(0, 1)], "sup") == (
         "2 overlapping enclosures at the top")
-    assert R.undecided([I(0, 2), I(1, 3), I(-1, 0)]) == (
+    assert R.undecided([I(0, 2), I(1, 3), I(-1, 0)], "sup") == (
         "2 overlapping enclosures at the top")
-    assert R.undecided([I(0, 2), I(1, 3), I.exact(2)]) == (
+    assert R.undecided([I(0, 2), I(1, 3), I.exact(2)], "sup") == (
         "3 overlapping enclosures at the top")
+    # an inf fold judges the bottom: overlaps at the top do not count
+    assert R.undecided([I.exact(0), I(1, 2), I(2, 3)], "inf") == ""
+    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)], "inf") == (
+        "2 overlapping enclosures at the bottom")
+    assert R.undecided([I.exact(0), I.exact(0), I(1, 2)], "inf") == ""
+    assert R.undecided([I(0, 2), I(-1, 0), I.exact(0)], "inf") == (
+        "3 overlapping enclosures at the bottom")
     # exact values always decide, and are taken as they are
-    assert Coordinate(1).undecided([coord(1), coord(2)]) == ""
+    assert Coordinate(1).undecided([coord(1), coord(2)], "sup") == ""
+    assert Coordinate(1).undecided([coord(1), coord(2)], "inf") == ""
     assert Coordinate(1).coerce(coord(2)) == coord(2)
     assert R.coerce(Q(1, 3)) == I.exact(Q(1, 3))
     assert R.coerce(I(0, 1)) == I(0, 1)
