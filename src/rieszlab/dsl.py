@@ -13,11 +13,16 @@ span, a diagnostic, or a ``Token`` row built by indexing the stream.
 The character-by-character scanner ``tokenize_by_scan`` is kept as its
 reference.  The parser reads the columns by token index, every comma
 list with one reader, ``listed``, and binary operators by precedence
-climbing over ``_PREC``, the table the printer parenthesises by.  Forms
-that look like calls or names, such as ``latmeet(a, b)`` and ``series``,
-parse as calls and names, which the evaluator knows.  The printer walks
-a left-leaning chain of one precedence, or of postfix operators, in a
-loop.
+climbing over ``_PREC``, the table the printer parenthesises by.  Every
+form opened by a keyword, from ``coord[...]`` to ``kernel{...}`` and
+``meyer(...)``, parses to one node, a ``Literal`` whose ``kind`` is the
+keyword and whose ``parts`` are what the keyword's branch of
+``_Parser.literal_parts`` reads.  The printer prints it by the kind's
+row of ``_PRINT_LITERAL``, and the evaluator evaluates it by the kind's
+row of ``evaluator._LITERALS``.  Forms that look like calls or names,
+such as ``latmeet(a, b)`` and ``series``, parse as calls and names,
+which the evaluator knows.  The printer walks a left-leaning chain of
+one precedence, or of postfix operators, in a loop.
 """
 
 from __future__ import annotations
@@ -40,10 +45,9 @@ class Diagnostic:
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def __str__(self):
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 class DslSyntaxError(Exception):
@@ -275,35 +279,25 @@ class ScalarLit(Node):
 
 
 @dataclass(frozen=True)
-class ElementLit(Node):
-    kind: str          # coord simple ec fin pl
-    parts: tuple       # kind-specific payload of scalars / pairs
-    span: tuple = field(default=(0, 0), compare=False)
+class Literal(Node):
+    """A form opened by a keyword: ``kind`` is the keyword, and
+    ``parts`` the layout its parse branch reads, which the kind's rows
+    in ``_PRINT_LITERAL`` and ``evaluator._LITERALS`` unpack:
 
+    - coord, simplespace: the scalars; simple: (points, values);
+      ec: (prefix, tail); fin, pl: the (index or point, value) pairs;
+    - kernel: the rows (atom, target, ((coef, power), ...));
+    - linec: (((index, coef), ...), unit, target);
+    - table: the (key, value) pairs;
+    - meyer: (operator, x, y, e), e None when left out;
+    - pliev: (left splitting, right splitting).
 
-@dataclass(frozen=True)
-class SpaceLit(Node):
-    points: tuple      # simplespace{...}: the partition points
-    span: tuple = field(default=(0, 0), compare=False)
+    Scalars are Fractions, indices, atoms and powers ints, and every
+    other part an expression node.
+    """
 
-
-@dataclass(frozen=True)
-class KernelLit(Node):
-    entries: tuple     # (atom, target, ((coef, power), ...))
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class LinecLit(Node):
-    coeffs: tuple      # ((index, coef), ...)
-    unit: Node
-    target: Node
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class TableLit(Node):
-    entries: tuple     # ((key expr, value expr), ...)
+    kind: str
+    parts: tuple
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -339,24 +333,6 @@ class Abs(Node):
 class Apply(Node):
     fn: Node
     args: tuple
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Meyer(Node):
-    operator: Node
-    x: Node
-    y: Node
-    e: Node | None
-    span: tuple = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Pliev(Node):
-    """Common refinement grid of two disjoint splittings."""
-
-    us: tuple
-    vs: tuple
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -426,6 +402,11 @@ _MAX_DEPTH = 120
 # binary operator -> binding strength; the parser and the printer both
 # read this one table
 _PREC = {"\\/": 1, "/\\": 2, "lsup": 3, "linf": 4, "+": 5, "-": 5, "*": 6}
+
+# an opening bracket's token kind -> its closer's, and each one's quoted
+# spelling in diagnostics
+_CLOSER = {"LBRACK": "RBRACK", "LBRACE": "RBRACE"}
+_SPELLING = {kind: f"'{text}'" for text, kind in _ONE_CHAR.items()}
 
 
 class _Parser:
@@ -705,56 +686,50 @@ class _Parser:
         if kind != "IDENT":
             self.error(f"unexpected {name!r} in an expression"
                        if name else "unexpected end of input")
-        if name == "coord":
-            self.next()
-            self.expect("LBRACK", "'['")
-            vals = self.listed(self.scalar, "RBRACK")
-            self.expect("RBRACK", "']'")
-            return ElementLit("coord", vals, span)
-        if name == "simple":
-            self.next()
-            self.expect("LBRACE", "'{'")
-            pts = self.listed(self.scalar, "RBRACE")
-            self.expect("RBRACE", "'}'")
-            self.expect("LBRACK", "'['")
-            vals = self.listed(self.scalar, "RBRACK")
-            self.expect("RBRACK", "']'")
-            return ElementLit("simple", (pts, vals), span)
-        if name == "ec":
-            self.next()
+        self.next()
+        parts = self.literal_parts(name)
+        if parts is None:
+            return Name(name, span)
+        return Literal(name, parts, span)
+
+    def literal_parts(self, word):
+        """The parts of the literal that the keyword word, just read,
+        opens; None when word opens no literal."""
+        if word == "coord":
+            return self.enclosed("LBRACK", self.scalar)
+        if word == "simple":
+            return (self.enclosed("LBRACE", self.scalar),
+                    self.enclosed("LBRACK", self.scalar))
+        if word == "ec":
             self.expect("LBRACK", "'['")
             prefix = self.listed(self.scalar, "BAR")
             self.expect("BAR", "'|'")
-            tail = self.scalar()
+            parts = prefix, self.scalar()
             self.expect("RBRACK", "']'")
-            return ElementLit("ec", (prefix, tail), span)
-        if name == "fin" or name == "pl":
-            self.next()
+            return parts
+        if word == "fin":
+            return self.enclosed("LBRACE", self.fin_pair)
+        if word == "pl":
+            return self.enclosed("LBRACE", self.pl_pair)
+        if word == "simplespace":
+            return self.enclosed("LBRACE", self.scalar)
+        if word == "kernel":
+            return self.enclosed("LBRACE", self.kernel_row)
+        if word == "linec":
             self.expect("LBRACE", "'{'")
-            pairs = self.listed(self.fin_pair if name == "fin"
-                                else self.pl_pair, "RBRACE")
+            coeffs = self.listed(self.linec_coeff, "SEMI")
+            self.expect("SEMI", "';' before the unit clause")
+            self.expect_word("unit", "expected 'unit'")
+            self.expect("ARROW", "'->'")
+            unit = self.expression()
+            self.expect("SEMI", "';' before the target clause")
+            self.expect_word("target", "expected 'target'")
+            parts = coeffs, unit, self.expression()
             self.expect("RBRACE", "'}'")
-            return ElementLit(name, pairs, span)
-        if name == "simplespace":
-            self.next()
-            self.expect("LBRACE", "'{'")
-            pts = self.listed(self.scalar, "RBRACE")
-            self.expect("RBRACE", "'}'")
-            return SpaceLit(pts, span)
-        if name == "kernel":
-            self.next()
-            return self.kernel_literal(span)
-        if name == "linec":
-            self.next()
-            return self.linec_literal(span)
-        if name == "table":
-            self.next()
-            self.expect("LBRACE", "'{'")
-            entries = self.listed(self.table_entry, "RBRACE")
-            self.expect("RBRACE", "'}'")
-            return TableLit(entries, span)
-        if name == "meyer":
-            self.next()
+            return parts
+        if word == "table":
+            return self.enclosed("LBRACE", self.table_entry)
+        if word == "meyer":
             self.expect("LPAREN", "'('")
             op = self.expression()
             self.expect("SEMI", "';' between the operator and its arguments")
@@ -766,29 +741,30 @@ class _Parser:
                 self.next()
                 e = self.expression()
             self.expect("RPAREN", "')'")
-            return Meyer(op, x, y, e, span)
-        if name == "pliev":
-            self.next()
+            return op, x, y, e
+        if word == "pliev":
             self.expect("LPAREN", "'('")
             us = self.listed(self.expression, "SEMI")
             self.expect("SEMI", "';' between the two splittings")
             vs = self.listed(self.expression, "RPAREN")
             self.expect("RPAREN", "')'")
-            return Pliev(us, vs, span)
-        self.next()
-        return Name(name, span)
+            return us, vs
+        return None
+
+    def enclosed(self, opener, item) -> tuple:
+        """The comma list of item() between the bracket opener and its
+        closer."""
+        closer = _CLOSER[opener]
+        self.expect(opener, _SPELLING[opener])
+        items = self.listed(item, closer)
+        self.expect(closer, _SPELLING[closer])
+        return items
 
     def table_entry(self) -> tuple:
         """key -> value in table{...}."""
         key = self.expression()
         self.expect("ARROW", "'->'")
         return key, self.expression()
-
-    def kernel_literal(self, span) -> Node:
-        self.expect("LBRACE", "'{'")
-        entries = self.listed(self.kernel_row, "RBRACE")
-        self.expect("RBRACE", "'}'")
-        return KernelLit(entries, span)
 
     def kernel_row(self) -> tuple:
         """i[->j]: t -> poly in kernel{...}; j is i when left out."""
@@ -811,7 +787,6 @@ class _Parser:
 
     def poly_term(self, sign: Fraction):
         coef = Fraction(1)
-        power = None
         if self.at("MINUS") and self.kinds[self.i + 1] == "IDENT":
             self.next()
             sign = -sign
@@ -827,19 +802,6 @@ class _Parser:
             self.next()
             power = int(self.expect("INT", "an exponent"))
         return (sign * coef, power)
-
-    def linec_literal(self, span) -> Node:
-        self.expect("LBRACE", "'{'")
-        coeffs = self.listed(self.linec_coeff, "SEMI")
-        self.expect("SEMI", "';' before the unit clause")
-        self.expect_word("unit", "expected 'unit'")
-        self.expect("ARROW", "'->'")
-        unit = self.expression()
-        self.expect("SEMI", "';' before the target clause")
-        self.expect_word("target", "expected 'target'")
-        target = self.expression()
-        self.expect("RBRACE", "'}'")
-        return LinecLit(coeffs, unit, target, span)
 
     def linec_coeff(self) -> tuple:
         """n:a in linec{...}: an index and its coefficient."""
@@ -903,24 +865,8 @@ def print_expr(e: Node, parent_prec: int = 0) -> str:
         if e.value < 0 and parent_prec >= 7:
             return f"({e.value})"
         return str(e.value)
-    if isinstance(e, ElementLit):
-        return _print_element_lit(e)
-    if isinstance(e, SpaceLit):
-        return "simplespace{%s}" % ",".join(str(v) for v in e.points)
-    if isinstance(e, KernelLit):
-        rows = []
-        for atom, target, terms in e.entries:
-            head = f"{atom}" if atom == target else f"{atom}->{target}"
-            rows.append(f"{head}: t -> {_print_poly(terms)}")
-        return "kernel{%s}" % ", ".join(rows)
-    if isinstance(e, LinecLit):
-        cs = ", ".join(f"{n}:{a}" for n, a in e.coeffs)
-        return ("linec{%s; unit -> %s; target %s}"
-                % (cs, print_expr(e.unit), print_expr(e.target)))
-    if isinstance(e, TableLit):
-        rows = ", ".join(f"{print_expr(k)} -> {print_expr(v)}"
-                         for k, v in e.entries)
-        return "table{%s}" % rows
+    if isinstance(e, Literal):
+        return _PRINT_LITERAL[e.kind](e.parts)
     if isinstance(e, Unary):
         inner = print_expr(e.operand, 7)
         # a digit-leading operand would be absorbed into one numeral
@@ -948,33 +894,60 @@ def print_expr(e: Node, parent_prec: int = 0) -> str:
     if isinstance(e, Apply):
         args = ", ".join(print_expr(a) for a in e.args)
         return f"{print_expr(e.fn, 8)}({args})"
-    if isinstance(e, Meyer):
-        tail = f"; {print_expr(e.e)}" if e.e is not None else ""
-        return (f"meyer({print_expr(e.operator)}; {print_expr(e.x)}, "
-                f"{print_expr(e.y)}{tail})")
-    if isinstance(e, Pliev):
-        us = ", ".join(print_expr(u) for u in e.us)
-        vs = ", ".join(print_expr(v) for v in e.vs)
-        return f"pliev({us}; {vs})"
     if isinstance(e, Rel):
         text = f"{print_expr(e.left, 1)} {e.op} {print_expr(e.right, 1)}"
         return f"({text})" if parent_prec > 0 else text
     raise DslTypeError(f"cannot print {e!r}")
 
 
-def _print_element_lit(e: ElementLit) -> str:
-    if e.kind == "coord":
-        return "coord[%s]" % ",".join(str(v) for v in e.parts)
-    if e.kind == "simple":
-        pts, vals = e.parts
-        return "simple{%s}[%s]" % (",".join(str(v) for v in pts),
-                                   ",".join(str(v) for v in vals))
-    if e.kind == "ec":
-        prefix, tail = e.parts
-        return "ec[%s|%s]" % (",".join(str(v) for v in prefix), tail)
-    if e.kind == "fin":
-        return "fin{%s}" % ",".join(f"({i},{v})" for i, v in e.parts)
-    return "pl{%s}" % ",".join(f"({t},{v})" for t, v in e.parts)
+def _scalars(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _pairs(pairs) -> str:
+    return ",".join(f"({a},{b})" for a, b in pairs)
+
+
+def _exprs(nodes) -> str:
+    return ", ".join(print_expr(n) for n in nodes)
+
+
+def _print_kernel(entries) -> str:
+    rows = []
+    for atom, target, terms in entries:
+        head = f"{atom}" if atom == target else f"{atom}->{target}"
+        rows.append(f"{head}: t -> {_print_poly(terms)}")
+    return "kernel{%s}" % ", ".join(rows)
+
+
+def _print_linec(parts) -> str:
+    coeffs, unit, target = parts
+    cs = ", ".join(f"{n}:{a}" for n, a in coeffs)
+    return ("linec{%s; unit -> %s; target %s}"
+            % (cs, print_expr(unit), print_expr(target)))
+
+
+def _print_meyer(parts) -> str:
+    operator, x, y, e = parts
+    tail = f"; {print_expr(e)}" if e is not None else ""
+    return f"meyer({print_expr(operator)}; {_exprs((x, y))}{tail})"
+
+
+# literal kind -> its text, given the parts its parse branch reads
+_PRINT_LITERAL = {
+    "coord": lambda values: "coord[%s]" % _scalars(values),
+    "simple": lambda parts: "simple{%s}[%s]" % tuple(map(_scalars, parts)),
+    "ec": lambda parts: "ec[%s|%s]" % (_scalars(parts[0]), parts[1]),
+    "fin": lambda pairs: "fin{%s}" % _pairs(pairs),
+    "pl": lambda pairs: "pl{%s}" % _pairs(pairs),
+    "simplespace": lambda points: "simplespace{%s}" % _scalars(points),
+    "kernel": _print_kernel,
+    "linec": _print_linec,
+    "table": lambda entries: "table{%s}" % ", ".join(
+        f"{print_expr(k)} -> {print_expr(v)}" for k, v in entries),
+    "meyer": _print_meyer,
+    "pliev": lambda parts: "pliev(%s; %s)" % tuple(map(_exprs, parts)),
+}
 
 
 def _print_poly(terms) -> str:

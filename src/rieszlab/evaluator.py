@@ -1,11 +1,13 @@
 """Script evaluation: binds names, evaluates expressions, runs commands.
 
-Every output a script produces goes through ``render`` below, so the
-shipped example corpus is byte-reproducible given a seed.  An operation
-is one row of ``_OPS``, keyed by its name and the ``kind_of`` each
-operand, and a call of a name in ``_BUILTINS`` goes to its rows; a name
-the script has not bound falls back to ``_PREDEFINED``.  ``_LEAVES``
-and ``_STATEMENTS`` map node classes to handlers.
+Every output a script produces goes through ``render`` below, which
+prints a value by its ``kind_of``, so the shipped example corpus is
+byte-reproducible given a seed.  An operation is one row of ``_OPS``,
+keyed by its name and the kind of each operand, and a call of a name in
+``_BUILTINS`` goes to its rows; a name the script has not bound falls
+back to ``_PREDEFINED``.  ``_LEAVES`` and ``_STATEMENTS`` map node
+classes to handlers, and ``_LITERALS`` maps the kind of a
+``dsl.Literal``, its keyword, to the handler that builds its value.
 ``eval_expr`` walks the left spine of a chain in a loop, so a chain of
 any length evaluates; the parser bounds the rest of the nesting.
 """
@@ -17,12 +19,10 @@ from fractions import Fraction
 
 from . import checks, lateral, spaces
 from .dsl import (
-    Abs, Apply, Binary, CheckStmt, DslTypeError, ElementLit, EvalStmt,
-    KernelLit, LetStmt, LinecLit, Meyer, Name, Pliev, Postfix, Rel,
-    ScalarLit, Script, SearchStmt, SpaceLit, SuiteStmt, TableLit, Unary,
+    Abs, Apply, Binary, CheckStmt, DslTypeError, EvalStmt, LetStmt, Literal,
+    Name, Postfix, Rel, ScalarLit, Script, SearchStmt, SuiteStmt, Unary,
 )
 from .errors import MalformedElement
-from .lateral import FragmentEnumeration
 from .operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, Operator, OpScaled,
     OpSum, PiecewisePoly, match_table,
@@ -51,12 +51,18 @@ class Environment:
 
 SCALAR, BOOL, ELEMENT, OPERATOR, SPACE, OTHER = (
     "scalar", "bool", "element", "operator", "space", "other")
+FRAGMENTS, SPLITTINGS, POINT, GRID = (
+    "fragments", "splittings", "lattice point", "grid")
 
 # base class -> kind, bool before int: a bool, the value of a relation,
-# is not a scalar; a canonical scalar is an int or a Fraction
+# is not a scalar; a canonical scalar is an int or a Fraction.  The
+# kinds after SPACE are only printed: no row of _OPS takes them.  The
+# one tuple a script makes is the splittings that decomps lists.
 _KIND_BASES = ((bool, BOOL), (int, SCALAR), (Fraction, SCALAR),
                (Element, ELEMENT), (Operator, OPERATOR),
-               (spaces.Space, SPACE))
+               (spaces.Space, SPACE), (lateral.FragmentEnumeration, FRAGMENTS),
+               (tuple, SPLITTINGS), (LatticePoint, POINT),
+               (lateral.PlievGrid, GRID))
 _KINDS = {}                        # type(value) -> kind, filled on demand
 
 
@@ -74,36 +80,6 @@ def kind_of(value) -> str:
 # rendering
 # ---------------------------------------------------------------------------
 
-_RENDER_KIND = {
-    BOOL: lambda v: "true" if v else "false",
-    ELEMENT: lambda v: format_element(v),
-    SCALAR: str,
-    OPERATOR: lambda v: f"<operator {type(v).__name__}>",
-    SPACE: lambda v: spaces.space_name(v),
-}
-
-
-def render(value) -> str:
-    kind = kind_of(value)
-    if kind != OTHER:
-        return _RENDER_KIND[kind](value)
-    if isinstance(value, FragmentEnumeration):
-        items = ", ".join(format_element(z) for z in value)
-        return f"fragments count={value.count}: [{items}]"
-    if isinstance(value, tuple) and value and hasattr(value[0], "base"):
-        items = ", ".join(f"({format_element(d.left)} | "
-                          f"{format_element(d.right)})" for d in value)
-        return f"decomps count={len(value)}: [{items}]"
-    if isinstance(value, LatticePoint):
-        return _render_lattice_point(value)
-    if isinstance(value, lateral.PlievGrid):
-        rows = ",".join(
-            "[%s]" % ",".join(format_element(w) for w in row)
-            for row in value.grid)
-        return f"grid[{rows}]"
-    return str(value)
-
-
 def _render_lattice_point(p: LatticePoint) -> str:
     if p.mode == "exact":
         text = format_element(p.value)
@@ -117,6 +93,28 @@ def _render_lattice_point(p: LatticePoint) -> str:
         return text
     lines = [f"level {l}: {format_element(v)}" for l, v in p.levels]
     return "\n".join(lines)
+
+
+# kind -> the text of a value of that kind; any other value prints as str
+_RENDER_KIND = {
+    BOOL: lambda v: "true" if v else "false",
+    ELEMENT: lambda v: format_element(v),
+    SCALAR: str,
+    OPERATOR: lambda v: f"<operator {type(v).__name__}>",
+    SPACE: lambda v: spaces.space_name(v),
+    FRAGMENTS: lambda v: "fragments count=%d: [%s]" % (
+        v.count, ", ".join(format_element(z) for z in v)),
+    SPLITTINGS: lambda v: "decomps count=%d: [%s]" % (len(v), ", ".join(
+        f"({format_element(d.left)} | {format_element(d.right)})"
+        for d in v)),
+    POINT: _render_lattice_point,
+    GRID: lambda v: "grid[%s]" % ",".join(
+        "[%s]" % ",".join(format_element(w) for w in row) for row in v.grid),
+}
+
+
+def render(value) -> str:
+    return _RENDER_KIND.get(kind_of(value), str)(value)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +261,14 @@ def _element(expr, env, span, what) -> Element:
     return v
 
 
-# literal kind -> the constructor its parts are the arguments of
-_ELEMENT_LITERALS = {"coord": spaces.coord, "simple": spaces.simple,
-                     "ec": spaces.ec, "fin": spaces.fin, "pl": spaces.pl}
-
-
-def _kernel(node: KernelLit, env) -> Kernel:
-    if not node.entries:
+def _kernel(node: Literal, env) -> Kernel:
+    entries = node.parts
+    if not entries:
         raise MalformedElement("a kernel needs at least one row")
-    n_dom = max(atom for atom, _, _ in node.entries)
-    n_cod = max(target for _, target, _ in node.entries)
+    n_dom = max(atom for atom, _, _ in entries)
+    n_cod = max(target for _, target, _ in entries)
     rows = []
-    for atom, target, terms in node.entries:
+    for atom, target, terms in entries:
         coeffs = [Fraction(0)] * (max((p for _, p in terms), default=0) + 1)
         for coef, power in terms:
             coeffs[power] += coef
@@ -282,16 +276,17 @@ def _kernel(node: KernelLit, env) -> Kernel:
     return Kernel(Coordinate(n_dom), Coordinate(n_cod), tuple(rows))
 
 
-def _linec(node: LinecLit, env) -> LinearEC:
-    unit = _element(node.unit, env, node.span, "unit image")
-    target = _element(node.target, env, node.span, "target")
-    return LinearEC(target.space, node.coeffs, unit, target)
+def _linec(node: Literal, env) -> LinearEC:
+    coeffs, unit, target = node.parts
+    unit = _element(unit, env, node.span, "unit image")
+    target = _element(target, env, node.span, "target")
+    return LinearEC(target.space, coeffs, unit, target)
 
 
-def _table(node: TableLit, env):
+def _table(node: Literal, env):
     return match_table([(_element(k, env, node.span, "table key"),
                          _element(v, env, node.span, "table value"))
-                        for k, v in node.entries])
+                        for k, v in node.parts])
 
 
 def _apply(node: Apply, env):
@@ -307,40 +302,56 @@ def _apply(node: Apply, env):
     return _op("apply", (T, *args), node.span, env.level)
 
 
-def _meyer(node: Meyer, env):
-    T = eval_expr(node.operator, env)
+def _meyer(node: Literal, env):
+    operator, x, y, e = node.parts
+    T = eval_expr(operator, env)
     if kind_of(T) != OPERATOR:
         raise DslTypeError("meyer needs an operator first", node.span)
-    x = _element(node.x, env, node.span, "x")
-    y = _element(node.y, env, node.span, "y")
-    if node.e is None:
+    x = _element(x, env, node.span, "x")
+    y = _element(y, env, node.span, "y")
+    if e is None:
         return meyer_pair(T, x, y, unsafe=True)
-    return meyer_pair(T, x, y, _element(node.e, env, node.span, "e"))
+    return meyer_pair(T, x, y, _element(e, env, node.span, "e"))
 
 
-def _pliev(node: Pliev, env):
-    us = [_element(u, env, node.span, "left splitting") for u in node.us]
-    vs = [_element(v, env, node.span, "right splitting") for v in node.vs]
+def _pliev(node: Literal, env):
+    us, vs = node.parts
+    us = [_element(u, env, node.span, "left splitting") for u in us]
+    vs = [_element(v, env, node.span, "right splitting") for v in vs]
     return lateral.pliev_grid(us, vs)
 
+
+def _constructor(make):
+    """The handler of a literal whose parts are the arguments of make."""
+    return lambda node, env: make(*node.parts)
+
+
+# literal kind -> handler(node, env), which unpacks the node's parts
+_LITERALS = {
+    "coord": _constructor(spaces.coord),
+    "simple": _constructor(spaces.simple),
+    "ec": _constructor(spaces.ec),
+    "fin": _constructor(spaces.fin),
+    "pl": _constructor(spaces.pl),
+    "simplespace": lambda node, env: SimpleFunction(node.parts),
+    "kernel": _kernel,
+    "linec": _linec,
+    "table": _table,
+    "meyer": _meyer,
+    "pliev": _pliev,
+}
 
 # node class -> handler(node, env), for every expression node but the
 # chains eval_expr walks
 _LEAVES = {
     ScalarLit: lambda node, env: node.value,
     Name: lambda node, env: env.lookup(node.id, node.span),
-    ElementLit: lambda node, env: _ELEMENT_LITERALS[node.kind](*node.parts),
-    SpaceLit: lambda node, env: SimpleFunction(node.points),
-    KernelLit: _kernel,
-    LinecLit: _linec,
-    TableLit: _table,
+    Literal: lambda node, env: _LITERALS[node.kind](node, env),
     Unary: lambda node, env: _op("negate", (eval_expr(node.operand, env),),
                                  node.span),
     Abs: lambda node, env: _op("|...|", (eval_expr(node.operand, env),),
                                node.span),
     Apply: _apply,
-    Meyer: _meyer,
-    Pliev: _pliev,
 }
 
 
@@ -377,7 +388,10 @@ def _eval(stmt: EvalStmt, env):
         text = render(value)
     finally:
         sys.set_int_max_str_digits(limit)
-    if type(stmt.expr) is Meyer and stmt.expr.e is None:
+    expr = stmt.expr
+    # meyer(T; x, y), with no e: the lateral bound is not checked
+    if (type(expr) is Literal and expr.kind == "meyer"
+            and expr.parts[3] is None):
         text += " (unsafe: lateral bound not checked)"
     env.level = None
     return text.split("\n")
@@ -386,7 +400,7 @@ def _eval(stmt: EvalStmt, env):
 def _check(stmt: CheckStmt, env):
     cfg = checks.parse_config(stmt.config)
     check = checks.run_check(stmt.check_id, cfg or None, seed=env.seed)
-    if check.result.verdict == "fails":
+    if not check.result.ok:
         env.failures += 1
     return [check.summary_line(), *(f"  {a}" for a in check.artifacts)]
 

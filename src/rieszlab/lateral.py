@@ -91,7 +91,6 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class FragmentEnumeration:
-    base: Element
     items: tuple
 
     def __iter__(self):
@@ -152,7 +151,7 @@ def enumerate_fragments(e: Element) -> FragmentEnumeration:
     (infinite algebra; use fragment_iter).
     """
     items = sorted(Restrictions(e), key=canonical_key)
-    return FragmentEnumeration(e, tuple(items))
+    return FragmentEnumeration(tuple(items))
 
 
 def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
@@ -174,7 +173,7 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     if has_infinite_fragments(e):
         parts.append(sub(e, functools.reduce(add, parts, zero(space))))
     items = sorted(space.subset_table(parts), key=canonical_key)
-    return FragmentEnumeration(e, tuple(items))
+    return FragmentEnumeration(tuple(items))
 
 
 def min_level(z: Element) -> int:

@@ -1325,15 +1325,18 @@ class RealInterval:
         return f"interval[{lo},{hi}]"
 
 
-def _decimal(value: Fraction, down: bool, places: int = 12) -> str:
+_PLACES = 12                       # decimals an inexact enclosure shows
+
+
+def _decimal(value: Fraction, down: bool) -> str:
     """Directed decimal rendering, preserving the enclosure on display."""
-    scaled = value * 10 ** places
+    scaled = value * 10 ** _PLACES
     n = scaled.numerator // scaled.denominator  # floor
     if not down and n * scaled.denominator != scaled.numerator:
         n += 1
     sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(abs(n)).rjust(_PLACES + 1, "0")
+    return f"{sign}{digits[:-_PLACES]}.{digits[-_PLACES:]}"
 
 
 # ---------------------------------------------------------------------------

@@ -183,13 +183,12 @@ def test_an_eof_diagnostic_follows_the_last_token(src, diagnostic):
 # node spans
 # ---------------------------------------------------------------------------
 
-# the keyword that opens each statement and literal
+# the token that opens each statement and each prefix node; a literal
+# opens with its kind, its keyword
 _OPENING_WORD = {
     dsl.LetStmt: "let", dsl.EvalStmt: "eval", dsl.CheckStmt: "check",
     dsl.SuiteStmt: "suite", dsl.SearchStmt: "search",
-    dsl.SpaceLit: "simplespace", dsl.KernelLit: "kernel",
-    dsl.LinecLit: "linec", dsl.TableLit: "table", dsl.Meyer: "meyer",
-    dsl.Pliev: "pliev", dsl.Unary: "-", dsl.Abs: "|", dsl.Apply: "(",
+    dsl.Unary: "-", dsl.Abs: "|", dsl.Apply: "(",
 }
 _NUMERAL = re.compile(r"(-?)\s*(\d+)(?:\s*/\s*(\d+))?")
 
@@ -227,7 +226,7 @@ def _span_problem(node, text, offsets):
         words = _spellings(node.op)
     elif isinstance(node, dsl.Name):
         words = _spellings(node.id)
-    elif isinstance(node, dsl.ElementLit):
+    elif isinstance(node, dsl.Literal):
         words = (node.kind,)
     else:
         words = (_OPENING_WORD[type(node)],)
@@ -294,7 +293,7 @@ def _span_problems(text):
     offsets = [0] + [m.end() for m in re.finditer("\n", text)]
     problems, kinds = [], set()
     for node in _nodes(_script(text)):
-        kinds.add(type(node))
+        kinds.add(node.kind if isinstance(node, dsl.Literal) else type(node))
         why = _span_problem(node, text, offsets)
         if why is not None:
             problems.append((type(node).__name__, node.span, why))
@@ -311,7 +310,8 @@ def test_every_node_span_opens_its_node():
     spanned = {c for c in vars(dsl).values() if isinstance(c, type)
                and issubclass(c, dsl.Node)
                and "span" in {f.name for f in dataclasses.fields(c)}}
-    assert seen == spanned
+    # every literal kind, and every other node class with a span
+    assert seen == spanned - {dsl.Literal} | set(dsl._PRINT_LITERAL)
 
 
 def test_mutation_lex_col_after_newline_off_by_one_is_caught():
@@ -611,6 +611,64 @@ def test_predefined_names_and_new_builtins_evaluate():
     assert type(env.bindings["S"].n) is int
 
 
+def _random_scalar(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _random_scalars(rng):
+    return tuple(_random_scalar(rng) for _ in range(rng.randint(0, 3)))
+
+
+def _random_poly(rng):
+    """Kernel row terms: coefficients of either sign, powers 0 to 3."""
+    return tuple((Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                  rng.randrange(4)) for _ in range(rng.randint(1, 3)))
+
+
+def _random_leaf_literal(rng):
+    """A literal of every kind whose parts hold no expression."""
+    kind = rng.choice(["coord", "simple", "ec", "fin", "pl", "simplespace",
+                       "kernel"])
+    if kind == "simple":
+        parts = (_random_scalars(rng), _random_scalars(rng))
+    elif kind == "ec":
+        parts = (_random_scalars(rng), _random_scalar(rng))
+    elif kind in ("fin", "pl"):
+        firsts = (tuple(range(rng.randint(0, 3))) if kind == "fin"
+                  else _random_scalars(rng))
+        parts = tuple((a, Fraction(rng.randint(-4, 4))) for a in firsts)
+    elif kind == "kernel":
+        parts = tuple((atom, rng.choice([atom, rng.randint(1, 4)]),
+                       _random_poly(rng))
+                      for atom in range(1, rng.randint(1, 4)))
+    else:
+        parts = _random_scalars(rng)
+    return dsl.Literal(kind, parts)
+
+
+def _random_literal(rng, depth):
+    """A literal of every kind whose parts hold expressions."""
+
+    def sub():
+        return _random_expr(rng, depth - 1)
+
+    def subs():
+        return tuple(sub() for _ in range(rng.randint(0, 2)))
+
+    kind = rng.choice(["linec", "table", "meyer", "pliev"])
+    if kind == "linec":
+        coeffs = tuple((n, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                       for n in range(1, rng.randint(1, 4)))
+        parts = (coeffs, sub(), sub())
+    elif kind == "table":
+        parts = tuple((sub(), sub()) for _ in range(rng.randint(0, 2)))
+    elif kind == "meyer":
+        parts = (sub(), sub(), sub(), rng.choice([None, sub()]))
+    else:
+        parts = (subs(), subs())
+    return dsl.Literal(kind, parts)
+
+
 def _random_expr(rng, depth):
     from fractions import Fraction
     from rieszlab import dsl as d
@@ -622,12 +680,10 @@ def _random_expr(rng, depth):
         if kind == 1:
             return d.Name(rng.choice("abcxyz"))
         if kind == 2:
-            vals = tuple(Fraction(rng.randint(-3, 3))
-                         for _ in range(rng.randint(1, 3)))
-            return d.ElementLit("coord", vals)
+            return _random_leaf_literal(rng)
         return d.Apply(d.Name("coordspace"),
                        (d.ScalarLit(Fraction(rng.randint(1, 4))),))
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         op = rng.choice(["*", "+", "-", "lsup", "linf", "/\\", "\\/"])
         return d.Binary(op, _random_expr(rng, depth - 1),
@@ -643,6 +699,8 @@ def _random_expr(rng, depth):
         return d.Apply(d.Name(rng.choice("fg")),
                        tuple(_random_expr(rng, depth - 1)
                              for _ in range(rng.randint(1, 2))))
+    if kind == 5:
+        return _random_literal(rng, depth)
     return d.Rel(rng.choice(["<=", "<<=", "_|_", "=="]),
                  _random_expr(rng, 0), _random_expr(rng, 0))
 
@@ -650,12 +708,27 @@ def _random_expr(rng, depth):
 def test_printer_round_trip_generated_asts():
     from rieszlab import dsl as d
     rng = make_rng("ast-fuzz")
+    drawn = set()
     for _ in range(800):
         script = d.Script((d.EvalStmt(_random_expr(rng, 3)),))
         printed = print_script(script)
         reparsed = parse(printed)
         assert reparsed.ok, (printed, reparsed.diagnostics)
         assert reparsed.script == script, printed
+        for node in _nodes(script):
+            if isinstance(node, d.Literal):
+                drawn.add(node.kind)
+                if node.kind == "meyer":
+                    drawn.add(("meyer", node.parts[3] is None))
+                if node.kind == "kernel":
+                    drawn |= {("kernel", atom == target, power)
+                              for atom, target, terms in node.parts
+                              for _, power in terms}
+    assert set(d._PRINT_LITERAL) <= drawn
+    # meyer with and without e; kernel rows i and i->j, terms of each power
+    assert {("meyer", False), ("meyer", True)} <= drawn
+    assert {("kernel", same, power) for same in (False, True)
+            for power in range(4)} <= drawn
 
 
 def test_parser_fuzz_smoke():

@@ -26,9 +26,14 @@ The slow references live in ``oracles``, which only ``checks`` imports,
 and which shares none of the code the references check.  A reference
 elsewhere, named ``*_by_*``, is listed in ``REFERENCES_ALLOWED`` with
 the reason it stays.
+
+The script front end dispatches by tables: every node class has an
+evaluator handler, and every literal kind, the keyword that opens it, a
+row in the printer's table and in the evaluator's.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -470,6 +475,40 @@ def test_every_node_class_has_an_evaluator_handler():
     assert set(evaluator._STATEMENTS) == statements
     assert evaluator._CHAINS | set(evaluator._LEAVES) == classes - statements
     assert not evaluator._CHAINS & set(evaluator._LEAVES)
+
+
+# one script with every keyword form, each literal nested in an
+# expression of another
+EVERY_LITERAL = """
+let u = coord[1,0] + simple{0,1/2,1}[2,0] + ec[1,5|5] + fin{(1,2)};
+let p = pl{(0,0),(1/2,1),(1,0)};
+let s = one(simplespace{0,1/2,1});
+let K = kernel{1: t -> t^2, 2->1: t -> -t};
+let L = linec{1:1, 2:2; unit -> ec[1|0]; target ec[0,1|0]};
+let M = table{coord[1,0] -> coord[0,1]};
+eval meyer(K; coord[1,0], coord[0,1]; coord[1,1]) + meyer(K; u, u);
+eval pliev(coord[1,0], coord[0,1]; coord[1,1]);
+"""
+
+
+def _literal_kinds(node):
+    """The kinds of the literals in node and under it."""
+    if isinstance(node, tuple):
+        return set().union(*map(_literal_kinds, node))
+    if not isinstance(node, dsl.Node):
+        return set()
+    kinds = {node.kind} if isinstance(node, dsl.Literal) else set()
+    return kinds.union(*(_literal_kinds(getattr(node, f.name))
+                         for f in dataclasses.fields(node)))
+
+
+def test_every_literal_kind_has_a_printer_row_and_an_evaluator_row():
+    # a keyword the parser gains, or a row either table loses, fails here
+    parsed = dsl.parse(EVERY_LITERAL)
+    assert parsed.ok, parsed.diagnostics
+    kinds = _literal_kinds(parsed.script)
+    assert kinds == set(dsl._PRINT_LITERAL)
+    assert kinds == set(evaluator._LITERALS)
 
 
 def test_every_operator_and_relation_has_a_row():
