@@ -310,11 +310,20 @@ _run_lem_4_4 = _at_every_fragment(
 def _run_lem_4_5(rng, space, k):
     y = gen.random_nonzero_element(rng, space)
     x = space.random_fragment(rng, y)
-    for tag, fx, fy in (("pos", pos_part(x), pos_part(y)),
-                        ("neg", neg_part(x), neg_part(y)),
-                        ("abs", absolute(x), absolute(y))):
+    px, nx, ax = pos_part(x), neg_part(x), absolute(x)
+    for tag, fx, fy in (("pos", px, pos_part(y)),
+                        ("neg", nx, neg_part(y)),
+                        ("abs", ax, absolute(y))):
         if not is_fragment(fx, fy):
             return f"{tag} part not laterally monotone", (x, y)
+    # the parts are the lattice formulas on x, which the models compute
+    # apart from ``sup``
+    o, minus_x = zero(space), scale(-1, x)
+    for tag, fx, formula in (("pos", px, sup(x, o)),
+                             ("neg", nx, sup(minus_x, o)),
+                             ("abs", ax, sup(x, minus_x))):
+        if fx != formula:
+            return f"{tag} part differs from its lattice formula", (x,)
     u = space.random_fragment(rng, absolute(y))
     x2 = _random_signs(rng, u)
     if absolute(x2) != u:

@@ -27,10 +27,25 @@ mutants:
 * ``pl-lattice-drops-crossing`` -- the integer piecewise-linear
   supremum and infimum pick the larger (smaller) value at each merged
   breakpoint but insert no crossing abscissa, so where the operands
-  cross inside a segment the result cuts the corner.
+  cross inside a segment the result cuts the corner.  The parts walk
+  their operand apart from the lattice, so ``lem-4.5`` catches it by
+  comparing them with the lattice formulas sup(x, 0), sup(-x, 0) and
+  sup(x, -x).
 * ``scalar-truncates`` -- the canonical scalar ``spaces.q`` turns a
   non-integral Fraction into ``int(value)``, so halves and thirds on the
   atomic models round toward zero.
+* ``atomic-pick-drops-denominator`` -- the integer comparison of
+  canonical scalars (``spaces._qless``), which the atomic suprema,
+  infima and order read, leaves the denominator of its left operand
+  out of the cross-product, so a Fraction on the left compares as its
+  numerator.  ``thm-1.1-a``, ``thm-1.1-b``,
+  ``thm-2.3-converse``, ``rem-c00``, ``thm-3.2-join`` and
+  ``cor-3.3-meet`` catch it.
+* ``pl-parts-drop-crossing`` -- the piecewise-linear positive part,
+  negative part and modulus (``PiecewiseLinear._parts``) map each
+  breakpoint value but insert no zero where a segment changes sign, so
+  a part cuts the corner there; ``lem-4.5`` sees it as a part that is
+  not laterally monotone.
 * ``ec-prefix-unminimised`` -- the trim that builds every eventually
   constant element, from ``normalize`` and from the model's operations
   (``EventuallyConstant._element``), keeps the trailing prefix entries
@@ -160,6 +175,17 @@ def _q_truncates(value):
     return int(value) if isinstance(value, Fraction) else value
 
 
+def _qless_drops_denominator(a, b):
+    if type(a) is int and type(b) is int:
+        return a < b
+    return a.numerator * b.denominator < b.numerator
+
+
+def _pl_parts_drop_crossing(self, x, part):
+    return spaces.Element(self, spaces._pl_strip_collinear(spaces._pl_rows(
+        [(t, part(v) or spaces._PL_ZERO) for t, v in x.payload])))
+
+
 def _ec_element_unminimised(self, vals):
     return spaces.Element(self, (tuple(vals[:-1]), vals[-1]))
 
@@ -246,6 +272,10 @@ MUTATIONS = {
     "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
                                   _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),
+    "atomic-pick-drops-denominator": (spaces, "_qless",
+                                      _qless_drops_denominator),
+    "pl-parts-drop-crossing": (spaces.PiecewiseLinear, "_parts",
+                               _pl_parts_drop_crossing),
     "ec-prefix-unminimised": (spaces.EventuallyConstant, "_element",
                               _ec_element_unminimised),
     "ec-parts-keep-tail": (spaces.EventuallyConstant, "_parts",

@@ -37,12 +37,19 @@ and build a ``Fraction`` only for a new value a result keeps, and
 nothing to do for.  Their references, in ``oracles``, compute the same
 functions point by point and share no code with these kernels.
 
+The atomic models decide order in integers too: their suprema,
+infima and ``leq`` compare scalars by cross-products of numerators and
+denominators (``_qmax``, ``_qmin``, ``_qless``), so no ``Fraction``
+comparison runs.
+
 Negation, subtraction, parts and moduli are each model's own too (see
-``Space``): negation is unary minus, which takes no gcd, and the atomic
-models read a value's sign off its numerator.  Every model builds the
-results of these operations, and of ``add``, ``scale`` and
-``lattice``, canonical as it goes; ``normalize``, which validates and
-coerces, is the entry point for input from outside the program.
+``Space``): negation is unary minus, which takes no gcd, and every
+model reads a value's sign off its numerator; the piecewise-linear
+parts and modulus add a zero at each sign change inside a segment, in
+one walk.  Every model builds the results of these operations, and of
+``add``, ``scale`` and ``lattice``, canonical as it goes;
+``normalize``, which validates and coerces, is the entry point for
+input from outside the program.
 """
 
 from __future__ import annotations
@@ -106,6 +113,34 @@ def _neg(v):
 
 def _abs(v):
     return -v if v.numerator < 0 else v
+
+
+# Order between canonical scalars in integers: int against int directly,
+# and where a Fraction takes part by the cross-product of numerators and
+# denominators (an int's denominator is 1), so no Fraction comparison
+# runs.  The atomic models pick and compare with these.
+
+def _qless(a, b):
+    """a < b for canonical scalars a and b."""
+    if type(a) is int and type(b) is int:
+        return a < b
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
+def _qmax(a, b):
+    """max(a, b) for canonical scalars; a tie keeps a, as ``max`` does."""
+    return b if _qless(a, b) else a
+
+
+def _qmin(a, b):
+    """min(a, b) for canonical scalars; a tie keeps a, as ``min`` does."""
+    return b if _qless(b, a) else a
+
+
+def _scalar_pick(pick):
+    """The pick an atomic ``lattice`` applies for ``pick``: the integer
+    one for ``max`` or ``min``, any other as it is."""
+    return _qmax if pick is max else _qmin if pick is min else pick
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +218,12 @@ class Space:
 
     The atomic models override all of them and work on their payloads
     directly: a part or modulus reads each value's sign off its
-    numerator.  ``PiecewiseLinear`` overrides ``neg``, ``leq`` and
-    ``disjoint``, and keeps the formulas for its parts, which need the
-    crossings of ``lattice``.  ``Reals`` overrides ``absolute``, and
+    numerator, and ``lattice`` and ``leq`` compare values by integer
+    cross-products (``_qmax``, ``_qmin`` and ``_qless``; ``lattice``
+    applies any other pick as it is).  ``PiecewiseLinear`` overrides
+    all but ``sub``: its parts and modulus walk the payload once,
+    reading signs off numerators and inserting a zero where a segment
+    changes sign.  ``Reals`` overrides ``absolute``, and
     ``leq`` and ``disjoint`` answer on the endpoints of its enclosures:
     ``None`` where they leave the answer undecided, which no other model
     gives.  ``subset_table`` and ``image_table`` build the fragment
@@ -369,7 +407,8 @@ class Cells(Space):
         return Element(self, tuple([-v for v in x.payload]))
 
     def lattice(self, x, y, pick):
-        return Element(self, tuple(map(pick, x.payload, y.payload)))
+        return Element(self, tuple(map(_scalar_pick(pick), x.payload,
+                                       y.payload)))
 
     def pos_part(self, x):
         return Element(self, tuple(map(_pos, x.payload)))
@@ -381,10 +420,10 @@ class Cells(Space):
         return Element(self, tuple(map(_abs, x.payload)))
 
     def nonneg(self, x):
-        return all(v >= 0 for v in x.payload)
+        return all(v.numerator >= 0 for v in x.payload)
 
     def leq(self, x, y):
-        return all(a <= b for a, b in zip(x.payload, y.payload))
+        return not any(map(_qless, y.payload, x.payload))
 
     def disjoint(self, x, y):
         return all(a == 0 or b == 0 for a, b in zip(x.payload, y.payload))
@@ -581,6 +620,7 @@ class FinSupport(Space):
         return Element(self, tuple([(i, -v) for i, v in x.payload]))
 
     def lattice(self, x, y, pick):
+        pick = _scalar_pick(pick)
         xs, ys = dict(x.payload), dict(y.payload)
         out = []
         for i in sorted(xs.keys() | ys.keys()):
@@ -601,12 +641,12 @@ class FinSupport(Space):
         return Element(self, tuple([(i, _abs(v)) for i, v in x.payload]))
 
     def nonneg(self, x):
-        return all(v >= 0 for _, v in x.payload)
+        return all(v.numerator >= 0 for _, v in x.payload)
 
     def leq(self, x, y):
         xs, ys = dict(x.payload), dict(y.payload)
-        return all(xs.get(i, ZERO) <= ys.get(i, ZERO)
-                   for i in xs.keys() | ys.keys())
+        return not any(_qless(ys.get(i, ZERO), xs.get(i, ZERO))
+                       for i in xs.keys() | ys.keys())
 
     def disjoint(self, x, y):
         # payloads hold nonzero values only
@@ -707,7 +747,8 @@ class EventuallyConstant(Space):
         return Element(self, (tuple([-v for v in prefix]), -tail))
 
     def lattice(self, x, y, pick):
-        return self._element(tuple(map(pick, *self._columns(x, y))))
+        return self._element(tuple(map(_scalar_pick(pick),
+                                       *self._columns(x, y))))
 
     def _parts(self, x, part):
         """x with ``part`` (``_pos``, ``_neg`` or ``_abs``) applied to
@@ -726,10 +767,11 @@ class EventuallyConstant(Space):
 
     def nonneg(self, x):
         prefix, tail = x.payload
-        return tail >= 0 and all(v >= 0 for v in prefix)
+        return tail.numerator >= 0 and all(v.numerator >= 0 for v in prefix)
 
     def leq(self, x, y):
-        return all(a <= b for a, b in zip(*self._columns(x, y)))
+        xs, ys = self._columns(x, y)
+        return not any(map(_qless, ys, xs))
 
     def disjoint(self, x, y):
         return all(a == 0 or b == 0 for a, b in zip(*self._columns(x, y)))
@@ -957,6 +999,21 @@ def _pl_crossing(a, b, da, db):
             xan * xbd * s + xbn * xad * p, xad * xbd * w, None)
 
 
+def _pl_zero_between(a, ya, b, yb):
+    """The abscissa where the segment from (a, ya) to (b, yb), whose end
+    values have strictly opposite signs, crosses zero.  With each
+    coordinate n/d it is
+    a + (b - a) * ya / (ya - yb)
+      = (bn*ad*yan*ybd - an*bd*ybn*yad) / (ad*bd*(yan*ybd - ybn*yad)),
+    the one ``Fraction`` built."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    yan, yad = ya.numerator, ya.denominator
+    ybn, ybd = yb.numerator, yb.denominator
+    return Fraction(bn * ad * yan * ybd - an * bd * ybn * yad,
+                    ad * bd * (yan * ybd - ybn * yad))
+
+
 def _pl_component_walk(pts):
     """The support components of the payload ``pts``, in one walk on
     the signs of its value numerators: (start, end, i, j) for each, with
@@ -965,11 +1022,8 @@ def _pl_component_walk(pts):
     A component ends at a zero of x, or at t=1; it starts at t=0 or at
     the end of a run where x vanishes.  Only a sign change strictly
     inside a segment, which ends one component and starts the next,
-    builds a ``Fraction``: its abscissa, from the ends (a, ya), (b, yb)
-    of the segment, each coordinate n/d, as
-    a + (b - a) * ya / (ya - yb)
-      = (bn*ad*yan*ybd - an*bd*ybn*yad) / (ad*bd*(yan*ybd - ybn*yad)).
-    The reference is ``oracles.pl_components_by_crossing``.
+    builds a ``Fraction``: its abscissa, ``_pl_zero_between``.  The
+    reference is ``oracles.pl_components_by_crossing``.
     """
     comps = []
     last = len(pts) - 1
@@ -987,11 +1041,7 @@ def _pl_component_walk(pts):
             if start is None:
                 start, first = a, k
             if (sa < 0 < sb) or (sb < 0 < sa):
-                an, ad = a.numerator, a.denominator
-                bn, bd = b.numerator, b.denominator
-                yad, ybd = ya.denominator, yb.denominator
-                cross = Fraction(bn * ad * sa * ybd - an * bd * sb * yad,
-                                 ad * bd * (sa * ybd - sb * yad))
+                cross = _pl_zero_between(a, ya, b, yb)
                 comps.append((start, cross, first, k))
                 start, first = cross, k
             elif not sb and k != last:
@@ -1094,10 +1144,39 @@ class PiecewiseLinear(Space):
             prev, da = row, db
         return Element(self, _pl_strip_collinear(rows))
 
+    def _parts(self, x, part):
+        """x with ``part`` (``_pos``, ``_neg`` or ``_abs``) applied to
+        each breakpoint value, and a zero inserted at the crossing of
+        each segment whose end values have strictly opposite signs: the
+        part is linear between these points, so they determine it.  One
+        walk, with signs read off the numerators."""
+        rows = []
+        a, ya = x.payload[0]
+        sa = 0
+        for t, v in x.payload:
+            s = v.numerator
+            if (sa < 0 < s) or (s < 0 < sa):
+                c = _pl_zero_between(a, ya, t, v)
+                rows.append((c, c.numerator, c.denominator, 0, 1, _PL_ZERO))
+            w = part(v) or _PL_ZERO         # payloads hold no int zero
+            rows.append((t, t.numerator, t.denominator,
+                         w.numerator, w.denominator, w))
+            a, ya, sa = t, v, s
+        return Element(self, _pl_strip_collinear(rows))
+
+    def pos_part(self, x):
+        return self._parts(x, _pos)
+
+    def neg_part(self, x):
+        return self._parts(x, _neg)
+
+    def absolute(self, x):
+        return self._parts(x, _abs)
+
     def nonneg(self, x):
         # x is linear between its breakpoints, so checking the
         # breakpoint values suffices
-        return all(v >= 0 for _, v in x.payload)
+        return all(v.numerator >= 0 for _, v in x.payload)
 
     # On each segment between merged breakpoints both operands are
     # linear, so order and disjointness are decided at its ends.

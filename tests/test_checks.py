@@ -192,8 +192,19 @@ def test_mutation_pl_disjoint_one_end_breaks_lateral_antisymmetry():
 
 
 def test_mutation_pl_lattice_drops_crossing_breaks_lateral_monotonicity():
-    # a positive part then cuts the corner where its argument crosses zero
+    # the parts walk their operand apart from the lattice, so lem-4.5
+    # compares them with the lattice formulas on the x it draws: sup(x, 0)
+    # then cuts the corner where x crosses zero
     with tampered("pl-lattice-drops-crossing"):
+        report = run_check("lem-4.5").result
+        assert report.verdict == FAILS
+        assert report.witness == "pos part differs from its lattice formula"
+    assert run_check("lem-4.5").result.verdict == HOLDS
+
+
+def test_mutation_pl_parts_drop_crossing_breaks_lateral_monotonicity():
+    # a positive part then cuts the corner where its argument crosses zero
+    with tampered("pl-parts-drop-crossing"):
         report = run_check("lem-4.5").result
         assert report.verdict == FAILS
         assert report.witness == "pos part not laterally monotone"
@@ -304,6 +315,10 @@ CATCHERS = {
         "thm-2.3-converse", "rem-linear-positive", "thm-3.2-oao",
         "thm-3.2-pres-p", "cor-3.6-pres-P", "thm-4.2-1", "thm-4.2-2",
         "thm-4.2-3", "thm-4.2-4", "ex-2.2", "ex-4.3-latmeet"),
+    "atomic-pick-drops-denominator": ("thm-1.1-a", "thm-1.1-b",
+                                      "thm-2.3-converse", "rem-c00",
+                                      "thm-3.2-join", "cor-3.3-meet"),
+    "pl-parts-drop-crossing": ("lem-4.5",),
     "ec-prefix-unminimised": ("thm-4.2-4",),
     "ec-parts-keep-tail": ("lem-4.5",),
     "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
@@ -341,7 +356,10 @@ def test_mutation_names_are_documented():
                               "pl-disjoint-one-end",
                               "pl-restrict-drops-breakpoint",
                               "pl-lattice-drops-crossing",
-                              "scalar-truncates", "ec-prefix-unminimised",
+                              "scalar-truncates",
+                              "atomic-pick-drops-denominator",
+                              "pl-parts-drop-crossing",
+                              "ec-prefix-unminimised",
                               "ec-parts-keep-tail",
                               "poly-horner-late-power",
                               "kernel-window-short",

@@ -12,9 +12,13 @@ common fragment; those are checked against their definition.
 
 The atomic models store an integral scalar as an ``int``; the same
 elements rebuilt on all-``Fraction`` payloads are the oracle for that.
+They pick and compare scalars by integer cross-products
+(``spaces._qmax``, ``_qmin`` and ``_qless``), checked against the
+builtin ``max``, ``min`` and ``<``, ties included.
 The piecewise-linear model adds, takes suprema and infima, and decides
-order and disjointness on integer numerators and denominators, and
-scales without the collinear strip.  Its references evaluate the
+order and disjointness on integer numerators and denominators, scales
+without the collinear strip, and takes parts and moduli in one walk
+that inserts the zero crossings.  Its references evaluate the
 operands point by point in ``Fraction`` arithmetic and strip collinear
 points by their own code (``oracles.pl_pointwise``, ``pl_leq``,
 ``pl_disjoint`` and ``pl_restrict``), so a fault of the model's strip
@@ -51,9 +55,10 @@ from rieszlab.oracles import (
 )
 from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, Space, absolute, add, canonical_key, disjoint_by_modulus,
-    from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, leq,
-    leq_by_difference, neg_part, normalize, pl, pos_part, scale, sub, sup,
+    SimpleFunction, Space, _qless, _qmax, _qmin, absolute, add,
+    canonical_key, disjoint_by_modulus, from_atoms, get_atom,
+    has_infinite_fragments, inf, is_disjoint, leq, leq_by_difference,
+    neg_part, normalize, pl, pos_part, q, scale, sub, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -227,6 +232,29 @@ def test_canonical_scalars_match_fraction_payloads(model):
     check()
 
 
+# --- the integer picks of canonical scalars against max and min ------------
+
+CANONICAL = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12)).map(q)
+
+
+def _equal_copy(v):
+    """v again, as a distinct object when it is a Fraction."""
+    return Q(v.numerator, v.denominator) if type(v) is Q else v
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(CANONICAL, CANONICAL),
+                 CANONICAL.map(lambda v: (v, _equal_copy(v)))))
+def test_integer_picks_match_max_and_min(pair):
+    # identity, not equality: a tie keeps the first operand
+    for a, b in (pair, pair[::-1]):
+        assert _qless(a, b) == (a < b)
+        assert _qmax(a, b) is max(a, b)
+        assert _qmin(a, b) is min(a, b)
+
+
 # --- the integer piecewise-linear kernel against the pointwise reference ----
 
 def _crossing_pairs(elements):
@@ -238,12 +266,19 @@ def _crossing_pairs(elements):
 
 
 def _assert_pl_kernels_match(pair, c):
+    zero = PL.zero()
     for x, y in (pair, pair[::-1]):
+        # pl_pointwise inserts crossings between operands only, so the
+        # parts take the zero, or -x, as a second operand
+        minus_x = pl_pointwise(operator.neg, x)
         results = {
             "add": (add(x, y), pl_pointwise(operator.add, x, y)),
             "sup": (sup(x, y), pl_pointwise(max, x, y)),
             "inf": (inf(x, y), pl_pointwise(min, x, y)),
             "scale": (scale(c, x), pl_pointwise(lambda v: c * v, x)),
+            "pos": (pos_part(x), pl_pointwise(max, x, zero)),
+            "neg part": (neg_part(x), pl_pointwise(max, minus_x, zero)),
+            "abs": (absolute(x), pl_pointwise(max, x, minus_x)),
         }
         for name, (got, want) in results.items():
             pts = got.payload
