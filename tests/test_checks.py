@@ -341,12 +341,33 @@ def test_kill_matrix_names_every_mutant():
     assert set(CATCHERS) == set(MUTATIONS)
 
 
+def _mutant_records():
+    """(mutant, check id) -> the catcher's record under that mutant at
+    quick profile, seed 0, from the committed golden."""
+    golden = Path(__file__).parent / "goldens" / "mutant_catchers_seed0.rep"
+    records = {}
+    for block in golden.read_text(encoding="utf-8").split("\n\n"):
+        if block:
+            mutant, *record = block.split("\n")
+            records[mutant.removeprefix("mutant="), record[0][3:]] = record
+    return records
+
+
+MUTANT_RECORDS = _mutant_records()
+
+
 @pytest.mark.parametrize("name", sorted(CATCHERS))
 def test_each_mutant_fails_its_catchers(name):
+    # the whole record is pinned, so a moved sample count or witness
+    # under a mutant shows as well as a changed verdict
     with tampered(name):
-        verdicts = {cid: run_check(cid, seed=0).result.verdict
-                    for cid in CATCHERS[name]}
-    assert verdicts == dict.fromkeys(CATCHERS[name], FAILS)
+        results = {cid: run_check(cid, seed=0) for cid in CATCHERS[name]}
+    assert {cid: r.result.verdict for cid, r in results.items()} == \
+        dict.fromkeys(CATCHERS[name], FAILS)
+    for cid, r in results.items():
+        assert r.record() == MUTANT_RECORDS[name, cid], (name, cid)
+    assert {m for m, _ in MUTANT_RECORDS} <= set(CATCHERS)
+    assert {c for m, c in MUTANT_RECORDS if m == name} == set(CATCHERS[name])
 
 
 def test_mutation_names_are_documented():
