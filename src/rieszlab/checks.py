@@ -65,19 +65,14 @@ class TheoremCheck:
         return line
 
     def record(self) -> list:
-        lines = [f"id={self.id}", f"title={REGISTRY[self.id].title}"]
-        for k in sorted(self.config):
-            lines.append(f"config.{k}={self.config[k]}")
-        lines.append(f"verdict={self.result.verdict}")
-        lines.append(f"samples={self.result.samples_used}")
-        lines.append(f"seed={self.result.seed}")
-        if self.result.witness is not None:
-            lines.append(f"witness={self.result.witness}")
-        if self.result.notes:
-            lines.append(f"notes={self.result.notes}")
-        for i, art in enumerate(self.artifacts):
-            lines.append(f"artifact.{i}={art}")
-        return lines
+        r = self.result
+        return [f"id={self.id}", f"title={REGISTRY[self.id].title}",
+                *(f"config.{k}={self.config[k]}" for k in sorted(self.config)),
+                f"verdict={r.verdict}", f"samples={r.samples_used}",
+                f"seed={r.seed}",
+                *([f"witness={r.witness}"] if r.witness is not None else ()),
+                *([f"notes={r.notes}"] if r.notes else ()),
+                *(f"artifact.{i}={a}" for i, a in enumerate(self.artifacts))]
 
 
 def _ok(samples, notes="") -> CheckReport:
@@ -106,30 +101,43 @@ def _finite_frag_element(rng, space):
     return x
 
 
-def _per_instance(count_key, menu, notes):
-    """Make an instance into a runner over cfg[count_key] instances:
-    instance k is ``instance(rng, space, k)`` on entry k % len of
-    ``menu()``, built when the check runs, never at import ((None,) for a
-    claim that draws its own space).  It returns None when the claim
-    holds, else (witness, data[, notes]), which ends the run at k + 1."""
-    def runner(instance):
-        def run(rng, cfg):
-            spaces = menu()
-            for k in range(cfg[count_key]):
-                failure = instance(rng, spaces[k % len(spaces)], k)
-                if failure is not None:
-                    return _bad(failure[0], k + 1, *failure[1:]), ()
-            return _ok(cfg[count_key], notes=notes), ()
-        return run
-    return runner
+@dataclass(frozen=True)
+class _Sampled:
+    """A runner made of a draw and a claim: ``instances(rng, cfg)``
+    yields each sample's inputs, drawing them as it goes, and
+    ``claim(*inputs)`` returns None when it holds, else its witness or
+    (witness, notes).  Each input tuple is one sample; the first failure
+    ends the run and keeps its inputs as the witness data."""
+    instances: object
+    claim: object
+    notes: str
+
+    def __call__(self, rng, cfg):
+        samples = 0
+        for inputs in self.instances(rng, cfg):
+            samples += 1
+            failure = self.claim(*inputs)
+            if failure is not None:
+                witness, notes = ((failure, "") if isinstance(failure, str)
+                                  else failure)
+                return _bad(witness, samples, inputs, notes), ()
+        return _ok(samples, notes=self.notes), ()
 
 
-def _mixed_sign_full_support(rng, n):
-    vals = [gen.random_nonzero_scalar(rng) for _ in range(n)]
-    vals[0] = abs(vals[0])
-    if n > 1:
-        vals[1] = -abs(vals[1])
-    return normalize(Coordinate(n), vals)
+def _sampled(instances, notes):
+    """Make a claim into the runner that checks it on ``instances``."""
+    return lambda claim: _Sampled(instances, claim, notes)
+
+
+def _drawn(count_key, menu, draw):
+    """cfg[count_key] instances: instance k is ``draw(rng, space, k)`` on
+    entry k % len of ``menu()``, built when the check runs, never at
+    import ((None,) for a draw that picks its own space)."""
+    def instances(rng, cfg):
+        spaces = menu()
+        for k in range(cfg[count_key]):
+            yield draw(rng, spaces[k % len(spaces)], k)
+    return instances
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +145,17 @@ def _mixed_sign_full_support(rng, n):
 # ---------------------------------------------------------------------------
 
 def _run_frag_boolean(rng, cfg):
+    # a base of full support with mixed signs
     n = cfg["n"]
-    e = _mixed_sign_full_support(rng, n)
+    vals = [gen.random_nonzero_scalar(rng) for _ in range(n)]
+    vals[0] = abs(vals[0])
+    if n > 1:
+        vals[1] = -abs(vals[1])
+    e = normalize(Coordinate(n), vals)
     frags = list(enumerate_fragments(e))
-    masks = {}
     atoms = support_atoms(e)
-    for f in frags:
-        masks[f] = sum(1 << k for k, a in enumerate(atoms) if get_atom(f, a) != 0)
+    masks = {f: sum(1 << k for k, a in enumerate(atoms) if get_atom(f, a) != 0)
+             for f in frags}
     by_mask = {m: f for f, m in masks.items()}
     samples = 0
     for x in frags:
@@ -179,9 +191,7 @@ def _run_lat_partial_order(rng, cfg):
     samples = 0
     for space in _finite_spaces():
         e = _finite_frag_element(rng, space)
-        frags = list(enumerate_fragments(e))
-        if len(frags) > 32:
-            frags = frags[:32]
+        frags = list(enumerate_fragments(e))[:32]
         for x in frags:
             if not is_fragment(x, x):
                 return _bad(f"reflexivity at {format_element(x)}", samples), ()
@@ -191,18 +201,20 @@ def _run_lat_partial_order(rng, cfg):
                 return _bad("antisymmetry", samples, data=(x, y)), ()
         rel = {(i, j) for i, x in enumerate(frags) for j, y in enumerate(frags)
                if is_fragment(x, y)}
-        for (i, j) in rel:
-            for k in range(len(frags)):
-                if (j, k) in rel and (i, k) not in rel:
-                    return _bad("transitivity", samples,
-                                data=(frags[i], frags[j], frags[k])), ()
+        for (i, j), k in itertools.product(rel, range(len(frags))):
+            if (j, k) in rel and (i, k) not in rel:
+                return _bad("transitivity", samples,
+                            data=(frags[i], frags[j], frags[k])), ()
     return _ok(samples, notes="exhaustive on enumerated fragment sets"), ()
 
 
-def _sharing_pair(rng, space):
+def _sharing_pair(rng, space, k):
     """x, and a y that keeps some support pieces of x and replaces the
     others by a multiple of themselves, or by a part disjoint from what
-    it keeps; on eventually constant x, y may keep the tail too."""
+    it keeps; on eventually constant x, y may keep the tail too.  Every
+    other visit to the piecewise-linear model draws end ramps instead."""
+    if space == PiecewiseLinear() and k // len(gen.space_menu()) % 2:
+        return _end_ramps(rng)
     x = gen.random_nonzero_element(rng, space)
     parts = space.support(x)
     kept = [p for p in parts if rng.random() < 0.5]
@@ -237,99 +249,96 @@ def _end_ramps(rng):
     return x, y
 
 
-@_per_instance("samples", gen.space_menu,
-               "greatest common fragment matched the references")
-def _run_lat_common_fragment(rng, space, k):
-    # every other visit to the piecewise-linear model draws end ramps
-    if space == PiecewiseLinear() and k // len(gen.space_menu()) % 2:
-        x, y = _end_ramps(rng)
-    else:
-        x, y = _sharing_pair(rng, space)
+@_sampled(_drawn("samples", gen.space_menu, _sharing_pair),
+          "greatest common fragment matched the references")
+def _run_lat_common_fragment(x, y):
     for a, b in ((x, y), (y, x)):
         got = lateral.lateral_inf(a, b)
         want = common_fragment_by_agreement(a, b)
         if got != want:
             return (f"lateral infimum of {format_element(a)} and "
                     f"{format_element(b)} is {format_element(got)}, "
-                    f"reference {format_element(want)}", (a, b))
+                    f"reference {format_element(want)}")
 
 
-@_per_instance("instances", gen.space_menu,
-               "randomized grids, exact reconstruction")
-def _run_lem_3_1(rng, space, k):
+def _splitting_pair(rng, space, k):
     e = gen.random_nonzero_element(rng, space)
     m, n = rng.randint(1, 3), rng.randint(1, 3)
-    us = space.random_split(rng, e, m)
-    vs = space.random_split(rng, e, n)
+    return e, space.random_split(rng, e, m), space.random_split(rng, e, n)
+
+
+@_sampled(_drawn("instances", gen.space_menu, _splitting_pair),
+          "randomized grids, exact reconstruction")
+def _run_lem_3_1(e, us, vs):
     grid = pliev_grid(us, vs)
     for a, b in itertools.combinations(
             [w for row in grid.grid for w in row], 2):
         if not is_disjoint(a, b):
-            return (f"grid entries not disjoint (base {format_element(e)})",
-                    (a, b))
+            return f"grid entries not disjoint (base {format_element(e)})"
     for i, u in enumerate(us):
         if grid.row_sum(i) != u:
-            return (f"row {i} does not reconstruct (base "
-                    f"{format_element(e)})", (u,))
+            return f"row {i} does not reconstruct (base {format_element(e)})"
     for j, v in enumerate(vs):
         if grid.col_sum(j) != v:
             return (f"column {j} does not reconstruct (base "
-                    f"{format_element(e)})", (v,))
+                    f"{format_element(e)})")
 
 
-def _at_every_fragment(relation, part, witness, notes):
-    """A runner over cfg["ops"] random operators T that preserve
-    disjointness, on the models of the menu in turn, each at a random e
-    with a finite fragment algebra: ``relation(part(T(z)), part(T(e)))``
-    at every fragment z of e, one sample each.  The first z where it
-    fails ends the run, with ``witness`` formatted with x=z and e."""
-    def run(rng, cfg):
-        menu = gen.space_menu()
-        samples = 0
-        for k in range(cfg["ops"]):
-            space = menu[k % len(menu)]
-            T = gen.random_dp_operator(rng, space)
-            e = _finite_frag_element(rng, space)
-            bound = part(apply(T, e))
-            for z in enumerate_fragments(e):
-                samples += 1
-                if not relation(part(apply(T, z)), bound):
-                    return _bad(witness.format(x=format_element(z),
-                                               e=format_element(e)),
-                                samples, data=(z, e)), ()
-        return _ok(samples, notes=notes), ()
-    return run
+def _dp_point(rng, space, k):
+    """An operator that preserves disjointness by construction, and a
+    point with a finite fragment algebra."""
+    return gen.random_dp_operator(rng, space), _finite_frag_element(rng, space)
 
 
-_run_lem_4_4 = _at_every_fragment(
-    is_fragment, lambda v: v, "T(x) not a fragment of T(e); x={x} e={e}",
-    "exhaustive on finite fragment sets")
+_dp_points = _drawn("ops", gen.space_menu, _dp_point)
 
 
-@_per_instance("samples", gen.space_menu, "randomized, exact")
-def _run_lem_4_5(rng, space, k):
+def _dp_fragments(rng, cfg):
+    """(T, z, e, T(e)) at every fragment z of e, for each (T, e) of
+    ``_dp_points``."""
+    for T, e in _dp_points(rng, cfg):
+        Te = apply(T, e)
+        for z in enumerate_fragments(e):
+            yield T, z, e, Te
+
+
+@_sampled(_dp_fragments, "exhaustive on finite fragment sets")
+def _run_lem_4_4(T, z, e, Te):
+    if not is_fragment(apply(T, z), Te):
+        return (f"T(x) not a fragment of T(e); x={format_element(z)} "
+                f"e={format_element(e)}")
+
+
+def _fragment_and_signs(rng, space, k):
+    """y, a fragment x of y, a fragment u of |y| and u with its pieces'
+    signs scattered."""
     y = gen.random_nonzero_element(rng, space)
     x = space.random_fragment(rng, y)
+    u = space.random_fragment(rng, absolute(y))
+    return y, x, u, _random_signs(rng, u)
+
+
+@_sampled(_drawn("samples", gen.space_menu, _fragment_and_signs),
+          "randomized, exact")
+def _run_lem_4_5(y, x, u, x2):
     px, nx, ax = pos_part(x), neg_part(x), absolute(x)
     for tag, fx, fy in (("pos", px, pos_part(y)),
                         ("neg", nx, neg_part(y)),
                         ("abs", ax, absolute(y))):
         if not is_fragment(fx, fy):
-            return f"{tag} part not laterally monotone", (x, y)
+            return f"{tag} part not laterally monotone"
     # the parts are the lattice formulas on x, which the models compute
     # apart from ``sup``
-    o, minus_x = zero(space), scale(-1, x)
+    o, minus_x = zero(x.space), scale(-1, x)
     for tag, fx, formula in (("pos", px, sup(x, o)),
                              ("neg", nx, sup(minus_x, o)),
                              ("abs", ax, sup(x, minus_x))):
         if fx != formula:
-            return f"{tag} part differs from its lattice formula", (x,)
-    u = space.random_fragment(rng, absolute(y))
-    x2 = _random_signs(rng, u)
+            return f"{tag} part differs from its lattice formula"
     if absolute(x2) != u:
-        return "sign scatter broke |x| = u", (x2, u)
+        return "sign scatter broke |x| = u"
     if not leq(absolute(x2), absolute(y)):
-        return "|x| fragment of |y| but not |x| <= |y|", (x2, y)
+        return "|x| fragment of |y| but not |x| <= |y|"
 
 
 def _random_signs(rng, u):
@@ -338,9 +347,9 @@ def _random_signs(rng, u):
     return sub(u, scale(2, flipped))
 
 
-@_per_instance("samples", lambda: (None,),
-               "upper-bound and minimality against dominators")
-def _run_thm_1_1_a(rng, _, k):
+def _diagonal_pair(rng, _, k):
+    """Two linear diagonal kernels on Coordinate(n), their per-atom
+    maximum as a dominator, and a point."""
     n = rng.randint(1, 4)
     space = Coordinate(n)
     a = [gen.random_scalar(rng) for _ in range(n)]
@@ -351,58 +360,62 @@ def _run_thm_1_1_a(rng, _, k):
     dom = diagonal_kernel(space, [
         PiecewisePoly((0,), ((0, min(ai, bi)), (0, max(ai, bi))))
         for ai, bi in zip(a, b)])
-    x = gen.random_element(rng, space)
+    return S, T, dom, gen.random_element(rng, space)
+
+
+@_sampled(_drawn("samples", lambda: (None,), _diagonal_pair),
+          "upper-bound and minimality against dominators")
+def _run_thm_1_1_a(S, T, dom, x):
     point = join_at(S, T, x)
     for d in enumerate_decompositions(x):
         if not leq(add(apply(S, d.left), apply(T, d.right)), point.value):
-            return "join not an upper bound of a splitting value", (x,)
+            return "join not an upper bound of a splitting value"
     if not (leq(apply(S, x), apply(dom, x)) and leq(apply(T, x), apply(dom, x))):
-        return "dominator construction broken", (x,)
+        return "dominator construction broken"
     if not leq(point.value, apply(dom, x)):
-        return "join exceeds a pointwise dominator", (x,)
+        return "join exceeds a pointwise dominator"
 
 
 def _op_pool(rng, space):
     return gen.random_oao(rng, space, allow_tables=False)
 
 
-@_per_instance("samples", _finite_spaces, "duality identity, exact")
-def _run_thm_1_1_b(rng, space, k):
-    S, T = _op_pool(rng, space), _op_pool(rng, space)
-    x = _finite_frag_element(rng, space)
+def _op_point(rng, space, k):
+    return _op_pool(rng, space), _finite_frag_element(rng, space)
+
+
+_op_points = _drawn("samples", _finite_spaces, _op_point)
+
+
+@_sampled(_drawn("samples", _finite_spaces, lambda rng, space, k: (
+    _op_pool(rng, space), *_op_point(rng, space, k))),
+    "duality identity, exact")
+def _run_thm_1_1_b(S, T, x):
     m = meet_at(S, T, x).value
     j = join_at(negate(S), negate(T), x).value
     if m != scale(-1, j):
-        return "meet is not the negated join of negations", (x,)
+        return "meet is not the negated join of negations"
 
 
-@_per_instance("samples", _finite_spaces, "part identities, exact")
-def _run_thm_1_1_c(rng, space, k):
-    T = _op_pool(rng, space)
-    x = _finite_frag_element(rng, space)
-    p = pos_part_at(T, x).value
-    m = neg_part_at(T, x).value
-    tx = apply(T, x)
+@_sampled(_op_points, "part identities, exact")
+def _run_thm_1_1_c(T, x):
+    p, m, tx = pos_part_at(T, x).value, neg_part_at(T, x).value, apply(T, x)
     if sub(p, m) != tx:
-        return "pos - neg != T(x)", (x,)
+        return "pos - neg != T(x)"
     if not leq(zero(p.space), p) or not leq(tx, p):
-        return "positive part not dominating", (x,)
+        return "positive part not dominating"
 
 
-@_per_instance("samples", _finite_spaces, "dual part identity, exact")
-def _run_thm_1_1_d(rng, space, k):
-    T = _op_pool(rng, space)
-    x = _finite_frag_element(rng, space)
+@_sampled(_op_points, "dual part identity, exact")
+def _run_thm_1_1_d(T, x):
     if neg_part_at(T, x).value != pos_part_at(negate(T), x).value:
-        return "negative part is not the positive part of -T", (x,)
+        return "negative part is not the positive part of -T"
 
 
-@_per_instance("samples", _finite_spaces, "modulus inequality, exact")
-def _run_thm_1_1_e(rng, space, k):
-    T = _op_pool(rng, space)
-    x = _finite_frag_element(rng, space)
+@_sampled(_op_points, "modulus inequality, exact")
+def _run_thm_1_1_e(T, x):
     if not leq(absolute(apply(T, x)), modulus_at(T, x).value):
-        return "|T(x)| exceeds the modulus value", (x,)
+        return "|T(x)| exceeds the modulus value"
 
 
 def _run_thm_2_3_forward(rng, cfg):
@@ -437,42 +450,41 @@ def _run_thm_2_3_forward(rng, cfg):
 
 def _converse(menu):
     """Theorem 2.3's converse on random operators over ``menu``."""
-    @_per_instance("ops", menu, "exact finite bounds on every instance")
-    def run(rng, space, k):
-        T = gen.random_oao(rng, space)
-        e = _finite_frag_element(rng, space)
+    @_sampled(_drawn("ops", menu, lambda rng, space, k: (
+        gen.random_oao(rng, space), _finite_frag_element(rng, space))),
+        "exact finite bounds on every instance")
+    def run(T, e):
         scan = lateral_bound_scan(T, e)
         for z in enumerate_fragments(e):
             v = apply(T, z)
             if not (leq(scan.lo, v) and leq(v, scan.hi)):
-                return "scan bounds do not envelope an image", (z, e)
+                return "scan bounds do not envelope an image"
     return run
 
 
-@_per_instance("ops", lambda: (None,),
-               "every nonzero linear operator refuted with x,-x")
-def _run_rem_linear_positive(rng, _, k):
-    T = gen.random_linear_operator(rng)
+@_sampled(_drawn("ops", lambda: (None,),
+                 lambda rng, _, k: (gen.random_linear_operator(rng),)),
+          "every nonzero linear operator refuted with x,-x")
+def _run_rem_linear_positive(T):
     rep = verify_positive(T)
     if rep.verdict != FAILS or rep.witness_data is None:
-        return ("a nonzero linear operator was not refuted", None,
+        return ("a nonzero linear operator was not refuted",
                 f"got verdict {rep.verdict}")
-    x = rep.witness_data[0]
-    y = apply(T, x)
+    y = apply(T, rep.witness_data[0])
     if leq(zero(y.space), y):
-        return "reported witness does not violate positivity", (x,)
+        return "reported witness does not violate positivity"
 
 
-@_per_instance("samples", _finite_spaces,
-               "additivity via grid refinement, exact")
-def _run_thm_3_2_oao(rng, space, k):
-    S, T = _op_pool(rng, space), _op_pool(rng, space)
-    x, y = gen.random_disjoint_pair(rng, space)
+@_sampled(_drawn("samples", _finite_spaces, lambda rng, space, k: (
+    _op_pool(rng, space), _op_pool(rng, space),
+    *gen.random_disjoint_pair(rng, space))),
+    "additivity via grid refinement, exact")
+def _run_thm_3_2_oao(S, T, x, y):
     whole = join_at(S, T, add(x, y)).value
     partwise = add(join_at(S, T, x).value, join_at(S, T, y).value)
     if whole != partwise:
         return (f"join not additive at x={format_element(x)} "
-                f"y={format_element(y)}", (x, y))
+                f"y={format_element(y)}")
     # refine a few splittings of x + y through the common grid
     for d in enumerate_decompositions(add(x, y))[:4]:
         if is_zero(d.left) and is_zero(d.right):
@@ -486,21 +498,21 @@ def _run_thm_3_2_oao(rng, space, k):
             apply(S, d.left) == add(apply(S, w[0][0]), apply(S, w[0][1])),
         )
         if not all(checks):
-            return "grid refinement identity failed", (x, y)
+            return "grid refinement identity failed"
 
 
 def _scan_matches_hull(kind, operands, witness, notes):
     """The lateral bound scan of ``kind`` of random operators, folded atom
     by atom, against the inf and sup of its enumerated fragment images."""
-    @_per_instance("samples", _finite_spaces, notes)
-    def run(rng, space, k):
-        body = OpLattice(kind, [_op_pool(rng, space) for _ in range(operands)])
-        e = _finite_frag_element(rng, space)
+    @_sampled(_drawn("samples", _finite_spaces, lambda rng, space, k: (
+        OpLattice(kind, [_op_pool(rng, space) for _ in range(operands)]),
+        _finite_frag_element(rng, space))), notes)
+    def run(body, e):
         vals = [apply(body, z) for z in enumerate_fragments(e)]
         scan = lateral_bound_scan(body, e)
         if (scan.lo, scan.hi) != (functools.reduce(inf, vals),
                                   functools.reduce(sup, vals)):
-            return witness, (e,)
+            return witness
     return run
 
 
@@ -560,7 +572,7 @@ _CLOSED_FORMS = {
 }
 
 
-def _run_closed_form(rng, cfg, kind):
+def _closed_form(kind):
     """``kind`` of random diagonal kernels against its per-atom closed
     form, evaluated by Fraction Horner apart from ``apply``, and against
     enumeration: at each x of the grid {-2, ..., 2}^n for n up to
@@ -569,12 +581,12 @@ def _run_closed_form(rng, cfg, kind):
     (operands, largest, per_atom, fold, reference, extra, mismatch,
      notes) = _CLOSED_FORMS[kind]
 
-    def kernels(n):
-        return [diagonal_kernel(Coordinate(n), [gen._random_fn(rng)
-                                                for _ in range(n)])
-                for _ in range(operands)]
+    def cases(rng, cfg):
+        def kernels(n):
+            return [diagonal_kernel(Coordinate(n), [gen._random_fn(rng)
+                                                    for _ in range(n)])
+                    for _ in range(operands)]
 
-    def cases():
         for n in range(1, cfg.get("exhaustive_n", 0) + 1):
             ops = kernels(n)
             for values in itertools.product((-2, -1, 0, 1, 2), repeat=n):
@@ -583,26 +595,22 @@ def _run_closed_form(rng, cfg, kind):
             ops = kernels(rng.randint(1, largest))
             yield ops, gen.random_element(rng, ops[0].domain), False
 
-    samples = 0
-    for ops, x, exhaustive in cases():
-        samples += 1
+    @_sampled(cases, notes)
+    def claim(ops, x, exhaustive):
         # the kernels' rows (i, i, f), one per atom i, in atom order
         want = normalize(x.space, [
             per_atom(*(f.eval_by_fractions(get_atom(x, i))
                        for i, _, f in rows))
             for rows in zip(*(K.table for K in ops))])
         got, ref = fold(*ops, x), reference(*ops, x)
-        if got.value != want or ref.value != want:
-            witness = (f"{kind} at {format_element(x)} is "
-                       f"{format_element(got.value)}, enumeration "
-                       f"{format_element(ref.value)}, oracle "
-                       f"{format_element(want)}" if exhaustive
-                       else mismatch.format(x=format_element(x)))
-        else:
-            witness = extra(*ops, x, got, ref)
-        if witness is not None:
-            return _bad(witness, samples, data=(x,)), ()
-    return _ok(samples, notes=notes), ()
+        if got.value == want and ref.value == want:
+            return extra(*ops, x, got, ref)
+        if not exhaustive:
+            return mismatch.format(x=format_element(x))
+        return (f"{kind} at {format_element(x)} is "
+                f"{format_element(got.value)}, enumeration "
+                f"{format_element(ref.value)}, oracle {format_element(want)}")
+    return claim
 
 
 def _window_operator(rng, codomain):
@@ -645,9 +653,9 @@ def _window_tables(S, T, x, level):
     )
 
 
-@_per_instance("samples", lambda: (EventuallyConstant(),),
-               "tables cut at the window matched the full walk")
-def _run_op_level_window(rng, ec, k):
+def _window_pair(rng, ec, k):
+    """Two operators with a window, the first a ramped basis operator
+    every fourth draw, and a point with an infinite fragment algebra."""
     if k % 4 == 0:
         cod = Coordinate(1)
         S = example_operator("ramped_basis", target=one(cod),
@@ -659,45 +667,50 @@ def _run_op_level_window(rng, ec, k):
     x = gen.random_nonzero_element(rng, ec)
     while not has_infinite_fragments(x):
         x = gen.random_nonzero_element(rng, ec)
+    return S, T, x
+
+
+@_sampled(_drawn("samples", lambda: (EventuallyConstant(),), _window_pair),
+          "tables cut at the window matched the full walk")
+def _run_op_level_window(S, T, x):
     cut = max(joint_window((S, T)), lateral.min_level(x))
     # each table holds every level through 2 * cut + 1
     for name, got, want in _window_tables(S, T, x, 2 * cut + 1):
         if tuple(got) != tuple(want):
             return (f"{name} level table at {format_element(x)} differs "
-                    f"from the full walk past level {cut}", (S, T, x))
+                    f"from the full walk past level {cut}")
 
 
-_run_thm_4_2_1 = _at_every_fragment(
-    leq, absolute, "lateral image escapes |T(e)|",
-    "lateral images bounded by |T(e)|, exact")
+@_sampled(_dp_fragments, "lateral images bounded by |T(e)|, exact")
+def _run_thm_4_2_1(T, z, e, Te):
+    if not leq(absolute(apply(T, z)), absolute(Te)):
+        return "lateral image escapes |T(e)|"
 
 
 def _dp_fast_vs_brute(kinds):
     """The fast path of each of ``kinds`` against enumeration, on random
     operators that preserve disjointness by construction."""
-    @_per_instance("ops", gen.space_menu, "single-application fast path exact")
-    def run(rng, space, k):
-        T = gen.random_dp_operator(rng, space)
-        x = _finite_frag_element(rng, space)
+    @_sampled(_dp_points, "single-application fast path exact")
+    def run(T, x):
         for kind in kinds:
             if dp_fast(kind, T, x) != \
                     _CLOSED_FORMS[kind].reference(T, x).value:
-                return (f"{kind} fast path disagrees at {format_element(x)}",
-                        (x,))
+                return f"{kind} fast path disagrees at {format_element(x)}"
     return run
 
 
-@_per_instance("ops", gen.space_menu,
-               "wedge vanishes under the hypotheses, exact")
-def _run_thm_4_2_4(rng, space, k):
-    T = gen.random_dp_operator(rng, space)
-    e = _finite_frag_element(rng, space)
-    x = space.random_fragment(rng, e)
-    y = space.random_fragment(rng, e)
+def _dp_fragment_pair(rng, space, k):
+    T, e = _dp_point(rng, space, k)
+    return T, space.random_fragment(rng, e), space.random_fragment(rng, e), e
+
+
+@_sampled(_drawn("ops", gen.space_menu, _dp_fragment_pair),
+          "wedge vanishes under the hypotheses, exact")
+def _run_thm_4_2_4(T, x, y, e):
     v = meyer_pair(T, x, y, e)
     if not is_zero(v):
         return (f"nonzero wedge {format_element(v)} at x={format_element(x)} "
-                f"y={format_element(y)} e={format_element(e)}", (x, y, e))
+                f"y={format_element(y)} e={format_element(e)}")
 
 
 def _run_ex_2_2(rng, cfg):
@@ -712,9 +725,7 @@ def _run_ex_2_2(rng, cfg):
         return _bad("enclosure misses -ln 2", 1), tuple(arts)
     level = cfg["level"]
     scan = lateral_bound_scan(T, e, level=level, bound=cfg["bound"])
-    samples = 1
-    prev = None
-    harmonic = ZERO
+    samples, prev, harmonic = 1, None, ZERO
     for l, lo, hi in scan.table:
         samples += 1
         if l % 2 == 0 and l > 0:
@@ -736,9 +747,8 @@ def _run_ex_4_3_pl(rng, cfg):
     T = example_operator("unit_match")
     u = one(PiecewiseLinear())
     arts = []
-    rep_oao = verify_oao(T)
-    rep_dp = verify_disjointness_preserving(T)
-    if rep_oao.verdict == FAILS or rep_dp.verdict == FAILS:
+    if FAILS in (verify_oao(T).verdict,
+                 verify_disjointness_preserving(T).verdict):
         return _bad("example operator failed verification", 2), ()
     decs = enumerate_decompositions(u)
     if sorted(format_element(d.left) for d in decs) != \
@@ -778,9 +788,8 @@ def _run_ex_4_3_latmeet(rng, cfg):
         if not leq(absolute(apply(S, x)), absolute(x)):
             return _bad(f"|S x| exceeds |x| at {format_element(x)}", samples,
                         data=(x,)), tuple(arts)
-    rep_oao = verify_oao(S)
-    rep_dp = verify_disjointness_preserving(S)
-    if rep_oao.verdict == FAILS or rep_dp.verdict == FAILS:
+    if FAILS in (verify_oao(S).verdict,
+                 verify_disjointness_preserving(S).verdict):
         return _bad("lateral-meet operator failed verification", samples), ()
     v = meyer_pair(S, u, scale(2, u), unsafe=True)
     if v != u:
@@ -855,7 +864,7 @@ _DEFS = (
              _run_rem_linear_positive, {"ops": 50}, {"ops": 100}),
     CheckDef("thm-3.2-join",
              "brute-force join equals the kernel closed form",
-             functools.partial(_run_closed_form, kind="join"),
+             _closed_form("join"),
              {"exhaustive_n": 3, "samples": 150},
              {"exhaustive_n": 4, "samples": 1000}),
     CheckDef("thm-3.2-oao",
@@ -869,19 +878,19 @@ _DEFS = (
              {"samples": 40}, {"samples": 150}),
     CheckDef("cor-3.3-meet",
              "brute-force meet equals the kernel closed form and the dual join",
-             functools.partial(_run_closed_form, kind="meet"),
+             _closed_form("meet"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.4-pos",
              "positive part equals the kernel closed form",
-             functools.partial(_run_closed_form, kind="pos"),
+             _closed_form("pos"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.5-neg",
              "negative part equals the kernel closed form",
-             functools.partial(_run_closed_form, kind="neg"),
+             _closed_form("neg"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-mod",
              "modulus equals the kernel closed form and dominates |T(x)|",
-             functools.partial(_run_closed_form, kind="modulus"),
+             _closed_form("modulus"),
              {"samples": 150}, {"samples": 500}),
     CheckDef("cor-3.6-pres-P",
              "modulus of a laterally bounded operator stays laterally bounded",
@@ -944,7 +953,7 @@ def check_ids():
 
 
 _COUNT_KEYS = frozenset(("n", "instances", "ops", "samples", "levels",
-                         "level", "exhaustive_n"))
+                         "level", "exhaustive_n", "max_level"))
 _MAX_COUNT = 10 ** 6
 
 
@@ -960,21 +969,24 @@ def parse_config(pairs) -> dict:
     return cfg
 
 
-def _validate_config(check_id, cfg):
-    d = REGISTRY[check_id]
-    unknown = sorted(cfg.keys() - d.quick.keys() - d.full.keys())
+def _validate_config(name, cfg, known, integers=("seed",)):
+    """Reject a key that is neither in ``known`` nor seed, a count that
+    is no integer in 1.._MAX_COUNT, and a key of ``integers`` whose value
+    is no integer; a bool is an int to isinstance, but no integer."""
+    unknown = sorted(cfg.keys() - known - {"seed"})
     if unknown:
-        known = sorted(d.quick.keys() | d.full.keys())
         raise PreconditionError(
-            f"{check_id}: unknown config key(s) {', '.join(unknown)}; "
-            f"known keys: {', '.join(known + ['seed'])}")
-    for key in _COUNT_KEYS & cfg.keys():
-        value = cfg[key]
-        if (type(value) is bool or not isinstance(value, int)
-                or not 1 <= value <= _MAX_COUNT):
+            f"{name}: unknown config key(s) {', '.join(unknown)}; "
+            f"known keys: {', '.join(sorted(known) + ['seed'])}")
+    for key, value in cfg.items():
+        integer = type(value) is not bool and isinstance(value, int)
+        if key in _COUNT_KEYS and not (integer and 1 <= value <= _MAX_COUNT):
             raise PreconditionError(
-                f"{check_id}: config {key}={value!r} out of the supported "
+                f"{name}: config {key}={value!r} out of the supported "
                 f"range (integer in 1..{_MAX_COUNT})")
+        if key in integers and not integer:
+            raise PreconditionError(
+                f"{name}: config {key}={value!r} is not an integer")
 
 
 def run_check(check_id: str, config: dict | None = None,
@@ -987,8 +999,8 @@ def run_check(check_id: str, config: dict | None = None,
     d = REGISTRY[check_id]
     defaults = d.quick if profile == "quick" else d.full
     cfg = {**defaults, **(config or {})}
+    _validate_config(check_id, cfg, d.quick.keys() | d.full.keys())
     run_seed = cfg.pop("seed", seed)
-    _validate_config(check_id, cfg)
     rng = random.Random(f"{run_seed}:{check_id}")
     try:
         result, artifacts = d.runner(rng, cfg)
@@ -996,10 +1008,9 @@ def run_check(check_id: str, config: dict | None = None,
         raise  # the configuration asks for more than the runner supports
     except Exception as exc:
         # a crash is a failure of the check, and so is any other broken
-        # precondition: the runner builds its own arguments to satisfy them.
-        # The innermost frame is named by qualified function name (a
-        # method with its class) and line offset, so an edit elsewhere
-        # in its file leaves the record as it is
+        # precondition: the runner builds its own arguments to meet them.
+        # The innermost frame is named by qualified name and line offset,
+        # so an edit elsewhere in its file leaves the record as it is
         frame, line = list(traceback.walk_tb(exc.__traceback__))[-1]
         code = frame.f_code
         result = reports.fails(
@@ -1019,13 +1030,9 @@ def run_all(profile: str = "quick", ids=None, seed=0):
         raise PreconditionError("empty id filter")
     chosen = tuple(ids) if ids is not None else check_ids()
     results = [run_check(i, profile=profile, seed=seed) for i in chosen]
-    summary = {
-        "total": len(results),
-        HOLDS: sum(r.result.verdict == HOLDS for r in results),
-        FAILS: sum(r.result.verdict == FAILS for r in results),
-        INCONCLUSIVE: sum(r.result.verdict == INCONCLUSIVE for r in results),
-    }
-    return results, summary
+    return results, {"total": len(results), **{
+        v: sum(r.result.verdict == v for r in results)
+        for v in (HOLDS, FAILS, INCONCLUSIVE)}}
 
 
 def summary_text(summary: dict) -> str:
@@ -1069,9 +1076,8 @@ def _search_pairs(rng, k):
     cod = Coordinate(2)
     kind = k % 4
     if kind == 0:
-        S = gen.random_kernel(rng, ec, cod)
-        T = gen.random_kernel(rng, ec, cod)
-        return S, T, "kernel vs kernel"
+        return (gen.random_kernel(rng, ec, cod),
+                gen.random_kernel(rng, ec, cod), "kernel vs kernel")
     if kind == 1:
         S = example_operator("ramped_basis", target=one(Coordinate(1)),
                              horizon=80)
@@ -1079,9 +1085,29 @@ def _search_pairs(rng, k):
     if kind == 2:
         T = gen.random_kernel(rng, ec, cod)
         return T, T, "operator vs itself"
-    S = gen.random_linear_ec(rng, cod)
-    T = gen.random_kernel(rng, ec, cod)
-    return S, T, "basis-split linear vs kernel"
+    return (gen.random_linear_ec(rng, cod), gen.random_kernel(rng, ec, cod),
+            "basis-split linear vs kernel")
+
+
+def _classify(levels, bound):
+    """A truncated join's level table as (classification, detail)."""
+    top, last = levels[-1]
+    if not leq(last, scale(bound, one(last.space))):
+        return "monotone-unbounded", f"exceeds {bound} by level {top}"
+    stable_at = top
+    for l, v in reversed(levels):
+        if v != last:
+            break
+        stable_at = l
+    if stable_at < top:
+        return "stabilized", f"constant from level {stable_at}"
+    # strict growth through the whole second half of the table is
+    # reported as unbounded-type even below the numeric bound
+    half = levels[len(levels) // 2:]
+    if all(leq(a, b) and a != b
+           for (_, a), (_, b) in zip(half, half[1:])) and len(half) > 2:
+        return "monotone-unbounded", f"strictly increasing through level {top}"
+    return "undetermined", f"still moving at level {top}"
 
 
 def search_truncated_joins(config: dict | None = None) -> SearchReport:
@@ -1089,6 +1115,8 @@ def search_truncated_joins(config: dict | None = None) -> SearchReport:
     algebras and classify the truncated join level sequences."""
     cfg = {"instances": 8, "max_level": 64, "bound": 10 ** 6, "seed": 0,
            **(config or {})}
+    _validate_config("search", cfg, {"instances", "max_level", "bound"},
+                     ("seed", "bound"))
     rng = random.Random(f"{cfg['seed']}:search")
     cases = []
     for k in range(cfg["instances"]):
@@ -1096,35 +1124,6 @@ def search_truncated_joins(config: dict | None = None) -> SearchReport:
         x = gen.random_nonzero_element(rng, EventuallyConstant())
         while not has_infinite_fragments(x):
             x = gen.random_nonzero_element(rng, EventuallyConstant())
-        point = join_at(S, T, x, level=cfg["max_level"])
-        levels = point.levels
-        last = levels[-1][1]
-        bound_el = scale(cfg["bound"], one(S.codomain))
-        if not leq(last, bound_el):
-            cases.append(SearchCase(describe, "monotone-unbounded",
-                                    f"exceeds {cfg['bound']} by level "
-                                    f"{levels[-1][0]}"))
-            continue
-        stable_at = None
-        for l, v in reversed(levels):
-            if v == last:
-                stable_at = l
-            else:
-                break
-        if stable_at is not None and stable_at < levels[-1][0]:
-            cases.append(SearchCase(describe, "stabilized",
-                                    f"constant from level {stable_at}"))
-            continue
-        # strict growth through the whole second half of the table is
-        # reported as unbounded-type even below the numeric bound
-        half = levels[len(levels) // 2:]
-        strictly_up = all(leq(a, b) and a != b
-                          for (_, a), (_, b) in zip(half, half[1:]))
-        if strictly_up and len(half) > 2:
-            cases.append(SearchCase(describe, "monotone-unbounded",
-                                    f"strictly increasing through level "
-                                    f"{levels[-1][0]}"))
-        else:
-            cases.append(SearchCase(describe, "undetermined",
-                                    f"still moving at level {levels[-1][0]}"))
+        levels = join_at(S, T, x, level=cfg["max_level"]).levels
+        cases.append(SearchCase(describe, *_classify(levels, cfg["bound"])))
     return SearchReport(cfg, tuple(cases))

@@ -40,9 +40,14 @@ class Environment:
         self.seed = seed
         self.level = None          # @level context of the current eval
         self.failures = 0          # check statements that failed
+        # a statement is unsafe when it evaluates meyer(T; x, y), with no
+        # e, or a name a let bound to a value built by such a statement
+        self.unsafe = False
+        self.unsafe_names = set()
 
     def lookup(self, name, span):
         if name in self.bindings:
+            self.unsafe |= name in self.unsafe_names
             return self.bindings[name]
         if name in _PREDEFINED:
             return _PREDEFINED[name]()
@@ -310,6 +315,7 @@ def _meyer(node: Literal, env):
     x = _element(x, env, node.span, "x")
     y = _element(y, env, node.span, "y")
     if e is None:
+        env.unsafe = True
         return meyer_pair(T, x, y, unsafe=True)
     return meyer_pair(T, x, y, _element(e, env, node.span, "e"))
 
@@ -373,13 +379,17 @@ def evaluate(script: Script, seed=0, env: Environment | None = None):
 
 
 def _let(stmt: LetStmt, env):
-    env.level = None
+    env.level, env.unsafe = None, False
     env.bindings[stmt.name] = eval_expr(stmt.expr, env)
+    if env.unsafe:
+        env.unsafe_names.add(stmt.name)
+    else:
+        env.unsafe_names.discard(stmt.name)
     return []
 
 
 def _eval(stmt: EvalStmt, env):
-    env.level = stmt.level
+    env.level, env.unsafe = stmt.level, False
     value = eval_expr(stmt.expr, env)
     # an exact value prints in full, past the interpreter's digit limit
     limit = sys.get_int_max_str_digits()
@@ -388,10 +398,7 @@ def _eval(stmt: EvalStmt, env):
         text = render(value)
     finally:
         sys.set_int_max_str_digits(limit)
-    expr = stmt.expr
-    # meyer(T; x, y), with no e: the lateral bound is not checked
-    if (type(expr) is Literal and expr.kind == "meyer"
-            and expr.parts[3] is None):
+    if env.unsafe:
         text += " (unsafe: lateral bound not checked)"
     env.level = None
     return text.split("\n")

@@ -80,6 +80,20 @@ def test_config_out_of_range_is_rejected():
     for flag in (True, False):
         with pytest.raises(PreconditionError, match=f"n={flag}"):
             run_check("frag-boolean", {"n": flag})
+    # the seed seeds the rng, so it is an integer as --seed is
+    with pytest.raises(PreconditionError, match="seed='abc' is not an int"):
+        run_check("lem-3.1", {"seed": "abc"})
+    # the search config follows the same rules
+    for config, match in (({"max_level": "abc"}, "max_level='abc'"),
+                          ({"instances": 0}, "instances=0"),
+                          ({"max_level": 10 ** 6 + 1}, "max_level=1000001"),
+                          ({"bound": "x"}, "bound='x' is not an integer"),
+                          ({"seed": True}, "seed=True is not an integer"),
+                          ({"bogus": 1, "instances": 1}, "unknown config "
+                           "key.s. bogus; known keys: bound, instances, "
+                           "max_level, seed")):
+        with pytest.raises(PreconditionError, match=match):
+            search_truncated_joins(config)
 
 
 def test_unknown_config_key_is_rejected():
@@ -296,6 +310,12 @@ def test_mutation_pl_common_skips_end_values_breaks_the_common_fragment():
     assert run_check("lat-common-fragment").result.verdict == HOLDS
 
 
+# the checks whose runners keep their own bodies rather than a draw and a
+# claim; in frag-boolean and lat-partial-order some laws are checked but
+# not counted as samples, and the other four draw nothing
+OWN_BODIES = ("frag-boolean", "lat-partial-order", "thm-2.3-forward",
+              "ex-2.2", "ex-4.3-pl", "ex-4.3-latmeet")
+
 # the checks that fail under each mutant at quick profile, seed 0; no
 # named check parses scripts, so tests/test_dsl.py guards the lexer mutants
 CATCHERS = {
@@ -366,6 +386,11 @@ def test_each_mutant_fails_its_catchers(name):
         dict.fromkeys(CATCHERS[name], FAILS)
     for cid, r in results.items():
         assert r.record() == MUTANT_RECORDS[name, cid], (name, cid)
+        # a claim's failure keeps the inputs it was drawn; a crash has none
+        if cid not in OWN_BODIES and not r.result.witness.startswith(
+                "exception:"):
+            data = r.result.witness_data
+            assert type(data) is tuple and data, (name, cid)
     assert {m for m, _ in MUTANT_RECORDS} <= set(CATCHERS)
     assert {c for m, c in MUTANT_RECORDS if m == name} == set(CATCHERS[name])
 

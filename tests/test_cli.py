@@ -134,6 +134,29 @@ def test_derived_operators_enter_sums_and_meyer(tmp_path, capsys):
         "coord[7]\ncoord[0] (unsafe: lateral bound not checked)\n", "")
 
 
+@pytest.mark.parametrize("lines, out", [
+    # an unguarded meyer inside a larger expression
+    (["eval meyer(K; coord[1,0], coord[0,1]) + coord[0,0];"],
+     "coord[0,0] (unsafe: lateral bound not checked)\n"),
+    # a name bound to one, and a name bound to an expression using it
+    (["let m = meyer(K; coord[1,0], coord[0,1]);", "eval m;",
+      "let n = m + coord[1,1];", "eval n;"],
+     "coord[0,0] (unsafe: lateral bound not checked)\n"
+     "coord[1,1] (unsafe: lateral bound not checked)\n"),
+    # the guarded form, and a name rebound to a safe value
+    (["let m = meyer(K; coord[1,0], coord[0,1]);", "let m = coord[2,2];",
+      "eval m;", "eval meyer(K; coord[1,0], coord[0,1]; coord[1,1]);"],
+     "coord[2,2]\ncoord[0,0]\n")],
+    ids=["in-expression", "bound-name", "guarded-or-rebound"])
+def test_unguarded_meyer_is_flagged_wherever_it_is_used(tmp_path, capsys,
+                                                        lines, out):
+    script = tmp_path / "unsafe.rl"
+    script.write_text("let K = kernel{1: t -> t, 2: t -> 2*t};\n"
+                      + "\n".join(lines) + "\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_OK
+    assert capsys.readouterr() == (out, "")
+
+
 def _vanishing_on_sampled_scalars(sign) -> str:
     """sign * t * prod(t - s) over the nonzero scalars s the sampler
     draws, as the text of a kernel polynomial: 0 at every sample."""
@@ -332,6 +355,26 @@ def test_check_config_errors_are_preconditions():
     assert code == cli.EXIT_PRECONDITION and out == ""
     code, out = run_cli("check", "lem-3.1", "--config", "instancez=3")
     assert code == cli.EXIT_PRECONDITION and out == ""
+    # a seed in the config is an integer, as --seed and RIESZLAB_SEED are
+    code, out = run_cli("check", "lem-3.1", "--config", "seed=abc")
+    assert code == cli.EXIT_PRECONDITION and out == ""
+
+
+@pytest.mark.parametrize("statement, err", [
+    ("search max_level=abc;", "search: config max_level='abc' out of the "
+     "supported range (integer in 1..1000000)"),
+    ("search bogus=1 instances=1;", "search: unknown config key(s) bogus; "
+     "known keys: bound, instances, max_level, seed"),
+    ("search bound=1/2;", "search: config bound='1/2' is not an integer"),
+    ("check lem-3.1 seed=abc;", "lem-3.1: config seed='abc' is not an "
+     "integer")], ids=["level-not-int", "unknown-key", "bound", "check-seed"])
+def test_script_config_errors_are_preconditions(tmp_path, capsys, statement,
+                                                err):
+    script = tmp_path / "config.rl"
+    script.write_text(statement + "\n")
+    assert cli.main(["run", str(script)]) == cli.EXIT_PRECONDITION
+    assert capsys.readouterr() == (
+        "", f"{script}:1:1: precondition violated: {err}\n")
 
 
 def test_suite_subset_and_report(tmp_path):

@@ -30,6 +30,9 @@ the reason it stays.
 The script front end dispatches by tables: every node class has an
 evaluator handler, and every literal kind, the keyword that opens it, a
 row in the printer's table and in the evaluator's.
+
+Each named check is a draw and a claim that one driver of ``checks``
+counts, except the six checks whose runners keep their own bodies.
 """
 
 import ast
@@ -39,7 +42,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rieszlab import dsl, evaluator, spaces
+from rieszlab import checks, dsl, evaluator, spaces
+
+from test_checks import OWN_BODIES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
@@ -523,3 +528,11 @@ def test_every_operator_and_relation_has_a_row():
 def test_evaluator_tests_no_node_class_with_isinstance():
     names = {cls.__name__ for cls in _dsl_node_classes()}
     assert not _isinstance_sites(SRC / "evaluator.py", names)
+
+
+def test_every_other_check_is_a_draw_and_a_claim():
+    # a runner with its own loop counts its own samples, so a new one
+    # is listed in OWN_BODIES with the reason it cannot be a claim
+    own = {cid for cid, d in checks.REGISTRY.items()
+           if not isinstance(d.runner, checks._Sampled)}
+    assert own == set(OWN_BODIES)
