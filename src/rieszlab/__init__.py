@@ -3,10 +3,10 @@ additive operators between them."""
 
 from .spaces import (
     Coordinate, SimpleFunction, FinSupport, EventuallyConstant,
-    PiecewiseLinear, Reals, RealInterval, Element,
+    PiecewiseLinear, LogTwo, Element,
     coord, simple, fin, ec, pl, zero, one, normalize,
     add, sub, scale, sup, inf, pos_part, neg_part, absolute, leq,
-    is_disjoint, format_element, eval_at,
+    is_disjoint, format_element, eval_at, ln2_enclosure,
 )
 from .lateral import (
     Decomposition, FragmentEnumeration, PlievGrid,

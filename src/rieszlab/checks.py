@@ -20,13 +20,15 @@ from fractions import Fraction
 
 from . import generators as gen
 from . import lateral, reports
-from .errors import EnumerationCapExceeded, PreconditionError, UnknownCheck
+from .errors import (
+    EnumerationCapExceeded, MalformedElement, PreconditionError, UnknownCheck,
+)
 from .lateral import (
     enumerate_decompositions, enumerate_fragments, is_fragment, pliev_grid,
 )
 from .operators import (
-    AlternatingSeries, OpScaled, OpSum, PiecewisePoly, RealInterval, apply,
-    diagonal_kernel, example_operator, joint_window, ln2_enclosure, negate,
+    AlternatingSeries, OpScaled, OpSum, PiecewisePoly, apply,
+    diagonal_kernel, example_operator, joint_window, negate,
     poly, verify_disjointness_preserving, verify_oao, verify_positive,
     lateral_bound_scan, ZeroOp,
 )
@@ -40,8 +42,8 @@ from .spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
     SimpleFunction, ZERO, absolute, add, format_element,
     from_atoms, get_atom, has_infinite_fragments, inf, is_disjoint, is_zero,
-    leq, neg_part, normalize, one, pieces, pos_part, scale, sub, sup,
-    support_atoms, zero,
+    leq, ln2_enclosure, neg_part, normalize, one, pieces, pos_part, q, scale,
+    sub, sup, support_atoms, zero,
 )
 
 Q = Fraction
@@ -713,34 +715,82 @@ def _run_thm_4_2_4(T, x, y, e):
                 f"y={format_element(y)} e={format_element(e)}")
 
 
+def _continued_fraction(x):
+    """The terms of the continued fraction of the rational x."""
+    n, d = x.numerator, x.denominator
+    while d:
+        a = n // d
+        yield a
+        n, d = d, n - a * d
+
+
+def _ln2_convergents():
+    """The menu of convergents p_k/q_k of ln 2 with k >= 8 and q_k below
+    2^32, each with the sign of ln 2 - p_k/q_k.  The continued fraction
+    is read off the ends of an enclosure of width 2^-160, as the terms
+    they share but the last.  The convergents alternate about ln 2, the
+    even ones below it, and from k = 8 on they are within 10^-6 of it."""
+    lo, hi = ln2_enclosure(Q(1, 2 ** 160))
+    terms = []
+    for a, b in zip(_continued_fraction(lo), _continued_fraction(hi)):
+        if a != b:
+            break
+        terms.append(a)
+    menu = []
+    p, p0, r, r0 = 1, 0, 0, 1
+    for k, a in enumerate(terms[:-1]):
+        p, p0, r, r0 = a * p + p0, p, a * r + r0, r
+        if k >= 8 and r < 2 ** 32:
+            menu.append((Q(p, r), 1 if k % 2 == 0 else -1))
+    return tuple(menu)
+
+
+# draws of two consecutive convergents, one on each side of ln 2
+_NEAR_CONVERGENT_DRAWS = 3
+
+
 def _run_ex_2_2(rng, cfg):
     T = AlternatingSeries()
+    R = T.codomain
     e = one(EventuallyConstant())
     v = apply(T, e)
     arts = [f"value at the constant one: {format_element(v)}"]
-    if v.width > Q(1, 10 ** 9):
-        return _bad("enclosure wider than 1e-9", 1), tuple(arts)
-    tight = ln2_enclosure(Q(1, 10 ** 12))
-    if not (v.lower <= -tight.lower and -tight.upper <= v.upper):
-        return _bad("enclosure misses -ln 2", 1), tuple(arts)
+    if v != normalize(R, (0, -1)):
+        return _bad("value at the constant one is not -ln 2", 1), tuple(arts)
     level = cfg["level"]
-    scan = lateral_bound_scan(T, e, level=level, bound=cfg["bound"])
+    scan = lateral_bound_scan(T, e, level=level,
+                              bound=normalize(R, (cfg["bound"], 0)))
     samples, prev, harmonic = 1, None, ZERO
     for l, lo, hi in scan.table:
         samples += 1
         if l % 2 == 0 and l > 0:
             harmonic += Q(1, l)
-            if hi != RealInterval.exact(harmonic):
+            if hi != normalize(R, (harmonic, 0)):
                 return _bad(f"level {l} maximum differs from the even-index "
                             f"harmonic half-sum", samples), tuple(arts)
             arts.append(f"level {l}: max={format_element(hi)}")
-        if prev is not None and (hi.lower < prev.lower or hi.upper < prev.upper):
+        if prev is not None and not leq(prev, hi):
             return _bad(f"level table not monotone at {l}", samples), tuple(arts)
         prev = hi
     if not scan.growth:
         return _bad(f"maximum never exceeded {cfg['bound']}", samples), tuple(arts)
     arts.append(f"exceeds {cfg['bound']} by level {level}")
-    return _ok(samples, notes="series enclosure and growth table exact"), tuple(arts)
+    # r (ln 2 - p/q) for convergents p/q: values next to 0, whose signs
+    # take narrow enclosures of ln 2 to decide
+    menu = _ln2_convergents()
+    for _ in range(_NEAR_CONVERGENT_DRAWS):
+        k, r = rng.randrange(len(menu) - 1), gen.random_nonzero_scalar(rng)
+        for c, side in menu[k:k + 2]:
+            samples += 1
+            v = normalize(R, (-r * c, r))
+            sign = side if r > 0 else -side
+            if (leq(zero(R), v), leq(v, zero(R))) != (sign > 0, sign < 0) \
+                    or absolute(v) != scale(sign, v):
+                return _bad(f"sign of {format_element(v)} is not {sign}",
+                            samples), tuple(arts)
+            arts.append(f"sign of {format_element(v)}: {sign}")
+    return _ok(samples, notes="series value, growth table and signs exact"), \
+        tuple(arts)
 
 
 def _run_ex_4_3_pl(rng, cfg):
@@ -914,7 +964,7 @@ _DEFS = (
              "the positive/negative wedge vanishes on laterally bounded pairs",
              _run_thm_4_2_4, {"ops": 120}, {"ops": 500}),
     CheckDef("ex-2.2",
-             "alternating series functional: enclosure and fragment growth",
+             "alternating series functional: exact value and fragment growth",
              _run_ex_2_2, {"level": 62, "bound": 2}, {"level": 62, "bound": 2}),
     CheckDef("ex-4.3-pl",
              "match-table counterexample on continuous functions",
@@ -955,6 +1005,7 @@ def check_ids():
 _COUNT_KEYS = frozenset(("n", "instances", "ops", "samples", "levels",
                          "level", "exhaustive_n", "max_level"))
 _MAX_COUNT = 10 ** 6
+_RATIONAL_KEYS = frozenset(("bound",))
 
 
 def parse_config(pairs) -> dict:
@@ -969,10 +1020,22 @@ def parse_config(pairs) -> dict:
     return cfg
 
 
+def _rational(value) -> bool:
+    """Whether ``value`` reads as an exact rational; a bool does not."""
+    if type(value) is bool:
+        return False
+    try:
+        q(value)
+    except (MalformedElement, ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _validate_config(name, cfg, known, integers=("seed",)):
     """Reject a key that is neither in ``known`` nor seed, a count that
-    is no integer in 1.._MAX_COUNT, and a key of ``integers`` whose value
-    is no integer; a bool is an int to isinstance, but no integer."""
+    is no integer in 1.._MAX_COUNT, a key of ``integers`` whose value is
+    no integer, and a bound that is no rational number; a bool is an int
+    to isinstance, but no integer."""
     unknown = sorted(cfg.keys() - known - {"seed"})
     if unknown:
         raise PreconditionError(
@@ -987,6 +1050,9 @@ def _validate_config(name, cfg, known, integers=("seed",)):
         if key in integers and not integer:
             raise PreconditionError(
                 f"{name}: config {key}={value!r} is not an integer")
+        if key in _RATIONAL_KEYS and not _rational(value):
+            raise PreconditionError(
+                f"{name}: config {key}={value!r} is not a rational number")
 
 
 def run_check(check_id: str, config: dict | None = None,

@@ -93,8 +93,6 @@ def _render_lattice_point(p: LatticePoint) -> str:
                               f"{format_element(d.right)})"
                               for d in p.attained)
             text += f" attained=[{pairs}]"
-        if not p.decided:
-            text += f" (inconclusive: {p.notes})"
         return text
     lines = [f"level {l}: {format_element(v)}" for l, v in p.levels]
     return "\n".join(lines)

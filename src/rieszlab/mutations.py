@@ -109,6 +109,13 @@ mutants:
   of ``dsl.tokenize`` against ``dsl.tokenize_by_scan`` catches it, and
   so does the span test over the demo scripts
   (``tests/test_dsl.py::test_every_node_span_opens_its_node``).
+* ``ln2-sign-first-enclosure`` -- the sign test of the series
+  functional's range ``LogTwo`` (``spaces._ln2_sign``) stops after its
+  first enclosure of ln 2, of width 2^-16, and takes the sign of
+  a + b ln 2 at the enclosure's midpoint, so a value nearer 0 than the
+  midpoint is to ln 2 can get the wrong sign.  ``ex-2.2`` decides the
+  signs of r (ln 2 - p/q) for convergents p/q of ln 2 on both sides of
+  it and catches it.
 """
 
 import bisect
@@ -252,6 +259,12 @@ _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE = re.compile(
     dsl._TOKEN_RE.pattern.replace(r"#[^\n]*", "#.*"), dsl._TOKEN_RE.flags)
 
 
+def _ln2_sign_first_enclosure(a, b):
+    lo, hi = spaces.ln2_enclosure(Fraction(1, 1 << spaces._LN2_FIRST_BITS))
+    v = a + b * (lo + hi) * Fraction(1, 2)
+    return (v > 0) - (v < 0)
+
+
 def _where_line_start_late(self, pos):
     starts = [0] + [s + 1 for s in self.line_starts[1:]]
     line = bisect.bisect_right(starts, pos)
@@ -295,6 +308,8 @@ MUTATIONS = {
                                      _TOKEN_RE_COMMENT_SWALLOWS_NEWLINE),
     "lex-col-after-newline-off-by-one": (dsl.Tokens, "where",
                                          _where_line_start_late),
+    "ln2-sign-first-enclosure": (spaces, "_ln2_sign",
+                                 _ln2_sign_first_enclosure),
 }
 
 

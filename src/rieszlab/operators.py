@@ -4,8 +4,8 @@ Operator bodies cover the shapes the workbench needs: per-atom kernel
 tables, linear maps on eventually constant sequences split along the
 basis {unit atoms} + {constant one}, finite match tables, differences
 of lateral meets, the alternating harmonic series functional, and
-sums/scalings of these.  Application is exact except for the series
-functional, whose values are rational interval enclosures.
+sums/scalings of these.  Application is exact; the series functional
+takes its values in ``spaces.LogTwo``, the numbers a + b ln 2.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from . import lateral, reports, spaces
 from .lateral import enumerate_decompositions, min_level
 from .reports import Budget, CheckReport
 from .spaces import (
-    Coordinate, Element, EventuallyConstant, PiecewiseLinear, RealInterval,
-    Reals, SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    Coordinate, Element, EventuallyConstant, LogTwo, PiecewiseLinear,
+    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
     from_atoms, get_atom, has_infinite_fragments, is_disjoint, is_zero,
     leq, normalize, one, scale, space_name, sub, support_atoms,
     support_size, unit_atom, zero,
@@ -113,23 +113,6 @@ def poly(*coeffs) -> PiecewisePoly:
 
 
 ABS_FN = PiecewisePoly((0,), ((0, -1), (0, 1)))
-
-
-# ---------------------------------------------------------------------------
-# rational interval enclosures
-# ---------------------------------------------------------------------------
-
-def ln2_enclosure(eps) -> RealInterval:
-    """Rational bounds on ln 2 via sum(1/(n 2^n)); the remainder after N
-    terms is below 2^-N / (N+1)."""
-    eps = spaces.q(eps)
-    if eps <= 0:
-        raise PreconditionError("enclosure width must be positive")
-    n = 1
-    while Fraction(1, (n + 1) * 2 ** n) > eps:
-        n += 1
-    partial = sum(Fraction(1, k * 2 ** k) for k in range(1, n + 1))
-    return RealInterval(partial, partial + Fraction(1, (n + 1) * 2 ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +424,31 @@ class LateralMeet(Operator):
 
 @dataclass(frozen=True)
 class AlternatingSeries(Operator):
-    """T x = sum over n of (-1)^n |x_n| / n, as a rational enclosure."""
+    """T x = sum over n of (-1)^n |x_n| / n, exactly.
 
-    precision: Fraction = Fraction(1, 10 ** 9)
+    With h the sum over the prefix of x, c its tail and k the prefix
+    length, T x = h + |c| (-ln 2 - s_k), where s_k is the k-th partial
+    sum of sum (-1)^n / n, whose whole sum is -ln 2: a value of
+    ``LogTwo``."""
 
     atom_additive = True
     domain = EventuallyConstant()
-    codomain = Reals()
+    codomain = LogTwo()
 
-    def __post_init__(self):
-        object.__setattr__(self, "precision", spaces.q(self.precision))
-
-    def _apply(self, x) -> RealInterval:
+    def _apply(self, x):
         prefix, tail = x.payload
         # unit atoms and tail remainders carry long runs of zeros
-        head = sum((Fraction((-1) ** n, 1) * abs(v) / n
+        head = sum((spaces.div((-1) ** n * abs(v), n)
                     for n, v in enumerate(prefix, start=1) if v), ZERO)
-        if tail == 0:
-            return RealInterval.exact(head)
-        eps = spaces.div(self.precision, max(abs(tail), 1))
-        return add(scale(abs(tail), _alternating_tail(len(prefix), eps)),
-                   RealInterval.exact(head))
+        c = abs(tail)
+        return normalize(self.codomain,
+                         (head - c * _alternating_partial(len(prefix)), -c))
 
 
-def _alternating_tail(k: int, precision: Fraction) -> RealInterval:
-    """Enclosure of sum over n > k of (-1)^n / n."""
-    partial = sum((Fraction((-1) ** n, n) for n in range(1, k + 1)), ZERO)
-    ln2 = ln2_enclosure(precision)
-    # full series sums to -ln 2
-    return RealInterval(-ln2.upper - partial, -ln2.lower - partial)
+@functools.lru_cache(maxsize=256)
+def _alternating_partial(k: int) -> Fraction:
+    """s_k, the sum over n <= k of (-1)^n / n."""
+    return sum((Fraction((-1) ** n, n) for n in range(1, k + 1)), ZERO)
 
 
 # The combinators apply their parts through the module-level ``apply``,
@@ -595,7 +574,7 @@ def negate(T):
 
 
 # ---------------------------------------------------------------------------
-# values: elements or interval enclosures, through the ``spaces`` functions
+# values, through the ``spaces`` functions
 # ---------------------------------------------------------------------------
 
 # the names the operator-lattice workload of ``bench/workloads.py`` reads
@@ -611,7 +590,7 @@ def vneg(a):
 # ---------------------------------------------------------------------------
 
 def apply(T, x: Element):
-    """Exact operator application; interval-valued for the series body."""
+    """Exact operator application."""
     if x.space != T.domain:
         raise _outside_domain(T, x)
     return T._apply(x)
@@ -705,15 +684,13 @@ def verify_disjointness_preserving(T, budget: Budget | None = None) -> CheckRepo
 def _verify(T, budget, tag, gap, probes, grid_inputs, sample_input, names):
     """The one decision rule of the verifiers.
 
-    ``gap(*inputs)`` is True where the law certainly fails at the
-    inputs, False where it holds and None where an enclosure leaves it
-    undecided.  It runs on ``probes`` first, then on every
-    ``grid_inputs(budget.grid)`` when a grid is set and ``_can_exhaust``
-    the domain, and otherwise on ``budget.samples`` draws of
-    ``sample_input`` from ``budget.rng(tag)``.  The first certain gap
-    fails, with the inputs, named by ``names``, as its witness.  A clean
-    grid holds; a grid with undecided enclosures, and any sample, is
-    inconclusive: a clean sample never says ``holds``.
+    ``gap(*inputs)`` is True where the law fails at the inputs.  It
+    runs on ``probes`` first, then on every ``grid_inputs(budget.grid)``
+    when a grid is set and ``_can_exhaust`` the domain, and otherwise on
+    ``budget.samples`` draws of ``sample_input`` from
+    ``budget.rng(tag)``.  The first gap fails, with the inputs, named by
+    ``names``, as its witness.  A clean grid holds; a clean sample is
+    inconclusive: it never says ``holds``.
     """
     seed = budget.seed_tag(tag)
     exhaustive = budget.grid is not None and _can_exhaust(T.domain)
@@ -722,24 +699,16 @@ def _verify(T, budget, tag, gap, probes, grid_inputs, sample_input, names):
     else:
         rng = budget.rng(tag)
         rest = (sample_input(rng) for _ in range(budget.samples))
-    count = undecided = 0
+    count = 0
     for inputs in itertools.chain(probes, rest):
         count += 1
-        found = gap(*inputs)
-        if found:
+        if gap(*inputs):
             return reports.fails(
                 " ".join(f"{name}={format_element(v)}"
                          for name, v in zip(names, inputs)),
                 count, seed, witness_data=tuple(inputs))
-        if found is None:
-            undecided += 1
     if not exhaustive:
-        return reports.inconclusive(
-            count, seed, notes="sampled, no failure"
-            + (f"; {undecided} undecided" if undecided else ""))
-    if undecided:
-        return reports.inconclusive(count, seed,
-                                    notes=f"{undecided} undecided enclosures")
+        return reports.inconclusive(count, seed, notes="sampled, no failure")
     return reports.holds(count, seed, notes="exhaustive over grid")
 
 
@@ -752,26 +721,18 @@ def _pair_inputs(T):
             ("u", "v"))
 
 
-def _negated(answer: bool | None) -> bool | None:
-    """The gap of a law whose three-valued answer is ``answer``."""
-    return None if answer is None else not answer
-
-
 def _additivity_gap(T, u, v) -> bool:
-    # enclosures that overlap leave no gap; equal values, the common
-    # case, skip the two order tests
-    whole, parts = apply(T, add(u, v)), add(apply(T, u), apply(T, v))
-    return whole != parts and (leq(whole, parts) is False
-                               or leq(parts, whole) is False)
+    # values are canonical, so equality is syntactic
+    return apply(T, add(u, v)) != add(apply(T, u), apply(T, v))
 
 
-def _positivity_gap(value) -> bool | None:
-    """True when certainly not >= 0, None when undecidable."""
-    return _negated(leq(zero(value.space), value))
+def _positivity_gap(value) -> bool:
+    """True when the value is not >= 0."""
+    return not leq(zero(value.space), value)
 
 
-def _disjointness_gap(T, u, v) -> bool | None:
-    return _negated(is_disjoint(apply(T, u), apply(T, v)))
+def _disjointness_gap(T, u, v) -> bool:
+    return not is_disjoint(apply(T, u), apply(T, v))
 
 
 def _dp_probes(T):
@@ -816,8 +777,8 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     constant bases with nonzero tail, pass a level: the table holds the
     extremes level by level, folded atom by atom for structurally
     additive bodies and over bounded enumeration otherwise.  A level
-    whose maximum certainly exceeds ``bound``, a value of the codomain
-    (``Reals`` also reads a scalar), fails the scan.
+    whose maximum is not at most ``bound``, a value of the codomain,
+    fails the scan.
     ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at
@@ -837,10 +798,8 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     table = [(l, lo, hi) for (l, lo), (_, hi) in zip(
         meet_at(T, zero_op, e, level).levels,
         join_at(T, zero_op, e, level).levels)]
-    if bound is not None:
-        bound = T.codomain.coerce(bound)
     lvl = next((l for l, _, hi in table
-                if bound is not None and leq(hi, bound) is False), None)
+                if bound is not None and not leq(hi, bound)), None)
     grew = lvl is not None
     if grew:
         rep = reports.fails(f"level {lvl} maximum exceeds the bound",

@@ -6,9 +6,9 @@ modulus are the matching infima/suprema.  No order completeness is
 assumed anywhere.  When both operators are additive on disjoint sums,
 the fold over splittings distributes into one fold per atom of x (its
 support atoms, or its support components on piecewise-linear functions):
-exactly for finite fragment algebras, level by level for infinite ones.
-Other pairs, and interval-valued codomains, enumerate the splittings as
-masks over fragment tables (``extrema_by_enumeration``).  A table is the
+exactly for finite fragment algebras, level by level for infinite ones,
+on every codomain.  Other pairs enumerate the splittings as masks over
+fragment tables (``extrema_by_enumeration``).  A table is the
 codomain's: on cell spaces one integer column per cell, so a splitting
 costs integer additions and no element, elsewhere a list of values.
 
@@ -47,7 +47,6 @@ class LatticePoint:
     value: object = None
     levels: tuple = ()
     attained: tuple = ()
-    decided: bool = True
     notes: str = ""
 
 
@@ -73,9 +72,8 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     _pair_check(S, T, x)
     additive = S.atom_additive and T.atom_additive
     if not has_infinite_fragments(x):
-        if additive and S.codomain.exact:
+        if additive:
             return _extrema_closed(S, T, x, kind)
-        # enclosures need every splitting value to judge `decided`
         return extrema_by_enumeration(S, T, x, kind)
     if level is None:
         raise PreconditionError(
@@ -108,10 +106,8 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     frags = Restrictions(x)
     values = S.fragment_images(frags) + T.fragment_images(frags).complement()
     fold, masks = values.extremum(_ORDER[kind])
-    notes = S.codomain.undecided(values, kind)
     hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
-    return LatticePoint("exact", value=fold, attained=_minimal_left(hits),
-                        decided=not notes, notes=notes)
+    return LatticePoint("exact", value=fold, attained=_minimal_left(hits))
 
 
 def _side(s, t, best):

@@ -10,19 +10,20 @@ sampling, formatting and the sort key.  The models are
   these two share ``Cells``, the calculus of finitely many cells;
 * ``FinSupport``         -- finitely supported sequences;
 * ``EventuallyConstant`` -- sequences constant from some index on;
-* ``PiecewiseLinear``    -- continuous piecewise-linear functions on [0,1].
+* ``PiecewiseLinear``    -- continuous piecewise-linear functions on [0,1];
+* ``LogTwo``             -- the numbers a + b ln 2 with rational a and b,
+  the range of the alternating series functional.
 
-``Reals``, the codomain of interval-valued operators, has no elements:
-its values are ``RealInterval`` enclosures, which it adds, scales and
-takes suprema and infima of endpoint-wise.  It also decides order and
-disjointness on their endpoints, where the answer can be ``None``:
-undecided.  Everything else it leaves to the defaults of ``Space``,
-which raise.  The functions at module level are the interface of the
+``LogTwo`` is no space of functions: it has the vector and lattice
+calculus and no atoms, pieces or samplers, which the defaults of
+``Space`` refuse.  Its order is total and decided exactly, by the sign
+of a + b ln 2 (``_ln2_sign``), so it needs no ``leq`` or ``disjoint``
+of its own.  The functions at module level are the interface of the
 other layers; each dispatches on ``x.space`` (or on the space it is
-given), and the vector, lattice and order functions serve elements and
-enclosures alike.  Scalars are exact rationals, so every order
-comparison, supremum and infimum is exact.  Elements are immutable
-and kept in a canonical form that makes equality syntactic.
+given).  Scalars are exact rationals, so every order comparison,
+supremum and infimum is exact, and every order or disjointness
+question gets a ``bool``.  Elements are immutable and kept in a
+canonical form that makes equality syntactic.
 
 A scalar of an atomic model is canonical: an ``int`` when it is
 integral, a ``fractions.Fraction`` otherwise (see ``q``).  The two
@@ -42,14 +43,14 @@ infima and ``leq`` compare scalars by cross-products of numerators and
 denominators (``_qmax``, ``_qmin``, ``_qless``), so no ``Fraction``
 comparison runs.
 
-Negation, subtraction, parts and moduli are each model's own too (see
-``Space``): negation is unary minus, which takes no gcd, and every
-model reads a value's sign off its numerator; the piecewise-linear
-parts and modulus add a zero at each sign change inside a segment, in
-one walk.  Every model builds the results of these operations, and of
-``add``, ``scale`` and ``lattice``, canonical as it goes;
-``normalize``, which validates and coerces, is the entry point for
-input from outside the program.
+Negation, subtraction, parts and moduli are each function model's own
+too (see ``Space``): negation is unary minus, which takes no gcd, and
+every such model reads a value's sign off its numerator; the
+piecewise-linear parts and modulus add a zero at each sign change
+inside a segment, in one walk.  Every model builds the results of its
+operations canonical as it goes; ``normalize``, which validates its
+input and makes it canonical, is the entry point for input from
+outside the program.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .errors import (
 
 
 def q(value):
-    """Coerce ``value`` to a canonical exact rational: an ``int`` when
+    """``value`` as a canonical exact rational: an ``int`` when
     it is integral, a ``Fraction`` otherwise.  Floats are rejected."""
     if type(value) is int:
         return value
@@ -149,8 +150,8 @@ def _scalar_pick(pick):
 
 @dataclass(frozen=True)
 class Element:
-    """A canonical value of one of the five concrete spaces; the layout
-    of its payload is documented on the class of its space."""
+    """A canonical value of one of the space models; the layout of its
+    payload is documented on the class of its space."""
 
     space: object
     payload: tuple
@@ -196,18 +197,19 @@ class Element:
 class Space:
     """A space descriptor together with the calculus of its elements.
 
-    A model has a ``name`` and overrides the methods below that its
-    elements support; the defaults raise, as they do for ``Reals`` on
-    everything past the vector, lattice and order calculus of its
-    interval values.  Methods taking two elements may assume both lie
-    in this space.  ``lattice`` applies ``pick`` (max or min) pointwise,
-    ``nonneg`` tests x >= 0, ``full_support`` tells whether no nonzero
-    element is disjoint from x, and the samplers call ``draw()`` for
-    each random scalar they need.
+    A model has a ``name`` and its own ``normalize``, ``zero``,
+    ``one``, ``add``, ``scale``, ``lattice``, ``nonneg``, ``format`` and
+    ``key``, and overrides the methods below that its elements support;
+    the defaults raise, as they do for ``LogTwo`` on everything past its
+    vector, lattice and order calculus.  Methods taking two elements may
+    assume both lie in this space.  ``lattice`` applies ``pick`` (max or
+    min) pointwise, ``nonneg`` tests x >= 0, ``full_support`` tells
+    whether no nonzero element is disjoint from x, and the samplers call
+    ``draw()`` for each random scalar they need.
 
-    ``add``, ``scale`` and ``lattice`` are a model's own.  The rest of
-    the element calculus has defaults built from them, which stay here
-    as the references a model's override is tested against:
+    The rest of the element calculus has defaults built from ``add``,
+    ``scale`` and ``lattice``, which stay here as the references a
+    model's override is tested against:
 
     * ``neg``, -x, is ``scale(-1, x)``;
     * ``sub``, x - y, is x + (-y);
@@ -223,12 +225,11 @@ class Space:
     applies any other pick as it is).  ``PiecewiseLinear`` overrides
     all but ``sub``: its parts and modulus walk the payload once,
     reading signs off numerators and inserting a zero where a segment
-    changes sign.  ``Reals`` overrides ``absolute``, and
-    ``leq`` and ``disjoint`` answer on the endpoints of its enclosures:
-    ``None`` where they leave the answer undecided, which no other model
-    gives.  ``subset_table`` and ``image_table`` build the fragment
-    tables that the splitting enumeration folds, a list of values by
-    default (``ImageTable``).
+    changes sign.  ``LogTwo`` overrides none of them: its ``lattice``
+    and ``nonneg`` decide the order, and the defaults do the rest.
+    ``subset_table`` and ``image_table`` build the fragment tables that
+    the splitting enumeration folds, a list of values by default
+    (``ImageTable``).
 
     Only ``EventuallyConstant`` has truncation levels (``min_level``,
     ``level_walk``), so ``min_level`` refuses by default.  The samplers
@@ -236,20 +237,6 @@ class Space:
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
-    exact = True        # values are exact: order between them is decided
-
-    def normalize(self, raw) -> Element:
-        raise MalformedElement(f"space {self!r} carries no elements")
-
-    def zero(self) -> Element:
-        raise Unsupported(f"{self.name} carries no elements")
-
-    one = zero
-
-    def _unsupported(self, *args):
-        raise Unsupported(self.name)
-
-    add = scale = lattice = nonneg = format = key = _unsupported
 
     def neg(self, x):
         return self.scale(-1, x)
@@ -266,22 +253,11 @@ class Space:
     def absolute(self, x):
         return self.lattice(x, self.neg(x), max)
 
-    def leq(self, x, y) -> bool | None:
+    def leq(self, x, y) -> bool:
         return leq_by_difference(x, y)
 
-    def disjoint(self, x, y) -> bool | None:
+    def disjoint(self, x, y) -> bool:
         return disjoint_by_modulus(x, y)
-
-    def undecided(self, values, kind) -> str:
-        """Why the extremum of ``values`` that the fold ``kind`` ("sup"
-        or "inf") seeks is not decided, or "" when it is; exact values
-        always decide it."""
-        return ""
-
-    def coerce(self, value):
-        """A value of this space given by a caller, such as a bound: an
-        element as it is."""
-        return value
 
     def eval_at(self, x, t) -> Fraction:
         raise Unsupported(
@@ -1288,134 +1264,109 @@ class PiecewiseLinear(Space):
         return tuple(pair for pt in x.payload for pair in pt)
 
 
+# --- the range of the series functional -------------------------------------
+
+def ln2_enclosure(eps) -> tuple:
+    """Rational bounds (lo, hi) with lo < ln 2 < hi and hi - lo <= eps,
+    from ln 2 = sum of 1/(n 2^n): the remainder after n terms is below
+    1/((n+1) 2^n)."""
+    eps = q(eps)
+    if eps <= 0:
+        raise PreconditionError("enclosure width must be positive")
+    n = 1
+    while (n + 1) * 2 ** n * eps.numerator < eps.denominator:
+        n += 1
+    return _ln2_bounds(n)
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2_bounds(n: int) -> tuple:
+    """The partial sum of the first n terms of ln 2 = sum of 1/(k 2^k),
+    and that sum plus the bound on the remainder."""
+    partial = sum(Fraction(1, k * 2 ** k) for k in range(1, n + 1))
+    return partial, partial + Fraction(1, (n + 1) * 2 ** n)
+
+
+_LN2_FIRST_BITS = 16               # the width 2^-16 of the first enclosure
+
+
+def _ln2_sign(a, b) -> int:
+    """The sign, -1, 0 or 1, of a + b ln 2 for canonical scalars a, b.
+
+    For b = 0 it is the sign of a.  Otherwise a + b ln 2 is not 0, since
+    ln 2 is irrational, and it lies strictly between its values at the
+    ends of an enclosure of ln 2; the enclosure is narrowed, its bits
+    doubled each round, until those two values share a sign.  Signs are
+    read off integer cross-products."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    if not bn:
+        return (an > 0) - (an < 0)
+    bits = _LN2_FIRST_BITS
+    while True:
+        lo, hi = ln2_enclosure(Fraction(1, 1 << bits))
+        at_lo = an * bd * lo.denominator + bn * ad * lo.numerator
+        at_hi = an * bd * hi.denominator + bn * ad * hi.numerator
+        if at_lo >= 0 and at_hi >= 0:
+            return 1
+        if at_lo <= 0 and at_hi <= 0:
+            return -1
+        bits *= 2
+
+
 @dataclass(frozen=True)
-class Reals(Space):
-    """Scalar codomain for interval-valued operators.
+class LogTwo(Space):
+    """The numbers a + b ln 2 with rational a and b, the range of the
+    alternating series functional; the payload is the pair (a, b) of
+    canonical scalars.
 
-    Its values are ``RealInterval`` enclosures, not elements: it adds,
-    scales and takes suprema and infima of them endpoint-wise, and
-    ``normalize``, the atom functions and the samplers raise.  Order
-    and disjointness are decided where the endpoints decide them, for
-    every real value in each enclosure, and are ``None`` otherwise; an
-    exact enclosure always decides.
-    """
+    As a subset of the reals it is totally ordered, so it is a Riesz
+    space over the rationals; it is Archimedean but not Dedekind
+    complete.  A value is exact: order is decided by the sign of a
+    difference, ``_ln2_sign``, which ``lattice`` and ``nonneg`` read.
+    Negation, subtraction, the parts and the modulus, ``leq`` and
+    ``disjoint`` are the ``Space`` defaults."""
 
-    name = "reals"
-    exact = False
+    name = "ln2"
+
+    def normalize(self, raw):
+        a, b = raw
+        return Element(self, (q(a), q(b)))
 
     def zero(self):
-        return RealInterval(ZERO, ZERO)
+        return Element(self, (ZERO, ZERO))
 
     def one(self):
-        return RealInterval(ONE, ONE)
+        return Element(self, (ONE, ZERO))
 
     def add(self, x, y):
-        return RealInterval(x.lower + y.lower, x.upper + y.upper)
+        return Element(self, _canonical(map(operator.add, x.payload,
+                                            y.payload)))
 
     def scale(self, c, x):
-        if c >= 0:
-            return RealInterval(c * x.lower, c * x.upper)
-        return RealInterval(c * x.upper, c * x.lower)
+        return Element(self, _canonical([c * v for v in x.payload]))
 
     def lattice(self, x, y, pick):
-        return RealInterval(pick(x.lower, y.lower), pick(x.upper, y.upper))
+        # one operand is the result, as the order is total; a tie keeps
+        # x, as ``max`` and ``min`` do
+        (a, b), (c, d) = x.payload, y.payload
+        s = _ln2_sign(a - c, b - d)
+        return x if pick(s, 0) == s else y
 
-    def absolute(self, x):
-        # sup(x, -x) would keep the negative lower end of an enclosure
-        # that straddles 0: [-1, 2] has modulus [0, 2], not [-1, 2]
-        if x.lower >= 0:
-            return x
-        if x.upper <= 0:
-            return self.scale(-1, x)
-        return RealInterval(ZERO, max(-x.lower, x.upper))
-
-    def leq(self, x, y):
-        if x.upper <= y.lower:
-            return True
-        return False if x.lower > y.upper else None
-
-    def disjoint(self, x, y):
-        if x.lower == x.upper == 0 or y.lower == y.upper == 0:
-            return True
-        return None if x.contains(0) or y.contains(0) else False
-
-    def undecided(self, values, kind):
-        # the enclosures that may hold the top (the bottom is the top of
-        # the negations); more than one, one inexact, leaves it undecided
-        if kind == "inf":
-            values = [-v for v in values]
-        top_lo = max(v.lower for v in values)
-        contenders = {v for v in values if v.upper >= top_lo}
-        if len(contenders) > 1 and any(v.width > 0 for v in contenders):
-            end = "top" if kind == "sup" else "bottom"
-            return f"{len(contenders)} overlapping enclosures at the {end}"
-        return ""
-
-    def coerce(self, value):
-        # a bare scalar is its exact enclosure
-        return value if isinstance(value, RealInterval) else (
-            RealInterval.exact(value))
+    def nonneg(self, x):
+        return _ln2_sign(*x.payload) >= 0
 
     def format(self, x):
-        return str(x)
+        a, b = x.payload
+        if not b:
+            return str(a)
+        term = "ln2" if abs(b) == 1 else f"{abs(b)}*ln2"
+        if not a:
+            return term if b > 0 else f"-{term}"
+        return f"{a} {'+' if b > 0 else '-'} {term}"
 
-
-@dataclass(frozen=True)
-class RealInterval:
-    """A closed rational interval enclosing a real value; a value of
-    ``Reals``."""
-
-    lower: Fraction
-    upper: Fraction
-
-    space = Reals()
-
-    def __post_init__(self):
-        lo, hi = q(self.lower), q(self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo > hi:
-            raise MalformedElement(f"empty interval [{lo}, {hi}]")
-
-    @classmethod
-    def exact(cls, value) -> "RealInterval":
-        value = q(value)
-        return cls(value, value)
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
-    def contains(self, value) -> bool:
-        return self.lower <= q(value) <= self.upper
-
-    def __neg__(self):
-        return scale(-1, self)
-
-    def __str__(self):
-        if self.is_exact:
-            return f"interval[{self.lower}]"
-        lo = _decimal(self.lower, down=True)
-        hi = _decimal(self.upper, down=False)
-        return f"interval[{lo},{hi}]"
-
-
-_PLACES = 12                       # decimals an inexact enclosure shows
-
-
-def _decimal(value: Fraction, down: bool) -> str:
-    """Directed decimal rendering, preserving the enclosure on display."""
-    scaled = value * 10 ** _PLACES
-    n = scaled.numerator // scaled.denominator  # floor
-    if not down and n * scaled.denominator != scaled.numerator:
-        n += 1
-    sign = "-" if n < 0 else ""
-    digits = str(abs(n)).rjust(_PLACES + 1, "0")
-    return f"{sign}{digits[:-_PLACES]}.{digits[-_PLACES:]}"
+    def key(self, x):
+        return x.payload
 
 
 # ---------------------------------------------------------------------------
@@ -1645,18 +1596,14 @@ def absolute(x: Element) -> Element:
     return x.space.absolute(x)
 
 
-def leq(x: Element, y: Element) -> bool | None:
-    """Pointwise partial order: true iff y - x is everywhere >= 0.
-    ``None`` when enclosures leave it undecided: some of the values
-    they enclose are ordered and some are not."""
+def leq(x: Element, y: Element) -> bool:
+    """Pointwise partial order: true iff y - x is everywhere >= 0."""
     _same_space(y, x)
     return x.space.leq(x, y)
 
 
-def is_disjoint(x: Element, y: Element) -> bool | None:
-    """Whether |x| ^ |y| = 0.  ``None`` when enclosures leave it
-    undecided: some of the values they enclose are disjoint and some
-    are not."""
+def is_disjoint(x: Element, y: Element) -> bool:
+    """Whether |x| ^ |y| = 0."""
     _same_space(x, y)
     return x.space.disjoint(x, y)
 

@@ -21,14 +21,14 @@ from rieszlab.lateral import (
 )
 from rieszlab.mutations import tampered
 from rieszlab.operators import (
-    AlternatingSeries, RealInterval, apply, example_operator,
+    AlternatingSeries, apply, example_operator,
     lateral_bound_scan, verify_disjointness_preserving, verify_oao,
 )
 from rieszlab.oplattice import meyer_pair
 from rieszlab.reports import FAILS, HOLDS
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, absolute, add, from_atoms, inf, neg_part,
+    SimpleFunction, absolute, add, from_atoms, inf, leq, neg_part,
     normalize, one, pos_part, scale, sub, sup, zero,
 )
 
@@ -233,40 +233,43 @@ def test_ac07_dp_fast_paths_and_wedge():
 # 8. the series functional
 # ---------------------------------------------------------------------------
 
-def _ln2_oracle() -> RealInterval:
-    """Independent enclosure of ln 2 = 2 atanh(1/3): geometric series
-    with ratio 1/9, remainder below the next term divided by (1-1/9)."""
+def _ln2_oracle() -> tuple:
+    """Independent enclosure (lo, hi) of ln 2 = 2 atanh(1/3): geometric
+    series with ratio 1/9, remainder below the next term divided by
+    (1-1/9)."""
     total = Q(0)
     for j in range(0, 22):
         total += 2 * Q(1, (2 * j + 1) * 3 ** (2 * j + 1))
     next_term = 2 * Q(1, 45 * 3 ** 45)
-    return RealInterval(total, total + next_term * Q(9, 8))
+    return total, total + next_term * Q(9, 8)
 
 
 def test_ac08_series_reproduction():
     T = AlternatingSeries()
+    R = T.codomain
     e = one(EventuallyConstant())
     v = apply(T, e)
-    assert v.width <= Q(1, 10 ** 9)
-    oracle = _ln2_oracle()
-    assert oracle.width < Q(1, 10 ** 12)
-    # the enclosure must contain -ln 2
-    assert v.lower <= -oracle.upper and -oracle.lower <= v.upper
-    scan = lateral_bound_scan(T, e, level=62, bound=2)
+    # T(1) is -ln 2 exactly, and the order of its range places it in an
+    # enclosure of ln 2 that shares no code with it
+    assert v == normalize(R, (0, -1))
+    lo, hi = _ln2_oracle()
+    assert hi - lo < Q(1, 10 ** 12)
+    assert leq(normalize(R, (-hi, 0)), v) and leq(v, normalize(R, (-lo, 0)))
+    scan = lateral_bound_scan(T, e, level=62, bound=normalize(R, (2, 0)))
     harmonic = Q(0)
     prev = None
-    for level, _, hi in scan.table:
+    for level, _, top in scan.table:
         if level % 2 == 0 and level > 0:
             harmonic += Q(1, level)
-            assert hi == RealInterval.exact(harmonic)
+            assert top == normalize(R, (harmonic, 0))
         if prev is not None:
-            assert prev.lower <= hi.lower and prev.upper <= hi.upper
-        prev = hi
+            assert leq(prev, top)
+        prev = top
     h31_half = sum(Q(1, k) for k in range(1, 32)) / 2
-    assert scan.table[-1][2] == RealInterval.exact(h31_half)
+    assert scan.table[-1][2] == normalize(R, (h31_half, 0))
     assert h31_half > 2
     assert scan.growth
-    _pass(8, f"series encloses -ln2 within 1e-9; level-62 maximum "
+    _pass(8, f"series gives -ln2 exactly; level-62 maximum "
              f"H_31/2 = {h31_half} > 2, monotone")
 
 

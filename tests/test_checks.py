@@ -96,6 +96,29 @@ def test_config_out_of_range_is_rejected():
             search_truncated_joins(config)
 
 
+def test_a_bound_is_a_rational_number(capsys):
+    from rieszlab import cli
+    for cid in ("ex-2.2", "thm-2.3-forward"):
+        for bad in ("abc", "1/0", "nan", True, 1.5):
+            with pytest.raises(PreconditionError,
+                               match=f"bound={bad!r} is not a rational"):
+                run_check(cid, {"bound": bad})
+        assert cli.main(["check", cid, "--config", "bound=abc"]) == \
+            cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            f"error: {cid}: config bound='abc' is not a "
+            "rational number\n")
+        # a rational bound runs
+        assert cli.main(["check", cid, "--config", "bound=3/2"]) == \
+            cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{cid} holds ")
+    assert run_check("ex-2.2", {"bound": Fraction(3, 2)}).result.verdict \
+        == HOLDS
+    # the series' level-62 maximum H_31 / 2 lies just above 2
+    assert run_check("ex-2.2", {"bound": "5/2"}).result.witness == \
+        "maximum never exceeded 5/2"
+
+
 def test_unknown_config_key_is_rejected():
     with pytest.raises(PreconditionError, match="instancez"):
         run_check("lem-3.1", {"instancez": 3})
@@ -247,15 +270,17 @@ def test_mutation_pl_restrict_breaks_oao_and_wedge_as_failures():
 
 
 def test_mutation_scalar_truncates_breaks_the_series_enclosure():
-    # the series tolerance 1/10^9 goes through the exact quotient, which
-    # the truncating scalar turns into 0
+    # the width 2^-16 of the first enclosure of ln 2 that the sign test
+    # of the series' range asks for is read as a scalar, which the
+    # truncating scalar turns into 0
     with tampered("scalar-truncates"):
         report = run_check("ex-2.2").result
         assert report.verdict == FAILS
         assert "enclosure width must be positive" in report.witness
-        assert re.search(r"at operators\.py:ln2_enclosure\+\d+$",
+        assert re.search(r"at spaces\.py:ln2_enclosure\+\d+$",
                          report.notes)
     assert run_check("ex-2.2").result.verdict == HOLDS
+
 
 
 def test_mutation_ec_prefix_unminimised_breaks_the_wedge():
@@ -281,13 +306,15 @@ def test_mutation_horner_late_power_breaks_the_join_and_meet_oracles():
 
 def test_mutation_scalar_truncates_reaches_the_operator_scalars():
     # operators.py reads spaces.q at each call, so the swap reaches its
-    # polynomial coefficients, interval bounds and scaling factors
-    from rieszlab.operators import OpScaled, RealInterval, ZeroOp, poly
-    from rieszlab.spaces import Coordinate
+    # polynomial coefficients, series values and scaling factors
+    from rieszlab.operators import (
+        AlternatingSeries, OpScaled, ZeroOp, apply, poly,
+    )
+    from rieszlab.spaces import Coordinate, ec
     half = Fraction(1, 2)
     with tampered("scalar-truncates"):
         assert poly(0, half, 3).coeffs == ((0, 0, 3),)
-        assert RealInterval(half, 2).lower == 0
+        assert apply(AlternatingSeries(), ec([0, 1], 0)).payload == (0, 0)
         assert OpScaled(half, ZeroOp(Coordinate(1), Coordinate(1))).factor == 0
     assert poly(0, half).coeffs == ((0, half),)
 
@@ -354,6 +381,7 @@ CATCHERS = {
     "pl-strip-spares-a-collinear-point": ("thm-3.2-oao",),
     "lex-comment-swallows-newline": (),
     "lex-col-after-newline-off-by-one": (),
+    "ln2-sign-first-enclosure": ("ex-2.2",),
 }
 
 
@@ -414,7 +442,8 @@ def test_mutation_names_are_documented():
                               "pl-common-skips-end-values",
                               "pl-strip-spares-a-collinear-point",
                               "lex-comment-swallows-newline",
-                              "lex-col-after-newline-off-by-one"}
+                              "lex-col-after-newline-off-by-one",
+                              "ln2-sign-first-enclosure"}
     for name in MUTATIONS:
         assert f"``{name}``" in mutations.__doc__
 

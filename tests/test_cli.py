@@ -232,11 +232,11 @@ def test_nested_derived_operator_at_an_infinite_point_exits_4(tmp_path,
      "eval (A^+)(ec[1|1]) @level 3;\n"
      "eval ((A \\/ A)^+)(ec[1,1|0]);\n"
      "eval ((A \\/ A)^+)(ec[1|1]) @level 3;\n", cli.EXIT_PRECONDITION,
-     "level 0: interval[0]\n"
-     "level 1: interval[0.306852819421,0.306852819974]\n"
-     "level 2: interval[1/2]\n"
-     "level 3: interval[0.640186152754,0.640186153307]\n"
-     "interval[1/2] attained=[(ec[0,1|0] | ec[1|0])]\n",
+     "level 0: 0\n"
+     "level 1: 1 - ln2\n"
+     "level 2: 1/2\n"
+     "level 3: 4/3 - ln2\n"
+     "1/2 attained=[(ec[0,1|0] | ec[1|0])]\n",
      "4:1: precondition violated: infinite splitting family: supply a "
      "truncation level"),
     # a builtin with no row for its arguments' kinds fails at the call,

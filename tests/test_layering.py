@@ -1,26 +1,20 @@
 """Layering: each model and each operator body holds its own rules.
 
 The per-model calculus lives in spaces.py alone: every other module
-reaches the five element models through the functions of ``spaces``
-(which dispatch on ``x.space``), never by testing an element's model
-class.  Likewise the per-body rules live in the operator body classes
+reaches the element models, ``LogTwo``, the range of the series
+functional, among them, through the functions of ``spaces`` (which
+dispatch on ``x.space``), never by testing an element's model class.  Likewise the per-body rules live in the operator body classes
 of operators.py and oplattice.py: no function outside their own
 methods tests which body an operator is.  ``Operator``, the base of
 the bodies, is exempt.  Nor does any module outside spaces.py build an
 ``Element`` from a payload, except the references of ``oracles`` and
 the mutants of ``mutations``.
 
-``Reals`` is a model too, whose values are ``RealInterval`` enclosures,
-and the functions of ``spaces`` compute with them as with elements.
-It decides order and disjointness itself, ``None`` where an enclosure
-leaves them undecided, so no module outside spaces.py tests for an
-enclosure or for the ``Reals`` codomain.
-
 Scalars of the atomic models are ints where integral, and ``int / int``
 is a float; so no true division sits outside the piecewise-linear
 model's own code (whose payloads are all Fractions), the
 piecewise-linear references of ``oracles``, ``spaces.div`` and the
-Fraction-literal sites listed in ``DIVISION_ALLOWED``.
+sites listed in ``DIVISION_ALLOWED``, none today.
 
 The slow references live in ``oracles``, which only ``checks`` imports,
 and which shares none of the code the references check.  A reference
@@ -49,8 +43,8 @@ from test_checks import OWN_BODIES
 SRC = Path(__file__).resolve().parents[1] / "src" / "rieszlab"
 
 MODEL_NAMES = {"Coordinate", "SimpleFunction", "FinSupport",
-               "EventuallyConstant", "PiecewiseLinear", "ATOMIC_SPACES"}
-INTERVAL_NAMES = {"RealInterval", "Reals"}
+               "EventuallyConstant", "PiecewiseLinear", "LogTwo",
+               "ATOMIC_SPACES"}
 
 
 def _operator_subclasses(path):
@@ -155,18 +149,12 @@ def test_no_body_isinstance_outside_the_bodies():
     assert not offending, "\n".join(offending)
 
 
-def test_no_interval_isinstance_outside_spaces():
-    offending = _offending(INTERVAL_NAMES,
-                           lambda module, _: module == "spaces")
-    assert not offending, "\n".join(offending)
-
-
 def test_detector_sees_direct_and_qualified_names(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "KINDS = (Kernel, MatchTable)\n"
         "def f(x):\n"
-        "    return isinstance(x.space, (spaces.Coordinate, Reals))\n"
+        "    return isinstance(x.space, (spaces.Coordinate, LogTwo))\n"
         "def g(s):\n"
         "    return isinstance(s, ATOMIC_SPACES) or isinstance(s, Reals)\n"
         "def h(T):\n"
@@ -177,17 +165,15 @@ def test_detector_sees_direct_and_qualified_names(tmp_path):
         "    def m(self):\n"
         "        return isinstance(self.inner, OpScaled)\n"
         "def n(v):\n"
-        "    return isinstance(v, (spaces.RealInterval, Element))\n")
+        "    return isinstance(v, (spaces.LogTwo, Element))\n")
     wanted = MODEL_NAMES | BODY_NAMES
     assert _isinstance_sites(probe, wanted) == [
-        (None, "f", 3, ["Coordinate"]), (None, "g", 5, ["ATOMIC_SPACES"]),
+        (None, "f", 3, ["Coordinate", "LogTwo"]),
+        (None, "g", 5, ["ATOMIC_SPACES"]),
         (None, "h", 7, ["OpSum"]),
         (None, "k", 9, ["Kernel", "MatchTable", "OpLattice"]),
-        ("OpScaled", "m", 12, ["OpScaled"])]
+        ("OpScaled", "m", 12, ["OpScaled"]), (None, "n", 14, ["LogTwo"])]
     assert _operator_subclasses(probe) == {"OpScaled"}
-    assert _isinstance_sites(probe, INTERVAL_NAMES) == [
-        (None, "f", 3, ["Reals"]), (None, "g", 5, ["Reals"]),
-        (None, "n", 14, ["RealInterval"])]
 
 
 # --- element construction ---------------------------------------------------
@@ -229,11 +215,9 @@ def test_element_detector_sees_direct_and_qualified_calls(tmp_path):
 # --- true division ----------------------------------------------------------
 
 # (module, class or function, expression) of each division outside the
-# exempt scopes; the dividend is a Fraction built on the spot, so the
-# quotient is a Fraction whatever the divisor
-DIVISION_ALLOWED = {
-    ("operators", "AlternatingSeries", "Fraction((-1) ** n, 1) * abs(v) / n"),
-}
+# exempt scopes, allowed where the dividend is a Fraction built on the
+# spot, so the quotient is a Fraction whatever the divisor
+DIVISION_ALLOWED = set()
 
 
 def _division_sites(path):

@@ -12,23 +12,28 @@ from rieszlab.errors import (
 from rieszlab.lateral import enumerate_fragments
 from rieszlab.operators import (
     ABS_FN, AlternatingSeries, Kernel, LateralMeet, LinearEC,
-    OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
+    OpScaled, OpSum, PiecewisePoly, ZeroOp, apply,
     diagonal_kernel, example_operator, lateral_bound_scan,
-    ln2_enclosure, match_table, poly,
+    match_table, poly,
     verify_disjointness_preserving, verify_oao, verify_positive,
 )
 from rieszlab.oplattice import neg_part_at, pos_part_at
 from rieszlab.oracles import scan_levels_by_enumeration
 from rieszlab.reports import Budget, DEFAULT_GRID, FAILS, HOLDS, INCONCLUSIVE
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, PiecewiseLinear, Reals,
-    SimpleFunction, coord, ec, format_element, inf, one, pl, scale, simple,
-    sup, zero,
+    Coordinate, EventuallyConstant, FinSupport, LogTwo, PiecewiseLinear,
+    SimpleFunction, coord, ec, format_element, inf, leq, ln2_enclosure,
+    normalize, one, pl, scale, simple, sup, zero,
 )
 
 from conftest import make_rng, report_line
 
 EC = EventuallyConstant()
+LN2 = LogTwo()
+
+
+def log_two(a, b):
+    return normalize(LN2, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +135,25 @@ def test_series_apply_exact_when_tail_zero():
     T = AlternatingSeries()
     x = ec([0, 1, 0, 1, 0, 1], 0)  # indicator of {2, 4, 6}
     v = apply(T, x)
-    assert v == RealInterval.exact(Q(11, 12))
+    assert v == log_two(Q(11, 12), 0)
 
 
 def test_series_apply_encloses_minus_ln2():
     T = AlternatingSeries()
     v = apply(T, one(EC))
-    assert v.width <= Q(1, 10 ** 9)
-    tight = ln2_enclosure(Q(1, 10 ** 13))
-    assert v.lower <= -tight.upper and -tight.lower <= v.upper
-    # the limit sits between consecutive partial sums of the series
+    assert v == log_two(0, -1) and format_element(v) == "-ln2"
+    # the order decides that the exact value lies in each enclosure:
+    # one of ln 2, and consecutive partial sums of the series
+    lo, hi = ln2_enclosure(Q(1, 10 ** 13))
+    assert hi - lo <= Q(1, 10 ** 13)
+    assert leq(log_two(-hi, 0), v) and leq(v, log_two(-lo, 0))
+    assert not leq(log_two(-lo, 0), v) and not leq(v, log_two(-hi, 0))
     terms = [Q((-1) ** n, n) for n in range(1, 41)]
     s40 = sum(terms)
     s39 = s40 - terms[-1]
-    lo, hi = min(s39, s40), max(s39, s40)
-    assert lo <= v.lower <= v.upper <= hi
-
-
-def test_series_precision_parameter_shrinks_width():
-    widths = []
-    for k in (3, 6, 9, 12):
-        T = AlternatingSeries(Q(1, 10 ** k))
-        widths.append(apply(T, ec([1], Q(1, 3))).width)
-        assert widths[-1] <= Q(1, 10 ** k)
-    assert all(a >= b for a, b in zip(widths, widths[1:]))
+    assert leq(log_two(s39, 0), v) and leq(v, log_two(s40, 0))
+    # the tail c past the prefix adds c (-ln 2 - s_k)
+    assert apply(T, ec([1], Q(1, 3))) == log_two(-1 + Q(1, 3), Q(-1, 3))
 
 
 def test_sum_scaled_zero_apply():
@@ -190,7 +190,7 @@ def test_operator_vanishes_at_zero():
         for _ in range(10):
             T = gen.random_oao(rng, space)
             assert apply(T, zero(space)) == zero(T.codomain)
-    assert apply(AlternatingSeries(), zero(EC)) == zero(Reals())
+    assert apply(AlternatingSeries(), zero(EC)) == zero(LogTwo())
 
 
 def test_random_operators_map_their_space_to_itself():
@@ -314,10 +314,9 @@ PINNED_BODIES = [
                       "|T x| <= |x| pointwise, so disjoint supports stay "
                       "disjoint"),
     }),
-    ("AlternatingSeries", AlternatingSeries(Q(1, 1000)),
-     (ec([1, -2, 3], 0), one(EC)), {
-        "apply": ["interval[-1]",
-                  "interval[-0.693238467262,-0.692261904761]"],
+    ("AlternatingSeries", AlternatingSeries(),
+     (ec([1, -2, 3], 0), one(EC), ec([0, 1], -3)), {
+        "apply": ["-1", "-ln2", "2 - 3*ln2"],
         "atom additive": True,
         "linear": False,
         "linear probes": [],
@@ -430,8 +429,8 @@ PINNED_BODIES = [
                       "scaling preserves disjointness; scaling preserves "
                       "disjointness; keys have no nonzero disjoint partner"),
     }),
-    ("ZeroOp", ZeroOp(_C2, Reals()), (coord(1, 1),), {
-        "apply": ["interval[0]"],
+    ("ZeroOp", ZeroOp(_C2, LogTwo()), (coord(1, 1),), {
+        "apply": ["0"],
         "atom additive": True,
         "linear": True,
         "linear probes": [],
@@ -631,15 +630,14 @@ def test_scan_closed_form_matches_enumeration():
                 pos_part_at(T, e, level=7).levels)]
 
 
-def test_exact_scan_matches_enumeration_on_an_interval_codomain():
-    # a finite fragment algebra whose images are enclosures in Reals
+def test_exact_scan_matches_enumeration_on_the_series_range():
+    # a finite fragment algebra whose images lie in LogTwo
     T, e = AlternatingSeries(), ec([1, -2], 0)
     images = [apply(T, z) for z in enumerate_fragments(e)]
     scan = lateral_bound_scan(T, e)
     assert scan.mode == "exact"
-    assert scan.lo == functools.reduce(inf, images)
-    assert scan.hi == functools.reduce(sup, images)
-    assert isinstance(scan.lo, RealInterval)
+    assert scan.lo == functools.reduce(inf, images) == log_two(-1, 0)
+    assert scan.hi == functools.reduce(sup, images) == log_two(1, 0)
     assert scan.report.verdict == HOLDS
     assert scan.report.samples_used == 4
     assert scan.report.notes == "exact bounds over 4 fragments"
@@ -653,17 +651,18 @@ def test_scan_growth_flag():
     assert not scan2.growth and scan2.report.verdict == INCONCLUSIVE
 
 
-def test_scan_reads_a_scalar_bound_on_reals_as_its_enclosure():
-    # the series' level-8 maximum is H_4 / 2 = 25/24: it certainly
-    # exceeds 1, and an enclosure bound decides on its upper end
+def test_scan_bound_in_the_series_range():
+    # the series' level-8 maximum is H_4 / 2 = 25/24; 3/2 ln 2 lies
+    # about 0.0019 below it, and 3/2 ln 2 + 1/500 about 0.00005 above
     T = AlternatingSeries()
-    for bound, grew in [(1, True), (RealInterval.exact(1), True),
-                        (RealInterval(Q(1, 2), Q(25, 24)), False),
-                        (Q(25, 24), False), (2, False)]:
-        scan = lateral_bound_scan(T, one(EC), level=8, bound=bound)
+    for bound, grew in [((1, 0), True), ((0, Q(3, 2)), True),
+                        ((Q(1, 500), Q(3, 2)), False),
+                        ((Q(25, 24), 0), False), ((2, 0), False)]:
+        scan = lateral_bound_scan(T, one(EC), level=8,
+                                  bound=log_two(*bound))
         assert scan.growth is grew
         assert scan.report.verdict == (FAILS if grew else INCONCLUSIVE)
-    assert scan.table[-1][2] == RealInterval.exact(Q(25, 24))
+    assert scan.table[-1][2] == log_two(Q(25, 24), 0)
 
 
 def test_verify_oao_looks_through_every_scaling():

@@ -1,7 +1,6 @@
 """Pointwise lattice of operators: joins, meets, parts, modulus, wedges."""
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
@@ -15,8 +14,8 @@ from rieszlab.lateral import (
     Decomposition, Restrictions, enumerate_decompositions,
 )
 from rieszlab.operators import (
-    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, Operator,
-    OpScaled, OpSum, PiecewisePoly, RealInterval, ZeroOp, apply,
+    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable,
+    OpScaled, OpSum, PiecewisePoly, ZeroOp, apply,
     diagonal_kernel, example_operator, lateral_bound_scan, negate, poly,
     verify_disjointness_preserving,
 )
@@ -26,8 +25,8 @@ from rieszlab.oplattice import (
 )
 from rieszlab.oracles import images_by_apply
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, FinSupport, ImageTable, PiecewiseLinear,
-    Reals, SimpleFunction, add, coord,
+    Coordinate, EventuallyConstant, FinSupport, ImageTable, LogTwo,
+    PiecewiseLinear, SimpleFunction, add, coord,
     ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
 )
 
@@ -156,8 +155,7 @@ def _assert_matches_enumeration(S, T, x):
     for name, got, ref in _all_kinds(S, T, x):
         assert got.value == ref.value, (name, S, T, x)
         assert got.attained == ref.attained, (name, S, T, x)
-        assert (got.mode, got.decided, got.notes) == \
-            (ref.mode, ref.decided, ref.notes), (name, S, T, x)
+        assert (got.mode, got.notes) == (ref.mode, ref.notes), (name, S, T, x)
 
 
 def test_closed_form_matches_enumeration_on_every_finite_model():
@@ -208,48 +206,24 @@ def test_closed_form_at_zero():
         _assert_matches_enumeration(U, U, zero(space))
 
 
-def test_interval_codomain_keeps_enumeration(monkeypatch):
-    def no_closed_form(*args):
-        raise AssertionError("interval codomains must enumerate")
-
-    monkeypatch.setattr(oplattice, "_fold_atoms", no_closed_form)
+def test_the_series_takes_the_closed_fold(monkeypatch):
     A = AlternatingSeries()
     B = OpScaled(Q(-1, 2), A)
-    for x in (ec([1, -2, 3], 0), ec([], 0), ec([0, Q(1, 2)], 0)):
+    points = (ec([1, -2, 3], 0), ec([], 0), ec([0, Q(1, 2)], 0))
+    for x in points:
         _assert_matches_enumeration(A, B, x)
-        p = join_at(A, B, x)
-        assert isinstance(p.value, RealInterval)
-        assert p.decided and p.notes == ""
+    want = [join_at(A, B, x).value for x in points]
 
+    def no_enumeration(*args):
+        raise AssertionError("an additive pair folds atom by atom")
 
-@dataclass(frozen=True)
-class _Enclosing(Operator):
-    """T(a, b) = [a + low b, a + high |b|] on Coordinate(2), into Reals."""
-
-    low: int
-    high: int
-    domain = Coordinate(2)
-    codomain = Reals()
-
-    def _apply(self, x):
-        a, b = x.payload
-        return RealInterval(a + self.low * b, a + self.high * abs(b))
-
-
-def test_a_meet_judges_the_bottom_of_its_enclosures():
-    zero_op, x = ZeroOp(Coordinate(2), Reals()), coord(1, 1)
-    # the splitting values at x are [0], [1], [1, 2] and [2, 3]: the
-    # least is decided, though two enclosures overlap at the top
-    T = _Enclosing(1, 2)
-    p = meet_at(T, zero_op, x)
-    assert (p.value, p.decided, p.notes) == (RealInterval.exact(0), True, "")
-    p = join_at(T, zero_op, x)
-    assert (p.decided, p.notes) == (
-        False, "2 overlapping enclosures at the top")
-    # [0] and [0, 1] both may hold the least of [a, a + |b|]
-    p = meet_at(_Enclosing(0, 1), zero_op, x)
-    assert (p.value, p.decided, p.notes) == (
-        RealInterval.exact(0), False, "2 overlapping enclosures at the bottom")
+    monkeypatch.setattr(oplattice, "extrema_by_enumeration", no_enumeration)
+    assert [join_at(A, B, x).value for x in points] == want
+    # per atom: max(-1, 1/2) + max(1, -1/2) + max(-1, 1/2)
+    assert want[0] == normalize(LogTwo(), (2, 0))
+    # |-1| + |2/2| + |-3/3|
+    assert modulus_at(A, ec([1, -2, 3], 0)).value == normalize(
+        LogTwo(), (3, 0))
 
 
 def test_truncated_levels_monotone_and_match_enumeration():
@@ -287,13 +261,22 @@ def diagonal_kernel_on_ec():
     return Kernel(EC, Coordinate(1), ((1, 1, poly(0, 1)),))
 
 
-def test_series_join_levels_are_intervals():
+def test_series_positive_part_levels_are_exact():
+    # at level l the largest image of a fragment of the constant one
+    # takes the even atoms up to l, and the tail past l where its value
+    # -ln 2 - s_l is positive: for odd l
     A = AlternatingSeries()
-    Z = ZeroOp(EC, A.codomain)
     p = pos_part_at(A, one(EC), level=6)
+    half_sum, s_l, want = Q(0), Q(0), []
+    for l in range(7):
+        if l:
+            s_l += Q((-1) ** l, l)
+            half_sum += Q(1, l) if l % 2 == 0 else 0
+        want.append((l, normalize(A.codomain, (half_sum - s_l, -1) if l % 2
+                                  else (half_sum, 0))))
+    assert list(p.levels) == want
     for (l1, v1), (l2, v2) in zip(p.levels, p.levels[1:]):
-        assert isinstance(v1, RealInterval)
-        assert v1.lower <= v2.lower and v1.upper <= v2.upper
+        assert leq(v1, v2)
 
 
 def test_dp_fast_matches_brute_force():
@@ -681,25 +664,22 @@ def test_fragment_tables_match_one_application_per_fragment(case):
 
 
 def _series_pairs():
-    """Two interval-valued bodies on eventually constant sequences, and a
-    point with finitely many fragments."""
-    leaves = st.one_of(
-        st.sampled_from((AlternatingSeries(), AlternatingSeries(Q(1, 100)))),
-        st.just(ZeroOp(EC, Reals())))
+    """Two bodies into the series' range on eventually constant
+    sequences, and a point with finitely many fragments."""
+    leaves = st.sampled_from((AlternatingSeries(), ZeroOp(EC, LogTwo())))
     return st.tuples(_combinations(leaves), _combinations(leaves),
                      st.lists(SCALARS, max_size=5).map(lambda p: ec(p, 0)))
 
 
 def _enumeration_by_apply(S, T, x, kind):
     """``extrema_by_enumeration`` as a fold of both operators applied to
-    both sides of every splitting: value, attained, decided, notes."""
+    both sides of every splitting: value and attained."""
     pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
              for d in enumerate_decompositions(x)]
     fold = functools.reduce({"sup": sup, "inf": inf}[kind],
                             (v for _, v in pairs))
-    notes = S.codomain.undecided([v for _, v in pairs], kind)
     hits = [d for d, v in pairs if v == fold]
-    return fold, oplattice._minimal_left(hits), not notes, notes
+    return fold, oplattice._minimal_left(hits)
 
 
 @TABLE_SETTINGS
@@ -708,10 +688,10 @@ def _enumeration_by_apply(S, T, x, kind):
 def test_enumeration_matches_the_fold_of_applications(case, kind):
     S, T, x = case
     got = extrema_by_enumeration(S, T, x, kind)
-    value, attained, decided, notes = _enumeration_by_apply(S, T, x, kind)
+    value, attained = _enumeration_by_apply(S, T, x, kind)
     assert got.value == value
     assert repr((got.value, got.attained)) == repr((value, attained))
-    assert (got.decided, got.notes) == (decided, notes)
+    assert (got.mode, got.notes) == ("exact", "")
 
 
 # --- the column fold against the fold of elements ---------------------------

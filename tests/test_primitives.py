@@ -35,6 +35,14 @@ build their sums, differences, suprema, infima and multiples canonical
 without ``normalize``.  The ``Space`` defaults (-x as ``scale(-1, x)``,
 x - y as x + (-y), the parts and modulus as lattice formulas) and
 ``normalize`` of the raw payload are the oracles for those.
+
+The range of the series functional, ``LogTwo``, decides the sign of
+a + b ln 2 by narrowing enclosures of ln 2 until the sign shows
+(``spaces._ln2_sign``).  One fixed enclosure of width 2^-400 is its
+oracle, on random pairs and next to the convergents of ln 2, and so
+for the suprema, infima, moduli and order built on it.  Every model,
+that one too, answers each order and disjointness question with a
+``bool``.
 """
 
 import operator
@@ -54,11 +62,11 @@ from rieszlab.oracles import (
     pl_components_by_crossing, pl_disjoint, pl_leq, pl_pointwise, pl_restrict,
 )
 from rieszlab.spaces import (
-    Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    SimpleFunction, Space, _qless, _qmax, _qmin, absolute, add,
-    canonical_key, disjoint_by_modulus, from_atoms, get_atom,
+    Coordinate, Element, EventuallyConstant, FinSupport, LogTwo,
+    PiecewiseLinear, SimpleFunction, Space, _ln2_sign, _qless, _qmax, _qmin,
+    absolute, add, canonical_key, disjoint_by_modulus, from_atoms, get_atom,
     has_infinite_fragments, inf, is_disjoint, leq, leq_by_difference,
-    neg_part, normalize, pl, pos_part, q, scale, sub, sup,
+    ln2_enclosure, neg_part, normalize, pl, pos_part, q, scale, sub, sup,
 )
 
 from conftest import ABSCISSAE, SCALARS, is_canonical, pl_elements
@@ -92,6 +100,43 @@ def _ec():
 ELEMENTS = {"coord": _cells(COORD), "simple": _cells(SIMPLE), "fin": _fin(),
             "ec": _ec(), "pl": pl_elements()}
 MODELS = sorted(ELEMENTS)
+
+# the range of the series functional: the pairs (a, b) of a + b ln 2,
+# random ones and ones next to 0, r (ln 2 - p/q) + d for a convergent
+# p/q of ln 2 and d nothing or a small fraction of its distance to ln 2
+LN2 = LogTwo()
+LN2_LO, LN2_HI = ln2_enclosure(Q(1, 2 ** 400))
+
+
+def _convergents(lo, hi):
+    """The convergents p/q, q below 2^150, of the continued fraction
+    terms that lo and hi share, but the last: those of every real
+    between them."""
+    terms = []
+    x, y = lo, hi
+    while x.denominator > 1 and y.denominator > 1 and \
+            x.numerator // x.denominator == y.numerator // y.denominator:
+        a = x.numerator // x.denominator
+        terms.append(a)
+        x, y = 1 / (x - a), 1 / (y - a)
+    out, (p, p0, r, r0) = [], (1, 0, 0, 1)
+    for a in terms[:-1]:
+        p, p0, r, r0 = a * p + p0, p, a * r + r0, r
+        if r < 2 ** 150:
+            out.append(Q(p, r))
+    return out
+
+
+CONVERGENTS = _convergents(LN2_LO, LN2_HI)
+NONZERO_SCALARS = SCALARS.filter(lambda v: v != 0)
+LN2_PAIRS = st.one_of(
+    st.tuples(st.fractions(-10, 10, max_denominator=10 ** 7),
+              st.fractions(-10, 10, max_denominator=10 ** 4)),
+    st.tuples(SCALARS, SCALARS),
+    st.tuples(st.sampled_from(CONVERGENTS), NONZERO_SCALARS,
+              st.sampled_from((0, Q(1, 3), Q(-1, 3)))).map(
+        lambda t: (-t[1] * t[0] + t[2] * abs(LN2_LO - t[0]) * t[1], t[1])))
+LN2_ELEMENTS = LN2_PAIRS.map(lambda ab: normalize(LN2, ab))
 
 
 def _pairs(elements):
@@ -444,5 +489,73 @@ def test_sparse_results_match_normalize_of_the_raw_payload(model, raw):
             if model == "ec":       # the shortest prefix, independently
                 prefix, tail = got.payload
                 assert not prefix or prefix[-1] != tail, name
+
+    check()
+
+
+# --- the range of the series functional against one fixed enclosure --------
+
+def _sign_by_the_enclosure(a, b):
+    """The sign of a + b ln 2, read off the fixed enclosure: the value
+    lies between a + b lo and a + b hi, strictly when b is not 0."""
+    ends = (a + b * LN2_LO, a + b * LN2_HI)
+    if not b:
+        return (a > 0) - (a < 0)
+    assert (min(ends) >= 0) != (max(ends) <= 0), "the enclosure is too wide"
+    return 1 if min(ends) >= 0 else -1
+
+
+def _value_sign(x):
+    return _sign_by_the_enclosure(*x.payload)
+
+
+def test_the_convergents_alternate_about_ln2():
+    assert len(CONVERGENTS) > 80 and CONVERGENTS[:6] == [
+        0, 1, Q(2, 3), Q(7, 10), Q(9, 13), Q(61, 88)]
+    assert [_sign_by_the_enclosure(-c, 1) for c in CONVERGENTS] == [
+        1 if k % 2 == 0 else -1 for k in range(len(CONVERGENTS))]
+
+
+@SETTINGS
+@given(LN2_PAIRS)
+def test_the_ln2_sign_matches_a_fixed_enclosure(pair):
+    a, b = q(pair[0]), q(pair[1])
+    got = _ln2_sign(a, b)
+    assert type(got) is int and got == _sign_by_the_enclosure(a, b)
+    assert _ln2_sign(-a, -b) == -got
+
+
+def test_the_first_enclosure_mutant_misreads_a_convergent():
+    # 445/642 is within 10^-6 below ln 2, and the midpoint of the first
+    # enclosure is about 4 * 10^-6 below it
+    c = Q(445, 642)
+    v = normalize(LN2, (-c, 1))
+    assert _sign_by_the_enclosure(-c, 1) == 1 and leq(LN2.zero(), v)
+    with tampered("ln2-sign-first-enclosure"):
+        assert not leq(LN2.zero(), v)
+
+
+@SETTINGS
+@given(LN2_ELEMENTS, LN2_ELEMENTS)
+def test_log_two_lattice_and_order_match_a_fixed_enclosure(x, y):
+    above = _value_sign(sub(x, y))
+    assert sup(x, y) == (x if above >= 0 else y)
+    assert inf(x, y) == (y if above >= 0 else x)
+    assert leq(x, y) == (above <= 0) and leq(y, x) == (above >= 0)
+    assert absolute(x) == (x if _value_sign(x) >= 0 else scale(-1, x))
+    for v in (sup(x, y), inf(x, y), absolute(x), sub(x, y)):
+        assert is_canonical(v), v.payload
+
+
+@pytest.mark.parametrize("model", MODELS + ["ln2"])
+def test_every_model_answers_order_and_disjointness_with_a_bool(model):
+    elements = LN2_ELEMENTS if model == "ln2" else ELEMENTS[model]
+
+    @SETTINGS
+    @given(_pairs(elements))
+    def check(pair):
+        for x, y in (pair, pair[::-1]):
+            assert type(leq(x, y)) is bool
+            assert type(is_disjoint(x, y)) is bool
 
     check()

@@ -4,14 +4,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rieszlab.errors import MalformedElement, SpaceMismatch, Unsupported
 from rieszlab.spaces import (
-    Coordinate, Element, EventuallyConstant, FinSupport, PiecewiseLinear,
-    RealInterval, Reals, SimpleFunction, Space, absolute, add, atom_count,
+    Coordinate, Element, EventuallyConstant, FinSupport, LogTwo,
+    PiecewiseLinear, SimpleFunction, absolute, add, atom_count,
     coord, div, ec, eval_at, fin, format_element, from_atoms, get_atom, inf,
-    is_disjoint, is_zero, leq, neg_part, normalize, one, pl, pl_components,
+    is_disjoint, leq, neg_part, normalize, one, pl, pl_components,
     pl_restrict, pos_part, q, scale, simple, space_name, sub, sup,
     support_atoms, support_size, zero,
 )
@@ -102,12 +102,14 @@ def test_div_is_exact():
         div(1.0, 2)
 
 
-def test_series_tolerance_divides_exactly():
-    # an integral precision over an integral tail once gave a float
+def test_series_prefix_sum_divides_exactly():
+    # the prefix holds ints, and int / int would be a float
     from rieszlab.operators import AlternatingSeries, apply
-    v = apply(AlternatingSeries(1), ec([], 2))
-    assert q(v.lower) == v.lower and q(v.upper) == v.upper   # no floats
-    assert v.contains(-2 * Q(6931, 10000))
+    v = apply(AlternatingSeries(), ec([2, 4, 6, 8], 2))
+    # -2 + 4/2 - 6/3 + 8/4, then 2 (-ln 2 - s_4) with s_4 = -7/12
+    assert v == normalize(LogTwo(), (Q(7, 6), -2))
+    assert all(q(c) == c and type(q(c)) is type(c) for c in v.payload)
+    assert apply(AlternatingSeries(), ec([2, 4], 0)).payload == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +287,24 @@ PINNED = [
         "random_disjoint_pair": ("pl{(0,0),(1,0)}",
                                  "pl{(0,0),(3/8,0),(11/16,-3),(1,0)}"),
     }),
-    (Reals(), None, {
-        "space_name": "reals",
-        "normalize": (MalformedElement, "space Reals() carries no elements"),
-        "zero": "interval[0]",
-        "one": "interval[1]",
-        "atom_count": (Unsupported, "reals is not atomic"),
-        "get_atom 1": (Unsupported, "reals is not atomic"),
-        "get_atom 9": (Unsupported, "reals is not atomic"),
-        "from_atoms": (Unsupported, "reals is not atomic"),
-        "support_atoms": (Unsupported, "reals is not atomic"),
-        "support_size": (Unsupported, "reals is not atomic"),
+    (LogTwo(), (Q(1, 2), -3), {
+        "space_name": "ln2",
+        "normalize": "1/2 - 3*ln2",
+        "zero": "0",
+        "one": "1",
+        "atom_count": (Unsupported, "ln2 is not atomic"),
+        "get_atom 1": (Unsupported, "ln2 is not atomic"),
+        "get_atom 9": (Unsupported, "ln2 is not atomic"),
+        "from_atoms": (Unsupported, "ln2 is not atomic"),
+        "support_atoms": (Unsupported, "ln2 is not atomic"),
+        "support_size": (Unsupported, "ln2 is not atomic"),
         "eval_at": (Unsupported,
-                    "cannot evaluate an element of reals at a point"),
+                    "cannot evaluate an element of ln2 at a point"),
         "pl_components": (Unsupported,
                           "components are defined for piecewise-linear "
                           "elements"),
-        "random_element": (Unsupported, "cannot sample from Reals()"),
-        "random_disjoint_pair": (Unsupported, "cannot sample from Reals()"),
+        "random_element": (Unsupported, "cannot sample from LogTwo()"),
+        "random_disjoint_pair": (Unsupported, "cannot sample from LogTwo()"),
     }),
 ]
 
@@ -313,7 +315,7 @@ def _outcome(thunk):
         result = thunk()
     except Exception as exc:
         return type(exc), str(exc)
-    if isinstance(result, (Element, RealInterval)):
+    if isinstance(result, Element):
         return format_element(result)
     if isinstance(result, tuple) and all(isinstance(r, Element) for r in result):
         return tuple(format_element(r) for r in result)
@@ -324,9 +326,7 @@ def _outcome(thunk):
                          ids=[type(row[0]).__name__ for row in PINNED])
 def test_per_model_behaviour_is_pinned(space, raw, expected):
     from rieszlab import generators as gen
-    # Reals carries no elements, only interval values; this one exists
-    # only to reach the errors
-    x = Element(space, ()) if raw is None else normalize(space, raw)
+    x = normalize(space, raw)
     probes = {
         "space_name": lambda: space_name(space),
         "normalize": lambda: normalize(space, raw or ()),
@@ -457,112 +457,51 @@ def test_riesz_laws_hypothesis_pl(x, y, z, c):
     _check_riesz_laws(x, y, z, c)
 
 
-# --- the interval calculus of Reals -----------------------------------------
+# --- the range of the series functional ------------------------------------
 
-def _ends(a):
-    assert isinstance(a, RealInterval) and a.space == Reals()
-    return a.lower, a.upper
+LN2 = LogTwo()
 
 
-# The endpoint formulas of the interval methods that the Reals calculus
-# replaced (RealInterval.scaled and .abs); the others are written inline.
-
-def _scaled_ends(c, a):
-    if c >= 0:
-        return c * a.lower, c * a.upper
-    return c * a.upper, c * a.lower
+def log_two(a, b):
+    return normalize(LN2, (a, b))
 
 
-def _abs_ends(a):
-    if a.lower >= 0:
-        return a.lower, a.upper
-    if a.upper <= 0:
-        return -a.upper, -a.lower
-    return 0, max(-a.lower, a.upper)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(scalars, scalars, scalars, scalars, scalars, scalars, scalars)
+def test_riesz_laws_hypothesis_log_two(a, b, c, d, e, f, k):
+    _check_riesz_laws(log_two(a, b), log_two(c, d), log_two(e, f), k)
 
 
-def _disjoint_ends(a, b):
-    """Disjointness on the endpoints: True if either side is [0], False
-    if neither contains 0, None otherwise."""
-    if a.lower == a.upper == 0 or b.lower == b.upper == 0:
-        return True
-    if (a.lower > 0 or a.upper < 0) and (b.lower > 0 or b.upper < 0):
-        return False
-    return None
-
-
-@st.composite
-def enclosures(draw):
-    return RealInterval(*sorted((draw(scalars), draw(scalars))))
-
-
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(enclosures(), enclosures(), scalars)
-@example(RealInterval(-2, -1), RealInterval(1, 3), Q(-1, 2))
-@example(RealInterval(-1, 2), RealInterval(0, 0), Q(0))
-@example(RealInterval(0, 0), RealInterval(Q(-1, 3), Q(1, 2)), Q(3))
-@example(RealInterval(1, 2), RealInterval(-3, -2), Q(-2))
-@example(RealInterval(1, 2), RealInterval(2, 3), Q(1))
-@example(RealInterval(-1, 1), RealInterval(2, 2), Q(1))
-def test_reals_calculus_matches_the_endpoint_formulas(a, b, c):
-    assert _ends(add(a, b)) == (a.lower + b.lower, a.upper + b.upper)
-    assert _ends(scale(c, a)) == _scaled_ends(c, a)
-    assert _ends(-a) == _ends(scale(-1, a)) == (-a.upper, -a.lower)
-    assert _ends(sub(a, b)) == (a.lower - b.upper, a.upper - b.lower)
-    assert _ends(sup(a, b)) == (max(a.lower, b.lower), max(a.upper, b.upper))
-    assert _ends(inf(a, b)) == (min(a.lower, b.lower), min(a.upper, b.upper))
-    assert _ends(pos_part(a)) == (max(0, a.lower), max(0, a.upper))
-    assert _ends(neg_part(a)) == (max(0, -a.upper), max(0, -a.lower))
-    assert _ends(absolute(a)) == _abs_ends(a)
-    assert is_zero(a) == (a.lower == 0 and a.upper == 0)
-    # order and disjointness are three-valued: None where the endpoints
-    # do not decide them
-    assert (leq(a, b) is True) == (a.upper <= b.lower)
-    assert (leq(a, b) is False) == (a.lower > b.upper)
-    assert leq(a, b) in (True, False, None)
-    assert is_disjoint(a, b) is _disjoint_ends(a, b)
-    # exact enclosures always decide
-    for x, y in [(RealInterval.exact(a.lower), RealInterval.exact(b.upper)),
-                 (RealInterval.exact(c), RealInterval.exact(c)),
-                 (RealInterval.exact(c), zero(Reals()))]:
-        assert None not in (leq(x, y), leq(y, x), is_disjoint(x, y))
-
-
-def test_reals_values_are_enclosures():
-    straddling = RealInterval(-1, 2)
-    assert absolute(straddling) == RealInterval(0, 2)
-    # the lattice default, sup(x, -x), would keep the negative lower end
-    assert Space.absolute(Reals(), straddling) == straddling
-    assert zero(Reals()) == RealInterval.exact(0)
-    assert one(Reals()) == RealInterval.exact(1)
-    assert format_element(RealInterval(Q(1, 3), Q(1, 2))) == (
-        "interval[0.333333333333,0.500000000000]")
+def test_log_two_values_are_exact():
+    minus_ln2 = log_two(0, -1)
+    assert [format_element(v) for v in (
+        minus_ln2, log_two(Q(11, 12), 0), log_two(Q(1, 2), -3),
+        log_two(-1, Q(2, 3)), log_two(0, 3), zero(LN2), one(LN2))] == [
+        "-ln2", "11/12", "1/2 - 3*ln2", "-1 + 2/3*ln2", "3*ln2", "0", "1"]
+    # ln 2 lies between 0.69314 and 0.69315; the order is total
+    assert leq(log_two(Q(69314, 100000), 0), log_two(0, 1))
+    assert not leq(log_two(Q(69315, 100000), 0), log_two(0, 1))
+    assert sup(minus_ln2, log_two(Q(-7, 10), 0)) == minus_ln2
+    assert inf(minus_ln2, log_two(Q(-7, 10), 0)) == log_two(Q(-7, 10), 0)
+    below, above = log_two(Q(69, 100), -1), log_two(Q(7, 10), -1)
+    assert absolute(below) == log_two(Q(-69, 100), 1)
+    assert (pos_part(below), neg_part(below)) == (zero(LN2), absolute(below))
+    assert absolute(above) == pos_part(above) == above
+    # a totally ordered space has no two disjoint nonzero values
+    assert is_disjoint(minus_ln2, zero(LN2))
+    assert not is_disjoint(minus_ln2, log_two(1, 0))
+    assert log_two(Q(2, 4), Q(6, 2)).payload == (Q(1, 2), 3)
+    assert type(log_two(Q(6, 2), 0).payload[0]) is int
     with pytest.raises(SpaceMismatch):
-        add(straddling, coord(1))
+        add(minus_ln2, coord(1))
 
 
-def test_reals_names_the_enclosures_that_leave_the_extremum_undecided():
-    R, I = Reals(), RealInterval
-    assert not R.exact and Coordinate(2).exact
-    # one enclosure above the others decides, equal ones counting once
-    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)], "sup") == ""
-    assert R.undecided([I.exact(1), I.exact(1), I(0, Q(1, 2))], "sup") == ""
-    assert R.undecided([I.exact(1), I(0, 1)], "sup") == (
-        "2 overlapping enclosures at the top")
-    assert R.undecided([I(0, 2), I(1, 3), I(-1, 0)], "sup") == (
-        "2 overlapping enclosures at the top")
-    assert R.undecided([I(0, 2), I(1, 3), I.exact(2)], "sup") == (
-        "3 overlapping enclosures at the top")
-    # an inf fold judges the bottom: overlaps at the top do not count
-    assert R.undecided([I.exact(0), I(1, 2), I(2, 3)], "inf") == ""
-    assert R.undecided([I(0, 1), I(2, 3), I(Q(1, 2), 1)], "inf") == (
-        "2 overlapping enclosures at the bottom")
-    assert R.undecided([I.exact(0), I.exact(0), I(1, 2)], "inf") == ""
-    assert R.undecided([I(0, 2), I(-1, 0), I.exact(0)], "inf") == (
-        "3 overlapping enclosures at the bottom")
-    # exact values always decide, and are taken as they are
-    assert Coordinate(1).undecided([coord(1), coord(2)], "sup") == ""
-    assert Coordinate(1).undecided([coord(1), coord(2)], "inf") == ""
-    assert Coordinate(1).coerce(coord(2)) == coord(2)
-    assert R.coerce(Q(1, 3)) == I.exact(Q(1, 3))
-    assert R.coerce(I(0, 1)) == I(0, 1)
+def test_pl_normalize_rejects_two_values_at_one_abscissa():
+    with pytest.raises(MalformedElement, match=r"^two values at t=1/2$"):
+        pl((0, 0), (Q(1, 2), 1), (Q(1, 2), 2), (1, 0))
+    with pytest.raises(MalformedElement, match=r"^two values at t=0$"):
+        pl((0, 1), (0, 2), (1, 0))
+    # a point given twice is one point
+    x = pl((0, 0), (Q(1, 2), 1), (Q(1, 2), 1), (1, 0))
+    assert format_element(x) == "pl{(0,0),(1/2,1),(1,0)}"
+    assert x == pl((0, 0), (Q(1, 2), 1), (1, 0))
