@@ -203,6 +203,11 @@ def _run_lat_partial_order(rng, cfg):
                 return _bad("antisymmetry", samples, data=(x, y)), ()
         rel = {(i, j) for i, x in enumerate(frags) for j, y in enumerate(frags)
                if is_fragment(x, y)}
+        # below y in the lateral order, x joins y to y itself
+        for i, j in sorted(rel):
+            if lateral.lateral_sup(frags[i], frags[j]) != frags[j]:
+                return _bad("lateral supremum of a lower fragment",
+                            samples, data=(frags[i], frags[j])), ()
         for (i, j), k in itertools.product(rel, range(len(frags))):
             if (j, k) in rel and (i, k) not in rel:
                 return _bad("transitivity", samples,

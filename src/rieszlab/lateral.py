@@ -113,11 +113,12 @@ def _check_cap(count, what):
 class Restrictions:
     """The fragment algebra of e, when finite, indexed by mask: entry m
     is e on the support pieces ``parts[k]`` whose bit k is set in m, so
-    entry ``full ^ m`` is the rest of e.  The one builder of a finite
-    fragment algebra: the enumerations of fragments and splittings and
-    the folds of the operator lattice read it.  Each entry is built on
-    first use and kept, so the folds that share one table build every
-    restriction at most once."""
+    entry ``full ^ m`` is the rest of e, and entry ``full`` is e itself.
+    The one builder of a finite fragment algebra: the enumerations of
+    fragments and splittings and the folds of the operator lattice read
+    it.  The pieces and each entry come from the model's
+    ``piece_builder``; an entry is built on first use and kept, so the
+    folds that share one table build every restriction at most once."""
 
     def __init__(self, e: Element):
         if has_infinite_fragments(e):
@@ -125,19 +126,18 @@ class Restrictions:
                 "fragment algebra of a nonzero-tail element is infinite; "
                 "use fragment_iter with a level")
         self.base = e
-        self.parts = e.space.support(e)
+        self.parts, self._build = e.space.piece_builder(e)
         _check_cap(1 << len(self.parts), "fragment algebra")
         self.full = (1 << len(self.parts)) - 1
-        self._built = {}
+        self._built = {self.full: e}
 
     def __len__(self):
         return self.full + 1
 
     def __getitem__(self, mask: int) -> Element:
         if mask not in self._built:
-            self._built[mask] = self.base.space.restrict(
-                self.base,
-                [p for k, p in enumerate(self.parts) if mask >> k & 1])
+            self._built[mask] = self._build(
+                [k for k in range(len(self.parts)) if mask >> k & 1])
         return self._built[mask]
 
     def __iter__(self):

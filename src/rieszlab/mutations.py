@@ -22,8 +22,16 @@ mutants:
 * ``pl-disjoint-one-end`` -- piecewise-linear disjointness that passes
   a merged segment when either function vanishes at either end of it,
   so tents overlapping on a slope count as disjoint.
-* ``pl-restrict-drops-breakpoint`` -- piecewise-linear restriction that
-  loses the first breakpoint strictly inside a chosen interval.
+* ``pl-restrict-drops-breakpoint`` -- the slicer that builds every
+  piecewise-linear fragment from the pieces of its point
+  (``spaces._pl_slice``) loses the first breakpoint strictly inside the
+  first kept component that has one, and strips the rest.
+* ``pl-slice-keeps-crossing`` -- the same slicer keeps the zero that two
+  kept components share at a crossing inside a segment, so a fragment
+  holds a collinear point and one function has two payloads.  The
+  lateral supremum of a fragment and a laterally larger one builds the
+  larger one canonically; ``lat-partial-order`` compares the two and
+  catches it.
 * ``pl-lattice-drops-crossing`` -- the integer piecewise-linear
   supremum and infimum pick the larger (smaller) value at each merged
   breakpoint but insert no crossing abscissa, so where the operands
@@ -77,18 +85,26 @@ mutants:
 * ``pl-strip-spares-a-collinear-point`` -- the strip that makes
   piecewise-linear payloads canonical (``spaces._pl_strip_collinear``)
   keeps the first collinear interior point it meets, so one function
-  has two payloads.  ``thm-3.2-oao`` catches it, and so does the
+  has two payloads.  ``lat-partial-order`` and ``thm-3.2-oao`` catch
+  it through the lateral supremum and sums, and so does the
   differential test against ``oracles.pl_pointwise``, whose strip is
   its own.
 * ``kernel-table-drops-top-piece`` -- ``Cells.subset_table``, the
   column builder of the fragment tables that the splitting enumeration
-  folds (a kernel into a cell space gives its table as the subset sums
-  of its pieces' images), leaves the image of the last support piece
-  out of every fragment that holds it.  The oracles of
+  folds (an additive body into a cell space, a kernel among them,
+  gives its table as the subset sums of its pieces' images), leaves
+  the image of the last support piece out of every fragment that
+  holds it.  The oracles of
   ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to 3.6
   evaluate by ``eval_by_fractions``, apart from the table, and catch
   it; so do ``thm-4.2-2`` and ``thm-4.2-3``, whose single-application
   fast path does not use the table.
+* ``additive-table-drops-last-piece`` -- the fragment table of a body
+  that is additive on disjoint sums (``Operator.fragment_images``),
+  the subset sums of its pieces' images, leaves the image of the last
+  piece out of every fragment that holds it, on every codomain.  The
+  closed-form oracles and the single-application fast paths catch it,
+  as they catch ``kernel-table-drops-top-piece``.
 * ``column-fold-first-cell`` -- the fold of a column table
   (``CellColumns.extremum``) takes the attaining masks from the first
   cell only and reads the fold off the first of them, as if one entry
@@ -162,16 +178,37 @@ def _pl_lattice_drops_crossing(self, x, y, pick):
     return spaces.Element(self, spaces._pl_strip_collinear(rows))
 
 
-_pl_restrict = spaces.PiecewiseLinear.restrict
+_pl_slice = spaces._pl_slice
 
 
-def _pl_restrict_drops_breakpoint(self, x, parts):
-    pts = list(_pl_restrict(self, x, parts).payload)
-    inside = [k for k, (t, _) in enumerate(pts)
-              if any(a < t < b for a, b in parts)]
-    if inside:
-        del pts[inside[0]]
-    return spaces.Element(self, spaces._pl_strip_collinear(spaces._pl_rows(pts)))
+def _pl_slice_drops_breakpoint(pts, comps, keep):
+    out = list(_pl_slice(pts, comps, keep))
+    for k in keep:
+        _, _, i, j = comps[k]
+        if i < j:
+            out.remove(pts[i])
+            break
+    return spaces._pl_strip_collinear(spaces._pl_rows(out))
+
+
+def _pl_slice_keeps_crossing(pts, comps, keep):
+    out = list(_pl_slice(pts, comps, keep))
+    for a, b in zip(keep, keep[1:]):
+        if b == a + 1 and comps[a][3] == comps[b][2]:
+            bisect.insort(out, (comps[a][1], spaces._PL_ZERO))
+    return tuple(out)
+
+
+_fragment_images = operators.Operator.fragment_images
+
+
+def _additive_table_drops_last_piece(self, frags):
+    if not self.atom_additive:
+        return _fragment_images(self, frags)
+    images = self.piece_images(frags)
+    if images:
+        images[-1] = zero(self.codomain)
+    return self.codomain.subset_table(images)
 
 
 _q = spaces.q
@@ -220,9 +257,13 @@ def _kernel_window_short(self):
 def _pl_common_skips_end_values(self, x, y):
     px, py = x.payload, y.payload
     walk = spaces._pl_component_walk
-    theirs = {(a, b): py[i:j] for a, b, i, j in walk(py)}
-    return self.restrict(x, [(a, b) for a, b, i, j in walk(px)
-                             if theirs.get((a, b)) == px[i:j]])
+    theirs = {(a.numerator, a.denominator, b.numerator, b.denominator):
+              py[i:j] for a, b, i, j in walk(py)}
+    comps = walk(px)
+    keep = [k for k, (a, b, i, j) in enumerate(comps)
+            if theirs.get((a.numerator, a.denominator,
+                           b.numerator, b.denominator)) == px[i:j]]
+    return spaces.Element(self, spaces._pl_slice(px, comps, keep))
 
 
 _pl_strip_collinear = spaces._pl_strip_collinear
@@ -280,8 +321,12 @@ MUTATIONS = {
     "join-ties-left": (oplattice, "_side", _side_ties_left),
     "pl-disjoint-one-end": (spaces.PiecewiseLinear, "disjoint",
                             _pl_disjoint_one_end),
-    "pl-restrict-drops-breakpoint": (spaces.PiecewiseLinear, "restrict",
-                                     _pl_restrict_drops_breakpoint),
+    "pl-restrict-drops-breakpoint": (spaces, "_pl_slice",
+                                     _pl_slice_drops_breakpoint),
+    "pl-slice-keeps-crossing": (spaces, "_pl_slice",
+                                _pl_slice_keeps_crossing),
+    "additive-table-drops-last-piece": (operators.Operator, "fragment_images",
+                                        _additive_table_drops_last_piece),
     "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
                                   _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),

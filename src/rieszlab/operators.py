@@ -91,6 +91,12 @@ class PiecewisePoly:
         value = Fraction(acc, den)
         return value.numerator if value.denominator == 1 else value
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether the function is identically zero: every coefficient
+        of every piece is."""
+        return not any(c for piece in self.coeffs for c in piece)
+
     def eval_by_fractions(self, t) -> Fraction:
         """The value at t by Horner's rule on the Fraction coefficients;
         the reference for ``__call__``."""
@@ -165,10 +171,20 @@ class Operator:
     def fragment_images(self, frags):
         """The image of every fragment of a point, indexed by mask as
         ``frags`` (its ``lateral.Restrictions``) indexes them, in the
-        codomain's table (``spaces.ImageTable``).  The default applies
-        the body to each fragment and converts the images:
-        ``codomain.image_table``."""
+        codomain's table (``spaces.ImageTable``).  A fragment is the
+        disjoint sum of its pieces, so the image of an additive body is
+        the sum of its pieces' images (``piece_images``): the
+        codomain's ``subset_table`` of those k images.  Any other body
+        is applied to each of the 2^k fragments, and its images
+        converted by ``codomain.image_table``."""
+        if self.atom_additive:
+            return self.codomain.subset_table(self.piece_images(frags))
         return self.codomain.image_table([apply(self, u) for u in frags])
+
+    def piece_images(self, frags) -> list:
+        """The image of each support piece of the point of ``frags``,
+        in the order of its pieces: the body applied to each."""
+        return [apply(self, frags[1 << k]) for k in range(len(frags.parts))]
 
 
 def joint_window(ops) -> int | None:
@@ -224,11 +240,8 @@ class Kernel(Operator):
             acc[j] = acc[j] + value if j in acc else value
         return from_atoms(self.codomain, acc)
 
-    def fragment_images(self, frags):
-        # T x is the sum of its rows, each reading its own atom and
-        # vanishing at 0, so a fragment's image is the sum of its pieces'
-        # images: the codomain's subset table of the pieces' images.  A
-        # piece is one atom of the point, so its image comes from the
+    def piece_images(self, frags):
+        # a piece is one atom of the point, so its image comes from the
         # one row that reads that atom, or is zero if no row does
         rows = {i: (j, fn) for i, j, fn in self.table}
         x, nothing = frags.base, zero(self.codomain)
@@ -240,7 +253,7 @@ class Kernel(Operator):
                                          {j: fn(x.space.get_atom(x, a))}))
             else:
                 images.append(nothing)
-        return self.codomain.subset_table(images)
+        return images
 
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]
@@ -250,7 +263,9 @@ class Kernel(Operator):
         return self.table[-1][0] if self.table else 0
 
     def dp_reason(self):
-        targets = [j for _, j, _ in self.table]
+        # a row whose function vanishes adds nothing to its target, so
+        # the atom map is that of the other rows
+        targets = [j for _, j, fn in self.table if not fn.vanishes]
         if len(set(targets)) == len(targets):
             return "injective atom map: disjoint supports stay disjoint"
         return None
@@ -496,13 +511,14 @@ class OpSum(Operator):
         # a sum of kernels on one domain and codomain (the constructor
         # sees to that) is the kernel of all their rows, and every row
         # vanishes at 0: a target atom fed from one atom only is zero
-        # wherever that atom is
+        # wherever that atom is.  A row whose function vanishes feeds
+        # nothing
         source = {}
         for p in self.parts:
             if not isinstance(p, Kernel):
                 return None
-            for i, j, _ in p.table:
-                if source.setdefault(j, i) != i:
+            for i, j, fn in p.table:
+                if not fn.vanishes and source.setdefault(j, i) != i:
                     return None
         return ("sum of kernels feeding each target atom from one atom: "
                 "disjoint supports stay disjoint")
@@ -557,10 +573,6 @@ class ZeroOp(Operator):
 
     def _apply(self, x):
         return zero(self.codomain)
-
-    def fragment_images(self, frags):
-        return self.codomain.subset_table(
-            [zero(self.codomain)] * len(frags.parts))
 
     def dp_reason(self):
         return "zero operator"

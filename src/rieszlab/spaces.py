@@ -229,7 +229,10 @@ class Space:
     and ``nonneg`` decide the order, and the defaults do the rest.
     ``subset_table`` and ``image_table`` build the fragment tables that
     the splitting enumeration folds, a list of values by default
-    (``ImageTable``).
+    (``ImageTable``).  ``piece_builder`` gives x's support pieces and a
+    builder of x on any subset of them, which every finite fragment
+    algebra reads; it restricts with ``restrict`` by default, and
+    ``PiecewiseLinear`` slices its payload instead.
 
     Only ``EventuallyConstant`` has truncation levels (``min_level``,
     ``level_walk``), so ``min_level`` refuses by default.  The samplers
@@ -276,6 +279,16 @@ class Space:
     def restrict(self, x, parts):
         """x on the given parts of its support, zero elsewhere."""
         return self.from_atoms({a: self.get_atom(x, a) for a in parts}, ZERO)
+
+    def piece_builder(self, x):
+        """The support pieces of x (``support``) and a builder of x on
+        any subset of them: ``build(keep)`` is x on the pieces whose
+        indices, increasing, ``keep`` lists, zero elsewhere.  This
+        default restricts with ``restrict`` and is the reference for a
+        model's own builder."""
+        parts = self.support(x)
+        pick = parts.__getitem__
+        return parts, lambda keep: self.restrict(x, map(pick, keep))
 
     def components(self, x):
         raise Unsupported("components are defined for piecewise-linear elements")
@@ -1029,6 +1042,45 @@ def _pl_component_walk(pts):
     return comps
 
 
+def _pl_slice(pts, comps, keep):
+    """The payload of x on its support components comps[k], k in
+    ``keep`` (increasing), zero elsewhere; ``comps`` is the walk of x's
+    payload ``pts`` (``_pl_component_walk``).
+
+    Each kept component is the slice pts[i:j] between its two ends, an
+    end taking x's own point at t=0 or t=1 and a zero elsewhere; a gap
+    before, between or after them is zero.  Two kept components that
+    follow each other in the walk may share an end: a zero breakpoint of
+    x (j + 1 == i of the next), kept, or a crossing inside a segment of
+    x (j == i of the next), dropped, since the points around it lie on
+    that one segment.  Every other point keeps its neighbours' slopes
+    from x, so the payload is canonical with no strip, and the only
+    tests on abscissae are integer ones: t=0 has a zero numerator, and
+    in (0, 1] only t=1 has denominator 1.
+    """
+    out = []
+    before = None                   # the walk index of the last kept one
+    for k in keep:
+        s, e, i, j = comps[k]
+        if before == k - 1 and comps[before][3] + 1 >= i:
+            if comps[before][3] == i:   # a crossing: drop the zero
+                out.pop()
+        elif not s.numerator:
+            out.append(pts[0])
+        else:
+            if not out:
+                out.append((_PL_ZERO, _PL_ZERO))
+            out.append((s, _PL_ZERO))
+        out.extend(pts[i:j])
+        out.append(pts[-1] if e.denominator == 1 else (e, _PL_ZERO))
+        before = k
+    if not out:
+        return ((_PL_ZERO, _PL_ZERO), (_PL_ONE, _PL_ZERO))
+    if out[-1][0].denominator != 1:
+        out.append((_PL_ONE, _PL_ZERO))
+    return tuple(out)
+
+
 def _pl_value(pts, i, t):
     """The value at t of the payload ``pts``, for pts[i][0] <= t, and t
     before pts[i + 1][0] unless i is the last index."""
@@ -1222,6 +1274,15 @@ class PiecewiseLinear(Space):
             out.append((_PL_ONE, _PL_ZERO))
         return Element(self, _pl_strip_collinear(_pl_rows(out)))
 
+    def piece_builder(self, x):
+        """The support components of x, and a builder that slices x's
+        payload at them (``_pl_slice``): one component walk, and no
+        interpolation or strip."""
+        pts = x.payload
+        comps = _pl_component_walk(pts)
+        return ([(a, b) for a, b, _, _ in comps],
+                lambda keep: Element(self, _pl_slice(pts, comps, keep)))
+
     def common_fragment(self, x, y):
         """The support components shared, as intervals and values.
 
@@ -1229,16 +1290,24 @@ class PiecewiseLinear(Space):
         breakpoints strictly inside it (canonical payloads have no
         collinear ones) and the same values at its ends.  An end inside
         (0, 1) is a zero of both, so only an end at 0 or 1 compares
-        values.  One restriction, to the kept components, builds the
-        result; ``oracles.pl_common_fragment_by_restriction`` restricts
-        both operands to every component instead and is the reference."""
+        values.  Components are matched on the integer numerators and
+        denominators of their ends.  x itself is the result when every
+        component of x is kept, and otherwise the slices of x at the
+        kept ones (``_pl_slice``);
+        ``oracles.pl_common_fragment_by_restriction`` restricts both
+        operands to every component instead and is the reference."""
         px, py = x.payload, y.payload
-        theirs = {(a, b): py[i:j] for a, b, i, j in _pl_component_walk(py)}
-        return self.restrict(x, [
-            (a, b) for a, b, i, j in _pl_component_walk(px)
-            if theirs.get((a, b)) == px[i:j]
-            and (a != 0 or px[0][1] == py[0][1])
-            and (b != 1 or px[-1][1] == py[-1][1])])
+        theirs = {(a.numerator, a.denominator, b.numerator, b.denominator):
+                  py[i:j] for a, b, i, j in _pl_component_walk(py)}
+        comps = _pl_component_walk(px)
+        keep = [k for k, (a, b, i, j) in enumerate(comps)
+                if theirs.get((a.numerator, a.denominator,
+                               b.numerator, b.denominator)) == px[i:j]
+                and (a.numerator or px[0][1] == py[0][1])
+                and (b.denominator != 1 or px[-1][1] == py[-1][1])]
+        if len(keep) == len(comps):
+            return x
+        return Element(self, _pl_slice(px, comps, keep))
 
     def full_support(self, x):
         # a nonzero disjoint partner needs an interval of zeros
@@ -1665,9 +1734,11 @@ def pieces(x: Element):
     piecewise-linear functions its support components.  Every fragment
     of x is the sum of some of them, except where x has an infinite
     fragment algebra (``has_infinite_fragments``): there the nonzero
-    tail of x is left out.
+    tail of x is left out.  Each is built by the model's
+    ``piece_builder``.
     """
-    return [x.space.restrict(x, [p]) for p in x.space.support(x)]
+    parts, build = x.space.piece_builder(x)
+    return [build((k,)) for k in range(len(parts))]
 
 
 def has_infinite_fragments(x: Element) -> bool:

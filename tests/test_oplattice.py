@@ -16,8 +16,8 @@ from rieszlab.lateral import (
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable,
     OpScaled, OpSum, PiecewisePoly, ZeroOp, apply,
-    diagonal_kernel, example_operator, lateral_bound_scan, negate, poly,
-    verify_disjointness_preserving,
+    diagonal_kernel, example_operator, lateral_bound_scan, match_table,
+    negate, poly, verify_disjointness_preserving,
 )
 from rieszlab.oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
@@ -26,11 +26,12 @@ from rieszlab.oplattice import (
 from rieszlab.oracles import images_by_apply
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, ImageTable, LogTwo,
-    PiecewiseLinear, SimpleFunction, add, coord,
-    ec, inf, leq, normalize, one, pieces, scale, sub, sup, unit_atom, zero,
+    PiecewiseLinear, SimpleFunction, add, coord, ec, from_atoms, inf,
+    is_zero, leq, normalize, one, pieces, pl, scale, sub, sup, unit_atom,
+    zero,
 )
 
-from conftest import SCALARS, make_rng, report_line
+from conftest import SCALARS, make_rng, pl_elements, report_line
 
 EC = EventuallyConstant()
 
@@ -303,6 +304,26 @@ def test_dp_fast_requires_a_body_reason():
     assert collapse.dp_reason() is None
     with pytest.raises(PreconditionError):
         dp_fast("modulus", collapse, coord(1, 1))
+
+
+def test_zero_rows_leave_a_dp_reason():
+    # a row whose function vanishes feeds its target nothing, so the
+    # other row alone targets atom 1
+    T = Kernel(Coordinate(2), Coordinate(1),
+               ((1, 1, poly(0, 1)), (2, 1, poly(0))))
+    assert T.dp_reason() is not None
+    for x in (coord(-3, 5), coord(2, -1), coord(Q(1, 2), 0)):
+        assert dp_fast("modulus", T, x) == modulus_at(T, x).value
+        assert dp_fast("pos", T, x) == pos_part_at(T, x).value
+        assert dp_fast("neg", T, x) == neg_part_at(T, x).value
+    # and in a sum of kernels; a live row on atom 2 takes the reason away
+    zero_row = Kernel(Coordinate(2), Coordinate(1), ((2, 1, poly(0)),))
+    assert OpSum((T, zero_row)).dp_reason() is not None
+    live = Kernel(Coordinate(2), Coordinate(1), ((2, 1, poly(0, 0, 1)),))
+    assert OpSum((T, live)).dp_reason() is None
+    assert Kernel(Coordinate(2), Coordinate(1), ((1, 1, poly(0, 1)),
+                                                (2, 1, poly(0, 0, 1)))
+                  ).dp_reason() is None
 
 
 def test_meyer_pair_vanishes_under_hypotheses():
@@ -608,6 +629,7 @@ TABLE_DOMAINS = (
                                       max_size=4).map(
         lambda d: normalize(FinSupport(), d.items()))),
     (EC, 6, st.lists(SCALARS, max_size=5).map(lambda p: ec(p, 0))),
+    (PiecewiseLinear(), None, pl_elements()),
 )
 # non-integral factors scale the numerators of a column table and its
 # denominators apart
@@ -623,16 +645,49 @@ def _combinations(leaves):
         inner.map(negate)), max_leaves=5)
 
 
-def _table_bodies(domain, atoms, codomain, targets):
-    """Kernels from domain to codomain, each row sending one of the
-    first ``atoms`` atoms to one of the first ``targets``, so rows share
-    targets; with the zero operator, and their combinations."""
-    rows = st.dictionaries(st.integers(1, atoms), st.tuples(
-        st.integers(1, targets), COEFFS, COEFFS), max_size=atoms)
-    kernels = rows.map(lambda r: Kernel(domain, codomain, tuple(
-        (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items())))
-    return _combinations(st.one_of(kernels,
-                                   st.just(ZeroOp(domain, codomain))))
+def _codomain_values(codomain, targets):
+    if codomain.atomic:
+        return st.lists(SCALARS, min_size=targets, max_size=targets).map(
+            lambda v: from_atoms(codomain, dict(enumerate(v, 1))))
+    return pl_elements()
+
+
+def _table_bodies(domain, atoms, codomain, targets, x):
+    """Bodies from domain to codomain for the point x, and their
+    combinations: the zero operator; match tables keyed on sums of x's
+    pieces, which are fragments of x, and lateral meets with such sums
+    and their doubles, so that both meet x's fragments; on atomic
+    domains kernels, each row sending one of the first ``atoms`` atoms
+    to one of the first ``targets``, so rows share targets; on
+    eventually constant sequences linear maps; and the lattice
+    operations of all these."""
+    values = _codomain_values(codomain, targets)
+    parts = pieces(x)
+    sums = (st.sets(st.sampled_from(parts)).map(
+        lambda ps: sum(ps, zero(domain))) if parts else st.just(zero(domain)))
+    leaves = [st.just(ZeroOp(domain, codomain)), st.lists(
+        st.tuples(sums.filter(lambda k: not is_zero(k)), values),
+        min_size=1, max_size=3, unique_by=lambda e: e[0]).map(
+        lambda e: MatchTable(domain, codomain, tuple(e)))]
+    if codomain == domain:
+        params = st.one_of(sums, sums.map(lambda k: scale(2, k)))
+        leaves.append(st.builds(LateralMeet, st.just(domain), params, params))
+    if domain.atomic:
+        rows = st.dictionaries(st.integers(1, atoms), st.tuples(
+            st.integers(1, targets), COEFFS, COEFFS), max_size=atoms)
+        leaves.append(rows.map(lambda r: Kernel(domain, codomain, tuple(
+            (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items()))))
+    if domain == EC:
+        coeffs = st.dictionaries(st.integers(1, atoms), COEFFS).map(
+            lambda d: tuple(d.items()))
+        leaves.append(st.builds(LinearEC, st.just(codomain), coeffs,
+                                values, values))
+    leaf = st.one_of(leaves)
+    lattice = st.one_of(
+        st.tuples(st.sampled_from(("join", "meet")), leaf, leaf),
+        st.tuples(st.sampled_from(("pos", "neg", "mod")), leaf)).map(
+        lambda c: OpLattice(c[0], c[1:]))
+    return _combinations(st.one_of(leaf, lattice))
 
 
 def _operands_and_point(count):
@@ -642,8 +697,9 @@ def _operands_and_point(count):
         domain, atoms, points = case
         codomain = st.sampled_from(((COORD2, 2), (HALVES, 2),
                                     (domain, atoms)))
-        return codomain.flatmap(lambda c: st.tuples(
-            *[_table_bodies(domain, atoms, *c)] * count, points))
+        return st.tuples(codomain, points).flatmap(lambda c: st.tuples(
+            *[_table_bodies(domain, atoms, *c[0], c[1])] * count,
+            st.just(c[1])))
     return st.sampled_from(TABLE_DOMAINS).flatmap(on)
 
 
@@ -661,6 +717,34 @@ def test_fragment_tables_match_one_application_per_fragment(case):
     rows = [table[m] for m in range(len(table))]
     assert rows == list(table) == reference
     assert repr(rows) == repr(reference)
+
+
+def test_fragment_tables_count_their_applications(monkeypatch):
+    # a lateral meet is additive: one application per piece of a point
+    # with three components, not one per fragment; the match table
+    # applies to all eight fragments, sliced with no restriction
+    x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
+    assert len(PiecewiseLinear().components(x)) == 3
+    S = LateralMeet(x.space, x, zero(x.space))
+    T = match_table([(pl((0, 0), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0)),
+                      one(x.space))])
+    calls = {"apply": 0, "restrict": 0}
+
+    def counted(name, method):
+        def run(*args):
+            calls[name] += 1
+            return method(*args)
+        return run
+
+    monkeypatch.setattr(LateralMeet, "_apply",
+                        counted("apply", LateralMeet._apply))
+    monkeypatch.setattr(PiecewiseLinear, "restrict",
+                        counted("restrict", PiecewiseLinear.restrict))
+    assert len(set(Restrictions(x))) == 8
+    assert calls == {"apply": 0, "restrict": 0}
+    point = extrema_by_enumeration(S, T, x, "sup")
+    assert calls == {"apply": 3, "restrict": 0}
+    assert point.value == _enumeration_by_apply(S, T, x, "sup")[0]
 
 
 def _series_pairs():

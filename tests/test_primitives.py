@@ -428,6 +428,65 @@ def test_pl_component_walk_matches_the_crossing_reference(pair):
         assert all(type(v) is Q for pt in got.payload for v in pt)
 
 
+# --- piecewise-linear fragments sliced from one component walk -------------
+
+MAGNITUDES = st.fractions(min_value=Q(1, 6), max_value=3, max_denominator=6)
+
+
+def _alternating_pl():
+    """Piecewise-linear elements whose values alternate in sign from one
+    breakpoint to the next, some of them zero: components that meet at
+    crossings inside segments and at zero breakpoints, and that touch
+    t=0 and t=1."""
+    def build(ts):
+        n = len(ts) + 2
+        return st.tuples(st.lists(MAGNITUDES, min_size=n, max_size=n),
+                         st.lists(st.booleans(), min_size=n, max_size=n)).map(
+            lambda c: normalize(PL, zip(
+                [Q(0)] + sorted(ts) + [Q(1)],
+                [0 if zero else (-1) ** k * v
+                 for k, (v, zero) in enumerate(zip(*c))])))
+    return st.sets(st.sampled_from([Q(k, 8) for k in range(1, 8)]),
+                   min_size=1, max_size=5).flatmap(build)
+
+
+PL_FRAGMENT_POINTS = st.one_of(pl_elements(), _alternating_pl())
+
+
+@SETTINGS
+@given(PL_FRAGMENT_POINTS)
+def test_pl_piece_builder_matches_the_restriction_default(x):
+    parts, build = PL.piece_builder(x)
+    ref_parts, ref_build = Space.piece_builder(PL, x)
+    assert parts == ref_parts == pl_components_by_crossing(x)
+    for mask in range(1 << len(parts)):
+        keep = [k for k in range(len(parts)) if mask >> k & 1]
+        got = build(keep)
+        assert got.payload == ref_build(keep).payload == \
+            pl_restrict(x, [parts[k] for k in keep]).payload
+        assert is_canonical(got)
+    assert build(range(len(parts))) == x
+
+
+@SETTINGS
+@given(PL_FRAGMENT_POINTS, st.data())
+def test_pl_common_fragment_of_slices_matches_the_restriction_reference(
+        x, data):
+    # y keeps some components of x and doubles the others; z is drawn
+    # apart from x
+    parts, build = PL.piece_builder(x)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(parts),
+                              max_size=len(parts)))
+    y = add(build([k for k, keep in enumerate(kept) if keep]), scale(2, build(
+        [k for k, keep in enumerate(kept) if not keep])))
+    z = data.draw(PL_FRAGMENT_POINTS)
+    for a, b in ((x, y), (y, x), (x, z), (z, x), (x, x)):
+        got = PL.common_fragment(a, b)
+        assert got.payload == pl_common_fragment_by_restriction(a, b).payload
+        assert is_canonical(got)
+    assert PL.common_fragment(x, x) is x
+
+
 # --- negation, subtraction, parts and moduli on each model's payload --------
 
 @pytest.mark.parametrize("model", MODELS)
