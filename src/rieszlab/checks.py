@@ -311,6 +311,9 @@ def _dp_fragments(rng, cfg):
 
 @_sampled(_dp_fragments, "exhaustive on finite fragment sets")
 def _run_lem_4_4(T, z, e, Te):
+    # a fragment is, payload and all, the canonical sum of its pieces
+    if z != sum(pieces(z), zero(z.space)):
+        return f"fragment {format_element(z)} is not the sum of its pieces"
     if not is_fragment(apply(T, z), Te):
         return (f"T(x) not a fragment of T(e); x={format_element(z)} "
                 f"e={format_element(e)}")

@@ -17,9 +17,10 @@ climbing over ``_PREC``, the table the printer parenthesises by.  Every
 form opened by a keyword, from ``coord[...]`` to ``kernel{...}`` and
 ``meyer(...)``, parses to one node, a ``Literal`` whose ``kind`` is the
 keyword and whose ``parts`` are what the keyword's branch of
-``_Parser.literal_parts`` reads.  The printer prints it by the kind's
-row of ``_PRINT_LITERAL``, and the evaluator evaluates it by the kind's
-row of ``evaluator._LITERALS``.  Forms that look like calls or names,
+``_Parser.literal_parts`` reads.  The printer prints a node by the row
+of its class in ``_PRINTERS`` and a literal by the kind's row of
+``_PRINT_LITERAL``, as the evaluator does by ``evaluator._LEAVES``,
+``_STATEMENTS`` and ``_LITERALS``.  Forms that look like calls or names,
 such as ``latmeet(a, b)`` and ``series``, parse as calls and names,
 which the evaluator knows.  The printer walks a left-leaning chain of
 one precedence, or of postfix operators, in a loop.
@@ -837,67 +838,70 @@ def parse(text: str) -> ParseResult:
 # ---------------------------------------------------------------------------
 
 def print_script(script: Script) -> str:
-    return "".join(_print_stmt(s) + "\n" for s in script.statements)
-
-
-def _print_stmt(s: Node) -> str:
-    if isinstance(s, LetStmt):
-        return f"let {s.name} = {print_expr(s.expr)};"
-    if isinstance(s, EvalStmt):
-        suffix = f" @level {s.level}" if s.level is not None else ""
-        return f"eval {print_expr(s.expr)}{suffix};"
-    if isinstance(s, CheckStmt):
-        cfg = "".join(f" {k}={v}" for k, v in s.config)
-        return f"check {s.check_id}{cfg};"
-    if isinstance(s, SuiteStmt):
-        ids = "".join(f" {i}" for i in s.ids)
-        return f"suite {s.profile}{ids};"
-    if isinstance(s, SearchStmt):
-        cfg = "".join(f" {k}={v}" for k, v in s.config)
-        return f"search{cfg};"
-    raise DslTypeError(f"cannot print {s!r}")
+    return "".join(print_expr(s) + "\n" for s in script.statements)
 
 
 def print_expr(e: Node, parent_prec: int = 0) -> str:
-    if isinstance(e, Name):
-        return e.id
-    if isinstance(e, ScalarLit):
-        if e.value < 0 and parent_prec >= 7:
-            return f"({e.value})"
-        return str(e.value)
-    if isinstance(e, Literal):
-        return _PRINT_LITERAL[e.kind](e.parts)
-    if isinstance(e, Unary):
-        inner = print_expr(e.operand, 7)
-        # a digit-leading operand would be absorbed into one numeral
-        text = f"-({inner})" if inner[:1].isdigit() else f"-{inner}"
-        return f"({text})" if parent_prec > 7 else text
-    if isinstance(e, Binary):
-        # a left operand of the same precedence needs no parentheses, so
-        # a left-leaning run of it is printed in a loop: a long chain
-        # such as a + b - ... + z does not recurse once per operand
-        prec = _PREC[e.op]
-        tail = []
-        while isinstance(e, Binary) and _PREC[e.op] == prec:
-            tail.append(f" {e.op} {print_expr(e.right, prec + 1)}")
-            e = e.left
-        text = print_expr(e, prec) + "".join(reversed(tail))
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(e, Postfix):
-        ops = []
-        while isinstance(e, Postfix):
-            ops.append(e.op)
-            e = e.operand
-        return print_expr(e, 8) + "".join(reversed(ops))
-    if isinstance(e, Abs):
-        return f"|{print_expr(e.operand)}|"
-    if isinstance(e, Apply):
-        args = ", ".join(print_expr(a) for a in e.args)
-        return f"{print_expr(e.fn, 8)}({args})"
-    if isinstance(e, Rel):
-        text = f"{print_expr(e.left, 1)} {e.op} {print_expr(e.right, 1)}"
-        return f"({text})" if parent_prec > 0 else text
-    raise DslTypeError(f"cannot print {e!r}")
+    printer = _PRINTERS.get(type(e))
+    if printer is None:
+        raise DslTypeError(f"cannot print {e!r}")
+    return printer(e, parent_prec)
+
+
+def _wrap(text: str, parenthesise: bool) -> str:
+    return f"({text})" if parenthesise else text
+
+
+def _print_unary(e: Unary, parent_prec) -> str:
+    inner = print_expr(e.operand, 7)
+    # a digit-leading operand would be absorbed into one numeral
+    return _wrap(f"-({inner})" if inner[:1].isdigit() else f"-{inner}",
+                 parent_prec > 7)
+
+
+def _print_binary(e: Binary, parent_prec) -> str:
+    # a left operand of the same precedence needs no parentheses, so a
+    # left-leaning run of it is printed in a loop: a long chain such as
+    # a + b - ... + z does not recurse once per operand
+    prec = _PREC[e.op]
+    tail = []
+    while type(e) is Binary and _PREC[e.op] == prec:
+        tail.append(f" {e.op} {print_expr(e.right, prec + 1)}")
+        e = e.left
+    return _wrap(print_expr(e, prec) + "".join(reversed(tail)),
+                 prec < parent_prec)
+
+
+def _print_postfix(e: Postfix, parent_prec) -> str:
+    ops = []
+    while type(e) is Postfix:
+        ops.append(e.op)
+        e = e.operand
+    return print_expr(e, 8) + "".join(reversed(ops))
+
+
+# node class -> printer(node, precedence of its context)
+_PRINTERS = {
+    Name: lambda e, prec: e.id,
+    ScalarLit: lambda e, prec: _wrap(str(e.value), e.value < 0 and prec >= 7),
+    Literal: lambda e, prec: _PRINT_LITERAL[e.kind](e.parts),
+    Unary: _print_unary,
+    Binary: _print_binary,
+    Postfix: _print_postfix,
+    Abs: lambda e, prec: f"|{print_expr(e.operand)}|",
+    Apply: lambda e, prec: f"{print_expr(e.fn, 8)}({_exprs(e.args)})",
+    Rel: lambda e, prec: _wrap(
+        f"{print_expr(e.left, 1)} {e.op} {print_expr(e.right, 1)}", prec > 0),
+    LetStmt: lambda s, prec: f"let {s.name} = {print_expr(s.expr)};",
+    EvalStmt: lambda s, prec: "eval %s%s;" % (
+        print_expr(s.expr), "" if s.level is None else f" @level {s.level}"),
+    CheckStmt: lambda s, prec: "check %s%s;" % (
+        s.check_id, "".join(f" {k}={v}" for k, v in s.config)),
+    SuiteStmt: lambda s, prec: "suite %s%s;" % (
+        s.profile, "".join(f" {i}" for i in s.ids)),
+    SearchStmt: lambda s, prec: "search%s;" % "".join(
+        f" {k}={v}" for k, v in s.config),
+}
 
 
 def _scalars(values) -> str:

@@ -89,19 +89,10 @@ class Decomposition:
     right: Element
 
 
-@dataclass(frozen=True)
-class FragmentEnumeration:
-    items: tuple
+class FragmentEnumeration(tuple):
+    """The fragments an enumeration lists, in order, and their count."""
 
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-    @property
-    def count(self) -> int:
-        return len(self.items)
+    count = property(len)
 
 
 def _check_cap(count, what):
@@ -127,9 +118,12 @@ class Restrictions:
                 "use fragment_iter with a level")
         self.base = e
         self.parts, self._build = e.space.piece_builder(e)
-        _check_cap(1 << len(self.parts), "fragment algebra")
         self.full = (1 << len(self.parts)) - 1
         self._built = {self.full: e}
+
+    def check_cap(self):
+        """Refuse to visit every mask beyond the cap; entries stay readable."""
+        _check_cap(len(self), "fragment algebra")
 
     def __len__(self):
         return self.full + 1
@@ -141,6 +135,7 @@ class Restrictions:
         return self._built[mask]
 
     def __iter__(self):
+        self.check_cap()
         return (self[mask] for mask in range(self.full + 1))
 
 
@@ -151,7 +146,7 @@ def enumerate_fragments(e: Element) -> FragmentEnumeration:
     (infinite algebra; use fragment_iter).
     """
     items = sorted(Restrictions(e), key=canonical_key)
-    return FragmentEnumeration(tuple(items))
+    return FragmentEnumeration(items)
 
 
 def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
@@ -173,7 +168,7 @@ def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
     if has_infinite_fragments(e):
         parts.append(sub(e, functools.reduce(add, parts, zero(space))))
     items = sorted(space.subset_table(parts), key=canonical_key)
-    return FragmentEnumeration(tuple(items))
+    return FragmentEnumeration(items)
 
 
 def min_level(z: Element) -> int:

@@ -31,7 +31,7 @@ mutants:
   holds a collinear point and one function has two payloads.  The
   lateral supremum of a fragment and a laterally larger one builds the
   larger one canonically; ``lat-partial-order`` compares the two and
-  catches it.
+  catches it, as ``lem-4.4`` does by summing each fragment's pieces.
 * ``pl-lattice-drops-crossing`` -- the integer piecewise-linear
   supremum and infimum pick the larger (smaller) value at each merged
   breakpoint but insert no crossing abscissa, so where the operands
@@ -85,26 +85,26 @@ mutants:
 * ``pl-strip-spares-a-collinear-point`` -- the strip that makes
   piecewise-linear payloads canonical (``spaces._pl_strip_collinear``)
   keeps the first collinear interior point it meets, so one function
-  has two payloads.  ``lat-partial-order`` and ``thm-3.2-oao`` catch
-  it through the lateral supremum and sums, and so does the
-  differential test against ``oracles.pl_pointwise``, whose strip is
-  its own.
+  has two payloads.  ``lat-partial-order``, ``lem-4.4`` and
+  ``thm-3.2-oao`` catch it through the lateral supremum and sums, and
+  so does the differential test against ``oracles.pl_pointwise``, whose
+  strip is its own.
 * ``kernel-table-drops-top-piece`` -- ``Cells.subset_table``, the
-  column builder of the fragment tables that the splitting enumeration
-  folds (an additive body into a cell space, a kernel among them,
-  gives its table as the subset sums of its pieces' images), leaves
-  the image of the last support piece out of every fragment that
-  holds it.  The oracles of
-  ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to 3.6
-  evaluate by ``eval_by_fractions``, apart from the table, and catch
-  it; so do ``thm-4.2-2`` and ``thm-4.2-3``, whose single-application
-  fast path does not use the table.
-* ``additive-table-drops-last-piece`` -- the fragment table of a body
-  that is additive on disjoint sums (``Operator.fragment_images``),
-  the subset sums of its pieces' images, leaves the image of the last
-  piece out of every fragment that holds it, on every codomain.  The
+  column builder of an additive body's fragment table on a cell space,
+  leaves the image of the last support piece out of every fragment that
+  holds it.  The oracles of ``thm-3.2-join``, ``cor-3.3-meet`` and
+  corollaries 3.4 to 3.6 evaluate by ``eval_by_fractions``, apart from
+  the table, and catch it; so do ``thm-4.2-2`` and ``thm-4.2-3``, whose
+  single-application fast path does not use the table.
+* ``additive-table-drops-last-piece`` -- the table builder
+  ``oplattice.fragment_images`` leaves the last piece's image out of the
+  subset sums it gives an additive body, on every codomain.  The
   closed-form oracles and the single-application fast paths catch it,
   as they catch ``kernel-table-drops-top-piece``.
+* ``kernel-pieces-read-next-atom`` -- ``Kernel.piece_images``, which
+  the closed fold and the fragment tables read, applies each row to the
+  value of the point's next support atom (the first for the last); the
+  closed-form oracles and checks against single applications catch it.
 * ``column-fold-first-cell`` -- the fold of a column table
   (``CellColumns.extremum``) takes the attaining masks from the first
   cell only and reads the fold off the first of them, as if one entry
@@ -199,16 +199,27 @@ def _pl_slice_keeps_crossing(pts, comps, keep):
     return tuple(out)
 
 
-_fragment_images = operators.Operator.fragment_images
+_fragment_images = oplattice.fragment_images
 
 
-def _additive_table_drops_last_piece(self, frags):
-    if not self.atom_additive:
-        return _fragment_images(self, frags)
-    images = self.piece_images(frags)
+def _additive_table_drops_last_piece(T, frags):
+    if not T.atom_additive:
+        return _fragment_images(T, frags)
+    images = T.piece_images(frags)
     if images:
-        images[-1] = zero(self.codomain)
-    return self.codomain.subset_table(images)
+        images[-1] = zero(T.codomain)
+    return T.codomain.subset_table(images)
+
+
+_kernel_piece_images = operators.Kernel.piece_images
+
+
+def _kernel_pieces_read_next_atom(self, frags):
+    # the images at the point whose pieces take their next piece's value
+    x, parts = frags.base, list(frags.parts)
+    values = [x.space.get_atom(x, a) for a in parts[1:] + parts[:1]]
+    return _kernel_piece_images(self, lateral.Restrictions(
+        spaces.from_atoms(x.space, dict(zip(parts, values)))))
 
 
 _q = spaces.q
@@ -325,8 +336,10 @@ MUTATIONS = {
                                      _pl_slice_drops_breakpoint),
     "pl-slice-keeps-crossing": (spaces, "_pl_slice",
                                 _pl_slice_keeps_crossing),
-    "additive-table-drops-last-piece": (operators.Operator, "fragment_images",
+    "additive-table-drops-last-piece": (oplattice, "fragment_images",
                                         _additive_table_drops_last_piece),
+    "kernel-pieces-read-next-atom": (operators.Kernel, "piece_images",
+                                     _kernel_pieces_read_next_atom),
     "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
                                   _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),

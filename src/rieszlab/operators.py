@@ -5,7 +5,9 @@ tables, linear maps on eventually constant sequences split along the
 basis {unit atoms} + {constant one}, finite match tables, differences
 of lateral meets, the alternating harmonic series functional, and
 sums/scalings of these.  Application is exact; the series functional
-takes its values in ``spaces.LogTwo``, the numbers a + b ln 2.
+takes its values in ``spaces.LogTwo``, the numbers a + b ln 2.  The
+operator lattice also reads a body's images of a point's support pieces
+(``Operator.piece_images``), which a kernel reads off its rows.
 """
 
 from __future__ import annotations
@@ -168,22 +170,11 @@ class Operator:
         promises no such level."""
         return None
 
-    def fragment_images(self, frags):
-        """The image of every fragment of a point, indexed by mask as
-        ``frags`` (its ``lateral.Restrictions``) indexes them, in the
-        codomain's table (``spaces.ImageTable``).  A fragment is the
-        disjoint sum of its pieces, so the image of an additive body is
-        the sum of its pieces' images (``piece_images``): the
-        codomain's ``subset_table`` of those k images.  Any other body
-        is applied to each of the 2^k fragments, and its images
-        converted by ``codomain.image_table``."""
-        if self.atom_additive:
-            return self.codomain.subset_table(self.piece_images(frags))
-        return self.codomain.image_table([apply(self, u) for u in frags])
-
     def piece_images(self, frags) -> list:
-        """The image of each support piece of the point of ``frags``,
-        in the order of its pieces: the body applied to each."""
+        """The image of each support piece of the point of ``frags`` (its
+        ``lateral.Restrictions``), in order: the body applied to each.
+        The operator lattice reads it for an additive body, in its closed
+        fold and its tables; an override only gives the same images faster."""
         return [apply(self, frags[1 << k]) for k in range(len(frags.parts))]
 
 
@@ -243,17 +234,12 @@ class Kernel(Operator):
     def piece_images(self, frags):
         # a piece is one atom of the point, so its image comes from the
         # one row that reads that atom, or is zero if no row does
-        rows = {i: (j, fn) for i, j, fn in self.table}
-        x, nothing = frags.base, zero(self.codomain)
-        images = []
-        for a in frags.parts:
-            if a in rows:
-                j, fn = rows[a]
-                images.append(from_atoms(self.codomain,
-                                         {j: fn(x.space.get_atom(x, a))}))
-            else:
-                images.append(nothing)
-        return images
+        x, images = frags.base, dict.fromkeys(frags.parts, zero(self.codomain))
+        for i, j, fn in self.table:
+            if i in images:
+                images[i] = from_atoms(self.codomain,
+                                       {j: fn(x.space.get_atom(x, i))})
+        return list(images.values())
 
     def linear_probes(self):
         return [unit_atom(self.domain, i) for i, _, _ in self.table]
@@ -467,7 +453,8 @@ def _alternating_partial(k: int) -> Fraction:
 
 
 # The combinators apply their parts through the module-level ``apply``,
-# so each part's application is checked and traced like any other.
+# so each part's application is checked and traced like any other, and
+# add or scale their parts' piece images one piece at a time.
 
 @dataclass(frozen=True)
 class OpSum(Operator):
@@ -498,10 +485,10 @@ class OpSum(Operator):
             acc = add(acc, apply(p, x))
         return acc
 
-    def fragment_images(self, frags):
-        images = self.parts[0].fragment_images(frags)
+    def piece_images(self, frags):
+        images = self.parts[0].piece_images(frags)
         for p in self.parts[1:]:
-            images = images + p.fragment_images(frags)
+            images = list(map(add, images, p.piece_images(frags)))
         return images
 
     def linear_probes(self):
@@ -543,8 +530,8 @@ class OpScaled(Operator):
     def _apply(self, x):
         return scale(self.factor, apply(self.inner, x))
 
-    def fragment_images(self, frags):
-        return self.inner.fragment_images(frags).scale(self.factor)
+    def piece_images(self, frags):
+        return [scale(self.factor, v) for v in self.inner.piece_images(frags)]
 
     def linear_probes(self):
         return self.inner.linear_probes()

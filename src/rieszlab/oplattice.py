@@ -4,13 +4,15 @@ The join of two operators at x is the supremum of S(u) + T(v) over the
 disjoint splittings x = u + v; meets, positive/negative parts and the
 modulus are the matching infima/suprema.  No order completeness is
 assumed anywhere.  When both operators are additive on disjoint sums,
-the fold over splittings distributes into one fold per atom of x (its
+the fold over splittings distributes into one fold per piece of x (its
 support atoms, or its support components on piecewise-linear functions):
 exactly for finite fragment algebras, level by level for infinite ones,
 on every codomain.  Other pairs enumerate the splittings as masks over
 fragment tables (``extrema_by_enumeration``).  A table is the
 codomain's: on cell spaces one integer column per cell, so a splitting
 costs integer additions and no element, elsewhere a list of values.
+Both folds read an additive body's images of x's pieces, and nothing
+else of it beyond ``apply`` (``Operator.piece_images``).
 
 ``OpLattice`` makes each of these operations an operator body, so
 lattice expressions nest: (S v T)^+ is the positive part of a join.
@@ -29,8 +31,8 @@ from .lateral import (
 from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
     Element, absolute, add, canonical_key,
-    format_element, has_infinite_fragments, inf, neg_part, pieces, pos_part,
-    scale, sub, sup, support_size, zero,
+    format_element, has_infinite_fragments, inf, neg_part, pos_part,
+    scale, sup, support_size, zero,
 )
 
 
@@ -87,6 +89,16 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
                         notes="per-level extrema over truncated splittings")
 
 
+def fragment_images(T, frags):
+    """T's image of every fragment in ``frags`` (a ``Restrictions``), by
+    mask, in the codomain's table: the subset sums of an additive body's
+    k piece images, one application per fragment for any other body."""
+    frags.check_cap()
+    if T.atom_additive:
+        return T.codomain.subset_table(T.piece_images(frags))
+    return T.codomain.image_table([apply(T, u) for u in frags])
+
+
 def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     """Reference fold of S(u) + T(v) over every splitting x = u + v.
 
@@ -94,25 +106,24 @@ def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
     finite.  Mask m of the pieces of x splits it into u on the pieces in
     m and v on the rest, so S(u) + T(v) is entry m of the left
     operator's fragment table plus the right one's complement
-    (``Operator.fragment_images``, checked against
-    ``oracles.images_by_apply``).  The tables are the codomain's:
-    integer columns on cell spaces, lists of values elsewhere
+    (``fragment_images``).  The tables are the codomain's: integer
+    columns on cell spaces, lists of values elsewhere
     (``spaces.ImageTable``); their fold gives the extremum and its
     masks, and ``Decomposition`` objects are built only for those.  The
-    checks and tests compare the per-atom closed form with this, and
+    checks and tests compare the per-piece closed form with this, and
     ``_extrema`` calls it where the closed form does not serve.
     """
     _pair_check(S, T, x)
     frags = Restrictions(x)
-    values = S.fragment_images(frags) + T.fragment_images(frags).complement()
+    values = fragment_images(S, frags) + fragment_images(T, frags).complement()
     fold, masks = values.extremum(_ORDER[kind])
     hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
     return LatticePoint("exact", value=fold, attained=_minimal_left(hits))
 
 
 def _side(s, t, best):
-    """Side of the splitting an atom joins when its images are s under S
-    and t under T: "right" whenever T attains the per-atom extremum
+    """Side of the splitting a piece joins when its images are s under S
+    and t under T: "right" whenever T attains the per-piece extremum
     (ties go right, which keeps the left support minimal), "left" when
     only S does, None when neither does (incomparable images)."""
     if t == best:
@@ -122,37 +133,37 @@ def _side(s, t, best):
     return None
 
 
-def _fold_atoms(acc, S, T, atoms, pick):
-    """Add pick(S(a), T(a)) to acc for every atom a.
+def _fold_pieces(acc, s_images, t_images, pick):
+    """Add pick(s, t) to acc for the images s under S and t under T of
+    every piece, listed in ``s_images`` and ``t_images``.
 
-    Each splitting assigns every atom to one side, and additivity on
-    disjoint sums makes S(u) + T(v) a sum of independent per-atom
-    choices, so the fold over splittings distributes into per-atom
-    folds.  A splitting attains the total exactly when every atom's
-    choice attains its own extremum.  Returns the total and the atoms
-    that go left in the attaining splitting with minimal left support,
-    or None in place of the atoms when no splitting attains.
+    Each splitting assigns every piece to one side, and additivity on
+    disjoint sums makes S(u) + T(v) a sum of independent per-piece
+    choices, so the fold over splittings distributes into per-piece
+    folds.  A splitting attains the total exactly when every piece's
+    choice attains its own extremum.  Returns the total and the mask of
+    the pieces that go left in the attaining splitting with minimal left
+    support, or None in place of the mask when no splitting attains.
     """
-    left = []
+    mask = 0
     attains = True
-    for a in atoms:
-        s, t = apply(S, a), apply(T, a)
+    for k, (s, t) in enumerate(zip(s_images, t_images)):
         best = pick(s, t)
         acc = add(acc, best)
         side = _side(s, t, best)
         if side == "left":
-            left.append(a)
+            mask |= 1 << k
         attains = attains and side is not None
-    return acc, (left if attains else None)
+    return acc, (mask if attains else None)
 
 
 def _extrema_closed(S, T, x, kind):
-    value, left = _fold_atoms(zero(S.codomain), S, T, pieces(x), _PICK[kind])
-    if left is None:
-        return LatticePoint("exact", value=value)
-    u = sum(left, zero(x.space))
-    return LatticePoint("exact", value=value,
-                        attained=(Decomposition(x, u, sub(x, u)),))
+    frags = Restrictions(x)
+    value, m = _fold_pieces(zero(S.codomain), S.piece_images(frags),
+                            T.piece_images(frags), _PICK[kind])
+    attained = (() if m is None else
+                (Decomposition(x, frags[m], frags[frags.full ^ m]),))
+    return LatticePoint("exact", value=value, attained=attained)
 
 
 def _levels_closed(S, T, x, kind, level, window=None):
@@ -168,7 +179,8 @@ def _levels_closed(S, T, x, kind, level, window=None):
     acc = zero(S.codomain)
     out = []
     for l, atoms, w in x.space.level_walk(x, level, window):
-        acc, _ = _fold_atoms(acc, S, T, atoms, pick)
+        acc, _ = _fold_pieces(acc, [apply(S, a) for a in atoms],
+                              [apply(T, a) for a in atoms], pick)
         out.append((l, add(acc, pick(apply(S, w), apply(T, w)))))
     return extend_levels(out, level)
 
@@ -180,16 +192,11 @@ def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
 
 
 def _levels_enumerated(S, T, x, kind, level):
-    pairs = [(d, add(apply(S, d.left), apply(T, d.right)))
-             for d in enumerate_decompositions(x, level=level)]
-    start = min_level(x)
-    out = []
-    for l in range(start, level + 1):
-        fold = functools.reduce(_PICK[kind], (
-            v for d, v in pairs
-            if max(min_level(d.left), min_level(d.right)) <= l))
-        out.append((l, fold))
-    return out
+    pick = _PICK[kind]
+    return [(l, functools.reduce(pick, (
+        add(apply(S, d.left), apply(T, d.right))
+        for d in enumerate_decompositions(x, level=l))))
+        for l in range(min_level(x), level + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +249,7 @@ class OpLattice(Operator):
     matching ``*_at`` function above.
 
     It is additive on disjoint sums when its parts are (Theorem 3.2),
-    so a lattice expression over additive bodies folds atom by atom at
+    so a lattice expression over additive bodies folds piece by piece at
     every depth.  Applied inside another operator it gets no truncation
     level, so at a point with infinitely many fragments it raises the
     level precondition.

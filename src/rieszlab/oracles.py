@@ -163,7 +163,7 @@ def decompositions_by_difference(x: Element, level: int | None = None):
 
 def images_by_apply(T, frags) -> list:
     """T applied to each fragment of ``frags``, one application per
-    mask; the reference for ``Operator.fragment_images``."""
+    mask; the reference for ``oplattice.fragment_images``."""
     return [apply(T, u) for u in frags]
 
 

@@ -1450,7 +1450,6 @@ class ImageTable:
     with the same interface:
 
     * ``t + u`` adds two tables of one space entrywise;
-    * ``t.scale(c)`` multiplies every entry by the scalar c;
     * ``t.complement()`` is the table at the complementary masks, entry
       m being ``t[full ^ m]``, which is ``t`` in reverse;
     * ``t.extremum(pick)``, with pick ``max`` or ``min``, folds the
@@ -1473,9 +1472,6 @@ class ImageTable:
 
     def __add__(self, other):
         return ImageTable(map(add, self.rows, other.rows))
-
-    def scale(self, c):
-        return ImageTable([scale(c, v) for v in self.rows])
 
     def complement(self):
         return ImageTable(self.rows[::-1])
@@ -1502,10 +1498,10 @@ def _ratio(num: int, den: int):
 
 class CellColumns:
     """A fragment table of a ``Cells`` space as one integer column per
-    cell: cell c of entry m is ``cols[c][m] / dens[c]``.  Sums, multiples
-    and the fold run on the numerators, and an element is built only
-    for an entry that is asked for and for the fold; see ``ImageTable``
-    for the interface."""
+    cell: cell c of entry m is ``cols[c][m] / dens[c]``.  Sums and the
+    fold run on the numerators, and an element is built only for an
+    entry that is asked for and for the fold; see ``ImageTable`` for the
+    interface."""
 
     __slots__ = ("space", "dens", "cols")
 
@@ -1536,12 +1532,6 @@ class CellColumns:
                 d = den
             dens.append(d)
         return CellColumns(self.space, tuple(dens), cols)
-
-    def scale(self, c):
-        c = q(c)
-        p, r = c.numerator, c.denominator
-        return CellColumns(self.space, tuple(d * r for d in self.dens),
-                           [[v * p for v in col] for col in self.cols])
 
     def complement(self):
         return CellColumns(self.space, self.dens,

@@ -356,7 +356,8 @@ CATCHERS = {
     "join-ties-left": ("thm-3.2-join",),
     "pl-disjoint-one-end": ("lat-partial-order",),
     "pl-restrict-drops-breakpoint": ("lat-common-fragment", "lem-3.1",
-                                     "lem-4.5", "thm-3.2-oao", "thm-4.2-4"),
+                                     "lem-4.4", "lem-4.5", "thm-3.2-oao",
+                                     "thm-4.2-4"),
     "pl-lattice-drops-crossing": ("lem-4.5",),
     "scalar-truncates": (
         "lat-partial-order", "lat-common-fragment", "lem-3.1", "lem-4.4",
@@ -380,12 +381,18 @@ CATCHERS = {
                                "cor-3.5-neg", "cor-3.6-mod", "thm-4.2-2",
                                "thm-4.2-3"),
     "pl-common-skips-end-values": ("lat-common-fragment",),
-    "pl-strip-spares-a-collinear-point": ("lat-partial-order", "thm-3.2-oao"),
-    "pl-slice-keeps-crossing": ("lat-partial-order",),
+    "pl-strip-spares-a-collinear-point": ("lat-partial-order", "lem-4.4",
+                                          "thm-3.2-oao"),
+    "pl-slice-keeps-crossing": ("lat-partial-order", "lem-4.4"),
     "additive-table-drops-last-piece": ("thm-3.2-join", "cor-3.3-meet",
                                         "cor-3.4-pos", "cor-3.5-neg",
                                         "cor-3.6-mod", "thm-4.2-2",
                                         "thm-4.2-3"),
+    "kernel-pieces-read-next-atom": (
+        "thm-1.1-a", "thm-1.1-c", "thm-1.1-e", "thm-2.3-converse", "rem-c00",
+        "thm-3.2-join", "thm-3.2-oao", "thm-3.2-pres-p", "cor-3.3-meet",
+        "cor-3.4-pos", "cor-3.5-neg", "cor-3.6-mod", "cor-3.6-pres-P",
+        "thm-4.2-2", "thm-4.2-3"),
     "lex-comment-swallows-newline": (),
     "lex-col-after-newline-off-by-one": (),
     "ln2-sign-first-enclosure": ("ex-2.2",),
@@ -450,6 +457,7 @@ def test_mutation_names_are_documented():
                               "pl-strip-spares-a-collinear-point",
                               "pl-slice-keeps-crossing",
                               "additive-table-drops-last-piece",
+                              "kernel-pieces-read-next-atom",
                               "lex-comment-swallows-newline",
                               "lex-col-after-newline-off-by-one",
                               "ln2-sign-first-enclosure"}

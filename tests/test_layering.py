@@ -466,6 +466,11 @@ def test_every_node_class_has_an_evaluator_handler():
     assert not evaluator._CHAINS & set(evaluator._LEAVES)
 
 
+def test_every_node_class_has_a_printer_row():
+    # the printer dispatches by node class as the evaluator does
+    assert set(dsl._PRINTERS) == _dsl_node_classes() - {dsl.Script}
+
+
 # one script with every keyword form, each literal nested in an
 # expression of another
 EVERY_LITERAL = """

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from rieszlab import generators as gen
 from rieszlab import oplattice
 from rieszlab.checks import _window_tables
-from rieszlab.errors import MalformedElement, PreconditionError
+from rieszlab.errors import (
+    EnumerationCapExceeded, MalformedElement, PreconditionError,
+)
 from rieszlab.lateral import (
-    Decomposition, Restrictions, enumerate_decompositions,
+    Decomposition, Restrictions, enumerate_decompositions, enumerate_fragments,
 )
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable,
@@ -137,25 +139,28 @@ def test_fold_order_independence():
 
 
 def _all_kinds(S, T, x):
-    """(name, public evaluation, enumeration reference) for the five
-    pointwise operations at x."""
+    """(name, public evaluation, enumeration reference, fold of
+    applications) for the five pointwise operations at x.  The closed
+    fold and the fragment tables both read ``piece_images``, so the fold
+    of applications checks them apart from it."""
     Z = ZeroOp(T.domain, T.codomain)
-    neg = extrema_by_enumeration(T, Z, x, "inf")
-    neg.value = scale(-1, neg.value)
-    return (
-        ("join", join_at(S, T, x), extrema_by_enumeration(S, T, x, "sup")),
-        ("meet", meet_at(S, T, x), extrema_by_enumeration(S, T, x, "inf")),
-        ("pos", pos_part_at(T, x), extrema_by_enumeration(T, Z, x, "sup")),
-        ("neg", neg_part_at(T, x), neg),
-        ("mod", modulus_at(T, x),
-         extrema_by_enumeration(T, negate(T), x, "sup")),
-    )
+    cases = (("join", join_at(S, T, x), S, T, "sup"),
+             ("meet", meet_at(S, T, x), S, T, "inf"),
+             ("pos", pos_part_at(T, x), T, Z, "sup"),
+             ("neg", neg_part_at(T, x), T, Z, "inf"),
+             ("mod", modulus_at(T, x), T, negate(T), "sup"))
+    for name, got, left, right, kind in cases:
+        ref = extrema_by_enumeration(left, right, x, kind)
+        value, attained = _enumeration_by_apply(left, right, x, kind)
+        if name == "neg":
+            ref.value, value = scale(-1, ref.value), scale(-1, value)
+        yield name, got, ref, (value, attained)
 
 
 def _assert_matches_enumeration(S, T, x):
-    for name, got, ref in _all_kinds(S, T, x):
-        assert got.value == ref.value, (name, S, T, x)
-        assert got.attained == ref.attained, (name, S, T, x)
+    for name, got, ref, (value, attained) in _all_kinds(S, T, x):
+        assert got.value == ref.value == value, (name, S, T, x)
+        assert got.attained == ref.attained == attained, (name, S, T, x)
         assert (got.mode, got.notes) == (ref.mode, ref.notes), (name, S, T, x)
 
 
@@ -712,7 +717,8 @@ TABLE_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None,
 def test_fragment_tables_match_one_application_per_fragment(case):
     T, x = case
     frags = Restrictions(x)
-    table, reference = T.fragment_images(frags), images_by_apply(T, frags)
+    table = oplattice.fragment_images(T, frags)
+    reference = images_by_apply(T, frags)
     assert len(table) == len(reference) == len(frags)
     rows = [table[m] for m in range(len(table))]
     assert rows == list(table) == reference
@@ -745,6 +751,51 @@ def test_fragment_tables_count_their_applications(monkeypatch):
     point = extrema_by_enumeration(S, T, x, "sup")
     assert calls == {"apply": 3, "restrict": 0}
     assert point.value == _enumeration_by_apply(S, T, x, "sup")[0]
+
+
+def test_combinator_tables_count_their_applications(monkeypatch):
+    # a multiple of an additive body scales its three piece images, not
+    # the eight entries of its table
+    x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
+    T = OpScaled(Q(-3, 2), LateralMeet(x.space, x, zero(x.space)))
+    frags = Restrictions(x)
+    reference = images_by_apply(T, frags)
+    calls = {"apply": 0, "scale": 0}
+
+    def counted(name, method):
+        def run(*args):
+            calls[name] += 1
+            return method(*args)
+        return run
+
+    monkeypatch.setattr(LateralMeet, "_apply",
+                        counted("apply", LateralMeet._apply))
+    monkeypatch.setattr(PiecewiseLinear, "scale",
+                        counted("scale", PiecewiseLinear.scale))
+    table = oplattice.fragment_images(T, frags)
+    assert calls == {"apply": 3, "scale": 3}
+    assert list(table) == reference
+
+
+def test_closed_fold_reads_pieces_past_the_enumeration_cap():
+    # 2^24 splittings: the closed fold reads 24 pieces, and every
+    # enumeration of the splittings is refused as before
+    space = Coordinate(24)
+    S = diagonal_kernel(space, [poly(0, 1)] * 24)
+    T = diagonal_kernel(space, [poly(0, 0, -1)] * 24)
+    values = [Q(k - 12, 3) or 1 for k in range(24)]
+    x = normalize(space, values)
+    assert join_at(S, T, x).value == normalize(
+        space, [max(v, -v * v) for v in values])
+    assert modulus_at(T, x).value == normalize(space, [v * v for v in values])
+    message = ("fragment algebra has 16777216 members, beyond the "
+               "enumeration cap 262144")
+    with pytest.raises(EnumerationCapExceeded) as err:
+        extrema_by_enumeration(S, T, x, "sup")
+    assert str(err.value) == message
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_fragments(x)
+    assert str(err.value) == message
 
 
 def _series_pairs():
@@ -798,14 +849,12 @@ def _cell_tables():
 
 
 @TABLE_SETTINGS
-@given(_cell_tables(), FACTORS, st.sampled_from((max, min)))
-def test_column_fold_matches_the_fold_of_elements(case, factor, pick):
+@given(_cell_tables(), st.sampled_from((max, min)))
+def test_column_fold_matches_the_fold_of_elements(case, pick):
     left, right = case
     space = left[0].space
-    columns = (space.image_table(left)
-               + space.image_table(right).scale(factor).complement())
-    elements = (ImageTable(left)
-                + ImageTable(right).scale(factor).complement())
+    columns = space.image_table(left) + space.image_table(right).complement()
+    elements = ImageTable(left) + ImageTable(right).complement()
     assert list(columns) == list(elements)
     value, masks = columns.extremum(pick)
     want, want_masks = elements.extremum(pick)
