@@ -105,6 +105,23 @@ mutants:
   the closed fold and the fragment tables read, applies each row to the
   value of the point's next support atom (the first for the last); the
   closed-form oracles and checks against single applications catch it.
+* ``latmeet-pieces-drop-b`` -- ``LateralMeet.piece_images`` reads its
+  pieces' images off x meet a alone, as if b were zero, so a piece
+  below b keeps its image p where it should lose it.  The closed folds
+  read the mutant and the applications do not: ``thm-1.1-c`` and
+  ``thm-1.1-e`` compare the parts and the modulus with T(x), and
+  ``thm-4.2-2`` and ``thm-4.2-3`` with the single-application fast path.
+* ``zero-pieces-one-short`` -- ``ZeroOp.piece_images`` returns one zero
+  fewer than the point has pieces, so the closed fold of the parts and
+  of the lateral bound scan, which pairs each piece with a zero, never
+  reaches the last piece.  The checks against T(x), the closed-form
+  oracles, the fast paths and the scans against enumerated fragment
+  images catch it.
+* ``mod-pieces-skip-negation`` -- ``OpLattice.piece_images`` picks the
+  modulus of each piece against T's own image instead of negate(T)'s,
+  so a nested modulus reads T(p) where it should read |T(p)|.
+  ``cor-3.6-pres-P`` scans a modulus body against its applications,
+  which evaluate ``modulus_at`` apart from the mutant, and catches it.
 * ``column-fold-first-cell`` -- the fold of a column table
   (``CellColumns.extremum``) takes the attaining masks from the first
   cell only and reads the fold off the first of them, as if one entry
@@ -135,6 +152,7 @@ mutants:
 """
 
 import bisect
+import dataclasses
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -220,6 +238,29 @@ def _kernel_pieces_read_next_atom(self, frags):
     values = [x.space.get_atom(x, a) for a in parts[1:] + parts[:1]]
     return _kernel_piece_images(self, lateral.Restrictions(
         spaces.from_atoms(x.space, dict(zip(parts, values)))))
+
+
+_lateral_meet_piece_images = operators.LateralMeet.piece_images
+
+
+def _lateral_meet_pieces_drop_b(self, frags):
+    # the images of x meet a alone, as if b were zero
+    return _lateral_meet_piece_images(
+        dataclasses.replace(self, b=zero(self.space)), frags)
+
+
+def _zero_pieces_one_short(self, frags):
+    return [zero(self.codomain)] * (len(frags.parts) - 1)
+
+
+_oplattice_piece_images = oplattice.OpLattice.piece_images
+
+
+def _mod_pieces_skip_negation(self, frags):
+    if self.kind != "mod":
+        return _oplattice_piece_images(self, frags)
+    # each piece's image picked against T's own: sup(T p, T p) = T p
+    return self.parts[0].piece_images(frags)
 
 
 _q = spaces.q
@@ -340,6 +381,12 @@ MUTATIONS = {
                                         _additive_table_drops_last_piece),
     "kernel-pieces-read-next-atom": (operators.Kernel, "piece_images",
                                      _kernel_pieces_read_next_atom),
+    "latmeet-pieces-drop-b": (operators.LateralMeet, "piece_images",
+                              _lateral_meet_pieces_drop_b),
+    "zero-pieces-one-short": (operators.ZeroOp, "piece_images",
+                              _zero_pieces_one_short),
+    "mod-pieces-skip-negation": (oplattice.OpLattice, "piece_images",
+                                 _mod_pieces_skip_negation),
     "pl-lattice-drops-crossing": (spaces.PiecewiseLinear, "lattice",
                                   _pl_lattice_drops_crossing),
     "scalar-truncates": (spaces, "q", _q_truncates),

@@ -7,7 +7,15 @@ of lateral meets, the alternating harmonic series functional, and
 sums/scalings of these.  Application is exact; the series functional
 takes its values in ``spaces.LogTwo``, the numbers a + b ln 2.  The
 operator lattice also reads a body's images of a point's support pieces
-(``Operator.piece_images``), which a kernel reads off its rows.
+(``Operator.piece_images``).  A piece has one part, an atom or a
+support component, so its only fragments are 0 and itself: a kernel
+reads its image off the one row that reads its atom; a lateral meet
+maps it to itself when its part lies in the support of the point's
+meet with a alone, to its negative when in the meet with b alone, and
+to 0 otherwise; the zero operator returns zeros; sums and multiples add
+and scale their parts' images.
+The other bodies keep the default, one application per piece, which is
+the reference for every override.
 """
 
 from __future__ import annotations
@@ -174,7 +182,8 @@ class Operator:
         """The image of each support piece of the point of ``frags`` (its
         ``lateral.Restrictions``), in order: the body applied to each.
         The operator lattice reads it for an additive body, in its closed
-        fold and its tables; an override only gives the same images faster."""
+        fold and its tables; an override only gives the same images faster,
+        and this default is the reference for each."""
         return [apply(self, frags[1 << k]) for k in range(len(frags.parts))]
 
 
@@ -419,6 +428,21 @@ class LateralMeet(Operator):
     def _apply(self, x):
         return sub(lateral.lateral_inf(x, self.a), lateral.lateral_inf(x, self.b))
 
+    def piece_images(self, frags):
+        # a piece p of x has one part, so p meet a is p or 0, and it is p
+        # exactly when p's part is one of x meet a: the fragments of p
+        # are 0 and p, and x meet a is the sum of x's pieces below a
+        x = frags.base
+        support = x.space.support
+        below_a = set(support(lateral.lateral_inf(x, self.a)))
+        below_b = set(support(lateral.lateral_inf(x, self.b)))
+        images = []
+        for k, part in enumerate(frags.parts):
+            sign = (part in below_a) - (part in below_b)
+            piece = frags[1 << k] if sign else zero(self.space)
+            images.append(scale(-1, piece) if sign < 0 else piece)
+        return images
+
     def dp_reason(self):
         return "|T x| <= |x| pointwise, so disjoint supports stay disjoint"
 
@@ -560,6 +584,9 @@ class ZeroOp(Operator):
 
     def _apply(self, x):
         return zero(self.codomain)
+
+    def piece_images(self, frags):
+        return [zero(self.codomain)] * len(frags.parts)
 
     def dp_reason(self):
         return "zero operator"

@@ -16,11 +16,14 @@ else of it beyond ``apply`` (``Operator.piece_images``).
 
 ``OpLattice`` makes each of these operations an operator body, so
 lattice expressions nest: (S v T)^+ is the positive part of a join.
+It answers the per-piece hook itself: a piece p splits only as p + 0 or
+0 + p, so its image is the sup or inf of its two operands' images of p,
+and a fold over a nested expression reads piece images at every depth
+without evaluating an inner body at a point.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch
@@ -192,11 +195,29 @@ def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
 
 
 def _levels_enumerated(S, T, x, kind, level):
-    pick = _PICK[kind]
-    return [(l, functools.reduce(pick, (
-        add(apply(S, d.left), apply(T, d.right))
-        for d in enumerate_decompositions(x, level=l))))
-        for l in range(min_level(x), level + 1)]
+    """Per-level fold over the splittings of the top level, each
+    enumerated and applied once.
+
+    The truncated fragment sets grow with the level, and a fragment u
+    first joins them at max(min_level(x), min_level(u)): past the prefix
+    of x, u is a sum of atoms through l plus, or not, the tail of x
+    beyond l exactly when its own prefix ends by l.  So each splitting
+    is folded into its first level, and each level's value is the
+    running fold through it.  ``oracles.levels_by_enumeration``
+    enumerates every level on its own and is the reference.
+    """
+    pick, first = _PICK[kind], min_level(x)
+    by_level = {}
+    for d in enumerate_decompositions(x, level=level):
+        l = max(first, min_level(d.left))
+        value = add(apply(S, d.left), apply(T, d.right))
+        by_level[l] = pick(by_level[l], value) if l in by_level else value
+    acc, out = by_level.pop(first), []  # u = 0 is in every level
+    for l in range(first, level + 1):
+        if l in by_level:
+            acc = pick(acc, by_level[l])
+        out.append((l, acc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +255,12 @@ def modulus_at(T, x: Element, level: int | None = None) -> LatticePoint:
     return _extrema(T, negate(T), x, "sup", level)
 
 
-# kind -> (name of its pointwise function, number of operands); the
-# function is looked up by name when applied, so a wrapper installed on
-# the module attribute (a tracer) sees the call
-_KINDS = {"join": ("join_at", 2), "meet": ("meet_at", 2),
-          "pos": ("pos_part_at", 1), "neg": ("neg_part_at", 1),
-          "mod": ("modulus_at", 1)}
+# kind -> (name of its pointwise function, number of operands, its
+# fold); the function is looked up by name when applied, so a wrapper
+# installed on the module attribute (a tracer) sees the call
+_KINDS = {"join": ("join_at", 2, "sup"), "meet": ("meet_at", 2, "inf"),
+          "pos": ("pos_part_at", 1, "sup"), "neg": ("neg_part_at", 1, "inf"),
+          "mod": ("modulus_at", 1, "sup")}
 
 
 @dataclass(frozen=True)
@@ -274,6 +295,24 @@ class OpLattice(Operator):
 
     def _apply(self, x):
         return self.at(x).value
+
+    def piece_images(self, frags):
+        # a piece p splits only as p + 0 or 0 + p, and additive operands
+        # vanish at 0, so the image of p is the pick of its two operands'
+        # images: the second part's, the zero operator's for the parts,
+        # negate(T)'s for the modulus; the negative part is negated
+        if not self.atom_additive:
+            return super().piece_images(frags)
+        T, kind = self.parts[0], self.kind
+        left = T.piece_images(frags)
+        if kind == "mod":
+            right = [scale(-1, v) for v in left]
+        elif kind in ("pos", "neg"):
+            right = ZeroOp(T.domain, T.codomain).piece_images(frags)
+        else:
+            right = self.parts[1].piece_images(frags)
+        images = list(map(_PICK[_KINDS[kind][2]], left, right))
+        return [scale(-1, v) for v in images] if kind == "neg" else images
 
 
 _DP_KINDS = {"modulus", "pos", "neg"}

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .lateral import Decomposition, enumerate_fragments, fragment_iter, min_level
 from .operators import apply
 from .spaces import (
-    ZERO, Element, EventuallyConstant, PiecewiseLinear, from_atoms, get_atom,
-    has_infinite_fragments, inf, sub, sup, support_atoms,
+    ZERO, Element, EventuallyConstant, PiecewiseLinear, add, from_atoms,
+    get_atom, has_infinite_fragments, inf, sub, sup, support_atoms,
 )
 
 
@@ -165,6 +165,18 @@ def images_by_apply(T, frags) -> list:
     """T applied to each fragment of ``frags``, one application per
     mask; the reference for ``oplattice.fragment_images``."""
     return [apply(T, u) for u in frags]
+
+
+def levels_by_enumeration(S, T, x: Element, kind: str, level: int) -> list:
+    """(l, fold) at each level from min_level(x) through ``level``: the
+    sup or inf (``kind``) of S(u) + T(v) over the truncated splittings
+    of x at l, each level enumerated on its own; the reference for the
+    enumerated level tables of ``oplattice``."""
+    pick = {"sup": sup, "inf": inf}[kind]
+    return [(l, functools.reduce(pick, (
+        add(apply(S, d.left), apply(T, d.right))
+        for d in decompositions_by_difference(x, level=l))))
+        for l in range(min_level(x), level + 1)]
 
 
 def scan_levels_by_enumeration(T, e: Element, level: int) -> list:

@@ -348,7 +348,9 @@ OWN_BODIES = ("frag-boolean", "lat-partial-order", "thm-2.3-forward",
 # the checks that fail under each mutant at quick profile, seed 0; no
 # named check parses scripts, so tests/test_dsl.py guards the lexer mutants
 CATCHERS = {
-    "latinf-collinear-meet-formula": ("lat-common-fragment",
+    "latinf-collinear-meet-formula": ("lat-common-fragment", "thm-1.1-c",
+                                      "thm-1.1-e", "thm-2.3-converse",
+                                      "thm-4.2-2", "thm-4.2-3",
                                       "ex-4.3-latmeet"),
     "latsup-sign-flip": ("frag-boolean", "lat-partial-order"),
     "latinf-zero": ("frag-boolean", "lat-common-fragment", "lem-3.1",
@@ -393,6 +395,12 @@ CATCHERS = {
         "thm-3.2-join", "thm-3.2-oao", "thm-3.2-pres-p", "cor-3.3-meet",
         "cor-3.4-pos", "cor-3.5-neg", "cor-3.6-mod", "cor-3.6-pres-P",
         "thm-4.2-2", "thm-4.2-3"),
+    "latmeet-pieces-drop-b": ("thm-1.1-c", "thm-1.1-e", "thm-4.2-2",
+                              "thm-4.2-3"),
+    "zero-pieces-one-short": ("thm-1.1-c", "thm-2.3-converse", "rem-c00",
+                              "thm-3.2-pres-p", "cor-3.4-pos", "cor-3.5-neg",
+                              "cor-3.6-pres-P", "thm-4.2-3"),
+    "mod-pieces-skip-negation": ("cor-3.6-pres-P",),
     "lex-comment-swallows-newline": (),
     "lex-col-after-newline-off-by-one": (),
     "ln2-sign-first-enclosure": ("ex-2.2",),
@@ -458,6 +466,9 @@ def test_mutation_names_are_documented():
                               "pl-slice-keeps-crossing",
                               "additive-table-drops-last-piece",
                               "kernel-pieces-read-next-atom",
+                              "latmeet-pieces-drop-b",
+                              "zero-pieces-one-short",
+                              "mod-pieces-skip-negation",
                               "lex-comment-swallows-newline",
                               "lex-col-after-newline-off-by-one",
                               "ln2-sign-first-enclosure"}

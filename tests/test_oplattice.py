@@ -16,7 +16,7 @@ from rieszlab.lateral import (
     Decomposition, Restrictions, enumerate_decompositions, enumerate_fragments,
 )
 from rieszlab.operators import (
-    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable,
+    AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, Operator,
     OpScaled, OpSum, PiecewisePoly, ZeroOp, apply,
     diagonal_kernel, example_operator, lateral_bound_scan, match_table,
     negate, poly, verify_disjointness_preserving,
@@ -25,12 +25,12 @@ from rieszlab.oplattice import (
     OpLattice, dp_fast, extrema_by_enumeration, join_at, levels_by_full_walk,
     meet_at, meyer_pair, modulus_at, neg_part_at, pos_part_at,
 )
-from rieszlab.oracles import images_by_apply
+from rieszlab.oracles import images_by_apply, levels_by_enumeration
 from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, ImageTable, LogTwo,
     PiecewiseLinear, SimpleFunction, add, coord, ec, from_atoms, inf,
-    is_zero, leq, normalize, one, pieces, pl, scale, sub, sup, unit_atom,
-    zero,
+    is_zero, leq, neg_part, normalize, one, pieces, pl, pos_part, scale, sub,
+    sup, unit_atom, zero,
 )
 
 from conftest import SCALARS, make_rng, pl_elements, report_line
@@ -502,6 +502,61 @@ def test_window_cut_matches_the_full_walk(S, T, x, extra):
         assert repr(got) == repr(tuple(want)), name
 
 
+def _counting(monkeypatch, cls, name):
+    """Count the calls of ``cls.name`` in a list of their arguments."""
+    calls, real = [], getattr(cls, name)
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, run)
+    return calls
+
+
+def _tail_point_tables():
+    """Match tables keyed on fragments of ec[1,-2|1/2] that first appear
+    at levels 2 to 4, and a kernel into the same codomain."""
+    table = MatchTable(EC, Coordinate(2), (
+        (ec([1], 0), coord(3, -1)),
+        (ec([0, -2], Q(1, 2)), coord(-1, 2)),
+        (ec([1, 0, 0, Q(1, 2)], 0), coord(Q(1, 2), 4)),
+        (ec([0, 0, 0, 0], Q(1, 2)), coord(-3, Q(1, 3)))))
+    kernel = Kernel(EC, Coordinate(2), ((1, 1, poly(0, 1)),
+                                        (3, 2, poly(0, 0, -2)),
+                                        (4, 1, poly(0, -1))))
+    return table, kernel
+
+
+def test_truncated_enumeration_matches_each_level_enumerated(monkeypatch):
+    # a pair with a match table enumerates the top level once, each
+    # splitting folded into the first level that holds it
+    table, kernel = _tail_point_tables()
+    x = ec([1, -2], Q(1, 2))
+    for S, T in ((table, kernel), (kernel, table)):
+        for kind, at in (("sup", join_at), ("inf", meet_at)):
+            for level in (2, 3, 6):
+                want = levels_by_enumeration(S, T, x, kind, level)
+                assert list(at(S, T, x, level).levels) == want
+    calls = _counting(monkeypatch, oplattice, "apply")
+    join_at(table, kernel, x, level=6)
+    # atoms 1..6 and the tail beyond: 2^7 splittings, two applications
+    # each; a level at a time applied 2 * (2^3 + ... + 2^7) times
+    assert len(calls) == 2 * 2 ** 7
+
+
+@WINDOW_SETTINGS
+@given(st.one_of(_kernels(), _linear_maps()),
+       st.one_of(_kernels(), _linear_maps()),
+       _tail_points(), st.sampled_from(("sup", "inf")), st.integers(0, 3))
+def test_truncated_enumeration_matches_on_additive_pairs(S, T, x, kind, extra):
+    # the closed fold serves these pairs; their enumerated tables still
+    # agree with each level enumerated on its own
+    level = len(x.payload[0]) + extra
+    assert oplattice._levels_enumerated(S, T, x, kind, level) == \
+        levels_by_enumeration(S, T, x, kind, level)
+
+
 def test_below_prefix_level_is_refused_on_every_path():
     x = ec([1, 2, 3, 4, 5], 7)
     rng = make_rng("below-prefix")
@@ -726,8 +781,8 @@ def test_fragment_tables_match_one_application_per_fragment(case):
 
 
 def test_fragment_tables_count_their_applications(monkeypatch):
-    # a lateral meet is additive: one application per piece of a point
-    # with three components, not one per fragment; the match table
+    # a lateral meet is additive and reads its piece images off its two
+    # meets with the point, so it is never applied; the match table
     # applies to all eight fragments, sliced with no restriction
     x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
     assert len(PiecewiseLinear().components(x)) == 3
@@ -749,13 +804,14 @@ def test_fragment_tables_count_their_applications(monkeypatch):
     assert len(set(Restrictions(x))) == 8
     assert calls == {"apply": 0, "restrict": 0}
     point = extrema_by_enumeration(S, T, x, "sup")
-    assert calls == {"apply": 3, "restrict": 0}
+    assert calls == {"apply": 0, "restrict": 0}
     assert point.value == _enumeration_by_apply(S, T, x, "sup")[0]
 
 
 def test_combinator_tables_count_their_applications(monkeypatch):
     # a multiple of an additive body scales its three piece images, not
-    # the eight entries of its table
+    # the eight entries of its table, and the lateral meet inside it is
+    # never applied
     x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
     T = OpScaled(Q(-3, 2), LateralMeet(x.space, x, zero(x.space)))
     frags = Restrictions(x)
@@ -773,8 +829,71 @@ def test_combinator_tables_count_their_applications(monkeypatch):
     monkeypatch.setattr(PiecewiseLinear, "scale",
                         counted("scale", PiecewiseLinear.scale))
     table = oplattice.fragment_images(T, frags)
-    assert calls == {"apply": 3, "scale": 3}
+    assert calls == {"apply": 0, "scale": 3}
     assert list(table) == reference
+
+
+@TABLE_SETTINGS
+@given(_operands_and_point(1))
+def test_piece_images_match_the_default(case):
+    # lateral meets, the zero operator and lattice bodies read their
+    # piece images off their parameters and parts; the default applies
+    # the body to each piece and is the reference
+    T, x = case
+    frags = Restrictions(x)
+    want = Operator.piece_images(T, frags)
+    assert repr(T.piece_images(frags)) == repr(want)
+    assert len(want) == len(frags.parts)
+
+
+def test_lateral_meet_piece_images_on_every_model():
+    # a and b are sums of some of x's pieces, so a piece may lie below
+    # a, below b, below both or below neither; 2b meets no piece of x
+    rng = make_rng("lateral-meet-pieces")
+    for k in range(72):
+        space = gen.space_menu()[k % 6]
+        x = gen.random_element(rng, space)
+        if isinstance(space, EventuallyConstant):
+            x = ec(x.payload[0], 0)
+        parts = pieces(x)
+        a = sum((p for p in parts if rng.random() < 0.6), zero(space))
+        b = sum((p for p in parts if rng.random() < 0.6), zero(space))
+        T = LateralMeet(space, a, scale(2, b) if k % 4 == 3 else b)
+        frags = Restrictions(x)
+        assert repr(T.piece_images(frags)) == \
+            repr(Operator.piece_images(T, frags)), (x, a, b)
+
+
+def test_parts_apply_no_zero_operator(monkeypatch):
+    # the zero operator's piece images are zeros, built with no
+    # application and no restriction
+    x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
+    T = LateralMeet(x.space, x, scale(2, x))
+    U = diagonal_kernel(Coordinate(3), [poly(0, 1), poly(0, -1), poly(0, 0, 1)])
+    y = coord(1, -2, Q(1, 3))
+    zero_calls = _counting(monkeypatch, ZeroOp, "_apply")
+    got = [(f(T, x).value, f(U, y).value) for f in (pos_part_at, neg_part_at)]
+    assert zero_calls == []
+    # T is the identity on the fragments of x, and U squares or negates
+    assert got == [(pos_part(x), coord(1, 2, Q(1, 9))),
+                   (neg_part(x), zero(Coordinate(3)))]
+
+
+def test_a_join_of_lattice_bodies_reads_no_pointwise_value(monkeypatch):
+    # nested bodies pick their parts' piece images, so neither the closed
+    # fold nor the fragment table evaluates a lattice body at a point
+    x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
+    a, b = pieces(x)[:2]
+    S = OpLattice("join", (LateralMeet(x.space, x, a),
+                           LateralMeet(x.space, b, x)))
+    T = OpLattice("mod", (OpLattice("neg", (LateralMeet(x.space, a, b),)),))
+    want = _enumeration_by_apply(S, T, x, "sup")
+    at_calls = _counting(monkeypatch, OpLattice, "at")
+    closed = join_at(S, T, x)
+    enumerated = extrema_by_enumeration(S, T, x, "sup")
+    assert at_calls == []
+    assert closed.value == enumerated.value == want[0]
+    assert closed.attained == enumerated.attained == want[1]
 
 
 def test_closed_fold_reads_pieces_past_the_enumeration_cap():
