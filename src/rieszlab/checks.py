@@ -223,15 +223,15 @@ def _sharing_pair(rng, space, k):
     if space == PiecewiseLinear() and k // len(gen.space_menu()) % 2:
         return _end_ramps(rng)
     x = gen.random_nonzero_element(rng, space)
-    parts = space.support(x)
-    kept = [p for p in parts if rng.random() < 0.5]
-    y = space.restrict(x, kept)
+    parts, build = space.piece_builder(x)
+    kept = [i for i in range(len(parts)) if rng.random() < 0.5]
+    y = build(kept)
     if has_infinite_fragments(x) and rng.random() < 0.5:
         y = add(y, sub(x, sum(pieces(x), zero(space))))
     if rng.random() < 0.5:
-        dropped = [p for p in parts if p not in kept]
+        dropped = [i for i in range(len(parts)) if i not in kept]
         c = rng.choice((-1, 2, Q(1, 2)))
-        return x, add(y, scale(c, space.restrict(x, dropped)))
+        return x, add(y, scale(c, build(dropped)))
     z = gen.random_element(rng, space)
     return x, add(y, sum((p for p in pieces(z) if is_disjoint(p, y)),
                          zero(space)))

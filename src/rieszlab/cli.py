@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--profile", choices=("quick", "full"), default="quick")
     check.add_argument("--report")
-    check.add_argument("--config", nargs="*", default=[],
+    check.add_argument("--config", nargs="*", action="extend", default=[],
                        metavar="KEY=VALUE")
 
     search = sub.add_parser("search", help="exploratory truncated-join scan")

@@ -780,8 +780,9 @@ class ScanResult:
     """Extremes of an operator over a fragment algebra.
 
     ``exact`` mode carries the attained bounds; ``truncated`` mode a
-    monotone per-level table plus a growth flag relative to the caller
-    bound (growth refutes lateral-to-order boundedness at the base).
+    monotone per-level table.  Given a caller bound, the growth flag
+    tells whether a maximum exceeds it (growth refutes lateral-to-order
+    boundedness at the base); without one it is None in exact mode.
     """
 
     mode: str
@@ -802,9 +803,9 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     ``oplattice``.  Finite algebras give exact bounds.  For eventually
     constant bases with nonzero tail, pass a level: the table holds the
     extremes level by level, folded atom by atom for structurally
-    additive bodies and over bounded enumeration otherwise.  A level
-    whose maximum is not at most ``bound``, a value of the codomain,
-    fails the scan.
+    additive bodies and over bounded enumeration otherwise.  A maximum
+    that is not at most ``bound``, a value of the codomain, fails the
+    scan, exact or truncated, and sets ``growth``.
     ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at
@@ -814,10 +815,13 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     zero_op = ZeroOp(T.domain, T.codomain)
     if not has_infinite_fragments(e):
         count = 1 << support_size(e)
-        rep = reports.holds(count, seed,
-                            notes=f"exact bounds over {count} fragments")
-        return ScanResult("exact", rep, lo=meet_at(T, zero_op, e).value,
-                          hi=join_at(T, zero_op, e).value)
+        lo, hi = meet_at(T, zero_op, e).value, join_at(T, zero_op, e).value
+        notes = f"exact bounds over {count} fragments"
+        grew = None if bound is None else not leq(hi, bound)
+        rep = (reports.fails("maximum exceeds the bound", count, seed,
+                             notes=notes) if grew
+               else reports.holds(count, seed, notes=notes))
+        return ScanResult("exact", rep, lo=lo, hi=hi, growth=grew)
     if level is None:
         raise PreconditionError(
             "infinite fragment algebra: supply a truncation level")

@@ -230,8 +230,9 @@ class Space:
     ``subset_table`` and ``image_table`` build the fragment tables that
     the splitting enumeration folds, a list of values by default
     (``ImageTable``).  ``piece_builder`` gives x's support pieces and a
-    builder of x on any subset of them, which every finite fragment
-    algebra reads; it restricts with ``restrict`` by default, and
+    builder of x on any subset of them.  It is the one way to build an
+    element on part of its support, and every finite fragment algebra
+    reads it.  By default it reads x's atoms into ``from_atoms``;
     ``PiecewiseLinear`` slices its payload instead.
 
     Only ``EventuallyConstant`` has truncation levels (``min_level``,
@@ -276,22 +277,16 @@ class Space:
         nonzero tail aside), or its support components."""
         return self.support_atoms(x)
 
-    def restrict(self, x, parts):
-        """x on the given parts of its support, zero elsewhere."""
-        return self.from_atoms({a: self.get_atom(x, a) for a in parts}, ZERO)
-
     def piece_builder(self, x):
         """The support pieces of x (``support``) and a builder of x on
         any subset of them: ``build(keep)`` is x on the pieces whose
-        indices, increasing, ``keep`` lists, zero elsewhere.  This
-        default restricts with ``restrict`` and is the reference for a
-        model's own builder."""
+        indices, increasing, ``keep`` lists, zero elsewhere.  It is the
+        one way to build x on part of its support.  This default reads
+        x's atoms into ``from_atoms``; ``PiecewiseLinear`` slices its
+        payload instead."""
         parts = self.support(x)
-        pick = parts.__getitem__
-        return parts, lambda keep: self.restrict(x, map(pick, keep))
-
-    def components(self, x):
-        raise Unsupported("components are defined for piecewise-linear elements")
+        return parts, lambda keep: self.from_atoms(
+            {parts[k]: self.get_atom(x, parts[k]) for k in keep}, ZERO)
 
     def infinite_fragments(self, x) -> bool:
         return False
@@ -897,10 +892,11 @@ def _pl_strip_collinear(rows):
     a straight line.
 
     The rows have strictly increasing t from 0 to 1.  The PL results of
-    ``add``, ``lattice`` and ``restrict`` hold this by construction, so
-    they are made canonical here alone and skip
+    ``add``, ``lattice`` and the parts and modulus (``_parts``) hold
+    this by construction, so they are made canonical here alone and skip
     ``normalize``, which stays the entry point for input from outside
-    the program.
+    the program.  A fragment sliced by ``piece_builder`` keeps x's own
+    slopes and needs no strip.
 
     A point is kept while the slope into it differs from the slope out
     of it.  Slopes are integer pairs: from (b, yb) to (t, v), with
@@ -1081,16 +1077,6 @@ def _pl_slice(pts, comps, keep):
     return tuple(out)
 
 
-def _pl_value(pts, i, t):
-    """The value at t of the payload ``pts``, for pts[i][0] <= t, and t
-    before pts[i + 1][0] unless i is the last index."""
-    a, ya = pts[i]
-    if t == a:
-        return ya
-    b, yb = pts[i + 1]
-    return ya + (yb - ya) * (t - a) / (b - a)
-
-
 @dataclass(frozen=True)
 class PiecewiseLinear(Space):
     """Continuous piecewise-linear functions on [0,1] with rational
@@ -1105,8 +1091,12 @@ class PiecewiseLinear(Space):
     result builds a ``Fraction`` only for a value it keeps that is not
     already an input's (a sum, an interpolated pick or a crossing).
     The payload stays all-``Fraction`` so that callers may divide it
-    with a bare ``/``.  The references of the model's operations
-    evaluate the operands point by point (``oracles.pl_*``)."""
+    with a bare ``/``.  The support pieces are the components of
+    ``_pl_component_walk``, and x on some of them is a slice of its
+    payload (``piece_builder``).  The references of the model's
+    operations evaluate the operands point by point (``oracles.pl_*``);
+    the slicer's is ``oracles.pl_restrict``, which restricts x to any
+    closed intervals."""
 
     name = "pl"
     # interior abscissae the samplers draw breakpoints from
@@ -1230,54 +1220,17 @@ class PiecewiseLinear(Space):
                     return ya
                 return ya + (yb - ya) * (t - a) / (b - a)
 
-    def components(self, x):
-        """Interval boundaries are zeros of x except at the domain
-        endpoints 0 and 1, where x itself may be nonzero."""
+    def support(self, x):
+        """The support components of x, as (start, end) pairs.  Their
+        ends are zeros of x except at the domain endpoints 0 and 1,
+        where x itself may be nonzero."""
         return [(a, b) for a, b, _, _ in _pl_component_walk(x.payload)]
-
-    support = components
-
-    def restrict(self, x, parts):
-        """x on the union of the closed intervals ``parts``, zero at 0
-        and 1 outside it, and linear across each gap; built in one walk
-        along x.  An interval that is reversed or leaves [0,1] is
-        malformed."""
-        spans = sorted((_pl_q(a), _pl_q(b)) for a, b in parts)
-        for a, b in spans:
-            if not 0 <= a <= b <= 1:
-                raise MalformedElement(
-                    f"interval ({a}, {b}) is reversed or leaves [0,1]")
-        if not spans:
-            return self.zero()
-        union = [list(spans[0])]
-        for a, b in spans[1:]:
-            if a <= union[-1][1]:
-                union[-1][1] = max(union[-1][1], b)
-            else:
-                union.append([a, b])
-        pts = x.payload
-        last = len(pts) - 1
-        out = [] if union[0][0] == 0 else [(_PL_ZERO, _PL_ZERO)]
-        i = 0
-        for a, b in union:
-            while i < last and pts[i + 1][0] <= a:
-                i += 1
-            out.append((a, _pl_value(pts, i, a)))
-            while i < last and pts[i + 1][0] < b:
-                i += 1
-                out.append(pts[i])
-            if b != a:
-                if i < last and pts[i + 1][0] == b:
-                    i += 1
-                out.append((b, _pl_value(pts, i, b)))
-        if union[-1][1] != 1:
-            out.append((_PL_ONE, _PL_ZERO))
-        return Element(self, _pl_strip_collinear(_pl_rows(out)))
 
     def piece_builder(self, x):
         """The support components of x, and a builder that slices x's
         payload at them (``_pl_slice``): one component walk, and no
-        interpolation or strip."""
+        interpolation or strip.  ``oracles.pl_restrict`` on the kept
+        components is the reference."""
         pts = x.payload
         comps = _pl_component_walk(pts)
         return ([(a, b) for a, b, _, _ in comps],
@@ -1741,16 +1694,6 @@ def support_size(x: Element) -> int:
     """Count of nonzero atoms/components, and a nonzero tail; a proxy for
     decomposition ties."""
     return len(x.space.support(x)) + has_infinite_fragments(x)
-
-
-def pl_components(x: Element):
-    """Connected components of {t : x(t) != 0}, as (start, end) pairs."""
-    return x.space.components(x)
-
-
-def pl_restrict(x: Element, components) -> Element:
-    """x on the chosen components, zero elsewhere."""
-    return x.space.restrict(x, components)
 
 
 # --- formatting and ordering keys ------------------------------------------

@@ -1,3 +1,5 @@
+import os
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,12 @@ import pytest
 from hypothesis import strategies as st
 
 from rieszlab.spaces import PiecewiseLinear, normalize
+
+# pytest imports rieszlab from src (``pythonpath`` in pyproject.toml);
+# the ``python -m rieszlab`` subprocesses of the tests find it here
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 ACCEPTANCE_LINES = []
 

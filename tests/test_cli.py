@@ -349,6 +349,17 @@ def test_check_subcommand_exit_codes():
     assert code == cli.EXIT_CHECK_FAILED
 
 
+def test_check_config_flags_accumulate(tmp_path):
+    # each --config flag adds its entries; a later one keeps the earlier
+    report = tmp_path / "report.txt"
+    code, out = run_cli("check", "ex-2.2", "--config", "level=10",
+                        "--config", "bound=3", "--report", str(report))
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "level 12:" not in out
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert "config.level=10" in lines and "config.bound=3" in lines
+
+
 def test_check_config_errors_are_preconditions():
     # beyond the enumeration cap: exit 4, not a check failure (exit 5)
     code, out = run_cli("check", "frag-boolean", "--config", "n=19")

@@ -600,6 +600,17 @@ def test_lateral_bound_scan_exact():
     assert scan.table == () and scan.growth is None
 
 
+def test_lateral_bound_scan_exact_applies_the_bound():
+    # the fragment images of coord[1,1] reach coord[5,5], above the bound
+    T = diagonal_kernel(Coordinate(2), [poly(0, 5)] * 2)
+    scan = lateral_bound_scan(T, coord(1, 1), bound=coord(0, 0))
+    assert scan.mode == "exact" and scan.hi == coord(5, 5)
+    assert scan.growth is True and scan.report.verdict == FAILS
+    assert scan.report.notes == "exact bounds over 4 fragments"
+    scan = lateral_bound_scan(T, coord(1, 1), bound=coord(5, 5))
+    assert scan.growth is False and scan.report.verdict == HOLDS
+
+
 def test_lateral_bound_scan_needs_level_on_infinite_algebra():
     with pytest.raises(PreconditionError):
         lateral_bound_scan(AlternatingSeries(), one(EC))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszlab import generators as gen
-from rieszlab import oplattice
+from rieszlab import oplattice, spaces
 from rieszlab.checks import _window_tables
 from rieszlab.errors import (
     EnumerationCapExceeded, MalformedElement, PreconditionError,
@@ -720,14 +720,17 @@ def _table_bodies(domain, atoms, codomain, targets, x):
     domains kernels, each row sending one of the first ``atoms`` atoms
     to one of the first ``targets``, so rows share targets; on
     eventually constant sequences linear maps; and the lattice
-    operations of all these."""
+    operations of all these.  Half the draws with a lateral meet among
+    the leaves are a bare meet whose b is a nonzero sum of x's pieces,
+    so that a piece below b must lose its image."""
     values = _codomain_values(codomain, targets)
     parts = pieces(x)
     sums = (st.sets(st.sampled_from(parts)).map(
         lambda ps: sum(ps, zero(domain))) if parts else st.just(zero(domain)))
+    nonzero = sums.filter(lambda k: not is_zero(k))
     leaves = [st.just(ZeroOp(domain, codomain)), st.lists(
-        st.tuples(sums.filter(lambda k: not is_zero(k)), values),
-        min_size=1, max_size=3, unique_by=lambda e: e[0]).map(
+        st.tuples(nonzero, values), min_size=1, max_size=3,
+        unique_by=lambda e: e[0]).map(
         lambda e: MatchTable(domain, codomain, tuple(e)))]
     if codomain == domain:
         params = st.one_of(sums, sums.map(lambda k: scale(2, k)))
@@ -747,7 +750,11 @@ def _table_bodies(domain, atoms, codomain, targets, x):
         st.tuples(st.sampled_from(("join", "meet")), leaf, leaf),
         st.tuples(st.sampled_from(("pos", "neg", "mod")), leaf)).map(
         lambda c: OpLattice(c[0], c[1:]))
-    return _combinations(st.one_of(leaf, lattice))
+    bodies = _combinations(st.one_of(leaf, lattice))
+    if codomain != domain or not parts:
+        return bodies
+    return st.one_of(st.builds(LateralMeet, st.just(domain), params, nonzero),
+                     bodies)
 
 
 def _operands_and_point(count):
@@ -783,13 +790,13 @@ def test_fragment_tables_match_one_application_per_fragment(case):
 def test_fragment_tables_count_their_applications(monkeypatch):
     # a lateral meet is additive and reads its piece images off its two
     # meets with the point, so it is never applied; the match table
-    # applies to all eight fragments, sliced with no restriction
+    # applies to all eight fragments, each sliced once from x's payload
     x = pl((0, 1), (Q(1, 4), -1), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0))
-    assert len(PiecewiseLinear().components(x)) == 3
+    assert len(PiecewiseLinear().support(x)) == 3
     S = LateralMeet(x.space, x, zero(x.space))
     T = match_table([(pl((0, 0), (Q(1, 2), 0), (Q(3, 4), 2), (1, 0)),
                       one(x.space))])
-    calls = {"apply": 0, "restrict": 0}
+    calls = {"apply": 0, "slice": 0}
 
     def counted(name, method):
         def run(*args):
@@ -799,12 +806,15 @@ def test_fragment_tables_count_their_applications(monkeypatch):
 
     monkeypatch.setattr(LateralMeet, "_apply",
                         counted("apply", LateralMeet._apply))
-    monkeypatch.setattr(PiecewiseLinear, "restrict",
-                        counted("restrict", PiecewiseLinear.restrict))
+    monkeypatch.setattr(spaces, "_pl_slice",
+                        counted("slice", spaces._pl_slice))
+    # x itself is the full entry, so seven fragments are sliced
     assert len(set(Restrictions(x))) == 8
-    assert calls == {"apply": 0, "restrict": 0}
+    assert calls == {"apply": 0, "slice": 7}
+    # the table slices them once more, and the common fragment of x
+    # and 0 slices one
     point = extrema_by_enumeration(S, T, x, "sup")
-    assert calls == {"apply": 0, "restrict": 0}
+    assert calls == {"apply": 0, "slice": 15}
     assert point.value == _enumeration_by_apply(S, T, x, "sup")[0]
 
 

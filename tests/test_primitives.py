@@ -1,14 +1,15 @@
 """Differential tests of the element calculus against its references.
 
-Each model decides ``leq`` and ``is_disjoint`` on its payloads, the
-piecewise-linear model restricts in one walk, and
-``enumerate_decompositions`` builds both sides of a splitting by
-restriction.  Every one of these is checked here against the formula it
+Each model decides ``leq`` and ``is_disjoint`` on its payloads, builds
+x on a subset of its support pieces with ``piece_builder`` (the
+piecewise-linear model slices its payload), and
+``enumerate_decompositions`` builds both sides of a splitting with that
+builder.  Every one of these is checked here against the formula it
 replaced, on elements that Hypothesis builds from rationals through
 ``normalize`` and shrinks on failure: ``leq_by_difference`` and
 ``disjoint_by_modulus``, the ``Space`` defaults, and the references of
-``rieszlab.oracles``.  The atomic models kept their restriction and
-common fragment; those are checked against their definition.
+``rieszlab.oracles``.  The atomic models' builder and common fragment
+are checked against their definition.
 
 The atomic models store an integral scalar as an ``int``; the same
 elements rebuilt on all-``Fraction`` payloads are the oracle for that.
@@ -20,9 +21,9 @@ order and disjointness on integer numerators and denominators, scales
 without the collinear strip, and takes parts and moduli in one walk
 that inserts the zero crossings.  Its references evaluate the
 operands point by point in ``Fraction`` arithmetic and strip collinear
-points by their own code (``oracles.pl_pointwise``, ``pl_leq``,
-``pl_disjoint`` and ``pl_restrict``), so a fault of the model's strip
-shows here too.  Kernel polynomials evaluate by an integer Horner,
+points by their own code (``oracles.pl_pointwise``, ``pl_leq`` and
+``pl_disjoint``), so a fault of the model's strip shows here too; the
+slicer's reference ``pl_restrict`` restricts x to closed intervals.  Kernel polynomials evaluate by an integer Horner,
 checked against the Fraction Horner ``eval_by_fractions``.  The
 piecewise-linear support components come from one walk on the signs of
 the value numerators, and the greatest common fragment compares
@@ -53,7 +54,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rieszlab import generators
-from rieszlab.errors import MalformedElement
 from rieszlab.lateral import enumerate_decompositions, lateral_inf
 from rieszlab.mutations import tampered
 from rieszlab.operators import PiecewisePoly, apply
@@ -169,41 +169,26 @@ def test_order_disjointness_and_common_fragment_match_the_formulas(model):
     check()
 
 
-def _parts(x):
-    """Sets of support pieces of x, and on PL arbitrary intervals too:
-    reversed, degenerate, overlapping or reaching outside [0,1]."""
-    pieces = x.space.support(x)
-    support = (st.lists(st.sampled_from(pieces), unique=True) if pieces
-               else st.just([]))
-    if x.space == PL:
-        ends = st.fractions(min_value=Q(-1, 4), max_value=Q(5, 4),
-                            max_denominator=8)
-        return st.one_of(support, st.lists(st.tuples(ABSCISSAE, ABSCISSAE),
-                                           max_size=3),
-                         st.lists(st.tuples(ends, ends), max_size=3))
-    return st.one_of(support, st.lists(
-        st.integers(1, x.space.atom_count() or 8), max_size=4))
-
-
 @pytest.mark.parametrize("model", MODELS)
 def test_restrict_matches_its_reference_or_definition(model):
+    # x on a subset of its support pieces, as ``piece_builder`` builds
+    # it: on PL against the interval reference, on the atomic models
+    # against the definition
     @SETTINGS
     @given(st.data())
     def check(data):
         x = data.draw(ELEMENTS[model])
-        parts = data.draw(_parts(x))
+        parts, build = x.space.piece_builder(x)
+        mask = data.draw(st.lists(st.booleans(), min_size=len(parts),
+                                  max_size=len(parts)))
+        got = build([k for k, keep in enumerate(mask) if keep])
+        kept = [p for p, keep in zip(parts, mask) if keep]
         if x.space == PL:
-            if all(0 <= a <= b <= 1 for a, b in parts):
-                assert x.space.restrict(x, parts) == pl_restrict(x, parts)
-            else:
-                with pytest.raises(MalformedElement):
-                    x.space.restrict(x, parts)
+            assert got == pl_restrict(x, kept)
             return
-        # atomic models restrict as before; check the definition instead
-        got = x.space.restrict(x, parts)
-        top = x.space.atom_count() or max([*parts, *x.space.support(x), 0]) + 1
+        top = x.space.atom_count() or max([*parts, 0]) + 1
         for i in range(1, top + 1):
-            assert get_atom(got, i) == (get_atom(x, i) if i in parts else 0)
+            assert get_atom(got, i) == (get_atom(x, i) if i in kept else 0)
 
     check()
 
@@ -403,15 +388,17 @@ def _sharing_pl_pairs(draw):
         return (normalize(PL, [(0, ends[0])] + middle + [(1, ends[1])]),
                 normalize(PL, [(0, ends[2])] + middle + [(1, ends[3])]))
     x = draw(pl_elements())
-    comps = PL.components(x)
-    kept = draw(st.lists(st.sampled_from(comps), unique=True)) if comps else []
-    y = PL.restrict(x, kept)
+    comps, build = PL.piece_builder(x)
+    kept = sorted(draw(st.lists(st.sampled_from(range(len(comps))),
+                                unique=True))) if comps else []
+    y = build(kept)
     if draw(st.booleans()):
-        dropped = [c for c in comps if c not in kept]
-        return x, add(y, scale(draw(NONZERO), PL.restrict(x, dropped)))
+        dropped = [k for k in range(len(comps)) if k not in kept]
+        return x, add(y, scale(draw(NONZERO), build(dropped)))
     z = draw(pl_elements())
-    return x, add(y, PL.restrict(z, [c for c in PL.components(z) if
-                                     is_disjoint(PL.restrict(z, [c]), y)]))
+    theirs, build_z = PL.piece_builder(z)
+    return x, add(y, build_z([k for k in range(len(theirs))
+                              if is_disjoint(build_z((k,)), y)]))
 
 
 @SETTINGS
@@ -419,7 +406,7 @@ def _sharing_pl_pairs(draw):
                  _crossing_pairs(ELEMENTS["pl"])))
 def test_pl_component_walk_matches_the_crossing_reference(pair):
     for x, y in (pair, pair[::-1]):
-        comps = PL.components(x)
+        comps = PL.support(x)
         assert comps == pl_components_by_crossing(x)
         assert all(type(t) is Q for c in comps for t in c)
         got = PL.common_fragment(x, y)
@@ -457,12 +444,11 @@ PL_FRAGMENT_POINTS = st.one_of(pl_elements(), _alternating_pl())
 @given(PL_FRAGMENT_POINTS)
 def test_pl_piece_builder_matches_the_restriction_default(x):
     parts, build = PL.piece_builder(x)
-    ref_parts, ref_build = Space.piece_builder(PL, x)
-    assert parts == ref_parts == pl_components_by_crossing(x)
+    assert parts == pl_components_by_crossing(x)
     for mask in range(1 << len(parts)):
         keep = [k for k in range(len(parts)) if mask >> k & 1]
         got = build(keep)
-        assert got.payload == ref_build(keep).payload == \
+        assert got.payload == \
             pl_restrict(x, [parts[k] for k in keep]).payload
         assert is_canonical(got)
     assert build(range(len(parts))) == x

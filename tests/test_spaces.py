@@ -11,8 +11,8 @@ from rieszlab.spaces import (
     Coordinate, Element, EventuallyConstant, FinSupport, LogTwo,
     PiecewiseLinear, SimpleFunction, absolute, add, atom_count,
     coord, div, ec, eval_at, fin, format_element, from_atoms, get_atom, inf,
-    is_disjoint, leq, neg_part, normalize, one, pl, pl_components,
-    pl_restrict, pos_part, q, scale, simple, space_name, sub, sup,
+    is_disjoint, leq, neg_part, normalize, one, pieces, pl, pos_part, q,
+    scale, simple, space_name, sub, sup,
     support_atoms, support_size, zero,
 )
 
@@ -89,7 +89,7 @@ def test_pl_payloads_stay_fractions():
     # a bare / on PL abscissae and values stays exact
     for x in (pl((0, 0), (1, 2)), zero(PiecewiseLinear()),
               one(PiecewiseLinear()), scale(2, pl((0, 1), (1, 3))),
-              pl_restrict(pl((0, 1), (Q(1, 2), 2), (1, 1)), [(0, Q(1, 2))])):
+              *pieces(pl((0, 1), (Q(1, 4), 0), (Q(1, 2), 2), (1, 1)))):
         assert all(type(v) is Q for pt in x.payload for v in pt), x.payload
 
 
@@ -204,9 +204,6 @@ PINNED = [
         "support_size": 2,
         "eval_at": (Unsupported,
                     "cannot evaluate an element of coord(3) at a point"),
-        "pl_components": (Unsupported,
-                          "components are defined for piecewise-linear "
-                          "elements"),
         "random_element": "coord[-1,0,-3]",
         "random_disjoint_pair": ("coord[0,0,-1]", "coord[-1,0,0]"),
     }),
@@ -222,9 +219,6 @@ PINNED = [
         "support_atoms": [1, 3],
         "support_size": 2,
         "eval_at": Q(0),
-        "pl_components": (Unsupported,
-                          "components are defined for piecewise-linear "
-                          "elements"),
         "random_element": "simple{0,1/3,2/3,1}[-1,0,-3]",
         "random_disjoint_pair": ("simple{0,1/3,2/3,1}[0,0,-1]",
                                  "simple{0,1/3,2/3,1}[-1,0,0]"),
@@ -243,9 +237,6 @@ PINNED = [
         "support_size": 2,
         "eval_at": (Unsupported,
                     "cannot evaluate an element of fin at a point"),
-        "pl_components": (Unsupported,
-                          "components are defined for piecewise-linear "
-                          "elements"),
         "random_element": "fin{(3,2),(7,-1)}",
         "random_disjoint_pair": ("fin{(3,2),(7,1)}", "fin{}"),
     }),
@@ -262,9 +253,6 @@ PINNED = [
         "support_size": 2,
         "eval_at": (Unsupported,
                     "cannot evaluate an element of ec at a point"),
-        "pl_components": (Unsupported,
-                          "components are defined for piecewise-linear "
-                          "elements"),
         "random_element": "ec[-1,2|-1]",
         "random_disjoint_pair": ("ec[0,-1,-1/3,1,-3/2|0]",
                                  "ec[0,0,0,0,0,-3|-1]"),
@@ -282,7 +270,6 @@ PINNED = [
         "support_atoms": (Unsupported, "pl is not atomic"),
         "support_size": 2,
         "eval_at": Q(0),
-        "pl_components": [(Q(0), Q(1, 4)), (Q(1, 2), Q(1))],
         "random_element": "pl{(0,2),(1/4,-1),(1/2,-3),(1,1)}",
         "random_disjoint_pair": ("pl{(0,0),(1,0)}",
                                  "pl{(0,0),(3/8,0),(11/16,-3),(1,0)}"),
@@ -300,9 +287,6 @@ PINNED = [
         "support_size": (Unsupported, "ln2 is not atomic"),
         "eval_at": (Unsupported,
                     "cannot evaluate an element of ln2 at a point"),
-        "pl_components": (Unsupported,
-                          "components are defined for piecewise-linear "
-                          "elements"),
         "random_element": (Unsupported, "cannot sample from LogTwo()"),
         "random_disjoint_pair": (Unsupported, "cannot sample from LogTwo()"),
     }),
@@ -339,7 +323,6 @@ def test_per_model_behaviour_is_pinned(space, raw, expected):
         "support_atoms": lambda: support_atoms(x),
         "support_size": lambda: support_size(x),
         "eval_at": lambda: eval_at(x, Q(1, 2)),
-        "pl_components": lambda: pl_components(x),
         "random_element": lambda: gen.random_element(random.Random(7), space),
         "random_disjoint_pair":
             lambda: gen.random_disjoint_pair(random.Random(7), space),
