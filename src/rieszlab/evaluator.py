@@ -157,10 +157,8 @@ _OPS = {
     ("|...|", ELEMENT): lambda x: spaces.absolute(x),
     ("|...|", OPERATOR): lambda T: OpLattice("mod", (T,)),
     ("apply", OPERATOR, ELEMENT): lambda T, x, level: T.at(x, level),
-    ("fragments", ELEMENT): lambda e, level: (
-        lateral.fragment_iter(e, level)
-        if level is not None and spaces.has_infinite_fragments(e)
-        else lateral.enumerate_fragments(e)),
+    ("fragments", ELEMENT):
+        lambda e, level: lateral.enumerate_fragments(e, level),
     ("decomps", ELEMENT):
         lambda x, level: lateral.enumerate_decompositions(x, level=level),
     ("latsup", ELEMENT, ELEMENT): lambda x, y: lateral.lateral_sup(x, y),

@@ -4,10 +4,10 @@ A fragment of e is an x with x disjoint from e - x; fragments of a
 fixed e form a Boolean algebra under the lateral supremum and infimum.
 A finite algebra (all spaces except eventually constant sequences with
 a nonzero tail) is built once, by ``Restrictions``, and enumerated
-exactly; an infinite one is truncated at a level, where
-``fragment_iter`` sums the subsets of e's pieces, with guaranteed
-monotone inclusion between levels; the levels are the model's
-(``Space.min_level``)."""
+exactly.  An infinite one is truncated at a level (``Space.min_level``),
+where it is a finite algebra too: ``Restrictions(e, level)`` has e's
+nonzero atoms through the level and the rest of e beyond them as its
+pieces, and the algebras grow monotonely with the level."""
 
 from __future__ import annotations
 
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from .errors import EnumerationCapExceeded, PreconditionError
 from . import spaces
 from .spaces import (
-    Element, add, canonical_key, format_element, get_atom,
-    has_infinite_fragments, inf, is_disjoint, neg_part, pos_part, sub, sup,
-    unit_atom, zero,
+    Element, add, canonical_key, format_element, has_infinite_fragments, inf,
+    is_disjoint, neg_part, pos_part, sub, sup, zero,
 )
 
 # enumerating more fragments than this is refused outright
@@ -95,35 +94,38 @@ class FragmentEnumeration(tuple):
     count = property(len)
 
 
-def _check_cap(count, what):
-    if count > ENUM_CAP:
-        raise EnumerationCapExceeded(
-            f"{what} has {count} members, beyond the enumeration cap {ENUM_CAP}")
-
-
 class Restrictions:
-    """The fragment algebra of e, when finite, indexed by mask: entry m
-    is e on the support pieces ``parts[k]`` whose bit k is set in m, so
-    entry ``full ^ m`` is the rest of e, and entry ``full`` is e itself.
-    The one builder of a finite fragment algebra: the enumerations of
-    fragments and splittings and the folds of the operator lattice read
-    it.  The pieces and each entry come from the model's
-    ``piece_builder``; an entry is built on first use and kept, so the
-    folds that share one table build every restriction at most once."""
+    """The fragment algebra of e, indexed by mask: entry m is e on the
+    pieces ``parts[k]`` whose bit k is set in m, so entry ``full ^ m``
+    is the rest of e, and entry ``full`` is e itself.  Where e has
+    infinitely many fragments it is cut at a ``level``: the pieces are
+    e's nonzero atoms through it and the rest of e (``spaces.TAIL``).
+    The one builder of a fragment algebra, from the model's
+    ``piece_builder``: the enumerations and the folds of the operator
+    lattice read it.  An entry is built on first use and kept."""
 
-    def __init__(self, e: Element):
-        if has_infinite_fragments(e):
+    def __init__(self, e: Element, level: int | None = None):
+        if not has_infinite_fragments(e):
+            level = None
+        elif level is None:
             raise PreconditionError(
                 "fragment algebra of a nonzero-tail element is infinite; "
-                "use fragment_iter with a level")
-        self.base = e
-        self.parts, self._build = e.space.piece_builder(e)
+                "supply a truncation level")
+        else:
+            require_level(e, level)
+        self.base, self.level = e, level
+        self.parts, self._build = e.space.piece_builder(e, level)
         self.full = (1 << len(self.parts)) - 1
         self._built = {self.full: e}
 
     def check_cap(self):
         """Refuse to visit every mask beyond the cap; entries stay readable."""
-        _check_cap(len(self), "fragment algebra")
+        if len(self) > ENUM_CAP:
+            what = ("fragment algebra" if self.level is None
+                    else "truncated fragment set")
+            raise EnumerationCapExceeded(
+                f"{what} has {len(self)} members, beyond the enumeration "
+                f"cap {ENUM_CAP}")
 
     def __len__(self):
         return self.full + 1
@@ -139,36 +141,21 @@ class Restrictions:
         return (self[mask] for mask in range(self.full + 1))
 
 
-def enumerate_fragments(e: Element) -> FragmentEnumeration:
-    """The full fragment algebra of e; exact and exhaustive.
-
-    Refused for eventually constant elements with a nonzero tail
-    (infinite algebra; use fragment_iter).
-    """
-    items = sorted(Restrictions(e), key=canonical_key)
-    return FragmentEnumeration(items)
+def enumerate_fragments(e: Element, level: int | None = None):
+    """The entries of ``Restrictions(e, level)``, sorted; exact and
+    exhaustive.  An element with infinitely many fragments needs a
+    ``level``, and elsewhere it changes nothing."""
+    return FragmentEnumeration(sorted(Restrictions(e, level),
+                                      key=canonical_key))
 
 
 def fragment_iter(e: Element, level: int) -> FragmentEnumeration:
-    """Level-truncated fragments of an eventually constant element.
-
-    Every subset of positions 1..level combined with a tail choice in
-    {0, tail of e}: the subset sums of the pieces of e at ``level``,
-    its nonzero atoms through ``level`` and, for a nonzero tail, the
-    rest of e beyond them.  Distinct subsets of disjoint nonzero
-    pieces have distinct sums, each a fragment of e; the produced set
-    at level L is contained in the one at level L+1.  An element of
+    """Level-truncated fragments of an eventually constant element; the
+    set at level L is contained in the one at level L+1.  An element of
     another model has no levels, and is refused (``Space.min_level``).
     """
     require_level(e, level)
-    _check_cap((1 << level) * 2, "truncated fragment set")
-    space = e.space
-    parts = [unit_atom(space, i, v) for i in range(1, level + 1)
-             if (v := get_atom(e, i)) != 0]
-    if has_infinite_fragments(e):
-        parts.append(sub(e, functools.reduce(add, parts, zero(space))))
-    items = sorted(space.subset_table(parts), key=canonical_key)
-    return FragmentEnumeration(items)
+    return enumerate_fragments(e, level)
 
 
 def min_level(z: Element) -> int:
@@ -185,26 +172,17 @@ def require_level(e: Element, level: int):
 
 
 def extend_levels(table: list, level: int) -> list:
-    """A level table from a walk cut at the operators' window
-    (``EventuallyConstant.level_walk``), continued through ``level``
-    with copies of its last row."""
+    """A level table cut at the operators' window, continued through
+    ``level`` with copies of its last row."""
     last, *row = table[-1]
     return table + [(l, *row) for l in range(last + 1, level + 1)]
 
 
 def enumerate_decompositions(x: Element, level: int | None = None):
-    """All disjoint splittings x = u + v, one per fragment u of x, in
-    the order of u.
-
-    On a finite fragment algebra u and v are the restrictions of x to
-    complementary sets of its support pieces, each restriction built
-    once and paired with its complement; the level-truncated
-    splittings of an eventually constant x subtract, v = x - u.
+    """All disjoint splittings x = u + v, in the order of u: the
+    entries of ``Restrictions(x, level)`` paired with their complements.
     """
-    if level is not None and has_infinite_fragments(x):
-        return tuple(Decomposition(x, u, sub(x, u))
-                     for u in fragment_iter(x, level))
-    frags = Restrictions(x)
+    frags = Restrictions(x, level)
     decs = [Decomposition(x, u, frags[frags.full ^ mask])
             for mask, u in enumerate(frags)]
     decs.sort(key=lambda d: canonical_key(d.left))

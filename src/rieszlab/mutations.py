@@ -72,10 +72,18 @@ mutants:
   oracles of ``thm-3.2-join``, ``cor-3.3-meet`` and corollaries 3.4 to
   3.6 evaluate by ``eval_by_fractions`` and catch it.
 * ``kernel-window-short`` -- ``Kernel.window`` returns one less than
-  the largest row atom, so the level walks of the operator lattice and
-  of the lateral bound scan stop one level early and lose the last
+  the largest row atom, so the level tables of the operator lattice and
+  of the lateral bound scan are cut one level early and lose the last
   row's atom from every later level.  ``op-level-window`` compares the
   cut tables with the full walk and catches it.
+* ``level-suffix-drops-tail`` -- the suffix sums of the closed level
+  fold (``oplattice._rest_images``) leave out the image of w_L, the
+  rest of the point beyond the top level L, so each level reads the
+  image of the atoms between it and L alone where it should read the
+  image of the rest of the point beyond it.  ``op-level-window``
+  compares the cut table with the full walk, which applies both bodies
+  to the rest beyond each level, and catches it; so does
+  ``thm-2.3-forward``, which compares its scan with an enumeration.
 * ``pl-common-skips-end-values`` -- the piecewise-linear greatest
   common fragment keeps a component shared as an interval with the same
   breakpoints inside, without comparing the values at an end at t=0 or
@@ -233,11 +241,22 @@ _kernel_piece_images = operators.Kernel.piece_images
 
 
 def _kernel_pieces_read_next_atom(self, frags):
-    # the images at the point whose pieces take their next piece's value
-    x, parts = frags.base, list(frags.parts)
-    values = [x.space.get_atom(x, a) for a in parts[1:] + parts[:1]]
+    # the images at the point whose atoms take their next atom's value;
+    # the rest of the point beyond a level keeps its own image
+    x = frags.base
+    atoms = [a for a in frags.parts if a is not spaces.TAIL]
+    values = [x.space.get_atom(x, a) for a in atoms[1:] + atoms[:1]]
     return _kernel_piece_images(self, lateral.Restrictions(
-        spaces.from_atoms(x.space, dict(zip(parts, values)))))
+        spaces.from_atoms(x.space, dict(zip(atoms, values))))) + \
+        _kernel_piece_images(self, frags)[len(atoms):]
+
+
+_rest_images = oplattice._rest_images
+
+
+def _rest_images_drop_tail(images, count):
+    # the suffix sums of the atoms alone, as if w_L mapped to zero
+    return _rest_images(images[:-1] + [zero(images[-1].space)], count)
 
 
 _lateral_meet_piece_images = operators.LateralMeet.piece_images
@@ -401,6 +420,8 @@ MUTATIONS = {
     "poly-horner-late-power": (operators.PiecewisePoly, "__call__",
                                _poly_horner_late_power),
     "kernel-window-short": (operators.Kernel, "window", _kernel_window_short),
+    "level-suffix-drops-tail": (oplattice, "_rest_images",
+                                _rest_images_drop_tail),
     "pl-common-skips-end-values": (spaces.PiecewiseLinear, "common_fragment",
                                    _pl_common_skips_end_values),
     "pl-strip-spares-a-collinear-point": (spaces, "_pl_strip_collinear",

@@ -13,7 +13,8 @@ reads its image off the one row that reads its atom; a lateral meet
 maps it to itself when its part lies in the support of the point's
 meet with a alone, to its negative when in the meet with b alone, and
 to 0 otherwise; the zero operator returns zeros; sums and multiples add
-and scale their parts' images.
+and scale their parts' images; at a level, a kernel sums its rows past
+it for the rest of the point (``spaces.TAIL``), and a lateral meet applies.
 The other bodies keep the default, one application per piece, which is
 the reference for every override.
 """
@@ -33,7 +34,7 @@ from .lateral import enumerate_decompositions, min_level
 from .reports import Budget, CheckReport
 from .spaces import (
     Coordinate, Element, EventuallyConstant, LogTwo, PiecewiseLinear,
-    SimpleFunction, ZERO, absolute, add, atom_count, format_element,
+    SimpleFunction, TAIL, ZERO, absolute, add, atom_count, format_element,
     from_atoms, get_atom, has_infinite_fragments, is_disjoint, is_zero,
     leq, normalize, one, scale, space_name, sub, support_atoms,
     support_size, unit_atom, zero,
@@ -242,12 +243,18 @@ class Kernel(Operator):
 
     def piece_images(self, frags):
         # a piece is one atom of the point, so its image comes from the
-        # one row that reads that atom, or is zero if no row does
+        # one row that reads that atom, or is zero if no row does; the
+        # rest of the point beyond a level is read by every row past it
         x, images = frags.base, dict.fromkeys(frags.parts, zero(self.codomain))
+        rest = {}
         for i, j, fn in self.table:
             if i in images:
                 images[i] = from_atoms(self.codomain,
                                        {j: fn(x.space.get_atom(x, i))})
+            elif TAIL in images and i > frags.level:
+                rest[j] = rest.get(j, ZERO) + fn(x.payload[1])
+        if TAIL in images:
+            images[TAIL] = from_atoms(self.codomain, rest)
         return list(images.values())
 
     def linear_probes(self):
@@ -431,13 +438,18 @@ class LateralMeet(Operator):
     def piece_images(self, frags):
         # a piece p of x has one part, so p meet a is p or 0, and it is p
         # exactly when p's part is one of x meet a: the fragments of p
-        # are 0 and p, and x meet a is the sum of x's pieces below a
-        x = frags.base
-        support = x.space.support
-        below_a = set(support(lateral.lateral_inf(x, self.a)))
-        below_b = set(support(lateral.lateral_inf(x, self.b)))
+        # are 0 and p, and x meet a is the sum of x's pieces below a.  At a
+        # level a meet reaches past its support, and the rest is applied
+        x, level = frags.base, frags.level
+        below_a, below_b = (
+            set(x.space.support(m)) if level is None
+            else {n for n in frags.parts[:-1] if get_atom(m, n)}
+            for m in (lateral.lateral_inf(x, y) for y in (self.a, self.b)))
         images = []
         for k, part in enumerate(frags.parts):
+            if part is TAIL:
+                images.append(apply(self, frags[1 << k]))
+                continue
             sign = (part in below_a) - (part in below_b)
             piece = frags[1 << k] if sign else zero(self.space)
             images.append(scale(-1, piece) if sign < 0 else piece)
@@ -802,10 +814,11 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     the zero operator at e, (T ^ 0)(e) and (T v 0)(e), folded by
     ``oplattice``.  Finite algebras give exact bounds.  For eventually
     constant bases with nonzero tail, pass a level: the table holds the
-    extremes level by level, folded atom by atom for structurally
-    additive bodies and over bounded enumeration otherwise.  A maximum
-    that is not at most ``bound``, a value of the codomain, fails the
-    scan, exact or truncated, and sets ``growth``.
+    extremes level by level, read off the piece images at the operators'
+    window cut for structurally additive bodies, and over bounded
+    enumeration otherwise.  A maximum that is not at most ``bound``, a
+    value of the codomain, fails the scan, exact or truncated, and sets
+    ``growth``.
     ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at

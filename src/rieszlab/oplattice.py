@@ -6,11 +6,12 @@ modulus are the matching infima/suprema.  No order completeness is
 assumed anywhere.  When both operators are additive on disjoint sums,
 the fold over splittings distributes into one fold per piece of x (its
 support atoms, or its support components on piecewise-linear functions):
-exactly for finite fragment algebras, level by level for infinite ones,
-on every codomain.  Other pairs enumerate the splittings as masks over
-fragment tables (``extrema_by_enumeration``).  A table is the
-codomain's: on cell spaces one integer column per cell, so a splitting
-costs integer additions and no element, elsewhere a list of values.
+exactly for finite fragment algebras, level by level from the pieces of
+one level for infinite ones, on every codomain.  Other pairs enumerate
+the splittings as masks over fragment tables (``extrema_by_enumeration``).
+A table is the codomain's: on cell spaces one integer column per cell,
+so a splitting costs integer additions and no element, elsewhere a list
+of values.
 Both folds read an additive body's images of x's pieces, and nothing
 else of it beyond ``apply`` (``Operator.piece_images``).
 
@@ -24,12 +25,12 @@ without evaluating an inner body at a point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import MalformedElement, PreconditionError, SpaceMismatch
 from .lateral import (
-    Decomposition, Restrictions, enumerate_decompositions, extend_levels,
-    is_fragment, min_level, require_level,
+    Decomposition, Restrictions, extend_levels, is_fragment, min_level,
 )
 from .operators import Operator, ZeroOp, apply, joint_window, negate
 from .spaces import (
@@ -83,7 +84,6 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     if level is None:
         raise PreconditionError(
             "infinite splitting family: supply a truncation level")
-    require_level(x, level)
     if additive:
         levels = _levels_closed(S, T, x, kind, level, joint_window((S, T)))
     else:
@@ -169,48 +169,64 @@ def _extrema_closed(S, T, x, kind):
     return LatticePoint("exact", value=value, attained=attained)
 
 
-def _levels_closed(S, T, x, kind, level, window=None):
-    """Per-level fold without enumeration.
+def _rest_images(images, count):
+    """From one operator's piece images at level L, w_L's last, its
+    images of w_l = w_L + the atoms l < n <= L for the ``count`` + 1
+    levels l through L, in order."""
+    return list(itertools.accumulate(reversed(images[-1 - count:]),
+                                     lambda rest, atom: add(atom, rest)))[::-1]
 
-    Each splitting of x at level l assigns every atom n <= l and the
-    pure-tail part to one side, so the level value is the per-atom fold
-    over atoms 1..l plus the better image of the remaining tail.  Past
-    the operators' ``window`` that value is constant, and the walk stops
-    there (see ``EventuallyConstant.level_walk``).
+
+def _levels_closed(S, T, x, kind, level, window=None):
+    """Per-level fold without enumeration, from the piece images of
+    ``Restrictions(x, L)``, x's nonzero atoms n <= L and w_L, the rest of
+    x.  L is ``level`` or, with the operators' ``window``, the cut
+    max(window, min_level(x)) if that comes first.  The value at l <= L
+    is the fold of the per-atom picks through l plus the pick of the
+    images of w_l (``_rest_images``); past the window it is constant,
+    and ``extend_levels`` continues the table.
     """
-    pick = _PICK[kind]
-    acc = zero(S.codomain)
-    out = []
-    for l, atoms, w in x.space.level_walk(x, level, window):
-        acc, _ = _fold_pieces(acc, [apply(S, a) for a in atoms],
-                              [apply(T, a) for a in atoms], pick)
-        out.append((l, add(acc, pick(apply(S, w), apply(T, w)))))
+    pick, start = _PICK[kind], min_level(x)
+    cut = level if window is None else min(level, max(window, start))
+    frags = Restrictions(x, cut)
+    s, t = S.piece_images(frags), T.piece_images(frags)
+    first = len(frags.parts) - 1 - (cut - start)   # the pieces n <= start
+    acc, out = _fold_pieces(zero(S.codomain), s[:first], t[:first], pick)[0], []
+    for k, rest_s, rest_t in zip(range(first, len(frags.parts)),
+                                 _rest_images(s, cut - start),
+                                 _rest_images(t, cut - start)):
+        out.append((start + k - first, add(acc, pick(rest_s, rest_t))))
+        acc, _ = _fold_pieces(acc, s[k:k + 1], t[k:k + 1], pick)
     return extend_levels(out, level)
 
 
 def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
-    """The per-level fold at every level through ``level``, the walk
-    never cut at a window; the reference for the cut."""
-    return _levels_closed(S, T, x, kind, level)
+    """The per-level fold through ``level``, with no window and no suffix
+    sums: at the level of the first k pieces, their picks plus the pick
+    of S and T applied to the rest of x; the reference for the cut."""
+    pick, start, frags = _PICK[kind], min_level(x), Restrictions(x, level)
+    s, t = S.piece_images(frags), T.piece_images(frags)
+    first = len(frags.parts) - 1 - (level - start)   # the pieces n <= start
+    acc, out = _fold_pieces(zero(S.codomain), s[:first], t[:first], pick)[0], []
+    for l, k in enumerate(range(first, len(frags.parts)), start):
+        rest = frags[frags.full >> k << k]
+        out.append((l, add(acc, pick(apply(S, rest), apply(T, rest)))))
+        acc, _ = _fold_pieces(acc, s[k:k + 1], t[k:k + 1], pick)
+    return out
 
 
 def _levels_enumerated(S, T, x, kind, level):
-    """Per-level fold over the splittings of the top level, each
-    enumerated and applied once.
-
-    The truncated fragment sets grow with the level, and a fragment u
-    first joins them at max(min_level(x), min_level(u)): past the prefix
-    of x, u is a sum of atoms through l plus, or not, the tail of x
-    beyond l exactly when its own prefix ends by l.  So each splitting
-    is folded into its first level, and each level's value is the
-    running fold through it.  ``oracles.levels_by_enumeration``
-    enumerates every level on its own and is the reference.
+    """Per-level fold over the masks of ``Restrictions(x, level)``,
+    each applied once and folded into the first level that holds it:
+    past the prefix of x, a fragment u is a sum of atoms through l plus,
+    or not, the rest of x beyond l exactly when its own prefix ends by
+    l.  ``oracles.levels_by_enumeration`` is the reference.
     """
     pick, first = _PICK[kind], min_level(x)
-    by_level = {}
-    for d in enumerate_decompositions(x, level=level):
-        l = max(first, min_level(d.left))
-        value = add(apply(S, d.left), apply(T, d.right))
+    frags, by_level = Restrictions(x, level), {}
+    for mask, u in enumerate(frags):
+        l = max(first, min_level(u))
+        value = add(apply(S, u), apply(T, frags[frags.full ^ mask]))
         by_level[l] = pick(by_level[l], value) if l in by_level else value
     acc, out = by_level.pop(first), []  # u = 0 is in every level
     for l in range(first, level + 1):
@@ -300,8 +316,9 @@ class OpLattice(Operator):
         # a piece p splits only as p + 0 or 0 + p, and additive operands
         # vanish at 0, so the image of p is the pick of its two operands'
         # images: the second part's, the zero operator's for the parts,
-        # negate(T)'s for the modulus; the negative part is negated
-        if not self.atom_additive:
+        # negate(T)'s for the modulus; the negative part is negated.  At
+        # a level the default applies the body to the rest of x, and raises
+        if not self.atom_additive or frags.level is not None:
             return super().piece_images(frags)
         T, kind = self.parts[0], self.kind
         left = T.piece_images(frags)

@@ -21,7 +21,7 @@ from .lateral import Decomposition, enumerate_fragments, fragment_iter, min_leve
 from .operators import apply
 from .spaces import (
     ZERO, Element, EventuallyConstant, PiecewiseLinear, add, from_atoms,
-    get_atom, has_infinite_fragments, inf, sub, sup, support_atoms,
+    get_atom, inf, sub, sup, support_atoms,
 )
 
 
@@ -154,11 +154,8 @@ def common_fragment_by_agreement(x: Element, y: Element) -> Element:
 def decompositions_by_difference(x: Element, level: int | None = None):
     """The splittings as ``lateral.enumerate_decompositions`` built them
     before restriction: every fragment u, with v = x - u."""
-    if level is not None and has_infinite_fragments(x):
-        frags = fragment_iter(x, level)
-    else:
-        frags = enumerate_fragments(x)
-    return tuple(Decomposition(x, u, sub(x, u)) for u in frags)
+    return tuple(Decomposition(x, u, sub(x, u))
+                 for u in enumerate_fragments(x, level))
 
 
 def images_by_apply(T, frags) -> list:

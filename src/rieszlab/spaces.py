@@ -93,6 +93,7 @@ def _canonical(values) -> tuple:
 
 ZERO = 0
 ONE = 1
+TAIL = "tail"   # the part of the rest of a sequence beyond a level
 
 
 def _agreement(a, b):
@@ -231,13 +232,14 @@ class Space:
     the splitting enumeration folds, a list of values by default
     (``ImageTable``).  ``piece_builder`` gives x's support pieces and a
     builder of x on any subset of them.  It is the one way to build an
-    element on part of its support, and every finite fragment algebra
-    reads it.  By default it reads x's atoms into ``from_atoms``;
+    element on part of its support, and every fragment algebra reads
+    it.  By default it reads x's atoms into ``from_atoms``;
     ``PiecewiseLinear`` slices its payload instead.
 
-    Only ``EventuallyConstant`` has truncation levels (``min_level``,
-    ``level_walk``), so ``min_level`` refuses by default.  The samplers
-    ``random_fragment`` and ``random_split`` draw x's pieces by default.
+    Only ``EventuallyConstant`` has truncation levels (``min_level``, a
+    ``level`` of ``piece_builder``), so ``min_level`` refuses by
+    default.  The samplers ``random_fragment`` and ``random_split`` draw
+    x's pieces by default.
     """
 
     atomic = False      # elements are values on atoms 1, 2, 3, ...
@@ -277,7 +279,7 @@ class Space:
         nonzero tail aside), or its support components."""
         return self.support_atoms(x)
 
-    def piece_builder(self, x):
+    def piece_builder(self, x, level=None):
         """The support pieces of x (``support``) and a builder of x on
         any subset of them: ``build(keep)`` is x on the pieces whose
         indices, increasing, ``keep`` lists, zero elsewhere.  It is the
@@ -782,31 +784,24 @@ class EventuallyConstant(Space):
     def min_level(self, x):
         return len(x.payload[0])
 
-    def level_walk(self, e, level, window=None):
-        """(l, atoms, w) for each level l from min_level(e) on, for e
-        with a nonzero tail: the atoms of e that join the truncated
-        fragments at l, and w, the tail of e beyond l.  Each fragment
-        at level l is a sum of atoms yielded so far plus 0 or w, so
-        folds over the fragments can go atom by atom.  The atoms after
-        the first level and every w are built as canonical payloads:
-        the unit atom at l carries the tail of e, and w is l zeros and
-        the tail.
+    def piece_builder(self, x, level=None):
+        """At a truncation ``level``, x with a nonzero tail has as its
+        pieces its nonzero atoms n <= level and then the rest of x
+        beyond them (``TAIL``); each entry is built as a canonical
+        payload.  Elsewhere the default."""
+        prefix, tail = x.payload
+        if level is None or not tail:
+            return super().piece_builder(x)
+        values = prefix + (tail,) * (level - len(prefix))
+        parts = [n for n, v in enumerate(values, 1) if v] + [TAIL]
 
-        Without a ``window`` the walk runs through ``level``.  With the
-        window of the operators folded (``Operator.window``) it stops
-        at the cut max(window, min_level(e)), if that comes first: past
-        it every new atom maps to 0 and every w to one fixed image, so
-        the fold stays constant, and ``lateral.extend_levels`` copies
-        its last row."""
-        _, tail = e.payload
-        start = self.min_level(e)
-        stop = level if window is None else min(level, max(window, start))
-        yield start, pieces(e), Element(self, ((ZERO,) * start, tail))
-        zeros = (ZERO,) * start
-        for l in range(start + 1, stop + 1):
-            atom = Element(self, (zeros + (tail,), ZERO))
-            zeros += (ZERO,)
-            yield l, [atom], Element(self, (zeros, tail))
+        def build(keep):
+            rest = tail if keep and parts[keep[-1]] is TAIL else ZERO
+            vals = [ZERO] * level + [rest]
+            for k in keep[:-1] if rest else keep:
+                vals[parts[k] - 1] = values[parts[k] - 1]
+            return self._element(vals)
+        return parts, build
 
     def full_support(self, x):
         prefix, tail = x.payload
@@ -1226,7 +1221,7 @@ class PiecewiseLinear(Space):
         where x itself may be nonzero."""
         return [(a, b) for a, b, _, _ in _pl_component_walk(x.payload)]
 
-    def piece_builder(self, x):
+    def piece_builder(self, x, level=None):
         """The support components of x, and a builder that slices x's
         payload at them (``_pl_slice``): one component walk, and no
         interpolation or strip.  ``oracles.pl_restrict`` on the kept

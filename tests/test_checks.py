@@ -376,6 +376,7 @@ CATCHERS = {
     "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
                                "cor-3.5-neg", "cor-3.6-mod"),
     "kernel-window-short": ("op-level-window",),
+    "level-suffix-drops-tail": ("thm-2.3-forward", "op-level-window"),
     "kernel-table-drops-top-piece": ("thm-3.2-join", "cor-3.3-meet",
                                      "cor-3.4-pos", "cor-3.5-neg",
                                      "cor-3.6-mod", "thm-4.2-2", "thm-4.2-3"),
@@ -394,12 +395,13 @@ CATCHERS = {
         "thm-1.1-a", "thm-1.1-c", "thm-1.1-e", "thm-2.3-converse", "rem-c00",
         "thm-3.2-join", "thm-3.2-oao", "thm-3.2-pres-p", "cor-3.3-meet",
         "cor-3.4-pos", "cor-3.5-neg", "cor-3.6-mod", "cor-3.6-pres-P",
-        "thm-4.2-2", "thm-4.2-3"),
+        "op-level-window", "thm-4.2-2", "thm-4.2-3"),
     "latmeet-pieces-drop-b": ("thm-1.1-c", "thm-1.1-e", "thm-4.2-2",
                               "thm-4.2-3"),
-    "zero-pieces-one-short": ("thm-1.1-c", "thm-2.3-converse", "rem-c00",
-                              "thm-3.2-pres-p", "cor-3.4-pos", "cor-3.5-neg",
-                              "cor-3.6-pres-P", "thm-4.2-3"),
+    "zero-pieces-one-short": ("thm-1.1-c", "thm-2.3-forward",
+                              "thm-2.3-converse", "rem-c00", "thm-3.2-pres-p",
+                              "cor-3.4-pos", "cor-3.5-neg", "cor-3.6-pres-P",
+                              "op-level-window", "thm-4.2-3", "ex-2.2"),
     "mod-pieces-skip-negation": ("cor-3.6-pres-P",),
     "lex-comment-swallows-newline": (),
     "lex-col-after-newline-off-by-one": (),
@@ -459,6 +461,7 @@ def test_mutation_names_are_documented():
                               "ec-parts-keep-tail",
                               "poly-horner-late-power",
                               "kernel-window-short",
+                              "level-suffix-drops-tail",
                               "kernel-table-drops-top-piece",
                               "column-fold-first-cell",
                               "pl-common-skips-end-values",

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from rieszlab import generators as gen
 from rieszlab.errors import EnumerationCapExceeded, PreconditionError
 from rieszlab.lateral import (
-    enumerate_decompositions, enumerate_fragments, fragment_iter, is_fragment,
-    lateral_inf, lateral_sup, meet_formula, min_level, pliev_grid,
+    Restrictions, enumerate_decompositions, enumerate_fragments, fragment_iter,
+    is_fragment, lateral_inf, lateral_sup, meet_formula, min_level, pliev_grid,
 )
 from rieszlab.spaces import (
-    Coordinate, EventuallyConstant, PiecewiseLinear, SimpleFunction,
+    TAIL, Coordinate, EventuallyConstant, PiecewiseLinear, SimpleFunction,
     absolute, add, canonical_key, coord, ec, fin, get_atom, one, pl, scale,
     sub, zero, leq, neg_part, normalize, pos_part,
 )
@@ -189,11 +189,42 @@ def test_fragment_iter_matches_the_subsets_of_positions(e, extra):
     assert all(is_fragment(z, e) for z in got)
 
 
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_EC_WITH_AND_WITHOUT_TAIL, st.integers(0, 4))
+def test_level_restrictions_build_canonical_payloads(e, extra):
+    # at a level, the pieces of a point with a tail are its nonzero
+    # atoms through the level and the rest beyond them; each entry is
+    # built as a payload, and is the normalized subset of positions
+    # that the definition lists
+    level = min_level(e) + extra
+    frags = Restrictions(e, level)
+    got = sorted(frags, key=canonical_key)
+    want = _truncated_by_subsets(e, level)
+    assert repr([z.payload for z in got]) == repr([z.payload for z in want])
+    if e.payload[1]:
+        assert frags.level == level
+        assert frags.parts == [n for n in range(1, level + 1)
+                               if get_atom(e, n)] + [TAIL]
+    else:
+        assert frags.level is None
+
+
 def test_fragment_iter_refuses_a_level_beyond_the_cap():
     with pytest.raises(EnumerationCapExceeded) as err:
         fragment_iter(one(EventuallyConstant()), 18)
     assert str(err.value) == ("truncated fragment set has 524288 members, "
                               "beyond the enumeration cap 262144")
+
+
+def test_the_truncated_cap_counts_pieces_not_positions():
+    # a zero atom is no piece, and a point without a tail has its own
+    # pieces at every level
+    e = ec([0] * 20, 1)
+    assert list(fragment_iter(e, 20)) == [zero(e.space), e]
+    assert len(enumerate_decompositions(e, level=20)) == 2
+    finite = ec([1, 0, 2], 0)
+    assert fragment_iter(finite, 30) == enumerate_fragments(finite)
+    assert fragment_iter(finite, 30).count == 4
 
 
 def test_decompositions():

@@ -296,7 +296,8 @@ REFERENCES_ALLOWED = {
         "production code: _extrema calls it for the pairs and codomains "
         "the per-atom closed form does not serve",
     ("oplattice", "levels_by_full_walk"):
-        "production code with the window cut switched off",
+        "the per-piece fold of the lattice, with no window cut and the "
+        "rest of x beyond each level applied in place of suffix sums",
     ("dsl", "tokenize_by_scan"):
         "moving it would make import rieszlab load dsl",
     ("spaces", "leq_by_difference"): "the default of Space.leq",
@@ -406,10 +407,10 @@ def test_oracle_detectors_see_imports_and_attributes(tmp_path):
 
 
 # the lateral functions the oracles read as the definitions of the
-# fragments; a definition built on the level walk would check the walk
-# that ``operators.lateral_bound_scan`` folds against itself
+# fragments; a definition built on a level table cut at a window would
+# check the cut that ``operators.lateral_bound_scan`` folds against itself
 DEFINITIONS = ("fragment_iter", "enumerate_fragments")
-WALK = {"level_walk", "extend_levels"}
+WALK = {"extend_levels"}
 
 
 def _reached_names(path, roots):
@@ -441,12 +442,12 @@ def test_reach_detector_follows_the_module_definitions(tmp_path):
         "def f(e):\n"
         "    return g(e)\n"
         "def g(e):\n"
-        "    return [w for _, _, w in lateral.level_walk(e, 3)]\n"
+        "    return list(lateral.Restrictions(e, 3))\n"
         "def h(e):\n"
         "    return extend_levels(f(e), 4)\n")
-    assert {"g", "level_walk"} <= _reached_names(probe, ["f"])
+    assert {"g", "Restrictions"} <= _reached_names(probe, ["f"])
     assert "extend_levels" not in _reached_names(probe, ["f"])
-    assert {"extend_levels", "level_walk"} <= _reached_names(probe, ["h"])
+    assert {"extend_levels", "Restrictions"} <= _reached_names(probe, ["h"])
 
 
 # --- the evaluator's tables -------------------------------------------------

@@ -30,7 +30,7 @@ from rieszlab.spaces import (
     Coordinate, EventuallyConstant, FinSupport, ImageTable, LogTwo,
     PiecewiseLinear, SimpleFunction, add, coord, ec, from_atoms, inf,
     is_zero, leq, neg_part, normalize, one, pieces, pl, pos_part, scale, sub,
-    sup, unit_atom, zero,
+    sup, TAIL, zero,
 )
 
 from conftest import SCALARS, make_rng, pl_elements, report_line
@@ -405,40 +405,18 @@ def test_body_windows():
     assert OpScaled(2, meet).window() is None
 
 
-def test_level_walk_builds_canonical_payloads():
-    for x in (ec([1, 0, Q(-2, 3)], Q(5, 2)), ec([], -1), ec([0, 0, 4], 7)):
-        prefix, tail = x.payload
-        rows = list(EC.level_walk(x, len(prefix) + 4))
-        assert [l for l, _, _ in rows] == list(range(len(prefix),
-                                                     len(prefix) + 5))
-        assert rows[0][1] == pieces(x)
-        for l, atoms, w in rows:
-            want = normalize(EC, ([0] * l, tail))
-            assert w == want and repr(w.payload) == repr(want.payload)
-            if l > len(prefix):
-                want = unit_atom(EC, l, tail)
-                assert atoms == [want]
-                assert repr(atoms[0].payload) == repr(want.payload)
-    # the window cuts the walk, never below the prefix
-    x = ec([1, 2, 3], 1)
-    assert [l for l, _, _ in EC.level_walk(x, 9, window=5)] == [3, 4, 5]
-    assert [l for l, _, _ in EC.level_walk(x, 9, window=0)] == [3]
-    assert [l for l, _, _ in EC.level_walk(x, 4, window=8)] == [3, 4]
-
-
 def test_window_cut_counts_fewer_applications(monkeypatch):
+    # each of S and T reads its piece images once, at the cut 3: the
+    # atoms 1..3 of the constant one and the rest of it beyond them;
+    # nothing is applied, and nothing is read at level 40
     S = Kernel(EC, Coordinate(1), ((2, 1, poly(0, 1)),))
     T = Kernel(EC, Coordinate(1), ((3, 1, poly(0, -1, 1)),))
-    calls = []
-    real = oplattice.apply
-
-    def counting(op, x):
-        calls.append(x)
-        return real(op, x)
-
-    monkeypatch.setattr(oplattice, "apply", counting)
+    applied = _counting(monkeypatch, oplattice, "apply")
+    read = _counting(monkeypatch, Kernel, "piece_images")
     table = join_at(S, T, one(EC), level=40).levels
-    assert len(calls) == 2 * (3 + 4)      # each of S, T: 3 atoms, 4 tails
+    assert applied == []
+    assert [(frags.level, frags.parts) for _, frags in read] == \
+        [(3, [1, 2, 3, TAIL])] * 2
     assert [l for l, _ in table] == list(range(41))
     assert list(table) == levels_by_full_walk(S, T, one(EC), "sup", 40)
     assert all(v == table[3][1] for _, v in table[3:])
@@ -872,6 +850,69 @@ def test_lateral_meet_piece_images_on_every_model():
         frags = Restrictions(x)
         assert repr(T.piece_images(frags)) == \
             repr(Operator.piece_images(T, frags)), (x, a, b)
+
+
+def _level_bodies(x, level):
+    """Additive bodies on eventually constant sequences for the point x
+    cut at ``level``, and their sums and multiples: into two atoms,
+    kernels whose rows lie before and after the level, linear maps and
+    the zero operator; into the sequences, lateral meets whose a and b
+    are fragments of x at the level, their doubles or other points with
+    tails, and kernels; into ``LogTwo``, the series."""
+    frags = Restrictions(x, level)
+    sums = st.integers(0, frags.full).map(lambda m: frags[m])
+    params = st.one_of(sums, sums.map(lambda k: scale(2, k)), _tail_points())
+    ec_kernels = st.dictionaries(st.integers(1, 8), st.tuples(
+        st.integers(1, 4), COEFFS, COEFFS), max_size=4).map(
+        lambda r: Kernel(EC, EC, tuple(
+            (i, j, poly(0, a1, a2)) for i, (j, a1, a2) in r.items())))
+    return st.one_of(
+        _combinations(st.one_of(_kernels(), _linear_maps(),
+                                st.just(ZeroOp(EC, COORD2)))),
+        _combinations(st.one_of(
+            st.builds(LateralMeet, st.just(EC), params, params),
+            ec_kernels, st.just(ZeroOp(EC, EC)))),
+        _combinations(st.sampled_from((AlternatingSeries(),
+                                       ZeroOp(EC, LogTwo())))))
+
+
+def _bodies_at_a_level():
+    return st.tuples(_tail_points(), st.integers(0, 4)).flatmap(
+        lambda c: st.tuples(_level_bodies(c[0], len(c[0].payload[0]) + c[1]),
+                            st.just(c[0]),
+                            st.just(len(c[0].payload[0]) + c[1])))
+
+
+@TABLE_SETTINGS
+@given(_bodies_at_a_level())
+def test_piece_images_at_a_level_match_the_default(case):
+    # the last piece is the rest of x beyond the level, with infinitely
+    # many fragments: a kernel sums its rows past the level, a lateral
+    # meet applies itself, and the default applies the body to each piece
+    T, x, level = case
+    frags = Restrictions(x, level)
+    want = Operator.piece_images(T, frags)
+    assert repr(T.piece_images(frags)) == repr(want)
+    assert len(want) == len(frags.parts) and frags.parts[-1] == TAIL
+
+
+def test_a_lattice_body_at_a_tail_point_raises_the_level_precondition():
+    # its pick of the operands' images holds for pieces with two
+    # fragments only; the rest of x beyond a level has infinitely many,
+    # and applied without a level the body refuses it
+    S = Kernel(EC, Coordinate(1), ((2, 1, poly(0, 1)),))
+    T = Kernel(EC, Coordinate(1), ((3, 1, poly(0, -1, 1)),))
+    x = ec([1], 2)
+    for body in (OpLattice("pos", (S,)), OpLattice("join", (S, T)),
+                 OpScaled(2, OpLattice("mod", (T,)))):
+        for f in (lambda: join_at(body, T, x, level=4),
+                  lambda: meet_at(S, body, x, level=4),
+                  lambda: pos_part_at(body, x, level=4),
+                  lambda: lateral_bound_scan(body, x, level=4)):
+            with pytest.raises(PreconditionError) as err:
+                f()
+            assert str(err.value) == ("infinite splitting family: supply "
+                                      "a truncation level")
 
 
 def test_parts_apply_no_zero_operator(monkeypatch):
