@@ -452,10 +452,21 @@ def _run_thm_2_3_forward(rng, cfg):
             return _bad(f"closed form disagrees with enumeration at level {l}",
                         samples), tuple(arts)
     if not scan.growth:
-        return _bad("expected growth past the bound was not flagged",
-                    samples), tuple(arts)
+        return _unflagged(scan, bound, cfg["bound"], samples,
+                          "expected growth past the bound was not flagged"), \
+            tuple(arts)
     arts.append(f"growth past {cfg['bound']} certified")
     return _ok(samples, notes="exact level maxima n(n+1)/2"), tuple(arts)
+
+
+def _unflagged(scan, bound, shown, samples, witness):
+    """The verdict on a level scan that flagged no growth past ``bound``
+    (``shown`` as configured): a level maximum above the bound is a
+    missed flag, and with none no level refutes the bound yet."""
+    if any(not leq(hi, bound) for _, _, hi in scan.table):
+        return _bad(witness, samples)
+    return reports.inconclusive(samples, notes=(
+        f"no level maximum through level {scan.table[-1][0]} exceeds {shown}"))
 
 
 def _converse(menu):
@@ -765,13 +776,22 @@ def _run_ex_2_2(rng, cfg):
     arts = [f"value at the constant one: {format_element(v)}"]
     if v != normalize(R, (0, -1)):
         return _bad("value at the constant one is not -ln 2", 1), tuple(arts)
-    level = cfg["level"]
-    scan = lateral_bound_scan(T, e, level=level,
-                              bound=normalize(R, (cfg["bound"], 0)))
-    samples, prev, harmonic = 1, None, ZERO
+    level, bound = cfg["level"], normalize(R, (cfg["bound"], 0))
+    scan = lateral_bound_scan(T, e, level=level, bound=bound)
+    # at level l the largest image takes the even atoms through l, whose
+    # images 1/n sum to H_even(l), and at odd l the rest of e beyond l
+    # too, whose image T(e) - s_l = -ln 2 - s_l is then positive, where
+    # s_l is the sum of (-1)^n / n through l
+    samples, prev, harmonic, partial = 1, None, ZERO, ZERO
     for l, lo, hi in scan.table:
         samples += 1
-        if l % 2 == 0 and l > 0:
+        if l % 2:
+            partial -= Q(1, l)
+            if hi != normalize(R, (harmonic - partial, -1)):
+                return _bad(f"level {l} maximum differs from H_even({l}) "
+                            f"- ln 2 - s_{l}", samples), tuple(arts)
+        elif l > 0:
+            partial += Q(1, l)
             harmonic += Q(1, l)
             if hi != normalize(R, (harmonic, 0)):
                 return _bad(f"level {l} maximum differs from the even-index "
@@ -781,7 +801,9 @@ def _run_ex_2_2(rng, cfg):
             return _bad(f"level table not monotone at {l}", samples), tuple(arts)
         prev = hi
     if not scan.growth:
-        return _bad(f"maximum never exceeded {cfg['bound']}", samples), tuple(arts)
+        return _unflagged(scan, bound, cfg["bound"], samples,
+                          f"growth past {cfg['bound']} was not flagged"), \
+            tuple(arts)
     arts.append(f"exceeds {cfg['bound']} by level {level}")
     # r (ln 2 - p/q) for convergents p/q: values next to 0, whose signs
     # take narrow enclosures of ln 2 to decide

@@ -82,8 +82,9 @@ mutants:
   image of the atoms between it and L alone where it should read the
   image of the rest of the point beyond it.  ``op-level-window``
   compares the cut table with the full walk, which applies both bodies
-  to the rest beyond each level, and catches it; so does
-  ``thm-2.3-forward``, which compares its scan with an enumeration.
+  to the rest beyond each level, and catches it; so do
+  ``thm-2.3-forward``, which compares its scan with an enumeration, and
+  ``ex-2.2``, whose odd-level maxima read the image of the rest.
 * ``pl-common-skips-end-values`` -- the piecewise-linear greatest
   common fragment keeps a component shared as an interval with the same
   breakpoints inside, without comparing the values at an end at t=0 or

@@ -815,10 +815,11 @@ def lateral_bound_scan(T, e: Element, level: int | None = None,
     ``oplattice``.  Finite algebras give exact bounds.  For eventually
     constant bases with nonzero tail, pass a level: the table holds the
     extremes level by level, read off the piece images at the operators'
-    window cut for structurally additive bodies, and over bounded
-    enumeration otherwise.  A maximum that is not at most ``bound``, a
-    value of the codomain, fails the scan, exact or truncated, and sets
-    ``growth``.
+    window cut for structurally additive bodies, and otherwise by
+    enumerating the fragments of each level on its own, once the top
+    level is within the enumeration cap.  A maximum that is not at most
+    ``bound``, a value of the codomain, fails the scan, exact or
+    truncated, and sets ``growth``.
     ``oracles.scan_levels_by_enumeration`` is the reference.
     """
     from .oplattice import join_at, meet_at

@@ -8,7 +8,8 @@ the fold over splittings distributes into one fold per piece of x (its
 support atoms, or its support components on piecewise-linear functions):
 exactly for finite fragment algebras, level by level from the pieces of
 one level for infinite ones, on every codomain.  Other pairs enumerate
-the splittings as masks over fragment tables (``extrema_by_enumeration``).
+the splittings as masks over fragment tables (``extrema_by_enumeration``),
+at each truncation level on its own for infinite ones.
 A table is the codomain's: on cell spaces one integer column per cell,
 so a splitting costs integer additions and no element, elsewhere a list
 of values.
@@ -53,7 +54,6 @@ class LatticePoint:
     value: object = None
     levels: tuple = ()
     attained: tuple = ()
-    notes: str = ""
 
 
 _PICK = {"sup": sup, "inf": inf}
@@ -87,9 +87,11 @@ def _extrema(S, T, x: Element, kind: str, level: int | None) -> LatticePoint:
     if additive:
         levels = _levels_closed(S, T, x, kind, level, joint_window((S, T)))
     else:
-        levels = _levels_enumerated(S, T, x, kind, level)
-    return LatticePoint("truncated", levels=tuple(levels),
-                        notes="per-level extrema over truncated splittings")
+        # refuse a level below x's prefix or past the cap before any work
+        Restrictions(x, level).check_cap()
+        levels = [(l, extrema_by_enumeration(S, T, x, kind, l).value)
+                  for l in range(min_level(x), level + 1)]
+    return LatticePoint("truncated", levels=tuple(levels))
 
 
 def fragment_images(T, frags):
@@ -102,22 +104,25 @@ def fragment_images(T, frags):
     return T.codomain.image_table([apply(T, u) for u in frags])
 
 
-def extrema_by_enumeration(S, T, x: Element, kind: str) -> LatticePoint:
+def extrema_by_enumeration(S, T, x: Element, kind: str,
+                           level: int | None = None) -> LatticePoint:
     """Reference fold of S(u) + T(v) over every splitting x = u + v.
 
-    ``kind`` is "sup" or "inf"; the fragment algebra of x must be
-    finite.  Mask m of the pieces of x splits it into u on the pieces in
-    m and v on the rest, so S(u) + T(v) is entry m of the left
-    operator's fragment table plus the right one's complement
-    (``fragment_images``).  The tables are the codomain's: integer
-    columns on cell spaces, lists of values elsewhere
-    (``spaces.ImageTable``); their fold gives the extremum and its
-    masks, and ``Decomposition`` objects are built only for those.  The
-    checks and tests compare the per-piece closed form with this, and
-    ``_extrema`` calls it where the closed form does not serve.
+    ``kind`` is "sup" or "inf"; the splittings are those of
+    ``Restrictions(x, level)``, so a point with infinitely many
+    fragments needs a truncation ``level``.  Mask m of the pieces of x
+    splits it into u on the pieces in m and v on the rest, so S(u) + T(v)
+    is entry m of the left operator's fragment table plus the right
+    one's complement (``fragment_images``).  The tables are the
+    codomain's: integer columns on cell spaces, lists of values
+    elsewhere (``spaces.ImageTable``); their fold gives the extremum and
+    its masks, and ``Decomposition`` objects are built only for those.
+    The checks and tests compare the per-piece closed form with this,
+    and ``_extrema`` calls it where the closed form does not serve, one
+    level at a time at a point with infinitely many fragments.
     """
     _pair_check(S, T, x)
-    frags = Restrictions(x)
+    frags = Restrictions(x, level)
     values = fragment_images(S, frags) + fragment_images(T, frags).complement()
     fold, masks = values.extremum(_ORDER[kind])
     hits = [Decomposition(x, frags[m], frags[frags.full ^ m]) for m in masks]
@@ -212,27 +217,6 @@ def levels_by_full_walk(S, T, x, kind: str, level: int) -> list:
         rest = frags[frags.full >> k << k]
         out.append((l, add(acc, pick(apply(S, rest), apply(T, rest)))))
         acc, _ = _fold_pieces(acc, s[k:k + 1], t[k:k + 1], pick)
-    return out
-
-
-def _levels_enumerated(S, T, x, kind, level):
-    """Per-level fold over the masks of ``Restrictions(x, level)``,
-    each applied once and folded into the first level that holds it:
-    past the prefix of x, a fragment u is a sum of atoms through l plus,
-    or not, the rest of x beyond l exactly when its own prefix ends by
-    l.  ``oracles.levels_by_enumeration`` is the reference.
-    """
-    pick, first = _PICK[kind], min_level(x)
-    frags, by_level = Restrictions(x, level), {}
-    for mask, u in enumerate(frags):
-        l = max(first, min_level(u))
-        value = add(apply(S, u), apply(T, frags[frags.full ^ mask]))
-        by_level[l] = pick(by_level[l], value) if l in by_level else value
-    acc, out = by_level.pop(first), []  # u = 0 is in every level
-    for l in range(first, level + 1):
-        if l in by_level:
-            acc = pick(acc, by_level[l])
-        out.append((l, acc))
     return out
 
 

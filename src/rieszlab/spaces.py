@@ -199,14 +199,15 @@ class Space:
     """A space descriptor together with the calculus of its elements.
 
     A model has a ``name`` and its own ``normalize``, ``zero``,
-    ``one``, ``add``, ``scale``, ``lattice``, ``nonneg``, ``format`` and
-    ``key``, and overrides the methods below that its elements support;
-    the defaults raise, as they do for ``LogTwo`` on everything past its
-    vector, lattice and order calculus.  Methods taking two elements may
-    assume both lie in this space.  ``lattice`` applies ``pick`` (max or
-    min) pointwise, ``nonneg`` tests x >= 0, ``full_support`` tells
-    whether no nonzero element is disjoint from x, and the samplers call
-    ``draw()`` for each random scalar they need.
+    ``one``, ``add``, ``scale``, ``lattice`` and ``format``, and
+    overrides the methods below that its elements support; the defaults
+    raise, as they do for ``LogTwo`` on everything past its vector,
+    lattice and order calculus.  Methods taking two elements may assume
+    both lie in this space.  ``lattice`` applies ``pick`` (max or min)
+    pointwise, ``key`` is a total sort key, the payload by default,
+    ``full_support`` tells whether no nonzero element is disjoint from
+    x, and the samplers call ``draw()`` for each random scalar they
+    need.
 
     The rest of the element calculus has defaults built from ``add``,
     ``scale`` and ``lattice``, which stay here as the references a
@@ -216,8 +217,8 @@ class Space:
     * ``sub``, x - y, is x + (-y);
     * ``pos_part``, ``neg_part`` and ``absolute`` are the lattice
       formulas sup(x, 0), sup(-x, 0) and sup(x, -x);
-    * ``leq`` and ``disjoint`` are ``leq_by_difference`` and
-      ``disjoint_by_modulus``.
+    * ``leq`` is ``leq_by_difference``, y - x has no negative part, and
+      ``disjoint`` is ``disjoint_by_modulus``, |x| ^ |y| = 0.
 
     The atomic models override all of them and work on their payloads
     directly: a part or modulus reads each value's sign off its
@@ -227,7 +228,7 @@ class Space:
     all but ``sub``: its parts and modulus walk the payload once,
     reading signs off numerators and inserting a zero where a segment
     changes sign.  ``LogTwo`` overrides none of them: its ``lattice``
-    and ``nonneg`` decide the order, and the defaults do the rest.
+    decides the order, and the defaults do the rest.
     ``subset_table`` and ``image_table`` build the fragment tables that
     the splitting enumeration folds, a list of values by default
     (``ImageTable``).  ``piece_builder`` gives x's support pieces and a
@@ -264,6 +265,9 @@ class Space:
 
     def disjoint(self, x, y) -> bool:
         return disjoint_by_modulus(x, y)
+
+    def key(self, x):
+        return x.payload
 
     def eval_at(self, x, t) -> Fraction:
         raise Unsupported(
@@ -405,9 +409,6 @@ class Cells(Space):
     def absolute(self, x):
         return Element(self, tuple(map(_abs, x.payload)))
 
-    def nonneg(self, x):
-        return all(v.numerator >= 0 for v in x.payload)
-
     def leq(self, x, y):
         return not any(map(_qless, y.payload, x.payload))
 
@@ -448,9 +449,6 @@ class Cells(Space):
             elif side == "v":
                 v[i] = draw()
         return normalize(self, u), normalize(self, v)
-
-    def key(self, x):
-        return x.payload
 
     # fragment tables as integer columns; see ``CellColumns``
     def _cells_of(self, elements):
@@ -626,9 +624,6 @@ class FinSupport(Space):
     def absolute(self, x):
         return Element(self, tuple([(i, _abs(v)) for i, v in x.payload]))
 
-    def nonneg(self, x):
-        return all(v.numerator >= 0 for _, v in x.payload)
-
     def leq(self, x, y):
         xs, ys = dict(x.payload), dict(y.payload)
         return not any(_qless(ys.get(i, ZERO), xs.get(i, ZERO))
@@ -663,9 +658,6 @@ class FinSupport(Space):
 
     def format(self, x):
         return "fin{%s}" % ",".join(f"({i},{v})" for i, v in x.payload)
-
-    def key(self, x):
-        return x.payload
 
 
 @dataclass(frozen=True)
@@ -750,10 +742,6 @@ class EventuallyConstant(Space):
 
     def absolute(self, x):
         return self._parts(x, _abs)
-
-    def nonneg(self, x):
-        prefix, tail = x.payload
-        return tail.numerator >= 0 and all(v.numerator >= 0 for v in prefix)
 
     def leq(self, x, y):
         xs, ys = self._columns(x, y)
@@ -1186,11 +1174,6 @@ class PiecewiseLinear(Space):
     def absolute(self, x):
         return self._parts(x, _abs)
 
-    def nonneg(self, x):
-        # x is linear between its breakpoints, so checking the
-        # breakpoint values suffices
-        return all(v.numerator >= 0 for _, v in x.payload)
-
     # On each segment between merged breakpoints both operands are
     # linear, so order and disjointness are decided at its ends.
 
@@ -1277,9 +1260,6 @@ class PiecewiseLinear(Space):
     def format(self, x):
         return "pl{%s}" % ",".join(f"({t},{v})" for t, v in x.payload)
 
-    def key(self, x):
-        return tuple(pair for pt in x.payload for pair in pt)
-
 
 # --- the range of the series functional -------------------------------------
 
@@ -1340,9 +1320,9 @@ class LogTwo(Space):
     As a subset of the reals it is totally ordered, so it is a Riesz
     space over the rationals; it is Archimedean but not Dedekind
     complete.  A value is exact: order is decided by the sign of a
-    difference, ``_ln2_sign``, which ``lattice`` and ``nonneg`` read.
-    Negation, subtraction, the parts and the modulus, ``leq`` and
-    ``disjoint`` are the ``Space`` defaults."""
+    difference, ``_ln2_sign``, which ``lattice`` reads.  Negation,
+    subtraction, the parts and the modulus, ``leq``, ``disjoint`` and
+    ``key`` are the ``Space`` defaults."""
 
     name = "ln2"
 
@@ -1370,9 +1350,6 @@ class LogTwo(Space):
         s = _ln2_sign(a - c, b - d)
         return x if pick(s, 0) == s else y
 
-    def nonneg(self, x):
-        return _ln2_sign(*x.payload) >= 0
-
     def format(self, x):
         a, b = x.payload
         if not b:
@@ -1381,9 +1358,6 @@ class LogTwo(Space):
         if not a:
             return term if b > 0 else f"-{term}"
         return f"{a} {'+' if b > 0 else '-'} {term}"
-
-    def key(self, x):
-        return x.payload
 
 
 # ---------------------------------------------------------------------------
@@ -1619,9 +1593,8 @@ def is_disjoint(x: Element, y: Element) -> bool:
 # decided them on their payloads; kept as the defaults and as oracles.
 
 def leq_by_difference(x: Element, y: Element) -> bool:
-    """x <= y as: y - x is everywhere >= 0."""
-    d = sub(y, x)
-    return d.space.nonneg(d)
+    """x <= y as: y - x has no negative part."""
+    return is_zero(neg_part(sub(y, x)))
 
 
 def disjoint_by_modulus(x: Element, y: Element) -> bool:

@@ -1,5 +1,6 @@
 """The named check suite: registry coverage, determinism, mutations."""
 
+import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from rieszlab.errors import (
     EnumerationCapExceeded, PreconditionError, UnknownCheck,
 )
 from rieszlab.mutations import MUTATIONS, tampered
-from rieszlab.reports import FAILS, HOLDS
+from rieszlab.reports import FAILS, HOLDS, INCONCLUSIVE
 
 from conftest import is_canonical
 
@@ -114,9 +115,42 @@ def test_a_bound_is_a_rational_number(capsys):
         assert capsys.readouterr().out.startswith(f"{cid} holds ")
     assert run_check("ex-2.2", {"bound": Fraction(3, 2)}).result.verdict \
         == HOLDS
-    # the series' level-62 maximum H_31 / 2 lies just above 2
-    assert run_check("ex-2.2", {"bound": "5/2"}).result.witness == \
-        "maximum never exceeded 5/2"
+    # the series' level-62 maximum H_31 / 2 lies just above 2, so a
+    # larger bound is not refuted, and no counterexample is claimed
+    result = run_check("ex-2.2", {"bound": "5/2"}).result
+    assert (result.verdict, result.witness, result.notes) == (
+        INCONCLUSIVE, None, "no level maximum through level 62 exceeds 5/2")
+
+
+def test_a_bound_no_level_exceeds_is_inconclusive(capsys):
+    from rieszlab import cli
+    for args, line in (
+            (["ex-2.2", "--config", "level=5"], "ex-2.2 inconclusive 7"),
+            (["thm-2.3-forward", "--config", "levels=3"],
+             "thm-2.3-forward inconclusive 4"),
+            (["thm-2.3-forward", "--config", "bound=100000"],
+             "thm-2.3-forward inconclusive 13")):
+        assert cli.main(["check", *args]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == line
+    notes = run_check("thm-2.3-forward", {"levels": 3}).result.notes
+    assert notes == "no level maximum through level 3 exceeds 50"
+
+
+def test_a_maximum_past_an_unflagged_bound_fails(monkeypatch):
+    # a scan that misses growth its own table shows is a fault
+    from rieszlab import checks
+
+    def unflagged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), growth=False)
+
+    real = checks.lateral_bound_scan
+    monkeypatch.setattr(checks, "lateral_bound_scan", unflagged)
+    for cid, witness in (
+            ("ex-2.2", "growth past 2 was not flagged"),
+            ("thm-2.3-forward",
+             "expected growth past the bound was not flagged")):
+        result = run_check(cid).result
+        assert (result.verdict, result.witness) == (FAILS, witness)
 
 
 def test_unknown_config_key_is_rejected():
@@ -376,7 +410,8 @@ CATCHERS = {
     "poly-horner-late-power": ("thm-3.2-join", "cor-3.3-meet", "cor-3.4-pos",
                                "cor-3.5-neg", "cor-3.6-mod"),
     "kernel-window-short": ("op-level-window",),
-    "level-suffix-drops-tail": ("thm-2.3-forward", "op-level-window"),
+    "level-suffix-drops-tail": ("thm-2.3-forward", "op-level-window",
+                                "ex-2.2"),
     "kernel-table-drops-top-piece": ("thm-3.2-join", "cor-3.3-meet",
                                      "cor-3.4-pos", "cor-3.5-neg",
                                      "cor-3.6-mod", "thm-4.2-2", "thm-4.2-3"),

@@ -509,9 +509,14 @@ def test_eval_meyer_unsafe_marker():
 
 def test_eval_check_statement_counts_failures():
     script = _script("check ex-2.2 level=8;")
-    lines, env = evaluate(script, seed=0)
+    with tampered("level-suffix-drops-tail"):
+        lines, env = evaluate(script, seed=0)
     assert env.failures == 1
     assert lines[0].startswith("ex-2.2 fails")
+    # an inconclusive check is no failure
+    lines, env = evaluate(script, seed=0)
+    assert env.failures == 0
+    assert lines[0].startswith("ex-2.2 inconclusive")
 
 
 def test_type_errors_carry_spans():

@@ -14,6 +14,7 @@ from rieszlab.errors import (
 )
 from rieszlab.lateral import (
     Decomposition, Restrictions, enumerate_decompositions, enumerate_fragments,
+    min_level,
 )
 from rieszlab.operators import (
     AlternatingSeries, Kernel, LateralMeet, LinearEC, MatchTable, Operator,
@@ -161,7 +162,7 @@ def _assert_matches_enumeration(S, T, x):
     for name, got, ref, (value, attained) in _all_kinds(S, T, x):
         assert got.value == ref.value == value, (name, S, T, x)
         assert got.attained == ref.attained == attained, (name, S, T, x)
-        assert (got.mode, got.notes) == (ref.mode, ref.notes), (name, S, T, x)
+        assert got.mode == ref.mode, (name, S, T, x)
 
 
 def test_closed_form_matches_enumeration_on_every_finite_model():
@@ -507,8 +508,7 @@ def _tail_point_tables():
 
 
 def test_truncated_enumeration_matches_each_level_enumerated(monkeypatch):
-    # a pair with a match table enumerates the top level once, each
-    # splitting folded into the first level that holds it
+    # a pair with a match table enumerates each level on its own
     table, kernel = _tail_point_tables()
     x = ec([1, -2], Q(1, 2))
     for S, T in ((table, kernel), (kernel, table)):
@@ -518,9 +518,13 @@ def test_truncated_enumeration_matches_each_level_enumerated(monkeypatch):
                 assert list(at(S, T, x, level).levels) == want
     calls = _counting(monkeypatch, oplattice, "apply")
     join_at(table, kernel, x, level=6)
-    # atoms 1..6 and the tail beyond: 2^7 splittings, two applications
-    # each; a level at a time applied 2 * (2^3 + ... + 2^7) times
-    assert len(calls) == 2 * 2 ** 7
+    # levels 2..6 have the atoms through the level and the tail beyond:
+    # 2^3 + ... + 2^7 fragments, each applied once to the table, while
+    # the kernel reads its piece images
+    assert len(calls) == 248
+    calls.clear()
+    join_at(table, table, x, level=6)
+    assert len(calls) == 2 * 248
 
 
 @WINDOW_SETTINGS
@@ -528,32 +532,57 @@ def test_truncated_enumeration_matches_each_level_enumerated(monkeypatch):
        st.one_of(_kernels(), _linear_maps()),
        _tail_points(), st.sampled_from(("sup", "inf")), st.integers(0, 3))
 def test_truncated_enumeration_matches_on_additive_pairs(S, T, x, kind, extra):
-    # the closed fold serves these pairs; their enumerated tables still
-    # agree with each level enumerated on its own
+    # the closed fold serves these pairs; the enumeration at each level
+    # still agrees with the reference
     level = len(x.payload[0]) + extra
-    assert oplattice._levels_enumerated(S, T, x, kind, level) == \
+    assert [(l, extrema_by_enumeration(S, T, x, kind, l).value)
+            for l in range(min_level(x), level + 1)] == \
         levels_by_enumeration(S, T, x, kind, level)
 
 
-def test_below_prefix_level_is_refused_on_every_path():
+def _refused_before_any_application(monkeypatch, pairs, x, level, error,
+                                    message):
+    """Each pointwise function and the scan raise ``error`` with
+    ``message`` at x and ``level``, and apply no body first."""
+    def no_application(*args):
+        raise AssertionError("a body was applied before the refusal")
+
+    monkeypatch.setattr(oplattice, "apply", no_application)
+    for S, T in pairs:
+        for f in (lambda: join_at(S, T, x, level=level),
+                  lambda: meet_at(S, T, x, level=level),
+                  lambda: pos_part_at(T, x, level=level),
+                  lambda: neg_part_at(T, x, level=level),
+                  lambda: modulus_at(T, x, level=level),
+                  lambda: lateral_bound_scan(T, x, level=level)):
+            with pytest.raises(error, match=message):
+                f()
+
+
+def test_below_prefix_level_is_refused_on_every_path(monkeypatch):
     x = ec([1, 2, 3, 4, 5], 7)
     rng = make_rng("below-prefix")
     closed = (gen.random_kernel(rng, EC, Coordinate(2)),
               gen.random_linear_ec(rng, Coordinate(2)))
-    enumerated = (gen.random_lateral_meet(rng, EC),
-                  gen.random_lateral_meet(rng, EC))
-    message = "level 3 is below the prefix length 5"
-    for S, T in (closed, enumerated):
-        for f in (lambda: join_at(S, T, x, level=3),
-                  lambda: meet_at(S, T, x, level=3),
-                  lambda: pos_part_at(T, x, level=3),
-                  lambda: neg_part_at(T, x, level=3),
-                  lambda: modulus_at(T, x, level=3),
-                  lambda: lateral_bound_scan(T, x, level=3)):
-            with pytest.raises(PreconditionError, match=message):
-                f()
+    meets = (gen.random_lateral_meet(rng, EC),
+             gen.random_lateral_meet(rng, EC))
+    # a match table is no additive body, so its pairs enumerate
+    table, kernel = _tail_point_tables()
     # the prefix length itself is the first level of a table
     assert [l for l, _ in join_at(*closed, x, level=5).levels] == [5]
+    assert [l for l, _ in join_at(kernel, table, x, level=5).levels] == [5]
+    _refused_before_any_application(
+        monkeypatch, (closed, meets, (kernel, table), (table, table)), x, 3,
+        PreconditionError, "level 3 is below the prefix length 5")
+
+
+def test_a_level_past_the_cap_is_refused_before_any_application(monkeypatch):
+    # atoms 1..18 and the rest beyond them: 2^19 truncated fragments
+    table, kernel = _tail_point_tables()
+    _refused_before_any_application(
+        monkeypatch, ((kernel, table), (table, table)), ec([1, -2], Q(1, 2)),
+        18, EnumerationCapExceeded, "^truncated fragment set has 524288 "
+        "members, beyond the enumeration cap 262144$")
 
 
 # --- derived operators as bodies --------------------------------------------
@@ -996,7 +1025,7 @@ def test_enumeration_matches_the_fold_of_applications(case, kind):
     value, attained = _enumeration_by_apply(S, T, x, kind)
     assert got.value == value
     assert repr((got.value, got.attained)) == repr((value, attained))
-    assert (got.mode, got.notes) == ("exact", "")
+    assert got.mode == "exact"
 
 
 # --- the column fold against the fold of elements ---------------------------
